@@ -279,10 +279,11 @@ def _verb_fitz(args, inst) -> int:
     st = operators.subdiff_structure(inst)
     xs = parse_probe_grid(args.probes, exact=True)
     ys = parse_probe_grid(args.dual_grid, exact=True)
+    ycells = [_cell(y) for y in ys]
     rows = [
-        [_cell(x), _cell(y), _cell(operators.fitzpatrick_structured(st, x, y))]
-        for x in xs
-        for y in ys
+        [_cell(x), yc, _cell(v)]
+        for x, vals in zip(xs, operators.fitzpatrick_table(st, xs, ys))
+        for yc, v in zip(ycells, vals)
     ]
     _emit(args.out, "x,xstar,value", rows)
     return 0
@@ -305,7 +306,10 @@ def _verb_envelope(args, inst) -> int:
     )
     eps = None
     if args.eps is not None:
-        eps = Fraction(args.eps).limit_denominator(10**9) if exact else args.eps
+        try:
+            eps = parse_scalar(args.eps, exact=exact).finite()
+        except ValueError as e:
+            raise _UsageError(f"--eps: {e}")
     res = envelopes.envelope_result(
         inst, args.kind, probes, n=args.n, eps=eps, dual_points=duals,
         backend=backend,
@@ -451,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=("cup", "sharp", "starcup", "circ", "ncup",
                              "smile", "smileeps"))
     pe.add_argument("--n", "-n", type=int, default=None)
-    pe.add_argument("--eps", type=float, default=None)
+    pe.add_argument("--eps", default=None)
 
     pc = sub.add_parser("check")
     pc.add_argument("theorem_id")

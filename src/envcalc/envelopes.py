@@ -52,61 +52,11 @@ from .transforms import conjugate_brute, conjugate_exact, pl_restrict
 # ---------------------------------------------------------------------------
 
 
-def _threshold_sup(st, x, theta=None, strict=False) -> ExtReal:
-    """sup of affine supports whose anchor value passes the budget.
-
-    theta=None admits every support.  A breakpoint with subgradient interval
-    [lo, hi] contributes its value at the probe through the steeper interval
-    end on the relevant side; an unbounded end means the sup diverges there.
-    Along a segment every admitted anchor carries the segment's own line, so
-    the budget only decides whether the open segment contains an admitted
-    anchor at all (for a sloped segment: iff the budget exceeds the infimum
-    of the values over the open piece, which need not be attained).
-    """
-    best = NEG_INF
-    for a, v, lo, hi in st.points:
-        if theta is not None:
-            skip = (v >= theta) if strict else (v > theta)
-            if skip:
-                continue
-        if x == a:
-            cand = as_extreal(v)
-        elif x > a:
-            cand = POS_INF if hi is None else as_extreal(v + (x - a) * hi)
-        else:
-            cand = POS_INF if lo is None else as_extreal(v + (x - a) * lo)
-        if cand > best:
-            best = cand
-            if best.is_pos_inf:
-                return best
-    for xlo, xhi, slope, rx, rv in st.segments:
-        if theta is not None:
-            if slope == 0:
-                admit = (rv < theta) if strict else (rv <= theta)
-            else:
-                if xlo is None:
-                    lo_end = NEG_INF if slope > 0 else POS_INF
-                else:
-                    lo_end = as_extreal(rv + (xlo - rx) * slope)
-                if xhi is None:
-                    hi_end = POS_INF if slope > 0 else NEG_INF
-                else:
-                    hi_end = as_extreal(rv + (xhi - rx) * slope)
-                inf_open = lo_end if lo_end < hi_end else hi_end
-                admit = as_extreal(theta) > inf_open
-            if not admit:
-                continue
-        cand = as_extreal(rv + (x - rx) * slope)
-        if cand > best:
-            best = cand
-    return best
-
-
 def cup_value(f: PLConvex1D, x, st=None) -> ExtReal:
     """Exact upper envelope of all subdifferential supports at one probe."""
     if st is None:
         st = subdiff_structure(f)
-    return _threshold_sup(st, _exactify(x))
+    return st.sup(_exactify(x))
 
 
 def smile_value(f: PLConvex1D, x, st=None, strict=False) -> ExtReal:
@@ -121,8 +71,8 @@ def smile_value(f: PLConvex1D, x, st=None, strict=False) -> ExtReal:
     x = _exactify(x)
     fx = f.value_at(x)
     if fx.is_pos_inf:
-        return _threshold_sup(st, x)
-    return _threshold_sup(st, x, theta=fx.finite(), strict=strict)
+        return st.sup(x)
+    return st.sup(x, theta=fx.finite(), strict=strict)
 
 
 def smile_eps_value(f: PLConvex1D, x, eps, st=None) -> ExtReal:
@@ -135,8 +85,8 @@ def smile_eps_value(f: PLConvex1D, x, eps, st=None) -> ExtReal:
     x = _exactify(x)
     fx = f.value_at(x)
     if fx.is_pos_inf:
-        return _threshold_sup(st, x)
-    return _threshold_sup(st, x, theta=fx.finite() + eps)
+        return st.sup(x)
+    return st.sup(x, theta=fx.finite() + eps)
 
 
 def subdiff_domain(f: PLConvex1D) -> Interval1D:
@@ -386,15 +336,23 @@ def n_cup_enum(f, G: OperatorGraph, n: int, x) -> ExtReal:
     return best
 
 
+def _budget_value(f, x) -> ExtReal:
+    # an exact function takes float probes as the rationals they denote, as
+    # subdiff_graph does, so budgets compare exactly; grids look floats up
+    if isinstance(f, PLConvex1D):
+        x = _exactify(x)
+    return evaluate(f, x)
+
+
 def smile(f, G: OperatorGraph, x) -> ExtReal:
     """Pair-route constrained envelope: anchors with f(a) <= f(x) only.
 
     The constraint is dropped when f(x) = +inf, matching smile_value.
     """
-    fx = evaluate(f, x)
+    fx = _budget_value(f, x)
     best = NEG_INF
     for a, b in G.pairs:
-        fa = evaluate(f, a)
+        fa = _budget_value(f, a)
         if not fa.is_finite:
             raise ValueError(f"anchor {a!r} has no finite value")
         if not fx.is_pos_inf and not fa <= fx:
@@ -410,10 +368,10 @@ def smile_eps(f, G: OperatorGraph, x, eps) -> ExtReal:
     eps = _exactify(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    fx = evaluate(f, x)
+    fx = _budget_value(f, x)
     best = NEG_INF
     for a, b in G.pairs:
-        fa = evaluate(f, a)
+        fa = _budget_value(f, a)
         if not fa.is_finite:
             raise ValueError(f"anchor {a!r} has no finite value")
         if not fx.is_pos_inf and not fa.finite() <= fx.finite() + eps:
@@ -730,29 +688,6 @@ class EnvelopeResult:
         rows = self.table(probes)
         dim = self.carrier.dim if isinstance(self.carrier, MaxAffine) else 1
         write_values_csv(path, [r[0] for r in rows], [r[1] for r in rows], dim)
-
-    def write_pieces_csv(self, path) -> None:
-        if not isinstance(self.carrier, MaxAffine):
-            raise ValueError("only MaxAffine carriers have a piece list")
-        from .extreal import format_scalar
-
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            if self.carrier.dim == 1:
-                fh.write("anchor,slope,level\n")
-                for a, s, lv in self.carrier.pieces:
-                    fh.write(
-                        ",".join(
-                            format_scalar(as_extreal(c)) for c in (a, s, lv)
-                        )
-                        + "\n"
-                    )
-            else:
-                fh.write("anchor1,anchor2,slope1,slope2,level\n")
-                for a, s, lv in self.carrier.pieces:
-                    cells = (a[0], a[1], s[0], s[1], lv)
-                    fh.write(
-                        ",".join(format_scalar(as_extreal(c)) for c in cells) + "\n"
-                    )
 
 
 def envelope_result(

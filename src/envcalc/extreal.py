@@ -241,6 +241,8 @@ def parse_scalar(s: Union[str, int, float], *, exact: bool | None = None) -> Ext
         return NEG_INF
     if "/" in t:
         num, den = t.split("/")
+        if int(den) == 0:
+            raise ValueError(f"zero denominator in {s!r}")
         return ExtReal(Fraction(int(num), int(den)))
     try:
         i = int(t)

@@ -131,7 +131,10 @@ class PLConvex1D:
             object.__setattr__(self, "left_recession", _frac(sl))
         if sr is not None:
             object.__setattr__(self, "right_recession", _frac(sr))
-        s = self.slopes()
+        s = tuple(
+            (vals[i + 1] - vals[i]) / (bps[i + 1] - bps[i]) for i in range(len(bps) - 1)
+        )
+        object.__setattr__(self, "_slopes", s)
         if any(a > b for a, b in zip(s, s[1:])):
             raise ValueError("interior slopes must be nondecreasing (convexity)")
         if self.left_recession is not None:
@@ -169,8 +172,7 @@ class PLConvex1D:
     # -- basic structure ------------------------------------------------
     def slopes(self) -> tuple:
         """Interior segment slopes, one per consecutive breakpoint pair."""
-        b, v = self.breakpoints, self.values
-        return tuple((v[i + 1] - v[i]) / (b[i + 1] - b[i]) for i in range(len(b) - 1))
+        return self._slopes
 
     def closure(self) -> "PLConvex1D":
         """Same function with overrides dropped (the lsc hull)."""

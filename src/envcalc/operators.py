@@ -11,10 +11,11 @@ cross-checked against the inequality-based membership test below.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .extreal import ExtReal, NEG_INF, as_extreal, ext_sup
+from .extreal import ExtReal, NEG_INF, POS_INF, as_extreal, ext_sup
 from .funcrep import GridFunction, Interval1D, PLConvex1D, _frac, dot, point_sub
 from .transforms import conjugate_exact, indicator
 
@@ -31,11 +32,111 @@ class SubdiffStructure1D:
     there is the line through (ref_x, ref_v); None interval ends mark
     recession rays.  Breakpoints with a raised (non-lsc) value have empty
     subdifferential and appear in neither list.
+
+    Built alongside, in O(m), is one left-to-right candidate order that
+    interleaves the points and segments (a left ray first, a right ray
+    last).  Each candidate is an anchored support (a, v, lo, hi, ends): a
+    point is its own anchor with its interval, a segment is its line through
+    (ref_x, ref_v) with lo = hi = slope and ``ends`` = (xlo, xhi).  ``sup``
+    and the Fitzpatrick line generator both walk this one order.
     """
 
     func: PLConvex1D
     points: tuple
     segments: tuple
+
+    def __post_init__(self):
+        order = []
+        pts = self.points
+        j = 0
+        for xlo, xhi, slope, rx, rv in self.segments:
+            while j < len(pts) and xlo is not None and pts[j][0] <= xlo:
+                order.append((*pts[j], None))
+                j += 1
+            order.append((rx, rv, slope, slope, (xlo, xhi)))
+        order.extend((*p, None) for p in pts[j:])
+        # position keys: candidate i lies wholly left of x iff pos[i] < (x, 1);
+        # a right ray never does and, being last, is left out
+        pos = [
+            (a, 1) if ends is None else (ends[1], 0)
+            for a, _v, _lo, _hi, ends in order
+            if ends is None or ends[1] is not None
+        ]
+        # admission keys: candidate i has an anchor with f(a) <= theta iff
+        # adm[i] < (0, theta, 1), and one with f(a) < theta iff
+        # adm[i] < (0, theta, 0)
+        adm = [_admission_key(c) for c in order]
+        k = min(range(len(adm)), key=adm.__getitem__) if adm else 0
+        object.__setattr__(self, "_order", tuple(order))
+        object.__setattr__(self, "_pos", tuple(pos))
+        object.__setattr__(self, "_adm_left", tuple(adm[k::-1]))
+        object.__setattr__(self, "_adm_right", tuple(adm[k:]))
+        object.__setattr__(self, "_argmin", k)
+
+    def sup(self, x, theta=None, strict=False) -> ExtReal:
+        """sup over the candidates with an admitted anchor of their support at x.
+
+        theta=None admits every candidate; otherwise only anchors with
+        f(a) <= theta count (f(a) < theta when strict).  x and theta are exact.
+
+        Two invariants of a convex f make this O(log m):
+
+        * Unimodality.  Read along the candidate order, the support values
+          at a fixed x never decrease across the candidates wholly left of x
+          and never increase from the first candidate that is not (a nearer
+          anchor's subgradient is at least as steep toward x, so its support
+          is at least as high there).  The sup over a contiguous run is
+          therefore at the run's member nearest x on either side: two
+          evaluations.
+        * Contiguity.  {a : f(a) <= theta} is an interval, so the candidates
+          meeting it form one contiguous run.  The per-candidate admission
+          key (the infimum of f over the candidate, tagged open or attained)
+          is unimodal along the order, and the run is found by one bisection
+          on each side of its minimum.
+        """
+        order = self._order
+        if not order:
+            return NEG_INF
+        if theta is None:
+            i, j = 0, len(order) - 1
+        else:
+            bound = (0, theta, 0 if strict else 1)
+            n_left = bisect_left(self._adm_left, bound)
+            if n_left == 0:
+                return NEG_INF
+            i = self._argmin - n_left + 1
+            j = self._argmin + bisect_left(self._adm_right, bound) - 1
+        p = bisect_left(self._pos, (x, 1))
+        best = None
+        for c in (min(p - 1, j), max(p, i)):
+            if c < i or c > j:
+                continue
+            a, v, lo, hi, _ends = order[c]
+            d = x - a
+            if d == 0:
+                val = v
+            else:
+                g = hi if d > 0 else lo
+                if g is None:
+                    return POS_INF
+                val = v + d * g
+            if best is None or val > best:
+                best = val
+        return ExtReal(best)
+
+
+def _admission_key(cand) -> tuple:
+    """Infimum of f over one candidate, as (0, value, 1 if not attained);
+    (-1,) when f is unbounded below along a ray."""
+    a, v, lo, _hi, ends = cand
+    if ends is None or lo == 0:
+        return (0, v, 0)
+    xlo, xhi = ends
+    # a sloped segment never attains its infimum: it sits at the lower end
+    low_end = xlo if lo > 0 else xhi
+    if low_end is None:
+        return (-1,)
+    return (0, v + (low_end - a) * lo, 1)
 
 
 def subdiff_structure(f: PLConvex1D) -> SubdiffStructure1D:
@@ -78,14 +179,12 @@ def subdiff_exact(f: PLConvex1D, x) -> Interval1D | None:
         return None
     if x == b[-1] and f.override_right is not None:
         return None
-    for i, bi in enumerate(b):
-        if x == bi:
-            lo = s[i - 1] if i >= 1 else f.left_recession
-            hi = s[i] if i < len(s) else f.right_recession
-            return Interval1D(lo, hi)
-        if x < bi:
-            return Interval1D(s[i - 1], s[i - 1])
-    raise AssertionError("unreachable")
+    i = bisect_left(b, x)
+    if x == b[i]:
+        lo = s[i - 1] if i >= 1 else f.left_recession
+        hi = s[i] if i < len(s) else f.right_recession
+        return Interval1D(lo, hi)
+    return Interval1D(s[i - 1], s[i - 1])
 
 
 def subdiff_test(f: PLConvex1D, x, xstar) -> bool:
@@ -322,45 +421,122 @@ def fitzpatrick(G: OperatorGraph, x, xstar) -> ExtReal:
     )
 
 
+def _fitz_lines(st: SubdiffStructure1D, x):
+    """phi(x, .) over the full structure as lines in x* and two cuts.
+
+    Returns None when phi(x, .) is +inf everywhere (a breakpoint whose
+    subgradients are unbounded toward x), else (lines, lo_cut, hi_cut):
+    phi(x, x*) is +inf for x* < lo_cut or x* > hi_cut (cuts from recession
+    rays, None when absent) and the max of slope * x* + intercept over
+    ``lines`` otherwise.  Per breakpoint the inner sup is linear in the
+    subgradient, so it sits at the interval end facing x: one line with the
+    anchor as slope.  Along a segment every anchor carries the same slope
+    and the term is linear in the anchor, so only the segment ends matter
+    (open ends still count, since the sup need not be attained): one line
+    per finite end.  Slopes come out in candidate order, so equal slopes are
+    adjacent and merge into strictly increasing slopes, at most one per
+    breakpoint.
+    """
+    lines = []
+    lo_cut = hi_cut = None
+
+    def add(slope, icpt):
+        if lines and lines[-1][0] == slope:
+            if icpt > lines[-1][1]:
+                lines[-1] = (slope, icpt)
+        else:
+            lines.append((slope, icpt))
+
+    for a, _v, lo, hi, ends in st._order:
+        if ends is None:
+            d = x - a
+            g = hi if d > 0 else lo if d < 0 else 0
+            if g is None:
+                return None
+            add(a, d * g)
+            continue
+        xlo, xhi = ends
+        if xlo is None:
+            lo_cut = lo
+        else:
+            add(xlo, lo * (x - xlo))
+        if xhi is None:
+            hi_cut = lo
+        else:
+            add(xhi, lo * (x - xhi))
+    return lines, lo_cut, hi_cut
+
+
+def _cut(lo_cut, hi_cut, xstar) -> bool:
+    return (lo_cut is not None and xstar < lo_cut) or (
+        hi_cut is not None and xstar > hi_cut
+    )
+
+
 def fitzpatrick_structured(st: SubdiffStructure1D, x, xstar) -> ExtReal:
     """Fitzpatrick value over the full 1D subdifferential, not a flattening.
 
-    Per breakpoint the inner sup is linear in the subgradient, so it sits at
-    an interval end (or diverges on an unbounded end).  Along a segment every
-    anchor carries the same slope and the term is linear in the anchor, so
-    again only the segment ends matter; open ends still yield the closure
-    value because the sup need not be attained.
+    Evaluates the lines of ``_fitz_lines`` at one x*.
     """
-    from .extreal import POS_INF
-
     x = _exactify(x)
     xstar = _exactify(xstar)
-    best = NEG_INF
-    for a, _v, lo, hi in st.points:
-        coef = x - a
-        if coef > 0:
-            cand = POS_INF if hi is None else as_extreal(coef * hi + a * xstar)
-        elif coef < 0:
-            cand = POS_INF if lo is None else as_extreal(coef * lo + a * xstar)
-        else:
-            cand = as_extreal(a * xstar)
-        if cand > best:
-            best = cand
-        if best.is_pos_inf:
-            return best
-    for xlo, xhi, slope, _rx, _rv in st.segments:
-        coef = xstar - slope
-        if coef > 0:
-            cand = POS_INF if xhi is None else as_extreal(slope * x + coef * xhi)
-        elif coef < 0:
-            cand = POS_INF if xlo is None else as_extreal(slope * x + coef * xlo)
-        else:
-            cand = as_extreal(slope * x)
-        if cand > best:
-            best = cand
-        if best.is_pos_inf:
-            return best
-    return best
+    gen = _fitz_lines(st, x)
+    if gen is None:
+        return POS_INF
+    lines, lo_cut, hi_cut = gen
+    if _cut(lo_cut, hi_cut, xstar):
+        return POS_INF
+    if not lines:
+        return NEG_INF
+    return ExtReal(max(a * xstar + c for a, c in lines))
+
+
+def fitzpatrick_table(st: SubdiffStructure1D, xs, xstars) -> list:
+    """Rows of fitzpatrick_structured over xs x xstars, in the given orders.
+
+    Per x the lines of ``_fitz_lines`` reduce to their exact upper envelope
+    (slopes are already increasing), which one sweep over the sorted duals
+    evaluates: O(m + p) per row after one O(p log p) sort.
+    """
+    xstars = [_exactify(y) for y in xstars]
+    by_value = sorted(range(len(xstars)), key=xstars.__getitem__)
+    table = []
+    for x in xs:
+        gen = _fitz_lines(st, _exactify(x))
+        row = [POS_INF] * len(xstars)
+        table.append(row)
+        if gen is None:
+            continue
+        lines, lo_cut, hi_cut = gen
+        hull = []
+        for s3, c3 in lines:
+            while len(hull) >= 2:
+                (s1, c1), (s2, c2) = hull[-2], hull[-1]
+                # the middle line never tops both neighbours
+                if (c1 - c3) * (s2 - s1) <= (c1 - c2) * (s3 - s1):
+                    hull.pop()
+                else:
+                    break
+            hull.append((s3, c3))
+        if not hull:
+            row[:] = [NEG_INF] * len(xstars)
+            continue
+        k = 0
+        s, c = hull[0]
+        for col in by_value:
+            y = xstars[col]
+            if _cut(lo_cut, hi_cut, y):
+                continue
+            val = s * y + c
+            while k + 1 < len(hull):
+                nxt = hull[k + 1][0] * y + hull[k + 1][1]
+                if nxt < val:
+                    break
+                k += 1
+                s, c = hull[k]
+                val = nxt
+            row[col] = ExtReal(val)
+    return table
 
 
 def ni_check(G: OperatorGraph, probe_pairs) -> ExtReal:

@@ -45,23 +45,32 @@ def conjugate_exact(f: PLConvex1D) -> PLConvex1D:
     Breakpoints and slopes trade places: interior slopes of f become the dual
     breakpoints, a domain wall becomes a recession direction with slope equal
     to the wall position, and a finite recession slope becomes a dual wall.
+
+    The slopes are already sorted, so one merge gives the dual breakpoints
+    and one forward pointer the maximizing breakpoint of each: y*b[i] - v[i]
+    rises while the slope after b[i] is below y and falls once it exceeds y,
+    so the max sits at b[bisect_left(slopes, y)].  O(m) overall.
     """
     if not isinstance(f, PLConvex1D):
         raise TypeError("conjugate_exact takes a PLConvex1D")
     g = f.closure()
     b, v = g.breakpoints, g.values
-    duals = set(g.slopes())
-    if g.left_recession is not None:
-        duals.add(g.left_recession)
-    if g.right_recession is not None:
-        duals.add(g.right_recession)
-    if not duals:
-        duals.add(Fraction(0))  # single-point domain: conjugate is affine
-    ys = tuple(sorted(duals))
-    vals = tuple(max(y * bi - vi for bi, vi in zip(b, v)) for y in ys)
+    s = g.slopes()
+    ys = []
+    for y in (g.left_recession, *s, g.right_recession):
+        if y is not None and (not ys or y != ys[-1]):
+            ys.append(y)
+    if not ys:
+        ys.append(Fraction(0))  # single-point domain: conjugate is affine
+    vals = []
+    i = 0
+    for y in ys:
+        while i < len(s) and s[i] < y:
+            i += 1
+        vals.append(y * b[i] - v[i])
     return PLConvex1D(
-        ys,
-        vals,
+        tuple(ys),
+        tuple(vals),
         left_recession=b[0] if g.left_recession is None else None,
         right_recession=b[-1] if g.right_recession is None else None,
     )
@@ -103,9 +112,8 @@ def pl_add(f: PLConvex1D, g: PLConvex1D) -> PLConvex1D:
     if hi is not None:
         xs.add(hi)
     xs = tuple(sorted(xs))
-    vals = tuple(
-        f.closure_value_at(x).finite() + g.closure_value_at(x).finite() for x in xs
-    )
+    fc, gc = f.closure(), g.closure()
+    vals = tuple(fc.value_at(x).finite() + gc.value_at(x).finite() for x in xs)
     lrec = (f.left_recession + g.left_recession) if lo is None else None
     rrec = (f.right_recession + g.right_recession) if hi is None else None
     ovl = ovr = None
@@ -232,10 +240,7 @@ def _finite_arrays(f: GridFunction):
     items = f.finite_items()
     if not items:
         raise ImproperError("conjugate of a function with no finite values")
-    if f.dim == 1:
-        x = np.array([p for p, _ in items], dtype=float)
-    else:
-        x = np.array([p for p, _ in items], dtype=float)
+    x = np.array([p for p, _ in items], dtype=float)
     v = np.array([val for _, val in items], dtype=float)
     return x, v
 

@@ -250,6 +250,61 @@ def test_malformed_instance_exits_2(tmp_path):
     assert main(["conjugate", "--instance", src2]) == 2
 
 
+def _one_line_error(err):
+    return err.startswith("envcalc: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["envelope", "--kind", "cup", "--probes", "0:1/0:3"],
+    ["fitz", "--probes", "0:1:3", "--dual-grid", "0:1/0:3"],
+])
+def test_zero_denominator_in_grid_spec_exits_2(abs_file, argv, capsys):
+    assert main(argv + ["--instance", abs_file]) == 2
+    assert _one_line_error(capsys.readouterr().err)
+
+
+def test_zero_denominator_in_instance_exits_2(tmp_path, capsys):
+    d = dump_instance(ABS)
+    d["breakpoints"][0] = "1/0"
+    src = write_json(tmp_path / "zero.json", d)
+    assert main(["conjugate", "--instance", src]) == 2
+    assert _one_line_error(capsys.readouterr().err)
+
+
+def test_eps_is_parsed_exactly(abs_file, monkeypatch, capsys):
+    from envcalc import envelopes
+
+    seen = []
+    real = envelopes.envelope_result
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["eps"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(envelopes, "envelope_result", spy)
+    # a float route rounds 1e-10 to 0 at denominator 10**9 and cannot read 1/3
+    for spec in ("1/3", "0.25", "0.0000000001"):
+        assert main(["envelope", "--kind", "smileeps", "--eps", spec,
+                     "--instance", abs_file, "--probes", "-1:1:3"]) == 0
+    assert seen == [F(1, 3), F(1, 4), F(1, 10**10)]
+    assert main(["envelope", "--kind", "smileeps", "--eps", "1/0",
+                 "--instance", abs_file, "--probes", "-1:1:3"]) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("kind", ["smile", "smileeps"])
+def test_grid_backend_smile_on_exact_file(abs_file, monkeypatch, capsys, kind):
+    monkeypatch.setenv("ENVCALC_BACKEND", "grid")
+    probes = ["--probes", "-2:1:7"]
+    assert main(["envelope", "--kind", "cup", "--instance", abs_file] + probes) == 0
+    cup_rows = capsys.readouterr().out
+    extra = ["--eps", "0.5"] if kind == "smileeps" else []
+    assert main(["envelope", "--kind", kind, "--instance", abs_file] + probes + extra) == 0
+    # float probes keep float cells; on a closed instance smile equals cup
+    assert capsys.readouterr().out == cup_rows
+    assert cup_rows.splitlines()[1] == "-2.0,2.0"
+
+
 def test_bad_backend_env_exits_2(abs_file, monkeypatch):
     monkeypatch.setenv("ENVCALC_BACKEND", "quantum")
     assert main(["conjugate", "--instance", abs_file]) == 2
