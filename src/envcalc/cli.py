@@ -21,6 +21,8 @@ import sys
 import time
 from fractions import Fraction
 
+import numpy as np
+
 from .extreal import as_extreal, format_scalar, parse_scalar
 from .funcrep import (
     GridFunction,
@@ -44,6 +46,17 @@ class _UsageError(Exception):
 # ---------------------------------------------------------------------------
 
 
+# largest probe grid, 1D count or 2D cross product, a verb will build
+MAX_GRID_POINTS = 1 << 20
+
+
+def _check_grid_size(count: int) -> None:
+    if count > MAX_GRID_POINTS:
+        raise _UsageError(
+            f"probe grid of {count} points exceeds the limit of {MAX_GRID_POINTS}"
+        )
+
+
 def parse_probe_grid(spec: str, exact: bool = True) -> tuple:
     """Evenly spaced points from a "start:stop:count" description."""
     parts = spec.split(":")
@@ -55,6 +68,7 @@ def parse_probe_grid(spec: str, exact: bool = True) -> tuple:
         raise _UsageError(f"probe count {parts[2]!r} is not an integer")
     if count < 1:
         raise _UsageError("probe count must be at least 1")
+    _check_grid_size(count)
     try:
         start = parse_scalar(parts[0], exact=exact).finite()
         stop = parse_scalar(parts[1], exact=exact).finite()
@@ -99,10 +113,7 @@ def _backend_for(inst) -> str:
 
 
 def _emit(out_path, header: str, rows) -> None:
-    lines = [header]
-    for cells in rows:
-        lines.append(",".join(cells))
-    text = "\n".join(lines) + "\n"
+    text = "\n".join([header, *map(",".join, rows)]) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -123,6 +134,31 @@ def _cell(v) -> str:
     return format_scalar(as_extreal(v))
 
 
+def _cells(xs) -> list:
+    """Cells of many scalars at once, spelled as ``_cell`` spells them.
+
+    Float arrays go through ``.tolist()`` (the repr of np.float64 is not
+    format_scalar's).  A float or an int spells as its repr, which writes
+    the infinities as inf and -inf; anything else takes ``_cell``.
+    """
+    if isinstance(xs, np.ndarray):
+        xs = xs.tolist()
+    if set(map(type, xs)) <= {float, int}:
+        return list(map(repr, xs))
+    return [repr(x) if type(x) in (float, int) else _cell(x) for x in xs]
+
+
+def _coord_columns(points, dim: int) -> list:
+    """Cells of the points, one list per coordinate."""
+    if dim == 1:
+        return [_cells(points)]
+    return [_cells([p[k] for p in points]) for k in range(dim)]
+
+
+def _grid_rows(g: GridFunction):
+    return zip(*_coord_columns(g.points, g.dim), _cells(g.value_array))
+
+
 def _value_rows(points, values, dim: int):
     for p, v in zip(points, values):
         coords = [p] if dim == 1 else list(p)
@@ -134,6 +170,7 @@ def _default_primal_probes(f: PLConvex1D) -> tuple:
 
 
 def _cross(axis) -> tuple:
+    _check_grid_size(len(axis) ** 2)
     return tuple((a, b) for a in axis for b in axis)
 
 
@@ -167,8 +204,7 @@ def _verb_conjugate(args, inst) -> int:
         g = transforms.conjugate_llt(inst, axis)
     else:
         g = transforms.conjugate_brute(inst, _cross(axis))
-    _emit(args.out, "x,value" if g.dim == 1 else "x,y,value",
-          _value_rows(g.points, (v.value for v in g.values), g.dim))
+    _emit(args.out, "x,value" if g.dim == 1 else "x,y,value", _grid_rows(g))
     return 0
 
 
@@ -208,8 +244,7 @@ def _verb_infconv(args, instances) -> int:
         )
         _emit(args.out, "x,value", _value_rows(pts, (h.value_at(p) for p in pts), 1))
     else:
-        _emit(args.out, "x,value" if h.dim == 1 else "x,y,value",
-              _value_rows(h.points, (v.value for v in h.values), h.dim))
+        _emit(args.out, "x,value" if h.dim == 1 else "x,y,value", _grid_rows(h))
     return 0
 
 
@@ -241,13 +276,12 @@ def _verb_subdiff(args, inst) -> int:
     tol = args.tolerance if args.tolerance is not None else 0.0
     axis = parse_probe_grid(args.dual_grid, exact=False)
     duals = axis if inst.dim == 1 else _cross(axis)
-    rows = []
-    for p, _v in inst.finite_items():
-        for s in duals:
-            if operators.grid_subdiff_test(inst, p, s, tol=tol):
-                coords = [p] if inst.dim == 1 else list(p)
-                dcoords = [s] if inst.dim == 1 else list(s)
-                rows.append([_cell(c) for c in coords + dcoords])
+    member = operators.grid_subdiff_matrix(inst, duals, tol)
+    anchors = list(zip(*_coord_columns([p for p, _v in inst.finite_items()], inst.dim)))
+    dcells = list(zip(*_coord_columns(duals, inst.dim)))
+    rows = [
+        anchors[i] + dcells[k] for i, k in zip(*(ix.tolist() for ix in member.nonzero()))
+    ]
     _emit(args.out, "x,xstar" if inst.dim == 1 else "x1,x2,xstar1,xstar2", rows)
     return 0
 
@@ -410,9 +444,7 @@ def _verb_bench(args) -> int:
         t0 = time.perf_counter()
         gl = transforms.conjugate_llt(f, duals)
         tl = time.perf_counter() - t0
-        diff = max(
-            abs(a.value - b.value) for a, b in zip(gb.values, gl.values)
-        )
+        diff = float(np.abs(gb.value_array - gl.value_array).max())
         ratio = tb / tl if tl > 0 else float("inf")
         rows.append([
             str(n), f"{tb:.6f}", f"{tl:.6f}", f"{ratio:.2f}", f"{diff:.3e}",

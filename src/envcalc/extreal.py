@@ -219,18 +219,26 @@ def format_scalar(x: Union[ExtReal, Scalar]) -> str:
     return repr(v)
 
 
+def _float(x) -> float:
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValueError(f"{x} is too large for a float") from None
+
+
 def parse_scalar(s: Union[str, int, float], *, exact: bool | None = None) -> ExtReal:
     """Parse a file cell.  'p/q' and bare ints parse exact; decimals parse float.
 
     ``exact=True`` forces rational parsing of decimal strings (exact: every
-    finite decimal is rational); ``exact=False`` forces float.
+    finite decimal is rational); ``exact=False`` forces float, ints and
+    'p/q' included.
     """
     if isinstance(s, (int, float)) and not isinstance(s, bool):
         if exact is True:
             return ExtReal(Fraction(s))
-        if isinstance(s, int):
-            return ExtReal(s if exact is None else Fraction(s))
-        return ExtReal(float(s))
+        if isinstance(s, int) and exact is None:
+            return ExtReal(s)
+        return ExtReal(_float(s))
     if not isinstance(s, str):
         raise TypeError(f"cannot parse scalar from {type(s).__name__}")
     t = s.strip()
@@ -243,13 +251,16 @@ def parse_scalar(s: Union[str, int, float], *, exact: bool | None = None) -> Ext
         num, den = t.split("/")
         if int(den) == 0:
             raise ValueError(f"zero denominator in {s!r}")
-        return ExtReal(Fraction(int(num), int(den)))
+        q = Fraction(int(num), int(den))
+        return ExtReal(_float(q) if exact is False else q)
     try:
         i = int(t)
     except ValueError:
         pass
     else:
-        return ExtReal(Fraction(i) if exact else i) if exact is not None else ExtReal(i)
+        if exact is None:
+            return ExtReal(i)
+        return ExtReal(Fraction(i) if exact else _float(i))
     if exact:
         return ExtReal(Fraction(t))
     return ExtReal(float(t))

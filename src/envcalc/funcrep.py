@@ -9,9 +9,12 @@ finite point list and is +inf off the listed points by convention.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
+
+import numpy as np
 
 from .extreal import (
     ExtReal,
@@ -288,46 +291,147 @@ class SampledSet:
         return _canon_point(p, self.dim) in set(self.points)
 
 
+_PLAIN = frozenset((float, int, Fraction))
+
+
+def _canon_points(points, dim: int) -> tuple:
+    """``_canon_point`` over a whole point list; a list that is canonical
+    already (plain scalars in 1D, pairs of them in 2D) passes unchanged
+    after a type scan that runs at C speed."""
+    pts = tuple(points)
+    if dim == 1:
+        if set(map(type, pts)) <= _PLAIN:
+            return pts
+    elif (
+        set(map(type, pts)) <= {tuple}
+        and set(map(len, pts)) <= {dim}
+        and set(map(type, (c for p in pts for c in p))) <= _PLAIN
+    ):
+        return pts
+    return tuple(_canon_point(p, dim) for p in pts)
+
+
+def _float_array(xs, what: str) -> np.ndarray:
+    try:
+        return np.array(xs, dtype=float)
+    except OverflowError:
+        raise ValueError(f"a grid {what} is too large for a float") from None
+
+
+def _has_duplicates(pts: tuple, arr: np.ndarray) -> bool:
+    """Two points equal as numbers.  Equal points have equal floats, so a
+    sort of the float array finds every candidate; the exact set check
+    only runs when it does (an int or a Fraction can share a float with a
+    different point)."""
+    if len(arr) < 2:
+        return False
+    if arr.ndim == 1:
+        s = np.sort(arr)
+        hit = (s[1:] == s[:-1]).any()
+    else:
+        s = arr[np.lexsort(arr.T[::-1])]
+        hit = (s[1:] == s[:-1]).all(axis=1).any()
+    return bool(hit) and len(set(pts)) != len(pts)
+
+
+class _BoxedValues:
+    """Descriptor behind the ``values`` field of ``GridFunction``.
+
+    The dataclass constructor's write lands in ``__set__`` and waits there,
+    raw, for ``__post_init__``; reads build the ExtReal tuple from the float
+    array on first use and cache it.  Reading it on the class raises
+    AttributeError, which tells ``dataclass`` the field has no default.
+    """
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError("values")
+        d = obj.__dict__
+        if "_boxed" not in d:
+            d["_boxed"] = tuple(ExtReal(v) for v in obj.value_array.tolist())
+        return d["_boxed"]
+
+    def __set__(self, obj, raw):
+        obj.__dict__["_raw_values"] = raw
+
+
 @dataclass(frozen=True)
 class GridFunction:
-    """Float-backed function values on listed points; +inf off the list."""
+    """Float-backed function values on listed points; +inf off the list.
+
+    The numbers live in two float64 arrays built once by the constructor:
+    ``point_array`` (n, or n x 2) and ``value_array`` (n, +inf for listed
+    off-domain samples).  ``points`` keeps the canonical Python points,
+    which is how cells spell them.  The ExtReal tuple ``values``, the
+    ``value_at`` index and ``finite_items`` are built on first use.
+    """
 
     dim: int
     points: tuple
-    values: tuple
+    values: tuple = _BoxedValues()
     label: str | None = None
 
     def __post_init__(self):
         if self.dim not in (1, 2):
             raise ValueError("dim must be 1 or 2")
-        pts = tuple(_canon_point(p, self.dim) for p in self.points)
-        if len(set(pts)) != len(pts):
+        pts = _canon_points(self.points, self.dim)
+        xs = _float_array(pts, "point")
+        if self.dim == 2:
+            xs = xs.reshape(len(pts), 2)
+        if _has_duplicates(pts, xs):
             raise ValueError("duplicate grid points")
-        vals = tuple(as_extreal(v) for v in self.values)
+        raw = self.__dict__.pop("_raw_values")
+        if isinstance(raw, np.ndarray) and raw.dtype.kind == "f" or set(
+            map(type, raw)
+        ) <= _PLAIN:
+            vals = _float_array(raw, "value")
+        else:
+            vals = _float_array([float(as_extreal(v)) for v in raw], "value")
+        if np.isnan(vals).any():
+            raise ValueError("NaN is not an extended real")
         if len(pts) != len(vals):
             raise ValueError("points and values length mismatch")
-        for v in vals:
-            if v.is_neg_inf:
-                raise ValueError("-inf value makes the grid function improper")
+        if (vals == -np.inf).any():
+            raise ValueError("-inf value makes the grid function improper")
+        vals.setflags(write=False)
+        xs.setflags(write=False)
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "_index", None)
+        object.__setattr__(self, "point_array", xs)
+        object.__setattr__(self, "value_array", vals)
 
-    def _lookup(self):
-        idx = object.__getattribute__(self, "_index")
-        if idx is None:
-            idx = {p: v for p, v in zip(self.points, self.values)}
-            object.__setattr__(self, "_index", idx)
-        return idx
+    def _cached(self, key, build):
+        d = self.__dict__
+        if key not in d:
+            d[key] = build()
+        return d[key]
 
     def value_at(self, p) -> ExtReal:
-        return self._lookup().get(_canon_point(p, self.dim), POS_INF)
+        index = self._cached(
+            "_index", lambda: {q: i for i, q in enumerate(self.points)}
+        )
+        i = index.get(_canon_point(p, self.dim))
+        return POS_INF if i is None else ExtReal(float(self.value_array[i]))
+
+    def finite_mask(self) -> np.ndarray:
+        return self._cached("_finite", lambda: self.value_array < np.inf)
+
+    def finite_arrays(self):
+        """(points, values) arrays of the finite samples, in list order."""
+        def build():
+            m = self.finite_mask()
+            return self.point_array[m], self.value_array[m]
+
+        return self._cached("_finite_arrays", build)
 
     def finite_items(self):
-        return [(p, v.value) for p, v in zip(self.points, self.values) if v.is_finite]
+        def build():
+            vals = self.value_array.tolist()
+            return [(p, v) for p, v in zip(self.points, vals) if v < math.inf]
+
+        return list(self._cached("_finite_items", build))
 
     def is_proper(self) -> bool:
-        return any(v.is_finite for v in self.values)
+        return bool(self.finite_mask().any())
 
 
 @dataclass(frozen=True)
@@ -585,7 +689,7 @@ def is_convex_on_grid(f: GridFunction, tol: float = GRID_TOL) -> bool:
     items = f.finite_items()
     if len(items) <= 1:
         return True
-    inf_pts = [p for p, v in zip(f.points, f.values) if v.is_pos_inf]
+    inf_pts = [p for p, off in zip(f.points, (~f.finite_mask()).tolist()) if off]
     if f.dim == 1:
         hull = _hull_1d_exact(items)
         hx = [float(x) for x, _ in hull]
@@ -610,11 +714,9 @@ def is_convex_on_grid(f: GridFunction, tol: float = GRID_TOL) -> bool:
                 return False
         return True
     # 2D: one small LP per point (can another-combination do strictly better?)
-    import numpy as np
     from scipy.optimize import linprog
 
-    pts = np.array([p for p, _ in items], dtype=float)
-    vals = np.array([v for _, v in items], dtype=float)
+    pts, vals = f.finite_arrays()
     n = len(items)
     for i in range(n):
         mask = np.arange(n) != i
@@ -668,7 +770,7 @@ def dump_instance(obj) -> dict:
             "kind": "grid",
             "dim": obj.dim,
             "points": [list(p) if obj.dim == 2 else p for p in obj.points],
-            "values": [float(v) if v.is_finite else "inf" for v in obj.values],
+            "values": [v if v < math.inf else "inf" for v in obj.value_array.tolist()],
         }
         if obj.label:
             d["label"] = obj.label
@@ -740,10 +842,17 @@ def load_instance(src):
             label=label,
         )
     if kind == "grid":
+        pts = d["points"]
+        vals = d["values"]
+        if not set(map(type, vals)) <= {float, int}:
+            vals = [
+                v if type(v) in (float, int) else float(parse_scalar(v, exact=False))
+                for v in vals
+            ]
         return GridFunction(
             d["dim"],
-            tuple(tuple(p) if d["dim"] == 2 else p for p in d["points"]),
-            tuple(parse_scalar(v, exact=False) for v in d["values"]),
+            tuple(map(tuple, pts)) if d["dim"] == 2 else tuple(pts),
+            vals,
             label=label,
         )
     if kind == "indicator":

@@ -15,8 +15,18 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .extreal import ExtReal, NEG_INF, POS_INF, as_extreal, ext_sup
-from .funcrep import GridFunction, Interval1D, PLConvex1D, _frac, dot, point_sub
+from .funcrep import (
+    GridFunction,
+    Interval1D,
+    PLConvex1D,
+    _canon_point,
+    _frac,
+    dot,
+    point_sub,
+)
 from .transforms import conjugate_exact, indicator
 
 
@@ -208,17 +218,64 @@ def subdiff_test(f: PLConvex1D, x, xstar) -> bool:
     return True
 
 
+_CHUNK_CELLS = 1 << 20
+
+
+def _grid_membership(f: GridFunction, anchors, fa, duals, tol) -> np.ndarray:
+    """(anchors x duals) bools: the affine minorant through (a, fa) with
+    slope s stays below every finite sample y of f, within tol.
+
+    Evaluates fy < fa + <s, y - a> - tol in the per-pair order: y - a
+    first, the 2D dot as 0 + s0*d0 + s1*d1 (how Python's sum adds it up),
+    then fa +, then - tol.  Chunked over anchors and duals so that no
+    temporary holds more than about 2^20 cells (or one row of samples).
+    """
+    ys, fy = f.finite_arrays()
+    out = np.empty((len(anchors), len(duals)), dtype=bool)
+    pstep = max(1, _CHUNK_CELLS // max(1, len(ys)))
+    astep = max(1, _CHUNK_CELLS // max(1, len(ys) * min(len(duals), pstep)))
+    for alo in range(0, len(anchors), astep):
+        d = ys[None] - anchors[alo : alo + astep, None]
+        ahi = alo + len(d)
+        for plo in range(0, len(duals), pstep):
+            s = duals[plo : plo + pstep]
+            if f.dim == 1:
+                rhs = d[:, :, None] * s
+            else:
+                rhs = d[:, :, None, 0] * s[:, 0]
+                rhs += 0.0
+                rhs += d[:, :, None, 1] * s[:, 1]
+            rhs += fa[alo:ahi, None, None]
+            rhs -= float(tol)
+            out[alo:ahi, plo : plo + len(s)] = ~(fy[None, :, None] < rhs).any(axis=1)
+    return out
+
+
+def _dual_array(duals, dim: int) -> np.ndarray:
+    arr = np.array(duals, dtype=float)
+    return arr if dim == 1 else arr.reshape(-1, 2)
+
+
+def grid_subdiff_matrix(f: GridFunction, duals, tol=0) -> np.ndarray:
+    """Sampled-backend membership for every finite sample against every
+    dual: a bool matrix, rows in the finite samples' list order (those of
+    ``finite_items``), columns in the order of ``duals``."""
+    xs, fx = f.finite_arrays()
+    return _grid_membership(f, xs, fx, _dual_array(duals, f.dim), tol)
+
+
 def grid_subdiff_test(f: GridFunction, a, astar, tol=0) -> bool:
     """Sampled-backend membership: the affine minorant anchored at (a, f(a))
-    stays below every finite sample, within tol."""
+    stays below every finite sample, within tol.  The one-row case of
+    ``grid_subdiff_matrix``."""
     fa = f.value_at(a)
     if not fa.is_finite:
         return False
-    fa = fa.finite()
-    for y, fy in f.finite_items():
-        if fy < fa + dot(astar, point_sub(y, a, f.dim), f.dim) - tol:
-            return False
-    return True
+    anchor = _dual_array((_canon_point(a, f.dim),), f.dim)
+    row = _grid_membership(
+        f, anchor, np.array((fa.finite(),)), _dual_array((astar,), f.dim), tol
+    )
+    return bool(row[0, 0])
 
 
 def eps_subdiff_test(f: PLConvex1D, x, xstar, eps) -> bool:

@@ -20,6 +20,8 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
+import numpy as np
+
 from .extreal import (
     ExtReal,
     POS_INF,
@@ -43,6 +45,7 @@ from .operators import (
     OperatorGraph,
     fitzpatrick,
     fitzpatrick_structured,
+    grid_subdiff_matrix,
     grid_subdiff_test,
     is_maximal_relative,
     normal_cone,
@@ -325,15 +328,19 @@ def _check_dfdom_e3(tid, desc, f):
     return _done(tid, desc, ok, witness=wit)
 
 
-def _check_dfdom_iv(tid, desc, g):
-    # finite shadow only: a grid sample is closed already, so the claim
-    # reduces to "a maximal-relative sampled subdifferential forces grid
-    # convexity" on the line
-    if g.dim != 1:
-        return _na(tid, desc, "the finite shadow of this item is one-dimensional")
+def grid_hull_graph(g: GridFunction):
+    """(hull, candidates, graph) of a 1D grid function.
+
+    The candidates pair each finite sample, in list order, with the finite
+    ends of the hull's subgradient interval there (repeats dropped); the
+    graph keeps the candidates that pass the sampled membership test at
+    zero tolerance, decided by one ``grid_subdiff_matrix`` over the
+    distinct candidate slopes.
+    """
     hull = cl_conv(g)
+    items = g.finite_items()
     cands = []
-    for p, _v in g.finite_items():
+    for p, _v in items:
         iv = subdiff_exact(hull, Fraction(p))
         if iv is None:
             continue
@@ -341,8 +348,22 @@ def _check_dfdom_iv(tid, desc, g):
             if end is not None:
                 cands.append((p, float(end)))
     cands = list(dict.fromkeys(cands))
-    pairs = tuple((p, s) for p, s in cands if grid_subdiff_test(g, p, s))
-    v = is_maximal_relative(OperatorGraph(1, pairs), cands, tol=1e-9)
+    duals = sorted({s for _p, s in cands})
+    member = grid_subdiff_matrix(g, duals)
+    row = {p: i for i, (p, _v) in enumerate(items)}
+    col = {s: k for k, s in enumerate(duals)}
+    pairs = tuple((p, s) for p, s in cands if member[row[p], col[s]])
+    return hull, cands, OperatorGraph(1, pairs)
+
+
+def _check_dfdom_iv(tid, desc, g):
+    # finite shadow only: a grid sample is closed already, so the claim
+    # reduces to "a maximal-relative sampled subdifferential forces grid
+    # convexity" on the line
+    if g.dim != 1:
+        return _na(tid, desc, "the finite shadow of this item is one-dimensional")
+    _hull, cands, G = grid_hull_graph(g)
+    v = is_maximal_relative(G, cands, tol=1e-9)
     ok = (not v.is_maximal) or is_convex_on_grid(g)
     return _done(tid, desc, ok,
                  witness=None if ok else "maximal sample on a nonconvex grid")
@@ -1423,6 +1444,14 @@ def _quadrant_pair():
     return f, g
 
 
+def _listed_subdiff_matrix(f: GridFunction, duals, tol):
+    """grid_subdiff_matrix with a row for every listed point; a +inf
+    sample carries no subgradient, so its row is all False."""
+    out = np.zeros((len(f.points), len(duals)), dtype=bool)
+    out[f.finite_mask()] = grid_subdiff_matrix(f, duals, tol)
+    return out
+
+
 def _gallery_quadrant() -> GalleryResult:
     f, g = _quadrant_pair()
     tol = 1e-9
@@ -1439,20 +1468,18 @@ def _gallery_quadrant() -> GalleryResult:
         for i in range(9)
         for j in range(9)
     )
-    pairs = []
-    ok = True
-    wit = None
-    for p in f.points:
-        for s in duals:
-            mf = grid_subdiff_test(f, p, s, tol=tol)
-            mg = grid_subdiff_test(g, p, s, tol=tol)
-            if mf != mg:
-                ok, wit = False, (p, s)
-                break
-            if mf:
-                pairs.append((p, s))
-        if not ok:
-            break
+    # membership over every listed point (the two share their point list),
+    # scanned in row-major order up to the first disagreement
+    mf, mg = (_listed_subdiff_matrix(h, duals, tol) for h in (f, g))
+    nd = len(duals)
+    miss = np.flatnonzero(mf != mg)
+    ok = not len(miss)
+    stop = mf.size if ok else int(miss[0])
+    wit = None if ok else (f.points[stop // nd], duals[stop % nd])
+    pairs = [
+        (f.points[k // nd], duals[k % nd])
+        for k in np.flatnonzero(mf.ravel()[:stop]).tolist()
+    ]
     c3 = TheoremCheck(
         "gallery.quadrant.graph-agreement", f.label,
         PASS if ok and len(pairs) >= 1 else FAIL, "grid", tol, witness=wit,

@@ -177,17 +177,7 @@ def inf_conv(f, g):
     if isinstance(f, GridFunction) and isinstance(g, GridFunction):
         if f.dim != g.dim:
             raise ValueError("dimension mismatch")
-        acc: dict = {}
-        for u, fu in f.finite_items():
-            for w, gw in g.finite_items():
-                x = u + w if f.dim == 1 else (u[0] + w[0], u[1] + w[1])
-                val = fu + gw
-                if x not in acc or val < acc[x]:
-                    acc[x] = val
-        if not acc:
-            raise ImproperError("inf-convolution of improper grid functions")
-        pts = tuple(sorted(acc))
-        return GridFunction(f.dim, pts, tuple(acc[p] for p in pts))
+        return _inf_conv_grid(f, g)
     raise TypeError("inf_conv takes two PLConvex1D or two matching GridFunctions")
 
 
@@ -237,11 +227,9 @@ _CHUNK_CELLS = 1 << 22
 
 
 def _finite_arrays(f: GridFunction):
-    items = f.finite_items()
-    if not items:
+    x, v = f.finite_arrays()
+    if not len(v):
         raise ImproperError("conjugate of a function with no finite values")
-    x = np.array([p for p, _ in items], dtype=float)
-    v = np.array([val for _, val in items], dtype=float)
     return x, v
 
 
@@ -251,37 +239,68 @@ def conjugate_brute(f: GridFunction, dual_points) -> GridFunction:
         raise TypeError("conjugate_brute takes a GridFunction")
     x, v = _finite_arrays(f)
     duals = tuple(dual_points)
+    ys = np.array(duals, dtype=float)
     n = len(x)
     out = np.empty(len(duals), dtype=float)
     step = max(1, _CHUNK_CELLS // max(n, 1))
     for start in range(0, len(duals), step):
-        block = duals[start : start + step]
-        if f.dim == 1:
-            y = np.array(block, dtype=float)
-            scores = np.outer(y, x)
-        else:
-            y = np.array(block, dtype=float)
-            scores = y @ x.T
+        y = ys[start : start + step]
+        scores = np.outer(y, x) if f.dim == 1 else y @ x.T
         scores -= v
-        out[start : start + len(block)] = scores.max(axis=1)
-    return GridFunction(f.dim, duals, tuple(out.tolist()))
+        out[start : start + len(y)] = scores.max(axis=1)
+    return GridFunction(f.dim, duals, out)
 
 
-def _llt_hull(x: np.ndarray, v: np.ndarray):
+def _llt_hull(x: list, v: list):
     """Lower hull indices of sorted 1D samples; ties kept (never drop a line
-    that float error could still make maximal)."""
+    that float error could still make maximal).  Plain float lists: the
+    loop is scalar, and numpy scalars would cost more per step than the
+    arithmetic."""
     idx: list = []
-    for i in range(len(x)):
+    for i, (xi, vi) in enumerate(zip(x, v)):
         while len(idx) >= 2:
             j, k = idx[-2], idx[-1]
-            lhs = (v[k] - v[j]) * (x[i] - x[j])
-            rhs = (v[i] - v[j]) * (x[k] - x[j])
-            if lhs > rhs:
+            if (v[k] - v[j]) * (xi - x[j]) > (vi - v[j]) * (x[k] - x[j]):
                 idx.pop()
             else:
                 break
         idx.append(i)
     return np.array(idx, dtype=int)
+
+
+def _inf_conv_grid(f: GridFunction, g: GridFunction) -> GridFunction:
+    """inf_u [f(u) + g(x - u)] over finite sample pairs, one minimum per sum.
+
+    The pair sums form an (n_f x n_g) grid in row-major order (f outer, g
+    inner).  One stable sort by (sum point, value) puts each sum point's
+    pairs together with its minimum first, ties in insertion order.  A sum
+    point is spelled as the Python sum of its first pair in row-major
+    order, so equal sums such as -0.0 and 0.0, or 1 and 1.0, keep the
+    spelling a dict keyed by the sums would give them.
+    """
+    fx, fv = f.finite_arrays()
+    gx, gv = g.finite_arrays()
+    if not len(fv) or not len(gv):
+        raise ImproperError("inf-convolution of improper grid functions")
+    if f.dim == 1:
+        sums = (fx[:, None] + gx[None, :]).reshape(-1, 1)
+    else:
+        sums = (fx[:, None, :] + gx[None, :, :]).reshape(-1, 2)
+    vals = (fv[:, None] + gv[None, :]).reshape(-1)
+    order = np.lexsort((vals, *sums.T[::-1]))
+    s = sums[order]
+    starts = np.flatnonzero(np.r_[True, (s[1:] != s[:-1]).any(axis=1)])
+    first = np.minimum.reduceat(order, starts)
+    fp = [p for p, _ in f.finite_items()]
+    gp = [p for p, _ in g.finite_items()]
+    pairs = zip(*(k.tolist() for k in np.divmod(first, len(gv))))
+    if f.dim == 1:
+        pts = tuple(fp[i] + gp[j] for i, j in pairs)
+    else:
+        pts = tuple(
+            (fp[i][0] + gp[j][0], fp[i][1] + gp[j][1]) for i, j in pairs
+        )
+    return GridFunction(f.dim, pts, vals[order[starts]])
 
 
 def conjugate_llt(f: GridFunction, dual_points) -> GridFunction:
@@ -295,16 +314,17 @@ def conjugate_llt(f: GridFunction, dual_points) -> GridFunction:
     x, v = _finite_arrays(f)
     order = np.argsort(x, kind="stable")
     x, v = x[order], v[order]
-    keep = _llt_hull(x, v)
+    keep = _llt_hull(x.tolist(), v.tolist())
     hx, hv = x[keep], v[keep]
     slopes = np.diff(hv) / np.diff(hx) if len(hx) > 1 else np.empty(0)
-    y = np.asarray(tuple(dual_points), dtype=float)
+    duals = tuple(dual_points)
+    y = np.array(duals, dtype=float)
     j = np.searchsorted(slopes, y, side="left")
     # refine over a 3-index window: guards against roundoff at slope ties
     cand = np.stack([np.clip(j + d, 0, len(hx) - 1) for d in (-1, 0, 1)])
     vals = y[None, :] * hx[cand] - hv[cand]
     out = vals.max(axis=0)
-    return GridFunction(1, tuple(dual_points), tuple(out.tolist()))
+    return GridFunction(1, duals, out)
 
 
 def cl_conv(f, dual_points=None):
@@ -334,6 +354,6 @@ def cl_conv(f, dual_points=None):
         raise ValueError("2D grid hull needs dual_points for the double conjugate")
     star = conjugate_brute(f, dual_points)
     pieces = tuple(
-        ((0.0, 0.0), p, -val) for p, val in zip(star.points, (w.value for w in star.values))
+        ((0.0, 0.0), p, -val) for p, val in zip(star.points, star.value_array.tolist())
     )
     return MaxAffine(2, pieces)

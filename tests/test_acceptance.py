@@ -14,7 +14,6 @@ import conftest
 from envcalc.extreal import NEG_INF, POS_INF, as_extreal, ext_add, ext_inf, ext_sup
 from envcalc.funcrep import GridFunction, Interval1D, PLConvex1D, lsc_defect, pl_equal
 from envcalc.transforms import (
-    cl_conv,
     conjugate_brute,
     conjugate_exact,
     conjugate_llt,
@@ -49,7 +48,12 @@ from envcalc.envelopes import (
     n_cup,
     n_cup_enum,
 )
-from envcalc.theoremlab import InstanceGenerator, gallery, primal_probes
+from envcalc.theoremlab import (
+    InstanceGenerator,
+    gallery,
+    grid_hull_graph,
+    primal_probes,
+)
 
 
 def record(number, ok, elapsed, budget, detail=""):
@@ -176,24 +180,8 @@ def _pl_chains_ok(f):
     return True
 
 
-def _grid_graph(g):
-    hull = cl_conv(g)
-    cands = []
-    for p, _v in g.finite_items():
-        iv = subdiff_exact(hull, F(p))
-        if iv is None:
-            continue
-        for end in (iv.lo, iv.hi):
-            if end is not None:
-                cands.append((p, float(end)))
-    cands = list(dict.fromkeys(cands))
-    return hull, OperatorGraph(
-        1, tuple((p, s) for p, s in cands if grid_subdiff_test(g, p, s))
-    )
-
-
 def _grid_chains_ok(g, tol=1e-9):
-    hull, G = _grid_graph(g)
+    hull, _cands, G = grid_hull_graph(g)
     env = upper_envelope(g, G, tol=tol)
     pts = [p for p, _v in g.finite_items()]
     lo_pt, hi_pt = min(pts), max(pts)

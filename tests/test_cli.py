@@ -3,6 +3,7 @@ import subprocess
 import sys
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from envcalc.cli import main, parse_probe_grid
@@ -352,3 +353,53 @@ def test_module_and_script_entry(abs_file):
         capture_output=True, text=True,
     )
     assert r2.returncode == 2
+
+
+# ---------------------------------------------------------------------------
+# grid files and probe-grid sizes
+# ---------------------------------------------------------------------------
+
+
+def test_integer_valued_grid_file_gives_float_cells(tmp_path, capsys):
+    f = write_json(tmp_path / "f.json",
+                   {"kind": "grid", "dim": 1, "points": [0, 1, 2], "values": [0, 1.5, 4]})
+    g = write_json(tmp_path / "g.json",
+                   {"kind": "grid", "dim": 1, "points": [0, 1, 2, 3], "values": [1, 0, 1, 4]})
+    assert main(["infconv", "--instance", f, "--instance", g]) == 0
+    # points keep their spelling; values are floats on every row
+    assert capsys.readouterr().out.splitlines() == [
+        "x,value", "0,1.0", "1,0.0", "2,1.0", "3,2.5", "4,5.0", "5,8.0",
+    ]
+    inst = load_instance(f)
+    assert inst.value_array.dtype == np.float64
+    assert [type(v) for _p, v in inst.finite_items()] == [float] * 3
+
+
+class _AxisThatMustNotBeCrossed:
+    def __len__(self):
+        return 1 << 11
+
+    def __iter__(self):
+        raise AssertionError("the cross product was built")
+
+
+def test_probe_grid_sizes_are_bounded():
+    from envcalc.cli import MAX_GRID_POINTS, _UsageError, _cross
+
+    assert MAX_GRID_POINTS == 1 << 20
+    with pytest.raises(_UsageError, match="exceeds the limit"):
+        parse_probe_grid(f"0:1:{MAX_GRID_POINTS + 1}", exact=False)
+    with pytest.raises(_UsageError, match="exceeds the limit"):
+        _cross(_AxisThatMustNotBeCrossed())
+    assert len(_cross((0.0, 1.0))) == 4
+
+
+def test_oversized_probe_grids_exit_2(grid_file, tmp_path, capsys):
+    assert main(["conjugate", "--instance", grid_file,
+                 "--dual-grid", f"0:1:{(1 << 20) + 1}"]) == 2
+    assert _one_line_error(capsys.readouterr().err)
+    g2 = write_json(tmp_path / "g2.json", dump_instance(
+        GridFunction(2, ((0.0, 0.0), (1.0, 0.0)), (0.0, 1.0))))
+    # 1025 axis points cross to 1025^2 > 2^20 pairs
+    assert main(["subdiff", "--instance", g2, "--dual-grid", "0:1:1025"]) == 2
+    assert _one_line_error(capsys.readouterr().err)

@@ -108,3 +108,17 @@ def test_sup_inf_agree_with_builtin(qs):
     vals = [ExtReal(q) for q in qs]
     assert ext_sup(vals).finite() == max(qs)
     assert ext_inf(vals).finite() == min(qs)
+
+
+def test_parse_scalar_exact_false_gives_floats():
+    for cell, want in ((1, 1.0), ("1", 1.0), ("-3", -3.0), ("1/2", 0.5), ("0.25", 0.25)):
+        got = parse_scalar(cell, exact=False).finite()
+        assert type(got) is float and got == want
+    # exact and default parsing keep their payloads
+    assert parse_scalar(1, exact=True).finite() == Fraction(1)
+    assert type(parse_scalar(1, exact=True).finite()) is Fraction
+    assert type(parse_scalar(1).finite()) is int
+    assert type(parse_scalar("1").finite()) is int
+    assert parse_scalar("1/2").finite() == Fraction(1, 2)
+    with pytest.raises(ValueError):
+        parse_scalar(10**400, exact=False)

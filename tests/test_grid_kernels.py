@@ -1,0 +1,317 @@
+"""Differential tests of the array-native grid kernels.
+
+Each batched route is compared with the scalar route it replaced, kept here
+as an oracle: the per-pair membership loop for ``grid_subdiff_matrix`` and
+``grid_subdiff_test``, the dict inf-convolution for the sorted one, and the
+dense ``conjugate_brute`` for ``conjugate_llt``.
+"""
+
+import math
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from envcalc import operators
+from envcalc.funcrep import GridFunction, dot, point_sub
+from envcalc.operators import grid_subdiff_matrix, grid_subdiff_test
+from envcalc.transforms import ImproperError, conjugate_brute, conjugate_llt, inf_conv
+
+INF = math.inf
+
+
+# ---------------------------------------------------------------------------
+# oracles: the scalar routes the kernels replaced
+# ---------------------------------------------------------------------------
+
+
+def subdiff_loop(f, a, astar, tol=0):
+    """Per-pair membership: the affine minorant through (a, f(a)) stays
+    below every finite sample, within tol."""
+    fa = f.value_at(a)
+    if not fa.is_finite:
+        return False
+    fa = fa.finite()
+    for y, fy in f.finite_items():
+        if fy < fa + dot(astar, point_sub(y, a, f.dim), f.dim) - tol:
+            return False
+    return True
+
+
+def inf_conv_dict(f, g):
+    """Pair sums collected in a dict, keys sorted: (points, values)."""
+    acc = {}
+    for u, fu in f.finite_items():
+        for w, gw in g.finite_items():
+            x = u + w if f.dim == 1 else (u[0] + w[0], u[1] + w[1])
+            val = fu + gw
+            if x not in acc or val < acc[x]:
+                acc[x] = val
+    pts = tuple(sorted(acc))
+    return pts, tuple(acc[p] for p in pts)
+
+
+# ---------------------------------------------------------------------------
+# batched membership against the per-pair loop
+# ---------------------------------------------------------------------------
+
+# quarter steps keep every sum and product exact, so a sample lands exactly
+# on the tolerance edge often; arbitrary floats exercise the rounding order
+quarter = st.integers(-12, 12).map(lambda k: k / 4)
+coord = st.one_of(quarter, st.floats(-3, 3, allow_nan=False, width=64))
+value = st.one_of(quarter, st.floats(-3, 3, width=64), st.just(INF))
+tols = st.sampled_from((0, 0.0, 0.25, 0.5, 1e-9))
+
+
+@st.composite
+def membership_cases(draw, dim):
+    point = coord if dim == 1 else st.tuples(coord, coord)
+    pts = draw(st.lists(point, min_size=1, max_size=9, unique=True))
+    vals = draw(st.lists(value, min_size=len(pts), max_size=len(pts)))
+    dual = coord if dim == 1 else st.tuples(coord, coord)
+    duals = draw(st.lists(dual, min_size=1, max_size=6))
+    tol = draw(tols)
+    # put one sample exactly on the edge fy == fa + <s, y - a> - tol of one
+    # (anchor, dual) pair, or one ulp either side of it
+    finite = [i for i, v in enumerate(vals) if v < INF]
+    if finite and len(pts) > 1:
+        i = draw(st.sampled_from(finite))
+        j = draw(st.sampled_from([k for k in range(len(pts)) if k != i]))
+        s = draw(st.sampled_from(duals))
+        edge = vals[i] + dot(s, point_sub(pts[j], pts[i], dim), dim) - tol
+        if math.isfinite(edge):
+            vals[j] = draw(st.sampled_from(
+                (edge, math.nextafter(edge, -INF), math.nextafter(edge, INF))))
+    return GridFunction(dim, tuple(pts), tuple(vals)), tuple(duals), tol
+
+
+def _check_membership(f, duals, tol, chunk):
+    with mock.patch.object(operators, "_CHUNK_CELLS", chunk):
+        chunked = grid_subdiff_matrix(f, duals, tol)
+    whole = grid_subdiff_matrix(f, duals, tol)
+    items = f.finite_items()
+    assert whole.shape == (len(items), len(duals)) and whole.dtype == bool
+    assert np.array_equal(chunked, whole)
+    for i, (p, _v) in enumerate(items):
+        for k, s in enumerate(duals):
+            want = subdiff_loop(f, p, s, tol)
+            assert bool(whole[i, k]) == want
+            assert grid_subdiff_test(f, p, s, tol) == want
+    # a +inf sample or an unlisted point carries no subgradient
+    for p, v in zip(f.points, f.value_array.tolist()):
+        if v == INF:
+            assert not grid_subdiff_test(f, p, duals[0], tol)
+
+
+@given(membership_cases(1), st.integers(1, 40))
+@settings(max_examples=300, deadline=None)
+def test_batched_membership_matches_loop_1d(case, chunk):
+    f, duals, tol = case
+    _check_membership(f, duals, tol, chunk)
+    assert not grid_subdiff_test(f, 99.0, duals[0], tol)
+
+
+@given(membership_cases(2), st.integers(1, 40))
+@settings(max_examples=300, deadline=None)
+def test_batched_membership_matches_loop_2d(case, chunk):
+    f, duals, tol = case
+    _check_membership(f, duals, tol, chunk)
+    assert not grid_subdiff_test(f, (99.0, 99.0), duals[0], tol)
+
+
+def test_membership_on_the_tolerance_edge():
+    # from the anchor (0, 0) with slope 1 the sample (2, 2 - tol) sits
+    # exactly on the edge and passes; one ulp lower it fails
+    tol = 0.25
+    f = GridFunction(1, (0.0, 2.0), (0.0, 2.0 - tol))
+    assert grid_subdiff_matrix(f, (1.0,), tol).tolist() == [[True], [True]]
+    below = GridFunction(1, (0.0, 2.0), (0.0, math.nextafter(2.0 - tol, -INF)))
+    assert grid_subdiff_matrix(below, (1.0,), tol).tolist() == [[False], [True]]
+
+
+# ---------------------------------------------------------------------------
+# sorted inf-convolution against the dict
+# ---------------------------------------------------------------------------
+
+# few distinct coordinates, so sums repeat; -0.0, 0.0 and 0 collide as keys
+axis_pool = (-1, -0.5, -0.0, 0.0, 0, 0.5, 1, 1.0, 1.5)
+value_pool = (-0.0, 0.0, 0.25, 0.5, 1.0, -1.0, INF)
+
+
+def _grid(dim):
+    point = (
+        st.sampled_from(axis_pool)
+        if dim == 1
+        else st.tuples(st.sampled_from(axis_pool), st.sampled_from(axis_pool))
+    )
+    return st.lists(point, min_size=1, max_size=8, unique=True).flatmap(
+        lambda pts: st.lists(
+            st.sampled_from(value_pool), min_size=len(pts), max_size=len(pts)
+        ).map(lambda vals: GridFunction(dim, tuple(pts), tuple(vals)))
+    )
+
+
+def _spelled(points, values):
+    return [repr(p) for p in points], [repr(v) for v in values]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_inf_conv_matches_dict(dim):
+    @given(_grid(dim), _grid(dim))
+    @settings(max_examples=300, deadline=None)
+    def check(f, g):
+        pts, vals = inf_conv_dict(f, g)
+        if not pts:
+            with pytest.raises(ImproperError):
+                inf_conv(f, g)
+            return
+        h = inf_conv(f, g)
+        assert _spelled(h.points, h.value_array.tolist()) == _spelled(pts, vals)
+
+    check()
+
+
+def test_inf_conv_keeps_first_spelling():
+    f = GridFunction(1, (-0.0, 1), (0.0, 1.0))
+    g = GridFunction(1, (0.0, 2), (-0.0, 2.0))
+    h = inf_conv(f, g)
+    # row-major sums: -0.0 + 0.0, -0.0 + 2, 1 + 0.0, 1 + 2
+    assert [repr(p) for p in h.points] == ["0.0", "1.0", "2.0", "3"]
+    assert [repr(v) for v in h.value_array.tolist()] == ["0.0", "1.0", "2.0", "3.0"]
+    # the sum 1 comes first as the int 0 + 1, then as 1.0 + 0.0 with a
+    # smaller value: the value moves, the spelling stays
+    h = inf_conv(GridFunction(1, (0, 1.0), (0.5, 0.0)),
+                 GridFunction(1, (1, 0.0), (0.0, 0.25)))
+    assert [repr(p) for p in h.points] == ["0.0", "1", "2.0"]
+    assert h.value_array.tolist() == [0.75, 0.25, 0.0]
+
+
+# ---------------------------------------------------------------------------
+# linear-time conjugate against the dense one
+# ---------------------------------------------------------------------------
+
+# Error bound.  conjugate_llt evaluates y*x - v on a subset of the samples
+# with the same operations as conjugate_brute, so it is never above it.  It
+# falls below it where rounding hides the maximizing sample:
+# * each hull test drops a sample that may sit below the kept chord by a few
+#   ulps of the values, and drops can chain, so up to n of those;
+# * near-collinear runs keep their ties, and the float slopes of a run can
+#   come out of order by the rounding of (v_k - v_j) / (x_k - x_j), a few
+#   ulps of max|v| / (smallest x gap); the march may then stop anywhere in
+#   the run, which costs that slope error times the run's span;
+# * a hull slope that underflows into the subnormals has an absolute error
+#   of a few 2**-1074, again times the span.
+# With u = 2**-53, S = max|y| * max|x| + max|v| and W = span / smallest gap
+# over the finite samples:
+#     0 <= brute - llt <= 4u * S * (n + W) + 2**-1060 * span
+# The largest ratio to the first term seen over 6000 generated cases was
+# about 2**-57 (u / 16).
+LLT_REL = 4 * 2.0 ** -53
+LLT_ABS = 2.0 ** -1060
+
+
+@st.composite
+def adversarial_grids(draw):
+    n = draw(st.integers(2, 40))
+    xs = sorted(draw(st.lists(
+        st.integers(-10**6, 10**6), min_size=n, max_size=n, unique=True)))
+    kind = draw(st.sampled_from(("collinear", "repeated-slopes", "random")))
+    if kind == "collinear":
+        a = draw(st.floats(-5, 5))
+        b = draw(st.floats(-5, 5))
+        wiggle = st.sampled_from((0.0, 2.0**-52, -(2.0**-52), 2.0**-50, -(2.0**-50), 1e-13))
+        vals = [(a * x + b) * (1 + draw(wiggle)) for x in xs]
+    elif kind == "repeated-slopes":
+        slopes = sorted(draw(st.lists(
+            st.sampled_from((-2.0, -0.5, 0.0, 0.0, 1.0 / 3, 1.0 / 3, 3.0)),
+            min_size=n - 1, max_size=n - 1)))
+        vals = [0.0]
+        for s, (x0, x1) in zip(slopes, zip(xs, xs[1:])):
+            vals.append(vals[-1] + s * (x1 - x0))
+    else:
+        vals = draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n))
+    sx = draw(st.sampled_from((1.0, 1e-6, 1e150 / 10**6)))
+    sv = draw(st.sampled_from((1.0, 1e150 / 10**6, 1e150)))
+    pts = [x * sx for x in xs]
+    vals = [v * sv for v in vals]
+    for k in draw(st.lists(st.integers(0, n - 1), max_size=n // 3)):
+        vals[k] = INF
+    f = GridFunction(1, tuple(pts), tuple(vals))
+    fx, fv = f.finite_arrays()
+    # duals at the sample slopes (where ties between samples sit) and between
+    span = max(abs(sv / sx) * 8, 1.0)
+    duals = [float(s) for s in np.diff(fv) / np.diff(fx)] if len(fv) > 1 else []
+    duals += draw(st.lists(st.floats(-span, span), min_size=1, max_size=10))
+    return f, tuple(dict.fromkeys(duals))
+
+
+@given(adversarial_grids())
+@settings(max_examples=400, deadline=None)
+def test_llt_matches_brute_on_adversarial_floats(case):
+    f, duals = case
+    fx, fv = f.finite_arrays()
+    if not len(fv):
+        with pytest.raises(ImproperError):
+            conjugate_llt(f, duals)
+        return
+    brute = conjugate_brute(f, duals).value_array
+    llt = conjugate_llt(f, duals).value_array
+    xs = np.sort(fx)
+    span = xs[-1] - xs[0]
+    spread = span / np.diff(xs).min() if len(xs) > 1 else 0.0
+    scale = np.abs(np.array(duals)).max() * np.abs(fx).max() + np.abs(fv).max()
+    assert (llt <= brute).all()
+    bound = LLT_REL * scale * (len(fv) + spread) + LLT_ABS * span
+    assert (brute - llt).max() <= bound
+
+
+# ---------------------------------------------------------------------------
+# GridFunction validation and the ExtReal edge
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("dim,points", [
+    (1, (0.0, 1.0)),
+    (2, ((0.0, 0.0), (1.0, 0.5))),
+])
+@pytest.mark.parametrize("bad,message", [
+    (math.nan, "NaN"),
+    (-INF, "-inf"),
+])
+def test_grid_rejects_nan_and_neg_inf(dim, points, bad, message):
+    with pytest.raises(ValueError, match=message):
+        GridFunction(dim, points, (1.0, bad))
+
+
+@pytest.mark.parametrize("dim,points", [
+    (1, (0.0, 1.0, 0.0)),
+    (1, (-0.0, 0.0)),
+    (1, (1, 1.0)),
+    (2, ((0.0, 1.0), (1.0, 0.0), (0.0, 1.0))),
+    (2, ((-0.0, 1.0), (0.0, 1.0))),
+])
+def test_grid_rejects_duplicate_points(dim, points):
+    with pytest.raises(ValueError, match="duplicate grid points"):
+        GridFunction(dim, points, tuple(0.0 for _ in points))
+
+
+def test_grid_accepts_points_that_share_only_a_float():
+    # 2**53 + 1 rounds to the float 2**53 but is a different number
+    g = GridFunction(1, (2**53, 2**53 + 1), (0.0, 1.0))
+    assert g.value_at(2**53 + 1).finite() == 1.0
+
+
+def test_grid_arrays_and_boxed_edge():
+    g = GridFunction(2, ((0, 1), (0.5, -0.0)), (1, INF), label="g")
+    assert g.points == ((0, 1), (0.5, -0.0))
+    assert g.point_array.dtype == np.float64 and g.point_array.shape == (2, 2)
+    assert g.value_array.tolist() == [1.0, INF]
+    assert [type(v.finite()) for v in g.values[:1]] == [float]
+    assert g.values[1].is_pos_inf
+    assert g.value_at((0.0, 1.0)).finite() == 1.0
+    assert g.value_at((0.5, 0.0)).is_pos_inf
+    assert g.finite_items() == [((0, 1), 1.0)]
+    assert g == GridFunction(2, ((0, 1), (0.5, -0.0)), (1.0, INF), label="g")
+    with pytest.raises(ValueError):
+        g.value_array[0] = 2.0
