@@ -233,7 +233,10 @@ def _verb_infconv(args, instances) -> int:
     if len(instances) != 2:
         raise _UsageError("infconv needs exactly two --instance files")
     f, g = instances
-    h = transforms.inf_conv(f, g)
+    try:
+        h = transforms.inf_conv(f, g)
+    except transforms.SizeLimitError as e:
+        raise _UsageError(str(e)) from None
     if isinstance(h, PLConvex1D):
         if _emit_instance_json(args.out, h):
             return 0

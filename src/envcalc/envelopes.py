@@ -40,6 +40,7 @@ from .operators import (
     _exactify,
     eps_subdiff_test,
     grid_subdiff_test,
+    line_envelope_values,
     subdiff_graph,
     subdiff_structure,
     subdiff_test,
@@ -278,39 +279,70 @@ def circ(f, G: OperatorGraph, dual_points, probes) -> tuple:
     return tuple(zip(back.points, back.values))
 
 
-def n_cup(f, G: OperatorGraph, n: int, x) -> ExtReal:
-    """Envelope over chains of n graph pairs.
+def _hull_chain_step(ps, level, order) -> list:
+    # pair p is the line y -> b_p * y + (level_p - b_p * a_p); of equal
+    # slopes only the largest intercept can win
+    best = {}
+    for (a, b), lv in zip(ps, level):
+        c = lv - b * a
+        if b not in best or c > best[b]:
+            best[b] = c
+    vals = line_envelope_values(sorted(best.items()), [ps[q][0] for q in order])
+    out = [None] * len(ps)
+    for q, v in zip(order, vals):
+        out[q] = v
+    return out
+
+
+def n_cup_envelope(f, G: OperatorGraph, n: int) -> MaxAffine:
+    """Envelope over chains of n graph pairs, as a max of affine pieces.
 
     A chain couples the probe to the first anchor, each anchor to the next,
     and pays the function value at the last anchor.  Maximizing anchor by
-    anchor from the tail gives the value in n passes over the pair list;
-    n_cup_enum does the same by literal enumeration for cross-checking.
+    anchor from the tail leaves one piece (a_p, b_p, level_p) per pair,
+    after n - 1 steps level_q = max_p level_p + <b_p, a_q - a_p> from
+    level_p = f(a_p); n_cup_enum enumerates the chains for cross-checking.
+    On a 1D graph with exact pairs and levels a step is the upper hull of
+    the lines of slope b_p evaluated at the sorted anchors, O(P log P);
+    floats and 2D graphs take the direct O(P^2) max.  The empty graph
+    gives the empty max, -inf everywhere.
     """
     if n not in (2, 3, 4):
         raise ValueError("n must be one of 2, 3, 4")
     ps = G.pairs
-    if not ps:
-        return NEG_INF
     level = []
     for a, _b in ps:
         fa = evaluate(f, a)
         if not fa.is_finite:
             raise ValueError(f"anchor {a!r} has no finite value")
         level.append(fa.finite())
-    for _ in range(n - 1):
-        level = [
-            max(
-                level[p] + dot(ps[p][1], point_sub(aq, ps[p][0], G.dim), G.dim)
-                for p in range(len(ps))
-            )
-            for aq, _bq in ps
-        ]
-    return as_extreal(
-        max(
-            level[p] + dot(ps[p][1], point_sub(x, ps[p][0], G.dim), G.dim)
-            for p in range(len(ps))
-        )
+    exact = G.dim == 1 and bool(ps) and all(
+        isinstance(v, (int, Fraction))
+        for (a, b), lv in zip(ps, level)
+        for v in (a, b, lv)
     )
+    if exact:
+        order = sorted(range(len(ps)), key=lambda q: ps[q][0])
+    for _ in range(n - 1):
+        if exact:
+            level = _hull_chain_step(ps, level, order)
+        else:
+            level = [
+                max(
+                    level[p] + dot(ps[p][1], point_sub(aq, ps[p][0], G.dim), G.dim)
+                    for p in range(len(ps))
+                )
+                for aq, _bq in ps
+            ]
+    return MaxAffine(
+        G.dim, tuple((a, b, lv) for (a, b), lv in zip(ps, level)), label=G.label
+    )
+
+
+def n_cup(f, G: OperatorGraph, n: int, x) -> ExtReal:
+    """Value of ``n_cup_envelope(f, G, n)`` at one probe; callers with many
+    probes build the envelope once."""
+    return n_cup_envelope(f, G, n).value_at(x)
 
 
 def n_cup_enum(f, G: OperatorGraph, n: int, x) -> ExtReal:
@@ -475,10 +507,10 @@ def epi_normal_graph(f: PLConvex1D, G: OperatorGraph | None = None) -> OperatorG
     return OperatorGraph(2, tuple(pairs), label=f.label)
 
 
-def epi_cup_membership(f: PLConvex1D, G_full: OperatorGraph, point) -> bool:
-    """Does (x, v) satisfy every non-horizontal support inequality?
+def epi_cup_member(f: PLConvex1D, G_full: OperatorGraph):
+    """Predicate: does (x, v) satisfy every non-horizontal support inequality?
 
-    Samples are validated first: anchors must sit on the graph of f, normals
+    Samples are validated once: anchors must sit on the graph of f, normals
     may not point upward, and each must support the epigraph at every
     breakpoint and along every recession direction.  Only samples with a
     nonzero vertical component then constrain the answer, and for matching
@@ -486,29 +518,38 @@ def epi_cup_membership(f: PLConvex1D, G_full: OperatorGraph, point) -> bool:
     """
     if G_full.dim != 2:
         raise ValueError("epigraph samples live in dimension 2")
-    x, v = point
-    x = _exactify(x)
-    v = _exactify(v)
+    graph = []
+    for y in f.breakpoints:
+        fy = f.value_at(y)
+        if fy.is_finite:
+            graph.append((y, fy.finite()))
     for (a, t), (astar, alpha) in G_full.pairs:
         fa = f.value_at(a)
         if not fa.is_finite or fa.finite() != t:
             raise ValueError(f"sample anchored off the graph: {(a, t)!r}")
         if alpha > 0:
             raise ValueError("epigraph normals cannot point upward")
-        for y in f.breakpoints:
-            fy = f.value_at(y)
-            if fy.is_finite and (y - a) * astar + (fy.finite() - t) * alpha > 0:
+        for y, fy in graph:
+            if (y - a) * astar + (fy - t) * alpha > 0:
                 raise ValueError(f"sample {(a, t, astar, alpha)!r} fails support")
         if f.left_recession is not None and -astar - f.left_recession * alpha > 0:
             raise ValueError("sample fails the left recession direction")
         if f.right_recession is not None and astar + f.right_recession * alpha > 0:
             raise ValueError("sample fails the right recession direction")
-    for (a, t), (astar, alpha) in G_full.pairs:
-        if alpha == 0:
-            continue
-        if (x - a) * astar + (v - t) * alpha > 0:
-            return False
-    return True
+    cuts = [(a, t, astar, alpha) for (a, t), (astar, alpha) in G_full.pairs if alpha != 0]
+
+    def member(point) -> bool:
+        x, v = point
+        x = _exactify(x)
+        v = _exactify(v)
+        return all((x - a) * astar + (v - t) * alpha <= 0 for a, t, astar, alpha in cuts)
+
+    return member
+
+
+def epi_cup_membership(f: PLConvex1D, G_full: OperatorGraph, point) -> bool:
+    """One-shot ``epi_cup_member``; validates the samples on every call."""
+    return epi_cup_member(f, G_full)(point)
 
 
 # ---------------------------------------------------------------------------
@@ -733,8 +774,8 @@ def envelope_result(
         elif kind == "ncup":
             if n is None:
                 raise ValueError("ncup needs n")
-            Gx = subdiff_graph(f, probes=probes)
-            rows = tuple((p, n_cup(f, Gx, n, _exactify(p))) for p in probes)
+            env = n_cup_envelope(f, subdiff_graph(f, probes=probes), n)
+            rows = tuple((p, env.value_at(_exactify(p))) for p in probes)
             params["n"] = n
         elif kind == "smile":
             rows = tuple((p, smile_value(f, p, st=st)) for p in probes)
@@ -759,7 +800,8 @@ def envelope_result(
         elif kind == "ncup":
             if n is None:
                 raise ValueError("ncup needs n")
-            rows = tuple((p, n_cup(f, G, n, p)) for p in probes)
+            env = n_cup_envelope(f, G, n)
+            rows = tuple((p, env.value_at(p)) for p in probes)
             params["n"] = n
         elif kind == "smile":
             rows = tuple((p, smile(f, G, p)) for p in probes)

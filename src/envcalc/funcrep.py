@@ -378,6 +378,8 @@ class GridFunction:
         xs = _float_array(pts, "point")
         if self.dim == 2:
             xs = xs.reshape(len(pts), 2)
+        if not np.isfinite(xs).all():
+            raise ValueError("grid point coordinates must be finite")
         if _has_duplicates(pts, xs):
             raise ValueError("duplicate grid points")
         raw = self.__dict__.pop("_raw_values")

@@ -548,12 +548,45 @@ def fitzpatrick_structured(st: SubdiffStructure1D, x, xstar) -> ExtReal:
     return ExtReal(max(a * xstar + c for a, c in lines))
 
 
+def line_envelope_values(lines, ys) -> list:
+    """max of slope * y + intercept over ``lines`` at each y, exactly.
+
+    ``lines`` is a nonempty list of (slope, intercept) pairs with strictly
+    increasing slopes and ``ys`` is ascending.  The lines reduce to their
+    upper hull, which one sweep over ys evaluates: O(len(lines) + len(ys)).
+    """
+    hull = []
+    for s3, c3 in lines:
+        while len(hull) >= 2:
+            (s1, c1), (s2, c2) = hull[-2], hull[-1]
+            # the middle line never tops both neighbours
+            if (c1 - c3) * (s2 - s1) <= (c1 - c2) * (s3 - s1):
+                hull.pop()
+            else:
+                break
+        hull.append((s3, c3))
+    out = []
+    k = 0
+    s, c = hull[0]
+    for y in ys:
+        val = s * y + c
+        while k + 1 < len(hull):
+            nxt = hull[k + 1][0] * y + hull[k + 1][1]
+            if nxt < val:
+                break
+            k += 1
+            s, c = hull[k]
+            val = nxt
+        out.append(val)
+    return out
+
+
 def fitzpatrick_table(st: SubdiffStructure1D, xs, xstars) -> list:
     """Rows of fitzpatrick_structured over xs x xstars, in the given orders.
 
-    Per x the lines of ``_fitz_lines`` reduce to their exact upper envelope
-    (slopes are already increasing), which one sweep over the sorted duals
-    evaluates: O(m + p) per row after one O(p log p) sort.
+    Per x the lines of ``_fitz_lines`` (slopes already increasing) go
+    through ``line_envelope_values`` at the sorted duals: O(m + p) per row
+    after one O(p log p) sort.
     """
     xstars = [_exactify(y) for y in xstars]
     by_value = sorted(range(len(xstars)), key=xstars.__getitem__)
@@ -565,33 +598,12 @@ def fitzpatrick_table(st: SubdiffStructure1D, xs, xstars) -> list:
         if gen is None:
             continue
         lines, lo_cut, hi_cut = gen
-        hull = []
-        for s3, c3 in lines:
-            while len(hull) >= 2:
-                (s1, c1), (s2, c2) = hull[-2], hull[-1]
-                # the middle line never tops both neighbours
-                if (c1 - c3) * (s2 - s1) <= (c1 - c2) * (s3 - s1):
-                    hull.pop()
-                else:
-                    break
-            hull.append((s3, c3))
-        if not hull:
+        if not lines:
             row[:] = [NEG_INF] * len(xstars)
             continue
-        k = 0
-        s, c = hull[0]
-        for col in by_value:
-            y = xstars[col]
-            if _cut(lo_cut, hi_cut, y):
-                continue
-            val = s * y + c
-            while k + 1 < len(hull):
-                nxt = hull[k + 1][0] * y + hull[k + 1][1]
-                if nxt < val:
-                    break
-                k += 1
-                s, c = hull[k]
-                val = nxt
+        cols = [col for col in by_value if not _cut(lo_cut, hi_cut, xstars[col])]
+        vals = line_envelope_values(lines, [xstars[col] for col in cols])
+        for col, val in zip(cols, vals):
             row[col] = ExtReal(val)
     return table
 

@@ -59,9 +59,9 @@ from .envelopes import (
     circ_exact,
     cup_exact,
     cup_value,
-    epi_cup_membership,
+    epi_cup_member,
     epi_normal_graph,
-    n_cup,
+    n_cup_envelope,
     portable_hull_interval,
     sharp_exact,
     sharp_value,
@@ -433,7 +433,7 @@ def _check_fcupdiez_iii(tid, desc, f):
         return _na(tid, desc, "empty subdifferential graph")
     G = subdiff_graph(f)
     env = upper_envelope(f, G)
-    Gfull = epi_normal_graph(f, G)
+    member = epi_cup_member(f, epi_normal_graph(f, G))
     cupf = cup_exact(f)
     shf = sharp_exact(f)
     hull = portable_hull_interval(effective_domain(f))
@@ -442,7 +442,7 @@ def _check_fcupdiez_iii(tid, desc, f):
         ev = env.value_at(x)
         base = ev.finite()
         for v in (base - 1, base, base + 1):
-            got = epi_cup_membership(f, Gfull, (x, v))
+            got = member((x, v))
             if got != (as_extreal(v) >= ev):
                 return _done(tid, desc, False, witness=(x, v))
         # the restriction identity, read off the closed forms
@@ -507,10 +507,11 @@ def _check_fcupdiez_ix(tid, desc, f):
         return _na(tid, desc, "empty subdifferential graph")
     G = subdiff_graph(f)
     env = upper_envelope(f, G)
+    chains = [(n, n_cup_envelope(f, G, n)) for n in (2, 3)]
     for x in primal_probes(f):
         e = env.value_at(x)
-        for n in (2, 3):
-            if n_cup(f, G, n, x) != e:
+        for n, chain in chains:
+            if chain.value_at(x) != e:
                 return _done(tid, desc, False, witness=(x, n))
     return _done(tid, desc, True, margin=0)
 

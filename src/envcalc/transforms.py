@@ -34,6 +34,16 @@ class ImproperError(ValueError):
     or one touching -inf."""
 
 
+class SizeLimitError(ValueError):
+    """An input too large for a transform to materialise."""
+
+
+# most finite sample pairs a grid inf_conv sums at once; at the limit, with
+# every sum distinct, it peaks near 0.7 GB in 1D and 1.2 GB in 2D, mostly
+# the result's Python points
+MAX_INF_CONV_PAIRS = 1 << 22
+
+
 # ---------------------------------------------------------------------------
 # exact route
 # ---------------------------------------------------------------------------
@@ -282,6 +292,11 @@ def _inf_conv_grid(f: GridFunction, g: GridFunction) -> GridFunction:
     gx, gv = g.finite_arrays()
     if not len(fv) or not len(gv):
         raise ImproperError("inf-convolution of improper grid functions")
+    if len(fv) * len(gv) > MAX_INF_CONV_PAIRS:
+        raise SizeLimitError(
+            f"inf-convolution of {len(fv)} x {len(gv)} finite samples exceeds "
+            f"the limit of {MAX_INF_CONV_PAIRS} pairs"
+        )
     if f.dim == 1:
         sums = (fx[:, None] + gx[None, :]).reshape(-1, 1)
     else:

@@ -403,3 +403,26 @@ def test_oversized_probe_grids_exit_2(grid_file, tmp_path, capsys):
     # 1025 axis points cross to 1025^2 > 2^20 pairs
     assert main(["subdiff", "--instance", g2, "--dual-grid", "0:1:1025"]) == 2
     assert _one_line_error(capsys.readouterr().err)
+
+
+def test_oversized_infconv_exits_2(tmp_path, capsys):
+    n = 1 << 11
+    f = write_json(tmp_path / "f.json", {"kind": "grid", "dim": 1,
+                                         "points": list(range(n + 1)), "values": [0.0] * (n + 1)})
+    g = write_json(tmp_path / "g.json", {"kind": "grid", "dim": 1,
+                                         "points": list(range(n)), "values": [0.0] * n})
+    assert main(["infconv", "--instance", f, "--instance", g]) == 2
+    err = capsys.readouterr().err
+    assert _one_line_error(err) and str(1 << 22) in err
+
+
+@pytest.mark.parametrize("points", ["[Infinity, 0.0]", "[[0.0, 1.0], [-Infinity, 0.0]]"])
+def test_grid_file_with_infinite_point_exits_2(tmp_path, capsys, points):
+    dim = 2 if points.startswith("[[") else 1
+    path = tmp_path / "g.json"
+    path.write_text(
+        f'{{"kind": "grid", "dim": {dim}, "points": {points}, "values": [0.0, 1.0]}}'
+    )
+    assert main(["conjugate", "--instance", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert _one_line_error(err) and "finite" in err

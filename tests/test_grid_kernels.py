@@ -13,10 +13,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from envcalc import operators
+from envcalc import operators, transforms
 from envcalc.funcrep import GridFunction, dot, point_sub
 from envcalc.operators import grid_subdiff_matrix, grid_subdiff_test
-from envcalc.transforms import ImproperError, conjugate_brute, conjugate_llt, inf_conv
+from envcalc.transforms import (
+    MAX_INF_CONV_PAIRS,
+    ImproperError,
+    SizeLimitError,
+    conjugate_brute,
+    conjugate_llt,
+    inf_conv,
+)
 
 INF = math.inf
 
@@ -187,6 +194,24 @@ def test_inf_conv_keeps_first_spelling():
     assert h.value_array.tolist() == [0.75, 0.25, 0.0]
 
 
+def test_inf_conv_refuses_too_many_pairs():
+    n = 1 << 11
+    f = GridFunction(1, tuple(range(n + 1)), np.zeros(n + 1))
+    g = GridFunction(1, tuple(range(n)), np.zeros(n))
+    # 2^22 + 2^11 pairs: refused before any pair sum is built
+    with pytest.raises(SizeLimitError, match=f"limit of {MAX_INF_CONV_PAIRS} pairs"):
+        inf_conv(f, g)
+
+
+def test_inf_conv_pair_limit_counts_finite_samples():
+    f = GridFunction(1, (0.0, 1.0, 2.0, 3.0), (0.0, 1.0, 4.0, INF))
+    g = GridFunction(1, (0.0, 1.0), (0.0, 1.0))
+    with mock.patch.object(transforms, "MAX_INF_CONV_PAIRS", 6):
+        assert len(inf_conv(f, g).points) == 4  # 3 x 2 finite pairs
+        with pytest.raises(SizeLimitError):
+            inf_conv(f, GridFunction(1, (0.0, 1.0, 2.0), (0.0, 1.0, 4.0)))
+
+
 # ---------------------------------------------------------------------------
 # linear-time conjugate against the dense one
 # ---------------------------------------------------------------------------
@@ -282,6 +307,27 @@ def test_llt_matches_brute_on_adversarial_floats(case):
 def test_grid_rejects_nan_and_neg_inf(dim, points, bad, message):
     with pytest.raises(ValueError, match=message):
         GridFunction(dim, points, (1.0, bad))
+
+
+@pytest.mark.parametrize("dim,points", [
+    (1, (INF, 0.0)),
+    (1, (0.0, -INF)),
+    (1, (math.nan, 0.0)),
+    (1, ("inf", 0.0)),
+    (2, ((INF, 0.0), (1.0, 0.5))),
+    (2, ((0.0, 0.0), (1.0, -INF))),
+    (2, ((0.0, math.nan), (1.0, 0.5))),
+])
+def test_grid_rejects_non_finite_points(dim, points):
+    with pytest.raises(ValueError, match="coordinates must be finite"):
+        GridFunction(dim, points, (0.0, 1.0))
+
+
+def test_inf_conv_has_no_nan_points():
+    # an infinite point used to be accepted, and -inf + inf gave a nan sum
+    with pytest.raises(ValueError, match="coordinates must be finite"):
+        inf_conv(GridFunction(1, (-INF, 0.0), (0.0, 1.0)),
+                 GridFunction(1, (INF, 1.0), (0.0, 1.0)))
 
 
 @pytest.mark.parametrize("dim,points", [

@@ -3,23 +3,41 @@
 The oracles below are the per-probe case analyses the kernels replaced:
 a linear scan over every point and segment of the structure for the
 budgeted support sup and for the Fitzpatrick function, a linear scan for
-the subgradient interval, and the quadratic max for the conjugate.  They
-live here only, as references; every comparison is exact.
+the subgradient interval, the quadratic max for the conjugate, the
+quadratic chain DP for ``n_cup_envelope`` and the per-call sample
+validation for ``epi_cup_member``.  They live here only, as references;
+exact comparisons are exact and float comparisons are bit for bit.
 """
 
+import random
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from envcalc.extreal import NEG_INF, POS_INF, as_extreal
-from envcalc.funcrep import Interval1D, PLConvex1D
-from envcalc.envelopes import cup_value, smile_eps_value, smile_value
+from envcalc.funcrep import GridFunction, Interval1D, PLConvex1D, dot, evaluate, point_sub
+from envcalc.envelopes import (
+    cup_value,
+    epi_cup_member,
+    epi_cup_membership,
+    epi_normal_graph,
+    n_cup,
+    n_cup_envelope,
+    smile_eps_value,
+    smile_value,
+    upper_envelope,
+)
 from envcalc.operators import (
+    OperatorGraph,
+    _exactify,
     fitzpatrick_structured,
     fitzpatrick_table,
     subdiff_exact,
+    subdiff_graph,
     subdiff_structure,
 )
+from envcalc.theoremlab import InstanceGenerator
 from envcalc.transforms import conjugate_exact
 
 
@@ -124,6 +142,71 @@ def conjugate_oracle(f):
         g.breakpoints[0] if g.left_recession is None else None,
         g.breakpoints[-1] if g.right_recession is None else None,
     )
+
+
+def n_cup_levels_oracle(f, G, n):
+    """Chain levels after n - 1 steps of the quadratic DP."""
+    ps = G.pairs
+    level = []
+    for a, _b in ps:
+        fa = evaluate(f, a)
+        if not fa.is_finite:
+            raise ValueError(f"anchor {a!r} has no finite value")
+        level.append(fa.finite())
+    for _ in range(n - 1):
+        level = [
+            max(
+                level[p] + dot(ps[p][1], point_sub(aq, ps[p][0], G.dim), G.dim)
+                for p in range(len(ps))
+            )
+            for aq, _bq in ps
+        ]
+    return level
+
+
+def n_cup_oracle(f, G, n, x):
+    """The quadratic DP n_cup ran for every probe."""
+    if n not in (2, 3, 4):
+        raise ValueError("n must be one of 2, 3, 4")
+    ps = G.pairs
+    if not ps:
+        return NEG_INF
+    level = n_cup_levels_oracle(f, G, n)
+    return as_extreal(
+        max(
+            level[p] + dot(ps[p][1], point_sub(x, ps[p][0], G.dim), G.dim)
+            for p in range(len(ps))
+        )
+    )
+
+
+def epi_cup_membership_oracle(f, G_full, point):
+    """Validate every sample against every breakpoint, then test the point."""
+    if G_full.dim != 2:
+        raise ValueError("epigraph samples live in dimension 2")
+    x, v = point
+    x = _exactify(x)
+    v = _exactify(v)
+    for (a, t), (astar, alpha) in G_full.pairs:
+        fa = f.value_at(a)
+        if not fa.is_finite or fa.finite() != t:
+            raise ValueError(f"sample anchored off the graph: {(a, t)!r}")
+        if alpha > 0:
+            raise ValueError("epigraph normals cannot point upward")
+        for y in f.breakpoints:
+            fy = f.value_at(y)
+            if fy.is_finite and (y - a) * astar + (fy.finite() - t) * alpha > 0:
+                raise ValueError(f"sample {(a, t, astar, alpha)!r} fails support")
+        if f.left_recession is not None and -astar - f.left_recession * alpha > 0:
+            raise ValueError("sample fails the left recession direction")
+        if f.right_recession is not None and astar + f.right_recession * alpha > 0:
+            raise ValueError("sample fails the right recession direction")
+    for (a, t), (astar, alpha) in G_full.pairs:
+        if alpha == 0:
+            continue
+        if (x - a) * astar + (v - t) * alpha > 0:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -253,3 +336,187 @@ def test_subdiff_and_conjugate_match_scans(f, extra):
         assert subdiff_exact(f, x) == subdiff_oracle(f, x)
     g = conjugate_exact(f)
     assert (g.breakpoints, g.values, g.left_recession, g.right_recession) == conjugate_oracle(f)
+
+
+# ---------------------------------------------------------------------------
+# chain envelopes against the quadratic DP
+# ---------------------------------------------------------------------------
+
+
+class AnchorLevels:
+    """A function known only at the graph anchors."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def value_at(self, a):
+        return as_extreal(self.table[a])
+
+
+exact_scalar = st.one_of(
+    st.integers(min_value=-5, max_value=5),
+    st.fractions(min_value=-5, max_value=5, max_denominator=4),
+)
+
+
+@st.composite
+def exact_pair_graphs(draw):
+    """Arbitrary (not monotone) 1D pair graphs on ints mixed with
+    Fractions: few anchors, so anchors repeat, and slopes from a small
+    pool, so slopes tie across anchors; levels may be negative."""
+    anchors = draw(st.lists(exact_scalar, min_size=1, max_size=5))
+    slopes = draw(st.lists(exact_scalar, min_size=1, max_size=4))
+    pairs = draw(st.lists(
+        st.tuples(st.sampled_from(anchors), st.sampled_from(slopes)),
+        min_size=1, max_size=14,
+    ))
+    table = {a: draw(exact_scalar) for a in anchors}
+    return AnchorLevels(table), OperatorGraph(1, tuple(pairs)), anchors
+
+
+@given(exact_pair_graphs(), st.lists(exact_scalar, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_ncup_hull_dp_matches_quadratic_dp(case, extra):
+    f, G, anchors = case
+    for n in (2, 3, 4):
+        env = n_cup_envelope(f, G, n)
+        assert [lv for _a, _b, lv in env.pieces] == n_cup_levels_oracle(f, G, n)
+        for x in anchors + extra:
+            want = n_cup_oracle(f, G, n, x)
+            assert env.value_at(x) == want, (n, x)
+            assert n_cup(f, G, n, x) == want
+
+
+def _bits(v):
+    return v.tag, repr(v.value)
+
+
+float_scalar = st.one_of(
+    st.sampled_from((0.0, -0.0, 0.25, -1.5, 2.0)),
+    st.floats(min_value=-8, max_value=8, allow_nan=False, width=64),
+)
+
+
+@st.composite
+def float_pair_graphs(draw):
+    """Grid functions with pairs on their finite samples, 1D or 2D."""
+    dim = draw(st.sampled_from((1, 2)))
+    coord = float_scalar if dim == 1 else st.tuples(float_scalar, float_scalar)
+    pts = draw(st.lists(coord, min_size=1, max_size=5, unique_by=lambda p: (
+        (p + 0.0) if dim == 1 else (p[0] + 0.0, p[1] + 0.0))))
+    vals = draw(st.lists(float_scalar, min_size=len(pts), max_size=len(pts)))
+    slopes = draw(st.lists(coord, min_size=1, max_size=4))
+    pairs = draw(st.lists(
+        st.tuples(st.sampled_from(pts), st.sampled_from(slopes)),
+        min_size=1, max_size=12,
+    ))
+    probes = pts[:2] + draw(st.lists(coord, max_size=4))
+    return GridFunction(dim, tuple(pts), tuple(vals)), OperatorGraph(dim, tuple(pairs)), probes
+
+
+@given(float_pair_graphs())
+@settings(max_examples=200, deadline=None)
+def test_ncup_float_and_2d_graphs_match_bit_for_bit(case):
+    f, G, probes = case
+    for n in (2, 3, 4):
+        env = n_cup_envelope(f, G, n)
+        levels = n_cup_levels_oracle(f, G, n)
+        assert [repr(lv) for _a, _b, lv in env.pieces] == [repr(lv) for lv in levels]
+        for x in probes:
+            assert _bits(env.value_at(x)) == _bits(n_cup_oracle(f, G, n, x)), (n, x)
+
+
+def test_ncup_empty_graph_and_depth():
+    empty = OperatorGraph(1, ())
+    for n in (2, 3, 4):
+        assert n_cup(AnchorLevels({}), empty, n, F(1)) == NEG_INF
+    for n in (1, 5):
+        with pytest.raises(ValueError, match="n must be one of"):
+            n_cup_envelope(AnchorLevels({}), empty, n)
+    off = OperatorGraph(1, ((F(0), F(1)),))
+    with pytest.raises(ValueError, match="no finite value"):
+        n_cup_envelope(PLConvex1D((F(1), F(2)), (F(0), F(0))), off, 2)
+
+
+# ---------------------------------------------------------------------------
+# epigraph membership against per-call validation
+# ---------------------------------------------------------------------------
+
+
+def _outcome(call):
+    try:
+        return call()
+    except ValueError as e:
+        return ("ValueError", str(e))
+
+
+def _epi_points(f, G):
+    env = upper_envelope(f, G)
+    pts = []
+    for x in primal_points(f, []):
+        e = env.value_at(x)
+        base = e.finite() if e.is_finite else F(0)
+        pts += [(x, base + d) for d in (F(-1, 3), F(0), F(1, 3))]
+    return pts
+
+
+def _seeded_functions():
+    for seed in range(5):
+        gen = InstanceGenerator(seed)
+        yield gen.pl_convex()
+        yield gen.pl_convex_with_override()
+
+
+def test_epi_cup_member_matches_per_call_validation():
+    rnd = random.Random(4)
+    for f in _seeded_functions():
+        G = subdiff_graph(f)
+        if not G.pairs:
+            continue
+        G2 = epi_normal_graph(f, G)
+        member = epi_cup_member(f, G2)
+        pts = _epi_points(f, G)
+        for p in pts:
+            assert member(p) == epi_cup_membership_oracle(f, G2, p)
+        assert [epi_cup_membership(f, G2, p) for p in pts[::5]] == [member(p) for p in pts[::5]]
+        # one extra sample, often invalid: both routes raise the same error
+        # or both accept it and agree on every point
+        for _ in range(6):
+            if rnd.random() < 0.5:
+                # a scaled copy of a graph normal: valid, and it constrains
+                a, b = rnd.choice(G.pairs)
+                k = rnd.choice((F(1, 2), F(3)))
+                t, normal = f.value_at(a).finite(), (b * k, -k)
+            else:
+                a = rnd.choice(f.breakpoints)
+                fa = f.value_at(a)
+                t = (fa.finite() if fa.is_finite else F(0)) + rnd.choice((0, 0, 0, 1))
+                normal = (F(rnd.randint(-12, 12), rnd.choice((1, 2, 3))),
+                          rnd.choice((F(-1), F(-1, 2), F(0), F(1, 2))))
+            bad = OperatorGraph(2, G2.pairs + (((a, t), normal),))
+            got = _outcome(lambda: epi_cup_member(f, bad))
+            for p in pts[::7]:
+                want = _outcome(lambda: epi_cup_membership_oracle(f, bad, p))
+                assert (got if isinstance(got, tuple) else got(p)) == want
+
+
+V = PLConvex1D((F(0),), (F(0),), F(-1), F(1))  # |x|
+HAT = PLConvex1D((F(-1), F(0), F(1)), (F(1), F(0), F(1)))  # |x| on [-1, 1]
+
+
+@pytest.mark.parametrize("f,sample,message", [
+    (V, ((F(0), F(5)), (F(0), F(-1))), "anchored off the graph"),
+    (V, ((F(0), F(0)), (F(1), F(1))), "cannot point upward"),
+    (HAT, ((F(0), F(0)), (F(2), F(-1))), "fails support"),
+    (V, ((F(0), F(0)), (F(-2), F(-1))), "left recession"),
+    (V, ((F(0), F(0)), (F(2), F(-1))), "right recession"),
+])
+def test_epi_cup_member_rejects_bad_samples(f, sample, message):
+    G2 = OperatorGraph(2, (sample,))
+    for call in (
+        lambda: epi_cup_member(f, G2),
+        lambda: epi_cup_membership(f, G2, (F(0), F(0))),
+        lambda: epi_cup_membership_oracle(f, G2, (F(0), F(0))),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()
