@@ -293,36 +293,31 @@ def _verb_fitz(args, inst) -> int:
     if not args.probes or not args.dual_grid:
         raise _UsageError("fitz needs --probes and --dual-grid")
     if isinstance(inst, operators.OperatorGraph):
+        src, dim = inst, inst.dim
         exact = all(
             not isinstance(c, float)
             for x, y in inst.pairs
-            for c in ((x, y) if inst.dim == 1 else (*x, *y))
+            for c in ((x, y) if dim == 1 else (*x, *y))
         )
-        xs = parse_probe_grid(args.probes, exact=exact)
-        ys = parse_probe_grid(args.dual_grid, exact=exact)
-        if inst.dim == 2:
-            xs, ys = _cross(xs), _cross(ys)
-        rows = []
-        for x in xs:
-            for y in ys:
-                val = operators.fitzpatrick(inst, x, y)
-                coords = [x, y] if inst.dim == 1 else [*x, *y]
-                rows.append([_cell(c) for c in coords] + [_cell(val)])
-        header = "x,xstar,value" if inst.dim == 1 else "x1,x2,xstar1,xstar2,value"
-        _emit(args.out, header, rows)
-        return 0
-    if not isinstance(inst, PLConvex1D):
+    elif isinstance(inst, PLConvex1D):
+        src, dim, exact = operators.subdiff_structure(inst), 1, True
+    else:
         raise TypeError("fitz needs a pair graph or a piecewise-linear instance")
-    st = operators.subdiff_structure(inst)
-    xs = parse_probe_grid(args.probes, exact=True)
-    ys = parse_probe_grid(args.dual_grid, exact=True)
-    ycells = [_cell(y) for y in ys]
-    rows = [
-        [_cell(x), yc, _cell(v)]
-        for x, vals in zip(xs, operators.fitzpatrick_table(st, xs, ys))
-        for yc, v in zip(ycells, vals)
-    ]
-    _emit(args.out, "x,xstar,value", rows)
+    xs = parse_probe_grid(args.probes, exact=exact)
+    ys = parse_probe_grid(args.dual_grid, exact=exact)
+    if dim == 2:
+        xs, ys = _cross(xs), _cross(ys)
+
+    def cells(p):
+        return [_cell(c) for c in (p if dim == 2 else (p,))]
+
+    ycells = [cells(y) for y in ys]
+    rows = []
+    for x, vals in zip(xs, operators.fitzpatrick_table(src, xs, ys)):
+        xc = cells(x)
+        rows += [xc + yc + [_cell(v)] for yc, v in zip(ycells, vals)]
+    header = "x,xstar,value" if dim == 1 else "x1,x2,xstar1,xstar2,value"
+    _emit(args.out, header, rows)
     return 0
 
 

@@ -29,9 +29,12 @@ from .funcrep import (
     MaxAffine,
     PLConvex1D,
     SampledSet,
+    _frac,
     dot,
     effective_domain,
     evaluate,
+    is_exact_scalar,
+    line_envelope_at,
     point_sub,
     write_values_csv,
 )
@@ -40,10 +43,8 @@ from .operators import (
     _exactify,
     eps_subdiff_test,
     grid_subdiff_test,
-    line_envelope_values,
     subdiff_graph,
     subdiff_structure,
-    subdiff_test,
 )
 from .transforms import conjugate_brute, conjugate_exact, pl_restrict
 
@@ -162,12 +163,39 @@ def circ_exact(f: PLConvex1D) -> PLConvex1D:
 # ---------------------------------------------------------------------------
 
 
-def _pair_membership_ok(f, a, b, tol) -> bool:
+def _breakpoint_graph(f: PLConvex1D) -> list:
+    """(y, f(y)) at every breakpoint where f is finite."""
+    graph = []
+    for y in f.breakpoints:
+        fy = f.value_at(y)
+        if fy.is_finite:
+            graph.append((y, fy.finite()))
+    return graph
+
+
+def _membership_test(f, tol):
+    """Predicate (a, b, fa) -> b passes the subgradient test at a, given the
+    finite value fa = f(a).  On a PLConvex1D it applies ``subdiff_test``'s
+    inequalities to breakpoint values read once, not once per pair."""
     if isinstance(f, PLConvex1D):
-        return subdiff_test(f, a, b)
+        graph = _breakpoint_graph(f)
+
+        def pl_test(a, b, fa) -> bool:
+            x, xstar, fx = _frac(a), _frac(b), fa.finite()
+            if any(fy < fx + xstar * (y - x) for y, fy in graph):
+                return False
+            if f.left_recession is not None and xstar < f.left_recession:
+                return False
+            return f.right_recession is None or xstar <= f.right_recession
+
+        return pl_test
     if isinstance(f, GridFunction):
-        return grid_subdiff_test(f, a, b, tol)
-    raise TypeError("unsupported function representation")
+        return lambda a, b, _fa: grid_subdiff_test(f, a, b, tol)
+
+    def unsupported(a, b, fa):
+        raise TypeError("unsupported function representation")
+
+    return unsupported
 
 
 def upper_envelope(f, G: OperatorGraph, tol=0) -> MaxAffine:
@@ -177,12 +205,13 @@ def upper_envelope(f, G: OperatorGraph, tol=0) -> MaxAffine:
     a finite value; violations raise.  An empty graph yields the empty max,
     which is -inf everywhere (improper; see MaxAffine.is_proper).
     """
+    member = _membership_test(f, tol)
     pieces = []
     for a, b in G.pairs:
         fa = evaluate(f, a)
         if not fa.is_finite:
             raise ValueError(f"anchor {a!r} has no finite value")
-        if not _pair_membership_ok(f, a, b, tol):
+        if not member(a, b, fa):
             raise ValueError(f"pair ({a!r}, {b!r}) fails the subgradient test")
         pieces.append((a, b, fa.finite()))
     return MaxAffine(G.dim, tuple(pieces), label=G.label)
@@ -279,21 +308,6 @@ def circ(f, G: OperatorGraph, dual_points, probes) -> tuple:
     return tuple(zip(back.points, back.values))
 
 
-def _hull_chain_step(ps, level, order) -> list:
-    # pair p is the line y -> b_p * y + (level_p - b_p * a_p); of equal
-    # slopes only the largest intercept can win
-    best = {}
-    for (a, b), lv in zip(ps, level):
-        c = lv - b * a
-        if b not in best or c > best[b]:
-            best[b] = c
-    vals = line_envelope_values(sorted(best.items()), [ps[q][0] for q in order])
-    out = [None] * len(ps)
-    for q, v in zip(order, vals):
-        out[q] = v
-    return out
-
-
 def n_cup_envelope(f, G: OperatorGraph, n: int) -> MaxAffine:
     """Envelope over chains of n graph pairs, as a max of affine pieces.
 
@@ -303,7 +317,8 @@ def n_cup_envelope(f, G: OperatorGraph, n: int) -> MaxAffine:
     after n - 1 steps level_q = max_p level_p + <b_p, a_q - a_p> from
     level_p = f(a_p); n_cup_enum enumerates the chains for cross-checking.
     On a 1D graph with exact pairs and levels a step is the upper hull of
-    the lines of slope b_p evaluated at the sorted anchors, O(P log P);
+    the lines (slope b_p, intercept level_p - b_p a_p) evaluated at the
+    anchors by ``line_envelope_at``, O(P log P);
     floats and 2D graphs take the direct O(P^2) max.  The empty graph
     gives the empty max, -inf everywhere.
     """
@@ -317,15 +332,14 @@ def n_cup_envelope(f, G: OperatorGraph, n: int) -> MaxAffine:
             raise ValueError(f"anchor {a!r} has no finite value")
         level.append(fa.finite())
     exact = G.dim == 1 and bool(ps) and all(
-        isinstance(v, (int, Fraction))
-        for (a, b), lv in zip(ps, level)
-        for v in (a, b, lv)
+        is_exact_scalar(v) for (a, b), lv in zip(ps, level) for v in (a, b, lv)
     )
-    if exact:
-        order = sorted(range(len(ps)), key=lambda q: ps[q][0])
+    anchors = [a for a, _b in ps]
     for _ in range(n - 1):
         if exact:
-            level = _hull_chain_step(ps, level, order)
+            level = line_envelope_at(
+                ((b, lv - b * a) for (a, b), lv in zip(ps, level)), anchors
+            )
         else:
             level = [
                 max(
@@ -518,11 +532,7 @@ def epi_cup_member(f: PLConvex1D, G_full: OperatorGraph):
     """
     if G_full.dim != 2:
         raise ValueError("epigraph samples live in dimension 2")
-    graph = []
-    for y in f.breakpoints:
-        fy = f.value_at(y)
-        if fy.is_finite:
-            graph.append((y, fy.finite()))
+    graph = _breakpoint_graph(f)
     for (a, t), (astar, alpha) in G_full.pairs:
         fa = f.value_at(a)
         if not fa.is_finite or fa.finite() != t:
@@ -775,7 +785,7 @@ def envelope_result(
             if n is None:
                 raise ValueError("ncup needs n")
             env = n_cup_envelope(f, subdiff_graph(f, probes=probes), n)
-            rows = tuple((p, env.value_at(_exactify(p))) for p in probes)
+            rows = tuple(zip(probes, env.values_at([_exactify(p) for p in probes])))
             params["n"] = n
         elif kind == "smile":
             rows = tuple((p, smile_value(f, p, st=st)) for p in probes)
@@ -800,8 +810,7 @@ def envelope_result(
         elif kind == "ncup":
             if n is None:
                 raise ValueError("ncup needs n")
-            env = n_cup_envelope(f, G, n)
-            rows = tuple((p, env.value_at(p)) for p in probes)
+            rows = tuple(zip(probes, n_cup_envelope(f, G, n).values_at(probes)))
             params["n"] = n
         elif kind == "smile":
             rows = tuple((p, smile(f, G, p)) for p in probes)

@@ -50,6 +50,65 @@ def point_dist2(p: Point, q: Point, dim: int):
     return dot(d, d, dim)
 
 
+def is_exact_scalar(v) -> bool:
+    """True for the exact backend's payloads: int or Fraction, not bool."""
+    return isinstance(v, (int, Fraction)) and not isinstance(v, bool)
+
+
+def line_envelope_values(lines, ys) -> list:
+    """max of slope * y + intercept over ``lines`` at each y, exactly.
+
+    ``lines`` is a nonempty list of (slope, intercept) pairs with strictly
+    increasing slopes and ``ys`` is ascending.  The lines reduce to their
+    upper hull, which one sweep over ys evaluates: O(len(lines) + len(ys)).
+    """
+    hull = []
+    for s3, c3 in lines:
+        while len(hull) >= 2:
+            (s1, c1), (s2, c2) = hull[-2], hull[-1]
+            # the middle line never tops both neighbours
+            if (c1 - c3) * (s2 - s1) <= (c1 - c2) * (s3 - s1):
+                hull.pop()
+            else:
+                break
+        hull.append((s3, c3))
+    out = []
+    k = 0
+    s, c = hull[0]
+    for y in ys:
+        val = s * y + c
+        while k + 1 < len(hull):
+            nxt = hull[k + 1][0] * y + hull[k + 1][1]
+            if nxt < val:
+                break
+            k += 1
+            s, c = hull[k]
+            val = nxt
+        out.append(val)
+    return out
+
+
+def line_envelope_at(lines, probes) -> list:
+    """max of slope * y + intercept over ``lines`` at each probe, exactly,
+    in the probes' order.
+
+    ``lines`` is a nonempty iterable of exact (slope, intercept) pairs in
+    any order; of equal slopes only the largest intercept can win.  One
+    sort of the slopes and one of the probes, then ``line_envelope_values``:
+    O((L + p) log(L + p)) for L lines and p probes.
+    """
+    best = {}
+    for s, c in lines:
+        if s not in best or c > best[s]:
+            best[s] = c
+    order = sorted(range(len(probes)), key=probes.__getitem__)
+    vals = line_envelope_values(sorted(best.items()), [probes[q] for q in order])
+    out = [None] * len(probes)
+    for q, v in zip(order, vals):
+        out[q] = v
+    return out
+
+
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -457,6 +516,23 @@ class MaxAffine:
         return ext_sup(
             dot(point_sub(x, a, self.dim), s, self.dim) + lv for a, s, lv in self.pieces
         )
+
+    def values_at(self, xs) -> list:
+        """``[value_at(x) for x in xs]``.  When the pieces and the probes are
+        exact and 1D, the pieces are the lines (slope s, intercept
+        lv - s a) and one ``line_envelope_at`` evaluates them all:
+        O((P + p) log(P + p)) instead of O(P p).  Anything else takes
+        ``value_at`` per probe, bit for bit."""
+        xs = [_canon_point(x, self.dim) for x in xs]
+        exact = self.dim == 1 and all(map(is_exact_scalar, xs)) and all(
+            is_exact_scalar(v) for piece in self.pieces for v in piece
+        )
+        if not exact:
+            return [self.value_at(x) for x in xs]
+        if not self.pieces:
+            return [NEG_INF] * len(xs)
+        lines = ((s, lv - s * a) for a, s, lv in self.pieces)
+        return [ExtReal(v) for v in line_envelope_at(lines, xs)]
 
     def is_proper(self) -> bool:
         # the empty sup is -inf everywhere

@@ -11,7 +11,7 @@ cross-checked against the inequality-based membership test below.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,6 +25,8 @@ from .funcrep import (
     _canon_point,
     _frac,
     dot,
+    is_exact_scalar,
+    line_envelope_values,
     point_sub,
 )
 from .transforms import conjugate_exact, indicator
@@ -133,6 +135,17 @@ class SubdiffStructure1D:
             if best is None or val > best:
                 best = val
         return ExtReal(best)
+
+    def slope_range(self) -> Interval1D | None:
+        """All slopes the subdifferential takes, as one interval.
+
+        Slopes never decrease along the candidate order, so the interval
+        runs from the first candidate's lo to the last one's hi (None ends
+        are unbounded); an empty order gives None.
+        """
+        if not self._order:
+            return None
+        return Interval1D(self._order[0][2], self._order[-1][3])
 
 
 def _admission_key(cand) -> tuple:
@@ -440,30 +453,77 @@ class MaximalityVerdict:
     checked: int
 
 
+def _exact_pair(p) -> bool:
+    return (
+        isinstance(p, (tuple, list))
+        and len(p) == 2
+        and is_exact_scalar(p[0])
+        and is_exact_scalar(p[1])
+    )
+
+
+def _relation_test(G: OperatorGraph, candidates, tol):
+    """Predicate (cx, cy) -> <cx - x, cy - y> >= -tol for every pair (x, y).
+
+    On an exact 1D graph with exact candidates and tol == 0 the sign of
+    each product is read off instead: pairs left of cx need y <= cy and
+    pairs right of it need y >= cy, so one sort by anchor, a prefix max
+    and a suffix min of the duals, and two bisections per candidate decide
+    it.  Otherwise (floats, whose products may round to -0.0, tol > 0, 2D)
+    every pair is tested.
+    """
+    ps = G.pairs
+    if not (tol == 0 and _is_exact_graph(G) and all(map(_exact_pair, candidates))):
+        return lambda cx, cy: all(
+            dot(point_sub(cx, x, G.dim), point_sub(cy, y, G.dim), G.dim) >= -tol
+            for x, y in ps
+        )
+    srt = sorted(ps, key=lambda p: p[0])
+    anchors = [a for a, _b in srt]
+    # below[i]: max dual of the first i pairs; above[i]: min dual of the rest
+    below, above = [None], [None]
+    for _a, b in srt:
+        below.append(b if below[-1] is None or b > below[-1] else below[-1])
+    for _a, b in reversed(srt):
+        above.append(b if above[-1] is None or b < above[-1] else above[-1])
+    above.reverse()
+
+    def related(cx, cy) -> bool:
+        lo = below[bisect_left(anchors, cx)]
+        hi = above[bisect_right(anchors, cx)]
+        return (lo is None or lo <= cy) and (hi is None or cy <= hi)
+
+    return related
+
+
 def is_maximal_relative(G: OperatorGraph, candidates, tol=0) -> MaximalityVerdict:
     """Probe maximality on a finite candidate window.
 
     A candidate monotonically related to every pair of G but lying outside
     the graph witnesses that G has a proper monotone extension.  Membership
     uses the exact structure when present, else the flattened pair list.
+    The relation test costs O(log P) per candidate on an exact 1D graph at
+    tol == 0 (after an O(P log P) sort) and O(P) otherwise; see
+    ``_relation_test``.
     """
+    candidates = list(candidates)
+    is_related = _relation_test(G, candidates, tol)
+    members = None
     related = 0
     witness = None
     checked = 0
     for cand in candidates:
         checked += 1
         cx, cy = cand
-        ok = all(
-            dot(point_sub(cx, x, G.dim), point_sub(cy, y, G.dim), G.dim) >= -tol
-            for x, y in G.pairs
-        )
-        if not ok:
+        if not is_related(cx, cy):
             continue
         related += 1
         if G.structure is not None:
             member = structure_contains(G.structure, cx, cy)
         else:
-            member = (cx, cy) in set(G.pairs)
+            if members is None:
+                members = set(G.pairs)
+            member = (cx, cy) in members
         if not member and witness is None:
             witness = (cx, cy)
     return MaximalityVerdict(witness is None, witness, related, checked)
@@ -478,8 +538,8 @@ def fitzpatrick(G: OperatorGraph, x, xstar) -> ExtReal:
     )
 
 
-def _fitz_lines(st: SubdiffStructure1D, x):
-    """phi(x, .) over the full structure as lines in x* and two cuts.
+def _fitz_lines(order, x):
+    """phi(x, .) over a candidate order as lines in x* and two cuts.
 
     Returns None when phi(x, .) is +inf everywhere (a breakpoint whose
     subgradients are unbounded toward x), else (lines, lo_cut, hi_cut):
@@ -504,7 +564,7 @@ def _fitz_lines(st: SubdiffStructure1D, x):
         else:
             lines.append((slope, icpt))
 
-    for a, _v, lo, hi, ends in st._order:
+    for a, _v, lo, hi, ends in order:
         if ends is None:
             d = x - a
             g = hi if d > 0 else lo if d < 0 else 0
@@ -537,7 +597,7 @@ def fitzpatrick_structured(st: SubdiffStructure1D, x, xstar) -> ExtReal:
     """
     x = _exactify(x)
     xstar = _exactify(xstar)
-    gen = _fitz_lines(st, x)
+    gen = _fitz_lines(st._order, x)
     if gen is None:
         return POS_INF
     lines, lo_cut, hi_cut = gen
@@ -548,51 +608,49 @@ def fitzpatrick_structured(st: SubdiffStructure1D, x, xstar) -> ExtReal:
     return ExtReal(max(a * xstar + c for a, c in lines))
 
 
-def line_envelope_values(lines, ys) -> list:
-    """max of slope * y + intercept over ``lines`` at each y, exactly.
+def _graph_order(G: OperatorGraph) -> list:
+    """An exact 1D pair graph read as a structure that has only points:
+    each distinct anchor a, ascending, with the interval [min b, max b] of
+    its duals.  A pair's term <x - a, b> is linear in b, so over the duals
+    of one anchor its sup sits at the interval end facing x, exactly as at
+    a breakpoint."""
+    ends = {}
+    for a, b in G.pairs:
+        lo, hi = ends.get(a, (b, b))
+        ends[a] = (b if b < lo else lo, b if b > hi else hi)
+    return [(a, None, lo, hi, None) for a, (lo, hi) in sorted(ends.items())]
 
-    ``lines`` is a nonempty list of (slope, intercept) pairs with strictly
-    increasing slopes and ``ys`` is ascending.  The lines reduce to their
-    upper hull, which one sweep over ys evaluates: O(len(lines) + len(ys)).
+
+def _is_exact_graph(G: OperatorGraph) -> bool:
+    return G.dim == 1 and all(
+        is_exact_scalar(a) and is_exact_scalar(b) for a, b in G.pairs
+    )
+
+
+def fitzpatrick_table(src, xs, xstars) -> list:
+    """Rows of the Fitzpatrick function over xs x xstars, in the given orders.
+
+    ``src`` is a ``SubdiffStructure1D`` (the values of
+    ``fitzpatrick_structured``) or an ``OperatorGraph`` (the values of
+    ``fitzpatrick``).  A structure, or an exact 1D graph with exact probes
+    (read through ``_graph_order``), yields per x the lines of
+    ``_fitz_lines`` (slopes already increasing), which go through
+    ``line_envelope_values`` at the sorted duals: O(m + p) per row after
+    one O(p log p) sort, for m breakpoints or distinct anchors.  A float or
+    2D graph, or inexact probes, take ``fitzpatrick``'s pair loop per cell.
     """
-    hull = []
-    for s3, c3 in lines:
-        while len(hull) >= 2:
-            (s1, c1), (s2, c2) = hull[-2], hull[-1]
-            # the middle line never tops both neighbours
-            if (c1 - c3) * (s2 - s1) <= (c1 - c2) * (s3 - s1):
-                hull.pop()
-            else:
-                break
-        hull.append((s3, c3))
-    out = []
-    k = 0
-    s, c = hull[0]
-    for y in ys:
-        val = s * y + c
-        while k + 1 < len(hull):
-            nxt = hull[k + 1][0] * y + hull[k + 1][1]
-            if nxt < val:
-                break
-            k += 1
-            s, c = hull[k]
-            val = nxt
-        out.append(val)
-    return out
-
-
-def fitzpatrick_table(st: SubdiffStructure1D, xs, xstars) -> list:
-    """Rows of fitzpatrick_structured over xs x xstars, in the given orders.
-
-    Per x the lines of ``_fitz_lines`` (slopes already increasing) go
-    through ``line_envelope_values`` at the sorted duals: O(m + p) per row
-    after one O(p log p) sort.
-    """
+    if isinstance(src, OperatorGraph):
+        xs, xstars = list(xs), list(xstars)
+        if not (_is_exact_graph(src) and all(map(is_exact_scalar, xs + xstars))):
+            return [[fitzpatrick(src, x, y) for y in xstars] for x in xs]
+        order = _graph_order(src)
+    else:
+        order = src._order
     xstars = [_exactify(y) for y in xstars]
     by_value = sorted(range(len(xstars)), key=xstars.__getitem__)
     table = []
     for x in xs:
-        gen = _fitz_lines(st, _exactify(x))
+        gen = _fitz_lines(order, _exactify(x))
         row = [POS_INF] * len(xstars)
         table.append(row)
         if gen is None:

@@ -44,7 +44,7 @@ from .transforms import cl_conv, conjugate_exact, indicator, support_function
 from .operators import (
     OperatorGraph,
     fitzpatrick,
-    fitzpatrick_structured,
+    fitzpatrick_table,
     grid_subdiff_matrix,
     grid_subdiff_test,
     is_maximal_relative,
@@ -130,26 +130,7 @@ def _interval_intersect(A: Interval1D | None, B: Interval1D | None):
 
 def range_interval(f: PLConvex1D) -> Interval1D | None:
     """All slopes the subdifferential takes, as one interval (None if empty)."""
-    st = subdiff_structure(f)
-    vals = []
-    lo_unb = hi_unb = False
-    for _a, _v, lo, hi in st.points:
-        if lo is None:
-            lo_unb = True
-        else:
-            vals.append(lo)
-        if hi is None:
-            hi_unb = True
-        else:
-            vals.append(hi)
-    for _xlo, _xhi, s, _rx, _rv in st.segments:
-        vals.append(s)
-    if not vals and not lo_unb and not hi_unb:
-        return None
-    return Interval1D(
-        None if lo_unb else min(vals),
-        None if hi_unb else max(vals),
-    )
+    return subdiff_structure(f).slope_range()
 
 
 def _closed_hull(iv: Interval1D | None) -> Interval1D | None:
@@ -253,26 +234,27 @@ def _check_dfdom_ineq(tid, desc, inst):
         hull = cl_conv(inst)
         duals = _grid_duals(hull)
         G = _grid_graph_exact(inst, duals)
-        hstar = conjugate_exact(hull)
+        hstar = list(map(conjugate_exact(hull).value_at, duals))
+        pts = [p for p, _v in inst.finite_items()]
+        xs = [F(p) for p in pts]
         worst = None
-        for p, _v in inst.finite_items():
-            x = F(p)
-            for s in duals:
-                lhs = fitzpatrick(G, x, s)
-                rhs = ext_add(hull.value_at(x), hstar.value_at(s))
+        for p, x, row in zip(pts, xs, fitzpatrick_table(G, xs, duals)):
+            hx = hull.value_at(x)
+            for s, hs, lhs in zip(duals, hstar, row):
+                rhs = ext_add(hx, hs)
                 if lhs > rhs:
                     return _done(tid, desc, False, ext_sub(rhs, lhs), (p, s), "grid")
                 worst = _min_margin(worst, ext_sub(rhs, lhs))
         return _done(tid, desc, True, worst, backend="grid")
     f = inst
-    st = subdiff_structure(f)
     fc = f.closure()
-    fstar = conjugate_exact(f)
+    xs, duals = primal_probes(f), dual_probes(f)
+    fstar = list(map(conjugate_exact(f).value_at, duals))
     worst = None
-    for x in primal_probes(f):
-        for s in dual_probes(f):
-            lhs = fitzpatrick_structured(st, x, s)
-            rhs = ext_add(fc.value_at(x), fstar.value_at(s))
+    for x, row in zip(xs, fitzpatrick_table(subdiff_structure(f), xs, duals)):
+        fx = fc.value_at(x)
+        for s, fs, lhs in zip(duals, fstar, row):
+            rhs = ext_add(fx, fs)
             if lhs > rhs:
                 return _done(tid, desc, False, ext_sub(rhs, lhs), (x, s))
             worst = _min_margin(worst, ext_sub(rhs, lhs))
@@ -438,8 +420,8 @@ def _check_fcupdiez_iii(tid, desc, f):
     shf = sharp_exact(f)
     hull = portable_hull_interval(effective_domain(f))
     dom = effective_domain(f)
-    for x in primal_probes(f):
-        ev = env.value_at(x)
+    xs = primal_probes(f)
+    for x, ev in zip(xs, env.values_at(xs)):
         base = ev.finite()
         for v in (base - 1, base, base + 1):
             got = member((x, v))
@@ -506,12 +488,12 @@ def _check_fcupdiez_ix(tid, desc, f):
     if not st.points and not st.segments:
         return _na(tid, desc, "empty subdifferential graph")
     G = subdiff_graph(f)
-    env = upper_envelope(f, G)
-    chains = [(n, n_cup_envelope(f, G, n)) for n in (2, 3)]
-    for x in primal_probes(f):
-        e = env.value_at(x)
-        for n, chain in chains:
-            if chain.value_at(x) != e:
+    xs = primal_probes(f)
+    want = upper_envelope(f, G).values_at(xs)
+    chains = [(n, n_cup_envelope(f, G, n).values_at(xs)) for n in (2, 3)]
+    for k, x in enumerate(xs):
+        for n, vals in chains:
+            if vals[k] != want[k]:
                 return _done(tid, desc, False, witness=(x, n))
     return _done(tid, desc, True, margin=0)
 
@@ -648,10 +630,11 @@ def _check_fsp_ii(tid, desc, f):
 
 def _check_fsp_iii(tid, desc, f):
     st = subdiff_structure(f)
+    xs = primal_probes(f)
     worst = None
-    for x in primal_probes(f):
+    for x, (phi,) in zip(xs, fitzpatrick_table(st, xs, (F(0),))):
         sm = smile_value(f, x, st=st)
-        bound = ext_add(fitzpatrick_structured(st, x, F(0)), f.value_at(x))
+        bound = ext_add(phi, f.value_at(x))
         if sm > bound:
             return _done(tid, desc, False, ext_sub(bound, sm), x)
         worst = _min_margin(worst, ext_sub(bound, sm))
@@ -679,14 +662,12 @@ def _check_spxstar(tid, desc, f):
 def _check_maxsdsp_ii(tid, desc, f):
     if lsc_defect(f):
         return _na(tid, desc, _NEEDS_LSC)
-    st = subdiff_structure(f)
     dom = effective_domain(f)
+    xs = [x for x in primal_probes(f) if dom.contains(x)]
+    duals = dual_probes(f)
     worst = None
-    for x in primal_probes(f):
-        if not dom.contains(x):
-            continue
-        for s in dual_probes(f):
-            phi = fitzpatrick_structured(st, x, s)
+    for x, row in zip(xs, fitzpatrick_table(subdiff_structure(f), xs, duals)):
+        for s, phi in zip(duals, row):
             if phi < x * s:
                 return _done(tid, desc, False, ext_sub(phi, as_extreal(x * s)), (x, s))
             worst = _min_margin(worst, ext_sub(phi, as_extreal(x * s)))
@@ -882,9 +863,9 @@ def _check_ncfitz(tid, desc, C):
     if C.hi is None:
         probes.add((C.lo if C.lo is not None else F(0)) + 5)
     duals = (F(-3), F(-1), F(-1, 2), F(0), F(1, 2), F(1), F(3))
-    for x in sorted(probes):
-        for s in duals:
-            phi = fitzpatrick_structured(st, x, s)
+    xs = sorted(probes)
+    for x, row in zip(xs, fitzpatrick_table(st, xs, duals)):
+        for s, phi in zip(duals, row):
             want = support_function(C, s) if C.contains(x) else POS_INF
             if phi != want:
                 return _done(tid, desc, False, witness=(x, s))
@@ -1233,11 +1214,10 @@ def _gallery_quadratic() -> GalleryResult:
         i, j = divmod(int(diff.argmax()), 41)
         wit = (xs[i], xs[j])
     # exact spot checks on a coarse sub-lattice of the same window
-    for i in range(9):
-        x = F(-2) + F(i, 2)
-        for j in range(9):
-            y = F(-2) + F(j, 2)
-            if fitzpatrick(G, x, y) != as_extreal((x + y) ** 2 / 4):
+    spots = [F(-2) + F(i, 2) for i in range(9)]
+    for x, row in zip(spots, fitzpatrick_table(G, spots, spots)):
+        for y, phi in zip(spots, row):
+            if phi != as_extreal((x + y) ** 2 / 4):
                 ok, wit = False, (x, y)
     c1 = TheoremCheck(
         "gallery.quadratic.coupling-square", "halved square slopes",

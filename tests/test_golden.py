@@ -1,0 +1,36 @@
+"""CLI outputs pinned byte for byte.
+
+The files under ``tests/golden/`` hold the stdout of four commands as the
+exact kernels printed it before the line-hull routes replaced the per-probe
+pair loops; suite text for a fixed seed must never change.  To inspect one
+by hand, from the repository root:
+
+    PYTHONPATH=src python -m envcalc.cli suite --seed 0 | cmp - tests/golden/suite_seed0.txt
+"""
+
+import os
+
+import pytest
+
+from envcalc.cli import main
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+CASES = {
+    "suite_seed0.txt": ["suite", "--seed", "0"],
+    "suite_seed42.txt": ["suite", "--seed", "42"],
+    "gallery_all.txt": ["gallery", "all"],
+    "fitz_opgraph.csv": [
+        "fitz", "--instance", os.path.join(GOLDEN, "opgraph.json"),
+        "--probes", "-2:3:11", "--dual-grid", "-3:3:13",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden_file(name, capsys):
+    assert main(CASES[name]) == 0
+    out = capsys.readouterr().out
+    with open(os.path.join(GOLDEN, name), encoding="utf-8", newline="") as fh:
+        want = fh.read()
+    assert out == want

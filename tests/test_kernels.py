@@ -4,9 +4,14 @@ The oracles below are the per-probe case analyses the kernels replaced:
 a linear scan over every point and segment of the structure for the
 budgeted support sup and for the Fitzpatrick function, a linear scan for
 the subgradient interval, the quadratic max for the conjugate, the
-quadratic chain DP for ``n_cup_envelope`` and the per-call sample
-validation for ``epi_cup_member``.  They live here only, as references;
-exact comparisons are exact and float comparisons are bit for bit.
+quadratic chain DP for ``n_cup_envelope``, the per-call sample validation
+for ``epi_cup_member`` and, for the line-hull routes over 1D pair lists,
+the per-cell ``fitzpatrick`` pair loop, the per-probe
+``MaxAffine.value_at``, the all-pairs relation test of
+``is_maximal_relative``, per-pair ``subdiff_test`` validation in
+``upper_envelope`` and the structure walk of ``range_interval``.  They
+live here only, as references; exact comparisons are exact and float
+comparisons are bit for bit.
 """
 
 import random
@@ -15,8 +20,16 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from envcalc.extreal import NEG_INF, POS_INF, as_extreal
-from envcalc.funcrep import GridFunction, Interval1D, PLConvex1D, dot, evaluate, point_sub
+from envcalc.extreal import NEG_INF, POS_INF, MixedScalarError, as_extreal
+from envcalc.funcrep import (
+    GridFunction,
+    Interval1D,
+    MaxAffine,
+    PLConvex1D,
+    dot,
+    evaluate,
+    point_sub,
+)
 from envcalc.envelopes import (
     cup_value,
     epi_cup_member,
@@ -29,15 +42,20 @@ from envcalc.envelopes import (
     upper_envelope,
 )
 from envcalc.operators import (
+    MaximalityVerdict,
     OperatorGraph,
     _exactify,
+    fitzpatrick,
     fitzpatrick_structured,
     fitzpatrick_table,
+    is_maximal_relative,
+    structure_contains,
     subdiff_exact,
     subdiff_graph,
     subdiff_structure,
+    subdiff_test,
 )
-from envcalc.theoremlab import InstanceGenerator
+from envcalc.theoremlab import InstanceGenerator, range_interval
 from envcalc.transforms import conjugate_exact
 
 
@@ -520,3 +538,256 @@ def test_epi_cup_member_rejects_bad_samples(f, sample, message):
     ):
         with pytest.raises(ValueError, match=message):
             call()
+
+
+# ---------------------------------------------------------------------------
+# line-hull routes over 1D pair lists against their per-probe loops
+# ---------------------------------------------------------------------------
+
+
+def maximal_relative_oracle(G, candidates, tol=0):
+    """Every candidate tested against every pair, as before the shortcut."""
+    related = 0
+    witness = None
+    checked = 0
+    for cx, cy in candidates:
+        checked += 1
+        if not all(
+            dot(point_sub(cx, x, G.dim), point_sub(cy, y, G.dim), G.dim) >= -tol
+            for x, y in G.pairs
+        ):
+            continue
+        related += 1
+        if G.structure is not None:
+            member = structure_contains(G.structure, cx, cy)
+        else:
+            member = (cx, cy) in set(G.pairs)
+        if not member and witness is None:
+            witness = (cx, cy)
+    return MaximalityVerdict(witness is None, witness, related, checked)
+
+
+def upper_envelope_oracle(f, G):
+    """Pieces of ``upper_envelope`` with ``subdiff_test`` run per pair."""
+    pieces = []
+    for a, b in G.pairs:
+        fa = evaluate(f, a)
+        if not fa.is_finite:
+            raise ValueError(f"anchor {a!r} has no finite value")
+        if not subdiff_test(f, a, b):
+            raise ValueError(f"pair ({a!r}, {b!r}) fails the subgradient test")
+        pieces.append((a, b, fa.finite()))
+    return tuple(pieces)
+
+
+def range_interval_oracle(f):
+    """The walk over every point and segment of the structure."""
+    st_ = subdiff_structure(f)
+    vals = []
+    lo_unb = hi_unb = False
+    for _a, _v, lo, hi in st_.points:
+        if lo is None:
+            lo_unb = True
+        else:
+            vals.append(lo)
+        if hi is None:
+            hi_unb = True
+        else:
+            vals.append(hi)
+    for _xlo, _xhi, s, _rx, _rv in st_.segments:
+        vals.append(s)
+    if not vals and not lo_unb and not hi_unb:
+        return None
+    return Interval1D(None if lo_unb else min(vals), None if hi_unb else max(vals))
+
+
+@st.composite
+def exact_graphs(draw, min_size=0):
+    """Exact 1D pair graphs (possibly empty, possibly one pair) on a few
+    anchors and duals mixing ints and Fractions, so anchors repeat and duals
+    tie; probes are the anchors plus extras, shuffled, with repeats."""
+    anchors = draw(st.lists(exact_scalar, min_size=1, max_size=5))
+    duals = draw(st.lists(exact_scalar, min_size=1, max_size=4))
+    pairs = draw(st.lists(
+        st.tuples(st.sampled_from(anchors), st.sampled_from(duals)),
+        min_size=min_size, max_size=14,
+    ))
+    probes = draw(st.permutations(anchors + duals + draw(st.lists(exact_scalar, max_size=4))))
+    return OperatorGraph(1, tuple(pairs)), list(probes)
+
+
+@given(exact_graphs(), st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_pair_graph_table_matches_pair_loop(case, rnd):
+    G, probes = case
+    xs = probes[: len(probes) // 2 + 1]
+    ys = probes + probes[:2]
+    rnd.shuffle(ys)
+    table = fitzpatrick_table(G, xs, ys)
+    assert len(table) == len(xs)
+    for x, row in zip(xs, table):
+        assert [v for v in row] == [fitzpatrick(G, x, y) for y in ys], x
+
+
+def test_pair_graph_table_edge_cases():
+    assert fitzpatrick_table(OperatorGraph(1, ()), [F(0), 1], [2, F(-1, 2)]) == [
+        [NEG_INF, NEG_INF], [NEG_INF, NEG_INF]
+    ]
+    one = OperatorGraph(1, ((F(1), F(2)),))
+    xs = [F(0), F(1), 3]
+    assert fitzpatrick_table(one, xs, xs) == [
+        [fitzpatrick(one, x, y) for y in xs] for x in xs
+    ]
+    # tied duals on one anchor and repeated anchors
+    G = OperatorGraph(1, ((0, 1), (0, F(1)), (0, -2), (F(1, 2), 1), (F(1, 2), 5)))
+    probes = [F(1, 2), 0, 0, F(-3), 2]
+    assert fitzpatrick_table(G, probes, probes) == [
+        [fitzpatrick(G, x, y) for y in probes] for x in probes
+    ]
+
+
+@given(float_pair_graphs())
+@settings(max_examples=100, deadline=None)
+def test_float_and_2d_graph_table_is_the_pair_loop(case):
+    _f, G, probes = case
+    table = fitzpatrick_table(G, probes, probes[::-1])
+    for x, row in zip(probes, table):
+        assert [_bits(v) for v in row] == [
+            _bits(fitzpatrick(G, x, y)) for y in probes[::-1]
+        ]
+
+
+def test_exact_graph_with_float_probes_is_the_pair_loop():
+    G = OperatorGraph(1, ((F(1, 3), F(1)), (F(2), F(-1, 7))))
+    xs, ys = [0.1, F(1)], [F(1, 2), -0.0, 2.5]
+    table = fitzpatrick_table(G, xs, ys)
+    assert [[_bits(v) for v in row] for row in table] == [
+        [_bits(fitzpatrick(G, x, y)) for y in ys] for x in xs
+    ]
+
+
+def _candidates(G, extra, rnd):
+    cands = list(G.pairs) + [(a, b) for a in extra for b in extra[::-1]]
+    cands += [(a, b) for a, _ in G.pairs[:4] for b in extra[:3]]
+    rnd.shuffle(cands)
+    return cands
+
+
+@given(exact_graphs(), st.lists(exact_scalar, min_size=1, max_size=5),
+       st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_maximal_relative_shortcut_matches_pair_loop(case, extra, rnd):
+    G, probes = case
+    cands = _candidates(G, extra + probes[:3], rnd)
+    for tol in (0, 0.0, F(1, 4)):
+        assert is_maximal_relative(G, cands, tol) == maximal_relative_oracle(G, cands, tol)
+    # an iterator is read once; a float candidate sends all to the loop
+    assert is_maximal_relative(G, iter(cands)) == maximal_relative_oracle(G, cands)
+    mixed = cands + [(0.5, 0.25)]
+    assert is_maximal_relative(G, mixed) == maximal_relative_oracle(G, mixed)
+
+
+@given(pl_functions(), extras, st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_maximal_relative_shortcut_with_structure(f, extra, rnd):
+    G = subdiff_graph(f)
+    pts = primal_points(f, extra)[::3] + dual_points(f, extra)[::3]
+    cands = _candidates(G, pts[:6], rnd)
+    for graph in (G, G.restrict(lambda p: True)):
+        assert graph.structure is None or graph is G
+        assert is_maximal_relative(graph, cands) == maximal_relative_oracle(graph, cands)
+
+
+@st.composite
+def exact_pieces(draw):
+    anchors = draw(st.lists(exact_scalar, min_size=1, max_size=5))
+    slopes = draw(st.lists(exact_scalar, min_size=1, max_size=3))
+    pieces = draw(st.lists(
+        st.tuples(st.sampled_from(anchors), st.sampled_from(slopes), exact_scalar),
+        max_size=10,
+    ))
+    probes = draw(st.lists(st.one_of(st.sampled_from(anchors), exact_scalar), max_size=8))
+    return MaxAffine(1, tuple(pieces)), probes + probes[:2]
+
+
+@given(exact_pieces())
+@settings(max_examples=300, deadline=None)
+def test_values_at_matches_value_at(case):
+    env, probes = case
+    assert env.values_at(probes) == [env.value_at(x) for x in probes]
+    assert env.values_at(iter(probes)) == [env.value_at(x) for x in probes]
+
+
+def test_values_at_tied_slopes_and_empty_pieces():
+    assert MaxAffine(1, ()).values_at([F(1), 0, 2]) == [NEG_INF] * 3
+    assert MaxAffine(1, ()).values_at([]) == []
+    # equal slopes: only the largest intercept lv - s a can win
+    env = MaxAffine(1, ((0, 1, 0), (F(1), 1, F(3)), (2, 1, F(1, 2)), (1, -1, 0)))
+    xs = [3, F(-2), 0, 3, F(1, 2)]
+    assert env.values_at(xs) == [env.value_at(x) for x in xs]
+
+
+@given(float_pair_graphs())
+@settings(max_examples=100, deadline=None)
+def test_values_at_float_and_2d_pieces_bit_for_bit(case):
+    f, G, probes = case
+    env = n_cup_envelope(f, G, 2)
+    assert [_bits(v) for v in env.values_at(probes)] == [
+        _bits(env.value_at(x)) for x in probes
+    ]
+    if G.dim == 1:
+        # exact pieces with float probes take value_at as well
+        ex = MaxAffine(1, ((F(1), F(1, 2), F(3)),))
+        assert [_bits(v) for v in ex.values_at(probes)] == [
+            _bits(ex.value_at(x)) for x in probes
+        ]
+
+
+@given(pl_functions(), extras, st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_upper_envelope_validation_matches_per_pair_test(f, extra, rnd):
+    """Graph pairs plus one pair just outside the subgradient interval at a
+    breakpoint or a drawn point (or off the domain), inserted anywhere:
+    same pieces, or the same error at the same pair."""
+    G0 = subdiff_graph(f)
+    assert upper_envelope(f, G0).pieces == upper_envelope_oracle(f, G0)
+    pairs = list(G0.pairs)
+    a = rnd.choice(f.breakpoints + tuple(extra))
+    iv = subdiff_exact(f, a)
+    ends = [e for e in (iv.lo, iv.hi) if e is not None] if iv else []
+    b = rnd.choice(ends or [F(0)]) + rnd.choice((F(-1, 7), F(1, 7)))
+    pairs.insert(rnd.randrange(len(pairs) + 1), (a, b))
+    G = OperatorGraph(1, tuple(pairs))
+    want = _outcome(lambda: upper_envelope_oracle(f, G))
+    assert _outcome(lambda: upper_envelope(f, G).pieces) == want
+
+
+def test_upper_envelope_validation_errors():
+    with pytest.raises(ValueError, match=r"pair \(Fraction\(0, 1\), 2\) fails"):
+        upper_envelope(V, OperatorGraph(1, ((F(0), 1), (F(0), 2))))
+    with pytest.raises(ValueError, match="no finite value"):
+        upper_envelope(HAT, OperatorGraph(1, ((F(0), 0), (F(5), 0))))
+    with pytest.raises(MixedScalarError):
+        upper_envelope(V, OperatorGraph(1, ((F(0), 0.5),)))
+    with pytest.raises(TypeError, match="unsupported"):
+        upper_envelope(MaxAffine(1, ((0, 0, 0),)), OperatorGraph(1, ((0, 0),)))
+    assert upper_envelope(MaxAffine(1, ()), OperatorGraph(1, ())).pieces == ()
+
+
+@given(pl_functions())
+@settings(max_examples=150, deadline=None)
+def test_range_interval_matches_walk(f):
+    assert range_interval(f) == range_interval_oracle(f)
+
+
+@pytest.mark.parametrize("f", [
+    V,                                                          # two rays
+    HAT,                                                        # walls
+    PLConvex1D((F(0),), (F(0),)),                               # a point, walls
+    PLConvex1D((F(0),), (F(1),), None, F(2)),                   # wall and ray
+    PLConvex1D((F(0), F(1)), (F(0), F(1)), None, None, POS_INF, None),  # open left
+    PLConvex1D((F(0), F(1)), (F(0), F(1)), None, None, F(3), POS_INF),  # both raised
+    PLConvex1D((F(0), F(1), F(2)), (F(1), F(0), F(1)), None, F(1), F(5), None),
+])
+def test_range_interval_matches_walk_on_fixed_shapes(f):
+    assert range_interval(f) == range_interval_oracle(f)
