@@ -15,6 +15,7 @@ without writing files first.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -467,7 +468,10 @@ def _add_common(p, instance=True):
     p.add_argument("--out", help="CSV output path (default stdout)")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: it has no choices that
+    depend on state, and parsing leaves it unchanged."""
     ap = argparse.ArgumentParser(
         prog="envcalc",
         description="convex transforms, envelope calculus, and theorem suites",

@@ -217,12 +217,9 @@ def upper_envelope(f, G: OperatorGraph, tol=0) -> MaxAffine:
     return MaxAffine(G.dim, tuple(pieces), label=G.label)
 
 
-def cup_dual_value(f, G: OperatorGraph, x) -> ExtReal:
-    """Cross-check route for upper_envelope via conjugate values.
-
-    For a graph pair the support line rewrites as <x, a*> - f*(a*), so the
-    sup over the same dual points must reproduce the envelope exactly.
-    """
+def _conjugate_at(f):
+    """b -> f*(b) as a finite scalar, for the dual cross-check routes: the
+    exact conjugate of a PLConvex1D, the max over a grid's finite samples."""
     if isinstance(f, PLConvex1D):
         conj = conjugate_exact(f)
 
@@ -237,6 +234,16 @@ def cup_dual_value(f, G: OperatorGraph, x) -> ExtReal:
 
     else:
         raise TypeError("unsupported function representation")
+    return fstar
+
+
+def cup_dual_value(f, G: OperatorGraph, x) -> ExtReal:
+    """Cross-check route for upper_envelope via conjugate values.
+
+    For a graph pair the support line rewrites as <x, a*> - f*(a*), so the
+    sup over the same dual points must reproduce the envelope exactly.
+    """
+    fstar = _conjugate_at(f)
     best = NEG_INF
     for b in {b for _a, b in G.pairs}:
         cand = as_extreal(dot(x, b, G.dim) - fstar(b))
@@ -263,20 +270,7 @@ def star_cup(f, G: OperatorGraph, xstar) -> ExtReal:
 
 def star_cup_dual(f, G: OperatorGraph, xstar) -> ExtReal:
     """Cross-check route for star_cup: <xstar - a*, a> + f*(a*) per pair."""
-    if isinstance(f, PLConvex1D):
-        conj = conjugate_exact(f)
-
-        def fstar(b):
-            return conj.value_at(b).finite()
-
-    elif isinstance(f, GridFunction):
-        items = f.finite_items()
-
-        def fstar(b):
-            return max(dot(y, b, f.dim) - fy for y, fy in items)
-
-    else:
-        raise TypeError("unsupported function representation")
+    fstar = _conjugate_at(f)
     best = NEG_INF
     for a, b in G.pairs:
         cand = as_extreal(dot(point_sub(xstar, b, G.dim), a, G.dim) + fstar(b))
@@ -390,23 +384,29 @@ def _budget_value(f, x) -> ExtReal:
     return evaluate(f, x)
 
 
-def smile(f, G: OperatorGraph, x) -> ExtReal:
-    """Pair-route constrained envelope: anchors with f(a) <= f(x) only.
-
-    The constraint is dropped when f(x) = +inf, matching smile_value.
-    """
+def _budgeted_sup(f, G: OperatorGraph, x, slack) -> ExtReal:
+    """sup of the supports anchored at pairs with f(a) <= f(x) + slack; the
+    budget is dropped when f(x) = +inf."""
     fx = _budget_value(f, x)
     best = NEG_INF
     for a, b in G.pairs:
         fa = _budget_value(f, a)
         if not fa.is_finite:
             raise ValueError(f"anchor {a!r} has no finite value")
-        if not fx.is_pos_inf and not fa <= fx:
+        if not fx.is_pos_inf and not fa.finite() <= fx.finite() + slack:
             continue
         cand = as_extreal(fa.finite() + dot(b, point_sub(x, a, G.dim), G.dim))
         if cand > best:
             best = cand
     return best
+
+
+def smile(f, G: OperatorGraph, x) -> ExtReal:
+    """Pair-route constrained envelope: anchors with f(a) <= f(x) only.
+
+    The constraint is dropped when f(x) = +inf, matching smile_value.
+    """
+    return _budgeted_sup(f, G, x, 0)
 
 
 def smile_eps(f, G: OperatorGraph, x, eps) -> ExtReal:
@@ -414,18 +414,7 @@ def smile_eps(f, G: OperatorGraph, x, eps) -> ExtReal:
     eps = _exactify(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    fx = _budget_value(f, x)
-    best = NEG_INF
-    for a, b in G.pairs:
-        fa = _budget_value(f, a)
-        if not fa.is_finite:
-            raise ValueError(f"anchor {a!r} has no finite value")
-        if not fx.is_pos_inf and not fa.finite() <= fx.finite() + eps:
-            continue
-        cand = as_extreal(fa.finite() + dot(b, point_sub(x, a, G.dim), G.dim))
-        if cand > best:
-            best = cand
-    return best
+    return _budgeted_sup(f, G, x, eps)
 
 
 # ---------------------------------------------------------------------------

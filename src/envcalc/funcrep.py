@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -43,11 +43,6 @@ def point_sub(p: Point, q: Point, dim: int):
     if dim == 1:
         return p - q
     return tuple(a - b for a, b in zip(p, q))
-
-
-def point_dist2(p: Point, q: Point, dim: int):
-    d = point_sub(p, q, dim)
-    return dot(d, d, dim)
 
 
 def is_exact_scalar(v) -> bool:

@@ -1,15 +1,25 @@
 """Checkable statements, seeded instances, and worked galleries.
 
-The registry binds short ids to executable checks.  Each check takes one
-instance, evaluates both sides of its statement over a finite probe family,
-and reports a verdict with the worst margin seen.  An instance whose shape
-falls outside a statement's hypotheses reports ``not-applicable`` rather
-than fail, so a failing row always marks a genuine violation on the data.
+The registry binds short ids to executable checks.  Each check evaluates
+both sides of its statement on one instance over a finite probe family and
+reports a verdict with the worst margin seen.  An instance outside a
+statement's hypotheses reports ``not-applicable`` rather than fail, so a
+failing row always marks a genuine violation on the data.
 
 Checks on exact instances run in rational arithmetic with zero tolerance.
 The grid-backed checks here also happen to be exact: a finite grid carries
 finitely many candidate support lines, so the comparisons stay in
 ``Fraction`` even when the sample values arrived as floats.
+
+Writing a check: register ``tid: (fn, kinds)`` in ``REGISTRY`` with
+``fn(tid, desc, ctx) -> TheoremCheck``.  ``ctx`` is the instance's
+:class:`CheckContext`: ``ctx.inst`` plus lazily built, read-only facts
+(probes, structure, domains, closure, conjugate, envelopes, graphs, the 1D
+grid hull), shared by every check run on that instance.  A check body never
+returns ``not-applicable``; the dispatcher behind ``run_check`` and
+``run_suite`` does, with the gate's reason as the witness, when the
+instance is not one of ``kinds`` or when a gate declared with ``@_gated``
+holds (``_LSC``, ``_GRAPH``, ``_GRID_1D``, or a check's own ``_Gate``).
 """
 
 from __future__ import annotations
@@ -19,6 +29,8 @@ import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,6 +47,7 @@ from .funcrep import (
     GridFunction,
     Interval1D,
     PLConvex1D,
+    _frac,
     effective_domain,
     is_convex_on_grid,
     lsc_defect,
@@ -55,6 +68,7 @@ from .operators import (
     subdiff_test,
 )
 from .envelopes import (
+    _membership_test,
     brondsted_search,
     circ_exact,
     cup_exact,
@@ -150,8 +164,80 @@ def _some_slope(iv: Interval1D) -> Fraction:
     return F(0)
 
 
+def _grid_items_exact(f: GridFunction):
+    # float samples promote to the rationals they already are
+    return [(F(p), F(v)) for p, v in f.finite_items()]
+
+
+def _grid_graph_exact(f: GridFunction, duals) -> OperatorGraph:
+    """Grid subdifferential pairs decided by exact rational comparisons."""
+    items = _grid_items_exact(f)
+    pairs = []
+    for a, fa in items:
+        for s in duals:
+            if all(fy >= fa + s * (y - a) for y, fy in items):
+                pairs.append((a, s))
+    return OperatorGraph(1, tuple(pairs), label=f.label)
+
+
+def _subgradient_test(f: PLConvex1D):
+    """The predicate (a, b) -> ``subdiff_test(f, a, b)``, reading f's
+    breakpoint values once instead of once per pair."""
+    member = _membership_test(f, 0)
+
+    def test(a, b) -> bool:
+        fa = f.value_at(_frac(a))
+        return fa.is_finite and member(a, b, fa)
+
+    return test
+
+
 # ---------------------------------------------------------------------------
-# check records
+# the per-instance check context
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class CheckContext:
+    """One instance and the facts its checks share, each built on first use.
+
+    The function fields read ``inst`` as a PLConvex1D, the ``grid_*``
+    fields as a 1D GridFunction; a check reads only the fields its
+    ``kinds`` and gates make meaningful.  Every field is an immutable value.
+    """
+
+    inst: object
+
+    # probe families; dom_probes keeps the primal probes inside dom, in order
+    probes = cached_property(lambda c: primal_probes(c.inst))
+    dom_probes = cached_property(lambda c: tuple(x for x in c.probes if c.dom.contains(x)))
+    duals = cached_property(lambda c: dual_probes(c.inst))
+    # the subdifferential, its graphs and the domains
+    st = cached_property(lambda c: subdiff_structure(c.inst))
+    has_graph = cached_property(lambda c: bool(c.st.points or c.st.segments))
+    slope_range = cached_property(lambda c: c.st.slope_range())
+    graph = cached_property(lambda c: subdiff_graph(c.inst))
+    probe_graph = cached_property(lambda c: subdiff_graph(c.inst, probes=c.probes))
+    dom = cached_property(lambda c: effective_domain(c.inst))
+    subdiff_domain = cached_property(lambda c: subdiff_domain(c.inst))
+    hull_interval = cached_property(lambda c: portable_hull_interval(c.dom))
+    # closure, conjugate and envelopes
+    closure = cached_property(lambda c: c.inst.closure())
+    lsc_defect = cached_property(lambda c: lsc_defect(c.inst))
+    conj = cached_property(lambda c: conjugate_exact(c.inst))
+    cup = cached_property(lambda c: cup_exact(c.inst))
+    sharp = cached_property(lambda c: sharp_exact(c.inst))
+    circ = cached_property(lambda c: circ_exact(c.inst))
+    star_cup = cached_property(lambda c: star_cup_exact(c.inst))
+    # a 1D grid: its closed convex hull, the hull's dual probes, and the
+    # grid graph over them decided in exact arithmetic
+    grid_hull = cached_property(lambda c: cl_conv(c.inst))
+    grid_duals = cached_property(lambda c: dual_probes(c.grid_hull))
+    grid_graph = cached_property(lambda c: _grid_graph_exact(c.inst, c.grid_duals))
+
+
+# ---------------------------------------------------------------------------
+# check records and gates
 # ---------------------------------------------------------------------------
 
 PASS = "pass"
@@ -192,7 +278,30 @@ def _done(tid, desc, ok, margin=None, witness=None, backend="exact", tol=0):
     )
 
 
+class _Gate(NamedTuple):
+    """A statement hypothesis: when ``skip(ctx)`` holds, the check reports
+    not-applicable with ``why`` instead of running."""
+
+    skip: object
+    why: str
+    backend: str = "exact"
+
+
 _NEEDS_LSC = "needs a lower semicontinuous instance (raised endpoint values)"
+_LSC = _Gate(lambda ctx: ctx.lsc_defect, _NEEDS_LSC)
+_GRAPH = _Gate(lambda ctx: not ctx.has_graph, "empty subdifferential graph")
+_GRID_1D = _Gate(
+    lambda ctx: isinstance(ctx.inst, GridFunction) and ctx.inst.dim != 1,
+    "grid route is one-dimensional here", "grid",
+)
+
+
+def _gated(*gates):
+    """Declare the gates the dispatcher applies, in order, before the check."""
+    def mark(fn):
+        fn.gates = gates
+        return fn
+    return mark
 
 
 # ---------------------------------------------------------------------------
@@ -200,110 +309,70 @@ _NEEDS_LSC = "needs a lower semicontinuous instance (raised endpoint values)"
 # ---------------------------------------------------------------------------
 
 
-def _grid_duals(hull: PLConvex1D) -> tuple:
-    sl = sorted(set(hull.slopes()))
-    cand = set(sl)
-    for a, b in zip(sl, sl[1:]):
-        cand.add((a + b) / 2)
-    cand.add(F(0))
-    spread = max((abs(s) for s in cand), default=F(0)) + 1
-    cand.update((spread, -spread))
-    return tuple(sorted(cand))
-
-
-def _grid_items_exact(f: GridFunction):
-    # float samples promote to the rationals they already are
-    return [(F(p), F(v)) for p, v in f.finite_items()]
-
-
-def _grid_graph_exact(f: GridFunction, duals) -> OperatorGraph:
-    """Grid subdifferential pairs decided by exact rational comparisons."""
-    items = _grid_items_exact(f)
-    pairs = []
-    for a, fa in items:
-        for s in duals:
-            if all(fy >= fa + s * (y - a) for y, fy in items):
-                pairs.append((a, s))
-    return OperatorGraph(1, tuple(pairs), label=f.label)
-
-
-def _check_dfdom_ineq(tid, desc, inst):
-    if isinstance(inst, GridFunction):
-        if inst.dim != 1:
-            return _na(tid, desc, "grid route is one-dimensional here", "grid")
-        hull = cl_conv(inst)
-        duals = _grid_duals(hull)
-        G = _grid_graph_exact(inst, duals)
-        hstar = list(map(conjugate_exact(hull).value_at, duals))
-        pts = [p for p, _v in inst.finite_items()]
-        xs = [F(p) for p in pts]
-        worst = None
-        for p, x, row in zip(pts, xs, fitzpatrick_table(G, xs, duals)):
-            hx = hull.value_at(x)
-            for s, hs, lhs in zip(duals, hstar, row):
-                rhs = ext_add(hx, hs)
-                if lhs > rhs:
-                    return _done(tid, desc, False, ext_sub(rhs, lhs), (p, s), "grid")
-                worst = _min_margin(worst, ext_sub(rhs, lhs))
-        return _done(tid, desc, True, worst, backend="grid")
-    f = inst
-    fc = f.closure()
-    xs, duals = primal_probes(f), dual_probes(f)
-    fstar = list(map(conjugate_exact(f).value_at, duals))
+@_gated(_GRID_1D)
+def _check_dfdom_ineq(tid, desc, ctx):
+    # a 1D grid reads as its closed convex hull with the exact grid graph;
+    # witnesses name the sample as listed
+    if isinstance(ctx.inst, GridFunction):
+        wits = [p for p, _v in ctx.inst.finite_items()]
+        xs = [F(p) for p in wits]
+        h, hstar, src, duals = (ctx.grid_hull, conjugate_exact(ctx.grid_hull),
+                                ctx.grid_graph, ctx.grid_duals)
+        backend = "grid"
+    else:
+        wits = xs = ctx.probes
+        h, hstar, src, duals = ctx.closure, ctx.conj, ctx.st, ctx.duals
+        backend = "exact"
+    hs_at = list(map(hstar.value_at, duals))
     worst = None
-    for x, row in zip(xs, fitzpatrick_table(subdiff_structure(f), xs, duals)):
-        fx = fc.value_at(x)
-        for s, fs, lhs in zip(duals, fstar, row):
-            rhs = ext_add(fx, fs)
+    for w, x, row in zip(wits, xs, fitzpatrick_table(src, xs, duals)):
+        hx = h.value_at(x)
+        for s, hs, lhs in zip(duals, hs_at, row):
+            rhs = ext_add(hx, hs)
             if lhs > rhs:
-                return _done(tid, desc, False, ext_sub(rhs, lhs), (x, s))
+                return _done(tid, desc, False, ext_sub(rhs, lhs), (w, s), backend)
             worst = _min_margin(worst, ext_sub(rhs, lhs))
-    return _done(tid, desc, True, worst)
+    return _done(tid, desc, True, worst, backend=backend)
 
 
-def _check_dfdom_i(tid, desc, inst):
-    if isinstance(inst, GridFunction):
-        if inst.dim != 1:
-            return _na(tid, desc, "grid route is one-dimensional here", "grid")
-        hull = cl_conv(inst)
-        G = _grid_graph_exact(inst, _grid_duals(hull))
-        lookup = dict(_grid_items_exact(inst))
-        for a, s in G.pairs:
-            if not subdiff_test(hull, a, s):
-                return _done(tid, desc, False, witness=(a, s), backend="grid")
-            if hull.value_at(a) != as_extreal(lookup[a]):
-                return _done(tid, desc, False, witness=a, backend="grid")
-        return _done(tid, desc, True, backend="grid")
-    f = inst
-    fc = f.closure()
-    G = subdiff_graph(f, probes=primal_probes(f))
+@_gated(_GRID_1D)
+def _check_dfdom_i(tid, desc, ctx):
+    if isinstance(ctx.inst, GridFunction):
+        h, G, backend = ctx.grid_hull, ctx.grid_graph, "grid"
+        value = {a: as_extreal(v) for a, v in _grid_items_exact(ctx.inst)}.__getitem__
+    else:
+        h, G, backend = ctx.closure, ctx.probe_graph, "exact"
+        value = ctx.inst.value_at
+    test = _subgradient_test(h)
     for a, b in G.pairs:
-        if not subdiff_test(fc, a, b):
-            return _done(tid, desc, False, witness=(a, b))
-        if f.value_at(a) != fc.value_at(a):
-            return _done(tid, desc, False, witness=a)
-    D = subdiff_domain(f)
-    for x in primal_probes(f):
-        if D.contains(x) and subdiff_exact(f, x) != subdiff_exact(fc, x):
-            return _done(tid, desc, False, witness=x)
-    return _done(tid, desc, True)
+        if not test(a, b):
+            return _done(tid, desc, False, witness=(a, b), backend=backend)
+        if h.value_at(a) != value(a):
+            return _done(tid, desc, False, witness=a, backend=backend)
+    if backend == "exact":
+        f, fc, D = ctx.inst, ctx.closure, ctx.subdiff_domain
+        for x in ctx.probes:
+            if D.contains(x) and subdiff_exact(f, x) != subdiff_exact(fc, x):
+                return _done(tid, desc, False, witness=x)
+    return _done(tid, desc, True, backend=backend)
 
 
-def _check_dfdom_e3(tid, desc, f):
-    if not lsc_defect(f):
-        return _na(tid, desc, "every domain point carries a subgradient; "
-                              "no distinct majorant can agree there")
+@_gated(_Gate(lambda ctx: not ctx.lsc_defect,
+              "every domain point carries a subgradient; "
+              "no distinct majorant can agree there"))
+def _check_dfdom_e3(tid, desc, ctx):
+    f = ctx.inst
     ovl, ovr = f.override_left, f.override_right
     if ovl is not None and ovl.is_finite:
         ovl = ExtReal(ovl.value + 1)
     if ovr is not None and ovr.is_finite:
         ovr = ExtReal(ovr.value + 1)
     g = replace(f, override_left=ovl, override_right=ovr)
-    stf, stg = subdiff_structure(f), subdiff_structure(g)
+    stf, stg = ctx.st, subdiff_structure(g)
     ok = stf.points == stg.points and stf.segments == stg.segments
     wit = None
     if ok:
-        for x in primal_probes(f):
+        for x in ctx.probes:
             if subdiff_exact(f, x) != subdiff_exact(g, x):
                 ok, wit = False, x
                 break
@@ -338,12 +407,13 @@ def grid_hull_graph(g: GridFunction):
     return hull, cands, OperatorGraph(1, pairs)
 
 
-def _check_dfdom_iv(tid, desc, g):
+@_gated(_Gate(lambda ctx: ctx.inst.dim != 1,
+              "the finite shadow of this item is one-dimensional"))
+def _check_dfdom_iv(tid, desc, ctx):
     # finite shadow only: a grid sample is closed already, so the claim
     # reduces to "a maximal-relative sampled subdifferential forces grid
     # convexity" on the line
-    if g.dim != 1:
-        return _na(tid, desc, "the finite shadow of this item is one-dimensional")
+    g = ctx.inst
     _hull, cands, G = grid_hull_graph(g)
     v = is_maximal_relative(G, cands, tol=1e-9)
     ok = (not v.is_maximal) or is_convex_on_grid(g)
@@ -352,34 +422,28 @@ def _check_dfdom_iv(tid, desc, g):
 
 
 _RADII = (F(1), F(1, 2), F(1, 4), F(1, 8), F(1, 16))
+_EPS_LADDER = (F(1), F(1, 4), F(1, 100))
 
 
 def _nearby_subdiff_point(D: Interval1D, x, r):
     if D.contains(x):
         return x
     # x is then a domain endpoint excluded from D by an override
+    width = None if D.lo is None or D.hi is None else D.hi - D.lo
+    step = r if width is None else min(r, width)
     if D.lo is not None and x <= D.lo:
-        width = None if D.hi is None else D.hi - D.lo
-        step = r if width is None else min(r, width)
         return D.lo + step / 2
     if D.hi is not None and x >= D.hi:
-        width = None if D.lo is None else D.hi - D.lo
-        step = r if width is None else min(r, width)
         return D.hi - step / 2
     return None
 
 
-def _check_ba_density(tid, desc, f):
-    st = subdiff_structure(f)
-    if not st.points and not st.segments:
-        return _na(tid, desc, "empty subdifferential graph")
-    D = subdiff_domain(f)
-    dom = effective_domain(f)
-    if _closed_hull(D) != _closed_hull(dom):
+@_gated(_GRAPH)
+def _check_ba_density(tid, desc, ctx):
+    D = ctx.subdiff_domain
+    if _closed_hull(D) != _closed_hull(ctx.dom):
         return _done(tid, desc, False, witness="closures differ")
-    for x in primal_probes(f):
-        if not dom.contains(x):
-            continue
+    for x in ctx.dom_probes:
         for r in _RADII:
             a = _nearby_subdiff_point(D, x, r)
             if a is None or not D.contains(a) or abs(x - a) > r:
@@ -392,14 +456,12 @@ def _check_ba_density(tid, desc, f):
 # ---------------------------------------------------------------------------
 
 
-def _check_fcupdiez_i(tid, desc, f):
-    st = subdiff_structure(f)
-    hull = portable_hull_interval(effective_domain(f))
-    D = subdiff_domain(f)
+def _check_fcupdiez_i(tid, desc, ctx):
+    f, st, D = ctx.inst, ctx.st, ctx.subdiff_domain
     worst = None
-    for x in primal_probes(f):
+    for x in ctx.probes:
         c = cup_value(f, x, st=st)
-        sh = sharp_value(f, x, st=st, hull=hull)
+        sh = sharp_value(f, x, st=st, hull=ctx.hull_interval)
         fx = f.value_at(x)
         if not (c <= sh and sh <= fx):
             return _done(tid, desc, False, witness=x)
@@ -409,18 +471,12 @@ def _check_fcupdiez_i(tid, desc, f):
     return _done(tid, desc, True, worst)
 
 
-def _check_fcupdiez_iii(tid, desc, f):
-    st = subdiff_structure(f)
-    if not st.points and not st.segments:
-        return _na(tid, desc, "empty subdifferential graph")
-    G = subdiff_graph(f)
+@_gated(_GRAPH)
+def _check_fcupdiez_iii(tid, desc, ctx):
+    f, G = ctx.inst, ctx.graph
     env = upper_envelope(f, G)
     member = epi_cup_member(f, epi_normal_graph(f, G))
-    cupf = cup_exact(f)
-    shf = sharp_exact(f)
-    hull = portable_hull_interval(effective_domain(f))
-    dom = effective_domain(f)
-    xs = primal_probes(f)
+    xs = ctx.probes
     for x, ev in zip(xs, env.values_at(xs)):
         base = ev.finite()
         for v in (base - 1, base, base + 1):
@@ -428,27 +484,26 @@ def _check_fcupdiez_iii(tid, desc, f):
             if got != (as_extreal(v) >= ev):
                 return _done(tid, desc, False, witness=(x, v))
         # the restriction identity, read off the closed forms
-        sv = shf.value_at(x)
-        cv = cupf.value_at(x)
-        if hull.contains(x):
+        sv = ctx.sharp.value_at(x)
+        cv = ctx.cup.value_at(x)
+        if ctx.hull_interval.contains(x):
             if sv != cv:
                 return _done(tid, desc, False, witness=x)
         elif not sv.is_pos_inf:
             return _done(tid, desc, False, witness=x)
-        if dom.contains(x) and ev != cup_value(f, x, st=st):
+        if ctx.dom.contains(x) and ev != cup_value(f, x, st=ctx.st):
             return _done(tid, desc, False, witness=x)
     return _done(tid, desc, True)
 
 
-def _check_fcupdiez_iv(tid, desc, f):
-    cupf = cup_exact(f)
-    shf = sharp_exact(f)
-    G = subdiff_graph(f, probes=primal_probes(f))
-    for a, b in G.pairs:
-        if not (subdiff_test(cupf, a, b) and subdiff_test(shf, a, b)):
+def _check_fcupdiez_iv(tid, desc, ctx):
+    f, cupf, shf = ctx.inst, ctx.cup, ctx.sharp
+    cup_test, sharp_test = _subgradient_test(cupf), _subgradient_test(shf)
+    for a, b in ctx.probe_graph.pairs:
+        if not (cup_test(a, b) and sharp_test(a, b)):
             return _done(tid, desc, False, witness=(a, b))
-    D = subdiff_domain(f)
-    for x in sorted(set(primal_probes(f)) | set(cupf.breakpoints)):
+    D = ctx.subdiff_domain
+    for x in sorted(set(ctx.probes) | set(cupf.breakpoints)):
         if not D.contains(x):
             continue
         iv = subdiff_exact(f, x)
@@ -457,9 +512,8 @@ def _check_fcupdiez_iv(tid, desc, f):
     return _done(tid, desc, True)
 
 
-def _check_fcupdiez_v(tid, desc, f):
-    cupf = cup_exact(f)
-    shf = sharp_exact(f)
+def _check_fcupdiez_v(tid, desc, ctx):
+    cupf, shf = ctx.cup, ctx.sharp
     ok = (
         pl_equal(cup_exact(cupf), cupf)
         and pl_equal(sharp_exact(cupf), cupf)
@@ -468,27 +522,25 @@ def _check_fcupdiez_v(tid, desc, f):
     return _done(tid, desc, ok, witness="idempotence broken")
 
 
-def _operators_equal(f: PLConvex1D, g: PLConvex1D) -> bool:
-    xs = sorted(set(primal_probes(f)) | set(primal_probes(g)))
+def _operators_equal(ctx, g: PLConvex1D) -> bool:
+    f = ctx.inst
+    xs = sorted(set(ctx.probes) | set(primal_probes(g)))
     return all(subdiff_exact(f, x) == subdiff_exact(g, x) for x in xs)
 
 
-def _check_fcupdiez_viii(tid, desc, f):
-    for env in (cup_exact(f), sharp_exact(f)):
-        same_ops = _operators_equal(f, env)
-        same_dom = subdiff_domain(f) == subdiff_domain(env)
+def _check_fcupdiez_viii(tid, desc, ctx):
+    for env in (ctx.cup, ctx.sharp):
+        same_ops = _operators_equal(ctx, env)
+        same_dom = ctx.subdiff_domain == subdiff_domain(env)
         if same_ops != same_dom:
             return _done(tid, desc, False,
                          witness=(env.label or "envelope", same_ops, same_dom))
     return _done(tid, desc, True)
 
 
-def _check_fcupdiez_ix(tid, desc, f):
-    st = subdiff_structure(f)
-    if not st.points and not st.segments:
-        return _na(tid, desc, "empty subdifferential graph")
-    G = subdiff_graph(f)
-    xs = primal_probes(f)
+@_gated(_GRAPH)
+def _check_fcupdiez_ix(tid, desc, ctx):
+    f, G, xs = ctx.inst, ctx.graph, ctx.probes
     want = upper_envelope(f, G).values_at(xs)
     chains = [(n, n_cup_envelope(f, G, n).values_at(xs)) for n in (2, 3)]
     for k, x in enumerate(xs):
@@ -503,13 +555,11 @@ def _check_fcupdiez_ix(tid, desc, f):
 # ---------------------------------------------------------------------------
 
 
-def _check_fcirc_i(tid, desc, f):
-    cupf = cup_exact(f)
-    circf = circ_exact(f)
-    fc = f.closure()
-    D = subdiff_domain(f)
+def _check_fcirc_i(tid, desc, ctx):
+    f, cupf, circf, fc = ctx.inst, ctx.cup, ctx.circ, ctx.closure
+    D = ctx.subdiff_domain
     worst = None
-    for x in sorted(set(primal_probes(f)) | set(circf.breakpoints)):
+    for x in sorted(set(ctx.probes) | set(circf.breakpoints)):
         a, b, c = cupf.value_at(x), fc.value_at(x), circf.value_at(x)
         if not (a <= b and b <= c):
             return _done(tid, desc, False, witness=x)
@@ -519,18 +569,18 @@ def _check_fcirc_i(tid, desc, f):
     return _done(tid, desc, True, worst)
 
 
-def _check_fcirc_ii(tid, desc, f):
-    circf = circ_exact(f)
+def _check_fcirc_ii(tid, desc, ctx):
+    circf = ctx.circ
     if not pl_equal(circ_exact(circf), circf):
         return _done(tid, desc, False, witness="hull of the hull moved")
-    if not pl_equal(star_cup_exact(f), conjugate_exact(circf)):
+    if not pl_equal(ctx.star_cup, conjugate_exact(circf)):
         return _done(tid, desc, False, witness="dual envelope vs hull conjugate")
     wit = None
-    if not lsc_defect(f):
-        starcirc = circ_exact(conjugate_exact(f))
-        if not pl_equal(starcirc, conjugate_exact(cup_exact(f))):
+    if not ctx.lsc_defect:
+        starcirc = circ_exact(ctx.conj)
+        if not pl_equal(starcirc, conjugate_exact(ctx.cup)):
             return _done(tid, desc, False, witness="conjugate-side hull")
-        if not pl_equal(conjugate_exact(starcirc), cup_exact(f)):
+        if not pl_equal(conjugate_exact(starcirc), ctx.cup):
             return _done(tid, desc, False, witness="conjugate-side hull, back")
     else:
         # conjugation cannot see raised endpoint values, so the two
@@ -539,29 +589,25 @@ def _check_fcirc_ii(tid, desc, f):
     return TheoremCheck(tid, desc, PASS, "exact", 0, witness=wit)
 
 
-def _check_fcirc_iii(tid, desc, f):
-    if lsc_defect(f):
-        return _na(tid, desc, _NEEDS_LSC)
-    circf = circ_exact(f)
-    R = range_interval(f)
-    for x in sorted(set(primal_probes(f)) | set(circf.breakpoints)):
+@_gated(_LSC)
+def _check_fcirc_iii(tid, desc, ctx):
+    f, circf, R = ctx.inst, ctx.circ, ctx.slope_range
+    for x in sorted(set(ctx.probes) | set(circf.breakpoints)):
         lhs = subdiff_exact(f, x)
         rhs = _interval_intersect(subdiff_exact(circf, x), R)
         if lhs != rhs:
             return _done(tid, desc, False, witness=x)
-    for a, b in subdiff_graph(f).pairs:
-        if not subdiff_test(circf, a, b):
+    test = _subgradient_test(circf)
+    for a, b in ctx.graph.pairs:
+        if not test(a, b):
             return _done(tid, desc, False, witness=(a, b))
     return _done(tid, desc, True)
 
 
-def _check_fcirc_iv(tid, desc, f):
-    if lsc_defect(f):
-        return _na(tid, desc, _NEEDS_LSC)
-    circf = circ_exact(f)
-    R = range_interval(f)
-    D = subdiff_domain(f)
-    for x in sorted(set(primal_probes(f)) | set(circf.breakpoints)):
+@_gated(_LSC)
+def _check_fcirc_iv(tid, desc, ctx):
+    circf, R, D = ctx.circ, ctx.slope_range, ctx.subdiff_domain
+    for x in sorted(set(ctx.probes) | set(circf.breakpoints)):
         lhs = D.contains(x)
         rhs = _interval_intersect(subdiff_exact(circf, x), R) is not None
         if lhs != rhs:
@@ -569,22 +615,21 @@ def _check_fcirc_iv(tid, desc, f):
     return _done(tid, desc, True)
 
 
-def _check_fcirc_v(tid, desc, f):
-    circf = circ_exact(f)
-    same_ops = _operators_equal(f, circf)
-    same_range = range_interval(f) == range_interval(circf)
+def _check_fcirc_v(tid, desc, ctx):
+    circf = ctx.circ
+    same_ops = _operators_equal(ctx, circf)
+    same_range = ctx.slope_range == range_interval(circf)
     return _done(tid, desc, same_ops == same_range,
                  witness=(same_ops, same_range))
 
 
-def _check_maxcup(tid, desc, f):
-    if lsc_defect(f):
-        return _na(tid, desc, "the subdifferential misses the raised "
-                              "endpoint, so it is not maximal")
+@_gated(_LSC._replace(why="the subdifferential misses the raised "
+                          "endpoint, so it is not maximal"))
+def _check_maxcup(tid, desc, ctx):
     ok = (
-        pl_equal(cup_exact(f), f.closure())
-        and pl_equal(star_cup_exact(f), conjugate_exact(f))
-        and pl_equal(cup_exact(f), circ_exact(f))
+        pl_equal(ctx.cup, ctx.closure)
+        and pl_equal(ctx.star_cup, ctx.conj)
+        and pl_equal(ctx.cup, ctx.circ)
     )
     return _done(tid, desc, ok, witness="envelope moved a maximal instance")
 
@@ -594,21 +639,18 @@ def _check_maxcup(tid, desc, f):
 # ---------------------------------------------------------------------------
 
 
-def _check_fsp_i(tid, desc, f):
-    st = subdiff_structure(f)
-    hull = portable_hull_interval(effective_domain(f))
-    D = subdiff_domain(f)
-    dom = effective_domain(f)
-    for x in primal_probes(f):
+def _check_fsp_i(tid, desc, ctx):
+    f, st, D = ctx.inst, ctx.st, ctx.subdiff_domain
+    for x in ctx.probes:
         sm = smile_value(f, x, st=st)
         c = cup_value(f, x, st=st)
-        sh = sharp_value(f, x, st=st, hull=hull)
+        sh = sharp_value(f, x, st=st, hull=ctx.hull_interval)
         fx = f.value_at(x)
         if not (sm <= c and c <= sh and sh <= fx):
             return _done(tid, desc, False, witness=x)
         if D.contains(x) and sm != fx:
             return _done(tid, desc, False, witness=x)
-        if not dom.contains(x) and sm != c:
+        if not ctx.dom.contains(x) and sm != c:
             return _done(tid, desc, False, witness=x)
     return _done(tid, desc, True)
 
@@ -617,20 +659,15 @@ def _probed_proper(vals) -> bool:
     return any(v.is_finite for v in vals) and not any(v.is_neg_inf for v in vals)
 
 
-def _check_fsp_ii(tid, desc, f):
-    st = subdiff_structure(f)
-    vals = [smile_value(f, x, st=st) for x in primal_probes(f)]
-    lhs = _probed_proper(vals)
-    if st.points or st.segments:
-        rhs = conjugate_exact(f).value_at(F(0)) == star_cup_exact(f).value_at(F(0))
-    else:
-        rhs = False
+def _check_fsp_ii(tid, desc, ctx):
+    f, st = ctx.inst, ctx.st
+    lhs = _probed_proper([smile_value(f, x, st=st) for x in ctx.probes])
+    rhs = ctx.has_graph and ctx.conj.value_at(F(0)) == ctx.star_cup.value_at(F(0))
     return _done(tid, desc, lhs == rhs, witness=(lhs, rhs))
 
 
-def _check_fsp_iii(tid, desc, f):
-    st = subdiff_structure(f)
-    xs = primal_probes(f)
+def _check_fsp_iii(tid, desc, ctx):
+    f, st, xs = ctx.inst, ctx.st, ctx.probes
     worst = None
     for x, (phi,) in zip(xs, fitzpatrick_table(st, xs, (F(0),))):
         sm = smile_value(f, x, st=st)
@@ -641,14 +678,12 @@ def _check_fsp_iii(tid, desc, f):
     return _done(tid, desc, True, worst)
 
 
-def _check_spxstar(tid, desc, f):
-    st = subdiff_structure(f)
-    has_graph = bool(st.points or st.segments)
-    rhs = has_graph and pl_equal(conjugate_exact(f), star_cup_exact(f))
-    for s in dual_probes(f):
-        g = f.tilt(s)
-        stg = subdiff_structure(g)
-        vals = [smile_value(g, x, st=stg) for x in primal_probes(g)]
+def _check_spxstar(tid, desc, ctx):
+    f = ctx.inst
+    rhs = ctx.has_graph and pl_equal(ctx.conj, ctx.star_cup)
+    for s in ctx.duals:
+        g = CheckContext(f.tilt(s))
+        vals = [smile_value(g.inst, x, st=g.st) for x in g.probes]
         if _probed_proper(vals) != rhs:
             return _done(tid, desc, False, witness=s)
     return _done(tid, desc, True)
@@ -659,14 +694,11 @@ def _check_spxstar(tid, desc, f):
 # ---------------------------------------------------------------------------
 
 
-def _check_maxsdsp_ii(tid, desc, f):
-    if lsc_defect(f):
-        return _na(tid, desc, _NEEDS_LSC)
-    dom = effective_domain(f)
-    xs = [x for x in primal_probes(f) if dom.contains(x)]
-    duals = dual_probes(f)
+@_gated(_LSC)
+def _check_maxsdsp_ii(tid, desc, ctx):
+    xs, duals = ctx.dom_probes, ctx.duals
     worst = None
-    for x, row in zip(xs, fitzpatrick_table(subdiff_structure(f), xs, duals)):
+    for x, row in zip(xs, fitzpatrick_table(ctx.st, xs, duals)):
         for s, phi in zip(duals, row):
             if phi < x * s:
                 return _done(tid, desc, False, ext_sub(phi, as_extreal(x * s)), (x, s))
@@ -674,25 +706,22 @@ def _check_maxsdsp_ii(tid, desc, f):
     return _done(tid, desc, True, worst)
 
 
-def _check_maxsdsp_iii(tid, desc, f):
-    if lsc_defect(f):
-        return _na(tid, desc, _NEEDS_LSC)
-    st = subdiff_structure(f)
-    dom = effective_domain(f)
-    for x in primal_probes(f):
-        if dom.contains(x) and smile_value(f, x, st=st) != f.value_at(x):
-            return _done(tid, desc, False, witness=x)
-    return _done(tid, desc, True, margin=0)
-
-
-def _check_maxsdsp_iv(tid, desc, f):
-    if lsc_defect(f):
-        return _na(tid, desc, _NEEDS_LSC)
-    st = subdiff_structure(f)
-    for x in primal_probes(f):
+def _smile_recovers_f(tid, desc, ctx, xs):
+    f, st = ctx.inst, ctx.st
+    for x in xs:
         if smile_value(f, x, st=st) != f.value_at(x):
             return _done(tid, desc, False, witness=x)
     return _done(tid, desc, True, margin=0)
+
+
+@_gated(_LSC)
+def _check_maxsdsp_iii(tid, desc, ctx):
+    return _smile_recovers_f(tid, desc, ctx, ctx.dom_probes)
+
+
+@_gated(_LSC)
+def _check_maxsdsp_iv(tid, desc, ctx):
+    return _smile_recovers_f(tid, desc, ctx, ctx.probes)
 
 
 def _slope_bound(f: PLConvex1D) -> Fraction:
@@ -724,14 +753,11 @@ def _net_points(f: PLConvex1D, x, r):
     return out
 
 
-def _check_maxsdsp_v(tid, desc, f):
-    if lsc_defect(f):
-        return _na(tid, desc, _NEEDS_LSC)
-    dom = effective_domain(f)
+@_gated(_LSC)
+def _check_maxsdsp_v(tid, desc, ctx):
+    f = ctx.inst
     lam = _slope_bound(f)
-    for x in primal_probes(f):
-        if not dom.contains(x):
-            continue
+    for x in ctx.dom_probes:
         fx = f.value_at(x)
         for r in _RADII:
             for a in _net_points(f, x, r):
@@ -750,14 +776,11 @@ def _check_maxsdsp_v(tid, desc, f):
     return _done(tid, desc, True, margin=0)
 
 
-def _check_maxsdsp_vi(tid, desc, f):
-    if lsc_defect(f):
-        return _na(tid, desc, _NEEDS_LSC)
-    dom = effective_domain(f)
+@_gated(_LSC)
+def _check_maxsdsp_vi(tid, desc, ctx):
+    f = ctx.inst
     lam = _slope_bound(f)
-    for x in primal_probes(f):
-        if not dom.contains(x):
-            continue
+    for x in ctx.dom_probes:
         for r in _RADII:
             for a in _net_points(f, x, r):
                 iv = subdiff_exact(f, a)
@@ -766,47 +789,33 @@ def _check_maxsdsp_vi(tid, desc, f):
     return _done(tid, desc, True, margin=0)
 
 
-def _check_maxsdsp_vii(tid, desc, f):
-    if lsc_defect(f):
-        return _na(tid, desc, _NEEDS_LSC)
-    dom = effective_domain(f)
-    for x in primal_probes(f):
-        if not dom.contains(x):
-            continue
+@_gated(_LSC)
+def _check_maxsdsp_vii(tid, desc, ctx):
+    f = ctx.inst
+    for x in ctx.dom_probes:
         iv = subdiff_exact(f, x)
         if iv is None:
             return _done(tid, desc, False, witness=x)
         xstar = _some_slope(iv)
-        for eps in (F(1), F(1, 4), F(1, 100)):
+        for eps in _EPS_LADDER:
             res = brondsted_search(f, x, xstar, eps)
             if not (res.found and res.renorm_ok(eps) and res.product_ok(eps)):
                 return _done(tid, desc, False, witness=(x, eps))
     return _done(tid, desc, True, margin=0)
 
 
-def _check_maxsdsp_closure(tid, desc, f):
-    if lsc_defect(f):
-        return _na(tid, desc, _NEEDS_LSC)
-    ok1 = _closed_hull(subdiff_domain(f)) == _closed_hull(effective_domain(f))
-    R = range_interval(f)
-    if R is None:
-        return _na(tid, desc, "empty subdifferential graph")
-    ok2 = _closed_hull(R) == _closed_hull(effective_domain(conjugate_exact(f)))
+@_gated(_LSC, _GRAPH)
+def _check_maxsdsp_closure(tid, desc, ctx):
+    ok1 = _closed_hull(ctx.subdiff_domain) == _closed_hull(ctx.dom)
+    ok2 = _closed_hull(ctx.slope_range) == _closed_hull(effective_domain(ctx.conj))
     return _done(tid, desc, ok1 and ok2,
                  witness=("domain side", ok1, "range side", ok2))
 
 
-_EPS_LADDER = (F(1), F(1, 4), F(1, 100))
-
-
-def _check_fspeps_ii(tid, desc, f):
-    if lsc_defect(f):
-        return _na(tid, desc, _NEEDS_LSC)
-    st = subdiff_structure(f)
-    dom = effective_domain(f)
-    for x in primal_probes(f):
-        if not dom.contains(x):
-            continue
+@_gated(_LSC)
+def _check_fspeps_ii(tid, desc, ctx):
+    f, st = ctx.inst, ctx.st
+    for x in ctx.dom_probes:
         vals = [smile_eps_value(f, x, e, st=st) for e in _EPS_LADDER]
         # shrinking the budget can only shrink the admitted family
         for big, small in zip(vals, vals[1:]):
@@ -817,29 +826,23 @@ def _check_fspeps_ii(tid, desc, f):
     return _done(tid, desc, True, margin=0)
 
 
-def _check_fspeps_iii(tid, desc, f):
-    if lsc_defect(f):
-        return _na(tid, desc, _NEEDS_LSC)
-    st = subdiff_structure(f)
-    dom = effective_domain(f)
-    for x in primal_probes(f):
-        if not dom.contains(x):
-            continue
+def _smile_eps_recovers_f(tid, desc, ctx, xs):
+    f, st = ctx.inst, ctx.st
+    for x in xs:
         for e in _EPS_LADDER:
             if smile_eps_value(f, x, e, st=st) != f.value_at(x):
                 return _done(tid, desc, False, witness=(x, e))
     return _done(tid, desc, True, margin=0)
 
 
-def _check_fspeps_iv(tid, desc, f):
-    if lsc_defect(f):
-        return _na(tid, desc, _NEEDS_LSC)
-    st = subdiff_structure(f)
-    for x in primal_probes(f):
-        for e in _EPS_LADDER:
-            if smile_eps_value(f, x, e, st=st) != f.value_at(x):
-                return _done(tid, desc, False, witness=(x, e))
-    return _done(tid, desc, True, margin=0)
+@_gated(_LSC)
+def _check_fspeps_iii(tid, desc, ctx):
+    return _smile_eps_recovers_f(tid, desc, ctx, ctx.dom_probes)
+
+
+@_gated(_LSC)
+def _check_fspeps_iv(tid, desc, ctx):
+    return _smile_eps_recovers_f(tid, desc, ctx, ctx.probes)
 
 
 # ---------------------------------------------------------------------------
@@ -847,11 +850,10 @@ def _check_fspeps_iv(tid, desc, f):
 # ---------------------------------------------------------------------------
 
 
-def _check_ncfitz(tid, desc, C):
-    if C.lo_open or C.hi_open:
-        return _na(tid, desc, "needs a closed set")
-    f = indicator(C)
-    st = subdiff_structure(f)
+@_gated(_Gate(lambda ctx: ctx.inst.lo_open or ctx.inst.hi_open, "needs a closed set"))
+def _check_ncfitz(tid, desc, ctx):
+    C = ctx.inst
+    st = subdiff_structure(indicator(C))
     probes = set()
     for end in (C.lo, C.hi):
         if end is not None:
@@ -873,7 +875,7 @@ def _check_ncfitz(tid, desc, C):
 
 
 # ---------------------------------------------------------------------------
-# registry
+# registry and dispatch
 # ---------------------------------------------------------------------------
 
 _PL = (PLConvex1D,)
@@ -915,19 +917,27 @@ REGISTRY = {
 }
 
 
+def _dispatch(tid: str, desc: str, ctx: CheckContext) -> TheoremCheck:
+    """Scope test, then the check's gates in order, then the check."""
+    fn, kinds = REGISTRY[tid]
+    if not isinstance(ctx.inst, kinds):
+        backend = "grid" if isinstance(ctx.inst, GridFunction) else "exact"
+        return _na(tid, desc,
+                   f"{type(ctx.inst).__name__} is outside this statement's scope",
+                   backend)
+    for gate in getattr(fn, "gates", ()):
+        if gate.skip(ctx):
+            return _na(tid, desc, gate.why, gate.backend)
+    return fn(tid, desc, ctx)
+
+
 def run_check(theorem_id: str, inst, desc: str | None = None) -> TheoremCheck:
-    """Run one registered check; unknown ids raise KeyError."""
+    """Run one registered check on a fresh context; unknown ids raise KeyError."""
     if theorem_id not in REGISTRY:
         raise KeyError(f"unknown theorem id {theorem_id!r}")
-    fn, kinds = REGISTRY[theorem_id]
     if desc is None:
         desc = getattr(inst, "label", None) or type(inst).__name__
-    if not isinstance(inst, kinds):
-        backend = "grid" if isinstance(inst, GridFunction) else "exact"
-        return _na(theorem_id, desc,
-                   f"{type(inst).__name__} is outside this statement's scope",
-                   backend)
-    return fn(theorem_id, desc, inst)
+    return _dispatch(theorem_id, desc, CheckContext(inst))
 
 
 # ---------------------------------------------------------------------------
@@ -1148,34 +1158,20 @@ def run_suite(seed: int = 0, n_instances: int = 4, theorem_ids=None) -> SuiteRep
             if tid not in REGISTRY:
                 raise KeyError(f"unknown theorem id {tid!r}")
     gen = InstanceGenerator(seed)
-    pl = [
-        (f"pl-convex[{i}]", f)
-        for i, f in enumerate(gen.generate("pl-convex", n_instances))
+    pools = {PLConvex1D: [], GridFunction: [], Interval1D: []}
+    for kind, family in ((PLConvex1D, "pl-convex"),
+                         (PLConvex1D, "pl-convex-with-override"),
+                         (GridFunction, "grid-nonconvex"),
+                         (Interval1D, "indicator-set")):
+        pools[kind] += [(f"{family}[{i}]", CheckContext(inst))
+                        for i, inst in enumerate(gen.generate(family, n_instances))]
+    # one context per instance, shared by every id that accepts it
+    checks = [
+        _dispatch(tid, desc, ctx)
+        for tid in ids
+        for kind, pool in pools.items() if kind in REGISTRY[tid][1]
+        for desc, ctx in pool
     ]
-    pl += [
-        (f"pl-convex-with-override[{i}]", f)
-        for i, f in enumerate(gen.generate("pl-convex-with-override", n_instances))
-    ]
-    grids = [
-        (f"grid-nonconvex[{i}]", f)
-        for i, f in enumerate(gen.generate("grid-nonconvex", n_instances))
-    ]
-    sets = [
-        (f"indicator-set[{i}]", s)
-        for i, s in enumerate(gen.generate("indicator-set", n_instances))
-    ]
-    checks = []
-    for tid in ids:
-        _fn, kinds = REGISTRY[tid]
-        pool = []
-        if PLConvex1D in kinds:
-            pool += pl
-        if GridFunction in kinds:
-            pool += grids
-        if Interval1D in kinds:
-            pool += sets
-        for desc, inst in pool:
-            checks.append(run_check(tid, inst, desc=desc))
     return SuiteReport(seed, tuple(checks))
 
 
@@ -1197,8 +1193,6 @@ class GalleryResult:
 
 
 def _gallery_quadratic() -> GalleryResult:
-    import numpy as np
-
     ts = [F(-2) + F(k, 100) for k in range(401)]
     G = OperatorGraph(1, tuple((t, t) for t in ts), label="identity-slope graph")
     t = np.array([float(u) for u in ts])
@@ -1248,8 +1242,7 @@ def _gallery_quadratic() -> GalleryResult:
 
 def _gallery_open_interval() -> GalleryResult:
     C = Interval1D(F(0), F(1), True, True)
-    f = indicator(C)
-    f = replace(f, label="open-unit-interval indicator")
+    f = replace(indicator(C), label="open-unit-interval indicator")
     st = subdiff_structure(f)
     probes = [F(-5) + F(k, 4) for k in range(41)]
     hull = portable_hull_interval(effective_domain(f))

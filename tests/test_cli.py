@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from envcalc.cli import main, parse_probe_grid
+from envcalc.cli import build_parser, main, parse_probe_grid
 from envcalc.funcrep import (
     GridFunction,
     PLConvex1D,
@@ -353,6 +353,31 @@ def test_module_and_script_entry(abs_file):
         capture_output=True, text=True,
     )
     assert r2.returncode == 2
+
+
+def test_cached_parser_repeats_every_outcome(abs_file, grid_file, capsys):
+    # main reuses one parser per process; a second pass over the same argv
+    # table must see exactly what the first pass saw
+    table = [
+        ["conjugate", "--instance", abs_file, "--dual-grid", "-2:2:5"],
+        ["subdiff", "--instance", grid_file, "--dual-grid", "0:1:3"],
+        ["check", "maxcup", "--instance", abs_file],
+        ["suite", "maxcup", "--seed", "1", "-n", "1"],
+        ["--help"],
+        ["check", "--help"],
+        ["check", "zz.nope", "--instance", abs_file],
+        ["conjugate", "--instance", abs_file, "--no-such-flag"],
+    ]
+    passes = []
+    for _ in range(2):
+        outcomes = []
+        for argv in table:
+            rc = main(argv)
+            outcomes.append((rc, *capsys.readouterr()))
+        passes.append(outcomes)
+    assert passes[0] == passes[1]
+    assert [rc for rc, _out, _err in passes[0]] == [0, 0, 0, 0, 0, 0, 2, 2]
+    assert build_parser() is build_parser()
 
 
 # ---------------------------------------------------------------------------

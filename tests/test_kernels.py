@@ -9,9 +9,9 @@ for ``epi_cup_member`` and, for the line-hull routes over 1D pair lists,
 the per-cell ``fitzpatrick`` pair loop, the per-probe
 ``MaxAffine.value_at``, the all-pairs relation test of
 ``is_maximal_relative``, per-pair ``subdiff_test`` validation in
-``upper_envelope`` and the structure walk of ``range_interval``.  They
-live here only, as references; exact comparisons are exact and float
-comparisons are bit for bit.
+``upper_envelope`` and in the theorem checks, and the structure walk of
+``range_interval``.  They live here only, as references; exact comparisons
+are exact and float comparisons are bit for bit.
 """
 
 import random
@@ -55,7 +55,7 @@ from envcalc.operators import (
     subdiff_structure,
     subdiff_test,
 )
-from envcalc.theoremlab import InstanceGenerator, range_interval
+from envcalc.theoremlab import InstanceGenerator, _subgradient_test, range_interval
 from envcalc.transforms import conjugate_exact
 
 
@@ -760,6 +760,21 @@ def test_upper_envelope_validation_matches_per_pair_test(f, extra, rnd):
     G = OperatorGraph(1, tuple(pairs))
     want = _outcome(lambda: upper_envelope_oracle(f, G))
     assert _outcome(lambda: upper_envelope(f, G).pieces) == want
+
+
+@given(pl_functions(), extras)
+@settings(max_examples=150, deadline=None)
+def test_check_subgradient_predicate_matches_subdiff_test(f, extra):
+    """The one-pass predicate the checks use, at breakpoints, drawn points
+    and points off the domain, for slopes at and next to the interval ends."""
+    test = _subgradient_test(f)
+    b = f.breakpoints
+    for a in b + tuple(extra) + (b[0] - 5, b[-1] + 5):
+        iv = subdiff_exact(f, a)
+        ends = [e for e in (iv.lo, iv.hi) if e is not None] if iv else []
+        for s in ends or [F(0)]:
+            for d in (F(-1, 7), F(0), F(1, 7)):
+                assert test(a, s + d) == subdiff_test(f, a, s + d)
 
 
 def test_upper_envelope_validation_errors():

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction as F
 
 import pytest
@@ -8,6 +8,7 @@ from envcalc.funcrep import GridFunction, Interval1D, PLConvex1D, lsc_defect, pl
 from envcalc.operators import grid_subdiff_test, subdiff_exact, subdiff_test
 from envcalc.envelopes import circ_exact
 from envcalc.theoremlab import (
+    CheckContext,
     FAMILIES,
     GALLERY_NAMES,
     InstanceGenerator,
@@ -82,10 +83,23 @@ def test_run_check_pass_on_matching_instance():
     assert c.theorem_id == "maxcup"
 
 
-def test_lsc_gated_checks_skip_raised_instances():
+NEEDS_LSC = "needs a lower semicontinuous instance (raised endpoint values)"
+LSC_GATED = {
+    **{tid: NEEDS_LSC for tid in (
+        "fcirc.iii", "fcirc.iv", "fspeps.ii", "fspeps.iii", "fspeps.iv",
+        "maxsdsp.closure", "maxsdsp.ii", "maxsdsp.iii", "maxsdsp.iv",
+        "maxsdsp.v", "maxsdsp.vi", "maxsdsp.vii",
+    )},
+    "maxcup": "the subdifferential misses the raised endpoint, so it is not maximal",
+}
+
+
+@pytest.mark.parametrize("tid", sorted(LSC_GATED))
+def test_lsc_gated_checks_skip_raised_instances(tid):
     f = PLConvex1D((F(0), F(1)), (F(0), F(1)), None, None, F(2), None)
-    for tid in ("fcirc.iii", "fcirc.iv", "maxcup", "maxsdsp.ii"):
-        assert run_check(tid, f).verdict == "not-applicable"
+    c = run_check(tid, f)
+    assert c.verdict == "not-applicable"
+    assert c.witness == LSC_GATED[tid]
 
 
 def test_raised_endpoint_breaks_domain_identity():
@@ -123,6 +137,39 @@ def test_suite_is_deterministic():
     b = run_suite(seed=5, n_instances=2)
     assert a.text() == b.text()
     assert a.all_ok
+
+
+def _suite_rows(seed, n_instances):
+    """(id, instance, desc) in run_suite's row order."""
+    gen = InstanceGenerator(seed)
+    pools = {PLConvex1D: [], GridFunction: [], Interval1D: []}
+    for kind, family in ((PLConvex1D, "pl-convex"),
+                         (PLConvex1D, "pl-convex-with-override"),
+                         (GridFunction, "grid-nonconvex"),
+                         (Interval1D, "indicator-set")):
+        for i, inst in enumerate(gen.generate(family, n_instances)):
+            pools[kind].append((inst, f"{family}[{i}]"))
+    return [
+        (tid, inst, desc)
+        for tid in sorted(REGISTRY)
+        for kind, pool in pools.items() if kind in REGISTRY[tid][1]
+        for inst, desc in pool
+    ]
+
+
+@pytest.mark.parametrize("seed", [0, 4, 9, 42])
+def test_shared_context_matches_fresh_contexts(seed):
+    # run_suite shares one context per instance across every id; a check
+    # that left state behind in it would differ from a fresh run_check
+    fresh = tuple(run_check(tid, inst, desc) for tid, inst, desc in _suite_rows(seed, 2))
+    assert run_suite(seed=seed, n_instances=2).checks == fresh
+
+
+def test_check_context_is_frozen_and_caches():
+    ctx = CheckContext(ABS)
+    assert ctx.st is ctx.st and ctx.probes is ctx.probes
+    with pytest.raises(FrozenInstanceError):
+        ctx.inst = ABS
 
 
 def test_suite_counts_add_up():
