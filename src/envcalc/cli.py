@@ -58,8 +58,8 @@ def _check_grid_size(count: int) -> None:
         )
 
 
-def parse_probe_grid(spec: str, exact: bool = True) -> tuple:
-    """Evenly spaced points from a "start:stop:count" description."""
+def _grid_count(spec: str) -> int:
+    """The validated count of a "start:stop:count" probe grid."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise _UsageError(f"probe grid {spec!r} is not start:stop:count")
@@ -70,6 +70,13 @@ def parse_probe_grid(spec: str, exact: bool = True) -> tuple:
     if count < 1:
         raise _UsageError("probe count must be at least 1")
     _check_grid_size(count)
+    return count
+
+
+def parse_probe_grid(spec: str, exact: bool = True) -> tuple:
+    """Evenly spaced points from a "start:stop:count" description."""
+    count = _grid_count(spec)
+    parts = spec.split(":")
     try:
         start = parse_scalar(parts[0], exact=exact).finite()
         stop = parse_scalar(parts[1], exact=exact).finite()
@@ -304,6 +311,12 @@ def _verb_fitz(args, inst) -> int:
         src, dim, exact = operators.subdiff_structure(inst), 1, True
     else:
         raise TypeError("fitz needs a pair graph or a piecewise-linear instance")
+    # the table holds one cell per (x, x*), after the 2D cross products
+    cells = (_grid_count(args.probes) * _grid_count(args.dual_grid)) ** dim
+    if cells > MAX_GRID_POINTS:
+        raise _UsageError(
+            f"fitz table of {cells} cells exceeds the limit of {MAX_GRID_POINTS}"
+        )
     xs = parse_probe_grid(args.probes, exact=exact)
     ys = parse_probe_grid(args.dual_grid, exact=exact)
     if dim == 2:

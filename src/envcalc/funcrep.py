@@ -51,35 +51,38 @@ def is_exact_scalar(v) -> bool:
 
 
 def line_envelope_values(lines, ys) -> list:
-    """max of slope * y + intercept over ``lines`` at each y, exactly.
+    """max of slope * y + intercept over ``lines`` at each y, exactly, as
+    (value, index into ``lines`` of the line attaining it).
 
     ``lines`` is a nonempty list of (slope, intercept) pairs with strictly
-    increasing slopes and ``ys`` is ascending.  The lines reduce to their
-    upper hull, which one sweep over ys evaluates: O(len(lines) + len(ys)).
+    increasing slopes and ``ys`` is ascending; on a tie the later line
+    wins.  The lines reduce to their upper hull, which one sweep over ys
+    evaluates: O(len(lines) + len(ys)).  Its callers pass ints (see
+    ``line_envelope_at``), so no comparison normalises a fraction.
     """
     hull = []
-    for s3, c3 in lines:
+    for i, (s3, c3) in enumerate(lines):
         while len(hull) >= 2:
-            (s1, c1), (s2, c2) = hull[-2], hull[-1]
+            (s1, c1, _), (s2, c2, _) = hull[-2], hull[-1]
             # the middle line never tops both neighbours
             if (c1 - c3) * (s2 - s1) <= (c1 - c2) * (s3 - s1):
                 hull.pop()
             else:
                 break
-        hull.append((s3, c3))
+        hull.append((s3, c3, i))
     out = []
     k = 0
-    s, c = hull[0]
+    s, c, i = hull[0]
     for y in ys:
         val = s * y + c
         while k + 1 < len(hull):
-            nxt = hull[k + 1][0] * y + hull[k + 1][1]
+            s2, c2, i2 = hull[k + 1]
+            nxt = s2 * y + c2
             if nxt < val:
                 break
             k += 1
-            s, c = hull[k]
-            val = nxt
-        out.append(val)
+            s, c, i, val = s2, c2, i2, nxt
+        out.append((val, i))
     return out
 
 
@@ -88,19 +91,43 @@ def line_envelope_at(lines, probes) -> list:
     in the probes' order.
 
     ``lines`` is a nonempty iterable of exact (slope, intercept) pairs in
-    any order; of equal slopes only the largest intercept can win.  One
-    sort of the slopes and one of the probes, then ``line_envelope_values``:
-    O((L + p) log(L + p)) for L lines and p probes.
+    any order; of equal slopes the first largest intercept is kept.  The
+    slopes, intercepts and probes are scaled once to ints over the common
+    denominators dy (probes) and d = lcm(dy * lcm(slope denominators),
+    intercept denominators), so slope * (d / dy) * y * dy + intercept * d
+    is d times each value; one sort of the slopes and one of the probes,
+    then ``line_envelope_values`` on ints: O((L + p) log(L + p)) for L
+    lines and p probes, plus the bit length of d.  A value comes back as
+    an int when its line's slope and intercept and its probe are ints
+    (what int arithmetic gives), else as a Fraction.
     """
-    best = {}
+    lines = list(lines)
+    dy = math.lcm(*(y.denominator for y in probes))
+    d = math.lcm(
+        dy * math.lcm(*(s.denominator for s, _c in lines)),
+        *(c.denominator for _s, c in lines),
+    )
+    ds = d // dy
+    best = {}  # scaled slope -> [scaled intercept, slope is int, intercept is int]
     for s, c in lines:
-        if s not in best or c > best[s]:
-            best[s] = c
-    order = sorted(range(len(probes)), key=probes.__getitem__)
-    vals = line_envelope_values(sorted(best.items()), [probes[q] for q in order])
+        key = s.numerator * (ds // s.denominator)
+        icpt = c.numerator * (d // c.denominator)
+        old = best.get(key)
+        if old is None:
+            best[key] = [icpt, isinstance(s, int), isinstance(c, int)]
+        elif icpt > old[0]:
+            old[0], old[2] = icpt, isinstance(c, int)
+    srt = sorted(best.items())
+    ys = [y.numerator * (dy // y.denominator) for y in probes]
+    order = sorted(range(len(ys)), key=ys.__getitem__)
+    vals = line_envelope_values(
+        [(s, c) for s, (c, _si, _ci) in srt], [ys[q] for q in order]
+    )
     out = [None] * len(probes)
-    for q, v in zip(order, vals):
-        out[q] = v
+    for q, (v, i) in zip(order, vals):
+        _c, s_int, c_int = srt[i][1]
+        exact_int = s_int and c_int and isinstance(probes[q], int)
+        out[q] = v // d if exact_int else Fraction(v, d)
     return out
 
 

@@ -11,6 +11,7 @@ cross-checked against the inequality-based membership test below.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -541,16 +542,20 @@ def fitzpatrick(G: OperatorGraph, x, xstar) -> ExtReal:
 def _fitz_lines(order, x):
     """phi(x, .) over a candidate order as lines in x* and two cuts.
 
-    Returns None when phi(x, .) is +inf everywhere (a breakpoint whose
-    subgradients are unbounded toward x), else (lines, lo_cut, hi_cut):
-    phi(x, x*) is +inf for x* < lo_cut or x* > hi_cut (cuts from recession
-    rays, None when absent) and the max of slope * x* + intercept over
-    ``lines`` otherwise.  Per breakpoint the inner sup is linear in the
-    subgradient, so it sits at the interval end facing x: one line with the
-    anchor as slope.  Along a segment every anchor carries the same slope
-    and the term is linear in the anchor, so only the segment ends matter
-    (open ends still count, since the sup need not be attained): one line
-    per finite end.  Slopes come out in candidate order, so equal slopes are
+    ``order`` and x are scaled to ints (see ``fitzpatrick_table``): primal
+    numbers (anchors, segment ends, x) over one denominator d1, dual
+    numbers (subgradient ends, x*) over another d2, so every line gives
+    d1 * d2 times its value at the scaled x*.  Returns None when
+    phi(x, .) is +inf everywhere (a breakpoint whose subgradients are
+    unbounded toward x), else (lines, lo_cut, hi_cut): phi(x, x*) is +inf
+    for x* < lo_cut or x* > hi_cut (cuts from recession rays, None when
+    absent) and the max of slope * x* + intercept over ``lines``
+    otherwise.  Per breakpoint the inner sup is linear in the subgradient,
+    so it sits at the interval end facing x: one line with the anchor as
+    slope.  Along a segment every anchor carries the same slope and the
+    term is linear in the anchor, so only the segment ends matter (open
+    ends still count, since the sup need not be attained): one line per
+    finite end.  Slopes come out in candidate order, so equal slopes are
     adjacent and merge into strictly increasing slopes, at most one per
     breakpoint.
     """
@@ -591,21 +596,8 @@ def _cut(lo_cut, hi_cut, xstar) -> bool:
 
 
 def fitzpatrick_structured(st: SubdiffStructure1D, x, xstar) -> ExtReal:
-    """Fitzpatrick value over the full 1D subdifferential, not a flattening.
-
-    Evaluates the lines of ``_fitz_lines`` at one x*.
-    """
-    x = _exactify(x)
-    xstar = _exactify(xstar)
-    gen = _fitz_lines(st._order, x)
-    if gen is None:
-        return POS_INF
-    lines, lo_cut, hi_cut = gen
-    if _cut(lo_cut, hi_cut, xstar):
-        return POS_INF
-    if not lines:
-        return NEG_INF
-    return ExtReal(max(a * xstar + c for a, c in lines))
+    """Fitzpatrick value over the full 1D subdifferential, not a flattening."""
+    return fitzpatrick_table(st, [x], [xstar])[0][0]
 
 
 def _graph_order(G: OperatorGraph) -> list:
@@ -633,9 +625,11 @@ def fitzpatrick_table(src, xs, xstars) -> list:
     ``src`` is a ``SubdiffStructure1D`` (the values of
     ``fitzpatrick_structured``) or an ``OperatorGraph`` (the values of
     ``fitzpatrick``).  A structure, or an exact 1D graph with exact probes
-    (read through ``_graph_order``), yields per x the lines of
-    ``_fitz_lines`` (slopes already increasing), which go through
-    ``line_envelope_values`` at the sorted duals: O(m + p) per row after
+    (read through ``_graph_order``), is scaled to ints once per table: the
+    primal numbers over their lcm d1, the dual ones over theirs d2.  Per x
+    the int lines of ``_fitz_lines`` (slopes already increasing) go through
+    ``line_envelope_values`` at the sorted duals, and each value v becomes
+    the cell Fraction(v, d1 * d2): O(m + p) int operations per row after
     one O(p log p) sort, for m breakpoints or distinct anchors.  A float or
     2D graph, or inexact probes, take ``fitzpatrick``'s pair loop per cell.
     """
@@ -646,11 +640,26 @@ def fitzpatrick_table(src, xs, xstars) -> list:
         order = _graph_order(src)
     else:
         order = src._order
+    xs = [_exactify(x) for x in xs]
     xstars = [_exactify(y) for y in xstars]
-    by_value = sorted(range(len(xstars)), key=xstars.__getitem__)
+    primal = [*xs, *(q for c in order for q in (c[0], *(c[4] or ())))]
+    dual = [*xstars, *(q for c in order for q in c[2:4])]
+    d1 = math.lcm(*(q.denominator for q in primal if q is not None))
+    d2 = math.lcm(*(q.denominator for q in dual if q is not None))
+
+    def up(q, d):
+        return None if q is None else q.numerator * (d // q.denominator)
+
+    order = [
+        (up(a, d1), None, up(lo, d2), up(hi, d2), ends and tuple(up(e, d1) for e in ends))
+        for a, _v, lo, hi, ends in order
+    ]
+    ys = [up(y, d2) for y in xstars]
+    by_value = sorted(range(len(ys)), key=ys.__getitem__)
+    den = d1 * d2
     table = []
     for x in xs:
-        gen = _fitz_lines(order, _exactify(x))
+        gen = _fitz_lines(order, up(x, d1))
         row = [POS_INF] * len(xstars)
         table.append(row)
         if gen is None:
@@ -659,10 +668,10 @@ def fitzpatrick_table(src, xs, xstars) -> list:
         if not lines:
             row[:] = [NEG_INF] * len(xstars)
             continue
-        cols = [col for col in by_value if not _cut(lo_cut, hi_cut, xstars[col])]
-        vals = line_envelope_values(lines, [xstars[col] for col in cols])
-        for col, val in zip(cols, vals):
-            row[col] = ExtReal(val)
+        cols = [col for col in by_value if not _cut(lo_cut, hi_cut, ys[col])]
+        vals = line_envelope_values(lines, [ys[col] for col in cols])
+        for col, (val, _i) in zip(cols, vals):
+            row[col] = ExtReal(Fraction(val, den))
     return table
 
 

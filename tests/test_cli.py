@@ -14,7 +14,7 @@ from envcalc.funcrep import (
     load_instance,
     pl_equal,
 )
-from envcalc.operators import graph_dump, subdiff_graph
+from envcalc.operators import OperatorGraph, graph_dump, subdiff_graph
 from envcalc.theoremlab import REGISTRY, TheoremCheck
 
 from test_funcrep import ABS
@@ -417,6 +417,24 @@ def test_probe_grid_sizes_are_bounded():
     with pytest.raises(_UsageError, match="exceeds the limit"):
         _cross(_AxisThatMustNotBeCrossed())
     assert len(_cross((0.0, 1.0))) == 4
+
+
+def test_oversized_fitz_table_exits_2(tmp_path, capsys):
+    pl = write_json(tmp_path / "pl.json", dump_instance(
+        PLConvex1D((F(0), F(1), F(2)), (F(1), F(0), F(1)))))
+    # each grid is within the limit, the 2^20 * 5 cells are not
+    assert main(["fitz", "--instance", pl, "--probes", "0:1:1048576",
+                 "--dual-grid", "0:1:5"]) == 2
+    err = capsys.readouterr().err
+    assert _one_line_error(err) and "fitz table of 5242880 cells" in err
+    g2 = write_json(tmp_path / "g2.json", graph_dump(
+        OperatorGraph(2, (((F(0), F(0)), (F(1), F(0))),))))
+    # 2D: 33^2 x 32^2 cells
+    assert main(["fitz", "--instance", g2, "--probes", "0:1:33",
+                 "--dual-grid", "0:1:32"]) == 2
+    assert "fitz table of 1115136 cells" in capsys.readouterr().err
+    assert main(["fitz", "--instance", pl, "--probes", "0:1:1024",
+                 "--dual-grid", "0:1:2"]) == 0
 
 
 def test_oversized_probe_grids_exit_2(grid_file, tmp_path, capsys):

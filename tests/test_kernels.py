@@ -4,7 +4,8 @@ The oracles below are the per-probe case analyses the kernels replaced:
 a linear scan over every point and segment of the structure for the
 budgeted support sup and for the Fitzpatrick function, a linear scan for
 the subgradient interval, the quadratic max for the conjugate, the
-quadratic chain DP for ``n_cup_envelope``, the per-call sample validation
+quadratic chain DP for ``n_cup_envelope``, the ``Fraction`` line hull the
+scaled-int ``line_envelope_at`` replaced, the per-call sample validation
 for ``epi_cup_member`` and, for the line-hull routes over 1D pair lists,
 the per-cell ``fitzpatrick`` pair loop, the per-probe
 ``MaxAffine.value_at``, the all-pairs relation test of
@@ -28,6 +29,7 @@ from envcalc.funcrep import (
     PLConvex1D,
     dot,
     evaluate,
+    line_envelope_at,
     point_sub,
 )
 from envcalc.envelopes import (
@@ -198,6 +200,50 @@ def n_cup_oracle(f, G, n, x):
     )
 
 
+def _line_envelope_values_oracle(lines, ys):
+    """The upper hull of lines with increasing slopes, swept over ascending
+    ys, in the inputs' own arithmetic; a later line wins ties."""
+    hull = []
+    for s3, c3 in lines:
+        while len(hull) >= 2:
+            (s1, c1), (s2, c2) = hull[-2], hull[-1]
+            # the middle line never tops both neighbours
+            if (c1 - c3) * (s2 - s1) <= (c1 - c2) * (s3 - s1):
+                hull.pop()
+            else:
+                break
+        hull.append((s3, c3))
+    out = []
+    k = 0
+    s, c = hull[0]
+    for y in ys:
+        val = s * y + c
+        while k + 1 < len(hull):
+            nxt = hull[k + 1][0] * y + hull[k + 1][1]
+            if nxt < val:
+                break
+            k += 1
+            s, c = hull[k]
+            val = nxt
+        out.append(val)
+    return out
+
+
+def line_envelope_at_oracle(lines, probes):
+    """The ``Fraction`` ``line_envelope_at`` the scaled-int one replaced:
+    equal slopes keep the first largest intercept, then one hull sweep."""
+    best = {}
+    for s, c in lines:
+        if s not in best or c > best[s]:
+            best[s] = c
+    order = sorted(range(len(probes)), key=probes.__getitem__)
+    vals = _line_envelope_values_oracle(sorted(best.items()), [probes[q] for q in order])
+    out = [None] * len(probes)
+    for q, v in zip(order, vals):
+        out[q] = v
+    return out
+
+
 def epi_cup_membership_oracle(f, G_full, point):
     """Validate every sample against every breakpoint, then test the point."""
     if G_full.dim != 2:
@@ -235,23 +281,24 @@ small = st.fractions(min_value=0, max_value=3, max_denominator=3)
 
 
 @st.composite
-def pl_functions(draw):
+def pl_functions(draw, den=1):
     """Convex PL functions with m in 1..12, frequent slope ties and zero
     slopes, walls or recessions (sometimes equal to the edge slope), and
-    finite or +inf overrides on walls."""
+    finite or +inf overrides on walls.  Denominators are drawn up to a
+    small bound times ``den``."""
     m = draw(st.integers(min_value=1, max_value=12))
-    xs = [draw(st.fractions(min_value=-6, max_value=2, max_denominator=4))]
+    xs = [draw(st.fractions(min_value=-6, max_value=2, max_denominator=4 * den))]
     for _ in range(m - 1):
-        xs.append(xs[-1] + draw(st.fractions(min_value=F(1, 4), max_value=3, max_denominator=4)))
-    s = draw(st.one_of(st.just(F(0)), st.fractions(min_value=-4, max_value=2, max_denominator=3)))
+        xs.append(xs[-1] + draw(st.fractions(min_value=F(1, 4), max_value=3, max_denominator=4 * den)))
+    s = draw(st.one_of(st.just(F(0)), st.fractions(min_value=-4, max_value=2, max_denominator=3 * den)))
     slopes = []
     for _ in range(m - 1):
         slopes.append(s)
         s += draw(st.one_of(st.just(F(0)), small))
-    vals = [draw(st.fractions(min_value=-4, max_value=4, max_denominator=4))]
+    vals = [draw(st.fractions(min_value=-4, max_value=4, max_denominator=4 * den))]
     for i in range(m - 1):
         vals.append(vals[i] + slopes[i] * (xs[i + 1] - xs[i]))
-    first = slopes[0] if slopes else draw(st.fractions(min_value=-2, max_value=1, max_denominator=2))
+    first = slopes[0] if slopes else draw(st.fractions(min_value=-2, max_value=1, max_denominator=2 * den))
     last = slopes[-1] if slopes else first
     left = draw(st.one_of(st.none(), st.builds(lambda d: first - d, small)))
     right = draw(st.one_of(st.none(), st.builds(lambda d: last + d, small)))
@@ -328,9 +375,7 @@ def test_support_sup_matches_scan(f, extra):
                 ), (x, theta, strict)
 
 
-@given(pl_functions(), extras, extras, st.randoms(use_true_random=False))
-@settings(max_examples=40, deadline=None)
-def test_fitzpatrick_table_matches_scan(f, xextra, yextra, rnd):
+def _check_fitzpatrick_table(f, xextra, yextra, rnd):
     st_ = subdiff_structure(f)
     xs = primal_points(f, xextra)
     ys = dual_points(f, yextra)
@@ -344,7 +389,28 @@ def test_fitzpatrick_table_matches_scan(f, xextra, yextra, rnd):
             for y, got in zip(duals, row):
                 want = fitzpatrick_oracle(st_, x, y)
                 assert got == want, (x, y)
+                assert type(got.value) is type(want.value), (x, y)
                 assert fitzpatrick_structured(st_, x, y) == want
+
+
+@given(pl_functions(), extras, extras, st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_fitzpatrick_table_matches_scan(f, xextra, yextra, rnd):
+    _check_fitzpatrick_table(f, xextra, yextra, rnd)
+
+
+wide_extras = st.lists(
+    st.fractions(min_value=-9, max_value=9, max_denominator=2**64), max_size=3
+)
+
+
+@given(pl_functions(den=2**62), wide_extras, wide_extras,
+       st.randoms(use_true_random=False))
+@settings(max_examples=25, deadline=None)
+def test_fitzpatrick_table_matches_scan_wide_denominators(f, xextra, yextra, rnd):
+    """The table's two common denominators (primal, dual) are lcms of up to
+    a few dozen 64-bit denominators."""
+    _check_fitzpatrick_table(f, xextra, yextra, rnd)
 
 
 @given(pl_functions(), extras)
@@ -403,6 +469,51 @@ def test_ncup_hull_dp_matches_quadratic_dp(case, extra):
             want = n_cup_oracle(f, G, n, x)
             assert env.value_at(x) == want, (n, x)
             assert n_cup(f, G, n, x) == want
+
+
+wide_scalar = st.one_of(
+    exact_scalar,
+    st.integers(min_value=-2**70, max_value=2**70),
+    st.builds(F, st.integers(min_value=-2**80, max_value=2**80),
+              st.integers(min_value=1, max_value=2**64)),
+    # integral Fractions: their values must stay Fractions
+    st.builds(F, st.integers(min_value=-9, max_value=9)),
+)
+
+
+@st.composite
+def wide_lines(draw):
+    """Lines with slopes from a small pool (so slopes tie, across int and
+    Fraction spellings of one value too), intercepts of either sign, and
+    probes that repeat; every number an int or a Fraction with a
+    denominator up to 2^64."""
+    slopes = draw(st.lists(wide_scalar, min_size=1, max_size=4))
+    slopes += [F(s) if isinstance(s, int) else s for s in slopes[:1]]
+    lines = draw(st.lists(st.tuples(st.sampled_from(slopes), wide_scalar),
+                          min_size=1, max_size=12))
+    probes = draw(st.lists(st.one_of(wide_scalar, st.sampled_from(slopes)), max_size=8))
+    return lines, probes + probes[:2]
+
+
+@given(wide_lines())
+@settings(max_examples=400, deadline=None)
+def test_line_envelope_at_matches_fraction_oracle(case):
+    lines, probes = case
+    got = line_envelope_at(iter(lines), probes)
+    want = line_envelope_at_oracle(lines, probes)
+    assert got == want
+    assert [type(v) for v in got] == [type(v) for v in want]
+
+
+def test_line_envelope_at_keeps_int_and_fraction_apart():
+    # the tied slope 1 keeps its first spelling (int), the intercept is the
+    # largest (a Fraction 3 beats the int 2); probes of both kinds
+    lines = [(1, 2), (F(1), F(3)), (F(-1, 3), 5), (0, -7)]
+    probes = [9, F(9), F(-12, 5), F(1, 2**64)]
+    got = line_envelope_at(lines, probes)
+    assert got == line_envelope_at_oracle(lines, probes) == [12, 12, 29 / F(5), 5 - F(1, 3 * 2**64)]
+    assert [type(v) for v in got] == [F, F, F, F]
+    assert [type(v) for v in line_envelope_at([(2, -3), (0, 1)], [5, 0])] == [int, int]
 
 
 def _bits(v):
