@@ -312,10 +312,10 @@ def _verb_fitz(args, inst) -> int:
     else:
         raise TypeError("fitz needs a pair graph or a piecewise-linear instance")
     # the table holds one cell per (x, x*), after the 2D cross products
-    cells = (_grid_count(args.probes) * _grid_count(args.dual_grid)) ** dim
-    if cells > MAX_GRID_POINTS:
+    n_cells = (_grid_count(args.probes) * _grid_count(args.dual_grid)) ** dim
+    if n_cells > MAX_GRID_POINTS:
         raise _UsageError(
-            f"fitz table of {cells} cells exceeds the limit of {MAX_GRID_POINTS}"
+            f"fitz table of {n_cells} cells exceeds the limit of {MAX_GRID_POINTS}"
         )
     xs = parse_probe_grid(args.probes, exact=exact)
     ys = parse_probe_grid(args.dual_grid, exact=exact)

@@ -433,6 +433,11 @@ def test_oversized_fitz_table_exits_2(tmp_path, capsys):
     assert main(["fitz", "--instance", g2, "--probes", "0:1:33",
                  "--dual-grid", "0:1:32"]) == 2
     assert "fitz table of 1115136 cells" in capsys.readouterr().err
+    # 2D: one axis of 1025 points crosses to 1025^2 x 1 cells
+    assert main(["fitz", "--instance", g2, "--probes", "0:1:1025",
+                 "--dual-grid", "0:1:1"]) == 2
+    err = capsys.readouterr().err
+    assert _one_line_error(err) and "fitz table of 1050625 cells" in err
     assert main(["fitz", "--instance", pl, "--probes", "0:1:1024",
                  "--dual-grid", "0:1:2"]) == 0
 
