@@ -188,9 +188,9 @@ def _cross(axis) -> tuple:
 
 
 def _verb_conjugate(args, inst) -> int:
-    backend = _backend_for(inst)
-    if isinstance(inst, MaxAffine):
+    if isinstance(inst, MaxAffine):  # 1D converts, 2D raises
         inst = transforms.maxaffine_to_pl(inst)
+    backend = _backend_for(inst)
     if backend == "exact":
         if not isinstance(inst, PLConvex1D):
             raise TypeError("the exact backend needs a piecewise-linear instance")
@@ -217,6 +217,8 @@ def _verb_conjugate(args, inst) -> int:
 
 
 def _verb_clconv(args, inst) -> int:
+    if isinstance(inst, MaxAffine) and inst.dim == 1:
+        inst = transforms.maxaffine_to_pl(inst)
     g = transforms.cl_conv(inst)
     if isinstance(g, PLConvex1D):
         if _emit_instance_json(args.out, g):
@@ -562,8 +564,9 @@ def main(argv=None) -> int:
     except (_UsageError, OSError, KeyError, json.JSONDecodeError) as e:
         print(f"envcalc: {e}", file=sys.stderr)
         return 2
-    except (ValueError, TypeError) as e:
-        # unparseable instance contents are an input problem, not a math one
+    except (ValueError, TypeError, OverflowError) as e:
+        # unparseable instance contents are an input problem, not a math one;
+        # so are numbers past the float range (1e999, ints of 400 digits)
         print(f"envcalc: {e}", file=sys.stderr)
         return 2
 
@@ -594,7 +597,7 @@ def main(argv=None) -> int:
     except _UsageError as e:
         print(f"envcalc: {e}", file=sys.stderr)
         return 2
-    except (ValueError, TypeError) as e:
+    except (ValueError, TypeError, OverflowError) as e:
         print(f"envcalc: {e}", file=sys.stderr)
         return 3
 

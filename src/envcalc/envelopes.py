@@ -22,29 +22,27 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .extreal import ExtReal, NEG_INF, POS_INF, as_extreal
+from .extreal import ExtReal, NEG_INF, POS_INF, as_extreal, ext_sup
 from .funcrep import (
     GridFunction,
     Interval1D,
     MaxAffine,
     PLConvex1D,
     SampledSet,
-    _frac,
     dot,
     effective_domain,
     evaluate,
-    is_exact_scalar,
-    line_envelope_at,
     point_sub,
     write_values_csv,
 )
 from .operators import (
     OperatorGraph,
+    _breakpoint_graph,
     _exactify,
     eps_subdiff_test,
-    grid_subdiff_test,
     subdiff_graph,
     subdiff_structure,
+    subgradient_test,
 )
 from .transforms import conjugate_brute, conjugate_exact, pl_restrict
 
@@ -163,57 +161,28 @@ def circ_exact(f: PLConvex1D) -> PLConvex1D:
 # ---------------------------------------------------------------------------
 
 
-def _breakpoint_graph(f: PLConvex1D) -> list:
-    """(y, f(y)) at every breakpoint where f is finite."""
-    graph = []
-    for y in f.breakpoints:
-        fy = f.value_at(y)
-        if fy.is_finite:
-            graph.append((y, fy.finite()))
-    return graph
-
-
-def _membership_test(f, tol):
-    """Predicate (a, b, fa) -> b passes the subgradient test at a, given the
-    finite value fa = f(a).  On a PLConvex1D it applies ``subdiff_test``'s
-    inequalities to breakpoint values read once, not once per pair."""
-    if isinstance(f, PLConvex1D):
-        graph = _breakpoint_graph(f)
-
-        def pl_test(a, b, fa) -> bool:
-            x, xstar, fx = _frac(a), _frac(b), fa.finite()
-            if any(fy < fx + xstar * (y - x) for y, fy in graph):
-                return False
-            if f.left_recession is not None and xstar < f.left_recession:
-                return False
-            return f.right_recession is None or xstar <= f.right_recession
-
-        return pl_test
-    if isinstance(f, GridFunction):
-        return lambda a, b, _fa: grid_subdiff_test(f, a, b, tol)
-
-    def unsupported(a, b, fa):
-        raise TypeError("unsupported function representation")
-
-    return unsupported
+def _level(f, a, value_at=evaluate):
+    """f(a) as a finite scalar: the level of the support anchored at a."""
+    fa = value_at(f, a)
+    if not fa.is_finite:
+        raise ValueError(f"anchor {a!r} has no finite value")
+    return fa.finite()
 
 
 def upper_envelope(f, G: OperatorGraph, tol=0) -> MaxAffine:
     """Max of the affine supports anchored at the graph pairs.
 
-    Every pair must pass the subgradient membership test for f and anchor at
-    a finite value; violations raise.  An empty graph yields the empty max,
+    Every pair must pass ``subgradient_test(f, tol)`` and anchor at a
+    finite value; violations raise.  An empty graph yields the empty max,
     which is -inf everywhere (improper; see MaxAffine.is_proper).
     """
-    member = _membership_test(f, tol)
+    member = subgradient_test(f, tol)
     pieces = []
     for a, b in G.pairs:
-        fa = evaluate(f, a)
-        if not fa.is_finite:
-            raise ValueError(f"anchor {a!r} has no finite value")
-        if not member(a, b, fa):
+        fa = _level(f, a)
+        if not member(a, b):
             raise ValueError(f"pair ({a!r}, {b!r}) fails the subgradient test")
-        pieces.append((a, b, fa.finite()))
+        pieces.append((a, b, fa))
     return MaxAffine(G.dim, tuple(pieces), label=G.label)
 
 
@@ -244,12 +213,17 @@ def cup_dual_value(f, G: OperatorGraph, x) -> ExtReal:
     sup over the same dual points must reproduce the envelope exactly.
     """
     fstar = _conjugate_at(f)
-    best = NEG_INF
-    for b in {b for _a, b in G.pairs}:
-        cand = as_extreal(dot(x, b, G.dim) - fstar(b))
-        if cand > best:
-            best = cand
-    return best
+    o = 0 if G.dim == 1 else (0, 0)
+    duals = {b for _a, b in G.pairs}
+    return MaxAffine(G.dim, tuple((o, b, -fstar(b)) for b in duals)).value_at(x)
+
+
+def _star_pieces(f, G: OperatorGraph) -> MaxAffine:
+    """xstar -> <xstar, a> - f(a) over the graph anchors a, as pieces
+    anchored at the origin."""
+    o = 0 if G.dim == 1 else (0, 0)
+    anchors = {a for a, _b in G.pairs}
+    return MaxAffine(G.dim, tuple((o, a, -_level(f, a)) for a in anchors))
 
 
 def star_cup(f, G: OperatorGraph, xstar) -> ExtReal:
@@ -257,26 +231,13 @@ def star_cup(f, G: OperatorGraph, xstar) -> ExtReal:
 
     At xstar = 0 this is minus the infimum of f over the anchor set.
     """
-    best = NEG_INF
-    for a in {a for a, _b in G.pairs}:
-        fa = evaluate(f, a)
-        if not fa.is_finite:
-            raise ValueError(f"anchor {a!r} has no finite value")
-        cand = as_extreal(dot(xstar, a, G.dim) - fa.finite())
-        if cand > best:
-            best = cand
-    return best
+    return _star_pieces(f, G).value_at(xstar)
 
 
 def star_cup_dual(f, G: OperatorGraph, xstar) -> ExtReal:
     """Cross-check route for star_cup: <xstar - a*, a> + f*(a*) per pair."""
     fstar = _conjugate_at(f)
-    best = NEG_INF
-    for a, b in G.pairs:
-        cand = as_extreal(dot(point_sub(xstar, b, G.dim), a, G.dim) + fstar(b))
-        if cand > best:
-            best = cand
-    return best
+    return MaxAffine(G.dim, tuple((b, a, fstar(b)) for a, b in G.pairs)).value_at(xstar)
 
 
 def circ(f, G: OperatorGraph, dual_points, probes) -> tuple:
@@ -286,17 +247,11 @@ def circ(f, G: OperatorGraph, dual_points, probes) -> tuple:
     lower bound of the exact construction; equality statements live on the
     exact backend (circ_exact).
     """
-    anchors = []
-    vals = []
-    for a in {a for a, _b in G.pairs}:
-        fa = evaluate(f, a)
-        if not fa.is_finite:
-            raise ValueError(f"anchor {a!r} has no finite value")
-        anchors.append(a)
-        vals.append(float(fa.finite()))
+    anchors = tuple({a for a, _b in G.pairs})
     if not anchors:
         return tuple((x, NEG_INF) for x in probes)
-    restricted = GridFunction(G.dim, tuple(anchors), tuple(vals))
+    vals = tuple(float(_level(f, a)) for a in anchors)
+    restricted = GridFunction(G.dim, anchors, vals)
     conj = conjugate_brute(restricted, tuple(dual_points))
     back = conjugate_brute(conj, tuple(probes))
     return tuple(zip(back.points, back.values))
@@ -310,41 +265,22 @@ def n_cup_envelope(f, G: OperatorGraph, n: int) -> MaxAffine:
     anchor from the tail leaves one piece (a_p, b_p, level_p) per pair,
     after n - 1 steps level_q = max_p level_p + <b_p, a_q - a_p> from
     level_p = f(a_p); n_cup_enum enumerates the chains for cross-checking.
-    On a 1D graph with exact pairs and levels a step is the upper hull of
-    the lines (slope b_p, intercept level_p - b_p a_p) evaluated at the
-    anchors by ``line_envelope_at``, O(P log P);
-    floats and 2D graphs take the direct O(P^2) max.  The empty graph
-    gives the empty max, -inf everywhere.
+    Each step is the current envelope's ``MaxAffine.values_at`` at the
+    anchors: one line hull, O(P log P), on an exact 1D graph, the direct
+    O(P^2) max otherwise.  Float levels that overflow stay float infinities.
+    The empty graph gives the empty max, -inf everywhere.
     """
     if n not in (2, 3, 4):
         raise ValueError("n must be one of 2, 3, 4")
-    ps = G.pairs
-    level = []
-    for a, _b in ps:
-        fa = evaluate(f, a)
-        if not fa.is_finite:
-            raise ValueError(f"anchor {a!r} has no finite value")
-        level.append(fa.finite())
-    exact = G.dim == 1 and bool(ps) and all(
-        is_exact_scalar(v) for (a, b), lv in zip(ps, level) for v in (a, b, lv)
-    )
-    anchors = [a for a, _b in ps]
+    pieces = [(a, b, _level(f, a)) for a, b in G.pairs]
+    anchors = [a for a, _b in G.pairs]
     for _ in range(n - 1):
-        if exact:
-            level = line_envelope_at(
-                ((b, lv - b * a) for (a, b), lv in zip(ps, level)), anchors
-            )
-        else:
-            level = [
-                max(
-                    level[p] + dot(ps[p][1], point_sub(aq, ps[p][0], G.dim), G.dim)
-                    for p in range(len(ps))
-                )
-                for aq, _bq in ps
-            ]
-    return MaxAffine(
-        G.dim, tuple((a, b, lv) for (a, b), lv in zip(ps, level)), label=G.label
-    )
+        levels = MaxAffine(G.dim, pieces).values_at(anchors)
+        pieces = [
+            (a, b, lv.value if lv.is_finite else float(lv))
+            for (a, b, _), lv in zip(pieces, levels)
+        ]
+    return MaxAffine(G.dim, tuple(pieces), label=G.label)
 
 
 def n_cup(f, G: OperatorGraph, n: int, x) -> ExtReal:
@@ -388,17 +324,12 @@ def _budgeted_sup(f, G: OperatorGraph, x, slack) -> ExtReal:
     """sup of the supports anchored at pairs with f(a) <= f(x) + slack; the
     budget is dropped when f(x) = +inf."""
     fx = _budget_value(f, x)
-    best = NEG_INF
-    for a, b in G.pairs:
-        fa = _budget_value(f, a)
-        if not fa.is_finite:
-            raise ValueError(f"anchor {a!r} has no finite value")
-        if not fx.is_pos_inf and not fa.finite() <= fx.finite() + slack:
-            continue
-        cand = as_extreal(fa.finite() + dot(b, point_sub(x, a, G.dim), G.dim))
-        if cand > best:
-            best = cand
-    return best
+    pieces = ((a, b, _level(f, a, _budget_value)) for a, b in G.pairs)
+    return ext_sup(
+        fa + dot(b, point_sub(x, a, G.dim), G.dim)
+        for a, b, fa in pieces
+        if fx.is_pos_inf or fa <= fx.finite() + slack
+    )
 
 
 def smile(f, G: OperatorGraph, x) -> ExtReal:
@@ -493,12 +424,7 @@ def epi_normal_graph(f: PLConvex1D, G: OperatorGraph | None = None) -> OperatorG
     """
     if G is None:
         G = subdiff_graph(f)
-    pairs = []
-    for a, b in G.pairs:
-        fa = f.value_at(a)
-        if not fa.is_finite:
-            raise ValueError(f"anchor {a!r} has no finite value")
-        pairs.append(((a, fa.finite()), (b, Fraction(-1))))
+    pairs = [((a, _level(f, a)), (b, Fraction(-1))) for a, b in G.pairs]
     if f.left_recession is None and f.override_left is None:
         pairs.append(
             ((f.breakpoints[0], f.values[0]), (Fraction(-1), Fraction(0)))
@@ -721,7 +647,8 @@ class EnvelopeResult:
         if isinstance(self.carrier, MaxAffine):
             if probes is None:
                 raise ValueError("a MaxAffine carrier needs probes to tabulate")
-            return tuple((x, self.carrier.value_at(x)) for x in probes)
+            probes = list(probes)
+            return tuple(zip(probes, self.carrier.values_at(probes)))
         return tuple(self.carrier)
 
     def write_csv(self, path, probes=None) -> None:
@@ -791,7 +718,7 @@ def envelope_result(
             # without supplied normal samples the sampled hull is everything
             rows = portable_envelope(f, G, OperatorGraph(G.dim, ()), probes)
         elif kind == "starcup":
-            rows = tuple((p, star_cup(f, G, p)) for p in probes)
+            rows = tuple(zip(probes, _star_pieces(f, G).values_at(probes)))
         elif kind == "circ":
             if dual_points is None:
                 raise ValueError("circ needs a dual grid")

@@ -211,25 +211,49 @@ def subdiff_exact(f: PLConvex1D, x) -> Interval1D | None:
     return Interval1D(s[i - 1], s[i - 1])
 
 
-def subdiff_test(f: PLConvex1D, x, xstar) -> bool:
-    """Inequality route: f(y) >= f(x) + xstar*(y-x) checked at every
-    breakpoint plus both recession directions.  Independent of the interval
-    arithmetic in subdiff_exact on purpose."""
-    x = _frac(x)
-    xstar = _frac(xstar)
-    fx = f.value_at(x)
-    if not fx.is_finite:
-        return False
-    fx = fx.finite()
-    for y in f.breakpoints:
-        fy = f.value_at(y)
-        if fy.is_finite and fy.finite() < fx + xstar * (y - x):
+def _breakpoint_graph(f: PLConvex1D) -> list:
+    """(y, f(y)) at every breakpoint where f is finite."""
+    values = ((y, f.value_at(y)) for y in f.breakpoints)
+    return [(y, fy.finite()) for y, fy in values if fy.is_finite]
+
+
+def subgradient_test(f, tol=0):
+    """The predicate (x, x*) -> is x* a subgradient of f at x?
+
+    On a PLConvex1D, exactly (tol is unused): f(x) is finite, f(y) >=
+    f(x) + x*(y - x) at every breakpoint y where f is finite, with f's
+    breakpoint values read once per predicate, and x* lies between the
+    recession slopes; independent of subdiff_exact on purpose.  On a
+    GridFunction it is ``grid_subdiff_test`` within tol.  Any other
+    representation gets a predicate that raises TypeError when called.
+    """
+    if isinstance(f, GridFunction):
+        return lambda x, xstar: grid_subdiff_test(f, x, xstar, tol)
+    if not isinstance(f, PLConvex1D):
+        def unsupported(x, xstar):
+            raise TypeError("unsupported function representation")
+        return unsupported
+    graph = _breakpoint_graph(f)
+    lrec, rrec = f.left_recession, f.right_recession
+
+    def test(x, xstar) -> bool:
+        x, xstar = _frac(x), _frac(xstar)
+        fx = f.value_at(x)
+        if not fx.is_finite:
             return False
-    if f.left_recession is not None and xstar < f.left_recession:
-        return False
-    if f.right_recession is not None and xstar > f.right_recession:
-        return False
-    return True
+        fx = fx.finite()
+        if any(fy < fx + xstar * (y - x) for y, fy in graph):
+            return False
+        return (lrec is None or xstar >= lrec) and (rrec is None or xstar <= rrec)
+
+    return test
+
+
+def subdiff_test(f: PLConvex1D, x, xstar) -> bool:
+    """One call of ``subgradient_test(f)``: the inequality route."""
+    if not isinstance(f, PLConvex1D):
+        raise TypeError("subdiff_test takes a PLConvex1D")
+    return subgradient_test(f)(x, xstar)
 
 
 _CHUNK_CELLS = 1 << 20

@@ -47,7 +47,6 @@ from .funcrep import (
     GridFunction,
     Interval1D,
     PLConvex1D,
-    _frac,
     effective_domain,
     is_convex_on_grid,
     lsc_defect,
@@ -66,9 +65,9 @@ from .operators import (
     subdiff_graph,
     subdiff_structure,
     subdiff_test,
+    subgradient_test,
 )
 from .envelopes import (
-    _membership_test,
     brondsted_search,
     circ_exact,
     cup_exact,
@@ -178,18 +177,6 @@ def _grid_graph_exact(f: GridFunction, duals) -> OperatorGraph:
             if all(fy >= fa + s * (y - a) for y, fy in items):
                 pairs.append((a, s))
     return OperatorGraph(1, tuple(pairs), label=f.label)
-
-
-def _subgradient_test(f: PLConvex1D):
-    """The predicate (a, b) -> ``subdiff_test(f, a, b)``, reading f's
-    breakpoint values once instead of once per pair."""
-    member = _membership_test(f, 0)
-
-    def test(a, b) -> bool:
-        fa = f.value_at(_frac(a))
-        return fa.is_finite and member(a, b, fa)
-
-    return test
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +330,7 @@ def _check_dfdom_i(tid, desc, ctx):
     else:
         h, G, backend = ctx.closure, ctx.probe_graph, "exact"
         value = ctx.inst.value_at
-    test = _subgradient_test(h)
+    test = subgradient_test(h)
     for a, b in G.pairs:
         if not test(a, b):
             return _done(tid, desc, False, witness=(a, b), backend=backend)
@@ -498,7 +485,7 @@ def _check_fcupdiez_iii(tid, desc, ctx):
 
 def _check_fcupdiez_iv(tid, desc, ctx):
     f, cupf, shf = ctx.inst, ctx.cup, ctx.sharp
-    cup_test, sharp_test = _subgradient_test(cupf), _subgradient_test(shf)
+    cup_test, sharp_test = subgradient_test(cupf), subgradient_test(shf)
     for a, b in ctx.probe_graph.pairs:
         if not (cup_test(a, b) and sharp_test(a, b)):
             return _done(tid, desc, False, witness=(a, b))
@@ -597,7 +584,7 @@ def _check_fcirc_iii(tid, desc, ctx):
         rhs = _interval_intersect(subdiff_exact(circf, x), R)
         if lhs != rhs:
             return _done(tid, desc, False, witness=x)
-    test = _subgradient_test(circf)
+    test = subgradient_test(circf)
     for a, b in ctx.graph.pairs:
         if not test(a, b):
             return _done(tid, desc, False, witness=(a, b))

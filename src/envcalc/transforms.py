@@ -297,11 +297,13 @@ def _inf_conv_grid(f: GridFunction, g: GridFunction) -> GridFunction:
             f"inf-convolution of {len(fv)} x {len(gv)} finite samples exceeds "
             f"the limit of {MAX_INF_CONV_PAIRS} pairs"
         )
-    if f.dim == 1:
-        sums = (fx[:, None] + gx[None, :]).reshape(-1, 1)
-    else:
-        sums = (fx[:, None, :] + gx[None, :, :]).reshape(-1, 2)
-    vals = (fv[:, None] + gv[None, :]).reshape(-1)
+    # sums past the float range are infinities for GridFunction to refuse
+    with np.errstate(over="ignore"):
+        if f.dim == 1:
+            sums = (fx[:, None] + gx[None, :]).reshape(-1, 1)
+        else:
+            sums = (fx[:, None, :] + gx[None, :, :]).reshape(-1, 2)
+        vals = (fv[:, None] + gv[None, :]).reshape(-1)
     order = np.lexsort((vals, *sums.T[::-1]))
     s = sums[order]
     starts = np.flatnonzero(np.r_[True, (s[1:] != s[:-1]).any(axis=1)])

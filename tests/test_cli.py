@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
+import os
+import random
 import subprocess
 import sys
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from envcalc.cli import build_parser, main, parse_probe_grid
 from envcalc.funcrep import (
@@ -15,7 +21,7 @@ from envcalc.funcrep import (
     pl_equal,
 )
 from envcalc.operators import OperatorGraph, graph_dump, subdiff_graph
-from envcalc.theoremlab import REGISTRY, TheoremCheck
+from envcalc.theoremlab import REGISTRY, InstanceGenerator, TheoremCheck
 
 from test_funcrep import ABS
 
@@ -474,3 +480,246 @@ def test_grid_file_with_infinite_point_exits_2(tmp_path, capsys, points):
     assert main(["conjugate", "--instance", str(path)]) == 2
     err = capsys.readouterr().err
     assert _one_line_error(err) and "finite" in err
+
+
+# ---------------------------------------------------------------------------
+# 1D maxaffine files
+# ---------------------------------------------------------------------------
+
+MA_1D = {"kind": "maxaffine", "dim": 1, "pieces": [
+    {"anchor": 0, "slope": -1, "level": 0}, {"anchor": 0, "slope": 2, "level": 1},
+]}
+
+
+@pytest.mark.parametrize("backend", [None, "exact"])
+def test_maxaffine_1d_file_takes_the_exact_route(tmp_path, capsys, monkeypatch, backend):
+    # max(-x, 2x + 1) converts to its PL form before a backend is chosen
+    if backend is not None:
+        monkeypatch.setenv("ENVCALC_BACKEND", backend)
+    ma = write_json(tmp_path / "ma.json", MA_1D)
+    assert main(["conjugate", "--instance", ma, "--dual-grid", "-1:2:4"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "x,value", "-1,0", "0,-1/3", "1,-2/3", "2,-1"]
+    assert main(["clconv", "--instance", ma, "--probes", "0:1:3"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["x,value", "0,1", "1/2,2", "1,3"]
+    assert main(["clconv", "--instance", ma]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "x,value"
+
+
+def test_maxaffine_2d_file_still_refused_by_conjugate(tmp_path, capsys):
+    ma = write_json(tmp_path / "ma2.json", {"kind": "maxaffine", "dim": 2, "pieces": [
+        {"anchor": [0, 0], "slope": [1, 0], "level": 0}]})
+    assert main(["conjugate", "--instance", ma]) == 3
+    assert _one_line_error(capsys.readouterr().err)
+
+
+_HUGE = 10**400
+
+
+@pytest.mark.parametrize("argv, payloads, rc", [
+    # 1e999 reads as a float infinity, which no Fraction takes
+    (["conjugate"], ['{"kind": "plconvex1d", "breakpoints": [1e999], "values": [0]}'], 2),
+    (["envelope", "--kind", "circ", "--probes", "0:1:2"],
+     ['{"kind": "opgraph", "dim": 1e999, "pairs": []}'], 2),
+    (["clconv", "--probes", "-2:1:4"], [json.dumps({"kind": "maxaffine", "dim": 2, "pieces": [
+        {"anchor": [0, 0], "slope": [0, _HUGE], "level": 2}]})], 3),
+    # sums past the float range: refused without a numpy warning
+    (["infconv"], [json.dumps({"kind": "grid", "dim": 1, "points": [0.0, 1.0],
+                               "values": [-1e308, -1e308]})] * 2, 3),
+    (["infconv"], [json.dumps({"kind": "grid", "dim": 1, "points": [1e308, 1.0],
+                               "values": [0.0, 1.0]})] * 2, 3),
+])
+def test_numbers_past_the_float_range_exit_with_one_line(tmp_path, capsys, argv, payloads, rc):
+    for i, text in enumerate(payloads):
+        path = tmp_path / f"i{i}.json"
+        path.write_text(text)
+        argv = argv + ["--instance", str(path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == rc
+    assert _one_line_error(capsys.readouterr().err)
+
+
+# ---------------------------------------------------------------------------
+# the CLI under random instance files
+# ---------------------------------------------------------------------------
+
+_good_scalar = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from(["1/2", "-3/4", "0.5", "2", 0.25, -1.5, 2.0]),
+)
+_bad_scalar = st.one_of(
+    st.sampled_from([
+        10**400, -(10**400), 2**64, 1e308, -1e308, float("inf"), float("-inf"),
+        float("nan"), "1/0", "inf", "-inf", "abc", "", "1e999", None, True, [], {},
+    ]),
+    st.integers(-(10**30), 10**30),
+)
+_scalar = st.one_of(_good_scalar, _good_scalar, _good_scalar, _bad_scalar)
+_point = st.one_of(_scalar, st.lists(_scalar, min_size=1, max_size=3))
+_dim = st.one_of(st.sampled_from([1, 1, 2, 2]), _bad_scalar)
+
+
+def _fields(**strategies):
+    """A dict strategy whose keys are each sometimes left out."""
+    return st.fixed_dictionaries({}, optional=strategies)
+
+
+_raw_instances = st.one_of(
+    st.builds(lambda d: {"kind": "plconvex1d", **d}, _fields(
+        breakpoints=st.lists(_scalar, max_size=4), values=st.lists(_scalar, max_size=4),
+        left_recession=st.one_of(_scalar, st.just("stop")),
+        right_recession=st.one_of(_scalar, st.just("stop")),
+        override_left=_scalar, override_right=_scalar, label=st.just("fz"))),
+    st.builds(lambda d: {"kind": "grid", **d}, _fields(
+        dim=_dim, points=st.lists(_point, max_size=4), values=st.lists(_scalar, max_size=4))),
+    st.builds(lambda d: {"kind": "indicator", **d}, _fields(
+        dim=_dim, points=st.lists(_point, max_size=4))),
+    st.builds(lambda d: {"kind": "interval", **d}, _fields(
+        lo=_scalar, hi=_scalar, lo_open=st.booleans(), hi_open=_scalar)),
+    st.builds(lambda d: {"kind": "maxaffine", **d}, _fields(
+        dim=_dim, pieces=st.lists(_fields(anchor=_point, slope=_point, level=_scalar),
+                                  max_size=3))),
+    st.builds(lambda d: {"kind": "opgraph", **d}, _fields(
+        dim=_dim, pairs=st.lists(st.lists(_point, min_size=2, max_size=2), max_size=4))),
+    st.one_of(st.just({"kind": "mystery"}), st.lists(_scalar, max_size=2), _scalar),
+)
+
+
+def _valid_payload(seed: int, which: int):
+    gen = InstanceGenerator(seed)
+    rnd = random.Random(seed)
+    small = [rnd.randint(-3, 3) for _ in range(4)]
+    objs = (
+        lambda: dump_instance(gen.pl_convex()),
+        lambda: dump_instance(gen.pl_convex_with_override()),
+        lambda: dump_instance(gen.grid_nonconvex()),
+        lambda: dump_instance(gen.indicator_set()),
+        lambda: graph_dump(gen.operator_graph()),
+        lambda: dump_instance(GridFunction(
+            2, ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)),
+            tuple(float(v) for v in small))),
+        lambda: {"kind": "maxaffine", "dim": 1, "pieces": [
+            {"anchor": 0, "slope": small[0], "level": small[1]},
+            {"anchor": small[2], "slope": small[3] + 4, "level": 0}]},
+        lambda: {"kind": "maxaffine", "dim": 2, "pieces": [
+            {"anchor": [0, 0], "slope": small[:2], "level": small[2]}]},
+        lambda: {"kind": "indicator", "dim": 1, "points": [0.0, 0.5, 2.0]},
+    )
+    return json.loads(json.dumps(objs[which % len(objs)]()))
+
+
+def _leaves(obj, path=()):
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            yield from _leaves(v, path + (k,))
+    elif isinstance(obj, list):
+        for i, v in enumerate(obj):
+            yield from _leaves(v, path + (i,))
+    elif path:
+        yield path
+
+
+@st.composite
+def _instances(draw):
+    """A well-formed instance file with up to two entries replaced by junk
+    or dropped, or (one time in four) a file of random fields."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(_raw_instances)
+    payload = _valid_payload(draw(st.integers(0, 10**6)), draw(st.integers(0, 8)))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        path = draw(st.sampled_from(list(_leaves(payload))))
+        parent = payload
+        for k in path[:-1]:
+            parent = parent[k]
+        if isinstance(parent, dict) and draw(st.integers(0, 4)) == 0:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(st.one_of(_bad_scalar, _good_scalar))
+    return payload
+
+
+_grid_spec = st.one_of(
+    st.builds(
+        lambda a, b, n: f"{a}:{b}:{n}",
+        st.sampled_from(["-2", "-1/2", "0", "1/3"]),
+        st.sampled_from(["1", "5/2", "3"]),
+        st.integers(1, 4),
+    ),
+    st.builds(
+        lambda a, b, n: f"{a}:{b}:{n}",
+        st.sampled_from(["0", "1/0", "x", "1e999", "0.5"]),
+        st.sampled_from(["1", "-2", "1.5", "inf"]),
+        st.sampled_from(["1", "0", "-1", "z"]),
+    ),
+)
+_CHEAP_GALLERIES = ("quadratic", "open-interval", "half-circle", "two-patch")
+
+
+@st.composite
+def _cli_runs(draw):
+    """(verb argv, instance payloads, ENVCALC_BACKEND or None)."""
+    verb = draw(st.sampled_from([
+        "conjugate", "clconv", "subdiff", "hull", "infconv", "fitz", "envelope",
+        "check", "suite", "gallery",
+    ]))
+    n_inst = {"infconv": 2, "suite": 0, "gallery": 0}.get(verb, 1)
+    payloads = [draw(_instances()) for _ in range(n_inst)]
+    argv = [verb]
+    if verb == "check":
+        argv.append(draw(st.sampled_from(sorted(REGISTRY))))
+    elif verb == "suite":
+        argv += [draw(st.sampled_from(sorted(REGISTRY))), "--seed", str(draw(st.integers(0, 50))),
+                 "-n", "1"]
+    elif verb == "gallery":
+        argv.append(draw(st.sampled_from(_CHEAP_GALLERIES)))
+    elif verb == "envelope":
+        argv += ["--kind", draw(st.sampled_from(
+            ["cup", "sharp", "starcup", "circ", "ncup", "smile", "smileeps"]))]
+        if draw(st.integers(0, 3)) > 0:
+            argv += ["--n", str(draw(st.integers(1, 5)))]
+        if draw(st.booleans()):
+            argv += ["--eps", draw(st.sampled_from(["1/3", "0.25", "0", "-1", "x"]))]
+    flags = ["--probes", "--dual-grid"] if verb not in ("suite", "gallery") else []
+    for flag in flags:
+        if draw(st.integers(0, 5)) > 0:
+            argv += [flag, draw(_grid_spec)]
+    if verb == "subdiff" and draw(st.booleans()):
+        argv += ["--tolerance", "0.125"]
+    backend = draw(st.sampled_from([None, "exact", "grid"]))
+    return argv, payloads, backend
+
+
+@given(_cli_runs())
+@settings(max_examples=500, deadline=None)
+def test_cli_fuzz_exits_cleanly(tmp_path_factory, run):
+    """Random instance files and grid specs under every verb (bench aside,
+    for its run time) and both backends: main returns 0-3, raises nothing
+    and warns nothing; an exit 2 is one ``envcalc:`` line, and so is an
+    exit 3 unless it is ``check``'s not-applicable verdict on stdout."""
+    argv, payloads, backend = run
+    d = tmp_path_factory.mktemp("fz")
+    for i, payload in enumerate(payloads):
+        path = d / f"i{i}.json"
+        path.write_text(json.dumps(payload))
+        argv += ["--instance", str(path)]
+    out, err = io.StringIO(), io.StringIO()
+    old = os.environ.pop("ENVCALC_BACKEND", None)
+    if backend is not None:
+        os.environ["ENVCALC_BACKEND"] = backend
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(argv)
+    finally:
+        os.environ.pop("ENVCALC_BACKEND", None)
+        if old is not None:
+            os.environ["ENVCALC_BACKEND"] = old
+    assert rc in (0, 1, 2, 3), (argv, payloads)
+    # a warning would print to stderr next to the error line
+    assert not caught, (argv, payloads, [str(w.message) for w in caught])
+    verdict_na = argv[0] == "check" and rc == 3 and not err.getvalue() \
+        and "not-applicable" in out.getvalue()
+    if rc == 2 or (rc == 3 and not verdict_na):
+        assert _one_line_error(err.getvalue()), (argv, payloads, err.getvalue())

@@ -9,9 +9,11 @@ scaled-int ``line_envelope_at`` replaced, the per-call sample validation
 for ``epi_cup_member`` and, for the line-hull routes over 1D pair lists,
 the per-cell ``fitzpatrick`` pair loop, the per-probe
 ``MaxAffine.value_at``, the all-pairs relation test of
-``is_maximal_relative``, per-pair ``subdiff_test`` validation in
-``upper_envelope`` and in the theorem checks, and the structure walk of
-``range_interval``.  They live here only, as references; exact comparisons
+``is_maximal_relative``, the per-call ``subdiff_test`` loop that
+``subgradient_test`` replaced (per-pair validation in ``upper_envelope``
+and in the theorem checks), the max loops of ``star_cup``,
+``cup_dual_value`` and ``star_cup_dual`` that ``MaxAffine`` replaced, and
+the structure walk of ``range_interval``.  They live here only, as references; exact comparisons
 are exact and float comparisons are bit for bit.
 """
 
@@ -27,12 +29,15 @@ from envcalc.funcrep import (
     Interval1D,
     MaxAffine,
     PLConvex1D,
+    _frac,
     dot,
     evaluate,
     line_envelope_at,
     point_sub,
 )
 from envcalc.envelopes import (
+    _conjugate_at,
+    cup_dual_value,
     cup_value,
     epi_cup_member,
     epi_cup_membership,
@@ -41,10 +46,13 @@ from envcalc.envelopes import (
     n_cup_envelope,
     smile_eps_value,
     smile_value,
+    star_cup,
+    star_cup_dual,
     upper_envelope,
 )
 from envcalc.operators import (
     MaximalityVerdict,
+    grid_subdiff_test,
     OperatorGraph,
     _exactify,
     fitzpatrick,
@@ -56,8 +64,9 @@ from envcalc.operators import (
     subdiff_graph,
     subdiff_structure,
     subdiff_test,
+    subgradient_test,
 )
-from envcalc.theoremlab import InstanceGenerator, _subgradient_test, range_interval
+from envcalc.theoremlab import InstanceGenerator, range_interval
 from envcalc.transforms import conjugate_exact
 
 
@@ -198,6 +207,61 @@ def n_cup_oracle(f, G, n, x):
             for p in range(len(ps))
         )
     )
+
+
+def subdiff_test_oracle(f, x, xstar):
+    """The per-call inequality loop: f(y) >= f(x) + xstar*(y-x) at every
+    breakpoint, each value read anew, plus both recession directions."""
+    x = _frac(x)
+    xstar = _frac(xstar)
+    fx = f.value_at(x)
+    if not fx.is_finite:
+        return False
+    fx = fx.finite()
+    for y in f.breakpoints:
+        fy = f.value_at(y)
+        if fy.is_finite and fy.finite() < fx + xstar * (y - x):
+            return False
+    if f.left_recession is not None and xstar < f.left_recession:
+        return False
+    if f.right_recession is not None and xstar > f.right_recession:
+        return False
+    return True
+
+
+def star_cup_oracle(f, G, xstar):
+    """max over the distinct anchors a of <xstar, a> - f(a), first max kept."""
+    best = NEG_INF
+    for a in {a for a, _b in G.pairs}:
+        fa = evaluate(f, a)
+        if not fa.is_finite:
+            raise ValueError(f"anchor {a!r} has no finite value")
+        cand = as_extreal(dot(xstar, a, G.dim) - fa.finite())
+        if cand > best:
+            best = cand
+    return best
+
+
+def cup_dual_value_oracle(f, G, x):
+    """max over the distinct duals b of <x, b> - f*(b), first max kept."""
+    fstar = _conjugate_at(f)
+    best = NEG_INF
+    for b in {b for _a, b in G.pairs}:
+        cand = as_extreal(dot(x, b, G.dim) - fstar(b))
+        if cand > best:
+            best = cand
+    return best
+
+
+def star_cup_dual_oracle(f, G, xstar):
+    """max over the pairs (a, b) of <xstar - b, a> + f*(b), first max kept."""
+    fstar = _conjugate_at(f)
+    best = NEG_INF
+    for a, b in G.pairs:
+        cand = as_extreal(dot(point_sub(xstar, b, G.dim), a, G.dim) + fstar(b))
+        if cand > best:
+            best = cand
+    return best
 
 
 def _line_envelope_values_oracle(lines, ys):
@@ -567,6 +631,19 @@ def test_ncup_empty_graph_and_depth():
         n_cup_envelope(PLConvex1D((F(1), F(2)), (F(0), F(0))), off, 2)
 
 
+def test_ncup_float_levels_overflow_to_float_inf():
+    # levels past the float range stay float infinities, as in the DP
+    f = GridFunction(1, (0.0, 1.0, 2.0), (1e308, 1e308, 0.0))
+    G = OperatorGraph(1, ((0.0, 1e308), (1.0, 1e308), (2.0, -1e308)))
+    for n in (2, 3, 4):
+        env = n_cup_envelope(f, G, n)
+        levels = [lv for _a, _b, lv in env.pieces]
+        assert [repr(lv) for lv in levels] == [repr(lv) for lv in n_cup_levels_oracle(f, G, n)]
+        assert float("inf") in levels
+        for x in (0.0, 1.5, 3.0):
+            assert _bits(env.value_at(x)) == _bits(n_cup_oracle(f, G, n, x))
+
+
 # ---------------------------------------------------------------------------
 # epigraph membership against per-call validation
 # ---------------------------------------------------------------------------
@@ -685,7 +762,7 @@ def upper_envelope_oracle(f, G):
         fa = evaluate(f, a)
         if not fa.is_finite:
             raise ValueError(f"anchor {a!r} has no finite value")
-        if not subdiff_test(f, a, b):
+        if not subdiff_test_oracle(f, a, b):
             raise ValueError(f"pair ({a!r}, {b!r}) fails the subgradient test")
         pieces.append((a, b, fa.finite()))
     return tuple(pieces)
@@ -876,16 +953,18 @@ def test_upper_envelope_validation_matches_per_pair_test(f, extra, rnd):
 @given(pl_functions(), extras)
 @settings(max_examples=150, deadline=None)
 def test_check_subgradient_predicate_matches_subdiff_test(f, extra):
-    """The one-pass predicate the checks use, at breakpoints, drawn points
-    and points off the domain, for slopes at and next to the interval ends."""
-    test = _subgradient_test(f)
+    """The one-pass predicate the checks use, and ``subdiff_test`` (one call
+    of it), against the per-call loop at breakpoints, drawn points and
+    points off the domain, for slopes at and next to the interval ends."""
+    test = subgradient_test(f)
     b = f.breakpoints
     for a in b + tuple(extra) + (b[0] - 5, b[-1] + 5):
         iv = subdiff_exact(f, a)
         ends = [e for e in (iv.lo, iv.hi) if e is not None] if iv else []
         for s in ends or [F(0)]:
             for d in (F(-1, 7), F(0), F(1, 7)):
-                assert test(a, s + d) == subdiff_test(f, a, s + d)
+                want = subdiff_test_oracle(f, a, s + d)
+                assert test(a, s + d) == subdiff_test(f, a, s + d) == want
 
 
 def test_upper_envelope_validation_errors():
@@ -898,6 +977,69 @@ def test_upper_envelope_validation_errors():
     with pytest.raises(TypeError, match="unsupported"):
         upper_envelope(MaxAffine(1, ((0, 0, 0),)), OperatorGraph(1, ((0, 0),)))
     assert upper_envelope(MaxAffine(1, ()), OperatorGraph(1, ())).pieces == ()
+
+
+def test_subgradient_test_dispatch():
+    g = GridFunction(1, (-1.0, 0.0, 1.0), (1.0, 0.0, 1.0))
+    test = subgradient_test(g, 0.25)
+    for a, s in ((0.0, 1.0), (0.0, 1.2), (0.0, 1.5), (1.0, 0.5), (1.0, 2.0), (9.0, 0.0)):
+        assert test(a, s) == grid_subdiff_test(g, a, s, 0.25)
+    assert test(0.0, 1.2) and not subgradient_test(g)(0.0, 1.2)
+    with pytest.raises(TypeError, match="subdiff_test takes a PLConvex1D"):
+        subdiff_test(g, 0, 0)
+    with pytest.raises(TypeError, match="unsupported"):
+        subgradient_test(MaxAffine(1, ()))(0, 0)
+
+
+def _spelled(draw, q):
+    """q, or an int where q is integral and the draw says so."""
+    return int(q) if q.denominator == 1 and draw(st.booleans()) else q
+
+
+@st.composite
+def star_cases(draw):
+    """(f, G, probes) for the three anchor/dual routes, one of three kinds.
+    Float: a 1D or 2D grid with pairs on its samples.  PL: anchors at
+    primal points (some off the domain) and duals at dual points (some off
+    the conjugate's domain), ints mixed with Fractions.  Levels: a function
+    known only at its anchors, with int and Fraction levels that tie (no
+    conjugate, so ``star_cup`` only).  One graph in eight is emptied."""
+    kind = draw(st.sampled_from(("float", "pl", "levels")))
+    if kind == "float":
+        f, G, probes = draw(float_pair_graphs())
+    elif kind == "levels":
+        f, G, probes = draw(exact_pair_graphs())
+        probes = probes + draw(st.lists(exact_scalar, max_size=3))
+    else:
+        f = draw(pl_functions())
+        pts, duals = primal_points(f, []), dual_points(f, [])
+        pairs = draw(st.lists(
+            st.tuples(st.sampled_from(pts), st.sampled_from(duals)), min_size=1, max_size=8))
+        G = OperatorGraph(1, tuple((_spelled(draw, a), _spelled(draw, b)) for a, b in pairs))
+        probes = draw(st.lists(st.sampled_from(pts + duals), min_size=1, max_size=5))
+        probes = [_spelled(draw, x) for x in probes]
+    if draw(st.integers(0, 7)) == 0:
+        G = OperatorGraph(G.dim, ())
+    return f, G, probes
+
+
+@given(star_cases())
+@settings(max_examples=300, deadline=None)
+def test_anchor_and_dual_routes_match_max_loops(case):
+    """``star_cup``, ``cup_dual_value`` and ``star_cup_dual`` (one MaxAffine
+    each) against their max loops: the same value spelled the same way
+    (payload type and repr), or the same ValueError text."""
+    f, G, probes = case
+    routes = [(star_cup, star_cup_oracle)]
+    if not isinstance(f, AnchorLevels):
+        routes += [(cup_dual_value, cup_dual_value_oracle),
+                   (star_cup_dual, star_cup_dual_oracle)]
+    for x in probes:
+        for route, oracle in routes:
+            want = _outcome(lambda: _bits(oracle(f, G, x)))
+            assert _outcome(lambda: _bits(route(f, G, x))) == want, (route, x)
+            if not G.pairs:
+                assert want == _bits(NEG_INF)
 
 
 @given(pl_functions())
