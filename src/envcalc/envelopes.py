@@ -436,14 +436,15 @@ def epi_normal_graph(f: PLConvex1D, G: OperatorGraph | None = None) -> OperatorG
     return OperatorGraph(2, tuple(pairs), label=f.label)
 
 
-def epi_cup_member(f: PLConvex1D, G_full: OperatorGraph):
-    """Predicate: does (x, v) satisfy every non-horizontal support inequality?
+def epi_cup_floor(f: PLConvex1D, G_full: OperatorGraph) -> MaxAffine:
+    """The non-horizontal support inequalities as one MaxAffine.
 
-    Samples are validated once: anchors must sit on the graph of f, normals
+    Samples are validated first: anchors must sit on the graph of f, normals
     may not point upward, and each must support the epigraph at every
-    breakpoint and along every recession direction.  Only samples with a
-    nonzero vertical component then constrain the answer, and for matching
-    pair sets the result equals v >= upper_envelope(f, G)(x).
+    breakpoint and along every recession direction.  A cut (a, t, a*, alpha)
+    with alpha < 0 holds at (x, v) exactly when v >= t + (x - a) a*/(-alpha),
+    so the cuts become the pieces (a, a*/(-alpha), t), and (x, v) meets all
+    of them iff v >= floor(x); horizontal cuts (alpha = 0) constrain nothing.
     """
     if G_full.dim != 2:
         raise ValueError("epigraph samples live in dimension 2")
@@ -461,13 +462,24 @@ def epi_cup_member(f: PLConvex1D, G_full: OperatorGraph):
             raise ValueError("sample fails the left recession direction")
         if f.right_recession is not None and astar + f.right_recession * alpha > 0:
             raise ValueError("sample fails the right recession direction")
-    cuts = [(a, t, astar, alpha) for (a, t), (astar, alpha) in G_full.pairs if alpha != 0]
+    return MaxAffine(1, tuple(
+        (a, _exactify(astar) / -_exactify(alpha), _exactify(t))
+        for (a, t), (astar, alpha) in G_full.pairs
+        if alpha != 0
+    ))
+
+
+def epi_cup_member(f: PLConvex1D, G_full: OperatorGraph):
+    """Predicate: does (x, v) satisfy every non-horizontal support inequality?
+
+    The samples are validated once, by ``epi_cup_floor``; for matching pair
+    sets the answer equals v >= upper_envelope(f, G)(x).
+    """
+    floor = epi_cup_floor(f, G_full)
 
     def member(point) -> bool:
         x, v = point
-        x = _exactify(x)
-        v = _exactify(v)
-        return all((x - a) * astar + (v - t) * alpha <= 0 for a, t, astar, alpha in cuts)
+        return as_extreal(_exactify(v)) >= floor.value_at(_exactify(x))
 
     return member
 
@@ -521,7 +533,7 @@ class BrondstedResult:
 _NUDGE = Fraction(1, 2**40)
 
 
-def brondsted_search(f: PLConvex1D, x, xstar, eps) -> BrondstedResult:
+def brondsted_search(f: PLConvex1D, x, xstar, eps, st=None, conj=None) -> BrondstedResult:
     """Scan the exact graph for a pair close to (x, x*) in the scaled norms.
 
     Candidates are the per-breakpoint dual clamps and the per-segment primal
@@ -531,6 +543,7 @@ def brondsted_search(f: PLConvex1D, x, xstar, eps) -> BrondstedResult:
     dual point inside an unbounded end is used only when no finite-data
     candidate meets the bounds.  ``found=False`` reports the best failing
     candidate; for lsc convex input that outcome indicates a bug upstream.
+    ``st`` and ``conj``, when given, are f's structure and conjugate.
     """
     x = _exactify(x)
     xstar = _exactify(xstar)
@@ -539,9 +552,10 @@ def brondsted_search(f: PLConvex1D, x, xstar, eps) -> BrondstedResult:
         raise ValueError("eps must be positive")
     if not f.value_at(x).is_finite:
         raise ValueError("x is outside the domain")
-    if not eps_subdiff_test(f, x, xstar, eps):
+    if not eps_subdiff_test(f, x, xstar, eps, conj=conj):
         raise ValueError("xstar is not an eps-subgradient at x")
-    st = subdiff_structure(f)
+    if st is None:
+        st = subdiff_structure(f)
     scale = 1 + abs(xstar)
 
     finite_cands = []

@@ -903,7 +903,7 @@ def dump_instance(obj) -> dict:
                 {
                     "anchor": list(a) if obj.dim == 2 else a,
                     "slope": list(s) if obj.dim == 2 else s,
-                    "level": lv,
+                    "level": format_scalar(ExtReal(lv)) if isinstance(lv, Fraction) else lv,
                 }
                 for a, s, lv in obj.pieces
             ],
@@ -912,6 +912,12 @@ def dump_instance(obj) -> dict:
             d["label"] = obj.label
         return d
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _parse_level(lv):
+    """A maxaffine level: JSON numbers pass through, strings parse exactly
+    ("1/2" is Fraction(1, 2)) and must be finite."""
+    return parse_scalar(lv, exact=True).finite() if isinstance(lv, str) else lv
 
 
 def load_instance(src):
@@ -976,7 +982,7 @@ def load_instance(src):
                 (
                     tuple(pc["anchor"]) if d["dim"] == 2 else pc["anchor"],
                     tuple(pc["slope"]) if d["dim"] == 2 else pc["slope"],
-                    pc["level"],
+                    _parse_level(pc["level"]),
                 )
                 for pc in d["pieces"]
             ),

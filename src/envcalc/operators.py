@@ -148,6 +148,24 @@ class SubdiffStructure1D:
             return None
         return Interval1D(self._order[0][2], self._order[-1][3])
 
+    def tilt(self, xstar) -> "SubdiffStructure1D":
+        """The structure of f - <., xstar>, in O(m).
+
+        The subdifferential of the tilt is the subdifferential of f shifted
+        by -xstar, so every slope (and every finite interval end) drops by
+        xstar and every value at a by xstar a; breakpoints, segment ends and
+        None ends stay.  ``func`` is ``f.tilt(xstar)``.
+        """
+        s = _frac(xstar)
+        points = tuple(
+            (a, v - s * a, None if lo is None else lo - s, None if hi is None else hi - s)
+            for a, v, lo, hi in self.points
+        )
+        segments = tuple(
+            (xlo, xhi, g - s, rx, rv - s * rx) for xlo, xhi, g, rx, rv in self.segments
+        )
+        return SubdiffStructure1D(self.func.tilt(s), points, segments)
+
 
 def _admission_key(cand) -> tuple:
     """Infimum of f over one candidate, as (0, value, 1 if not attained);
@@ -316,9 +334,9 @@ def grid_subdiff_test(f: GridFunction, a, astar, tol=0) -> bool:
     return bool(row[0, 0])
 
 
-def eps_subdiff_test(f: PLConvex1D, x, xstar, eps) -> bool:
+def eps_subdiff_test(f: PLConvex1D, x, xstar, eps, conj=None) -> bool:
     """Approximate subgradient membership via the conjugate gap:
-    f(x) + f*(xstar) <= x*xstar + eps."""
+    f(x) + f*(xstar) <= x*xstar + eps; ``conj``, when given, is f*."""
     eps = _frac(eps)
     if eps < 0:
         raise ValueError("eps must be nonnegative")
@@ -327,7 +345,9 @@ def eps_subdiff_test(f: PLConvex1D, x, xstar, eps) -> bool:
     fx = f.value_at(x)
     if not fx.is_finite:
         return False
-    fstar = conjugate_exact(f).value_at(xstar)
+    if conj is None:
+        conj = conjugate_exact(f)
+    fstar = conj.value_at(xstar)
     if fstar.is_pos_inf:
         return False
     return fx.finite() + fstar.finite() <= x * xstar + eps

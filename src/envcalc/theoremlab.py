@@ -72,7 +72,7 @@ from .envelopes import (
     circ_exact,
     cup_exact,
     cup_value,
-    epi_cup_member,
+    epi_cup_floor,
     epi_normal_graph,
     n_cup_envelope,
     portable_hull_interval,
@@ -462,13 +462,12 @@ def _check_fcupdiez_i(tid, desc, ctx):
 def _check_fcupdiez_iii(tid, desc, ctx):
     f, G = ctx.inst, ctx.graph
     env = upper_envelope(f, G)
-    member = epi_cup_member(f, epi_normal_graph(f, G))
+    floor = epi_cup_floor(f, epi_normal_graph(f, G))
     xs = ctx.probes
-    for x, ev in zip(xs, env.values_at(xs)):
+    for x, ev, cut in zip(xs, env.values_at(xs), floor.values_at(xs)):
         base = ev.finite()
         for v in (base - 1, base, base + 1):
-            got = member((x, v))
-            if got != (as_extreal(v) >= ev):
+            if (as_extreal(v) >= cut) != (as_extreal(v) >= ev):
                 return _done(tid, desc, False, witness=(x, v))
         # the restriction identity, read off the closed forms
         sv = ctx.sharp.value_at(x)
@@ -666,11 +665,16 @@ def _check_fsp_iii(tid, desc, ctx):
 
 
 def _check_spxstar(tid, desc, ctx):
-    f = ctx.inst
+    # smile of f - <., s> at each probe: its structure is ctx.st tilted by s,
+    # its probes are f's, and its value at x is f(x) - s x
     rhs = ctx.has_graph and pl_equal(ctx.conj, ctx.star_cup)
+    fxs = [(x, ctx.inst.value_at(x)) for x in ctx.probes]
     for s in ctx.duals:
-        g = CheckContext(f.tilt(s))
-        vals = [smile_value(g.inst, x, st=g.st) for x in g.probes]
+        st = ctx.st.tilt(s)
+        vals = [
+            st.sup(x) if fx.is_pos_inf else st.sup(x, theta=fx.finite() - s * x)
+            for x, fx in fxs
+        ]
         if _probed_proper(vals) != rhs:
             return _done(tid, desc, False, witness=s)
     return _done(tid, desc, True)
@@ -785,7 +789,7 @@ def _check_maxsdsp_vii(tid, desc, ctx):
             return _done(tid, desc, False, witness=x)
         xstar = _some_slope(iv)
         for eps in _EPS_LADDER:
-            res = brondsted_search(f, x, xstar, eps)
+            res = brondsted_search(f, x, xstar, eps, st=ctx.st, conj=ctx.conj)
             if not (res.found and res.renorm_ok(eps) and res.product_ok(eps)):
                 return _done(tid, desc, False, witness=(x, eps))
     return _done(tid, desc, True, margin=0)

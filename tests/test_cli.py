@@ -506,6 +506,37 @@ def test_maxaffine_1d_file_takes_the_exact_route(tmp_path, capsys, monkeypatch, 
     assert capsys.readouterr().out.splitlines()[0] == "x,value"
 
 
+def _ma_with_level(level):
+    return {"kind": "maxaffine", "dim": 1, "pieces": [
+        {"anchor": 0, "slope": -1, "level": 0}, {"anchor": 0, "slope": 2, "level": level}]}
+
+
+def test_maxaffine_string_level_parses_at_load(tmp_path, capsys):
+    # "1/2" is read as Fraction(1, 2), as every other string scalar of a file
+    ma = load_instance(_ma_with_level("1/2"))
+    assert ma.pieces[1][2] == F(1, 2) and type(ma.pieces[1][2]) is F
+    assert load_instance(dump_instance(ma)) == ma
+    # JSON numbers pass through unchanged
+    for level in (1, 0.5):
+        lv = load_instance(_ma_with_level(level)).pieces[1][2]
+        assert lv == level and type(lv) is type(level)
+    path = write_json(tmp_path / "ma.json", _ma_with_level("1/2"))
+    assert main(["clconv", "--instance", path, "--probes", "0:1:3"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["x,value", "0,1/2", "1/2,3/2", "1,5/2"]
+
+
+@pytest.mark.parametrize("level", ["abc", "1/0", "inf", "1/x"])
+@pytest.mark.parametrize("verb", ["clconv", "conjugate", "envelope"])
+def test_maxaffine_junk_level_exits_2_at_load(tmp_path, capsys, level, verb):
+    # refused while loading (exit 2), no longer on first use (exit 3)
+    path = write_json(tmp_path / "ma.json", _ma_with_level(level))
+    argv = {"clconv": ["clconv", "--probes", "0:1:3"], "conjugate": ["conjugate"],
+            "envelope": ["envelope", "--kind", "cup", "--probes", "0:1:3"]}[verb]
+    assert main(argv + ["--instance", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and _one_line_error(captured.err)
+
+
 def test_maxaffine_2d_file_still_refused_by_conjugate(tmp_path, capsys):
     ma = write_json(tmp_path / "ma2.json", {"kind": "maxaffine", "dim": 2, "pieces": [
         {"anchor": [0, 0], "slope": [1, 0], "level": 0}]})

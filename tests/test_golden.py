@@ -6,13 +6,18 @@ pair loops; suite text for a fixed seed must never change.  To inspect one
 by hand, from the repository root:
 
     PYTHONPATH=src python -m envcalc.cli suite --seed 0 | cmp - tests/golden/suite_seed0.txt
+
+``suite_n2_sha256.txt`` pins more suite text by digest: one line per seed,
+"<seed> <sha256 of run_suite(seed, 2).text() in UTF-8>".
 """
 
+import hashlib
 import os
 
 import pytest
 
 from envcalc.cli import main
+from envcalc.theoremlab import run_suite
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -34,3 +39,15 @@ def test_cli_output_matches_golden_file(name, capsys):
     with open(os.path.join(GOLDEN, name), encoding="utf-8", newline="") as fh:
         want = fh.read()
     assert out == want
+
+
+def _pinned_digests():
+    with open(os.path.join(GOLDEN, "suite_n2_sha256.txt"), encoding="utf-8") as fh:
+        rows = [line.split() for line in fh if line.strip()]
+    return [pytest.param(int(seed), digest, id=f"seed{seed}") for seed, digest in rows]
+
+
+@pytest.mark.parametrize("seed, digest", _pinned_digests())
+def test_suite_text_matches_pinned_digest(seed, digest):
+    text = run_suite(seed, 2).text()
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest

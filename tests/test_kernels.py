@@ -37,8 +37,10 @@ from envcalc.funcrep import (
 )
 from envcalc.envelopes import (
     _conjugate_at,
+    brondsted_search,
     cup_dual_value,
     cup_value,
+    epi_cup_floor,
     epi_cup_member,
     epi_cup_membership,
     epi_normal_graph,
@@ -726,6 +728,86 @@ def test_epi_cup_member_rejects_bad_samples(f, sample, message):
     ):
         with pytest.raises(ValueError, match=message):
             call()
+
+
+@st.composite
+def epi_samples(draw):
+    """A PL function and epigraph samples: the normals of a drawn subset of
+    its graph pairs (some subsets empty, so only the horizontal wall normals
+    or nothing remain), plus scaled copies of some of them."""
+    f = draw(pl_functions())
+    G = subdiff_graph(f)
+    pairs = draw(st.lists(st.sampled_from(G.pairs), max_size=6)) if G.pairs else []
+    G2 = epi_normal_graph(f, OperatorGraph(1, tuple(pairs)))
+    extra = []
+    for (a, t), (b, alpha) in draw(st.lists(st.sampled_from(G2.pairs), max_size=2)) if G2.pairs else []:
+        k = draw(st.sampled_from((F(1, 2), F(3))))
+        extra.append(((a, t), (b * k, alpha * k)))
+    return f, OperatorGraph(2, G2.pairs + tuple(extra))
+
+
+@given(epi_samples(), extras)
+@settings(max_examples=60, deadline=None)
+def test_epi_cup_floor_matches_cut_loop(case, extra):
+    f, G2 = case
+    floor = epi_cup_floor(f, G2)
+    member = epi_cup_member(f, G2)
+    xs = primal_points(f, extra)
+    vals = floor.values_at(xs)
+    assert vals == [floor.value_at(x) for x in xs]
+    if all(alpha == 0 for _p, (_s, alpha) in G2.pairs):
+        assert vals == [NEG_INF] * len(xs)
+    for x, fl in zip(xs, vals):
+        base = fl.finite() if fl.is_finite else F(0)
+        for v in (base - 1, base - F(1, 1000), base, base + F(1, 3)):
+            want = epi_cup_membership_oracle(f, G2, (x, v))
+            assert member((x, v)) == want == (as_extreal(v) >= fl), (x, v)
+
+
+def test_epi_cup_floor_without_cuts():
+    # only the two horizontal wall normals: nothing constrains the point
+    G2 = epi_normal_graph(HAT, OperatorGraph(1, ()))
+    assert len(G2.pairs) == 2
+    assert epi_cup_floor(HAT, G2).pieces == ()
+    for p in ((F(0), F(-100)), (F(5), F(0))):
+        assert epi_cup_member(HAT, G2)(p) and epi_cup_membership_oracle(HAT, G2, p)
+
+
+@given(pl_functions(), st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=5), max_size=2), extras)
+@settings(max_examples=60, deadline=None)
+def test_structure_tilt_matches_rebuild(f, sextra, extra):
+    base = subdiff_structure(f)
+    for s in dual_points(f, sextra)[::2]:
+        got, want = base.tilt(s), subdiff_structure(f.tilt(s))
+        assert got.func == want.func
+        assert got.points == want.points
+        assert got.segments == want.segments
+        assert got.slope_range() == want.slope_range()
+        for x in primal_points(f, extra):
+            assert got.sup(x) == want.sup(x)
+            # the budget the check lab reads off f, against the tilt's own
+            fx, gx = f.value_at(x), want.func.value_at(x)
+            assert fx.is_pos_inf == gx.is_pos_inf
+            if fx.is_pos_inf:
+                continue
+            theta = fx.finite() - s * x
+            assert theta == gx.finite()
+            for strict in (False, True):
+                assert got.sup(x, theta, strict) == want.sup(x, theta, strict)
+            assert got.sup(x, theta) == smile_value(want.func, x)
+
+
+@given(pl_functions(), extras, st.sampled_from((F(1), F(1, 4), F(1, 100))))
+@settings(max_examples=60, deadline=None)
+def test_brondsted_search_with_shared_structure(f, extra, eps):
+    shared = {"st": subdiff_structure(f), "conj": conjugate_exact(f)}
+    for x in primal_points(f, extra):
+        iv = subdiff_exact(f, x)
+        duals = [F(0), F(-3)] if iv is None else [
+            e for e in (iv.lo, iv.hi) if e is not None] + [F(1, 2), F(-7, 3)]
+        for xstar in duals:
+            want = _outcome(lambda: brondsted_search(f, x, xstar, eps))
+            assert _outcome(lambda: brondsted_search(f, x, xstar, eps, **shared)) == want
 
 
 # ---------------------------------------------------------------------------
