@@ -173,13 +173,19 @@ def _value_rows(points, values, dim: int):
         yield [_cell(c) for c in coords] + [_cell(v)]
 
 
-def _default_primal_probes(f: PLConvex1D) -> tuple:
-    return theoremlab.primal_probes(f)
-
-
 def _cross(axis) -> tuple:
     _check_grid_size(len(axis) ** 2)
     return tuple((a, b) for a in axis for b in axis)
+
+
+def _emit_pl(out_path, g: PLConvex1D, spec) -> int:
+    """Write an exact result: as an instance file when the path ends in
+    .json, else as its values at the probe grid ``spec``, or at
+    ``theoremlab.primal_probes(g)`` when no grid is given."""
+    if not _emit_instance_json(out_path, g):
+        pts = parse_probe_grid(spec, exact=True) if spec else theoremlab.primal_probes(g)
+        _emit(out_path, "x,value", _value_rows(pts, (g.value_at(p) for p in pts), 1))
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -194,15 +200,7 @@ def _verb_conjugate(args, inst) -> int:
     if backend == "exact":
         if not isinstance(inst, PLConvex1D):
             raise TypeError("the exact backend needs a piecewise-linear instance")
-        g = transforms.conjugate_exact(inst)
-        if _emit_instance_json(args.out, g):
-            return 0
-        if args.dual_grid:
-            pts = parse_probe_grid(args.dual_grid, exact=True)
-        else:
-            pts = _default_primal_probes(g)
-        _emit(args.out, "x,value", _value_rows(pts, (g.value_at(p) for p in pts), 1))
-        return 0
+        return _emit_pl(args.out, transforms.conjugate_exact(inst), args.dual_grid)
     if not isinstance(inst, GridFunction):
         raise TypeError("the grid backend needs a grid instance")
     if not args.dual_grid:
@@ -221,15 +219,7 @@ def _verb_clconv(args, inst) -> int:
         inst = transforms.maxaffine_to_pl(inst)
     g = transforms.cl_conv(inst)
     if isinstance(g, PLConvex1D):
-        if _emit_instance_json(args.out, g):
-            return 0
-        pts = (
-            parse_probe_grid(args.probes, exact=True)
-            if args.probes
-            else _default_primal_probes(g)
-        )
-        _emit(args.out, "x,value", _value_rows(pts, (g.value_at(p) for p in pts), 1))
-        return 0
+        return _emit_pl(args.out, g, args.probes)
     # the 2D hull comes back as a max of affine pieces
     if not args.probes:
         raise _UsageError("a 2D hull needs --probes to tabulate")
@@ -239,25 +229,14 @@ def _verb_clconv(args, inst) -> int:
     return 0
 
 
-def _verb_infconv(args, instances) -> int:
-    if len(instances) != 2:
-        raise _UsageError("infconv needs exactly two --instance files")
-    f, g = instances
+def _verb_infconv(args, f, g) -> int:
     try:
         h = transforms.inf_conv(f, g)
     except transforms.SizeLimitError as e:
         raise _UsageError(str(e)) from None
     if isinstance(h, PLConvex1D):
-        if _emit_instance_json(args.out, h):
-            return 0
-        pts = (
-            parse_probe_grid(args.probes, exact=True)
-            if args.probes
-            else _default_primal_probes(h)
-        )
-        _emit(args.out, "x,value", _value_rows(pts, (h.value_at(p) for p in pts), 1))
-    else:
-        _emit(args.out, "x,value" if h.dim == 1 else "x,y,value", _grid_rows(h))
+        return _emit_pl(args.out, h, args.probes)
+    _emit(args.out, "x,value" if h.dim == 1 else "x,y,value", _grid_rows(h))
     return 0
 
 
@@ -269,7 +248,7 @@ def _verb_subdiff(args, inst) -> int:
         pts = (
             parse_probe_grid(args.probes, exact=True)
             if args.probes
-            else _default_primal_probes(inst)
+            else theoremlab.primal_probes(inst)
         )
         rows = []
         for x in pts:
@@ -414,10 +393,10 @@ def _verb_suite(args) -> int:
         for tid in ids:
             if tid not in theoremlab.REGISTRY:
                 raise _UsageError(f"unknown theorem id {tid!r}")
-    report = theoremlab.run_suite(
-        seed=args.seed, n_instances=args.n if args.n is not None else 4,
-        theorem_ids=ids,
-    )
+    n = args.n if args.n is not None else 4
+    if n < 0:
+        raise _UsageError(f"-n must be at least 0, got {n}")
+    report = theoremlab.run_suite(seed=args.seed, n_instances=n, theorem_ids=ids)
     sys.stdout.write(report.text())
     if args.out:
         report.write_csv(args.out)
@@ -493,10 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="verb", required=True)
 
-    for verb in ("conjugate", "clconv", "subdiff", "hull"):
+    for verb in ("conjugate", "clconv", "subdiff", "hull", "infconv", "fitz"):
         _add_common(sub.add_parser(verb))
-    _add_common(sub.add_parser("infconv"))
-    _add_common(sub.add_parser("fitz"))
 
     pe = sub.add_parser("envelope")
     _add_common(pe)
@@ -541,6 +518,22 @@ def _join_value_flags(argv) -> list:
     return out
 
 
+# verb -> (function, number of --instance objects it takes after args)
+_VERBS = {
+    "conjugate": (_verb_conjugate, 1),
+    "clconv": (_verb_clconv, 1),
+    "infconv": (_verb_infconv, 2),
+    "subdiff": (_verb_subdiff, 1),
+    "fitz": (_verb_fitz, 1),
+    "envelope": (_verb_envelope, 1),
+    "hull": (_verb_hull, 1),
+    "check": (_verb_check, 1),
+    "suite": (_verb_suite, 0),
+    "gallery": (_verb_gallery, 0),
+    "bench": (_verb_bench, 0),
+}
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
@@ -548,6 +541,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
 
+    run, count = _VERBS[args.verb]
     try:
         instances = [
             _resolve_instance(ref) for ref in getattr(args, "instance", [])
@@ -557,43 +551,17 @@ def main(argv=None) -> int:
         if args.verb == "gallery" and args.name != "all" \
                 and args.name not in theoremlab.GALLERY_NAMES:
             raise _UsageError(f"unknown gallery {args.name!r}")
-        if args.verb in ("conjugate", "clconv", "subdiff", "fitz",
-                         "envelope", "hull", "check"):
-            if len(instances) != 1:
-                raise _UsageError(f"{args.verb} needs exactly one --instance")
-    except (_UsageError, OSError, KeyError, json.JSONDecodeError) as e:
-        print(f"envcalc: {e}", file=sys.stderr)
-        return 2
-    except (ValueError, TypeError, OverflowError) as e:
+        if count and len(instances) != count:
+            need = "one --instance" if count == 1 else "two --instance files"
+            raise _UsageError(f"{args.verb} needs exactly {need}")
+    except (_UsageError, OSError, KeyError, ValueError, TypeError, OverflowError) as e:
         # unparseable instance contents are an input problem, not a math one;
         # so are numbers past the float range (1e999, ints of 400 digits)
         print(f"envcalc: {e}", file=sys.stderr)
         return 2
 
     try:
-        if args.verb == "conjugate":
-            return _verb_conjugate(args, instances[0])
-        if args.verb == "clconv":
-            return _verb_clconv(args, instances[0])
-        if args.verb == "infconv":
-            return _verb_infconv(args, instances)
-        if args.verb == "subdiff":
-            return _verb_subdiff(args, instances[0])
-        if args.verb == "fitz":
-            return _verb_fitz(args, instances[0])
-        if args.verb == "envelope":
-            return _verb_envelope(args, instances[0])
-        if args.verb == "hull":
-            return _verb_hull(args, instances[0])
-        if args.verb == "check":
-            return _verb_check(args, instances[0])
-        if args.verb == "suite":
-            return _verb_suite(args)
-        if args.verb == "gallery":
-            return _verb_gallery(args)
-        if args.verb == "bench":
-            return _verb_bench(args)
-        raise _UsageError(f"unknown verb {args.verb!r}")
+        return run(args, *instances)
     except _UsageError as e:
         print(f"envcalc: {e}", file=sys.stderr)
         return 2

@@ -59,6 +59,18 @@ def cup_value(f: PLConvex1D, x, st=None) -> ExtReal:
     return st.sup(_exactify(x))
 
 
+def _budgeted_value(f: PLConvex1D, x, slack, st, strict=False) -> ExtReal:
+    """sup of the supports anchored where f(a) <= f(x) + slack (< when
+    strict); the budget is dropped where f(x) = +inf."""
+    if st is None:
+        st = subdiff_structure(f)
+    x = _exactify(x)
+    fx = f.value_at(x)
+    if fx.is_pos_inf:
+        return st.sup(x)
+    return st.sup(x, theta=fx.finite() + slack, strict=strict)
+
+
 def smile_value(f: PLConvex1D, x, st=None, strict=False) -> ExtReal:
     """Exact constrained envelope: only anchors with f(a) <= f(x) count.
 
@@ -66,13 +78,7 @@ def smile_value(f: PLConvex1D, x, st=None, strict=False) -> ExtReal:
     and the value coincides with the plain upper envelope.  strict=True
     switches the anchor comparison to <, a variant kept for control tests.
     """
-    if st is None:
-        st = subdiff_structure(f)
-    x = _exactify(x)
-    fx = f.value_at(x)
-    if fx.is_pos_inf:
-        return st.sup(x)
-    return st.sup(x, theta=fx.finite(), strict=strict)
+    return _budgeted_value(f, x, 0, st, strict)
 
 
 def smile_eps_value(f: PLConvex1D, x, eps, st=None) -> ExtReal:
@@ -80,13 +86,7 @@ def smile_eps_value(f: PLConvex1D, x, eps, st=None) -> ExtReal:
     eps = _exactify(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if st is None:
-        st = subdiff_structure(f)
-    x = _exactify(x)
-    fx = f.value_at(x)
-    if fx.is_pos_inf:
-        return st.sup(x)
-    return st.sup(x, theta=fx.finite() + eps)
+    return _budgeted_value(f, x, eps, st)
 
 
 def subdiff_domain(f: PLConvex1D) -> Interval1D:
@@ -484,11 +484,6 @@ def epi_cup_member(f: PLConvex1D, G_full: OperatorGraph):
     return member
 
 
-def epi_cup_membership(f: PLConvex1D, G_full: OperatorGraph, point) -> bool:
-    """One-shot ``epi_cup_member``; validates the samples on every call."""
-    return epi_cup_member(f, G_full)(point)
-
-
 # ---------------------------------------------------------------------------
 # approximate-subgradient pair search
 # ---------------------------------------------------------------------------
@@ -518,16 +513,19 @@ class BrondstedResult:
         return (self.point, self.dual)
 
     def renorm_ok(self, eps) -> bool:
-        eps = _exactify(eps)
-        return (
-            (self.primal_gap * self.scale) ** 2 <= eps
-            and self.dual_gap**2 <= eps * self.scale**2
-        )
+        return _renorm_ok(self.primal_gap, self.dual_gap, self.scale, _exactify(eps))
 
     def product_ok(self, eps) -> bool:
-        eps = _exactify(eps)
-        t = -(self.product + eps)
-        return t <= 0 or t * t <= eps
+        return _product_ok(self.product, _exactify(eps))
+
+
+def _renorm_ok(primal_gap, dual_gap, scale, eps) -> bool:
+    return (primal_gap * scale) ** 2 <= eps and dual_gap**2 <= eps * scale**2
+
+
+def _product_ok(product, eps) -> bool:
+    t = -(product + eps)
+    return t <= 0 or t * t <= eps
 
 
 _NUDGE = Fraction(1, 2**40)
@@ -601,39 +599,20 @@ def brondsted_search(f: PLConvex1D, x, xstar, eps, st=None, conj=None) -> Bronds
         return abs(x - a), abs(xstar - b)
 
     def ok(c):
-        a, b = c
-        pg, dg = gaps(c)
-        if (pg * scale) ** 2 > eps or dg**2 > eps * scale**2:
-            return False
-        t = -((x - a) * b + eps)
-        return t <= 0 or t * t <= eps
+        # the bounds of BrondstedResult.renorm_ok and product_ok
+        return _renorm_ok(*gaps(c), scale, eps) and _product_ok((x - c[0]) * c[1], eps)
 
     def key(c):
         pg, dg = gaps(c)
         return max((pg * scale) ** 2, (dg / scale) ** 2)
 
-    chosen = None
-    found = False
-    for pool in (finite_cands, extended_cands):
-        passing = [c for c in pool if ok(c)]
-        if passing:
-            chosen = min(passing, key=key)
-            found = True
-            break
-    if chosen is None:
-        all_cands = finite_cands + extended_cands
-        if not all_cands:
-            raise ValueError("the subdifferential graph is empty")
-        chosen = min(all_cands, key=key)
-    a, b = chosen
+    passing = [c for c in finite_cands if ok(c)] or [c for c in extended_cands if ok(c)]
+    cands = passing or finite_cands + extended_cands
+    if not cands:
+        raise ValueError("the subdifferential graph is empty")
+    a, b = min(cands, key=key)
     return BrondstedResult(
-        point=a,
-        dual=b,
-        found=found,
-        primal_gap=abs(x - a),
-        dual_gap=abs(xstar - b),
-        scale=scale,
-        product=(x - a) * b,
+        a, b, bool(passing), abs(x - a), abs(xstar - b), scale, (x - a) * b
     )
 
 
@@ -698,6 +677,14 @@ def envelope_result(
         if not isinstance(f, PLConvex1D):
             raise TypeError("the grid backend needs a graph or a PLConvex1D")
         G = subdiff_graph(f, probes=probes)
+    if kind == "ncup":
+        if n is None:
+            raise ValueError("ncup needs n")
+        params["n"] = n
+    if kind == "smileeps":
+        if eps is None:
+            raise ValueError("smileeps needs eps")
+        params["eps"] = eps
     if exact:
         st = subdiff_structure(f)
         if kind == "cup":
@@ -712,18 +699,12 @@ def envelope_result(
             g = circ_exact(f)
             rows = tuple((p, g.value_at(p)) for p in probes)
         elif kind == "ncup":
-            if n is None:
-                raise ValueError("ncup needs n")
             env = n_cup_envelope(f, subdiff_graph(f, probes=probes), n)
             rows = tuple(zip(probes, env.values_at([_exactify(p) for p in probes])))
-            params["n"] = n
         elif kind == "smile":
             rows = tuple((p, smile_value(f, p, st=st)) for p in probes)
         else:
-            if eps is None:
-                raise ValueError("smileeps needs eps")
             rows = tuple((p, smile_eps_value(f, p, eps, st=st)) for p in probes)
-            params["eps"] = eps
     else:
         if kind == "cup":
             env = upper_envelope(f, G)
@@ -738,15 +719,9 @@ def envelope_result(
                 raise ValueError("circ needs a dual grid")
             rows = circ(f, G, dual_points, probes)
         elif kind == "ncup":
-            if n is None:
-                raise ValueError("ncup needs n")
             rows = tuple(zip(probes, n_cup_envelope(f, G, n).values_at(probes)))
-            params["n"] = n
         elif kind == "smile":
             rows = tuple((p, smile(f, G, p)) for p in probes)
         else:
-            if eps is None:
-                raise ValueError("smileeps needs eps")
             rows = tuple((p, smile_eps(f, G, p, eps)) for p in probes)
-            params["eps"] = eps
     return EnvelopeResult(kind, rows, source, params)

@@ -50,16 +50,11 @@ def is_exact_scalar(v) -> bool:
     return isinstance(v, (int, Fraction)) and not isinstance(v, bool)
 
 
-def line_envelope_values(lines, ys) -> list:
-    """max of slope * y + intercept over ``lines`` at each y, exactly, as
-    (value, index into ``lines`` of the line attaining it).
-
-    ``lines`` is a nonempty list of (slope, intercept) pairs with strictly
-    increasing slopes and ``ys`` is ascending; on a tie the later line
-    wins.  The lines reduce to their upper hull, which one sweep over ys
-    evaluates: O(len(lines) + len(ys)).  Its callers pass ints (see
-    ``line_envelope_at``), so no comparison normalises a fraction.
-    """
+def _upper_hull(lines) -> list:
+    """The lines of ``lines`` that reach their upper envelope, as (slope,
+    intercept, index) in slope order; a line that only touches it where
+    its neighbours meet is dropped.  ``lines`` are (slope, intercept) pairs
+    with strictly increasing slopes; O(len(lines))."""
     hull = []
     for i, (s3, c3) in enumerate(lines):
         while len(hull) >= 2:
@@ -70,6 +65,20 @@ def line_envelope_values(lines, ys) -> list:
             else:
                 break
         hull.append((s3, c3, i))
+    return hull
+
+
+def line_envelope_values(lines, ys) -> list:
+    """max of slope * y + intercept over ``lines`` at each y, exactly, as
+    (value, index into ``lines`` of the line attaining it).
+
+    ``lines`` is a nonempty list of (slope, intercept) pairs with strictly
+    increasing slopes and ``ys`` is ascending; on a tie the later line
+    wins.  The lines reduce to their ``_upper_hull``, which one sweep over
+    ys evaluates: O(len(lines) + len(ys)).  Its callers pass ints (see
+    ``line_envelope_at``), so no comparison normalises a fraction.
+    """
+    hull = _upper_hull(lines)
     out = []
     k = 0
     s, c, i = hull[0]
@@ -168,9 +177,6 @@ class Interval1D:
             if x > self.hi or (self.hi_open and x == self.hi):
                 return False
         return True
-
-    def is_singleton(self) -> bool:
-        return self.lo is not None and self.lo == self.hi
 
 
 # ---------------------------------------------------------------------------
@@ -569,13 +575,17 @@ def evaluate(f: Func, x) -> ExtReal:
     return f.value_at(x)
 
 
-def epigraph_samples(f: Func, xs: Sequence, offsets: Sequence = (0, 1, 2)) -> list:
-    """Points (x, t) with f(x) <= t, one per offset above each finite value."""
+EPIGRAPH_OFFSETS = (0, 1, 2)
+
+
+def epigraph_samples(f: Func, xs: Sequence) -> list:
+    """Points (x, t) with f(x) <= t, one per offset in ``EPIGRAPH_OFFSETS``
+    above each finite value."""
     out = []
     for x in xs:
         v = evaluate(f, x)
         if v.is_finite:
-            for o in offsets:
+            for o in EPIGRAPH_OFFSETS:
                 out.append((x, v.value + o))
     return out
 
@@ -768,17 +778,9 @@ def _hull_1d_exact(items):
                 merged[-1] = (x, v)
         else:
             merged.append((x, v))
-    hull = []
-    for p in merged:
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            # drop the middle point when it is on or above the chord
-            if (y2 - y1) * (p[0] - x1) >= (p[1] - y1) * (x2 - x1):
-                hull.pop()
-            else:
-                break
-        hull.append(p)
-    return hull
+    # by duality, (x, v) is on the lower hull iff the line of slope x and
+    # intercept -v reaches the upper envelope of those lines
+    return [merged[i] for _s, _c, i in _upper_hull([(x, -v) for x, v in merged])]
 
 
 def is_convex_on_grid(f: GridFunction, tol: float = GRID_TOL) -> bool:
@@ -862,29 +864,20 @@ def dump_instance(obj) -> dict:
             d["override_left"] = format_scalar(obj.override_left)
         if obj.override_right is not None:
             d["override_right"] = format_scalar(obj.override_right)
-        if obj.label:
-            d["label"] = obj.label
-        return d
-    if isinstance(obj, GridFunction):
+    elif isinstance(obj, GridFunction):
         d = {
             "kind": "grid",
             "dim": obj.dim,
             "points": [list(p) if obj.dim == 2 else p for p in obj.points],
             "values": [v if v < math.inf else "inf" for v in obj.value_array.tolist()],
         }
-        if obj.label:
-            d["label"] = obj.label
-        return d
-    if isinstance(obj, SampledSet):
+    elif isinstance(obj, SampledSet):
         d = {
             "kind": "indicator",
             "dim": obj.dim,
             "points": [list(p) if obj.dim == 2 else p for p in obj.points],
         }
-        if obj.label:
-            d["label"] = obj.label
-        return d
-    if isinstance(obj, Interval1D):
+    elif isinstance(obj, Interval1D):
         d = {"kind": "interval"}
         if obj.lo is not None:
             d["lo"] = format_scalar(ExtReal(obj.lo))
@@ -894,8 +887,7 @@ def dump_instance(obj) -> dict:
             d["lo_open"] = True
         if obj.hi_open:
             d["hi_open"] = True
-        return d
-    if isinstance(obj, MaxAffine):
+    elif isinstance(obj, MaxAffine):
         d = {
             "kind": "maxaffine",
             "dim": obj.dim,
@@ -908,10 +900,12 @@ def dump_instance(obj) -> dict:
                 for a, s, lv in obj.pieces
             ],
         }
-        if obj.label:
-            d["label"] = obj.label
-        return d
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+    # an interval carries no label
+    if getattr(obj, "label", None):
+        d["label"] = obj.label
+    return d
 
 
 def _parse_level(lv):

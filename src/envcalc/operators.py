@@ -51,10 +51,10 @@ class SubdiffStructure1D:
     last).  Each candidate is an anchored support (a, v, lo, hi, ends): a
     point is its own anchor with its interval, a segment is its line through
     (ref_x, ref_v) with lo = hi = slope and ``ends`` = (xlo, xhi).  ``sup``
-    and the Fitzpatrick line generator both walk this one order.
+    and the Fitzpatrick line generator both walk this one order, and
+    ``structure_contains`` bisects it.
     """
 
-    func: PLConvex1D
     points: tuple
     segments: tuple
 
@@ -154,7 +154,7 @@ class SubdiffStructure1D:
         The subdifferential of the tilt is the subdifferential of f shifted
         by -xstar, so every slope (and every finite interval end) drops by
         xstar and every value at a by xstar a; breakpoints, segment ends and
-        None ends stay.  ``func`` is ``f.tilt(xstar)``.
+        None ends stay.
         """
         s = _frac(xstar)
         points = tuple(
@@ -164,7 +164,7 @@ class SubdiffStructure1D:
         segments = tuple(
             (xlo, xhi, g - s, rx, rv - s * rx) for xlo, xhi, g, rx, rv in self.segments
         )
-        return SubdiffStructure1D(self.func.tilt(s), points, segments)
+        return SubdiffStructure1D(points, segments)
 
 
 def _admission_key(cand) -> tuple:
@@ -201,7 +201,7 @@ def subdiff_structure(f: PLConvex1D) -> SubdiffStructure1D:
         segments.insert(0, (None, b[0], f.left_recession, b[0], v[0]))
     if f.right_recession is not None:
         segments.append((b[-1], None, f.right_recession, b[-1], v[-1]))
-    return SubdiffStructure1D(f, tuple(points), tuple(segments))
+    return SubdiffStructure1D(tuple(points), tuple(segments))
 
 
 def subdiff_exact(f: PLConvex1D, x) -> Interval1D | None:
@@ -419,18 +419,18 @@ class OperatorGraph:
         )
 
 
-def subdiff_graph(
-    f: PLConvex1D,
-    probes=(),
-    kink_reps: int = 3,
-    ray_steps: int = 3,
-) -> OperatorGraph:
+KINK_REPS = 3
+RAY_STEPS = 3
+
+
+def subdiff_graph(f: PLConvex1D, probes=()) -> OperatorGraph:
     """Flatten the subdifferential to finite pairs.
 
-    Per breakpoint: both finite interval endpoints, evenly spaced interior
-    representatives, and outward unit steps where the interval is unbounded.
-    Per segment: the midpoint (finite) or a unit step into each ray, plus a
-    pair for every supplied probe that lands in a segment interior.
+    Per breakpoint: both finite interval endpoints, ``KINK_REPS`` evenly
+    spaced interior representatives, and ``RAY_STEPS`` outward unit steps
+    where the interval is unbounded.  Per segment: the midpoint (finite) or
+    a unit step into each ray, plus a pair for every supplied probe that
+    lands in a segment interior.
     """
     st = subdiff_structure(f)
     pairs = set()
@@ -439,16 +439,16 @@ def subdiff_graph(
             pairs.add((a, lo))
             pairs.add((a, hi))
             if lo < hi:
-                for k in range(1, kink_reps + 1):
-                    pairs.add((a, lo + Fraction(k, kink_reps + 1) * (hi - lo)))
+                for k in range(1, KINK_REPS + 1):
+                    pairs.add((a, lo + Fraction(k, KINK_REPS + 1) * (hi - lo)))
         elif lo is None and hi is None:
-            for k in range(-ray_steps, ray_steps + 1):
+            for k in range(-RAY_STEPS, RAY_STEPS + 1):
                 pairs.add((a, Fraction(k)))
         elif lo is None:
-            for k in range(ray_steps + 1):
+            for k in range(RAY_STEPS + 1):
                 pairs.add((a, hi - k))
         else:
-            for k in range(ray_steps + 1):
+            for k in range(RAY_STEPS + 1):
                 pairs.add((a, lo + k))
     for xlo, xhi, slope, _rx, _rv in st.segments:
         if xlo is not None and xhi is not None:
@@ -473,9 +473,17 @@ def _exactify(x):
 
 
 def structure_contains(st: SubdiffStructure1D, x, xstar) -> bool:
-    """Exact membership of (x, xstar) in the full subdifferential graph."""
-    iv = subdiff_exact(st.func, _exactify(x))
-    return iv is not None and iv.contains(_exactify(xstar))
+    """Exact membership of (x, xstar) in the full subdifferential graph, in
+    O(log m): the first candidate not wholly left of x is the point at x or
+    the segment holding x, if f has subgradients at x."""
+    x, xstar = _exactify(x), _exactify(xstar)
+    p = bisect_left(st._pos, (x, 1))
+    if p == len(st._order):
+        return False
+    a, _v, lo, hi, ends = st._order[p]
+    # a segment not wholly left of x holds x unless it starts at or after x
+    at_x = a == x if ends is None else ends[0] is None or ends[0] < x
+    return at_x and (lo is None or lo <= xstar) and (hi is None or xstar <= hi)
 
 
 def is_monotone(G: OperatorGraph, tol=0) -> bool:

@@ -141,11 +141,6 @@ def _interval_intersect(A: Interval1D | None, B: Interval1D | None):
     return Interval1D(lo, hi, lo_open, hi_open)
 
 
-def range_interval(f: PLConvex1D) -> Interval1D | None:
-    """All slopes the subdifferential takes, as one interval (None if empty)."""
-    return subdiff_structure(f).slope_range()
-
-
 def _closed_hull(iv: Interval1D | None) -> Interval1D | None:
     """Topological closure: open flags dropped, finite ends kept."""
     if iv is None:
@@ -604,7 +599,7 @@ def _check_fcirc_iv(tid, desc, ctx):
 def _check_fcirc_v(tid, desc, ctx):
     circf = ctx.circ
     same_ops = _operators_equal(ctx, circf)
-    same_range = ctx.slope_range == range_interval(circf)
+    same_range = ctx.slope_range == subdiff_structure(circf).slope_range()
     return _done(tid, desc, same_ops == same_range,
                  witness=(same_ops, same_range))
 
@@ -1138,9 +1133,12 @@ def run_suite(seed: int = 0, n_instances: int = 4, theorem_ids=None) -> SuiteRep
 
     Every id sees the instances its statement can accept: the exact families
     for function statements, grids for the sampled coupling bounds, interval
-    sets for the normal-cone identity.  An empty id selection succeeds with
-    zero checks.
+    sets for the normal-cone identity.  An empty id selection, or
+    n_instances = 0, succeeds with zero checks; a negative n_instances
+    raises ValueError.
     """
+    if n_instances < 0:
+        raise ValueError(f"n_instances must be at least 0, got {n_instances}")
     if theorem_ids is None:
         ids = sorted(REGISTRY)
     else:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from envcalc import cli
 from envcalc.cli import build_parser, main, parse_probe_grid
 from envcalc.funcrep import (
     GridFunction,
@@ -21,7 +23,7 @@ from envcalc.funcrep import (
     pl_equal,
 )
 from envcalc.operators import OperatorGraph, graph_dump, subdiff_graph
-from envcalc.theoremlab import REGISTRY, InstanceGenerator, TheoremCheck
+from envcalc.theoremlab import REGISTRY, InstanceGenerator, TheoremCheck, run_suite
 
 from test_funcrep import ABS
 
@@ -227,6 +229,25 @@ def test_suite_small_run_exits_0(capsys):
 def test_suite_unknown_id_exits_2(capsys):
     assert main(["suite", "zz.nope", "--seed", "0", "-n", "1"]) == 2
     capsys.readouterr()
+
+
+def test_suite_negative_count_exits_2(capsys):
+    assert main(["suite", "--seed", "0", "-n", "-3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("envcalc: ")
+    with pytest.raises(ValueError):
+        run_suite(0, -1)
+    # zero instances is a valid, empty run
+    assert main(["suite", "--seed", "0", "-n", "0"]) == 0
+    assert "checks: 0" in capsys.readouterr().out
+
+
+def test_verb_table_names_the_parser_verbs():
+    sub = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    assert set(sub.choices) == set(cli._VERBS)
 
 
 def test_gallery_verb(capsys):

@@ -21,7 +21,7 @@ from envcalc.envelopes import (
     cup_exact,
     cup_value,
     envelope_result,
-    epi_cup_membership,
+    epi_cup_member,
     epi_normal_graph,
     n_cup,
     n_cup_enum,
@@ -260,16 +260,16 @@ def test_epi_membership_is_envelope_comparison(f, x, v):
         if alpha != 0
     ]
     want = as_extreal(v) >= as_extreal(max(vals))
-    assert epi_cup_membership(f, G2, (x, v)) == want
+    assert epi_cup_member(f, G2)((x, v)) == want
 
 
 def test_epi_membership_validates_samples():
     bad_anchor = OperatorGraph(2, (((F(0), F(5)), (F(0), F(-1))),))
     with pytest.raises(ValueError):
-        epi_cup_membership(ABS, bad_anchor, (F(0), F(0)))
+        epi_cup_member(ABS, bad_anchor)((F(0), F(0)))
     upward = OperatorGraph(2, (((F(1), F(1)), (F(1), F(1))),))
     with pytest.raises(ValueError):
-        epi_cup_membership(ABS, upward, (F(0), F(0)))
+        epi_cup_member(ABS, upward)((F(0), F(0)))
 
 
 def test_wall_normals_are_horizontal_and_ignored():
@@ -279,8 +279,8 @@ def test_wall_normals_are_horizontal_and_ignored():
     assert {n[0] for _p, n in horiz} == {F(-1), F(1)}
     # past the wall only the slanted supports decide; the steepest sampled
     # dual at the left endpoint is -2, giving the value 2 at x = -1
-    assert epi_cup_membership(f, G2, (F(-1), F(2)))
-    assert not epi_cup_membership(f, G2, (F(-1), F(3, 2)))
+    assert epi_cup_member(f, G2)((F(-1), F(2)))
+    assert not epi_cup_member(f, G2)((F(-1), F(3, 2)))
 
 
 # ---------------------------------------------------------------------------

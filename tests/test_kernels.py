@@ -13,8 +13,12 @@ the per-cell ``fitzpatrick`` pair loop, the per-probe
 ``subgradient_test`` replaced (per-pair validation in ``upper_envelope``
 and in the theorem checks), the max loops of ``star_cup``,
 ``cup_dual_value`` and ``star_cup_dual`` that ``MaxAffine`` replaced, and
-the structure walk of ``range_interval``.  They live here only, as references; exact comparisons
-are exact and float comparisons are bit for bit.
+the structure walk that ``slope_range`` replaced, the point-chord lower
+hull that ``_hull_1d_exact`` ran before it shared ``_upper_hull``, the
+candidate selection of ``brondsted_search`` before it judged candidates
+as ``BrondstedResult``s, and the ``subdiff_exact`` lookup behind
+``structure_contains``.  They live here only, as references; exact
+comparisons are exact and float comparisons are bit for bit.
 """
 
 import random
@@ -30,19 +34,20 @@ from envcalc.funcrep import (
     MaxAffine,
     PLConvex1D,
     _frac,
+    _hull_1d_exact,
     dot,
     evaluate,
     line_envelope_at,
     point_sub,
 )
 from envcalc.envelopes import (
+    BrondstedResult,
     _conjugate_at,
     brondsted_search,
     cup_dual_value,
     cup_value,
     epi_cup_floor,
     epi_cup_member,
-    epi_cup_membership,
     epi_normal_graph,
     n_cup,
     n_cup_envelope,
@@ -57,6 +62,7 @@ from envcalc.operators import (
     grid_subdiff_test,
     OperatorGraph,
     _exactify,
+    eps_subdiff_test,
     fitzpatrick,
     fitzpatrick_structured,
     fitzpatrick_table,
@@ -68,7 +74,7 @@ from envcalc.operators import (
     subdiff_test,
     subgradient_test,
 )
-from envcalc.theoremlab import InstanceGenerator, range_interval
+from envcalc.theoremlab import InstanceGenerator
 from envcalc.transforms import conjugate_exact
 
 
@@ -686,7 +692,7 @@ def test_epi_cup_member_matches_per_call_validation():
         pts = _epi_points(f, G)
         for p in pts:
             assert member(p) == epi_cup_membership_oracle(f, G2, p)
-        assert [epi_cup_membership(f, G2, p) for p in pts[::5]] == [member(p) for p in pts[::5]]
+        assert [epi_cup_member(f, G2)(p) for p in pts[::5]] == [member(p) for p in pts[::5]]
         # one extra sample, often invalid: both routes raise the same error
         # or both accept it and agree on every point
         for _ in range(6):
@@ -723,7 +729,7 @@ def test_epi_cup_member_rejects_bad_samples(f, sample, message):
     G2 = OperatorGraph(2, (sample,))
     for call in (
         lambda: epi_cup_member(f, G2),
-        lambda: epi_cup_membership(f, G2, (F(0), F(0))),
+        lambda: epi_cup_member(f, G2)((F(0), F(0))),
         lambda: epi_cup_membership_oracle(f, G2, (F(0), F(0))),
     ):
         with pytest.raises(ValueError, match=message):
@@ -778,15 +784,15 @@ def test_epi_cup_floor_without_cuts():
 def test_structure_tilt_matches_rebuild(f, sextra, extra):
     base = subdiff_structure(f)
     for s in dual_points(f, sextra)[::2]:
-        got, want = base.tilt(s), subdiff_structure(f.tilt(s))
-        assert got.func == want.func
+        g = f.tilt(s)
+        got, want = base.tilt(s), subdiff_structure(g)
         assert got.points == want.points
         assert got.segments == want.segments
         assert got.slope_range() == want.slope_range()
         for x in primal_points(f, extra):
             assert got.sup(x) == want.sup(x)
             # the budget the check lab reads off f, against the tilt's own
-            fx, gx = f.value_at(x), want.func.value_at(x)
+            fx, gx = f.value_at(x), g.value_at(x)
             assert fx.is_pos_inf == gx.is_pos_inf
             if fx.is_pos_inf:
                 continue
@@ -794,7 +800,7 @@ def test_structure_tilt_matches_rebuild(f, sextra, extra):
             assert theta == gx.finite()
             for strict in (False, True):
                 assert got.sup(x, theta, strict) == want.sup(x, theta, strict)
-            assert got.sup(x, theta) == smile_value(want.func, x)
+            assert got.sup(x, theta) == smile_value(g, x)
 
 
 @given(pl_functions(), extras, st.sampled_from((F(1), F(1, 4), F(1, 100))))
@@ -1127,7 +1133,7 @@ def test_anchor_and_dual_routes_match_max_loops(case):
 @given(pl_functions())
 @settings(max_examples=150, deadline=None)
 def test_range_interval_matches_walk(f):
-    assert range_interval(f) == range_interval_oracle(f)
+    assert subdiff_structure(f).slope_range() == range_interval_oracle(f)
 
 
 @pytest.mark.parametrize("f", [
@@ -1140,4 +1146,213 @@ def test_range_interval_matches_walk(f):
     PLConvex1D((F(0), F(1), F(2)), (F(1), F(0), F(1)), None, F(1), F(5), None),
 ])
 def test_range_interval_matches_walk_on_fixed_shapes(f):
-    assert range_interval(f) == range_interval_oracle(f)
+    assert subdiff_structure(f).slope_range() == range_interval_oracle(f)
+
+
+# ---------------------------------------------------------------------------
+# structure membership, the lower hull and the pair search against the
+# routines they replaced
+# ---------------------------------------------------------------------------
+
+
+def _membership_duals(f, iv, extra):
+    """f's dual points, plus the ends of iv, points inside it and points
+    just outside each finite end."""
+    ys = set(dual_points(f, extra))
+    if iv is not None:
+        for e in (iv.lo, iv.hi):
+            if e is not None:
+                ys.update((e, e - F(1, 7), e + F(1, 7)))
+        if iv.lo is not None and iv.hi is not None:
+            ys.add((iv.lo + iv.hi) / 2)
+    return sorted(ys)
+
+
+def _check_structure_contains(f, extra):
+    st_ = subdiff_structure(f)
+    for s in [None, *dual_points(f, [])[::2]]:
+        g, sg = (f, st_) if s is None else (f.tilt(s), st_.tilt(s))
+        for x in primal_points(f, extra):
+            iv = subdiff_exact(g, x)
+            for y in _membership_duals(g, iv, extra):
+                want = iv is not None and iv.contains(y)
+                assert structure_contains(sg, x, y) == want, (s, x, y)
+
+
+@given(pl_functions(), extras)
+@settings(max_examples=60, deadline=None)
+def test_structure_contains_matches_subdiff_exact(f, extra):
+    _check_structure_contains(f, extra)
+
+
+@pytest.mark.parametrize("f", [
+    V,                                                          # two rays
+    HAT,                                                        # walls
+    PLConvex1D((F(0),), (F(0),)),                               # a point, walls
+    PLConvex1D((F(2),), (F(1),), F(-1), None),                  # a ray into a wall
+    PLConvex1D((F(0),), (F(1),), None, F(2)),                   # wall and ray
+    PLConvex1D((F(0), F(1)), (F(0), F(1)), None, None, POS_INF, None),  # open left
+    PLConvex1D((F(0), F(1)), (F(0), F(1)), None, None, F(3), POS_INF),  # both raised
+    PLConvex1D((F(0), F(1), F(2)), (F(1), F(0), F(1)), None, F(1), F(5), None),
+])
+def test_structure_contains_on_fixed_shapes(f):
+    _check_structure_contains(f, [F(-3, 2), F(1, 2)])
+
+
+def hull_1d_oracle(items):
+    """The point-chord lower hull ``_hull_1d_exact`` ran on its own."""
+    pts = sorted((F(x), F(v)) for x, v in items)
+    merged = []
+    for x, v in pts:
+        if merged and merged[-1][0] == x:
+            if v < merged[-1][1]:
+                merged[-1] = (x, v)
+        else:
+            merged.append((x, v))
+    hull = []
+    for p in merged:
+        while len(hull) >= 2:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            # drop the middle point when it is on or above the chord
+            if (y2 - y1) * (p[0] - x1) >= (p[1] - y1) * (x2 - x1):
+                hull.pop()
+            else:
+                break
+        hull.append(p)
+    return hull
+
+
+@st.composite
+def hull_points(draw):
+    """Points as ints, Fractions or floats, with repeated x and collinear
+    runs: each run puts a few points on one drawn line."""
+    kind = draw(st.sampled_from(("int", "fraction", "float")))
+    if kind == "int":
+        num = st.integers(-6, 6)
+    elif kind == "fraction":
+        num = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+    else:
+        num = st.floats(min_value=-6, max_value=6, allow_nan=False).map(lambda v: round(v, 2))
+    items = []
+    for _ in range(draw(st.integers(1, 4))):
+        a, b = draw(num), draw(num)
+        for x in draw(st.lists(num, min_size=1, max_size=5)):
+            items.append((x, a * x + b))
+    items += draw(st.lists(st.tuples(num, num), max_size=6))
+    if items and draw(st.booleans()):
+        items.append((items[0][0], draw(num)))  # a repeated x
+    return draw(st.permutations(items))
+
+
+@given(hull_points())
+@settings(max_examples=300, deadline=None)
+def test_hull_1d_exact_matches_point_chord_loop(items):
+    got, want = _hull_1d_exact(items), hull_1d_oracle(items)
+    assert got == want
+    assert all(type(x) is F and type(v) is F for x, v in got)
+
+
+_NUDGE = F(1, 2**40)
+
+
+def brondsted_search_oracle(f, x, xstar, eps, st=None, conj=None):
+    """The pair search with its own copy of the two bounds, as before it
+    judged candidates through ``BrondstedResult``."""
+    x, xstar, eps = _exactify(x), _exactify(xstar), _exactify(eps)
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    if not f.value_at(x).is_finite:
+        raise ValueError("x is outside the domain")
+    if not eps_subdiff_test(f, x, xstar, eps, conj=conj):
+        raise ValueError("xstar is not an eps-subgradient at x")
+    if st is None:
+        st = subdiff_structure(f)
+    scale = 1 + abs(xstar)
+    finite_cands, extended_cands = [], []
+    for a, _v, lo, hi in st.points:
+        in_lower_ray = lo is None and (hi is None or xstar < hi)
+        in_upper_ray = hi is None and lo is not None and xstar > lo
+        if in_lower_ray or in_upper_ray:
+            extended_cands.append((a, xstar))
+            fin_end = lo if lo is not None else hi
+            if fin_end is not None:
+                finite_cands.append((a, fin_end))
+        else:
+            z = xstar
+            if lo is not None and z < lo:
+                z = lo
+            if hi is not None and z > hi:
+                z = hi
+            finite_cands.append((a, z))
+    excluded = set()
+    if f.override_left is not None:
+        excluded.add(f.breakpoints[0])
+    if f.override_right is not None:
+        excluded.add(f.breakpoints[-1])
+    for xlo, xhi, slope, _rx, _rv in st.segments:
+        z = x
+        if xlo is not None and z < xlo:
+            z = xlo
+        if xhi is not None and z > xhi:
+            z = xhi
+        if z in excluded:
+            h = _NUDGE
+            if xlo is not None and xhi is not None:
+                half = (xhi - xlo) / 2
+                if half < h:
+                    h = half
+            z = z + h if z == xlo else z - h
+        finite_cands.append((z, slope))
+
+    def gaps(c):
+        a, b = c
+        return abs(x - a), abs(xstar - b)
+
+    def ok(c):
+        a, b = c
+        pg, dg = gaps(c)
+        if (pg * scale) ** 2 > eps or dg**2 > eps * scale**2:
+            return False
+        t = -((x - a) * b + eps)
+        return t <= 0 or t * t <= eps
+
+    def key(c):
+        pg, dg = gaps(c)
+        return max((pg * scale) ** 2, (dg / scale) ** 2)
+
+    chosen = None
+    found = False
+    for pool in (finite_cands, extended_cands):
+        passing = [c for c in pool if ok(c)]
+        if passing:
+            chosen = min(passing, key=key)
+            found = True
+            break
+    if chosen is None:
+        all_cands = finite_cands + extended_cands
+        if not all_cands:
+            raise ValueError("the subdifferential graph is empty")
+        chosen = min(all_cands, key=key)
+    a, b = chosen
+    return BrondstedResult(
+        point=a, dual=b, found=found, primal_gap=abs(x - a),
+        dual_gap=abs(xstar - b), scale=scale, product=(x - a) * b,
+    )
+
+
+@given(pl_functions(), extras)
+@settings(max_examples=40, deadline=None)
+def test_brondsted_search_matches_candidate_loop(f, extra):
+    """Whole results, spelled the same (repr), or the same ValueError, at
+    the three eps of the check lab's ladder."""
+    shared = {"st": subdiff_structure(f), "conj": conjugate_exact(f)}
+    for x in primal_points(f, extra):
+        iv = subdiff_exact(f, x)
+        duals = [F(0), F(-3)] if iv is None else [
+            e for e in (iv.lo, iv.hi) if e is not None] + [F(1, 2), F(-7, 3), F(40)]
+        for xstar in duals:
+            for eps in (F(1), F(1, 4), F(1, 100)):
+                want = _outcome(
+                    lambda: repr(brondsted_search_oracle(f, x, xstar, eps, **shared)))
+                got = _outcome(lambda: repr(brondsted_search(f, x, xstar, eps, **shared)))
+                assert got == want
