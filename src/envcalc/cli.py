@@ -337,14 +337,11 @@ def _verb_envelope(args, inst) -> int:
             eps = parse_scalar(args.eps, exact=exact).finite()
         except ValueError as e:
             raise _UsageError(f"--eps: {e}")
-    res = envelopes.envelope_result(
+    rows = envelopes.envelope_result(
         inst, args.kind, probes, n=args.n, eps=eps, dual_points=duals,
         backend=backend,
     )
-    rows = res.table(probes if isinstance(res.carrier, MaxAffine) else None)
-    _emit(args.out, "x,value", _value_rows(
-        (r[0] for r in rows), (r[1] for r in rows), 1,
-    ))
+    _emit(args.out, "x,value", ([_cell(x), _cell(v)] for x, v in rows))
     return 0
 
 
@@ -451,14 +448,12 @@ def _verb_bench(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p, instance=True):
-    if instance:
-        p.add_argument("--instance", action="append", default=[],
-                       help="instance JSON path, or gallery:<name>")
+def _add_common(p):
+    p.add_argument("--instance", action="append", default=[],
+                   help="instance JSON path, or gallery:<name>")
     p.add_argument("--probes", help="primal grid start:stop:count")
     p.add_argument("--dual-grid", dest="dual_grid",
                    help="dual grid start:stop:count")
-    p.add_argument("--tolerance", type=float, default=None)
     p.add_argument("--out", help="CSV output path (default stdout)")
 
 
@@ -474,12 +469,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     for verb in ("conjugate", "clconv", "subdiff", "hull", "infconv", "fitz"):
         _add_common(sub.add_parser(verb))
+    # the grid membership tolerance: subdiff is the only verb that reads one
+    sub.choices["subdiff"].add_argument("--tolerance", type=float, default=None)
 
     pe = sub.add_parser("envelope")
     _add_common(pe)
-    pe.add_argument("--kind", required=True,
-                    choices=("cup", "sharp", "starcup", "circ", "ncup",
-                             "smile", "smileeps"))
+    pe.add_argument("--kind", required=True, choices=envelopes.KINDS)
     pe.add_argument("--n", "-n", type=int, default=None)
     pe.add_argument("--eps", default=None)
 

@@ -31,13 +31,10 @@ from .funcrep import (
     SampledSet,
     dot,
     effective_domain,
-    evaluate,
     point_sub,
-    write_values_csv,
 )
 from .operators import (
     OperatorGraph,
-    _breakpoint_graph,
     _exactify,
     eps_subdiff_test,
     subdiff_graph,
@@ -161,9 +158,10 @@ def circ_exact(f: PLConvex1D) -> PLConvex1D:
 # ---------------------------------------------------------------------------
 
 
-def _level(f, a, value_at=evaluate):
-    """f(a) as a finite scalar: the level of the support anchored at a."""
-    fa = value_at(f, a)
+def _level(f, a, value_at=None):
+    """f(a) as a finite scalar: the level of the support anchored at a.
+    ``value_at(f, a)``, when given, reads f(a) in place of f.value_at(a)."""
+    fa = f.value_at(a) if value_at is None else value_at(f, a)
     if not fa.is_finite:
         raise ValueError(f"anchor {a!r} has no finite value")
     return fa.finite()
@@ -174,7 +172,7 @@ def upper_envelope(f, G: OperatorGraph, tol=0) -> MaxAffine:
 
     Every pair must pass ``subgradient_test(f, tol)`` and anchor at a
     finite value; violations raise.  An empty graph yields the empty max,
-    which is -inf everywhere (improper; see MaxAffine.is_proper).
+    which is -inf everywhere (improper).
     """
     member = subgradient_test(f, tol)
     pieces = []
@@ -184,38 +182,6 @@ def upper_envelope(f, G: OperatorGraph, tol=0) -> MaxAffine:
             raise ValueError(f"pair ({a!r}, {b!r}) fails the subgradient test")
         pieces.append((a, b, fa))
     return MaxAffine(G.dim, tuple(pieces), label=G.label)
-
-
-def _conjugate_at(f):
-    """b -> f*(b) as a finite scalar, for the dual cross-check routes: the
-    exact conjugate of a PLConvex1D, the max over a grid's finite samples."""
-    if isinstance(f, PLConvex1D):
-        conj = conjugate_exact(f)
-
-        def fstar(b):
-            return conj.value_at(b).finite()
-
-    elif isinstance(f, GridFunction):
-        items = f.finite_items()
-
-        def fstar(b):
-            return max(dot(y, b, f.dim) - fy for y, fy in items)
-
-    else:
-        raise TypeError("unsupported function representation")
-    return fstar
-
-
-def cup_dual_value(f, G: OperatorGraph, x) -> ExtReal:
-    """Cross-check route for upper_envelope via conjugate values.
-
-    For a graph pair the support line rewrites as <x, a*> - f*(a*), so the
-    sup over the same dual points must reproduce the envelope exactly.
-    """
-    fstar = _conjugate_at(f)
-    o = 0 if G.dim == 1 else (0, 0)
-    duals = {b for _a, b in G.pairs}
-    return MaxAffine(G.dim, tuple((o, b, -fstar(b)) for b in duals)).value_at(x)
 
 
 def _star_pieces(f, G: OperatorGraph) -> MaxAffine:
@@ -232,12 +198,6 @@ def star_cup(f, G: OperatorGraph, xstar) -> ExtReal:
     At xstar = 0 this is minus the infimum of f over the anchor set.
     """
     return _star_pieces(f, G).value_at(xstar)
-
-
-def star_cup_dual(f, G: OperatorGraph, xstar) -> ExtReal:
-    """Cross-check route for star_cup: <xstar - a*, a> + f*(a*) per pair."""
-    fstar = _conjugate_at(f)
-    return MaxAffine(G.dim, tuple((b, a, fstar(b)) for a, b in G.pairs)).value_at(xstar)
 
 
 def circ(f, G: OperatorGraph, dual_points, probes) -> tuple:
@@ -303,7 +263,7 @@ def n_cup_enum(f, G: OperatorGraph, n: int, x) -> ExtReal:
         for a, b in chain:
             total = total + dot(b, point_sub(prev, a, G.dim), G.dim)
             prev = a
-        fa = evaluate(f, chain[-1][0])
+        fa = f.value_at(chain[-1][0])
         if not fa.is_finite:
             raise ValueError("anchor outside the domain")
         cand = as_extreal(total + fa.finite())
@@ -317,7 +277,7 @@ def _budget_value(f, x) -> ExtReal:
     # subdiff_graph does, so budgets compare exactly; grids look floats up
     if isinstance(f, PLConvex1D):
         x = _exactify(x)
-    return evaluate(f, x)
+    return f.value_at(x)
 
 
 def _budgeted_sup(f, G: OperatorGraph, x, slack) -> ExtReal:
@@ -441,14 +401,18 @@ def epi_cup_floor(f: PLConvex1D, G_full: OperatorGraph) -> MaxAffine:
 
     Samples are validated first: anchors must sit on the graph of f, normals
     may not point upward, and each must support the epigraph at every
-    breakpoint and along every recession direction.  A cut (a, t, a*, alpha)
-    with alpha < 0 holds at (x, v) exactly when v >= t + (x - a) a*/(-alpha),
-    so the cuts become the pieces (a, a*/(-alpha), t), and (x, v) meets all
-    of them iff v >= floor(x); horizontal cuts (alpha = 0) constrain nothing.
+    breakpoint and along every recession direction.  Support is tested
+    against the closure's values at the breakpoints (f's listed ``values``):
+    a closed half-space that contains epi f contains its closure, so a
+    raised or open end admits no cut that the adjacent segment rules out.
+    A cut (a, t, a*, alpha) with alpha < 0 holds at (x, v) exactly when
+    v >= t + (x - a) a*/(-alpha), so the cuts become the pieces
+    (a, a*/(-alpha), t), and (x, v) meets all of them iff v >= floor(x);
+    horizontal cuts (alpha = 0) constrain nothing.
     """
     if G_full.dim != 2:
         raise ValueError("epigraph samples live in dimension 2")
-    graph = _breakpoint_graph(f)
+    graph = tuple(zip(f.breakpoints, f.values))
     for (a, t), (astar, alpha) in G_full.pairs:
         fa = f.value_at(a)
         if not fa.is_finite or fa.finite() != t:
@@ -467,21 +431,6 @@ def epi_cup_floor(f: PLConvex1D, G_full: OperatorGraph) -> MaxAffine:
         for (a, t), (astar, alpha) in G_full.pairs
         if alpha != 0
     ))
-
-
-def epi_cup_member(f: PLConvex1D, G_full: OperatorGraph):
-    """Predicate: does (x, v) satisfy every non-horizontal support inequality?
-
-    The samples are validated once, by ``epi_cup_floor``; for matching pair
-    sets the answer equals v >= upper_envelope(f, G)(x).
-    """
-    floor = epi_cup_floor(f, G_full)
-
-    def member(point) -> bool:
-        x, v = point
-        return as_extreal(_exactify(v)) >= floor.value_at(_exactify(x))
-
-    return member
 
 
 # ---------------------------------------------------------------------------
@@ -617,111 +566,69 @@ def brondsted_search(f: PLConvex1D, x, xstar, eps, st=None, conj=None) -> Bronds
 
 
 # ---------------------------------------------------------------------------
-# result container
+# command-line entry point
 # ---------------------------------------------------------------------------
 
-_KINDS = ("cup", "sharp", "starcup", "circ", "ncup", "smile", "smileeps")
-
-
-@dataclass(frozen=True)
-class EnvelopeResult:
-    """A computed envelope: which one, its carrier, where it came from.
-
-    The carrier is a MaxAffine for the support-sup family and a value table
-    (tuple of (probe, ExtReal) rows) for the rest.
-    """
-
-    kind: str
-    carrier: object
-    source: str
-    parameters: dict
-
-    def table(self, probes=None) -> tuple:
-        if isinstance(self.carrier, MaxAffine):
-            if probes is None:
-                raise ValueError("a MaxAffine carrier needs probes to tabulate")
-            probes = list(probes)
-            return tuple(zip(probes, self.carrier.values_at(probes)))
-        return tuple(self.carrier)
-
-    def write_csv(self, path, probes=None) -> None:
-        rows = self.table(probes)
-        dim = self.carrier.dim if isinstance(self.carrier, MaxAffine) else 1
-        write_values_csv(path, [r[0] for r in rows], [r[1] for r in rows], dim)
+KINDS = ("cup", "sharp", "starcup", "circ", "ncup", "smile", "smileeps")
 
 
 def envelope_result(
     f,
     kind: str,
     probes,
-    G: OperatorGraph | None = None,
     n: int | None = None,
     eps=None,
     dual_points=None,
     backend: str = "exact",
-) -> EnvelopeResult:
-    """Uniform entry point used by the command line.
+) -> tuple:
+    """The (probe, value) rows of one envelope; the command line's entry.
 
-    The exact backend requires a PLConvex1D and evaluates the interval
-    structure; the grid backend works from the (supplied or flattened) pair
-    graph.  Kinds: cup, sharp, starcup, circ, ncup, smile, smileeps.
+    Both backends need a PLConvex1D.  The exact backend evaluates the
+    interval structure; the grid backend runs the pair routes on
+    ``subdiff_graph(f, probes)``.  Kinds: cup, sharp, starcup, circ, ncup,
+    smile, smileeps.
     """
-    if kind not in _KINDS:
+    if kind not in KINDS:
         raise ValueError(f"unknown envelope kind {kind!r}")
-    source = getattr(f, "label", None) or type(f).__name__
-    params = {"backend": backend}
-    exact = backend == "exact"
-    if exact and not isinstance(f, PLConvex1D):
-        raise TypeError("the exact backend needs a PLConvex1D instance")
-    if G is None and not exact:
-        if not isinstance(f, PLConvex1D):
-            raise TypeError("the grid backend needs a graph or a PLConvex1D")
-        G = subdiff_graph(f, probes=probes)
-    if kind == "ncup":
-        if n is None:
-            raise ValueError("ncup needs n")
-        params["n"] = n
-    if kind == "smileeps":
-        if eps is None:
-            raise ValueError("smileeps needs eps")
-        params["eps"] = eps
-    if exact:
+    if not isinstance(f, PLConvex1D):
+        raise TypeError(f"the {backend} backend needs a PLConvex1D instance")
+    if kind == "ncup" and n is None:
+        raise ValueError("ncup needs n")
+    if kind == "smileeps" and eps is None:
+        raise ValueError("smileeps needs eps")
+    if backend == "exact":
         st = subdiff_structure(f)
         if kind == "cup":
-            rows = tuple((p, cup_value(f, p, st=st)) for p in probes)
-        elif kind == "sharp":
-            hull = portable_hull_interval(effective_domain(f))
-            rows = tuple((p, sharp_value(f, p, st=st, hull=hull)) for p in probes)
-        elif kind == "starcup":
-            g = star_cup_exact(f)
-            rows = tuple((p, g.value_at(p)) for p in probes)
-        elif kind == "circ":
-            g = circ_exact(f)
-            rows = tuple((p, g.value_at(p)) for p in probes)
-        elif kind == "ncup":
-            env = n_cup_envelope(f, subdiff_graph(f, probes=probes), n)
-            rows = tuple(zip(probes, env.values_at([_exactify(p) for p in probes])))
-        elif kind == "smile":
-            rows = tuple((p, smile_value(f, p, st=st)) for p in probes)
-        else:
-            rows = tuple((p, smile_eps_value(f, p, eps, st=st)) for p in probes)
-    else:
-        if kind == "cup":
-            env = upper_envelope(f, G)
-            return EnvelopeResult("cup", env, source, params)
+            return tuple((p, cup_value(f, p, st=st)) for p in probes)
         if kind == "sharp":
-            # without supplied normal samples the sampled hull is everything
-            rows = portable_envelope(f, G, OperatorGraph(G.dim, ()), probes)
-        elif kind == "starcup":
-            rows = tuple(zip(probes, _star_pieces(f, G).values_at(probes)))
-        elif kind == "circ":
-            if dual_points is None:
-                raise ValueError("circ needs a dual grid")
-            rows = circ(f, G, dual_points, probes)
-        elif kind == "ncup":
-            rows = tuple(zip(probes, n_cup_envelope(f, G, n).values_at(probes)))
-        elif kind == "smile":
-            rows = tuple((p, smile(f, G, p)) for p in probes)
-        else:
-            rows = tuple((p, smile_eps(f, G, p, eps)) for p in probes)
-    return EnvelopeResult(kind, rows, source, params)
+            hull = portable_hull_interval(effective_domain(f))
+            return tuple((p, sharp_value(f, p, st=st, hull=hull)) for p in probes)
+        if kind == "starcup":
+            g = star_cup_exact(f)
+            return tuple((p, g.value_at(p)) for p in probes)
+        if kind == "circ":
+            g = circ_exact(f)
+            return tuple((p, g.value_at(p)) for p in probes)
+        if kind == "ncup":
+            env = n_cup_envelope(f, subdiff_graph(f, probes=probes), n)
+            return tuple(zip(probes, env.values_at([_exactify(p) for p in probes])))
+        if kind == "smile":
+            return tuple((p, smile_value(f, p, st=st)) for p in probes)
+        return tuple((p, smile_eps_value(f, p, eps, st=st)) for p in probes)
+    G = subdiff_graph(f, probes=probes)
+    if kind == "cup":
+        return tuple(zip(probes, upper_envelope(f, G).values_at(probes)))
+    if kind == "sharp":
+        # without supplied normal samples the sampled hull is everything
+        return portable_envelope(f, G, OperatorGraph(G.dim, ()), probes)
+    if kind == "starcup":
+        return tuple(zip(probes, _star_pieces(f, G).values_at(probes)))
+    if kind == "circ":
+        if dual_points is None:
+            raise ValueError("circ needs a dual grid")
+        return circ(f, G, dual_points, probes)
+    if kind == "ncup":
+        return tuple(zip(probes, n_cup_envelope(f, G, n).values_at(probes)))
+    if kind == "smile":
+        return tuple((p, smile(f, G, p)) for p in probes)
+    return tuple((p, smile_eps(f, G, p, eps)) for p in probes)

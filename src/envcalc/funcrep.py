@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -322,23 +323,12 @@ class PLConvex1D:
             return self.override_left
         if x == b[-1] and self.override_right is not None:
             return self.override_right
-        # binary search for the segment
-        lo, hi = 0, len(b) - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if b[mid] <= x:
-                lo = mid
-            else:
-                hi = mid
+        hi = bisect_right(b, x)
+        lo = hi - 1
         if x == b[lo]:
             return ExtReal(v[lo])
-        if x == b[hi]:
-            return ExtReal(v[hi])
         t = (x - b[lo]) / (b[hi] - b[lo])
         return ExtReal(v[lo] + t * (v[hi] - v[lo]))
-
-    def closure_value_at(self, x) -> ExtReal:
-        return self.closure().value_at(x)
 
 
 # ---------------------------------------------------------------------------
@@ -373,9 +363,6 @@ class SampledSet:
         if len(set(pts)) != len(pts):
             raise ValueError("duplicate points in sampled set")
         object.__setattr__(self, "points", pts)
-
-    def contains(self, p) -> bool:
-        return _canon_point(p, self.dim) in set(self.points)
 
 
 _PLAIN = frozenset((float, int, Fraction))
@@ -519,9 +506,6 @@ class GridFunction:
 
         return list(self._cached("_finite_items", build))
 
-    def is_proper(self) -> bool:
-        return bool(self.finite_mask().any())
-
 
 @dataclass(frozen=True)
 class MaxAffine:
@@ -562,32 +546,8 @@ class MaxAffine:
         lines = ((s, lv - s * a) for a, s, lv in self.pieces)
         return [ExtReal(v) for v in line_envelope_at(lines, xs)]
 
-    def is_proper(self) -> bool:
-        # the empty sup is -inf everywhere
-        return bool(self.pieces)
-
 
 Func = Union[PLConvex1D, GridFunction, MaxAffine]
-
-
-def evaluate(f: Func, x) -> ExtReal:
-    """Uniform evaluation across representations."""
-    return f.value_at(x)
-
-
-EPIGRAPH_OFFSETS = (0, 1, 2)
-
-
-def epigraph_samples(f: Func, xs: Sequence) -> list:
-    """Points (x, t) with f(x) <= t, one per offset in ``EPIGRAPH_OFFSETS``
-    above each finite value."""
-    out = []
-    for x in xs:
-        v = evaluate(f, x)
-        if v.is_finite:
-            for o in EPIGRAPH_OFFSETS:
-                out.append((x, v.value + o))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -796,10 +756,9 @@ def is_convex_on_grid(f: GridFunction, tol: float = GRID_TOL) -> bool:
         hull = _hull_1d_exact(items)
         hx = [float(x) for x, _ in hull]
         hy = [float(y) for _, y in hull]
-        import bisect
 
         def hull_val(x):
-            j = bisect.bisect_right(hx, x) - 1
+            j = bisect_right(hx, x) - 1
             if j < 0 or x > hx[-1]:
                 return None
             if j == len(hx) - 1:
@@ -983,15 +942,3 @@ def load_instance(src):
             label=label,
         )
     raise ValueError(f"unknown instance kind {kind!r}")
-
-
-def write_values_csv(path, points, values, dim: int) -> None:
-    """(point coordinates..., value) rows in the given (row-major) order."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        cols = ["x", "value"] if dim == 1 else ["x", "y", "value"]
-        fh.write(",".join(cols) + "\n")
-        for p, v in zip(points, values):
-            coords = [p] if dim == 1 else list(p)
-            cells = [format_scalar(as_extreal(c)) for c in coords]
-            cells.append(format_scalar(as_extreal(v)))
-            fh.write(",".join(cells) + "\n")

@@ -229,21 +229,17 @@ def subdiff_exact(f: PLConvex1D, x) -> Interval1D | None:
     return Interval1D(s[i - 1], s[i - 1])
 
 
-def _breakpoint_graph(f: PLConvex1D) -> list:
-    """(y, f(y)) at every breakpoint where f is finite."""
-    values = ((y, f.value_at(y)) for y in f.breakpoints)
-    return [(y, fy.finite()) for y, fy in values if fy.is_finite]
-
-
 def subgradient_test(f, tol=0):
     """The predicate (x, x*) -> is x* a subgradient of f at x?
 
-    On a PLConvex1D, exactly (tol is unused): f(x) is finite, f(y) >=
-    f(x) + x*(y - x) at every breakpoint y where f is finite, with f's
-    breakpoint values read once per predicate, and x* lies between the
-    recession slopes; independent of subdiff_exact on purpose.  On a
-    GridFunction it is ``grid_subdiff_test`` within tol.  Any other
-    representation gets a predicate that raises TypeError when called.
+    On a PLConvex1D, exactly (tol is unused): f(x) is finite, cl f(y) >=
+    f(x) + x*(y - x) at every breakpoint y, and x* lies between the
+    recession slopes; independent of subdiff_exact on purpose.  The closure
+    cl f takes the listed ``values`` at the breakpoints, so a raised or
+    open end (an override) passes no slope that the adjacent segment rules
+    out, and at a raised end the y = x term fails.  On a GridFunction it is
+    ``grid_subdiff_test`` within tol.  Any other representation gets a
+    predicate that raises TypeError when called.
     """
     if isinstance(f, GridFunction):
         return lambda x, xstar: grid_subdiff_test(f, x, xstar, tol)
@@ -251,7 +247,7 @@ def subgradient_test(f, tol=0):
         def unsupported(x, xstar):
             raise TypeError("unsupported function representation")
         return unsupported
-    graph = _breakpoint_graph(f)
+    graph = tuple(zip(f.breakpoints, f.values))
     lrec, rrec = f.left_recession, f.right_recession
 
     def test(x, xstar) -> bool:
@@ -411,13 +407,6 @@ class OperatorGraph:
                 canon.append(key)
         object.__setattr__(self, "pairs", tuple(canon))
 
-    def restrict(self, keep) -> "OperatorGraph":
-        """Sub-graph with the pairs selected by the predicate; the exact
-        structure no longer describes it and is dropped."""
-        return OperatorGraph(
-            self.dim, tuple(p for p in self.pairs if keep(p)), label=self.label
-        )
-
 
 KINK_REPS = 3
 RAY_STEPS = 3
@@ -484,18 +473,6 @@ def structure_contains(st: SubdiffStructure1D, x, xstar) -> bool:
     # a segment not wholly left of x holds x unless it starts at or after x
     at_x = a == x if ends is None else ends[0] is None or ends[0] < x
     return at_x and (lo is None or lo <= xstar) and (hi is None or xstar <= hi)
-
-
-def is_monotone(G: OperatorGraph, tol=0) -> bool:
-    """Every pair of pairs satisfies <x1-x2, y1-y2> >= -tol."""
-    ps = G.pairs
-    for i in range(len(ps)):
-        x1, y1 = ps[i]
-        for j in range(i + 1, len(ps)):
-            x2, y2 = ps[j]
-            if dot(point_sub(x1, x2, G.dim), point_sub(y1, y2, G.dim), G.dim) < -tol:
-                return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -762,21 +739,6 @@ def ni_nonneg(G: OperatorGraph, probe_pairs) -> bool:
     if count == 0:
         raise ValueError("need at least one probe pair")
     return True
-
-
-def write_graph_csv(path, G: OperatorGraph) -> None:
-    from .extreal import format_scalar
-
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if G.dim == 1:
-            fh.write("x,xstar\n")
-            for x, y in sorted(G.pairs):
-                fh.write(f"{format_scalar(as_extreal(x))},{format_scalar(as_extreal(y))}\n")
-        else:
-            fh.write("x1,x2,xstar1,xstar2\n")
-            for x, y in sorted(G.pairs):
-                cells = [x[0], x[1], y[0], y[1]]
-                fh.write(",".join(format_scalar(as_extreal(c)) for c in cells) + "\n")
 
 
 def graph_dump(G: OperatorGraph) -> dict:

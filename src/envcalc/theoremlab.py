@@ -253,9 +253,9 @@ def _na(tid, desc, why, backend="exact"):
     return TheoremCheck(tid, desc, NOT_APPLICABLE, backend, witness=why)
 
 
-def _done(tid, desc, ok, margin=None, witness=None, backend="exact", tol=0):
+def _done(tid, desc, ok, margin=None, witness=None, backend="exact"):
     return TheoremCheck(
-        tid, desc, PASS if ok else FAIL, backend, tol,
+        tid, desc, PASS if ok else FAIL, backend,
         margin=margin, witness=None if ok else witness,
     )
 

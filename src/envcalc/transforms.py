@@ -86,17 +86,6 @@ def conjugate_exact(f: PLConvex1D) -> PLConvex1D:
     )
 
 
-def biconjugate(f, dual_points=None):
-    """Conjugate applied twice; on the exact backend this is the lsc hull."""
-    if isinstance(f, PLConvex1D):
-        return conjugate_exact(conjugate_exact(f))
-    if isinstance(f, MaxAffine):
-        return f
-    if isinstance(f, GridFunction):
-        return cl_conv(f, dual_points)
-    raise TypeError(f"unsupported representation {type(f).__name__}")
-
-
 def pl_add(f: PLConvex1D, g: PLConvex1D) -> PLConvex1D:
     """Exact pointwise sum; raises ImproperError when the domains miss."""
     flo = None if f.left_recession is not None else f.breakpoints[0]

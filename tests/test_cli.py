@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from envcalc import cli
 from envcalc.cli import build_parser, main, parse_probe_grid
+from envcalc.extreal import as_extreal, format_scalar
 from envcalc.funcrep import (
     GridFunction,
     PLConvex1D,
@@ -349,6 +350,48 @@ def test_envelope_on_bare_graph_exits_3(tmp_path):
     src = write_json(tmp_path / "g.json", graph_dump(G))
     assert main(["envelope", "--kind", "cup", "--instance", src,
                  "--probes", "0:1:2"]) == 3
+
+
+@pytest.mark.parametrize("backend", [None, "exact", "grid"])
+def test_envelope_on_grid_instance_exits_3(grid_file, monkeypatch, capsys, backend):
+    # both backends need a piecewise-linear instance
+    if backend is not None:
+        monkeypatch.setenv("ENVCALC_BACKEND", backend)
+    assert main(["envelope", "--kind", "cup", "--instance", grid_file,
+                 "--probes", "0:1:3"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert _one_line_error(err)
+
+
+@pytest.mark.parametrize("backend", ["exact", "grid"])
+@pytest.mark.parametrize("kind", ["cup", "starcup", "smile"])
+def test_envelope_out_csv_is_the_rows(abs_file, tmp_path, monkeypatch, backend, kind):
+    from envcalc import envelopes
+
+    monkeypatch.setenv("ENVCALC_BACKEND", backend)
+    out = tmp_path / "env.csv"
+    assert main(["envelope", "--kind", kind, "--instance", abs_file,
+                 "--probes", "-2:1:7", "--out", str(out)]) == 0
+    probes = parse_probe_grid("-2:1:7", exact=backend == "exact")
+    rows = envelopes.envelope_result(ABS, kind, probes, backend=backend)
+    want = "x,value\n" + "".join(
+        f"{format_scalar(as_extreal(x))},{format_scalar(v)}\n" for x, v in rows
+    )
+    assert out.read_bytes() == want.encode()
+
+
+def test_tolerance_only_on_subdiff(abs_file, grid_file, capsys):
+    assert main(["conjugate", "--instance", abs_file, "--tolerance", "1"]) == 2
+    assert main(["subdiff", "--instance", grid_file, "--dual-grid", "0:2:5",
+                 "--tolerance", "1e-9"]) == 0
+    capsys.readouterr()
+
+
+def test_exports_resolve():
+    import envcalc
+
+    assert [n for n in envcalc.__all__ if not hasattr(envcalc, n)] == []
 
 
 # ---------------------------------------------------------------------------

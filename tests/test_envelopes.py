@@ -17,11 +17,10 @@ from envcalc.envelopes import (
     brondsted_search,
     circ,
     circ_exact,
-    cup_dual_value,
     cup_exact,
     cup_value,
     envelope_result,
-    epi_cup_member,
+    epi_cup_floor,
     epi_normal_graph,
     n_cup,
     n_cup_enum,
@@ -33,12 +32,12 @@ from envcalc.envelopes import (
     smile_eps_value,
     smile_value,
     star_cup,
-    star_cup_dual,
     star_cup_exact,
     upper_envelope,
 )
 
 from test_funcrep import ABS, convex_pl
+from test_kernels import cup_dual_value_oracle, epi_member, star_cup_dual_oracle
 
 OPEN_UNIT = PLConvex1D((F(0), F(1)), (F(0), F(0)), None, None, POS_INF, POS_INF)
 RAISED = PLConvex1D((F(0), F(1)), (F(0), F(1)), None, None, F(2), None)
@@ -175,14 +174,14 @@ def test_circ_identities_on_raised_endpoint():
 def test_cup_dual_route_matches_support_route(f, x):
     G = subdiff_graph(f)
     env = upper_envelope(f, G)
-    assert cup_dual_value(f, G, x) == env.value_at(x)
+    assert cup_dual_value_oracle(f, G, x) == env.value_at(x)
 
 
 @given(convex_pl(), st.fractions(min_value=-5, max_value=5, max_denominator=4))
 @settings(max_examples=30, deadline=None)
 def test_star_cup_routes_agree(f, xstar):
     G = subdiff_graph(f)
-    assert star_cup(f, G, xstar) == star_cup_dual(f, G, xstar)
+    assert star_cup(f, G, xstar) == star_cup_dual_oracle(f, G, xstar)
 
 
 def test_star_cup_empty_graph():
@@ -260,16 +259,16 @@ def test_epi_membership_is_envelope_comparison(f, x, v):
         if alpha != 0
     ]
     want = as_extreal(v) >= as_extreal(max(vals))
-    assert epi_cup_member(f, G2)((x, v)) == want
+    assert epi_member(epi_cup_floor(f, G2), (x, v)) == want
 
 
 def test_epi_membership_validates_samples():
     bad_anchor = OperatorGraph(2, (((F(0), F(5)), (F(0), F(-1))),))
     with pytest.raises(ValueError):
-        epi_cup_member(ABS, bad_anchor)((F(0), F(0)))
+        epi_cup_floor(ABS, bad_anchor)
     upward = OperatorGraph(2, (((F(1), F(1)), (F(1), F(1))),))
     with pytest.raises(ValueError):
-        epi_cup_member(ABS, upward)((F(0), F(0)))
+        epi_cup_floor(ABS, upward)
 
 
 def test_wall_normals_are_horizontal_and_ignored():
@@ -279,8 +278,20 @@ def test_wall_normals_are_horizontal_and_ignored():
     assert {n[0] for _p, n in horiz} == {F(-1), F(1)}
     # past the wall only the slanted supports decide; the steepest sampled
     # dual at the left endpoint is -2, giving the value 2 at x = -1
-    assert epi_cup_member(f, G2)((F(-1), F(2)))
-    assert not epi_cup_member(f, G2)((F(-1), F(3, 2)))
+    floor = epi_cup_floor(f, G2)
+    assert epi_member(floor, (F(-1), F(2)))
+    assert not epi_member(floor, (F(-1), F(3, 2)))
+
+
+def test_open_ends_bound_pairs_and_cuts_through_the_closure():
+    # on the open interval (0, 1) the only subgradient at 1/2 is 0; the
+    # closure's value 0 at the open ends rules every other slope out
+    with pytest.raises(ValueError, match="fails the subgradient test"):
+        upper_envelope(OPEN_UNIT, OperatorGraph(1, ((F(1, 2), F(-1, 2)),)))
+    assert upper_envelope(OPEN_UNIT, OperatorGraph(1, ((F(1, 2), F(0)),))).pieces
+    sample = OperatorGraph(2, (((F(1, 2), F(0)), (F(-1, 2), F(-1))),))
+    with pytest.raises(ValueError, match="fails support"):
+        epi_cup_floor(OPEN_UNIT, sample)
 
 
 # ---------------------------------------------------------------------------
@@ -354,19 +365,10 @@ def test_product_bound_arithmetic():
 
 
 def test_envelope_result_exact_cup_table():
-    r = envelope_result(ABS, "cup", (F(-1), F(0), F(1)))
-    assert r.kind == "cup"
-    assert [v for _p, v in r.table()] == [as_extreal(1), as_extreal(0), as_extreal(1)]
+    rows = envelope_result(ABS, "cup", (F(-1), F(0), F(1)))
+    assert rows == tuple(zip((F(-1), F(0), F(1)), map(as_extreal, (1, 0, 1))))
 
 
 def test_envelope_result_rejects_unknown_kind():
     with pytest.raises(ValueError):
         envelope_result(ABS, "frown", (F(0),))
-
-
-def test_envelope_result_csv(tmp_path):
-    p = tmp_path / "vals.csv"
-    envelope_result(ABS, "cup", (F(0), F(2))).write_csv(p)
-    lines = p.read_text().splitlines()
-    assert lines[0] == "x,value"
-    assert lines[1:] == ["0,0", "2,2"]

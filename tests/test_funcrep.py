@@ -14,15 +14,12 @@ from envcalc.funcrep import (
     SampledSet,
     dump_instance,
     effective_domain,
-    epigraph_samples,
-    evaluate,
     is_convex_on_grid,
     level_set,
     load_instance,
     lsc_defect,
     pl_canonical,
     pl_equal,
-    write_values_csv,
 )
 
 ABS = PLConvex1D((F(-1), F(0), F(1)), (F(1), F(0), F(1)), F(-1), F(1))
@@ -97,7 +94,7 @@ def test_value_at_walls_and_recessions():
 def test_override_value_and_closure():
     f = PLConvex1D((F(0), F(1)), (F(0), F(1)), None, None, F(5), None)
     assert f.value_at(F(0)) == F(5)
-    assert f.closure_value_at(F(0)) == F(0)
+    assert f.closure().value_at(F(0)) == F(0)
     g = f.closure()
     assert g.override_left is None
     assert g.value_at(F(0)) == F(0)
@@ -127,13 +124,6 @@ def test_level_set_is_interval():
     assert level_set(ABS, F(1)) == Interval1D(F(-1), F(1))
     assert level_set(ABS, F(0)) == Interval1D(F(0), F(0))
     assert level_set(ABS, F(-1)) is None
-
-
-def test_evaluate_dispatch():
-    assert evaluate(ABS, F(1, 2)) == F(1, 2)
-    g = GridFunction(1, (0.0, 1.0), (0.5, 2.0))
-    assert evaluate(g, 1.0) == 2.0
-    assert evaluate(g, 0.25).is_pos_inf
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +224,6 @@ def test_grid_accepts_listed_pos_inf():
     g = GridFunction(1, (0.0, 1.0), (math.inf, 2.0))
     assert g.value_at(0.0).is_pos_inf
     assert g.finite_items() == [(1.0, 2.0)]
-    assert g.is_proper()
 
 
 def test_grid_value_off_list_is_pos_inf():
@@ -266,16 +255,8 @@ def test_convexity_on_grid_2d():
     assert not is_convex_on_grid(GridFunction(2, pts, bumped))
 
 
-def test_epigraph_samples_sit_above_graph():
-    pts = epigraph_samples(ABS, (F(-1), F(0), F(1)))
-    assert len(pts) == 9
-    for (x, t) in pts:
-        assert ABS.value_at(x) <= t
-
-
 def test_maxaffine_empty_is_improper():
     e = MaxAffine(1, ())
-    assert not e.is_proper()
     assert e.value_at(0).is_neg_inf
     with pytest.raises(ValueError):
         effective_domain(e)
@@ -304,11 +285,3 @@ def test_dump_load_round_trip(obj):
 def test_load_rejects_unknown_kind():
     with pytest.raises(ValueError):
         load_instance({"kind": "mystery"})
-
-
-def test_write_values_csv_lf(tmp_path):
-    p = tmp_path / "vals.csv"
-    write_values_csv(p, [F(0), F(1)], [F(1, 2), POS_INF], 1)
-    raw = p.read_bytes()
-    assert b"\r" not in raw
-    assert raw.decode().splitlines() == ["x,value", "0,1/2", "1,inf"]

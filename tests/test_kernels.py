@@ -6,19 +6,21 @@ budgeted support sup and for the Fitzpatrick function, a linear scan for
 the subgradient interval, the quadratic max for the conjugate, the
 quadratic chain DP for ``n_cup_envelope``, the ``Fraction`` line hull the
 scaled-int ``line_envelope_at`` replaced, the per-call sample validation
-for ``epi_cup_member`` and, for the line-hull routes over 1D pair lists,
-the per-cell ``fitzpatrick`` pair loop, the per-probe
+behind the ``epi_cup_floor`` membership and, for the line-hull routes over
+1D pair lists, the per-cell ``fitzpatrick`` pair loop, the per-probe
 ``MaxAffine.value_at``, the all-pairs relation test of
-``is_maximal_relative``, the per-call ``subdiff_test`` loop that
-``subgradient_test`` replaced (per-pair validation in ``upper_envelope``
-and in the theorem checks), the max loops of ``star_cup``,
-``cup_dual_value`` and ``star_cup_dual`` that ``MaxAffine`` replaced, and
-the structure walk that ``slope_range`` replaced, the point-chord lower
-hull that ``_hull_1d_exact`` ran before it shared ``_upper_hull``, the
-candidate selection of ``brondsted_search`` before it judged candidates
-as ``BrondstedResult``s, and the ``subdiff_exact`` lookup behind
-``structure_contains``.  They live here only, as references; exact
-comparisons are exact and float comparisons are bit for bit.
+``is_maximal_relative``, the ``subdiff_exact`` containment that
+``subgradient_test`` must agree with (per-pair validation in
+``upper_envelope`` and in the theorem checks), the max loop of
+``star_cup`` and the conjugate-side max loops that cross-check the
+anchor routes, the structure walk that ``slope_range`` replaced, the
+point-chord lower hull that ``_hull_1d_exact`` ran before it shared
+``_upper_hull``, the candidate selection of ``brondsted_search`` before
+it judged candidates as ``BrondstedResult``s, the ``subdiff_exact``
+lookup behind ``structure_contains``, and the hand-written binary search
+that ``PLConvex1D.value_at`` ran before it took ``bisect_right``.  They
+live here only, as references; exact comparisons are exact and float
+comparisons are bit for bit.
 """
 
 import random
@@ -27,7 +29,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from envcalc.extreal import NEG_INF, POS_INF, MixedScalarError, as_extreal
+from envcalc.extreal import NEG_INF, POS_INF, ExtReal, MixedScalarError, as_extreal
 from envcalc.funcrep import (
     GridFunction,
     Interval1D,
@@ -36,25 +38,20 @@ from envcalc.funcrep import (
     _frac,
     _hull_1d_exact,
     dot,
-    evaluate,
     line_envelope_at,
     point_sub,
 )
 from envcalc.envelopes import (
     BrondstedResult,
-    _conjugate_at,
     brondsted_search,
-    cup_dual_value,
     cup_value,
     epi_cup_floor,
-    epi_cup_member,
     epi_normal_graph,
     n_cup,
     n_cup_envelope,
     smile_eps_value,
     smile_value,
     star_cup,
-    star_cup_dual,
     upper_envelope,
 )
 from envcalc.operators import (
@@ -186,7 +183,7 @@ def n_cup_levels_oracle(f, G, n):
     ps = G.pairs
     level = []
     for a, _b in ps:
-        fa = evaluate(f, a)
+        fa = f.value_at(a)
         if not fa.is_finite:
             raise ValueError(f"anchor {a!r} has no finite value")
         level.append(fa.finite())
@@ -218,36 +215,42 @@ def n_cup_oracle(f, G, n, x):
 
 
 def subdiff_test_oracle(f, x, xstar):
-    """The per-call inequality loop: f(y) >= f(x) + xstar*(y-x) at every
-    breakpoint, each value read anew, plus both recession directions."""
-    x = _frac(x)
-    xstar = _frac(xstar)
-    fx = f.value_at(x)
-    if not fx.is_finite:
-        return False
-    fx = fx.finite()
-    for y in f.breakpoints:
-        fy = f.value_at(y)
-        if fy.is_finite and fy.finite() < fx + xstar * (y - x):
-            return False
-    if f.left_recession is not None and xstar < f.left_recession:
-        return False
-    if f.right_recession is not None and xstar > f.right_recession:
-        return False
-    return True
+    """Containment in the subgradient interval: xstar in subdiff_exact(f, x)."""
+    iv = subdiff_exact(f, x)
+    return iv is not None and iv.contains(_frac(xstar))
 
 
 def star_cup_oracle(f, G, xstar):
     """max over the distinct anchors a of <xstar, a> - f(a), first max kept."""
     best = NEG_INF
     for a in {a for a, _b in G.pairs}:
-        fa = evaluate(f, a)
+        fa = f.value_at(a)
         if not fa.is_finite:
             raise ValueError(f"anchor {a!r} has no finite value")
         cand = as_extreal(dot(xstar, a, G.dim) - fa.finite())
         if cand > best:
             best = cand
     return best
+
+
+def _conjugate_at(f):
+    """b -> f*(b) as a finite scalar, for the dual cross-check routes: the
+    exact conjugate of a PLConvex1D, the max over a grid's finite samples."""
+    if isinstance(f, PLConvex1D):
+        conj = conjugate_exact(f)
+
+        def fstar(b):
+            return conj.value_at(b).finite()
+
+    elif isinstance(f, GridFunction):
+        items = f.finite_items()
+
+        def fstar(b):
+            return max(dot(y, b, f.dim) - fy for y, fy in items)
+
+    else:
+        raise TypeError("unsupported function representation")
+    return fstar
 
 
 def cup_dual_value_oracle(f, G, x):
@@ -317,12 +320,14 @@ def line_envelope_at_oracle(lines, probes):
 
 
 def epi_cup_membership_oracle(f, G_full, point):
-    """Validate every sample against every breakpoint, then test the point."""
+    """Validate every sample against the closure at every breakpoint, then
+    test the point."""
     if G_full.dim != 2:
         raise ValueError("epigraph samples live in dimension 2")
     x, v = point
     x = _exactify(x)
     v = _exactify(v)
+    cl = f.closure()
     for (a, t), (astar, alpha) in G_full.pairs:
         fa = f.value_at(a)
         if not fa.is_finite or fa.finite() != t:
@@ -330,8 +335,8 @@ def epi_cup_membership_oracle(f, G_full, point):
         if alpha > 0:
             raise ValueError("epigraph normals cannot point upward")
         for y in f.breakpoints:
-            fy = f.value_at(y)
-            if fy.is_finite and (y - a) * astar + (fy.finite() - t) * alpha > 0:
+            fy = cl.value_at(y).finite()
+            if (y - a) * astar + (fy - t) * alpha > 0:
                 raise ValueError(f"sample {(a, t, astar, alpha)!r} fails support")
         if f.left_recession is not None and -astar - f.left_recession * alpha > 0:
             raise ValueError("sample fails the left recession direction")
@@ -343,6 +348,43 @@ def epi_cup_membership_oracle(f, G_full, point):
         if (x - a) * astar + (v - t) * alpha > 0:
             return False
     return True
+
+
+def value_at_oracle(f, x):
+    """``PLConvex1D.value_at`` with its hand-written binary search."""
+    x = _frac(x)
+    b, v = f.breakpoints, f.values
+    if x < b[0]:
+        if f.left_recession is None:
+            return POS_INF
+        return ExtReal(v[0] + f.left_recession * (x - b[0]))
+    if x > b[-1]:
+        if f.right_recession is None:
+            return POS_INF
+        return ExtReal(v[-1] + f.right_recession * (x - b[-1]))
+    if x == b[0] and f.override_left is not None:
+        return f.override_left
+    if x == b[-1] and f.override_right is not None:
+        return f.override_right
+    lo, hi = 0, len(b) - 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if b[mid] <= x:
+            lo = mid
+        else:
+            hi = mid
+    if x == b[lo]:
+        return ExtReal(v[lo])
+    if x == b[hi]:
+        return ExtReal(v[hi])
+    t = (x - b[lo]) / (b[hi] - b[lo])
+    return ExtReal(v[lo] + t * (v[hi] - v[lo]))
+
+
+def epi_member(floor, point):
+    """(x, v) meets every non-horizontal cut: v >= the cut floor at x."""
+    x, v = point
+    return as_extreal(_exactify(v)) >= floor.value_at(_exactify(x))
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +534,16 @@ def test_subdiff_and_conjugate_match_scans(f, extra):
         assert subdiff_exact(f, x) == subdiff_oracle(f, x)
     g = conjugate_exact(f)
     assert (g.breakpoints, g.values, g.left_recession, g.right_recession) == conjugate_oracle(f)
+
+
+@given(pl_functions(), extras)
+@settings(max_examples=150, deadline=None)
+def test_value_at_matches_binary_search(f, extra):
+    """At, between and beyond the breakpoints, integral probes also spelled
+    as ints: the same value with the same payload type."""
+    for x in primal_points(f, extra):
+        for p in (x, int(x)) if x.denominator == 1 else (x,):
+            assert repr(f.value_at(p)) == repr(value_at_oracle(f, p)), p
 
 
 # ---------------------------------------------------------------------------
@@ -688,11 +740,12 @@ def test_epi_cup_member_matches_per_call_validation():
         if not G.pairs:
             continue
         G2 = epi_normal_graph(f, G)
-        member = epi_cup_member(f, G2)
+        floor = epi_cup_floor(f, G2)
         pts = _epi_points(f, G)
         for p in pts:
-            assert member(p) == epi_cup_membership_oracle(f, G2, p)
-        assert [epi_cup_member(f, G2)(p) for p in pts[::5]] == [member(p) for p in pts[::5]]
+            assert epi_member(floor, p) == epi_cup_membership_oracle(f, G2, p)
+        again = epi_cup_floor(f, G2)
+        assert [epi_member(again, p) for p in pts[::5]] == [epi_member(floor, p) for p in pts[::5]]
         # one extra sample, often invalid: both routes raise the same error
         # or both accept it and agree on every point
         for _ in range(6):
@@ -708,10 +761,10 @@ def test_epi_cup_member_matches_per_call_validation():
                 normal = (F(rnd.randint(-12, 12), rnd.choice((1, 2, 3))),
                           rnd.choice((F(-1), F(-1, 2), F(0), F(1, 2))))
             bad = OperatorGraph(2, G2.pairs + (((a, t), normal),))
-            got = _outcome(lambda: epi_cup_member(f, bad))
+            got = _outcome(lambda: epi_cup_floor(f, bad))
             for p in pts[::7]:
                 want = _outcome(lambda: epi_cup_membership_oracle(f, bad, p))
-                assert (got if isinstance(got, tuple) else got(p)) == want
+                assert (got if isinstance(got, tuple) else epi_member(got, p)) == want
 
 
 V = PLConvex1D((F(0),), (F(0),), F(-1), F(1))  # |x|
@@ -728,8 +781,8 @@ HAT = PLConvex1D((F(-1), F(0), F(1)), (F(1), F(0), F(1)))  # |x| on [-1, 1]
 def test_epi_cup_member_rejects_bad_samples(f, sample, message):
     G2 = OperatorGraph(2, (sample,))
     for call in (
-        lambda: epi_cup_member(f, G2),
-        lambda: epi_cup_member(f, G2)((F(0), F(0))),
+        lambda: epi_cup_floor(f, G2),
+        lambda: epi_member(epi_cup_floor(f, G2), (F(0), F(0))),
         lambda: epi_cup_membership_oracle(f, G2, (F(0), F(0))),
     ):
         with pytest.raises(ValueError, match=message):
@@ -757,7 +810,6 @@ def epi_samples(draw):
 def test_epi_cup_floor_matches_cut_loop(case, extra):
     f, G2 = case
     floor = epi_cup_floor(f, G2)
-    member = epi_cup_member(f, G2)
     xs = primal_points(f, extra)
     vals = floor.values_at(xs)
     assert vals == [floor.value_at(x) for x in xs]
@@ -767,7 +819,7 @@ def test_epi_cup_floor_matches_cut_loop(case, extra):
         base = fl.finite() if fl.is_finite else F(0)
         for v in (base - 1, base - F(1, 1000), base, base + F(1, 3)):
             want = epi_cup_membership_oracle(f, G2, (x, v))
-            assert member((x, v)) == want == (as_extreal(v) >= fl), (x, v)
+            assert epi_member(floor, (x, v)) == want == (as_extreal(v) >= fl), (x, v)
 
 
 def test_epi_cup_floor_without_cuts():
@@ -776,7 +828,7 @@ def test_epi_cup_floor_without_cuts():
     assert len(G2.pairs) == 2
     assert epi_cup_floor(HAT, G2).pieces == ()
     for p in ((F(0), F(-100)), (F(5), F(0))):
-        assert epi_cup_member(HAT, G2)(p) and epi_cup_membership_oracle(HAT, G2, p)
+        assert epi_member(epi_cup_floor(HAT, G2), p) and epi_cup_membership_oracle(HAT, G2, p)
 
 
 @given(pl_functions(), st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=5), max_size=2), extras)
@@ -847,7 +899,7 @@ def upper_envelope_oracle(f, G):
     """Pieces of ``upper_envelope`` with ``subdiff_test`` run per pair."""
     pieces = []
     for a, b in G.pairs:
-        fa = evaluate(f, a)
+        fa = f.value_at(a)
         if not fa.is_finite:
             raise ValueError(f"anchor {a!r} has no finite value")
         if not subdiff_test_oracle(f, a, b):
@@ -969,7 +1021,7 @@ def test_maximal_relative_shortcut_with_structure(f, extra, rnd):
     G = subdiff_graph(f)
     pts = primal_points(f, extra)[::3] + dual_points(f, extra)[::3]
     cands = _candidates(G, pts[:6], rnd)
-    for graph in (G, G.restrict(lambda p: True)):
+    for graph in (G, OperatorGraph(G.dim, G.pairs, label=G.label)):
         assert graph.structure is None or graph is G
         assert is_maximal_relative(graph, cands) == maximal_relative_oracle(graph, cands)
 
@@ -1086,12 +1138,12 @@ def _spelled(draw, q):
 
 @st.composite
 def star_cases(draw):
-    """(f, G, probes) for the three anchor/dual routes, one of three kinds.
+    """(f, G, probes) for the anchor route ``star_cup``, one of three kinds.
     Float: a 1D or 2D grid with pairs on its samples.  PL: anchors at
     primal points (some off the domain) and duals at dual points (some off
     the conjugate's domain), ints mixed with Fractions.  Levels: a function
-    known only at its anchors, with int and Fraction levels that tie (no
-    conjugate, so ``star_cup`` only).  One graph in eight is emptied."""
+    known only at its anchors, with int and Fraction levels that tie.  One
+    graph in eight is emptied."""
     kind = draw(st.sampled_from(("float", "pl", "levels")))
     if kind == "float":
         f, G, probes = draw(float_pair_graphs())
@@ -1114,20 +1166,15 @@ def star_cases(draw):
 @given(star_cases())
 @settings(max_examples=300, deadline=None)
 def test_anchor_and_dual_routes_match_max_loops(case):
-    """``star_cup``, ``cup_dual_value`` and ``star_cup_dual`` (one MaxAffine
-    each) against their max loops: the same value spelled the same way
-    (payload type and repr), or the same ValueError text."""
+    """``star_cup`` (one MaxAffine) against its max loop: the same value
+    spelled the same way (payload type and repr), or the same ValueError
+    text."""
     f, G, probes = case
-    routes = [(star_cup, star_cup_oracle)]
-    if not isinstance(f, AnchorLevels):
-        routes += [(cup_dual_value, cup_dual_value_oracle),
-                   (star_cup_dual, star_cup_dual_oracle)]
     for x in probes:
-        for route, oracle in routes:
-            want = _outcome(lambda: _bits(oracle(f, G, x)))
-            assert _outcome(lambda: _bits(route(f, G, x))) == want, (route, x)
-            if not G.pairs:
-                assert want == _bits(NEG_INF)
+        want = _outcome(lambda: _bits(star_cup_oracle(f, G, x)))
+        assert _outcome(lambda: _bits(star_cup(f, G, x))) == want, x
+        if not G.pairs:
+            assert want == _bits(NEG_INF)
 
 
 @given(pl_functions())

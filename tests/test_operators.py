@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from envcalc.extreal import POS_INF
 from envcalc.funcrep import GridFunction, Interval1D, PLConvex1D
 from envcalc.operators import (
     OperatorGraph,
@@ -14,7 +15,6 @@ from envcalc.operators import (
     graph_load,
     grid_subdiff_test,
     is_maximal_relative,
-    is_monotone,
     ni_check,
     ni_nonneg,
     normal_cone,
@@ -22,7 +22,6 @@ from envcalc.operators import (
     subdiff_graph,
     subdiff_structure,
     subdiff_test,
-    write_graph_csv,
 )
 from envcalc.transforms import conjugate_exact
 
@@ -88,6 +87,22 @@ def test_eps_subdiff_relaxes():
     assert eps_subdiff_interval(f, F(0), F(1, 1000)) is None
 
 
+# the indicator of the open interval (0, 1), and 0 on [0, 1] raised to 1 at 0
+OPEN_UNIT = PLConvex1D((F(0), F(1)), (F(0), F(0)), None, None, POS_INF, POS_INF)
+RAISED_LEFT = PLConvex1D((F(0), F(1)), (F(0), F(0)), None, None, F(1), None)
+
+
+def test_subdiff_test_reads_the_closure_at_open_and_raised_ends():
+    # the open ends carry no value, but the closure's 0 there still bounds
+    # the slope: only 0 is a subgradient at 1/2
+    assert [s for s in (F(-1), F(0), F(1)) if subdiff_test(OPEN_UNIT, F(1, 2), s)] == [F(0)]
+    # at a raised end the subdifferential is empty, whatever the slope
+    assert subdiff_exact(RAISED_LEFT, F(0)) is None
+    for s in (F(-1), F(0), F(-100)):
+        assert not subdiff_test(RAISED_LEFT, F(0), s)
+    assert subdiff_test(RAISED_LEFT, F(1, 2), F(0))
+
+
 def test_grid_subdiff_test_matches_hull():
     g = GridFunction(1, (0.0, 1.0, 2.0), (0.0, 0.5, 2.0))
     assert grid_subdiff_test(g, 0.0, -1.0)
@@ -120,13 +135,15 @@ def test_normal_cone_outside_raises():
 def test_subdiff_graph_is_monotone():
     G = subdiff_graph(ABS)
     assert G.pairs
-    assert is_monotone(G)
+    # monotone: every pair is monotonically related to every pair
+    assert is_maximal_relative(G, G.pairs).related == len(G.pairs)
 
 
 @given(convex_pl())
 @settings(max_examples=40, deadline=None)
 def test_subdiff_graph_monotone_property(f):
-    assert is_monotone(subdiff_graph(f))
+    G = subdiff_graph(f)
+    assert is_maximal_relative(G, G.pairs).related == len(G.pairs)
 
 
 def test_graph_members_pass_subdiff_test():
@@ -137,7 +154,14 @@ def test_graph_members_pass_subdiff_test():
 
 def test_monotone_violation_detected():
     G = OperatorGraph(1, ((F(0), F(1)), (F(1), F(0))))
-    assert not is_monotone(G)
+    assert is_maximal_relative(G, G.pairs).related < len(G.pairs)
+    # the float, 2D and tol paths of the relation test
+    for H in (
+        OperatorGraph(1, ((0.0, 1.0), (1.0, 0.0))),
+        OperatorGraph(2, (((0, 0), (1, 0)), ((1, 0), (0, 0)))),
+    ):
+        assert is_maximal_relative(H, H.pairs).related < len(H.pairs)
+    assert is_maximal_relative(G, G.pairs, tol=1).related == len(G.pairs)
 
 
 def test_maximal_relative_finds_gap():
@@ -156,13 +180,6 @@ def test_graph_json_round_trip():
     back = graph_load(graph_dump(G))
     assert back.pairs == G.pairs
     assert back.dim == G.dim
-
-
-def test_graph_csv_header(tmp_path):
-    p = tmp_path / "g.csv"
-    write_graph_csv(p, OperatorGraph(1, ((F(1), F(2)),)))
-    assert p.read_text().splitlines()[0] == "x,xstar"
-    assert "\r" not in p.read_text()
 
 
 # ---------------------------------------------------------------------------
