@@ -184,7 +184,7 @@ def _emit_pl(out_path, g: PLConvex1D, spec) -> int:
     ``theoremlab.primal_probes(g)`` when no grid is given."""
     if not _emit_instance_json(out_path, g):
         pts = parse_probe_grid(spec, exact=True) if spec else theoremlab.primal_probes(g)
-        _emit(out_path, "x,value", _value_rows(pts, (g.value_at(p) for p in pts), 1))
+        _emit(out_path, "x,value", _value_rows(pts, g.values_at(pts), 1))
     return 0
 
 
@@ -251,8 +251,7 @@ def _verb_subdiff(args, inst) -> int:
             else theoremlab.primal_probes(inst)
         )
         rows = []
-        for x in pts:
-            iv = operators.subdiff_exact(inst, x)
+        for x, iv in zip(pts, operators.subdiffs_exact(inst, pts)):
             if iv is None:
                 rows.append([_cell(x), "", ""])
             else:

@@ -41,7 +41,7 @@ from .operators import (
     subdiff_structure,
     subgradient_test,
 )
-from .transforms import conjugate_brute, conjugate_exact, pl_restrict
+from .transforms import conjugate_brute, conjugate_exact
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +68,16 @@ def _budgeted_value(f: PLConvex1D, x, slack, st, strict=False) -> ExtReal:
     return st.sup(x, theta=fx.finite() + slack, strict=strict)
 
 
+def _budgeted_values(f: PLConvex1D, xs, slack, st) -> list:
+    """``_budgeted_value`` at every probe of xs (exact), in their order:
+    the budgets come from one ``f.values_at`` and the sups from one
+    ``st.sups``."""
+    thetas = [
+        None if fx.is_pos_inf else fx.finite() + slack for fx in f.values_at(xs)
+    ]
+    return st.sups(xs, thetas)
+
+
 def smile_value(f: PLConvex1D, x, st=None, strict=False) -> ExtReal:
     """Exact constrained envelope: only anchors with f(a) <= f(x) count.
 
@@ -78,12 +88,16 @@ def smile_value(f: PLConvex1D, x, st=None, strict=False) -> ExtReal:
     return _budgeted_value(f, x, 0, st, strict)
 
 
-def smile_eps_value(f: PLConvex1D, x, eps, st=None) -> ExtReal:
-    """Exact relaxed constrained envelope: anchors with f(a) <= f(x) + eps."""
+def _positive_eps(eps):
     eps = _exactify(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    return _budgeted_value(f, x, eps, st)
+    return eps
+
+
+def smile_eps_value(f: PLConvex1D, x, eps, st=None) -> ExtReal:
+    """Exact relaxed constrained envelope: anchors with f(a) <= f(x) + eps."""
+    return _budgeted_value(f, x, _positive_eps(eps), st)
 
 
 def subdiff_domain(f: PLConvex1D) -> Interval1D:
@@ -135,16 +149,47 @@ def cup_exact(f: PLConvex1D) -> PLConvex1D:
     s = g.slopes()
     lrec = s[0] if f.override_left is not None else g.left_recession
     rrec = s[-1] if f.override_right is not None else g.right_recession
-    return PLConvex1D(g.breakpoints, g.values, lrec, rrec, label=f.label)
+    return PLConvex1D._make(
+        g.breakpoints, g.values, lrec, rrec, label=f.label, slopes=s
+    )
 
 
 def sharp_exact(f: PLConvex1D) -> PLConvex1D:
-    return pl_restrict(cup_exact(f), portable_hull_interval(effective_domain(f)))
+    """The upper envelope restricted to the closed normal hull of the
+    domain.  Each finite end of that hull is a wall of f, which is also an
+    end breakpoint of ``cup_exact(f)``, so the restriction puts a wall back
+    at each such end and keeps everything else: O(1) beyond ``cup_exact``.
+    """
+    g = cup_exact(f)
+    hull = portable_hull_interval(effective_domain(f))
+    return PLConvex1D._make(
+        g.breakpoints,
+        g.values,
+        g.left_recession if hull.lo is None else None,
+        g.right_recession if hull.hi is None else None,
+        slopes=g.slopes(),
+    )
+
+
+def _subdiff_restriction(f: PLConvex1D) -> PLConvex1D:
+    """f restricted to the points carrying subgradients, ``subdiff_domain``.
+    That is f's domain left open at each raised wall end, so the
+    restriction turns each finite override into +inf and keeps everything
+    else: O(1)."""
+    return PLConvex1D._make(
+        f.breakpoints,
+        f.values,
+        f.left_recession,
+        f.right_recession,
+        None if f.override_left is None else POS_INF,
+        None if f.override_right is None else POS_INF,
+        slopes=f.slopes(),
+    )
 
 
 def star_cup_exact(f: PLConvex1D) -> PLConvex1D:
     """Conjugate of f restricted to the points carrying subgradients."""
-    return conjugate_exact(pl_restrict(f, subdiff_domain(f)))
+    return conjugate_exact(_subdiff_restriction(f))
 
 
 def circ_exact(f: PLConvex1D) -> PLConvex1D:
@@ -597,24 +642,26 @@ def envelope_result(
     if kind == "smileeps" and eps is None:
         raise ValueError("smileeps needs eps")
     if backend == "exact":
-        st = subdiff_structure(f)
-        if kind == "cup":
-            return tuple((p, cup_value(f, p, st=st)) for p in probes)
-        if kind == "sharp":
-            hull = portable_hull_interval(effective_domain(f))
-            return tuple((p, sharp_value(f, p, st=st, hull=hull)) for p in probes)
         if kind == "starcup":
-            g = star_cup_exact(f)
-            return tuple((p, g.value_at(p)) for p in probes)
+            return tuple(zip(probes, star_cup_exact(f).values_at(probes)))
         if kind == "circ":
-            g = circ_exact(f)
-            return tuple((p, g.value_at(p)) for p in probes)
+            return tuple(zip(probes, circ_exact(f).values_at(probes)))
+        xs = [_exactify(p) for p in probes]
         if kind == "ncup":
             env = n_cup_envelope(f, subdiff_graph(f, probes=probes), n)
-            return tuple(zip(probes, env.values_at([_exactify(p) for p in probes])))
-        if kind == "smile":
-            return tuple((p, smile_value(f, p, st=st)) for p in probes)
-        return tuple((p, smile_eps_value(f, p, eps, st=st)) for p in probes)
+            return tuple(zip(probes, env.values_at(xs)))
+        # cup, sharp, smile and smileeps: sups over the structure, batched
+        st = subdiff_structure(f)
+        if kind == "cup":
+            return tuple(zip(probes, st.sups(xs)))
+        if kind == "sharp":
+            hull = portable_hull_interval(effective_domain(f))
+            return tuple(
+                (p, v if hull.contains(x) else POS_INF)
+                for p, x, v in zip(probes, xs, st.sups(xs))
+            )
+        slack = 0 if kind == "smile" else _positive_eps(eps)
+        return tuple(zip(probes, _budgeted_values(f, xs, slack, st)))
     G = subdiff_graph(f, probes=probes)
     if kind == "cup":
         return tuple(zip(probes, upper_envelope(f, G).values_at(probes)))

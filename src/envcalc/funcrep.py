@@ -141,6 +141,26 @@ def line_envelope_at(lines, probes) -> list:
     return out
 
 
+def sorted_ranks(a, keys, right=False) -> list:
+    """``[bisect_left(a, k) for k in keys]`` (``bisect_right`` when
+    ``right``) for an ascending ``a``, in the order of keys, from one merge:
+    the keys are visited in sorted order and one pointer walks ``a``, so it
+    takes O(len(a) + len(keys)) comparisons when the keys come sorted (the
+    sort then only confirms the order) and O(len(a) + p log p) else."""
+    out = [0] * len(keys)
+    j, n = 0, len(a)
+    for q in sorted(range(len(keys)), key=keys.__getitem__):
+        k = keys[q]
+        if right:
+            while j < n and a[j] <= k:
+                j += 1
+        else:
+            while j < n and a[j] < k:
+                j += 1
+        out[q] = j
+    return out
+
+
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -206,6 +226,10 @@ class PLConvex1D:
     label: str | None = None
 
     def __post_init__(self):
+        """Full validation, for data from outside: every breakpoint, value
+        and recession becomes a Fraction, overrides become ExtReals (a no-op
+        one is dropped), and every invariant is checked.  Derived functions
+        that hold the invariants by construction use ``_make`` instead."""
         bps = tuple(_frac(b) for b in self.breakpoints)
         vals = tuple(_frac(v) for v in self.values)
         object.__setattr__(self, "breakpoints", bps)
@@ -260,6 +284,44 @@ class PLConvex1D:
                 raise ValueError("override on a single-point domain is just a value")
             object.__setattr__(self, f"override_{side}", ov)
 
+    @classmethod
+    def _make(
+        cls,
+        breakpoints: tuple,
+        values: tuple,
+        left_recession=None,
+        right_recession=None,
+        override_left=None,
+        override_right=None,
+        label=None,
+        slopes=None,
+    ) -> "PLConvex1D":
+        """The private constructor of derived functions: sets the fields as
+        given and checks nothing.  The caller guarantees what the public
+        constructor would establish: Fraction breakpoints (strictly
+        increasing), values and recessions, convexity, and overrides that
+        are None, POS_INF or a finite ExtReal(Fraction) strictly above the
+        end value at a wall of a function with two or more breakpoints.
+        ``slopes``, when the caller knows them, must equal the segment
+        slopes; otherwise they are computed, one division per segment."""
+        if slopes is None:
+            slopes = tuple(
+                (v1 - v0) / (b1 - b0)
+                for b0, b1, v0, v1 in zip(breakpoints, breakpoints[1:], values, values[1:])
+            )
+        f = object.__new__(cls)
+        f.__dict__.update(
+            breakpoints=breakpoints,
+            values=values,
+            left_recession=left_recession,
+            right_recession=right_recession,
+            override_left=override_left,
+            override_right=override_right,
+            label=label,
+            _slopes=slopes,
+        )
+        return f
+
     # -- basic structure ------------------------------------------------
     def slopes(self) -> tuple:
         """Interior segment slopes, one per consecutive breakpoint pair."""
@@ -269,17 +331,18 @@ class PLConvex1D:
         """Same function with overrides dropped (the lsc hull)."""
         if self.override_left is None and self.override_right is None:
             return self
-        return PLConvex1D(
+        return PLConvex1D._make(
             self.breakpoints,
             self.values,
             self.left_recession,
             self.right_recession,
             label=self.label,
+            slopes=self._slopes,
         )
 
     def reflect(self) -> "PLConvex1D":
         """x -> f(-x); handy for reusing one-sided logic on the other side."""
-        return PLConvex1D(
+        return PLConvex1D._make(
             tuple(-b for b in reversed(self.breakpoints)),
             tuple(reversed(self.values)),
             None if self.right_recession is None else -self.right_recession,
@@ -287,6 +350,7 @@ class PLConvex1D:
             self.override_right,
             self.override_left,
             label=self.label,
+            slopes=tuple(-s for s in reversed(self._slopes)),
         )
 
     def tilt(self, xstar: Fraction) -> "PLConvex1D":
@@ -298,37 +362,47 @@ class PLConvex1D:
             ovl = ExtReal(ovl.value - xstar * self.breakpoints[0])
         if ovr is not None and ovr.is_finite:
             ovr = ExtReal(ovr.value - xstar * self.breakpoints[-1])
-        return PLConvex1D(
+        return PLConvex1D._make(
             self.breakpoints,
             tuple(v - xstar * b for v, b in zip(self.values, self.breakpoints)),
             None if self.left_recession is None else self.left_recession - xstar,
             None if self.right_recession is None else self.right_recession - xstar,
             ovl,
             ovr,
+            slopes=tuple(s - xstar for s in self._slopes),
         )
 
     # -- evaluation -----------------------------------------------------
-    def value_at(self, x) -> ExtReal:
-        x = _frac(x)
+    def _value(self, j: int, x) -> ExtReal:
+        """f(x), given j = bisect_right(breakpoints, x): the number of
+        breakpoints at or left of x."""
         b, v = self.breakpoints, self.values
-        if x < b[0]:
-            if self.left_recession is None:
-                return POS_INF
-            return ExtReal(v[0] + self.left_recession * (x - b[0]))
-        if x > b[-1]:
-            if self.right_recession is None:
-                return POS_INF
-            return ExtReal(v[-1] + self.right_recession * (x - b[-1]))
-        if x == b[0] and self.override_left is not None:
-            return self.override_left
-        if x == b[-1] and self.override_right is not None:
-            return self.override_right
-        hi = bisect_right(b, x)
-        lo = hi - 1
-        if x == b[lo]:
-            return ExtReal(v[lo])
-        t = (x - b[lo]) / (b[hi] - b[lo])
-        return ExtReal(v[lo] + t * (v[hi] - v[lo]))
+        if j == 0:
+            rec = self.left_recession
+            return POS_INF if rec is None else ExtReal(v[0] + rec * (x - b[0]))
+        if x == b[j - 1]:
+            if j == 1 and self.override_left is not None:
+                return self.override_left
+            if j == len(b) and self.override_right is not None:
+                return self.override_right
+            return ExtReal(v[j - 1])
+        if j == len(b):
+            rec = self.right_recession
+            return POS_INF if rec is None else ExtReal(v[-1] + rec * (x - b[-1]))
+        return ExtReal(v[j - 1] + self._slopes[j - 1] * (x - b[j - 1]))
+
+    def value_at(self, x) -> ExtReal:
+        """f(x) at one probe, by one bisection: O(log m)."""
+        x = _frac(x)
+        return self._value(bisect_right(self.breakpoints, x), x)
+
+    def values_at(self, xs) -> list:
+        """``[value_at(x) for x in xs]``, in the order of xs, from one merge
+        of the probes with the breakpoints (``sorted_ranks``): O(m + p)
+        comparisons when the p probes come sorted, O(m + p log p) else."""
+        xs = list(map(_frac, xs))
+        ranks = sorted_ranks(self.breakpoints, xs, right=True)
+        return list(map(self._value, ranks, xs))
 
 
 # ---------------------------------------------------------------------------
@@ -522,25 +596,33 @@ class MaxAffine:
         for a, s, lv in self.pieces:
             canon.append((_canon_point(a, self.dim), _canon_point(s, self.dim), lv))
         object.__setattr__(self, "pieces", tuple(canon))
+        object.__setattr__(self, "_exact", self.dim == 1 and all(
+            is_exact_scalar(v) for piece in canon for v in piece
+        ))
 
-    def value_at(self, x) -> ExtReal:
-        x = _canon_point(x, self.dim)
+    def _scan(self, x) -> ExtReal:
+        """The sup at a canonical x, piece by piece: O(P)."""
         return ext_sup(
             dot(point_sub(x, a, self.dim), s, self.dim) + lv for a, s, lv in self.pieces
         )
+
+    def value_at(self, x) -> ExtReal:
+        """The sup of the pieces at x.  Exact 1D pieces at an exact probe
+        take ``values_at``, so the two agree on every payload type."""
+        x = _canon_point(x, self.dim)
+        if self._exact and is_exact_scalar(x):
+            return self.values_at((x,))[0]
+        return self._scan(x)
 
     def values_at(self, xs) -> list:
         """``[value_at(x) for x in xs]``.  When the pieces and the probes are
         exact and 1D, the pieces are the lines (slope s, intercept
         lv - s a) and one ``line_envelope_at`` evaluates them all:
-        O((P + p) log(P + p)) instead of O(P p).  Anything else takes
-        ``value_at`` per probe, bit for bit."""
+        O((P + p) log(P + p)) instead of O(P p); on a tie the steeper line
+        gives the payload.  Anything else is scanned per probe."""
         xs = [_canon_point(x, self.dim) for x in xs]
-        exact = self.dim == 1 and all(map(is_exact_scalar, xs)) and all(
-            is_exact_scalar(v) for piece in self.pieces for v in piece
-        )
-        if not exact:
-            return [self.value_at(x) for x in xs]
+        if not (self._exact and all(map(is_exact_scalar, xs))):
+            return list(map(self._scan, xs))
         if not self.pieces:
             return [NEG_INF] * len(xs)
         lines = ((s, lv - s * a) for a, s, lv in self.pieces)
@@ -693,7 +775,7 @@ def pl_canonical(f: PLConvex1D) -> PLConvex1D:
         and f.right_recession is not None
         and f.right_recession == s[-1]
     ):
-        del b[-1], v[-1]
+        del b[-1], v[-1], s[-1]
     if (
         len(b) == 1
         and f.left_recession is not None
@@ -704,7 +786,7 @@ def pl_canonical(f: PLConvex1D) -> PLConvex1D:
         b[0] = Fraction(0)
     if tuple(b) == f.breakpoints and tuple(v) == f.values:
         return f
-    return PLConvex1D(
+    return PLConvex1D._make(
         tuple(b),
         tuple(v),
         f.left_recession,
@@ -712,6 +794,7 @@ def pl_canonical(f: PLConvex1D) -> PLConvex1D:
         f.override_left,
         f.override_right,
         label=f.label,
+        slopes=tuple(s),
     )
 
 

@@ -29,6 +29,7 @@ from .funcrep import (
     is_exact_scalar,
     line_envelope_values,
     point_sub,
+    sorted_ranks,
 )
 from .transforms import conjugate_exact, indicator
 
@@ -107,19 +108,54 @@ class SubdiffStructure1D:
           is unimodal along the order, and the run is found by one bisection
           on each side of its minimum.
         """
-        order = self._order
-        if not order:
+        if not self._order:
             return NEG_INF
         if theta is None:
-            i, j = 0, len(order) - 1
+            n_left, n_right = len(self._adm_left), len(self._adm_right)
         else:
             bound = (0, theta, 0 if strict else 1)
             n_left = bisect_left(self._adm_left, bound)
-            if n_left == 0:
-                return NEG_INF
-            i = self._argmin - n_left + 1
-            j = self._argmin + bisect_left(self._adm_right, bound) - 1
-        p = bisect_left(self._pos, (x, 1))
+            n_right = bisect_left(self._adm_right, bound)
+        return self._run_sup(x, bisect_left(self._pos, (x, 1)), n_left, n_right)
+
+    def sups(self, xs, thetas=None, strict=False) -> list:
+        """``[sup(x, theta, strict) for x, theta in zip(xs, thetas)]``, in
+        the order of xs; ``thetas`` None, or a None entry, means no budget.
+
+        The three bisections of ``sup`` become three ``sorted_ranks``
+        merges: the probes against the position keys, and the budgets
+        against each side's admission keys.  O(m + p) comparisons when the
+        probes and budgets come sorted, a sort of each otherwise, instead
+        of O(p log m).
+        """
+        xs = list(xs)
+        if not self._order:
+            return [NEG_INF] * len(xs)
+        n = len(xs)
+        n_left, n_right = [len(self._adm_left)] * n, [len(self._adm_right)] * n
+        if thetas is not None:
+            tag = 0 if strict else 1
+            budgeted = [q for q in range(n) if thetas[q] is not None]
+            bounds = [(0, thetas[q], tag) for q in budgeted]
+            for q, nl, nr in zip(
+                budgeted,
+                sorted_ranks(self._adm_left, bounds),
+                sorted_ranks(self._adm_right, bounds),
+            ):
+                n_left[q], n_right[q] = nl, nr
+        ps = sorted_ranks(self._pos, [(x, 1) for x in xs])
+        return list(map(self._run_sup, xs, ps, n_left, n_right))
+
+    def _run_sup(self, x, p, n_left, n_right) -> ExtReal:
+        """The sup at x over the admitted run: the n_left candidates from
+        the admission minimum leftward and the n_right from it rightward
+        (the minimum counted on both sides), where p candidates lie wholly
+        left of x."""
+        if n_left == 0:
+            return NEG_INF
+        order = self._order
+        i = self._argmin - n_left + 1
+        j = self._argmin + n_right - 1
         best = None
         for c in (min(p - 1, j), max(p, i)):
             if c < i or c > j:
@@ -204,29 +240,41 @@ def subdiff_structure(f: PLConvex1D) -> SubdiffStructure1D:
     return SubdiffStructure1D(tuple(points), tuple(segments))
 
 
-def subdiff_exact(f: PLConvex1D, x) -> Interval1D | None:
-    """The subgradient interval at x, or None when it is empty."""
-    x = _frac(x)
-    b = f.breakpoints
-    s = f.slopes()
-    if x < b[0]:
-        if f.left_recession is None:
+def _subdiff_at(f: PLConvex1D, j: int, x) -> Interval1D | None:
+    """The subgradient interval at x, given j = bisect_right(f.breakpoints,
+    x): the number of breakpoints at or left of x."""
+    b, s = f.breakpoints, f.slopes()
+    if j == 0:
+        rec = f.left_recession
+        return None if rec is None else Interval1D(rec, rec)
+    if x == b[j - 1]:
+        if (j == 1 and f.override_left is not None) or (
+            j == len(b) and f.override_right is not None
+        ):
             return None
-        return Interval1D(f.left_recession, f.left_recession)
-    if x > b[-1]:
-        if f.right_recession is None:
-            return None
-        return Interval1D(f.right_recession, f.right_recession)
-    if x == b[0] and f.override_left is not None:
-        return None
-    if x == b[-1] and f.override_right is not None:
-        return None
-    i = bisect_left(b, x)
-    if x == b[i]:
-        lo = s[i - 1] if i >= 1 else f.left_recession
-        hi = s[i] if i < len(s) else f.right_recession
+        lo = s[j - 2] if j >= 2 else f.left_recession
+        hi = s[j - 1] if j <= len(s) else f.right_recession
         return Interval1D(lo, hi)
-    return Interval1D(s[i - 1], s[i - 1])
+    if j == len(b):
+        rec = f.right_recession
+        return None if rec is None else Interval1D(rec, rec)
+    return Interval1D(s[j - 1], s[j - 1])
+
+
+def subdiff_exact(f: PLConvex1D, x) -> Interval1D | None:
+    """The subgradient interval at x, or None when it is empty: one
+    bisection, O(log m)."""
+    x = _frac(x)
+    return _subdiff_at(f, bisect_right(f.breakpoints, x), x)
+
+
+def subdiffs_exact(f: PLConvex1D, xs) -> list:
+    """``[subdiff_exact(f, x) for x in xs]``, in the order of xs, from one
+    merge of the probes with the breakpoints (``sorted_ranks``): O(m + p)
+    comparisons when the probes come sorted."""
+    xs = list(map(_frac, xs))
+    ranks = sorted_ranks(f.breakpoints, xs, right=True)
+    return [_subdiff_at(f, j, x) for j, x in zip(ranks, xs)]
 
 
 def subgradient_test(f, tol=0):

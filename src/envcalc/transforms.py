@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .extreal import ExtReal, NEG_INF, POS_INF, as_extreal, ext_add, ext_sup
+from .extreal import ExtReal, POS_INF, ext_add, ext_sup
 from .funcrep import (
     GridFunction,
     Interval1D,
@@ -59,7 +59,10 @@ def conjugate_exact(f: PLConvex1D) -> PLConvex1D:
     The slopes are already sorted, so one merge gives the dual breakpoints
     and one forward pointer the maximizing breakpoint of each: y*b[i] - v[i]
     rises while the slope after b[i] is below y and falls once it exceeds y,
-    so the max sits at b[bisect_left(slopes, y)].  O(m) overall.
+    so the max sits at b[bisect_left(slopes, y)].  O(m) overall.  The same
+    b[i] is a maximizer all the way down to the previous dual breakpoint,
+    so it is the slope of the dual segment that ends at y, and the result
+    is built with those slopes, unchecked.
     """
     if not isinstance(f, PLConvex1D):
         raise TypeError("conjugate_exact takes a PLConvex1D")
@@ -73,21 +76,28 @@ def conjugate_exact(f: PLConvex1D) -> PLConvex1D:
     if not ys:
         ys.append(Fraction(0))  # single-point domain: conjugate is affine
     vals = []
+    maximizers = []
     i = 0
     for y in ys:
         while i < len(s) and s[i] < y:
             i += 1
         vals.append(y * b[i] - v[i])
-    return PLConvex1D(
+        maximizers.append(b[i])
+    return PLConvex1D._make(
         tuple(ys),
         tuple(vals),
-        left_recession=b[0] if g.left_recession is None else None,
-        right_recession=b[-1] if g.right_recession is None else None,
+        b[0] if g.left_recession is None else None,
+        b[-1] if g.right_recession is None else None,
+        slopes=tuple(maximizers[1:]),
     )
 
 
 def pl_add(f: PLConvex1D, g: PLConvex1D) -> PLConvex1D:
-    """Exact pointwise sum; raises ImproperError when the domains miss."""
+    """Exact pointwise sum; raises ImproperError when the domains miss.
+
+    The sum's breakpoints are the merged breakpoints of f and g inside the
+    common domain, and each closure is evaluated there in one
+    ``values_at`` sweep."""
     flo = None if f.left_recession is not None else f.breakpoints[0]
     fhi = None if f.right_recession is not None else f.breakpoints[-1]
     glo = None if g.left_recession is not None else g.breakpoints[0]
@@ -100,7 +110,7 @@ def pl_add(f: PLConvex1D, g: PLConvex1D) -> PLConvex1D:
         val = ext_add(f.value_at(lo), g.value_at(lo))
         if val.is_pos_inf:
             raise ImproperError("sum is +inf everywhere (endpoint exclusions meet)")
-        return PLConvex1D((lo,), (val.finite(),))
+        return PLConvex1D._make((lo,), (val.finite(),))
     xs = set()
     for h in (f, g):
         for x in h.breakpoints:
@@ -111,8 +121,10 @@ def pl_add(f: PLConvex1D, g: PLConvex1D) -> PLConvex1D:
     if hi is not None:
         xs.add(hi)
     xs = tuple(sorted(xs))
-    fc, gc = f.closure(), g.closure()
-    vals = tuple(fc.value_at(x).finite() + gc.value_at(x).finite() for x in xs)
+    vals = tuple(
+        a.finite() + c.finite()
+        for a, c in zip(f.closure().values_at(xs), g.closure().values_at(xs))
+    )
     lrec = (f.left_recession + g.left_recession) if lo is None else None
     rrec = (f.right_recession + g.right_recession) if hi is None else None
     ovl = ovr = None
@@ -124,7 +136,7 @@ def pl_add(f: PLConvex1D, g: PLConvex1D) -> PLConvex1D:
         actual = ext_add(f.value_at(hi), g.value_at(hi))
         if actual != vals[-1]:
             ovr = actual
-    return PLConvex1D(xs, vals, lrec, rrec, ovl, ovr)
+    return PLConvex1D._make(xs, vals, lrec, rrec, ovl, ovr)
 
 
 def indicator(S) -> PLConvex1D | GridFunction:
@@ -160,7 +172,10 @@ def indicator(S) -> PLConvex1D | GridFunction:
 
 
 def pl_restrict(f: PLConvex1D, iv: Interval1D) -> PLConvex1D:
-    """f + indicator(iv): the same function confined to an interval."""
+    """f + indicator(iv): the same function confined to an interval, by
+    the general route of ``pl_add``, O(m log m).  The envelopes confine
+    their functions in O(1) where the interval's ends are f's own end
+    breakpoints (``envelopes.sharp_exact``, ``envelopes.star_cup_exact``)."""
     return pl_add(f, indicator(iv))
 
 
@@ -215,7 +230,7 @@ def maxaffine_to_pl(M: MaxAffine) -> PLConvex1D:
     hull = _hull_1d_exact(pts)
     xs = tuple(x for x, _ in hull)
     vs = tuple(v for _, v in hull)
-    return conjugate_exact(PLConvex1D(xs, vs))
+    return conjugate_exact(PLConvex1D._make(xs, vs))
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +367,7 @@ def cl_conv(f, dual_points=None):
         raise ImproperError("hull of a function with no finite values")
     if f.dim == 1:
         hull = _hull_1d_exact(items)
-        return PLConvex1D(
+        return PLConvex1D._make(
             tuple(x for x, _ in hull),
             tuple(v for _, v in hull),
         )

@@ -21,15 +21,24 @@ lookup behind ``structure_contains``, and the hand-written binary search
 that ``PLConvex1D.value_at`` ran before it took ``bisect_right``.  They
 live here only, as references; exact comparisons are exact and float
 comparisons are bit for bit.
+
+The one-probe routes ``PLConvex1D.value_at``, ``SubdiffStructure1D.sup``
+and ``subdiff_exact`` are in turn the references of their batched forms
+(``values_at``, ``sups``, ``subdiffs_exact``), compared by ``repr`` so that
+payload types count; the public ``PLConvex1D`` constructor is the
+reference of the private ``_make``, and ``pl_restrict`` (an indicator
+added with ``pl_add``) of the envelopes' O(1) restrictions.
 """
 
+import bisect
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from envcalc.extreal import NEG_INF, POS_INF, ExtReal, MixedScalarError, as_extreal
+from envcalc.extreal import NEG_INF, POS_INF, ExtReal, MixedScalarError, as_extreal, ext_add
 from envcalc.funcrep import (
     GridFunction,
     Interval1D,
@@ -38,20 +47,31 @@ from envcalc.funcrep import (
     _frac,
     _hull_1d_exact,
     dot,
+    effective_domain,
     line_envelope_at,
+    pl_canonical,
+    pl_equal,
     point_sub,
+    sorted_ranks,
 )
 from envcalc.envelopes import (
     BrondstedResult,
+    _subdiff_restriction,
     brondsted_search,
+    circ_exact,
+    cup_exact,
     cup_value,
     epi_cup_floor,
     epi_normal_graph,
     n_cup,
     n_cup_envelope,
+    portable_hull_interval,
+    sharp_exact,
     smile_eps_value,
     smile_value,
     star_cup,
+    star_cup_exact,
+    subdiff_domain,
     upper_envelope,
 )
 from envcalc.operators import (
@@ -70,9 +90,17 @@ from envcalc.operators import (
     subdiff_structure,
     subdiff_test,
     subgradient_test,
+    subdiffs_exact,
 )
 from envcalc.theoremlab import InstanceGenerator
-from envcalc.transforms import conjugate_exact
+from envcalc.transforms import (
+    ImproperError,
+    cl_conv,
+    conjugate_exact,
+    maxaffine_to_pl,
+    pl_add,
+    pl_restrict,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -1403,3 +1431,180 @@ def test_brondsted_search_matches_candidate_loop(f, extra):
                     lambda: repr(brondsted_search_oracle(f, x, xstar, eps, **shared)))
                 got = _outcome(lambda: repr(brondsted_search(f, x, xstar, eps, **shared)))
                 assert got == want
+
+
+# ---------------------------------------------------------------------------
+# batched evaluation and the private constructor
+# ---------------------------------------------------------------------------
+
+
+def _shuffled_probes(f, extra, rnd):
+    """``primal_points`` (breakpoints, points between and beyond them,
+    extras), integral ones also spelled as ints, a few repeated, in a
+    shuffled order."""
+    pts = primal_points(f, extra)
+    pts += [int(x) for x in pts if x.denominator == 1]
+    pts += rnd.choices(pts, k=3)
+    rnd.shuffle(pts)
+    return pts
+
+
+@given(
+    st.lists(st.integers(-5, 5), max_size=8),
+    st.lists(st.one_of(st.integers(-6, 6), st.fractions(-6, 6, max_denominator=3)), max_size=8),
+)
+@settings(max_examples=100, deadline=None)
+def test_sorted_ranks_is_bisect(a, keys):
+    a = sorted(a)
+    assert sorted_ranks(a, keys) == [bisect.bisect_left(a, k) for k in keys]
+    assert sorted_ranks(a, keys, right=True) == [bisect.bisect_right(a, k) for k in keys]
+
+
+@given(pl_functions(), extras, st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_values_at_matches_value_at_per_probe(f, extra, rnd):
+    xs = _shuffled_probes(f, extra, rnd)
+    want = [f.value_at(x) for x in xs]
+    assert repr(f.values_at(xs)) == repr(want)
+    assert repr(f.values_at(iter(xs))) == repr(want)
+    assert repr(want) == repr([value_at_oracle(f, x) for x in xs])
+    assert f.values_at([]) == []
+
+
+def test_values_at_refuses_float_probes():
+    f = PLConvex1D((F(0), F(1)), (F(0), F(1)))
+    with pytest.raises(MixedScalarError):
+        f.values_at([F(1, 2), 0.5])
+
+
+@given(pl_functions(), extras, st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_subdiffs_exact_matches_subdiff_exact(f, extra, rnd):
+    xs = _shuffled_probes(f, extra, rnd)
+    want = [subdiff_exact(f, x) for x in xs]
+    assert repr(subdiffs_exact(f, xs)) == repr(want)
+    assert want == [subdiff_oracle(f, x) for x in xs]
+
+
+@given(pl_functions(), extras, st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_sups_match_sup(f, extra, rnd):
+    """No budget, then per-probe budgets mixed with None entries: values
+    of f at the probes (the smile budgets), breakpoint values and finite
+    overrides (ties with the admission keys) and far values, strict and
+    not."""
+    st_ = subdiff_structure(f)
+    xs = _shuffled_probes(f, extra, rnd)
+    assert repr(st_.sups(xs)) == repr([st_.sup(x) for x in xs])
+    pool = [None, F(-50), F(50), *f.values]
+    pool += [v.finite() for v in (f.override_left, f.override_right) if v is not None and v.is_finite]
+    pool += [v.finite() for v in f.values_at(xs) if v.is_finite]
+    thetas = [rnd.choice(pool) for _ in xs]
+    for strict in (False, True):
+        want = [st_.sup(x, theta=t, strict=strict) for x, t in zip(xs, thetas)]
+        assert repr(st_.sups(xs, thetas, strict)) == repr(want)
+        assert want == [threshold_sup_oracle(st_, x, t, strict) for x, t in zip(xs, thetas)]
+    assert st_.sups([]) == [] and st_.sups([], []) == []
+
+
+def _rebuilt(g):
+    """g through the public, validating constructor."""
+    return PLConvex1D(
+        g.breakpoints,
+        g.values,
+        g.left_recession,
+        g.right_recession,
+        g.override_left,
+        g.override_right,
+        label=g.label,
+    )
+
+
+@given(
+    pl_functions(),
+    pl_functions(),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    exact_pieces(),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=100, deadline=None)
+def test_derived_functions_rebuild_through_public_constructor(f, g, s, pieces, rnd):
+    """Every function built by ``PLConvex1D._make`` has the fields (repr,
+    so payload types too) and the slopes that the public constructor
+    gives the same data; the sum also has f + g's values."""
+    derived = [
+        f.closure(),
+        f.reflect(),
+        f.tilt(s),
+        conjugate_exact(f),
+        cup_exact(f),
+        sharp_exact(f),
+        _subdiff_restriction(f),
+        star_cup_exact(f),
+        circ_exact(f),
+        pl_canonical(f),
+        cl_conv(GridFunction(
+            1,
+            tuple(float(b) for b in f.breakpoints),
+            tuple(float(v) + rnd.choice((0.0, 0.5, -0.25)) for v in f.values),
+        )),
+    ]
+    env, _probes = pieces
+    if env.pieces:
+        derived.append(maxaffine_to_pl(env))
+    try:
+        total = pl_add(f, g)
+    except ImproperError:
+        total = None
+    if total is not None:
+        derived.append(total)
+        for x in primal_points(f, g.breakpoints):
+            assert total.value_at(x) == ext_add(f.value_at(x), g.value_at(x))
+    for h in derived:
+        assert repr(_rebuilt(h)) == repr(h)
+        assert repr(_rebuilt(h).slopes()) == repr(h.slopes())
+
+
+@given(pl_functions())
+@settings(max_examples=100, deadline=None)
+def test_restrictions_match_sum_with_indicator(f):
+    """The two restrictions, written as O(1) rebuilds, against
+    ``pl_restrict``, which adds the interval's indicator with ``pl_add``:
+    the same functions, and the same conjugate field for field."""
+    hull = portable_hull_interval(effective_domain(f))
+    assert pl_equal(sharp_exact(f), pl_restrict(cup_exact(f), hull))
+    via_sum = pl_restrict(f, subdiff_domain(f))
+    assert pl_equal(_subdiff_restriction(f), via_sum)
+    assert repr(star_cup_exact(f)) == repr(conjugate_exact(via_sum))
+
+
+@st.composite
+def int_spelled_pieces(draw):
+    """Pieces on ints, some spelled as Fractions, and probes at the
+    crossing of every two lines (an int where it is integral), at the
+    anchors and at one more int."""
+    ints = st.integers(min_value=-6, max_value=6)
+    spelled = st.one_of(ints, ints, ints.map(F))
+    pieces = draw(st.lists(st.tuples(spelled, spelled, spelled), min_size=1, max_size=6))
+    lines = [(s, lv - s * a) for a, s, lv in pieces]
+    probes = [a for a, _s, _lv in pieces] + [draw(ints)]
+    for (s1, c1), (s2, c2) in itertools.combinations(lines, 2):
+        if s1 != s2:
+            x = F(c2 - c1) / F(s1 - s2)
+            probes.append(int(x) if x.denominator == 1 else x)
+    return MaxAffine(1, tuple(pieces)), probes
+
+
+@given(int_spelled_pieces())
+@settings(max_examples=300, deadline=None)
+def test_max_affine_value_at_keeps_the_payload_of_values_at(case):
+    env, probes = case
+    assert repr([env.value_at(x) for x in probes]) == repr(env.values_at(probes))
+
+
+def test_max_affine_tie_payload():
+    """At a crossing the steeper line gives the payload, probe by probe too."""
+    env = MaxAffine(1, ((0, 1, 0), (0, F(2), F(-2))))
+    assert repr(env.value_at(2)) == repr(env.values_at([2])[0]) == "ExtReal(Fraction(2, 1))"
+    assert repr(env.value_at(3)) == "ExtReal(Fraction(4, 1))"
+    assert repr(MaxAffine(1, ((0, 1, 0),)).value_at(2)) == "ExtReal(2)"
