@@ -29,6 +29,7 @@ from .funcrep import (
     MaxAffine,
     PLConvex1D,
     SampledSet,
+    _canon_point,
     dot,
     effective_domain,
     point_sub,
@@ -240,9 +241,12 @@ def _star_pieces(f, G: OperatorGraph) -> MaxAffine:
 def star_cup(f, G: OperatorGraph, xstar) -> ExtReal:
     """sup over graph anchors a of <xstar, a> - f(a); -inf on the empty graph.
 
-    At xstar = 0 this is minus the infimum of f over the anchor set.
+    At xstar = 0 this is minus the infimum of f over the anchor set.  The
+    pieces are scanned, so on a tie the first maximal anchor gives the
+    payload (``MaxAffine.value_at`` on exact 1D pieces lets the steeper one
+    win).
     """
-    return _star_pieces(f, G).value_at(xstar)
+    return _star_pieces(f, G)._scan(_canon_point(xstar, G.dim))
 
 
 def circ(f, G: OperatorGraph, dual_points, probes) -> tuple:
