@@ -29,7 +29,6 @@ from .funcrep import (
     MaxAffine,
     PLConvex1D,
     SampledSet,
-    _canon_point,
     dot,
     effective_domain,
     point_sub,
@@ -241,12 +240,10 @@ def _star_pieces(f, G: OperatorGraph) -> MaxAffine:
 def star_cup(f, G: OperatorGraph, xstar) -> ExtReal:
     """sup over graph anchors a of <xstar, a> - f(a); -inf on the empty graph.
 
-    At xstar = 0 this is minus the infimum of f over the anchor set.  The
-    pieces are scanned, so on a tie the first maximal anchor gives the
-    payload (``MaxAffine.value_at`` on exact 1D pieces lets the steeper one
-    win).
+    At xstar = 0 this is minus the infimum of f over the anchor set.  On a
+    tie the first maximal anchor gives the payload (``first_max_at``).
     """
-    return _star_pieces(f, G)._scan(_canon_point(xstar, G.dim))
+    return _star_pieces(f, G).first_max_at(xstar)
 
 
 def circ(f, G: OperatorGraph, dual_points, probes) -> tuple:
@@ -414,9 +411,9 @@ def portable_envelope(f, G: OperatorGraph, N_dom_samples: OperatorGraph, probes)
     domain: envelope value inside, +inf outside."""
     env = upper_envelope(f, G)
     member, _ = portable_hull(_domain_samples(f, G), N_dom_samples)
-    return tuple(
-        (x, env.value_at(x) if member(x) else POS_INF) for x in probes
-    )
+    inside = [member(x) for x in probes]
+    vals = iter(env.values_at([x for x, m in zip(probes, inside) if m]))
+    return tuple((x, next(vals) if m else POS_INF) for x, m in zip(probes, inside))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -143,21 +143,22 @@ def line_envelope_at(lines, probes) -> list:
 
 def sorted_ranks(a, keys, right=False) -> list:
     """``[bisect_left(a, k) for k in keys]`` (``bisect_right`` when
-    ``right``) for an ascending ``a``, in the order of keys, from one merge:
-    the keys are visited in sorted order and one pointer walks ``a``, so it
-    takes O(len(a) + len(keys)) comparisons when the keys come sorted (the
-    sort then only confirms the order) and O(len(a) + p log p) else."""
+    ``right``) for an ascending ``a``, in the order of keys.  The keys are
+    visited in sorted order and each search gallops from the previous
+    rank: the step doubles until it passes the key, then the last step is
+    bisected.  A key whose rank lies g places past the previous rank costs
+    O(log g) comparisons, so p sorted keys take O(p log(m / p) + p)
+    against m entries: a merge's O(m + p) when p is near m, and about p
+    bisections when p is small.  Unsorted keys add one sort."""
+    find = bisect_right if right else bisect_left
     out = [0] * len(keys)
     j, n = 0, len(a)
     for q in sorted(range(len(keys)), key=keys.__getitem__):
         k = keys[q]
-        if right:
-            while j < n and a[j] <= k:
-                j += 1
-        else:
-            while j < n and a[j] < k:
-                j += 1
-        out[q] = j
+        hi, step = j, 1
+        while hi < n and (a[hi] <= k if right else a[hi] < k):
+            j, hi, step = hi + 1, hi + step, 2 * step
+        j = out[q] = find(a, k, j, min(hi, n))
     return out
 
 
@@ -397,9 +398,10 @@ class PLConvex1D:
         return self._value(bisect_right(self.breakpoints, x), x)
 
     def values_at(self, xs) -> list:
-        """``[value_at(x) for x in xs]``, in the order of xs, from one merge
-        of the probes with the breakpoints (``sorted_ranks``): O(m + p)
-        comparisons when the p probes come sorted, O(m + p log p) else."""
+        """``[value_at(x) for x in xs]``, in the order of xs, from one
+        ``sorted_ranks`` sweep of the probes over the breakpoints: O(m + p)
+        comparisons at most when the p probes come sorted, plus a sort
+        else."""
         xs = list(map(_frac, xs))
         ranks = sorted_ranks(self.breakpoints, xs, right=True)
         return list(map(self._value, ranks, xs))
@@ -600,29 +602,32 @@ class MaxAffine:
             is_exact_scalar(v) for piece in canon for v in piece
         ))
 
-    def _scan(self, x) -> ExtReal:
-        """The sup at a canonical x, piece by piece: O(P)."""
+    def first_max_at(self, x) -> ExtReal:
+        """The sup of the pieces at x by a scan in piece order, O(P), on any
+        data: on a tie the first maximal piece gives the payload."""
+        x = _canon_point(x, self.dim)
         return ext_sup(
             dot(point_sub(x, a, self.dim), s, self.dim) + lv for a, s, lv in self.pieces
         )
 
     def value_at(self, x) -> ExtReal:
         """The sup of the pieces at x.  Exact 1D pieces at an exact probe
-        take ``values_at``, so the two agree on every payload type."""
+        take ``values_at``, so the two agree on every payload type;
+        anything else takes ``first_max_at``."""
         x = _canon_point(x, self.dim)
         if self._exact and is_exact_scalar(x):
             return self.values_at((x,))[0]
-        return self._scan(x)
+        return self.first_max_at(x)
 
     def values_at(self, xs) -> list:
         """``[value_at(x) for x in xs]``.  When the pieces and the probes are
         exact and 1D, the pieces are the lines (slope s, intercept
         lv - s a) and one ``line_envelope_at`` evaluates them all:
         O((P + p) log(P + p)) instead of O(P p); on a tie the steeper line
-        gives the payload.  Anything else is scanned per probe."""
+        gives the payload.  Anything else takes ``first_max_at`` per probe."""
         xs = [_canon_point(x, self.dim) for x in xs]
         if not (self._exact and all(map(is_exact_scalar, xs))):
-            return list(map(self._scan, xs))
+            return list(map(self.first_max_at, xs))
         if not self.pieces:
             return [NEG_INF] * len(xs)
         lines = ((s, lv - s * a) for a, s, lv in self.pieces)
@@ -743,11 +748,13 @@ def pl_canonical(f: PLConvex1D) -> PLConvex1D:
     """Equivalent representation with collinear breakpoints removed.
 
     Interior breakpoints between equal slopes are dropped; so is an end
-    breakpoint whose recession matches the edge slope, unless an override
-    keeps that point special.  A function affine on the whole line is
-    re-anchored at zero.  Two functions are equal iff their canonical forms
-    share breakpoints, values, recessions and overrides, which is what
-    pl_equal compares.
+    breakpoint whose recession matches the edge slope.  When that would
+    leave one breakpoint, a wall with an override, that end breakpoint is
+    moved to one unit from the wall instead (a function has at least two
+    breakpoints when an override marks one).  A function affine on the
+    whole line is re-anchored at zero.  Two functions are equal iff their
+    canonical forms share breakpoints, values, recessions and overrides,
+    which is what pl_equal compares.
     """
     if not isinstance(f, PLConvex1D):
         raise TypeError("pl_canonical takes a PLConvex1D")
@@ -762,20 +769,16 @@ def pl_canonical(f: PLConvex1D) -> PLConvex1D:
     b = [b[i] for i in keep]
     v = [v[i] for i in keep]
     s = [(v[i + 1] - v[i]) / (b[i + 1] - b[i]) for i in range(len(b) - 1)]
-    if (
-        len(b) > 1
-        and f.override_left is None
-        and f.left_recession is not None
-        and f.left_recession == s[0]
-    ):
-        del b[0], v[0], s[0]
-    if (
-        len(b) > 1
-        and f.override_right is None
-        and f.right_recession is not None
-        and f.right_recession == s[-1]
-    ):
-        del b[-1], v[-1], s[-1]
+    if len(b) > 1 and f.left_recession is not None and f.left_recession == s[0]:
+        if f.override_right is None or len(b) > 2:
+            del b[0], v[0], s[0]
+        else:  # keep two breakpoints, the first one unit left of the wall
+            b[0], v[0] = b[1] - 1, v[1] - s[0]
+    if len(b) > 1 and f.right_recession is not None and f.right_recession == s[-1]:
+        if f.override_left is None or len(b) > 2:
+            del b[-1], v[-1], s[-1]
+        else:  # keep two breakpoints, the last one unit right of the wall
+            b[-1], v[-1] = b[-2] + 1, v[-2] + s[-1]
     if (
         len(b) == 1
         and f.left_recession is not None

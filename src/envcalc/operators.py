@@ -118,15 +118,15 @@ class SubdiffStructure1D:
             n_right = bisect_left(self._adm_right, bound)
         return self._run_sup(x, bisect_left(self._pos, (x, 1)), n_left, n_right)
 
-    def sups(self, xs, thetas=None, strict=False) -> list:
-        """``[sup(x, theta, strict) for x, theta in zip(xs, thetas)]``, in
-        the order of xs; ``thetas`` None, or a None entry, means no budget.
+    def sups(self, xs, thetas=None) -> list:
+        """``[sup(x, theta) for x, theta in zip(xs, thetas)]``, in the order
+        of xs; ``thetas`` None, or a None entry, means no budget.
 
         The three bisections of ``sup`` become three ``sorted_ranks``
-        merges: the probes against the position keys, and the budgets
-        against each side's admission keys.  O(m + p) comparisons when the
-        probes and budgets come sorted, a sort of each otherwise, instead
-        of O(p log m).
+        sweeps: the probes against the position keys, and the budgets
+        against each side's admission keys.  O(m + p) comparisons at most
+        when the probes and budgets come sorted, a sort of each otherwise,
+        instead of O(p log m).
         """
         xs = list(xs)
         if not self._order:
@@ -134,9 +134,8 @@ class SubdiffStructure1D:
         n = len(xs)
         n_left, n_right = [len(self._adm_left)] * n, [len(self._adm_right)] * n
         if thetas is not None:
-            tag = 0 if strict else 1
             budgeted = [q for q in range(n) if thetas[q] is not None]
-            bounds = [(0, thetas[q], tag) for q in budgeted]
+            bounds = [(0, thetas[q], 1) for q in budgeted]
             for q, nl, nr in zip(
                 budgeted,
                 sorted_ranks(self._adm_left, bounds),
@@ -270,8 +269,8 @@ def subdiff_exact(f: PLConvex1D, x) -> Interval1D | None:
 
 def subdiffs_exact(f: PLConvex1D, xs) -> list:
     """``[subdiff_exact(f, x) for x in xs]``, in the order of xs, from one
-    merge of the probes with the breakpoints (``sorted_ranks``): O(m + p)
-    comparisons when the probes come sorted."""
+    ``sorted_ranks`` sweep of the probes over the breakpoints: O(m + p)
+    comparisons at most when the probes come sorted."""
     xs = list(map(_frac, xs))
     ranks = sorted_ranks(f.breakpoints, xs, right=True)
     return [_subdiff_at(f, j, x) for j, x in zip(ranks, xs)]

@@ -1450,8 +1450,8 @@ def _shuffled_probes(f, extra, rnd):
 
 
 @given(
-    st.lists(st.integers(-5, 5), max_size=8),
-    st.lists(st.one_of(st.integers(-6, 6), st.fractions(-6, 6, max_denominator=3)), max_size=8),
+    st.lists(st.integers(-20, 20), max_size=40),
+    st.lists(st.one_of(st.integers(-22, 22), st.fractions(-22, 22, max_denominator=3)), max_size=8),
 )
 @settings(max_examples=100, deadline=None)
 def test_sorted_ranks_is_bisect(a, keys):
@@ -1491,8 +1491,7 @@ def test_subdiffs_exact_matches_subdiff_exact(f, extra, rnd):
 def test_sups_match_sup(f, extra, rnd):
     """No budget, then per-probe budgets mixed with None entries: values
     of f at the probes (the smile budgets), breakpoint values and finite
-    overrides (ties with the admission keys) and far values, strict and
-    not."""
+    overrides (ties with the admission keys) and far values."""
     st_ = subdiff_structure(f)
     xs = _shuffled_probes(f, extra, rnd)
     assert repr(st_.sups(xs)) == repr([st_.sup(x) for x in xs])
@@ -1500,10 +1499,9 @@ def test_sups_match_sup(f, extra, rnd):
     pool += [v.finite() for v in (f.override_left, f.override_right) if v is not None and v.is_finite]
     pool += [v.finite() for v in f.values_at(xs) if v.is_finite]
     thetas = [rnd.choice(pool) for _ in xs]
-    for strict in (False, True):
-        want = [st_.sup(x, theta=t, strict=strict) for x, t in zip(xs, thetas)]
-        assert repr(st_.sups(xs, thetas, strict)) == repr(want)
-        assert want == [threshold_sup_oracle(st_, x, t, strict) for x, t in zip(xs, thetas)]
+    want = [st_.sup(x, theta=t) for x, t in zip(xs, thetas)]
+    assert repr(st_.sups(xs, thetas)) == repr(want)
+    assert want == [threshold_sup_oracle(st_, x, t, False) for x, t in zip(xs, thetas)]
     assert st_.sups([]) == [] and st_.sups([], []) == []
 
 
@@ -1565,6 +1563,40 @@ def test_derived_functions_rebuild_through_public_constructor(f, g, s, pieces, r
         assert repr(_rebuilt(h).slopes()) == repr(h.slopes())
 
 
+@pytest.mark.parametrize(
+    "f, g",
+    [
+        # a left wall raised to 2, the line x past it: the right end is
+        # collinear with the recession
+        (
+            PLConvex1D((0, 1), (0, 1), None, 1, ExtReal(2)),
+            PLConvex1D((0, F(5, 2)), (0, F(5, 2)), None, 1, ExtReal(2)),
+        ),
+        # the mirror image, a wall at 0 raised to 3
+        (
+            PLConvex1D((-1, 0), (1, 0), -1, None, None, ExtReal(3)),
+            PLConvex1D((-3, 0), (3, 0), -1, None, None, ExtReal(3)),
+        ),
+        # three collinear breakpoints, the wall closed off at +inf
+        (
+            PLConvex1D((0, 1, 3), (0, 1, 3), None, 1, POS_INF),
+            PLConvex1D((0, 7), (0, 7), None, 1, POS_INF),
+        ),
+    ],
+)
+def test_canonical_form_keeps_a_marked_wall_off_a_single_breakpoint(f, g):
+    """Dropping a collinear end would leave one breakpoint carrying an
+    override, which the public constructor refuses; the end moves to one
+    unit from the wall instead, so both spellings share one valid form."""
+    cf = pl_canonical(f)
+    assert repr(_rebuilt(cf)) == repr(cf)
+    assert repr(_rebuilt(cf).slopes()) == repr(cf.slopes())
+    assert len(cf.breakpoints) == 2
+    assert repr(pl_canonical(g)) == repr(cf) and pl_equal(f, g)
+    xs = primal_points(f, g.breakpoints)
+    assert cf.values_at(xs) == f.values_at(xs)
+
+
 @given(pl_functions())
 @settings(max_examples=100, deadline=None)
 def test_restrictions_match_sum_with_indicator(f):
@@ -1603,8 +1635,10 @@ def test_max_affine_value_at_keeps_the_payload_of_values_at(case):
 
 
 def test_max_affine_tie_payload():
-    """At a crossing the steeper line gives the payload, probe by probe too."""
+    """At a crossing the steeper line gives the payload, probe by probe too;
+    ``first_max_at`` keeps the first maximal piece's."""
     env = MaxAffine(1, ((0, 1, 0), (0, F(2), F(-2))))
     assert repr(env.value_at(2)) == repr(env.values_at([2])[0]) == "ExtReal(Fraction(2, 1))"
     assert repr(env.value_at(3)) == "ExtReal(Fraction(4, 1))"
+    assert repr(env.first_max_at(2)) == "ExtReal(2)"  # the first maximal piece
     assert repr(MaxAffine(1, ((0, 1, 0),)).value_at(2)) == "ExtReal(2)"
