@@ -141,14 +141,17 @@ def cup_exact(f: PLConvex1D) -> PLConvex1D:
     Without overrides it is the closure.  A raised endpoint removes that
     breakpoint's supports; the steepest remaining support on that side is the
     adjacent segment's line, so the wall is replaced by a recession with the
-    adjacent slope.
+    adjacent slope.  Next to a lone breakpoint that line is the recession
+    ray on the other side.
     """
     g = f.closure()
     if f.override_left is None and f.override_right is None:
         return g
     s = g.slopes()
-    lrec = s[0] if f.override_left is not None else g.left_recession
-    rrec = s[-1] if f.override_right is not None else g.right_recession
+    first = s[0] if s else g.right_recession
+    last = s[-1] if s else g.left_recession
+    lrec = first if f.override_left is not None else g.left_recession
+    rrec = last if f.override_right is not None else g.right_recession
     return PLConvex1D._make(
         g.breakpoints, g.values, lrec, rrec, label=f.label, slopes=s
     )

@@ -281,7 +281,7 @@ class PLConvex1D:
                     "override requires a domain wall on that side "
                     "(raising an interior-domain value would break convexity)"
                 )
-            if ov is not None and len(bps) == 1:
+            if ov is not None and len(bps) == 1 and sl is None and sr is None:
                 raise ValueError("override on a single-point domain is just a value")
             object.__setattr__(self, f"override_{side}", ov)
 
@@ -302,7 +302,7 @@ class PLConvex1D:
         constructor would establish: Fraction breakpoints (strictly
         increasing), values and recessions, convexity, and overrides that
         are None, POS_INF or a finite ExtReal(Fraction) strictly above the
-        end value at a wall of a function with two or more breakpoints.
+        end value at a wall, and not on a single-point domain.
         ``slopes``, when the caller knows them, must equal the segment
         slopes; otherwise they are computed, one division per segment."""
         if slopes is None:
@@ -650,7 +650,7 @@ def effective_domain(f: Func):
         lo_open = lo is not None and f.override_left is not None and f.override_left.is_pos_inf
         hi_open = hi is not None and f.override_right is not None and f.override_right.is_pos_inf
         if lo is not None and lo == hi and (lo_open or hi_open):
-            raise ValueError("empty domain")  # unreachable: overrides need m >= 2
+            raise ValueError("empty domain")  # unreachable: no override on a point
         return Interval1D(lo, hi, lo_open, hi_open)
     if isinstance(f, GridFunction):
         return SampledSet(f.dim, tuple(p for p, _ in f.finite_items()))
@@ -748,13 +748,10 @@ def pl_canonical(f: PLConvex1D) -> PLConvex1D:
     """Equivalent representation with collinear breakpoints removed.
 
     Interior breakpoints between equal slopes are dropped; so is an end
-    breakpoint whose recession matches the edge slope.  When that would
-    leave one breakpoint, a wall with an override, that end breakpoint is
-    moved to one unit from the wall instead (a function has at least two
-    breakpoints when an override marks one).  A function affine on the
-    whole line is re-anchored at zero.  Two functions are equal iff their
-    canonical forms share breakpoints, values, recessions and overrides,
-    which is what pl_equal compares.
+    breakpoint whose recession matches the edge slope.  A function affine
+    on the whole line is re-anchored at zero.  Two functions are equal iff
+    their canonical forms share breakpoints, values, recessions and
+    overrides, which is what pl_equal compares.
     """
     if not isinstance(f, PLConvex1D):
         raise TypeError("pl_canonical takes a PLConvex1D")
@@ -770,15 +767,9 @@ def pl_canonical(f: PLConvex1D) -> PLConvex1D:
     v = [v[i] for i in keep]
     s = [(v[i + 1] - v[i]) / (b[i + 1] - b[i]) for i in range(len(b) - 1)]
     if len(b) > 1 and f.left_recession is not None and f.left_recession == s[0]:
-        if f.override_right is None or len(b) > 2:
-            del b[0], v[0], s[0]
-        else:  # keep two breakpoints, the first one unit left of the wall
-            b[0], v[0] = b[1] - 1, v[1] - s[0]
+        del b[0], v[0], s[0]
     if len(b) > 1 and f.right_recession is not None and f.right_recession == s[-1]:
-        if f.override_left is None or len(b) > 2:
-            del b[-1], v[-1], s[-1]
-        else:  # keep two breakpoints, the last one unit right of the wall
-            b[-1], v[-1] = b[-2] + 1, v[-2] + s[-1]
+        del b[-1], v[-1], s[-1]
     if (
         len(b) == 1
         and f.left_recession is not None

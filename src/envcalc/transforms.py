@@ -13,6 +13,7 @@ never change a supremum of affine minorants, so overrides are invisible here.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import itemgetter
 
 import numpy as np
 
@@ -155,8 +156,8 @@ def indicator(S) -> PLConvex1D | GridFunction:
         bps.add(hi)
     if not bps:
         bps.add(Fraction(0))
-    # an open endpoint is modelled as a +inf override, which needs a second
-    # breakpoint to lean on when the interval is unbounded the other way
+    # an open endpoint is modelled as a +inf override; a half-line keeps a
+    # second, collinear breakpoint one unit in, which pl_canonical drops
     if len(bps) == 1 and (S.lo_open or S.hi_open):
         (only,) = bps
         bps.add(only + 1 if lo is not None else only - 1)
@@ -265,6 +266,48 @@ def conjugate_brute(f: GridFunction, dual_points) -> GridFunction:
     return GridFunction(f.dim, duals, out)
 
 
+# a prefilter round drops a sample only when it lies above the chord of its
+# neighbours by this share of the predicate's terms, far above the few ulps
+# the float predicate can be off by
+_PEEL_MARGIN = 1e-9
+_TINY = np.finfo(float).tiny
+# peeling stops once a round drops less than this share of the candidates
+_PEEL_STOP = 1 / 16
+
+
+def _hull_candidates(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Indices of the sorted 1D samples that may lie on their lower hull,
+    ascending: the throw-away step of Akl and Toussaint in numpy.
+
+    A round tests the interior candidates of one position parity with
+    ``_llt_hull``'s predicate against the chord of their current
+    neighbours, which that round keeps, and drops those above it by more
+    than ``_PEEL_MARGIN``.  A dropped sample thus lies strictly above the
+    chord of two samples, on no lower hull, and the hull loops still make
+    every decision among the candidates.  A concave run halves each round;
+    the rounds alternate parity and stop once one drops less than
+    ``_PEEL_STOP`` of the candidates.  An overflowing term drops nothing.
+    """
+    c = np.arange(len(x))
+    parity = 1
+    with np.errstate(all="ignore"):
+        while len(c) >= 3:
+            j, k, i = c[parity - 1 : -2 : 2], c[parity:-1:2], c[parity + 1 :: 2]
+            a = (v[k] - v[j]) * (x[i] - x[j])
+            b = (v[i] - v[j]) * (x[k] - x[j])
+            # the tiny floor covers the absolute error of an underflow
+            drop = a - b > _PEEL_MARGIN * (np.abs(a) + np.abs(b)) + _TINY
+            n_drop = int(np.count_nonzero(drop))
+            if n_drop:
+                keep = np.ones(len(c), dtype=bool)
+                keep[parity:-1:2] = ~drop
+                c = c[keep]
+            if n_drop < _PEEL_STOP * (len(c) + n_drop):
+                break
+            parity = 3 - parity
+    return c
+
+
 def _llt_hull(x: list, v: list):
     """Lower hull indices of sorted 1D samples; ties kept (never drop a line
     that float error could still make maximal).  Plain float lists: the
@@ -335,7 +378,8 @@ def conjugate_llt(f: GridFunction, dual_points) -> GridFunction:
     x, v = _finite_arrays(f)
     order = np.argsort(x, kind="stable")
     x, v = x[order], v[order]
-    keep = _llt_hull(x.tolist(), v.tolist())
+    cand = _hull_candidates(x, v)
+    keep = cand[_llt_hull(x[cand].tolist(), v[cand].tolist())]
     hx, hv = x[keep], v[keep]
     slopes = np.diff(hv) / np.diff(hx) if len(hx) > 1 else np.empty(0)
     duals = tuple(dual_points)
@@ -352,7 +396,8 @@ def cl_conv(f, dual_points=None):
     """Closed convex hull.
 
     Exact 1D representations close in place; 1D grids get an exact rational
-    lower hull with walls at the extreme sample points; 2D grids go through a
+    lower hull with walls at the extreme sample points, of the prefilter's
+    candidates when every point is its own float64; 2D grids go through a
     double conjugate against ``dual_points`` and come back as a MaxAffine
     minorant carrier (exact on the sampled dual window, a lower bound off it).
     """
@@ -366,6 +411,14 @@ def cl_conv(f, dual_points=None):
     if not items:
         raise ImproperError("hull of a function with no finite values")
     if f.dim == 1:
+        # the float prefilter speaks for the exact hull only where every
+        # point is its own float64; values always are
+        x, v = f.finite_arrays()
+        kinds = set(map(type, map(itemgetter(0), items)))
+        if kinds <= {float} or kinds <= {float, int} and np.abs(x).max() < 2.0**53:
+            order = np.argsort(x, kind="stable")
+            cand = order[_hull_candidates(x[order], v[order])]
+            items = [items[i] for i in cand.tolist()]
         hull = _hull_1d_exact(items)
         return PLConvex1D._make(
             tuple(x for x, _ in hull),

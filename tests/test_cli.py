@@ -279,6 +279,36 @@ def test_malformed_instance_exits_2(tmp_path):
     assert main(["conjugate", "--instance", src2]) == 2
 
 
+_EXACT_VERBS = [
+    ["conjugate"], ["subdiff"], ["fitz"],
+    *(["envelope", "--kind", k] for k in ("cup", "sharp", "starcup", "circ", "smile")),
+    ["envelope", "--kind", "smileeps", "--eps", "1/2"],
+    ["envelope", "--kind", "ncup", "--n", "2"],
+]
+
+
+@pytest.mark.parametrize("mirror", [False, True])
+def test_marked_wall_on_a_half_line_loads_and_matches_its_spelling(tmp_path, capsys, mirror):
+    """A one-breakpoint file with a wall override and a recession beyond it
+    loads (it used to exit 2) and gives its two-breakpoint spelling's exit
+    code and output under every exact verb and every check."""
+    one = PLConvex1D((0,), (0,), None, 1, as_extreal(2))
+    two = PLConvex1D((0, 1), (0, 1), None, 1, as_extreal(2))
+    if mirror:
+        one, two = one.reflect(), two.reflect()
+    files = [write_json(tmp_path / f"{i}.json", dump_instance(f)) for i, f in enumerate((one, two))]
+    assert pl_equal(load_instance(files[0]), one)
+    grids = ["--probes", "-3:3:13", "--dual-grid", "-3:3:13"]
+    runs = [verb + grids for verb in _EXACT_VERBS] + [["check", t] for t in sorted(REGISTRY)]
+    for argv in runs:
+        seen = []
+        for path in files:
+            rc = main(argv + ["--instance", path])
+            seen.append((rc, capsys.readouterr()))
+        assert seen[0] == seen[1], argv
+        assert seen[0][0] in (0, 1, 3), argv
+
+
 def _one_line_error(err):
     return err.startswith("envcalc: ") and err.count("\n") == 1
 

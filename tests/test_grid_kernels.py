@@ -3,10 +3,13 @@
 Each batched route is compared with the scalar route it replaced, kept here
 as an oracle: the per-pair membership loop for ``grid_subdiff_matrix`` and
 ``grid_subdiff_test``, the dict inf-convolution for the sorted one, and the
-dense ``conjugate_brute`` for ``conjugate_llt``.
+dense ``conjugate_brute`` for ``conjugate_llt``.  The float hull prefilter
+is checked against the two hull loops run over all samples, ``_llt_hull``
+and ``_hull_1d_exact``.
 """
 
 import math
+from fractions import Fraction as F
 from unittest import mock
 
 import numpy as np
@@ -14,12 +17,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from envcalc import operators, transforms
-from envcalc.funcrep import GridFunction, dot, point_sub
+from envcalc.funcrep import GridFunction, _hull_1d_exact, dot, point_sub
 from envcalc.operators import grid_subdiff_matrix, grid_subdiff_test
 from envcalc.transforms import (
     MAX_INF_CONV_PAIRS,
     ImproperError,
     SizeLimitError,
+    _hull_candidates,
+    _llt_hull,
+    cl_conv,
     conjugate_brute,
     conjugate_llt,
     inf_conv,
@@ -289,6 +295,145 @@ def test_llt_matches_brute_on_adversarial_floats(case):
     assert (llt <= brute).all()
     bound = LLT_REL * scale * (len(fv) + spread) + LLT_ABS * span
     assert (brute - llt).max() <= bound
+
+
+# ---------------------------------------------------------------------------
+# the hull prefilter against the hull loops over all samples
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def near_linear_grids(draw):
+    """A line with relative noise of at most 1e-15: the samples where a
+    chord test sits closest to its rounding error."""
+    n = draw(st.integers(3, 60))
+    xs = sorted(draw(st.lists(
+        st.integers(-10**6, 10**6), min_size=n, max_size=n, unique=True)))
+    a = draw(st.floats(-5, 5))
+    b = draw(st.floats(-5, 5))
+    noise = st.floats(-1e-15, 1e-15)
+    vals = [(a * x + b) * (1 + draw(noise)) for x in xs]
+    sx = draw(st.sampled_from((1.0, 1e-6, 3.0)))
+    return GridFunction(1, tuple(x * sx for x in xs), tuple(vals)), ()
+
+
+def _llt_keep(x, v):
+    """The kept hull indices as ``conjugate_llt`` finds them."""
+    cand = _hull_candidates(x, v)
+    return cand[_llt_hull(x[cand].tolist(), v[cand].tolist())]
+
+
+def _all_samples(x, v):
+    return np.arange(len(x))
+
+
+def _check_llt_keeps_the_loop_hull(f, duals):
+    x, v = f.finite_arrays()
+    order = np.argsort(x, kind="stable")
+    x, v = x[order], v[order]
+    cand = _hull_candidates(x, v)
+    assert (np.diff(cand) > 0).all() and set(cand.tolist()) <= set(range(len(x)))
+    assert _llt_keep(x, v).tolist() == _llt_hull(x.tolist(), v.tolist()).tolist()
+    if len(v) and duals:
+        got = conjugate_llt(f, duals).value_array
+        with mock.patch.object(transforms, "_hull_candidates", _all_samples):
+            want = conjugate_llt(f, duals).value_array
+        assert got.tobytes() == want.tobytes()
+
+
+def _check_cl_conv_is_the_exact_hull(f):
+    hull = _hull_1d_exact(f.finite_items())
+    g = cl_conv(f)
+    assert repr(g.breakpoints) == repr(tuple(x for x, _ in hull))
+    assert repr(g.values) == repr(tuple(v for _, v in hull))
+    assert g.left_recession is None and g.right_recession is None
+
+
+@given(st.one_of(adversarial_grids(), near_linear_grids()))
+@settings(max_examples=400, deadline=None)
+def test_prefilter_keeps_the_llt_hull(case):
+    """``_llt_hull`` on the candidates keeps exactly the indices it keeps
+    on all samples, so ``conjugate_llt`` gives the same bytes."""
+    _check_llt_keeps_the_loop_hull(*case)
+
+
+@st.composite
+def exact_hull_grids(draw):
+    """1D grids for ``cl_conv``: the adversarial floats, ints and floats
+    mixed, ints past 2**53 (some sharing a float) and Fractions."""
+    kind = draw(st.sampled_from(("adversarial", "near-linear", "mixed", "big", "fraction")))
+    if kind == "adversarial":
+        return draw(adversarial_grids())[0]
+    if kind == "near-linear":
+        return draw(near_linear_grids())[0]
+    n = draw(st.integers(1, 40))
+    ks = sorted(draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n, unique=True)))
+    if kind == "mixed":
+        pts = [k if draw(st.booleans()) else k + 0.5 for k in ks]
+    elif kind == "big":
+        pts = [2**53 + k for k in ks]
+    else:
+        pts = [F(k, 3) for k in ks]
+    vals = draw(st.lists(
+        st.one_of(st.floats(-1e3, 1e3), st.integers(-20, 20)), min_size=n, max_size=n))
+    if not draw(st.integers(0, 3)):
+        vals[draw(st.integers(0, n - 1))] = INF
+    return GridFunction(1, tuple(pts), tuple(vals))
+
+
+@given(exact_hull_grids())
+@settings(max_examples=400, deadline=None)
+def test_cl_conv_matches_exact_hull_of_all_samples(f):
+    if not f.finite_items():
+        with pytest.raises(ImproperError):
+            cl_conv(f)
+        return
+    _check_cl_conv_is_the_exact_hull(f)
+
+
+@pytest.mark.parametrize("pts, prefiltered", [
+    ((2**53, 2**53 + 1, 2**53 + 2, 2**53 + 3), False),
+    ((-(2**53), 0, 1), False),
+    ((F(1, 3), 1.0, 2.0), False),
+    ((0, 0.5, 1, 1.5), True),
+    ((0.0, 0.5, 1.0, 1.5), True),
+])
+def test_cl_conv_prefilters_only_points_equal_to_their_floats(pts, prefiltered):
+    f = GridFunction(1, pts, tuple(float(-i * i) for i in range(len(pts))))
+    with mock.patch.object(transforms, "_hull_candidates", wraps=_hull_candidates) as spy:
+        _check_cl_conv_is_the_exact_hull(f)
+    assert spy.called == prefiltered
+
+
+def _fixed_hull_inputs():
+    x = np.linspace(-3.0, 5.0, 1001)
+    ramp = 0.1 * x + 0.7
+    return {
+        "concave": (x, -(x**2)),
+        "collinear": (x, 2.0 * x + 1.0),
+        "cascade": (x, np.r_[ramp[:-1], -1e3]),
+    }
+
+
+@pytest.mark.parametrize("name", ["concave", "collinear", "cascade"])
+def test_prefilter_on_fixed_shapes(name):
+    """A concave run peels down to its ends, a collinear one keeps every
+    sample (no chord test clears the margin), and a collinear ramp ending
+    in a deep drop leaves the whole cascade of pops to the loops."""
+    x, v = _fixed_hull_inputs()[name]
+    n = len(x)
+    cand = _hull_candidates(x, v).tolist()
+    keep = _llt_keep(x, v).tolist()
+    assert keep == _llt_hull(x.tolist(), v.tolist()).tolist()
+    if name == "concave":
+        assert cand == keep == [0, n - 1]
+    elif name == "collinear":
+        assert cand == list(range(n)) and len(keep) >= 2
+    else:
+        assert keep == [0, n - 1] and len(cand) > n // 2
+    f = GridFunction(1, tuple(x.tolist()), tuple(v.tolist()))
+    _check_llt_keeps_the_loop_hull(f, tuple(np.linspace(-4.0, 4.0, 17).tolist()))
+    _check_cl_conv_is_the_exact_hull(f)
 
 
 # ---------------------------------------------------------------------------

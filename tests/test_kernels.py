@@ -448,10 +448,11 @@ def pl_functions(draw, den=1):
         st.none(), st.just(POS_INF), st.builds(lambda d: d + F(1, 5), small)
     )
     ovl = ovr = None
-    if m >= 2 and left is None:
+    # a wall takes an override unless the domain is a single point
+    if left is None and (m >= 2 or right is not None):
         ovl = draw(overrides)
         ovl = ovl if ovl is None or ovl is POS_INF else vals[0] + ovl
-    if m >= 2 and right is None:
+    if right is None and (m >= 2 or left is not None):
         ovr = draw(overrides)
         ovr = ovr if ovr is None or ovr is POS_INF else vals[-1] + ovr
     return PLConvex1D(tuple(xs), tuple(vals), left, right, ovl, ovr)
@@ -1584,17 +1585,58 @@ def test_derived_functions_rebuild_through_public_constructor(f, g, s, pieces, r
         ),
     ],
 )
-def test_canonical_form_keeps_a_marked_wall_off_a_single_breakpoint(f, g):
-    """Dropping a collinear end would leave one breakpoint carrying an
-    override, which the public constructor refuses; the end moves to one
-    unit from the wall instead, so both spellings share one valid form."""
+def test_canonical_form_drops_a_collinear_end_next_to_a_marked_wall(f, g):
+    """Dropping the end collinear with the recession leaves the marked wall
+    as the one breakpoint of a half-line domain, which the public
+    constructor accepts, so both spellings share one valid form."""
     cf = pl_canonical(f)
     assert repr(_rebuilt(cf)) == repr(cf)
     assert repr(_rebuilt(cf).slopes()) == repr(cf.slopes())
-    assert len(cf.breakpoints) == 2
+    assert len(cf.breakpoints) == 1
     assert repr(pl_canonical(g)) == repr(cf) and pl_equal(f, g)
     xs = primal_points(f, g.breakpoints)
     assert cf.values_at(xs) == f.values_at(xs)
+
+
+# the line x on [0, inf) raised to 2 at 0, and its mirror image
+_HALF_LINE = (F(0),), (F(0),), None, F(1), ExtReal(F(2)), None
+_HALF_LINE_MIRROR = (F(0),), (F(0),), F(-1), None, None, ExtReal(F(2))
+
+
+@pytest.mark.parametrize(
+    "fields, spelled, side",
+    [
+        (_HALF_LINE, PLConvex1D((0, 1), (0, 1), None, 1, ExtReal(2)), 1),
+        (_HALF_LINE_MIRROR, PLConvex1D((-1, 0), (1, 0), -1, None, None, ExtReal(2)), -1),
+    ],
+)
+def test_marked_wall_on_a_half_line_has_one_breakpoint(fields, spelled, side):
+    """A wall override with a recession on the other side: the public
+    constructor, ``_make`` and the two-breakpoint spelling give one function,
+    point for point, subgradient for subgradient, with one conjugate and
+    the same exact envelopes."""
+    public, made = PLConvex1D(*fields), PLConvex1D._make(*fields)
+    assert repr(public) == repr(made)
+    for f in (public, made):
+        assert pl_equal(f, spelled) and pl_equal(spelled, f)
+        assert repr(pl_canonical(spelled)) == repr(pl_canonical(f))
+        xs = primal_points(f, (side * F(1, 2), side * 3))
+        assert f.values_at(xs) == spelled.values_at(xs)
+        assert [subdiff_exact(f, x) for x in xs] == [subdiff_exact(spelled, x) for x in xs]
+        assert repr(conjugate_exact(f)) == repr(conjugate_exact(spelled))
+        for envelope in (cup_exact, sharp_exact, star_cup_exact, circ_exact):
+            assert pl_equal(envelope(f), envelope(spelled))
+        # raised to 2 at the wall, the line beyond it, +inf behind it
+        assert f.value_at(0) == ExtReal(2)
+        assert f.value_at(side * 3) == ExtReal(3)
+        assert f.value_at(-side) == POS_INF
+        assert subdiff_exact(f, 0) is None
+        assert subdiff_exact(f, side * 3) == Interval1D(side, side)
+        # the conjugate is 0 up to the slope side and +inf past it
+        star = conjugate_exact(f)
+        assert star.value_at(side) == ExtReal(0)
+        assert star.value_at(-7 * side) == ExtReal(0)
+        assert star.value_at(2 * side) == POS_INF
 
 
 @given(pl_functions())
