@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -26,6 +27,7 @@ import numpy as np
 
 from .extreal import as_extreal, format_scalar, parse_scalar
 from .funcrep import (
+    MAX_GRID_POINTS,
     GridFunction,
     Interval1D,
     MaxAffine,
@@ -45,10 +47,6 @@ class _UsageError(Exception):
 # ---------------------------------------------------------------------------
 # parsing helpers
 # ---------------------------------------------------------------------------
-
-
-# largest probe grid, 1D count or 2D cross product, a verb will build
-MAX_GRID_POINTS = 1 << 20
 
 
 def _check_grid_size(count: int) -> None:
@@ -87,7 +85,14 @@ def parse_probe_grid(spec: str, exact: bool = True) -> tuple:
     if count == 1:
         return (start,)
     step = (stop - start) / (count - 1)
-    pts = [start + step * k for k in range(count)]
+    if exact:
+        # start + step k is (a + b k) / d over the lcm d of the denominators
+        d = math.lcm(start.denominator, step.denominator)
+        a = start.numerator * (d // start.denominator)
+        b = step.numerator * (d // step.denominator)
+        pts = [Fraction(a + b * k, d) for k in range(count)]
+    else:
+        pts = [start + step * k for k in range(count)]
     pts[-1] = stop  # exact endpoint even for float grids
     return tuple(pts)
 

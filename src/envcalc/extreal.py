@@ -15,6 +15,7 @@ that float tolerances cannot leak into exact computations.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -264,3 +265,22 @@ def parse_scalar(s: Union[str, int, float], *, exact: bool | None = None) -> Ext
     if exact:
         return ExtReal(Fraction(t))
     return ExtReal(float(t))
+
+
+# the finite spellings that format_scalar writes for an exact payload
+_EXACT_SPELLING = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
+def parse_finite_exact(s) -> Fraction:
+    """``parse_scalar(s, exact=True).finite()``, with the same value, type
+    and errors.  The spellings ``format_scalar`` writes for an exact
+    payload, ``[-]int`` and ``[-]int/int`` with a nonzero denominator, go
+    straight to a Fraction; anything else goes through ``parse_scalar``."""
+    if type(s) is str and _EXACT_SPELLING.fullmatch(s):
+        num, _, den = s.partition("/")
+        if not den:
+            return Fraction(int(num))
+        d = int(den)
+        if d:
+            return Fraction(int(num), d)
+    return parse_scalar(s, exact=True).finite()

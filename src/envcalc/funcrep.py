@@ -25,10 +25,15 @@ from .extreal import (
     as_extreal,
     ext_sup,
     format_scalar,
+    parse_finite_exact,
     parse_scalar,
 )
 
 GRID_TOL = 1e-9
+
+# largest list an instance file may hold (breakpoints, samples, pieces,
+# graph pairs), and largest probe grid or table a verb will build
+MAX_GRID_POINTS = 1 << 20
 
 Point = Union[int, float, Fraction, tuple]
 
@@ -230,28 +235,46 @@ class PLConvex1D:
         """Full validation, for data from outside: every breakpoint, value
         and recession becomes a Fraction, overrides become ExtReals (a no-op
         one is dropped), and every invariant is checked.  Derived functions
-        that hold the invariants by construction use ``_make`` instead."""
-        bps = tuple(_frac(b) for b in self.breakpoints)
-        vals = tuple(_frac(v) for v in self.values)
+        that hold the invariants by construction use ``_make`` instead.
+
+        The checks and the slopes run on the numerators and denominators,
+        pairwise: with b = p/q and v = r/s, consecutive breakpoints are
+        ordered when p1 q0 - p0 q1 > 0, the segment slope is the one
+        Fraction (r1 s0 - r0 s1) q0 q1 / ((p1 q0 - p0 q1) s0 s1), and two
+        slopes compare by their cross products."""
+        bps = tuple(map(_frac, self.breakpoints))
+        vals = tuple(map(_frac, self.values))
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "values", vals)
         if len(bps) == 0:
             raise ValueError("need at least one breakpoint")
         if len(bps) != len(vals):
             raise ValueError("breakpoints and values length mismatch")
-        if any(b >= c for b, c in zip(bps, bps[1:])):
-            raise ValueError("breakpoints must be strictly increasing")
+        s = []
+        convex = True
+        p0, q0 = bps[0].numerator, bps[0].denominator
+        r0, s0 = vals[0].numerator, vals[0].denominator
+        n0 = d0 = None
+        for b, v in zip(bps[1:], vals[1:]):
+            p1, q1, r1, s1 = b.numerator, b.denominator, v.numerator, v.denominator
+            db = p1 * q0 - p0 * q1
+            if db <= 0:
+                raise ValueError("breakpoints must be strictly increasing")
+            g = Fraction((r1 * s0 - r0 * s1) * q0 * q1, db * s0 * s1)
+            n1, d1 = g.numerator, g.denominator
+            if n0 is not None and n0 * d1 > n1 * d0:
+                convex = False
+            s.append(g)
+            p0, q0, r0, s0, n0, d0 = p1, q1, r1, s1, n1, d1
         sl = self.left_recession
         sr = self.right_recession
         if sl is not None:
             object.__setattr__(self, "left_recession", _frac(sl))
         if sr is not None:
             object.__setattr__(self, "right_recession", _frac(sr))
-        s = tuple(
-            (vals[i + 1] - vals[i]) / (bps[i + 1] - bps[i]) for i in range(len(bps) - 1)
-        )
+        s = tuple(s)
         object.__setattr__(self, "_slopes", s)
-        if any(a > b for a, b in zip(s, s[1:])):
+        if not convex:
             raise ValueError("interior slopes must be nondecreasing (convexity)")
         if self.left_recession is not None:
             first = s[0] if s else None
@@ -884,7 +907,7 @@ def _fmt_rec(r):
 def _parse_rec(r):
     if r == "stop" or r is None:
         return None
-    return parse_scalar(r, exact=True).finite()
+    return parse_finite_exact(r)
 
 
 def dump_instance(obj) -> dict:
@@ -950,6 +973,18 @@ def _parse_level(lv):
     return parse_scalar(lv, exact=True).finite() if isinstance(lv, str) else lv
 
 
+def _check_counts(d: dict, *keys) -> None:
+    """Refuse an instance whose listed ``keys`` hold more than
+    MAX_GRID_POINTS entries, before any of its scalars is parsed."""
+    for key in keys:
+        seq = d.get(key)
+        if isinstance(seq, list) and len(seq) > MAX_GRID_POINTS:
+            raise ValueError(
+                f"{d.get('kind')} instance lists {len(seq)} {key}, "
+                f"above the limit of {MAX_GRID_POINTS}"
+            )
+
+
 def load_instance(src):
     """Accepts a dict, a JSON string, or a path to a JSON file."""
     if isinstance(src, (str, bytes)):
@@ -966,11 +1001,12 @@ def load_instance(src):
     kind = d.get("kind")
     label = d.get("label")
     if kind == "plconvex1d":
+        _check_counts(d, "breakpoints", "values")
         ovl = d.get("override_left")
         ovr = d.get("override_right")
         return PLConvex1D(
-            tuple(parse_scalar(b, exact=True).finite() for b in d["breakpoints"]),
-            tuple(parse_scalar(v, exact=True).finite() for v in d["values"]),
+            tuple(map(parse_finite_exact, d["breakpoints"])),
+            tuple(map(parse_finite_exact, d["values"])),
             _parse_rec(d.get("left_recession", "stop")),
             _parse_rec(d.get("right_recession", "stop")),
             None if ovl is None else parse_scalar(ovl, exact=True),
@@ -978,6 +1014,7 @@ def load_instance(src):
             label=label,
         )
     if kind == "grid":
+        _check_counts(d, "points", "values")
         pts = d["points"]
         vals = d["values"]
         if not set(map(type, vals)) <= {float, int}:
@@ -992,6 +1029,7 @@ def load_instance(src):
             label=label,
         )
     if kind == "indicator":
+        _check_counts(d, "points")
         return SampledSet(
             d["dim"],
             tuple(tuple(p) if d["dim"] == 2 else p for p in d["points"]),
@@ -1006,6 +1044,7 @@ def load_instance(src):
             bool(d.get("hi_open", False)),
         )
     if kind == "maxaffine":
+        _check_counts(d, "pieces")
         return MaxAffine(
             d["dim"],
             tuple(

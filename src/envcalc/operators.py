@@ -24,6 +24,7 @@ from .funcrep import (
     Interval1D,
     PLConvex1D,
     _canon_point,
+    _check_counts,
     _frac,
     dot,
     is_exact_scalar,
@@ -54,21 +55,32 @@ class SubdiffStructure1D:
     (ref_x, ref_v) with lo = hi = slope and ``ends`` = (xlo, xhi).  ``sup``
     and the Fitzpatrick line generator both walk this one order, and
     ``structure_contains`` bisects it.
+
+    The lists are the ones ``subdiff_structure`` and ``tilt`` build: the
+    segments, ascending, tile the closure's domain, and each breakpoint
+    that is not overridden is a point between its two segments.  So the
+    order alternates points and segments, one comparison places the first
+    point, and a candidate's admission key takes arithmetic only next to
+    an overridden end.
     """
 
     points: tuple
     segments: tuple
 
     def __post_init__(self):
-        order = []
-        pts = self.points
-        j = 0
-        for xlo, xhi, slope, rx, rv in self.segments:
-            while j < len(pts) and xlo is not None and pts[j][0] <= xlo:
-                order.append((*pts[j], None))
-                j += 1
-            order.append((rx, rv, slope, slope, (xlo, xhi)))
-        order.extend((*p, None) for p in pts[j:])
+        pts = [(*p, None) for p in self.points]
+        segs = [(rx, rv, g, g, (xlo, xhi)) for xlo, xhi, g, rx, rv in self.segments]
+        lead = segs[:1] if segs and segs[0][4][0] is None else []
+        rest = segs[len(lead):]
+        # the first point comes before the first segment right of a left ray
+        # iff it sits at that segment's lower end (its breakpoint is not
+        # overridden)
+        if pts and (not rest or pts[0][0] == rest[0][4][0]):
+            first, second = pts, rest
+        else:
+            first, second = rest, pts
+        order = lead + [c for pair in zip(first, second) for c in pair]
+        order += first[len(second):] + second[len(first):]
         # position keys: candidate i lies wholly left of x iff pos[i] < (x, 1);
         # a right ray never does and, being last, is left out
         pos = [
@@ -76,11 +88,41 @@ class SubdiffStructure1D:
             for a, _v, _lo, _hi, ends in order
             if ends is None or ends[1] is not None
         ]
-        # admission keys: candidate i has an anchor with f(a) <= theta iff
-        # adm[i] < (0, theta, 1), and one with f(a) < theta iff
-        # adm[i] < (0, theta, 0)
-        adm = [_admission_key(c) for c in order]
-        k = min(range(len(adm)), key=adm.__getitem__) if adm else 0
+        # admission keys: the infimum of f over each candidate, as (0, value,
+        # 1 if not attained), or (-1,) along a ray where f is unbounded
+        # below; candidate i has an anchor with f(a) <= theta iff adm[i] <
+        # (0, theta, 1), and one with f(a) < theta iff adm[i] < (0, theta, 0)
+        adm = []
+        k = None  # the first minimal key: (-1,), or a minimizer of f
+        for i, (a, v, lo, hi, ends) in enumerate(order):
+            if ends is None:
+                adm.append((0, v, 0))
+                if k is None and (lo is None or lo.numerator <= 0) and (
+                    hi is None or hi.numerator >= 0
+                ):
+                    k = i
+                continue
+            sign = lo.numerator
+            if sign == 0:
+                adm.append((0, v, 0))
+                k = i if k is None else k
+                continue
+            # a sloped segment sits above its lower end; the value there is
+            # the neighbouring point's, unless an override leaves no point
+            low_end, j = (ends[0], i - 1) if sign > 0 else (ends[1], i + 1)
+            if low_end is None:
+                adm.append((-1,))
+                k = i if k is None else k
+            elif 0 <= j < len(order) and order[j][4] is None:
+                adm.append((0, order[j][1], 1))
+            else:
+                adm.append((0, v + (low_end - a) * lo, 1))
+        if k is None:
+            # f is bounded below with no minimizer, so it is monotone and its
+            # infimum lies at an overridden end: the first candidate when f
+            # increases, the last when it decreases
+            rising = order and order[0][3] is not None and order[0][3].numerator > 0
+            k = len(order) - 1 if order and not rising else 0
         object.__setattr__(self, "_order", tuple(order))
         object.__setattr__(self, "_pos", tuple(pos))
         object.__setattr__(self, "_adm_left", tuple(adm[k::-1]))
@@ -200,20 +242,6 @@ class SubdiffStructure1D:
             (xlo, xhi, g - s, rx, rv - s * rx) for xlo, xhi, g, rx, rv in self.segments
         )
         return SubdiffStructure1D(points, segments)
-
-
-def _admission_key(cand) -> tuple:
-    """Infimum of f over one candidate, as (0, value, 1 if not attained);
-    (-1,) when f is unbounded below along a ray."""
-    a, v, lo, _hi, ends = cand
-    if ends is None or lo == 0:
-        return (0, v, 0)
-    xlo, xhi = ends
-    # a sloped segment never attains its infimum: it sits at the lower end
-    low_end = xlo if lo > 0 else xhi
-    if low_end is None:
-        return (-1,)
-    return (0, v + (low_end - a) * lo, 1)
 
 
 def subdiff_structure(f: PLConvex1D) -> SubdiffStructure1D:
@@ -816,6 +844,7 @@ def graph_load(src) -> OperatorGraph:
 
     if not isinstance(src, dict) or src.get("kind") != "opgraph":
         raise ValueError("not an operator-graph description")
+    _check_counts(src, "pairs")
     dim = int(src["dim"])
 
     def dec(e):

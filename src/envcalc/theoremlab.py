@@ -94,18 +94,18 @@ F = Fraction
 
 
 def primal_probes(f: PLConvex1D) -> tuple:
-    """Breakpoints, segment midpoints, and a step beyond each domain end."""
-    pts = set(f.breakpoints)
-    for a, b in zip(f.breakpoints, f.breakpoints[1:]):
-        pts.add((a + b) / 2)
-    lo, hi = f.breakpoints[0], f.breakpoints[-1]
-    pts.add(lo - 1)
-    pts.add(hi + 1)
-    if f.left_recession is not None:
-        pts.add(lo - 3)
+    """Breakpoints, segment midpoints, and a step beyond each domain end,
+    ascending: each midpoint lies between its two breakpoints."""
+    b = f.breakpoints
+    lo, hi = b[0], b[-1]
+    pts = [lo - 3] if f.left_recession is not None else []
+    pts.append(lo - 1)
+    for x, y in zip(b, b[1:]):
+        pts += (x, (x + y) / 2)
+    pts += (hi, hi + 1)
     if f.right_recession is not None:
-        pts.add(hi + 3)
-    return tuple(sorted(pts))
+        pts.append(hi + 3)
+    return tuple(pts)
 
 
 def dual_probes(f: PLConvex1D) -> tuple:

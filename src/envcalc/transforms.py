@@ -13,7 +13,7 @@ never change a supremum of affine minorants, so overrides are invisible here.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import itemgetter
+from itertools import compress
 
 import numpy as np
 
@@ -407,18 +407,21 @@ def cl_conv(f, dual_points=None):
         return f
     if not isinstance(f, GridFunction):
         raise TypeError(f"unsupported representation {type(f).__name__}")
-    items = f.finite_items()
-    if not items:
+    finite = f.finite_mask()
+    if not finite.any():
         raise ImproperError("hull of a function with no finite values")
     if f.dim == 1:
         # the float prefilter speaks for the exact hull only where every
-        # point is its own float64; values always are
+        # point is its own float64; values always are.  Only its candidates'
+        # (point, value) items are built then.
         x, v = f.finite_arrays()
-        kinds = set(map(type, map(itemgetter(0), items)))
+        kinds = set(map(type, compress(f.points, finite.tolist())))
         if kinds <= {float} or kinds <= {float, int} and np.abs(x).max() < 2.0**53:
             order = np.argsort(x, kind="stable")
-            cand = order[_hull_candidates(x[order], v[order])]
-            items = [items[i] for i in cand.tolist()]
+            cand = np.flatnonzero(finite)[order[_hull_candidates(x[order], v[order])]]
+            items = zip(map(f.points.__getitem__, cand.tolist()), f.value_array[cand].tolist())
+        else:
+            items = f.finite_items()
         hull = _hull_1d_exact(items)
         return PLConvex1D._make(
             tuple(x for x, _ in hull),

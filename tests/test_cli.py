@@ -17,6 +17,7 @@ from envcalc import cli
 from envcalc.cli import build_parser, main, parse_probe_grid
 from envcalc.extreal import as_extreal, format_scalar
 from envcalc.funcrep import (
+    MAX_GRID_POINTS,
     GridFunction,
     PLConvex1D,
     dump_instance,
@@ -63,6 +64,25 @@ def test_probe_grid_rejects_malformed(bad):
 
     with pytest.raises(_UsageError):
         parse_probe_grid(bad)
+
+
+_grid_ends = st.one_of(
+    st.fractions(min_value=-50, max_value=50, max_denominator=60).map(format_scalar),
+    st.decimals(min_value=-50, max_value=50, places=3).map(str),
+)
+
+
+@given(_grid_ends, _grid_ends, st.integers(min_value=1, max_value=40))
+@settings(max_examples=300, deadline=None)
+def test_exact_probe_grid_is_start_plus_step_k(lo, hi, count):
+    start, stop = F(lo), F(hi)
+    want = [start]
+    if count > 1:
+        step = (stop - start) / (count - 1)
+        want = [start + step * k for k in range(count - 1)] + [stop]
+    got = parse_probe_grid(f"{lo}:{hi}:{count}")
+    assert got == tuple(want)
+    assert all(type(q) is F for q in got)
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +348,24 @@ def test_zero_denominator_in_instance_exits_2(tmp_path, capsys):
     src = write_json(tmp_path / "zero.json", d)
     assert main(["conjugate", "--instance", src]) == 2
     assert _one_line_error(capsys.readouterr().err)
+
+
+# one entry past the limit, and none of the entries parses: the count is
+# checked first
+@pytest.mark.parametrize("kind, key, rest", [
+    ("plconvex1d", "breakpoints", {"values": [0]}),
+    ("grid", "values", {"dim": 1, "points": [0.0]}),
+    ("indicator", "points", {"dim": 1}),
+    ("maxaffine", "pieces", {"dim": 1}),
+    ("opgraph", "pairs", {"dim": 1}),
+])
+def test_oversized_instance_exits_2_before_parsing(tmp_path, capsys, kind, key, rest):
+    n = MAX_GRID_POINTS + 1
+    src = write_json(tmp_path / "big.json", {"kind": kind, key: [None] * n, **rest})
+    assert main(["conjugate", "--instance", src]) == 2
+    err = capsys.readouterr().err
+    assert _one_line_error(err)
+    assert f"{kind} instance lists {n} {key}, above the limit of {MAX_GRID_POINTS}" in err
 
 
 def test_eps_is_parsed_exactly(abs_file, monkeypatch, capsys):

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from envcalc.extreal import (
     ExtReal,
@@ -15,6 +15,7 @@ from envcalc.extreal import (
     ext_sub,
     ext_sup,
     format_scalar,
+    parse_finite_exact,
     parse_scalar,
 )
 
@@ -122,3 +123,53 @@ def test_parse_scalar_exact_false_gives_floats():
     assert parse_scalar("1/2").finite() == Fraction(1, 2)
     with pytest.raises(ValueError):
         parse_scalar(10**400, exact=False)
+
+
+def _outcome(call, s):
+    try:
+        v = call(s)
+    except Exception as e:  # the type and the message are compared
+        return type(e), str(e)
+    return type(v), v
+
+
+def _slow_exact(s):
+    return parse_scalar(s, exact=True).finite()
+
+
+# near-misses of the exact spellings: signs, spaces, slashes, zero
+# denominators, decimals, non-ASCII digits, infinities and long ints.  No
+# exponent: Fraction("1e999999999") takes 10**999999999 in both routes
+_near_exact = st.lists(
+    st.sampled_from(
+        ["-", "+", "/", "0", "1", "7", "00", " ", ".", "_", "\n", "\u0663",
+         "inf", "x", "9" * 30]
+    ),
+    max_size=8,
+).map("".join)
+
+
+@given(
+    st.one_of(
+        st.text(st.characters(blacklist_characters="eE"), max_size=12),
+        _near_exact,
+        st.fractions().map(format_scalar),
+        st.tuples(st.integers(), st.integers(0, 3)).map(lambda t: f"{t[0]}/{t[1]}"),
+        st.integers().map(str),
+        st.integers(),
+        st.floats(allow_nan=False),
+        st.booleans(),
+        st.none(),
+    )
+)
+@settings(max_examples=1000, deadline=None)
+def test_fast_exact_parse_matches_parse_scalar(s):
+    assert _outcome(parse_finite_exact, s) == _outcome(_slow_exact, s)
+
+
+@pytest.mark.parametrize("s", [
+    "3/0", "-0/0", "1/-2", "-3", "-0", "007/010", " 1/2", "1/2 ", "1//2", "1/2/3",
+    "٣", "1_000", "inf", "-inf", "1.5", "", "-", "/", "1" * 5000, "1/" + "2" * 5000,
+])
+def test_fast_exact_parse_edge_spellings(s):
+    assert _outcome(parse_finite_exact, s) == _outcome(_slow_exact, s)

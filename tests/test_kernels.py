@@ -38,7 +38,16 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from envcalc.extreal import NEG_INF, POS_INF, ExtReal, MixedScalarError, as_extreal, ext_add
+from envcalc.extreal import (
+    NEG_INF,
+    POS_INF,
+    ExtReal,
+    MixedScalarError,
+    as_extreal,
+    ext_add,
+    format_scalar,
+    parse_scalar,
+)
 from envcalc.funcrep import (
     GridFunction,
     Interval1D,
@@ -47,8 +56,10 @@ from envcalc.funcrep import (
     _frac,
     _hull_1d_exact,
     dot,
+    dump_instance,
     effective_domain,
     line_envelope_at,
+    load_instance,
     pl_canonical,
     pl_equal,
     point_sub,
@@ -92,7 +103,7 @@ from envcalc.operators import (
     subgradient_test,
     subdiffs_exact,
 )
-from envcalc.theoremlab import InstanceGenerator
+from envcalc.theoremlab import InstanceGenerator, primal_probes
 from envcalc.transforms import (
     ImproperError,
     cl_conv,
@@ -407,6 +418,87 @@ def value_at_oracle(f, x):
         return ExtReal(v[hi])
     t = (x - b[lo]) / (b[hi] - b[lo])
     return ExtReal(v[lo] + t * (v[hi] - v[lo]))
+
+
+def pl_validation_oracle(breakpoints, values, left=None, right=None, ovl=None, ovr=None):
+    """The public ``PLConvex1D`` constructor's validation in ``Fraction``
+    arithmetic: the fields it sets, and the slopes last, as a tuple; the
+    same ``ValueError``s in the same order."""
+    bps = tuple(_frac(b) for b in breakpoints)
+    vals = tuple(_frac(v) for v in values)
+    if len(bps) == 0:
+        raise ValueError("need at least one breakpoint")
+    if len(bps) != len(vals):
+        raise ValueError("breakpoints and values length mismatch")
+    if any(b >= c for b, c in zip(bps, bps[1:])):
+        raise ValueError("breakpoints must be strictly increasing")
+    sl = None if left is None else _frac(left)
+    sr = None if right is None else _frac(right)
+    s = tuple((vals[i + 1] - vals[i]) / (bps[i + 1] - bps[i]) for i in range(len(bps) - 1))
+    if any(a > b for a, b in zip(s, s[1:])):
+        raise ValueError("interior slopes must be nondecreasing (convexity)")
+    if sl is not None:
+        if s and sl > s[0]:
+            raise ValueError("left recession slope must not exceed first slope")
+        if not s and sr is not None and sl > sr:
+            raise ValueError("recession slopes out of order")
+    if sr is not None and s and sr < s[-1]:
+        raise ValueError("right recession slope must be at least the last slope")
+    out = {}
+    for side, ov in (("left", ovl), ("right", ovr)):
+        if ov is not None:
+            ov = as_extreal(F(ov) if isinstance(ov, int) else ov)
+            if ov.is_neg_inf:
+                raise ValueError("override cannot be -inf")
+            if ov.is_finite:
+                ov = ExtReal(_frac(ov.value))
+            base = vals[0] if side == "left" else vals[-1]
+            if ov.is_finite and ov.value < base:
+                raise ValueError("override must not lie below the interpolated value")
+            if ov.is_finite and ov.value == base:
+                ov = None
+            rec = sl if side == "left" else sr
+            if ov is not None and rec is not None:
+                raise ValueError(
+                    "override requires a domain wall on that side "
+                    "(raising an interior-domain value would break convexity)"
+                )
+            if ov is not None and len(bps) == 1 and left is None and right is None:
+                raise ValueError("override on a single-point domain is just a value")
+        out[side] = ov
+    return bps, vals, sl, sr, out["left"], out["right"], s
+
+
+def structure_build_oracle(points, segments):
+    """``SubdiffStructure1D``'s derived fields built by a merge on breakpoint
+    comparisons, admission keys in ``Fraction`` arithmetic and a tuple min:
+    (_order, _pos, _adm_left, _adm_right, _argmin)."""
+    order = []
+    j = 0
+    for xlo, xhi, slope, rx, rv in segments:
+        while j < len(points) and xlo is not None and points[j][0] <= xlo:
+            order.append((*points[j], None))
+            j += 1
+        order.append((rx, rv, slope, slope, (xlo, xhi)))
+    order.extend((*p, None) for p in points[j:])
+    pos = [
+        (a, 1) if ends is None else (ends[1], 0)
+        for a, _v, _lo, _hi, ends in order
+        if ends is None or ends[1] is not None
+    ]
+
+    def key(cand):
+        a, v, lo, _hi, ends = cand
+        if ends is None or lo == 0:
+            return (0, v, 0)
+        low_end = ends[0] if lo > 0 else ends[1]
+        if low_end is None:
+            return (-1,)
+        return (0, v + (low_end - a) * lo, 1)
+
+    adm = [key(c) for c in order]
+    k = min(range(len(adm)), key=adm.__getitem__) if adm else 0
+    return tuple(order), tuple(pos), tuple(adm[k::-1]), tuple(adm[k:]), k
 
 
 def epi_member(floor, point):
@@ -882,6 +974,89 @@ def test_structure_tilt_matches_rebuild(f, sextra, extra):
             for strict in (False, True):
                 assert got.sup(x, theta, strict) == want.sup(x, theta, strict)
             assert got.sup(x, theta) == smile_value(g, x)
+
+
+def _structure_fields(st_):
+    return st_._order, st_._pos, st_._adm_left, st_._adm_right, st_._argmin
+
+
+@given(pl_functions(), st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=5), max_size=2))
+@settings(max_examples=200, deadline=None)
+def test_structure_build_matches_fraction_build(f, sextra):
+    base = subdiff_structure(f)
+    # tilts below the least and above the greatest slope make f strictly
+    # monotone, so an overridden end holds the infimum
+    sl = sorted(dual_points(f, sextra))
+    tilts = [base.tilt(s) for s in [sl[0] - 1, *sl[::2], sl[-1] + 1]]
+    for got in [base, *tilts]:
+        assert _structure_fields(got) == structure_build_oracle(got.points, got.segments)
+
+
+@given(pl_functions())
+@settings(max_examples=100, deadline=None)
+def test_primal_probes_are_the_sorted_probe_set(f):
+    b = f.breakpoints
+    want = set(b) | {(u + w) / 2 for u, w in zip(b, b[1:])} | {b[0] - 1, b[-1] + 1}
+    want |= {b[0] - 3} if f.left_recession is not None else set()
+    want |= {b[-1] + 3} if f.right_recession is not None else set()
+    got = primal_probes(f)
+    assert got == tuple(sorted(want))
+    assert all(type(x) is F for x in got)
+
+
+def _spell(q):
+    return format_scalar(ExtReal(q))
+
+
+@st.composite
+def pl_files(draw):
+    """The instance dict of a ``pl_functions`` draw, often with one entry
+    redrawn: a breakpoint, a value, a recession or an override."""
+    f = draw(pl_functions())
+    d = dump_instance(f)
+    what = draw(st.sampled_from(
+        ["none", "breakpoints", "values", "left_recession", "right_recession",
+         "override_left", "override_right", "drop"]))
+    q = st.fractions(min_value=-8, max_value=8, max_denominator=6).map(_spell)
+    if what in ("breakpoints", "values"):
+        i = draw(st.integers(0, len(d[what]) - 1))
+        d[what][i] = draw(q)
+    elif what == "drop":
+        d["values"].pop()
+    elif what != "none":
+        d[what] = draw(st.one_of(q, st.sampled_from(["stop", "inf", "-inf"])))
+        if what.startswith("override") and d[what] == "stop":
+            del d[what]
+    return d
+
+
+@given(pl_files())
+@settings(max_examples=400, deadline=None)
+def test_load_instance_matches_fraction_validation(d):
+    def parsed(key):
+        r = d.get(key)
+        return None if r is None or r == "stop" else parse_scalar(r, exact=True)
+
+    def want():
+        return pl_validation_oracle(
+            tuple(parse_scalar(b, exact=True).finite() for b in d["breakpoints"]),
+            tuple(parse_scalar(v, exact=True).finite() for v in d["values"]),
+            *(None if r is None else r.finite() for r in map(parsed, ("left_recession", "right_recession"))),
+            parsed("override_left"),
+            parsed("override_right"),
+        )
+
+    def got():
+        f = load_instance(d)
+        return (f.breakpoints, f.values, f.left_recession, f.right_recession,
+                f.override_left, f.override_right, f.slopes())
+
+    a, b = _outcome(got), _outcome(want)
+    assert a == b
+    if a[0] != "ValueError":
+        # every number the constructor sets is a Fraction
+        nums = [*a[0], *a[1], *a[6], a[2], a[3], *(ov.value for ov in a[4:6] if ov is not None)]
+        assert all(type(q) is F for q in nums if q is not None)
 
 
 @given(pl_functions(), extras, st.sampled_from((F(1), F(1, 4), F(1, 100))))
