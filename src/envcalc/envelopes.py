@@ -19,6 +19,7 @@ that sampled (grid) instances get the same vocabulary.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -270,14 +271,15 @@ def n_cup_envelope(f, G: OperatorGraph, n: int) -> MaxAffine:
     """Envelope over chains of n graph pairs, as a max of affine pieces.
 
     A chain couples the probe to the first anchor, each anchor to the next,
-    and pays the function value at the last anchor.  Maximizing anchor by
-    anchor from the tail leaves one piece (a_p, b_p, level_p) per pair,
-    after n - 1 steps level_q = max_p level_p + <b_p, a_q - a_p> from
-    level_p = f(a_p); n_cup_enum enumerates the chains for cross-checking.
-    Each step is the current envelope's ``MaxAffine.values_at`` at the
-    anchors: one line hull, O(P log P), on an exact 1D graph, the direct
-    O(P^2) max otherwise.  Float levels that overflow stay float infinities.
-    The empty graph gives the empty max, -inf everywhere.
+    and pays f at the last anchor.  Maximizing anchor by anchor from the
+    tail leaves one piece (a_p, b_p, level_p) per pair: from f(a_p), each
+    step sets level_q = max_p level_p + <b_p, a_q - a_p> by ``values_at``
+    (one line hull, O(P log P), on an exact 1D graph, O(P^2) otherwise).
+    A step may keep q's own pair, so levels never fall, and once one leaves
+    every level identical (type, value, a float's sign of zero) the rest
+    repeat it: the DP stops there, after one step on a subdifferential
+    graph.  Overflowing float levels stay float infinities; the empty graph
+    gives -inf everywhere.  n_cup_enum enumerates the chains as an oracle.
     """
     if n not in (2, 3, 4):
         raise ValueError("n must be one of 2, 3, 4")
@@ -285,10 +287,14 @@ def n_cup_envelope(f, G: OperatorGraph, n: int) -> MaxAffine:
     anchors = [a for a, _b in G.pairs]
     for _ in range(n - 1):
         levels = MaxAffine(G.dim, pieces).values_at(anchors)
-        pieces = [
+        new = [
             (a, b, lv.value if lv.is_finite else float(lv))
             for (a, b, _), lv in zip(pieces, levels)
         ]
+        if all(type(p) is type(q) and p == q and (type(p) is not float or p.hex() == q.hex())
+               for (_, _, p), (_, _, q) in zip(pieces, new)):
+            break
+        pieces = new
     return MaxAffine(G.dim, tuple(pieces), label=G.label)
 
 
@@ -449,28 +455,27 @@ def epi_cup_floor(f: PLConvex1D, G_full: OperatorGraph) -> MaxAffine:
     """The non-horizontal support inequalities as one MaxAffine.
 
     Samples are validated first: anchors must sit on the graph of f, normals
-    may not point upward, and each must support the epigraph at every
-    breakpoint and along every recession direction.  Support is tested
-    against the closure's values at the breakpoints (f's listed ``values``):
-    a closed half-space that contains epi f contains its closure, so a
-    raised or open end admits no cut that the adjacent segment rules out.
-    A cut (a, t, a*, alpha) with alpha < 0 holds at (x, v) exactly when
-    v >= t + (x - a) a*/(-alpha), so the cuts become the pieces
-    (a, a*/(-alpha), t), and (x, v) meets all of them iff v >= floor(x);
-    horizontal cuts (alpha = 0) constrain nothing.
+    may not point upward, and each must support the epigraph along every
+    recession direction and at every breakpoint, read at the closure's
+    (listed) values, so an override admits no cut the adjacent segment
+    rules out.  With alpha <= 0, (y - a) a* + (cl f(y) - t) alpha is concave
+    along the breakpoints, greatest at k = #{j : a* + alpha s_j > 0}: one
+    bisection per sample, O(P log m).  A cut (a, t, a*, alpha) with alpha < 0
+    holds at (x, v) exactly when v >= t + (x - a) a*/(-alpha), so the cuts
+    become the pieces (a, a*/(-alpha), t); horizontal cuts constrain nothing.
     """
     if G_full.dim != 2:
         raise ValueError("epigraph samples live in dimension 2")
-    graph = tuple(zip(f.breakpoints, f.values))
+    b, v, s = f.breakpoints, f.values, f.slopes()
     for (a, t), (astar, alpha) in G_full.pairs:
         fa = f.value_at(a)
         if not fa.is_finite or fa.finite() != t:
             raise ValueError(f"sample anchored off the graph: {(a, t)!r}")
         if alpha > 0:
             raise ValueError("epigraph normals cannot point upward")
-        for y, fy in graph:
-            if (y - a) * astar + (fy - t) * alpha > 0:
-                raise ValueError(f"sample {(a, t, astar, alpha)!r} fails support")
+        k = bisect_left(s, 0, key=lambda sj: -astar - alpha * sj)
+        if (b[k] - a) * astar + (v[k] - t) * alpha > 0:
+            raise ValueError(f"sample {(a, t, astar, alpha)!r} fails support")
         if f.left_recession is not None and -astar - f.left_recession * alpha > 0:
             raise ValueError("sample fails the left recession direction")
         if f.right_recession is not None and astar + f.right_recession * alpha > 0:

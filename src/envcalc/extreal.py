@@ -263,9 +263,17 @@ def parse_scalar(s: Union[str, int, float], *, exact: bool | None = None) -> Ext
             return ExtReal(i)
         return ExtReal(Fraction(i) if exact else _float(i))
     if exact:
+        m = _EXPONENT_DECIMAL.fullmatch(t)
+        if m and sum(map(str.isdigit, m[1])) + abs(int(m[2])) > MAX_EXACT_DIGITS:
+            raise ValueError(f"{s!r} has over {MAX_EXACT_DIGITS} digits as an exact rational")
         return ExtReal(Fraction(t))
     return ExtReal(float(t))
 
+
+# an exact decimal with an exponent spans up to (its digits + |exponent|)
+# decimal digits: Fraction("1e999999999") would build 10**999999999
+MAX_EXACT_DIGITS = 4300
+_EXPONENT_DECIMAL = re.compile(r"[-+]?([\d_.]*)[eE]([-+]?\d+(?:_\d+)*)")
 
 # the finite spellings that format_scalar writes for an exact payload
 _EXACT_SPELLING = re.compile(r"-?[0-9]+(?:/[0-9]+)?")

@@ -307,14 +307,14 @@ def subdiffs_exact(f: PLConvex1D, xs) -> list:
 def subgradient_test(f, tol=0):
     """The predicate (x, x*) -> is x* a subgradient of f at x?
 
-    On a PLConvex1D, exactly (tol is unused): f(x) is finite, cl f(y) >=
-    f(x) + x*(y - x) at every breakpoint y, and x* lies between the
-    recession slopes; independent of subdiff_exact on purpose.  The closure
-    cl f takes the listed ``values`` at the breakpoints, so a raised or
-    open end (an override) passes no slope that the adjacent segment rules
-    out, and at a raised end the y = x term fails.  On a GridFunction it is
-    ``grid_subdiff_test`` within tol.  Any other representation gets a
-    predicate that raises TypeError when called.
+    On a PLConvex1D, exactly (tol is unused): f(x) is finite, x* lies
+    between the recession slopes, and cl f(y) >= f(x) + x*(y - x) at every
+    breakpoint y, where cl f takes the listed ``values``: an override passes
+    no slope that the adjacent segment rules out, and a raised end fails its
+    y = x term.  cl f(y) - x* y is least at k = bisect_left(slopes, x*), so
+    one comparison there decides every y: O(log m), and independent of
+    subdiff_exact on purpose.  A GridFunction gets ``grid_subdiff_test``
+    within tol; any other representation a predicate that raises TypeError.
     """
     if isinstance(f, GridFunction):
         return lambda x, xstar: grid_subdiff_test(f, x, xstar, tol)
@@ -322,7 +322,7 @@ def subgradient_test(f, tol=0):
         def unsupported(x, xstar):
             raise TypeError("unsupported function representation")
         return unsupported
-    graph = tuple(zip(f.breakpoints, f.values))
+    b, v, s = f.breakpoints, f.values, f.slopes()
     lrec, rrec = f.left_recession, f.right_recession
 
     def test(x, xstar) -> bool:
@@ -330,8 +330,8 @@ def subgradient_test(f, tol=0):
         fx = f.value_at(x)
         if not fx.is_finite:
             return False
-        fx = fx.finite()
-        if any(fy < fx + xstar * (y - x) for y, fy in graph):
+        k = bisect_left(s, xstar)
+        if v[k] < fx.finite() + xstar * (b[k] - x):
             return False
         return (lrec is None or xstar >= lrec) and (rrec is None or xstar <= rrec)
 
@@ -494,7 +494,7 @@ def subdiff_graph(f: PLConvex1D, probes=()) -> OperatorGraph:
     spaced interior representatives, and ``RAY_STEPS`` outward unit steps
     where the interval is unbounded.  Per segment: the midpoint (finite) or
     a unit step into each ray, plus a pair for every supplied probe that
-    lands in a segment interior.
+    lands in a segment interior, placed by one bisection: O(p log m).
     """
     st = subdiff_structure(f)
     pairs = set()
@@ -521,11 +521,11 @@ def subdiff_graph(f: PLConvex1D, probes=()) -> OperatorGraph:
             pairs.add((xhi - 1, slope))
         else:
             pairs.add((xlo + 1, slope))
-    for p in probes:
-        p = _exactify(p)
-        for xlo, xhi, slope, _rx, _rv in st.segments:
-            if (xlo is None or p > xlo) and (xhi is None or p < xhi):
-                pairs.add((p, slope))
+    b, gap_slopes = f.breakpoints, (f.left_recession, *f.slopes(), f.right_recession)
+    for p in map(_exactify, probes):
+        j = bisect_right(b, p)
+        if (j == 0 or p != b[j - 1]) and gap_slopes[j] is not None:
+            pairs.add((p, gap_slopes[j]))
     return OperatorGraph(1, tuple(sorted(pairs)), label=f.label, structure=st)
 
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 import functools
 import math
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -211,6 +212,7 @@ class CheckContext:
     sharp = cached_property(lambda c: sharp_exact(c.inst))
     circ = cached_property(lambda c: circ_exact(c.inst))
     star_cup = cached_property(lambda c: star_cup_exact(c.inst))
+    envelope = cached_property(lambda c: upper_envelope(c.inst, c.graph))
     # a 1D grid: its closed convex hull, the hull's dual probes, and the
     # grid graph over them decided in exact arithmetic
     grid_hull = cached_property(lambda c: cl_conv(c.inst))
@@ -455,9 +457,8 @@ def _check_fcupdiez_i(tid, desc, ctx):
 
 @_gated(_GRAPH)
 def _check_fcupdiez_iii(tid, desc, ctx):
-    f, G = ctx.inst, ctx.graph
-    env = upper_envelope(f, G)
-    floor = epi_cup_floor(f, epi_normal_graph(f, G))
+    f, env = ctx.inst, ctx.envelope
+    floor = epi_cup_floor(f, epi_normal_graph(f, ctx.graph))
     xs = ctx.probes
     for x, ev, cut in zip(xs, env.values_at(xs), floor.values_at(xs)):
         base = ev.finite()
@@ -522,7 +523,7 @@ def _check_fcupdiez_viii(tid, desc, ctx):
 @_gated(_GRAPH)
 def _check_fcupdiez_ix(tid, desc, ctx):
     f, G, xs = ctx.inst, ctx.graph, ctx.probes
-    want = upper_envelope(f, G).values_at(xs)
+    want = ctx.envelope.values_at(xs)
     chains = [(n, n_cup_envelope(f, G, n).values_at(xs)) for n in (2, 3)]
     for k, x in enumerate(xs):
         for n, vals in chains:
@@ -726,10 +727,9 @@ def _net_points(f: PLConvex1D, x, r):
     b = f.breakpoints
     left_ok = x > b[0] or f.left_recession is not None
     right_ok = x < b[-1] or f.right_recession is not None
-    inner = [c for c in b if c < x]
-    gap_l = x - max(inner) if inner else None
-    inner = [c for c in b if c > x]
-    gap_r = min(inner) - x if inner else None
+    i, j = bisect_left(b, x), bisect_right(b, x)
+    gap_l = x - b[i - 1] if i else None
+    gap_r = b[j] - x if j < len(b) else None
     if left_ok:
         step = r if gap_l is None else min(r, gap_l)
         out.append(x - step / 2)

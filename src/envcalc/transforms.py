@@ -387,7 +387,9 @@ def conjugate_llt(f: GridFunction, dual_points) -> GridFunction:
     j = np.searchsorted(slopes, y, side="left")
     # refine over a 3-index window: guards against roundoff at slope ties
     cand = np.stack([np.clip(j + d, 0, len(hx) - 1) for d in (-1, 0, 1)])
-    vals = y[None, :] * hx[cand] - hv[cand]
+    # a product past the float range is the infinity it rounds to
+    with np.errstate(over="ignore"):
+        vals = y[None, :] * hx[cand] - hv[cand]
     out = vals.max(axis=0)
     return GridFunction(1, duals, out)
 

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from envcalc import cli
 from envcalc.cli import build_parser, main, parse_probe_grid
-from envcalc.extreal import as_extreal, format_scalar
+from envcalc.extreal import MAX_EXACT_DIGITS, as_extreal, format_scalar
 from envcalc.funcrep import (
     MAX_GRID_POINTS,
     GridFunction,
@@ -368,6 +368,28 @@ def test_oversized_instance_exits_2_before_parsing(tmp_path, capsys, kind, key, 
     assert f"{kind} instance lists {n} {key}, above the limit of {MAX_GRID_POINTS}" in err
 
 
+@pytest.mark.parametrize("entry", ["instance", "probes", "dual-grid", "eps"])
+def test_huge_exponent_exits_2_without_hanging(tmp_path, abs_file, entry):
+    """Each exact entry point refuses a decimal whose exponent would build
+    10**999999999.  The CLI runs in a subprocess under a wall-clock limit, so
+    a parse that tries to build it fails here instead of hanging the run."""
+    e = "1e999999999"
+    huge = {"kind": "plconvex1d", "breakpoints": ["0", e], "values": ["0", "0"]}
+    argv = {
+        "instance": ["conjugate", "--instance", write_json(tmp_path / "huge.json", huge)],
+        "probes": ["envelope", "--kind", "cup", "--instance", abs_file, "--probes", f"0:{e}:3"],
+        "dual-grid": ["conjugate", "--instance", abs_file, "--dual-grid", f"0:{e}:3"],
+        "eps": ["envelope", "--kind", "smileeps", "--instance", abs_file,
+                "--probes", "-1:1:3", "--eps", e],
+    }[entry]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    r = subprocess.run([sys.executable, "-m", "envcalc.cli", *argv], capture_output=True,
+                       text=True, timeout=60, env=dict(os.environ, PYTHONPATH=path))
+    assert r.returncode == 2 and _one_line_error(r.stderr), (r.returncode, r.stderr)
+    assert f"'{e}' has over {MAX_EXACT_DIGITS} digits as an exact rational" in r.stderr
+
+
 def test_eps_is_parsed_exactly(abs_file, monkeypatch, capsys):
     from envcalc import envelopes
 
@@ -701,6 +723,18 @@ def test_numbers_past_the_float_range_exit_with_one_line(tmp_path, capsys, argv,
         warnings.simplefilter("error")
         assert main(argv) == rc
     assert _one_line_error(capsys.readouterr().err)
+
+
+def test_grid_conjugate_past_the_float_range_warns_nothing(tmp_path, capsys):
+    # slope -2 times the sample at 1e308 rounds to -inf inside the LLT
+    # window; the fuzz test below once drew this file
+    g = {"kind": "grid", "dim": 1, "points": [1e308, -1.573, -0.635, 0.037, 2.064],
+         "values": [-1.309, 1.535, -1.497, 2.897, -1.139]}
+    path = write_json(tmp_path / "far.json", g)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["conjugate", "--dual-grid", "-2:2:3", "--instance", path]) == 0
+    assert capsys.readouterr().err == ""
 
 
 # ---------------------------------------------------------------------------

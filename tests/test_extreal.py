@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from envcalc.extreal import (
+    MAX_EXACT_DIGITS,
     ExtReal,
     MixedScalarError,
     NEG_INF,
@@ -138,21 +139,28 @@ def _slow_exact(s):
 
 
 # near-misses of the exact spellings: signs, spaces, slashes, zero
-# denominators, decimals, non-ASCII digits, infinities and long ints.  No
-# exponent: Fraction("1e999999999") takes 10**999999999 in both routes
+# denominators, decimals, exponents, non-ASCII digits, infinities and long
+# ints; exponents past MAX_EXACT_DIGITS are refused before Fraction sees them
 _near_exact = st.lists(
     st.sampled_from(
         ["-", "+", "/", "0", "1", "7", "00", " ", ".", "_", "\n", "\u0663",
-         "inf", "x", "9" * 30]
+         "inf", "x", "9" * 30, "e", "E", "e-"]
     ),
     max_size=8,
 ).map("".join)
 
+_exponent_decimals = st.tuples(
+    st.sampled_from(["1", "-2.5", ".5", "1_0", "0.000"]),
+    st.sampled_from(["e", "E"]),
+    st.integers(-MAX_EXACT_DIGITS - 3, MAX_EXACT_DIGITS + 3) | st.integers(-10**12, 10**12),
+).map(lambda t: f"{t[0]}{t[1]}{t[2]}")
+
 
 @given(
     st.one_of(
-        st.text(st.characters(blacklist_characters="eE"), max_size=12),
+        st.text(max_size=12),
         _near_exact,
+        _exponent_decimals,
         st.fractions().map(format_scalar),
         st.tuples(st.integers(), st.integers(0, 3)).map(lambda t: f"{t[0]}/{t[1]}"),
         st.integers().map(str),
@@ -173,3 +181,26 @@ def test_fast_exact_parse_matches_parse_scalar(s):
 ])
 def test_fast_exact_parse_edge_spellings(s):
     assert _outcome(parse_finite_exact, s) == _outcome(_slow_exact, s)
+
+
+@pytest.mark.parametrize("s,digits", [
+    ("1e4299", 4300), ("-1E-4299", 4300), ("12.5e4298", 4301), ("1e4300", 4301),
+    (".5e-4299", 4300), ("0.000e4297", 4301), ("1e1_0", 11), ("1e999999999", None),
+    ("-7.25e-999999999999", None), ("1e" + "9" * 60, None),
+])
+def test_exact_decimal_exponent_bound(s, digits):
+    """An exact decimal with an exponent parses when its digits plus the
+    exponent's size stay within MAX_EXACT_DIGITS and is refused, before any
+    power of ten is built, when they exceed it."""
+    if digits is not None and digits <= MAX_EXACT_DIGITS:
+        assert parse_scalar(s, exact=True).finite() == Fraction(s)
+        return
+    for call in (lambda: parse_scalar(s, exact=True), lambda: parse_finite_exact(s)):
+        with pytest.raises(ValueError, match=f"has over {MAX_EXACT_DIGITS} digits"):
+            call()
+
+
+def test_float_route_of_a_huge_exponent_is_unchanged():
+    # float() reads these in linear time and rounds to an infinity or zero
+    assert parse_scalar("1e999999999") == parse_scalar("1e999999999", exact=False) == POS_INF
+    assert parse_scalar("-1e-999999999", exact=False).finite() == 0.0

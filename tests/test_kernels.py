@@ -18,8 +18,12 @@ point-chord lower hull that ``_hull_1d_exact`` ran before it shared
 ``_upper_hull``, the candidate selection of ``brondsted_search`` before
 it judged candidates as ``BrondstedResult``s, the ``subdiff_exact``
 lookup behind ``structure_contains``, and the hand-written binary search
-that ``PLConvex1D.value_at`` ran before it took ``bisect_right``.  They
-live here only, as references; exact comparisons are exact and float
+that ``PLConvex1D.value_at`` ran before it took ``bisect_right``, and the
+scans that four one-bisection kernels replaced: the breakpoint loop of
+``subgradient_test``, the cut loop of ``epi_cup_floor``, the segment scan
+of ``subdiff_graph`` and the list scans of ``theoremlab._net_points``,
+with the full (n - 1)-step chain DP that ``n_cup_envelope`` now stops at
+its fixed point.  They live here only, as references; exact comparisons are exact and float
 comparisons are bit for bit.
 
 The one-probe routes ``PLConvex1D.value_at``, ``SubdiffStructure1D.sup``
@@ -103,7 +107,7 @@ from envcalc.operators import (
     subgradient_test,
     subdiffs_exact,
 )
-from envcalc.theoremlab import InstanceGenerator, primal_probes
+from envcalc.theoremlab import InstanceGenerator, _net_points, primal_probes
 from envcalc.transforms import (
     ImproperError,
     cl_conv,
@@ -257,6 +261,89 @@ def subdiff_test_oracle(f, x, xstar):
     """Containment in the subgradient interval: xstar in subdiff_exact(f, x)."""
     iv = subdiff_exact(f, x)
     return iv is not None and iv.contains(_frac(xstar))
+
+
+def subgradient_loop_oracle(f, x, xstar):
+    """``subgradient_test`` before its bisection: f(x) finite, cl f(y) >=
+    f(x) + x*(y - x) at every breakpoint y, x* between the recessions."""
+    x, xstar = _frac(x), _frac(xstar)
+    fx = f.value_at(x)
+    if not fx.is_finite:
+        return False
+    fx = fx.finite()
+    if any(fy < fx + xstar * (y - x) for y, fy in zip(f.breakpoints, f.values)):
+        return False
+    lrec, rrec = f.left_recession, f.right_recession
+    return (lrec is None or xstar >= lrec) and (rrec is None or xstar <= rrec)
+
+
+def epi_cup_floor_loop_oracle(f, G_full):
+    """``epi_cup_floor`` testing each sample at every breakpoint."""
+    if G_full.dim != 2:
+        raise ValueError("epigraph samples live in dimension 2")
+    graph = tuple(zip(f.breakpoints, f.values))
+    for (a, t), (astar, alpha) in G_full.pairs:
+        fa = f.value_at(a)
+        if not fa.is_finite or fa.finite() != t:
+            raise ValueError(f"sample anchored off the graph: {(a, t)!r}")
+        if alpha > 0:
+            raise ValueError("epigraph normals cannot point upward")
+        for y, fy in graph:
+            if (y - a) * astar + (fy - t) * alpha > 0:
+                raise ValueError(f"sample {(a, t, astar, alpha)!r} fails support")
+        if f.left_recession is not None and -astar - f.left_recession * alpha > 0:
+            raise ValueError("sample fails the left recession direction")
+        if f.right_recession is not None and astar + f.right_recession * alpha > 0:
+            raise ValueError("sample fails the right recession direction")
+    return MaxAffine(1, tuple(
+        (a, _exactify(astar) / -_exactify(alpha), _exactify(t))
+        for (a, t), (astar, alpha) in G_full.pairs
+        if alpha != 0
+    ))
+
+
+def subdiff_graph_scan_oracle(f, probes):
+    """``subdiff_graph(f, probes)`` placing each probe by a scan of every
+    segment of the structure."""
+    pairs = set(subdiff_graph(f).pairs)
+    for p in probes:
+        p = _exactify(p)
+        for xlo, xhi, slope, _rx, _rv in subdiff_structure(f).segments:
+            if (xlo is None or p > xlo) and (xhi is None or p < xhi):
+                pairs.add((p, slope))
+    return tuple(sorted(pairs))
+
+
+def n_cup_full_dp_oracle(f, G, n):
+    """The pieces of ``n_cup_envelope`` after all n - 1 hull steps."""
+    pieces = [(a, b, f.value_at(a).finite()) for a, b in G.pairs]
+    anchors = [a for a, _b in G.pairs]
+    for _ in range(n - 1):
+        levels = MaxAffine(G.dim, pieces).values_at(anchors)
+        pieces = [
+            (a, b, lv.value if lv.is_finite else float(lv))
+            for (a, b, _), lv in zip(pieces, levels)
+        ]
+    return tuple(pieces)
+
+
+def net_points_scan_oracle(f, x, r):
+    """``theoremlab._net_points`` with its two list scans."""
+    out = [x]
+    b = f.breakpoints
+    left_ok = x > b[0] or f.left_recession is not None
+    right_ok = x < b[-1] or f.right_recession is not None
+    inner = [c for c in b if c < x]
+    gap_l = x - max(inner) if inner else None
+    inner = [c for c in b if c > x]
+    gap_r = min(inner) - x if inner else None
+    if left_ok:
+        step = r if gap_l is None else min(r, gap_l)
+        out.append(x - step / 2)
+    elif right_ok:
+        step = r if gap_r is None else min(r, gap_r)
+        out.append(x + step / 2)
+    return out
 
 
 def star_cup_oracle(f, G, xstar):
@@ -1859,3 +1946,106 @@ def test_max_affine_tie_payload():
     assert repr(env.value_at(3)) == "ExtReal(Fraction(4, 1))"
     assert repr(env.first_max_at(2)) == "ExtReal(2)"  # the first maximal piece
     assert repr(MaxAffine(1, ((0, 1, 0),)).value_at(2)) == "ExtReal(2)"
+
+
+# ---------------------------------------------------------------------------
+# one-bisection kernels against the scans they replaced
+# ---------------------------------------------------------------------------
+
+
+@given(pl_functions(), extras, st.randoms(use_true_random=False))
+@settings(max_examples=50, deadline=None)
+def test_subgradient_bisection_matches_breakpoint_loop(f, extra, rnd):
+    """At breakpoints, between them and off the domain (walls, rays, both
+    override kinds), for x* exactly at a slope or a recession bound, next
+    to one and between them: the loop, the subdiff_exact containment and
+    the structure agree with the one-comparison predicate."""
+    test, st_ = subgradient_test(f), subdiff_structure(f)
+    duals = dual_points(f, extra)
+    for x in primal_points(f, extra):
+        for y in rnd.sample(duals, min(len(duals), 8)) + list(f.slopes()[:2]):
+            want = subgradient_loop_oracle(f, x, y)
+            assert test(x, y) == want == subdiff_test_oracle(f, x, y), (x, y)
+            assert structure_contains(st_, x, y) == want, (x, y)
+
+
+@st.composite
+def epi_samples_with_faults(draw):
+    """Epigraph samples, sometimes with one faulty sample inserted anywhere:
+    anchored off the graph, pointing upward, or a valid normal tilted so it
+    fails a breakpoint or a recession direction (a horizontal wall normal
+    turned outward too)."""
+    f, G2 = draw(epi_samples())
+    pairs = list(G2.pairs)
+    if pairs and draw(st.booleans()):
+        (a, t), (b, alpha) = draw(st.sampled_from(pairs))
+        bad = draw(st.sampled_from((
+            ((a, t + 1), (b, alpha)),
+            ((a, t), (b, F(1, 2))),
+            ((a, t), (b + F(1, 7), alpha)),
+            ((a, t), (b - F(1, 7), alpha)),
+            ((a, t), (-b, alpha)),
+        )))
+        pairs.insert(draw(st.integers(0, len(pairs))), bad)
+    return f, OperatorGraph(2, tuple(pairs))
+
+
+@given(epi_samples_with_faults())
+@settings(max_examples=80, deadline=None)
+def test_epi_cup_floor_bisection_matches_cut_loop(case):
+    """The same floor, or the same first failing sample with the same
+    message."""
+    f, G2 = case
+    got = _outcome(lambda: epi_cup_floor(f, G2).pieces)
+    assert got == _outcome(lambda: epi_cup_floor_loop_oracle(f, G2).pieces)
+
+
+@given(pl_functions(), extras)
+@settings(max_examples=50, deadline=None)
+def test_subdiff_graph_bisection_matches_segment_scan(f, extra):
+    """Probes on breakpoints, inside segments, on rays and beyond walls,
+    as Fractions, ints and floats: the same pairs with the same types."""
+    b = f.breakpoints
+    probes = primal_points(f, extra) + [b[0] - 7, b[-1] + 7, int(b[0]) - 1, float(b[-1]) + 0.5]
+    assert repr(subdiff_graph(f, probes).pairs) == repr(subdiff_graph_scan_oracle(f, probes))
+
+
+@given(st.one_of(exact_pair_graphs().map(lambda c: c[:2]),
+                 float_pair_graphs().map(lambda c: c[:2])))
+@settings(max_examples=100, deadline=None)
+def test_ncup_fixed_point_matches_full_dp(case):
+    """Exact graphs on ints mixed with Fractions and float graphs with
+    +-0.0 levels, 1D and 2D: the same pieces with the same payload types
+    and signs of zero as the DP that runs all n - 1 steps."""
+    f, G = case
+    for n in (2, 3, 4):
+        assert repr(n_cup_envelope(f, G, n).pieces) == repr(n_cup_full_dp_oracle(f, G, n)), n
+
+
+def test_ncup_fixed_point_sees_type_and_sign_of_zero():
+    """A step that keeps every level's value but not its payload is no
+    fixed point: an int level that the hull returns as a Fraction, and a
+    -0.0 level that comes back as 0.0."""
+    exact = (AnchorLevels({F(1): 2}), OperatorGraph(1, ((F(1), 1),)))
+    zero = (GridFunction(1, (0.0,), (-0.0,)), OperatorGraph(1, ((0.0, 0.0),)))
+    for f, G in (exact, zero):
+        (lv0,) = [lv for _a, _b, lv in n_cup_full_dp_oracle(f, G, 1)]
+        for n in (2, 3, 4):
+            (lv,) = [lv for _a, _b, lv in n_cup_envelope(f, G, n).pieces]
+            assert lv == lv0 and repr(lv) != repr(lv0)
+            assert repr(n_cup_envelope(f, G, n).pieces) == repr(n_cup_full_dp_oracle(f, G, n))
+
+
+@given(pl_functions())
+@settings(max_examples=40, deadline=None)
+def test_ncup_on_subdifferential_graphs_matches_full_dp(f):
+    G = subdiff_graph(f, primal_points(f, [])[::3])
+    for n in (3, 4):
+        assert repr(n_cup_envelope(f, G, n).pieces) == repr(n_cup_full_dp_oracle(f, G, n))
+
+
+@given(pl_functions(), extras, st.sampled_from((F(1, 3), F(1), F(5))))
+@settings(max_examples=40, deadline=None)
+def test_net_points_bisection_matches_scans(f, extra, r):
+    for x in primal_points(f, extra):
+        assert repr(_net_points(f, x, r)) == repr(net_points_scan_oracle(f, x, r))
