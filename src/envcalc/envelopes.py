@@ -57,16 +57,16 @@ def cup_value(f: PLConvex1D, x, st=None) -> ExtReal:
     return st.sup(_exactify(x))
 
 
-def _budgeted_value(f: PLConvex1D, x, slack, st, strict=False) -> ExtReal:
-    """sup of the supports anchored where f(a) <= f(x) + slack (< when
-    strict); the budget is dropped where f(x) = +inf."""
+def _budgeted_value(f: PLConvex1D, x, slack, st) -> ExtReal:
+    """sup of the supports anchored where f(a) <= f(x) + slack; the budget
+    is dropped where f(x) = +inf."""
     if st is None:
         st = subdiff_structure(f)
     x = _exactify(x)
     fx = f.value_at(x)
     if fx.is_pos_inf:
         return st.sup(x)
-    return st.sup(x, theta=fx.finite() + slack, strict=strict)
+    return st.sup(x, theta=fx.finite() + slack)
 
 
 def _budgeted_values(f: PLConvex1D, xs, slack, st) -> list:
@@ -79,14 +79,13 @@ def _budgeted_values(f: PLConvex1D, xs, slack, st) -> list:
     return st.sups(xs, thetas)
 
 
-def smile_value(f: PLConvex1D, x, st=None, strict=False) -> ExtReal:
+def smile_value(f: PLConvex1D, x, st=None) -> ExtReal:
     """Exact constrained envelope: only anchors with f(a) <= f(x) count.
 
     At probes with f(x) = +inf the constraint is dropped (documented branch)
-    and the value coincides with the plain upper envelope.  strict=True
-    switches the anchor comparison to <, a variant kept for control tests.
+    and the value coincides with the plain upper envelope.
     """
-    return _budgeted_value(f, x, 0, st, strict)
+    return _budgeted_value(f, x, 0, st)
 
 
 def _positive_eps(eps):
@@ -357,10 +356,7 @@ def smile(f, G: OperatorGraph, x) -> ExtReal:
 
 def smile_eps(f, G: OperatorGraph, x, eps) -> ExtReal:
     """Pair-route relaxed constrained envelope: f(a) <= f(x) + eps."""
-    eps = _exactify(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    return _budgeted_sup(f, G, x, eps)
+    return _budgeted_sup(f, G, x, _positive_eps(eps))
 
 
 # ---------------------------------------------------------------------------
@@ -548,9 +544,7 @@ def brondsted_search(f: PLConvex1D, x, xstar, eps, st=None, conj=None) -> Bronds
     """
     x = _exactify(x)
     xstar = _exactify(xstar)
-    eps = _exactify(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    eps = _positive_eps(eps)
     if not f.value_at(x).is_finite:
         raise ValueError("x is outside the domain")
     if not eps_subdiff_test(f, x, xstar, eps, conj=conj):

@@ -176,7 +176,7 @@ def _frac(x) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# intervals (domains, level sets, subgradient ranges)
+# intervals (domains, subgradient ranges)
 # ---------------------------------------------------------------------------
 
 
@@ -362,19 +362,6 @@ class PLConvex1D:
             self.right_recession,
             label=self.label,
             slopes=self._slopes,
-        )
-
-    def reflect(self) -> "PLConvex1D":
-        """x -> f(-x); handy for reusing one-sided logic on the other side."""
-        return PLConvex1D._make(
-            tuple(-b for b in reversed(self.breakpoints)),
-            tuple(reversed(self.values)),
-            None if self.right_recession is None else -self.right_recession,
-            None if self.left_recession is None else -self.left_recession,
-            self.override_right,
-            self.override_left,
-            label=self.label,
-            slopes=tuple(-s for s in reversed(self._slopes)),
         )
 
     def tilt(self, xstar: Fraction) -> "PLConvex1D":
@@ -634,13 +621,8 @@ class MaxAffine:
         )
 
     def value_at(self, x) -> ExtReal:
-        """The sup of the pieces at x.  Exact 1D pieces at an exact probe
-        take ``values_at``, so the two agree on every payload type;
-        anything else takes ``first_max_at``."""
-        x = _canon_point(x, self.dim)
-        if self._exact and is_exact_scalar(x):
-            return self.values_at((x,))[0]
-        return self.first_max_at(x)
+        """The sup of the pieces at x: one probe of ``values_at``."""
+        return self.values_at((x,))[0]
 
     def values_at(self, xs) -> list:
         """``[value_at(x) for x in xs]``.  When the pieces and the probes are
@@ -684,69 +666,6 @@ def effective_domain(f: Func):
             return Interval1D(None, None)
         return None  # all of the plane; no bounded descriptor needed
     raise TypeError(f"unsupported representation {type(f).__name__}")
-
-
-def _pl_left_sublevel_bound(f: PLConvex1D, lam: Fraction):
-    """Leftmost point of {cl f <= lam}; returns Fraction, None (-inf) or "empty"."""
-    b, v = f.breakpoints, f.values
-    sl = f.left_recession
-    if sl is not None:
-        if sl > 0:
-            return None
-        if sl == 0 and v[0] <= lam:
-            return None
-        if sl < 0 and v[0] <= lam:
-            return b[0] + (lam - v[0]) / sl
-    if v[0] <= lam:
-        return b[0]
-    # scan the span for the first crossing
-    for i in range(len(b) - 1):
-        if v[i + 1] <= lam:
-            sigma = (v[i + 1] - v[i]) / (b[i + 1] - b[i])
-            return b[i] + (lam - v[i]) / sigma
-    sr = f.right_recession
-    if sr is not None and sr < 0:
-        return b[-1] + (lam - v[-1]) / sr
-    return "empty"
-
-
-def level_set(f: Func, lam):
-    """{x : f(x) <= lam} for real lam.  PL -> interval or None; grid -> sample."""
-    lam_e = as_extreal(lam)
-    if not lam_e.is_finite:
-        raise ValueError("level must be a real number, not +/-inf")
-    if isinstance(f, GridFunction):
-        lam_f = float(lam_e.value)
-        pts = [p for p, val in f.finite_items() if val <= lam_f + 0.0]
-        return SampledSet(f.dim, tuple(pts))
-    if not isinstance(f, PLConvex1D):
-        raise TypeError("level_set supports PLConvex1D and GridFunction")
-    lam_q = _frac(lam_e.value)
-    lo = _pl_left_sublevel_bound(f, lam_q)
-    if lo == "empty":
-        return None
-    r = _pl_left_sublevel_bound(f.reflect(), lam_q)
-    if r == "empty":
-        return None
-    hi = None if r is None else -r
-    lo_open = hi_open = False
-    if (
-        f.override_left is not None
-        and lo is not None
-        and lo == f.breakpoints[0]
-        and f.value_at(lo) > lam_q
-    ):
-        lo_open = True
-    if (
-        f.override_right is not None
-        and hi is not None
-        and hi == f.breakpoints[-1]
-        and f.value_at(hi) > lam_q
-    ):
-        hi_open = True
-    if lo is not None and hi is not None and lo == hi and (lo_open or hi_open):
-        return None
-    return Interval1D(lo, hi, lo_open, hi_open)
 
 
 def lsc_defect(f: Func) -> list:

@@ -91,7 +91,7 @@ class SubdiffStructure1D:
         # admission keys: the infimum of f over each candidate, as (0, value,
         # 1 if not attained), or (-1,) along a ray where f is unbounded
         # below; candidate i has an anchor with f(a) <= theta iff adm[i] <
-        # (0, theta, 1), and one with f(a) < theta iff adm[i] < (0, theta, 0)
+        # (0, theta, 1)
         adm = []
         k = None  # the first minimal key: (-1,), or a minimizer of f
         for i, (a, v, lo, hi, ends) in enumerate(order):
@@ -129,11 +129,11 @@ class SubdiffStructure1D:
         object.__setattr__(self, "_adm_right", tuple(adm[k:]))
         object.__setattr__(self, "_argmin", k)
 
-    def sup(self, x, theta=None, strict=False) -> ExtReal:
+    def sup(self, x, theta=None) -> ExtReal:
         """sup over the candidates with an admitted anchor of their support at x.
 
         theta=None admits every candidate; otherwise only anchors with
-        f(a) <= theta count (f(a) < theta when strict).  x and theta are exact.
+        f(a) <= theta count.  x and theta are exact.
 
         Two invariants of a convex f make this O(log m):
 
@@ -155,7 +155,7 @@ class SubdiffStructure1D:
         if theta is None:
             n_left, n_right = len(self._adm_left), len(self._adm_right)
         else:
-            bound = (0, theta, 0 if strict else 1)
+            bound = (0, theta, 1)
             n_left = bisect_left(self._adm_left, bound)
             n_right = bisect_left(self._adm_right, bound)
         return self._run_sup(x, bisect_left(self._pos, (x, 1)), n_left, n_right)
@@ -356,25 +356,28 @@ def _grid_membership(f: GridFunction, anchors, fa, duals, tol) -> np.ndarray:
     first, the 2D dot as 0 + s0*d0 + s1*d1 (how Python's sum adds it up),
     then fa +, then - tol.  Chunked over anchors and duals so that no
     temporary holds more than about 2^20 cells (or one row of samples).
+    A difference or product past the float range is the infinity it rounds
+    to, which still decides the comparison.
     """
     ys, fy = f.finite_arrays()
     out = np.empty((len(anchors), len(duals)), dtype=bool)
     pstep = max(1, _CHUNK_CELLS // max(1, len(ys)))
     astep = max(1, _CHUNK_CELLS // max(1, len(ys) * min(len(duals), pstep)))
-    for alo in range(0, len(anchors), astep):
-        d = ys[None] - anchors[alo : alo + astep, None]
-        ahi = alo + len(d)
-        for plo in range(0, len(duals), pstep):
-            s = duals[plo : plo + pstep]
-            if f.dim == 1:
-                rhs = d[:, :, None] * s
-            else:
-                rhs = d[:, :, None, 0] * s[:, 0]
-                rhs += 0.0
-                rhs += d[:, :, None, 1] * s[:, 1]
-            rhs += fa[alo:ahi, None, None]
-            rhs -= float(tol)
-            out[alo:ahi, plo : plo + len(s)] = ~(fy[None, :, None] < rhs).any(axis=1)
+    with np.errstate(over="ignore"):
+        for alo in range(0, len(anchors), astep):
+            d = ys[None] - anchors[alo : alo + astep, None]
+            ahi = alo + len(d)
+            for plo in range(0, len(duals), pstep):
+                s = duals[plo : plo + pstep]
+                if f.dim == 1:
+                    rhs = d[:, :, None] * s
+                else:
+                    rhs = d[:, :, None, 0] * s[:, 0]
+                    rhs += 0.0
+                    rhs += d[:, :, None, 1] * s[:, 1]
+                rhs += fa[alo:ahi, None, None]
+                rhs -= float(tol)
+                out[alo:ahi, plo : plo + len(s)] = ~(fy[None, :, None] < rhs).any(axis=1)
     return out
 
 
@@ -405,12 +408,17 @@ def grid_subdiff_test(f: GridFunction, a, astar, tol=0) -> bool:
     return bool(row[0, 0])
 
 
-def eps_subdiff_test(f: PLConvex1D, x, xstar, eps, conj=None) -> bool:
-    """Approximate subgradient membership via the conjugate gap:
-    f(x) + f*(xstar) <= x*xstar + eps; ``conj``, when given, is f*."""
+def _nonneg_eps(eps) -> Fraction:
     eps = _frac(eps)
     if eps < 0:
         raise ValueError("eps must be nonnegative")
+    return eps
+
+
+def eps_subdiff_test(f: PLConvex1D, x, xstar, eps, conj=None) -> bool:
+    """Approximate subgradient membership via the conjugate gap:
+    f(x) + f*(xstar) <= x*xstar + eps; ``conj``, when given, is f*."""
+    eps = _nonneg_eps(eps)
     x = _frac(x)
     xstar = _frac(xstar)
     fx = f.value_at(x)
@@ -425,22 +433,37 @@ def eps_subdiff_test(f: PLConvex1D, x, xstar, eps, conj=None) -> bool:
 
 
 def eps_subdiff_interval(f: PLConvex1D, x, eps) -> Interval1D | None:
-    """The full set of eps-subgradients at x, as an exact interval.
+    """The full set of eps-subgradients at x, as an exact closed interval,
+    or None when it is empty.
 
-    It is the eps-sublevel set of the tilted conjugate y -> f*(y) - x*y
-    shifted by f(x), so the interval solver on that function does the work.
+    x* qualifies when f(y) >= c + x*(y - x) for every y, with c = f(x) - eps:
+    at y = x that asks f(x) >= c, and elsewhere it bounds x* by the
+    difference quotient (f(y) - c)/(y - x), from above right of x and from
+    below left of it.  Along each segment and each recession ray the
+    quotient is monotone, so its extremes sit at the breakpoints (read at
+    the listed values, which are the closure's) and at the recession
+    slopes: one pass, O(m).
     """
-    from .funcrep import level_set
-
-    eps = _frac(eps)
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
+    eps = _nonneg_eps(eps)
     x = _frac(x)
     fx = f.value_at(x)
     if not fx.is_finite:
         return None
-    g = conjugate_exact(f).tilt(x)
-    return level_set(g, eps - fx.finite())
+    c = fx.finite() - eps
+    lo, hi = f.left_recession, f.right_recession
+    for y, v in zip(f.breakpoints, f.values):
+        if y == x:
+            if v < c:
+                return None
+            continue
+        q = (v - c) / (y - x)
+        if y > x and (hi is None or q < hi):
+            hi = q
+        elif y < x and (lo is None or q > lo):
+            lo = q
+    if lo is not None and hi is not None and lo > hi:
+        return None
+    return Interval1D(lo, hi)
 
 
 def normal_cone(C: Interval1D, x) -> Interval1D:

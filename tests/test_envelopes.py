@@ -113,12 +113,6 @@ def test_smile_recovers_lsc_convex(f, x):
     assert smile_eps_value(f, x, F(1)) == f.value_at(x)
 
 
-def test_smile_strict_variant_differs():
-    # no anchor is strictly below the minimum, so the strict sup is empty
-    assert smile_value(ABS, F(0), strict=True).is_neg_inf
-    assert smile_value(ABS, F(0)) == 0
-
-
 # ---------------------------------------------------------------------------
 # conjugate-side identities
 # ---------------------------------------------------------------------------

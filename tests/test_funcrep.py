@@ -15,7 +15,6 @@ from envcalc.funcrep import (
     dump_instance,
     effective_domain,
     is_convex_on_grid,
-    level_set,
     load_instance,
     lsc_defect,
     pl_canonical,
@@ -102,10 +101,8 @@ def test_override_value_and_closure():
     assert lsc_defect(g) == []
 
 
-def test_reflect_and_tilt():
+def test_tilt():
     f = PLConvex1D((F(0), F(2)), (F(0), F(4)), None, F(3))
-    r = f.reflect()
-    assert r.value_at(F(-1)) == f.value_at(F(1))
     t = f.tilt(F(1))
     assert t.value_at(F(2)) == f.value_at(F(2)) - F(2)
     assert t.breakpoints == f.breakpoints
@@ -118,12 +115,6 @@ def test_effective_domain_flags():
     g = PLConvex1D((F(0), F(1)), (F(0), F(1)), None, None, F(7), None)
     # a finite override keeps the endpoint inside the domain
     assert effective_domain(g) == Interval1D(F(0), F(1))
-
-
-def test_level_set_is_interval():
-    assert level_set(ABS, F(1)) == Interval1D(F(-1), F(1))
-    assert level_set(ABS, F(0)) == Interval1D(F(0), F(0))
-    assert level_set(ABS, F(-1)) is None
 
 
 # ---------------------------------------------------------------------------

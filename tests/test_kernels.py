@@ -31,16 +31,20 @@ and ``subdiff_exact`` are in turn the references of their batched forms
 (``values_at``, ``sups``, ``subdiffs_exact``), compared by ``repr`` so that
 payload types count; the public ``PLConvex1D`` constructor is the
 reference of the private ``_make``, and ``pl_restrict`` (an indicator
-added with ``pl_add``) of the envelopes' O(1) restrictions.
+added with ``pl_add``) of the envelopes' O(1) restrictions.  ``pl_add``,
+the general exact sum, is also the middle of the dual route
+f [] g = (f* + g*)* that the exact ``inf_conv`` replaced, and
+``eps_subdiff_test`` is the pointwise reference of ``eps_subdiff_interval``.
 """
 
 import bisect
+import contextlib
 import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from envcalc.extreal import (
     NEG_INF,
@@ -94,6 +98,7 @@ from envcalc.operators import (
     grid_subdiff_test,
     OperatorGraph,
     _exactify,
+    eps_subdiff_interval,
     eps_subdiff_test,
     fitzpatrick,
     fitzpatrick_structured,
@@ -112,9 +117,9 @@ from envcalc.transforms import (
     ImproperError,
     cl_conv,
     conjugate_exact,
+    indicator,
+    inf_conv,
     maxaffine_to_pl,
-    pl_add,
-    pl_restrict,
 )
 
 
@@ -123,11 +128,73 @@ from envcalc.transforms import (
 # ---------------------------------------------------------------------------
 
 
-def threshold_sup_oracle(st_, x, theta=None, strict=False):
+def pl_add(f: PLConvex1D, g: PLConvex1D) -> PLConvex1D:
+    """Exact pointwise sum; raises ImproperError when the domains miss.
+
+    The sum's breakpoints are the merged breakpoints of f and g inside the
+    common domain, and each closure is evaluated there in one
+    ``values_at`` sweep."""
+    flo = None if f.left_recession is not None else f.breakpoints[0]
+    fhi = None if f.right_recession is not None else f.breakpoints[-1]
+    glo = None if g.left_recession is not None else g.breakpoints[0]
+    ghi = None if g.right_recession is not None else g.breakpoints[-1]
+    lo = max(x for x in (flo, glo) if x is not None) if (flo is not None or glo is not None) else None
+    hi = min(x for x in (fhi, ghi) if x is not None) if (fhi is not None or ghi is not None) else None
+    if lo is not None and hi is not None and lo > hi:
+        raise ImproperError("sum has empty domain (walls do not overlap)")
+    if lo is not None and lo == hi:
+        val = ext_add(f.value_at(lo), g.value_at(lo))
+        if val.is_pos_inf:
+            raise ImproperError("sum is +inf everywhere (endpoint exclusions meet)")
+        return PLConvex1D._make((lo,), (val.finite(),))
+    xs = set()
+    for h in (f, g):
+        for x in h.breakpoints:
+            if (lo is None or x >= lo) and (hi is None or x <= hi):
+                xs.add(x)
+    if lo is not None:
+        xs.add(lo)
+    if hi is not None:
+        xs.add(hi)
+    xs = tuple(sorted(xs))
+    vals = tuple(
+        a.finite() + c.finite()
+        for a, c in zip(f.closure().values_at(xs), g.closure().values_at(xs))
+    )
+    lrec = (f.left_recession + g.left_recession) if lo is None else None
+    rrec = (f.right_recession + g.right_recession) if hi is None else None
+    ovl = ovr = None
+    if lo is not None:
+        actual = ext_add(f.value_at(lo), g.value_at(lo))
+        if actual != vals[0]:
+            ovl = actual
+    if hi is not None:
+        actual = ext_add(f.value_at(hi), g.value_at(hi))
+        if actual != vals[-1]:
+            ovr = actual
+    return PLConvex1D._make(xs, vals, lrec, rrec, ovl, ovr)
+
+
+def pl_restrict(f: PLConvex1D, iv: Interval1D) -> PLConvex1D:
+    """f + indicator(iv): the same function confined to an interval, by
+    the general route of ``pl_add``, O(m log m)."""
+    return pl_add(f, indicator(iv))
+
+
+def inf_conv_dual_oracle(f, g):
+    """The closed inf-convolution through the dual, (f* + g*)*: the
+    result, or the ImproperError text when the sum is empty."""
+    try:
+        return conjugate_exact(pl_add(conjugate_exact(f), conjugate_exact(g)))
+    except ImproperError as exc:
+        return str(exc)
+
+
+def threshold_sup_oracle(st_, x, theta=None):
     """sup of the supports whose anchor value passes the budget, by scan."""
     best = NEG_INF
     for a, v, lo, hi in st_.points:
-        if theta is not None and ((v >= theta) if strict else (v > theta)):
+        if theta is not None and v > theta:
             continue
         if x == a:
             cand = as_extreal(v)
@@ -140,7 +207,7 @@ def threshold_sup_oracle(st_, x, theta=None, strict=False):
     for xlo, xhi, slope, rx, rv in st_.segments:
         if theta is not None:
             if slope == 0:
-                admit = (rv < theta) if strict else (rv <= theta)
+                admit = rv <= theta
             else:
                 if xlo is None:
                     lo_end = NEG_INF if slope > 0 else POS_INF
@@ -680,21 +747,15 @@ def test_support_sup_matches_scan(f, extra):
         fx = f.value_at(x)
         assert st_.sup(x) == threshold_sup_oracle(st_, x)
         assert cup_value(f, x, st=st_) == threshold_sup_oracle(st_, x)
-        for strict in (False, True):
-            want = threshold_sup_oracle(
-                st_, x, None if fx.is_pos_inf else fx.finite(), strict
-            )
-            assert smile_value(f, x, st=st_, strict=strict) == want
+        want = threshold_sup_oracle(st_, x, None if fx.is_pos_inf else fx.finite())
+        assert smile_value(f, x, st=st_) == want
         for eps in (F(1, 7), F(2)):
             want = threshold_sup_oracle(
                 st_, x, None if fx.is_pos_inf else fx.finite() + eps
             )
             assert smile_eps_value(f, x, eps, st=st_) == want
         for theta in budgets:
-            for strict in (False, True):
-                assert st_.sup(x, theta, strict) == threshold_sup_oracle(
-                    st_, x, theta, strict
-                ), (x, theta, strict)
+            assert st_.sup(x, theta) == threshold_sup_oracle(st_, x, theta), (x, theta)
 
 
 def _check_fitzpatrick_table(f, xextra, yextra, rnd):
@@ -1058,8 +1119,7 @@ def test_structure_tilt_matches_rebuild(f, sextra, extra):
                 continue
             theta = fx.finite() - s * x
             assert theta == gx.finite()
-            for strict in (False, True):
-                assert got.sup(x, theta, strict) == want.sup(x, theta, strict)
+            assert got.sup(x, theta) == want.sup(x, theta)
             assert got.sup(x, theta) == smile_value(g, x)
 
 
@@ -1764,7 +1824,7 @@ def test_sups_match_sup(f, extra, rnd):
     thetas = [rnd.choice(pool) for _ in xs]
     want = [st_.sup(x, theta=t) for x, t in zip(xs, thetas)]
     assert repr(st_.sups(xs, thetas)) == repr(want)
-    assert want == [threshold_sup_oracle(st_, x, t, False) for x, t in zip(xs, thetas)]
+    assert want == [threshold_sup_oracle(st_, x, t) for x, t in zip(xs, thetas)]
     assert st_.sups([]) == [] and st_.sups([], []) == []
 
 
@@ -1795,7 +1855,6 @@ def test_derived_functions_rebuild_through_public_constructor(f, g, s, pieces, r
     gives the same data; the sum also has f + g's values."""
     derived = [
         f.closure(),
-        f.reflect(),
         f.tilt(s),
         conjugate_exact(f),
         cup_exact(f),
@@ -1813,6 +1872,8 @@ def test_derived_functions_rebuild_through_public_constructor(f, g, s, pieces, r
     env, _probes = pieces
     if env.pieces:
         derived.append(maxaffine_to_pl(env))
+    with contextlib.suppress(ImproperError):
+        derived.append(inf_conv(f, g))
     try:
         total = pl_add(f, g)
     except ImproperError:
@@ -1912,6 +1973,52 @@ def test_restrictions_match_sum_with_indicator(f):
     via_sum = pl_restrict(f, subdiff_domain(f))
     assert pl_equal(_subdiff_restriction(f), via_sum)
     assert repr(star_cup_exact(f)) == repr(conjugate_exact(via_sum))
+
+
+# one shared slope, off zero: the result is affine, re-anchored at 0
+@example(PLConvex1D((1,), (2,), 1, 1), PLConvex1D((0, 1), (0, 1), None, 1))
+# no shared slope: a right recession of 1 against a left one of 2
+@example(PLConvex1D((0,), (0,), None, 1), PLConvex1D((0,), (0,), 2, None))
+@given(pl_functions(), pl_functions())
+@settings(max_examples=60, deadline=None)
+def test_inf_conv_matches_dual_route(f, g):
+    """The merged slopes against (f* + g*)*: every field and the slopes by
+    repr, or the same ImproperError text when no slope is shared; the
+    result is its own canonical form."""
+    want = inf_conv_dual_oracle(f, g)
+    if isinstance(want, str):
+        with pytest.raises(ImproperError) as exc:
+            inf_conv(f, g)
+        assert str(exc.value) == want
+        return
+    h = inf_conv(f, g)
+    assert repr(h) == repr(want)
+    assert repr(h.slopes()) == repr(want.slopes())
+    assert pl_canonical(h) is h
+
+
+_OUTSIDE = F(1, 1000)
+
+
+@given(pl_functions(), extras, st.sampled_from((F(0), F(1, 7), F(1), F(7, 3))))
+@settings(max_examples=50, deadline=None)
+def test_eps_subdiff_interval_matches_gap_test(f, extra, eps):
+    """The interval against the conjugate-gap test at the dual probes, at
+    each finite end and 1/1000 outside it; an empty result admits no
+    probe.  At eps = 0 it is the exact subdifferential."""
+    conj = conjugate_exact(f)
+    for x in primal_points(f, extra):
+        iv = eps_subdiff_interval(f, x, eps)
+        if eps == 0:
+            assert iv == subdiff_exact(f, x)
+        probes = dual_points(f, extra)
+        if iv is not None:
+            for end, out in ((iv.lo, -_OUTSIDE), (iv.hi, _OUTSIDE)):
+                if end is not None:
+                    probes += [end, end + out]
+        for y in probes:
+            member = iv is not None and iv.contains(y)
+            assert member == eps_subdiff_test(f, x, y, eps, conj=conj), (x, y)
 
 
 @st.composite

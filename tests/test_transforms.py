@@ -22,12 +22,12 @@ from envcalc.transforms import (
     indicator,
     inf_conv,
     maxaffine_to_pl,
-    pl_add,
-    pl_restrict,
     support_function,
 )
+from envcalc.operators import subdiff_exact
 
 from test_funcrep import ABS, convex_pl
+from test_kernels import pl_add, pl_restrict, primal_points
 
 
 def test_abs_conjugate_is_unit_interval_indicator():
@@ -88,6 +88,23 @@ def test_indicator_open_ends_become_overrides():
     assert f.override_left is not None and f.override_left.is_pos_inf
     assert f.value_at(F(0)).is_pos_inf
     assert f.value_at(F(1)) == F(0)
+
+
+@pytest.mark.parametrize(
+    "iv, spelled",
+    [
+        # [0, inf) open at 0, and (-inf, 0) open at 0, as two breakpoints
+        (Interval1D(F(0), None, True, False), PLConvex1D((0, 1), (0, 0), None, 0, POS_INF)),
+        (Interval1D(None, F(0), False, True), PLConvex1D((-1, 0), (0, 0), 0, None, None, POS_INF)),
+    ],
+)
+def test_indicator_of_an_open_half_line_has_one_breakpoint(iv, spelled):
+    f = indicator(iv)
+    assert f.breakpoints == (F(0),)
+    assert pl_equal(f, spelled)
+    xs = primal_points(spelled, (F(-5), F(5)))
+    assert [subdiff_exact(f, x) for x in xs] == [subdiff_exact(spelled, x) for x in xs]
+    assert repr(conjugate_exact(f)) == repr(conjugate_exact(spelled))
 
 
 def test_pl_restrict_tightens_domain():
