@@ -50,42 +50,48 @@ from .transforms import conjugate_brute, conjugate_exact
 # ---------------------------------------------------------------------------
 
 
+def envelope_values(f: PLConvex1D, kind: str, xs, eps=None, st=None) -> list:
+    """The exact envelope ``kind`` at every probe of xs, in their order,
+    from one ``st.sups`` (``st`` is f's structure, built when None).
+
+    cup sups every support; sharp is cup inside the closed normal hull of
+    the domain and +inf outside; smile admits only anchors with f(a) <=
+    f(x), smileeps those with f(a) <= f(x) + eps, with the budgets read
+    by one ``f.values_at`` and dropped where f(x) = +inf.
+    """
+    xs = [_exactify(x) for x in xs]
+    if st is None:
+        st = subdiff_structure(f)
+    if kind in ("cup", "sharp"):
+        vals = st.sups(xs)
+        if kind == "sharp":
+            hull = portable_hull_interval(effective_domain(f))
+            vals = [v if hull.contains(x) else POS_INF for x, v in zip(xs, vals)]
+        return vals
+    slack = 0 if kind == "smile" else _positive_eps(eps)
+    fxs = f.values_at(xs)
+    return st.sups(xs, [None if fx.is_pos_inf else fx.finite() + slack for fx in fxs])
+
+
 def cup_value(f: PLConvex1D, x, st=None) -> ExtReal:
     """Exact upper envelope of all subdifferential supports at one probe."""
-    if st is None:
-        st = subdiff_structure(f)
-    return st.sup(_exactify(x))
+    return envelope_values(f, "cup", [x], st=st)[0]
 
 
-def _budgeted_value(f: PLConvex1D, x, slack, st) -> ExtReal:
-    """sup of the supports anchored where f(a) <= f(x) + slack; the budget
-    is dropped where f(x) = +inf."""
-    if st is None:
-        st = subdiff_structure(f)
-    x = _exactify(x)
-    fx = f.value_at(x)
-    if fx.is_pos_inf:
-        return st.sup(x)
-    return st.sup(x, theta=fx.finite() + slack)
-
-
-def _budgeted_values(f: PLConvex1D, xs, slack, st) -> list:
-    """``_budgeted_value`` at every probe of xs (exact), in their order:
-    the budgets come from one ``f.values_at`` and the sups from one
-    ``st.sups``."""
-    thetas = [
-        None if fx.is_pos_inf else fx.finite() + slack for fx in f.values_at(xs)
-    ]
-    return st.sups(xs, thetas)
+def sharp_value(f: PLConvex1D, x, st=None) -> ExtReal:
+    """Upper envelope plus the indicator of the normal-hull of the domain."""
+    return envelope_values(f, "sharp", [x], st=st)[0]
 
 
 def smile_value(f: PLConvex1D, x, st=None) -> ExtReal:
-    """Exact constrained envelope: only anchors with f(a) <= f(x) count.
+    """Exact constrained envelope: only anchors with f(a) <= f(x) count;
+    where f(x) = +inf the constraint is dropped and cup_value remains."""
+    return envelope_values(f, "smile", [x], st=st)[0]
 
-    At probes with f(x) = +inf the constraint is dropped (documented branch)
-    and the value coincides with the plain upper envelope.
-    """
-    return _budgeted_value(f, x, 0, st)
+
+def smile_eps_value(f: PLConvex1D, x, eps, st=None) -> ExtReal:
+    """Exact relaxed constrained envelope: anchors with f(a) <= f(x) + eps."""
+    return envelope_values(f, "smileeps", [x], eps, st)[0]
 
 
 def _positive_eps(eps):
@@ -93,11 +99,6 @@ def _positive_eps(eps):
     if eps <= 0:
         raise ValueError("eps must be positive")
     return eps
-
-
-def smile_eps_value(f: PLConvex1D, x, eps, st=None) -> ExtReal:
-    """Exact relaxed constrained envelope: anchors with f(a) <= f(x) + eps."""
-    return _budgeted_value(f, x, _positive_eps(eps), st)
 
 
 def subdiff_domain(f: PLConvex1D) -> Interval1D:
@@ -123,16 +124,6 @@ def portable_hull_interval(iv: Interval1D) -> Interval1D:
     lo = None if (iv.lo is None or iv.lo_open) else iv.lo
     hi = None if (iv.hi is None or iv.hi_open) else iv.hi
     return Interval1D(lo, hi)
-
-
-def sharp_value(f: PLConvex1D, x, st=None, hull=None) -> ExtReal:
-    """Upper envelope plus the indicator of the normal-hull of the domain."""
-    x = _exactify(x)
-    if hull is None:
-        hull = portable_hull_interval(effective_domain(f))
-    if not hull.contains(x):
-        return POS_INF
-    return cup_value(f, x, st=st)
 
 
 def cup_exact(f: PLConvex1D) -> PLConvex1D:
@@ -649,22 +640,10 @@ def envelope_result(
             return tuple(zip(probes, star_cup_exact(f).values_at(probes)))
         if kind == "circ":
             return tuple(zip(probes, circ_exact(f).values_at(probes)))
-        xs = [_exactify(p) for p in probes]
         if kind == "ncup":
             env = n_cup_envelope(f, subdiff_graph(f, probes=probes), n)
-            return tuple(zip(probes, env.values_at(xs)))
-        # cup, sharp, smile and smileeps: sups over the structure, batched
-        st = subdiff_structure(f)
-        if kind == "cup":
-            return tuple(zip(probes, st.sups(xs)))
-        if kind == "sharp":
-            hull = portable_hull_interval(effective_domain(f))
-            return tuple(
-                (p, v if hull.contains(x) else POS_INF)
-                for p, x, v in zip(probes, xs, st.sups(xs))
-            )
-        slack = 0 if kind == "smile" else _positive_eps(eps)
-        return tuple(zip(probes, _budgeted_values(f, xs, slack, st)))
+            return tuple(zip(probes, env.values_at([_exactify(p) for p in probes])))
+        return tuple(zip(probes, envelope_values(f, kind, probes, eps)))
     G = subdiff_graph(f, probes=probes)
     if kind == "cup":
         return tuple(zip(probes, upper_envelope(f, G).values_at(probes)))

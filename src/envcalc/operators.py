@@ -52,16 +52,16 @@ class SubdiffStructure1D:
     interleaves the points and segments (a left ray first, a right ray
     last).  Each candidate is an anchored support (a, v, lo, hi, ends): a
     point is its own anchor with its interval, a segment is its line through
-    (ref_x, ref_v) with lo = hi = slope and ``ends`` = (xlo, xhi).  ``sup``
+    (ref_x, ref_v) with lo = hi = slope and ``ends`` = (xlo, xhi).  ``sups``
     and the Fitzpatrick line generator both walk this one order, and
     ``structure_contains`` bisects it.
 
-    The lists are the ones ``subdiff_structure`` and ``tilt`` build: the
-    segments, ascending, tile the closure's domain, and each breakpoint
-    that is not overridden is a point between its two segments.  So the
-    order alternates points and segments, one comparison places the first
-    point, and a candidate's admission key takes arithmetic only next to
-    an overridden end.
+    The lists are the ones ``subdiff_structure`` builds: the segments,
+    ascending, tile the closure's domain, and each breakpoint that is not
+    overridden is a point between its two segments.  So the order
+    alternates points and segments, one comparison places the first point,
+    and a candidate's admission key takes arithmetic only next to an
+    overridden end.
     """
 
     points: tuple
@@ -129,46 +129,18 @@ class SubdiffStructure1D:
         object.__setattr__(self, "_adm_right", tuple(adm[k:]))
         object.__setattr__(self, "_argmin", k)
 
-    def sup(self, x, theta=None) -> ExtReal:
-        """sup over the candidates with an admitted anchor of their support at x.
-
-        theta=None admits every candidate; otherwise only anchors with
-        f(a) <= theta count.  x and theta are exact.
-
-        Two invariants of a convex f make this O(log m):
-
-        * Unimodality.  Read along the candidate order, the support values
-          at a fixed x never decrease across the candidates wholly left of x
-          and never increase from the first candidate that is not (a nearer
-          anchor's subgradient is at least as steep toward x, so its support
-          is at least as high there).  The sup over a contiguous run is
-          therefore at the run's member nearest x on either side: two
-          evaluations.
-        * Contiguity.  {a : f(a) <= theta} is an interval, so the candidates
-          meeting it form one contiguous run.  The per-candidate admission
-          key (the infimum of f over the candidate, tagged open or attained)
-          is unimodal along the order, and the run is found by one bisection
-          on each side of its minimum.
-        """
-        if not self._order:
-            return NEG_INF
-        if theta is None:
-            n_left, n_right = len(self._adm_left), len(self._adm_right)
-        else:
-            bound = (0, theta, 1)
-            n_left = bisect_left(self._adm_left, bound)
-            n_right = bisect_left(self._adm_right, bound)
-        return self._run_sup(x, bisect_left(self._pos, (x, 1)), n_left, n_right)
-
     def sups(self, xs, thetas=None) -> list:
-        """``[sup(x, theta) for x, theta in zip(xs, thetas)]``, in the order
-        of xs; ``thetas`` None, or a None entry, means no budget.
+        """The sup at each exact probe x of xs, in their order, of the
+        supports of the candidates with an anchor where f <= theta, x's
+        entry of ``thetas`` (None, or a None entry: no budget).  This is the
+        only structure sup.
 
-        The three bisections of ``sup`` become three ``sorted_ranks``
-        sweeps: the probes against the position keys, and the budgets
-        against each side's admission keys.  O(m + p) comparisons at most
-        when the probes and budgets come sorted, a sort of each otherwise,
-        instead of O(p log m).
+        Contiguity: {a : f(a) <= theta} is an interval, so the admitted
+        candidates form one run, and the admission keys (the infimum of f
+        over a candidate, tagged open or attained) are unimodal along the
+        order.  Three ``sorted_ranks`` sweeps place the probes against the
+        position keys and the budgets against each side's admission keys:
+        O(m + p) comparisons when both come sorted, a sort each otherwise.
         """
         xs = list(xs)
         if not self._order:
@@ -191,7 +163,14 @@ class SubdiffStructure1D:
         """The sup at x over the admitted run: the n_left candidates from
         the admission minimum leftward and the n_right from it rightward
         (the minimum counted on both sides), where p candidates lie wholly
-        left of x."""
+        left of x.
+
+        Unimodality: along the order, the support values at x never
+        decrease across the candidates wholly left of x and never increase
+        after them (a nearer anchor's subgradient is at least as steep
+        toward x), so the run's sup is at its member nearest x on either
+        side: two evaluations.
+        """
         if n_left == 0:
             return NEG_INF
         order = self._order
@@ -224,24 +203,6 @@ class SubdiffStructure1D:
         if not self._order:
             return None
         return Interval1D(self._order[0][2], self._order[-1][3])
-
-    def tilt(self, xstar) -> "SubdiffStructure1D":
-        """The structure of f - <., xstar>, in O(m).
-
-        The subdifferential of the tilt is the subdifferential of f shifted
-        by -xstar, so every slope (and every finite interval end) drops by
-        xstar and every value at a by xstar a; breakpoints, segment ends and
-        None ends stay.
-        """
-        s = _frac(xstar)
-        points = tuple(
-            (a, v - s * a, None if lo is None else lo - s, None if hi is None else hi - s)
-            for a, v, lo, hi in self.points
-        )
-        segments = tuple(
-            (xlo, xhi, g - s, rx, rv - s * rx) for xlo, xhi, g, rx, rv in self.segments
-        )
-        return SubdiffStructure1D(points, segments)
 
 
 def subdiff_structure(f: PLConvex1D) -> SubdiffStructure1D:
@@ -357,13 +318,20 @@ def _grid_membership(f: GridFunction, anchors, fa, duals, tol) -> np.ndarray:
     then fa +, then - tol.  Chunked over anchors and duals so that no
     temporary holds more than about 2^20 cells (or one row of samples).
     A difference or product past the float range is the infinity it rounds
-    to, which still decides the comparison.
+    to, which still decides the comparison, unless the right-hand side
+    comes out NaN (0 * inf, or inf - inf in the 2D dot): such a cell is
+    decided over the rationals its floats denote, or, with an infinite dual
+    or tolerance, read as no violation.
     """
     ys, fy = f.finite_arrays()
+    # a NaN needs an infinite term, and none arises while this bound on every
+    # difference, product and sum stays finite, so the NaN scan is skipped
+    big = [float(abs(u).max(initial=0)) for u in (ys, anchors, duals, fa)]
+    scan = not (big[0] + big[1]) * big[2] * f.dim + big[3] + abs(float(tol)) < 1e308
     out = np.empty((len(anchors), len(duals)), dtype=bool)
     pstep = max(1, _CHUNK_CELLS // max(1, len(ys)))
     astep = max(1, _CHUNK_CELLS // max(1, len(ys) * min(len(duals), pstep)))
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         for alo in range(0, len(anchors), astep):
             d = ys[None] - anchors[alo : alo + astep, None]
             ahi = alo + len(d)
@@ -377,7 +345,15 @@ def _grid_membership(f: GridFunction, anchors, fa, duals, tol) -> np.ndarray:
                     rhs += d[:, :, None, 1] * s[:, 1]
                 rhs += fa[alo:ahi, None, None]
                 rhs -= float(tol)
-                out[alo:ahi, plo : plo + len(s)] = ~(fy[None, :, None] < rhs).any(axis=1)
+                below = fy[None, :, None] < rhs
+                for i, k, j in zip(*np.isnan(rhs).nonzero()) if scan else ():
+                    cs = [np.ravel(u).tolist() for u in (s[j], ys[k], anchors[alo + i])]
+                    if all(map(math.isfinite, (*cs[0], tol))):
+                        sj, y, a = ([Fraction(c) for c in u] for u in cs)
+                        lhs = Fraction(fy[k]) + Fraction(tol) - Fraction(fa[alo + i])
+                        gain = sum(u * (v - w) for u, v, w in zip(sj, y, a))
+                        below[i, k, j] = lhs < gain
+                out[alo:ahi, plo : plo + len(s)] = ~below.any(axis=1)
     return out
 
 

@@ -15,7 +15,9 @@ Writing a check: register ``tid: (fn, kinds)`` in ``REGISTRY`` with
 ``fn(tid, desc, ctx) -> TheoremCheck``.  ``ctx`` is the instance's
 :class:`CheckContext`: ``ctx.inst`` plus lazily built, read-only facts
 (probes, structure, domains, closure, conjugate, envelopes, graphs, the 1D
-grid hull), shared by every check run on that instance.  A check body never
+grid hull, and the probe tables ``f_at``, ``cup_at``, ``sharp_at``,
+``smile_at`` and ``smile_eps_at`` that ``ctx.rows`` zips in probe order),
+shared by every check run on that instance.  A check body never
 returns ``not-applicable``; the dispatcher behind ``run_check`` and
 ``run_suite`` does, with the gate's reason as the witness, when the
 instance is not one of ``kinds`` or when a gate declared with ``@_gated``
@@ -72,15 +74,12 @@ from .envelopes import (
     brondsted_search,
     circ_exact,
     cup_exact,
-    cup_value,
+    envelope_values,
     epi_cup_floor,
     epi_normal_graph,
     n_cup_envelope,
     portable_hull_interval,
     sharp_exact,
-    sharp_value,
-    smile_eps_value,
-    smile_value,
     star_cup_exact,
     subdiff_domain,
     upper_envelope,
@@ -213,11 +212,28 @@ class CheckContext:
     circ = cached_property(lambda c: circ_exact(c.inst))
     star_cup = cached_property(lambda c: star_cup_exact(c.inst))
     envelope = cached_property(lambda c: upper_envelope(c.inst, c.graph))
+    # probe tables, in the order of probes: f, then the exact envelopes from
+    # one structure sweep each, smile_eps_at one table per eps of _EPS_LADDER
+    f_at = cached_property(lambda c: tuple(c.inst.values_at(c.probes)))
+    cup_at = cached_property(lambda c: c._envelope_at("cup"))
+    sharp_at = cached_property(lambda c: c._envelope_at("sharp"))
+    smile_at = cached_property(lambda c: c._envelope_at("smile"))
+    smile_eps_at = cached_property(
+        lambda c: tuple(c._envelope_at("smileeps", e) for e in _EPS_LADDER))
     # a 1D grid: its closed convex hull, the hull's dual probes, and the
     # grid graph over them decided in exact arithmetic
     grid_hull = cached_property(lambda c: cl_conv(c.inst))
     grid_duals = cached_property(lambda c: dual_probes(c.grid_hull))
     grid_graph = cached_property(lambda c: _grid_graph_exact(c.inst, c.grid_duals))
+
+    def _envelope_at(self, kind, eps=None) -> tuple:
+        return tuple(envelope_values(self.inst, kind, self.probes, eps, self.st))
+
+    def rows(self, *tables, dom_only=False):
+        """(probe, *entries) per probe, in probe order; dom_only keeps the
+        probes of ``dom_probes``."""
+        rows = zip(self.probes, *tables)
+        return (r for r in rows if self.dom.contains(r[0])) if dom_only else rows
 
 
 # ---------------------------------------------------------------------------
@@ -441,12 +457,9 @@ def _check_ba_density(tid, desc, ctx):
 
 
 def _check_fcupdiez_i(tid, desc, ctx):
-    f, st, D = ctx.inst, ctx.st, ctx.subdiff_domain
+    D = ctx.subdiff_domain
     worst = None
-    for x in ctx.probes:
-        c = cup_value(f, x, st=st)
-        sh = sharp_value(f, x, st=st, hull=ctx.hull_interval)
-        fx = f.value_at(x)
+    for x, c, sh, fx in ctx.rows(ctx.cup_at, ctx.sharp_at, ctx.f_at):
         if not (c <= sh and sh <= fx):
             return _done(tid, desc, False, witness=x)
         if D.contains(x) and not (c == fx and sh == fx):
@@ -460,7 +473,7 @@ def _check_fcupdiez_iii(tid, desc, ctx):
     f, env = ctx.inst, ctx.envelope
     floor = epi_cup_floor(f, epi_normal_graph(f, ctx.graph))
     xs = ctx.probes
-    for x, ev, cut in zip(xs, env.values_at(xs), floor.values_at(xs)):
+    for x, ev, cut, c in ctx.rows(env.values_at(xs), floor.values_at(xs), ctx.cup_at):
         base = ev.finite()
         for v in (base - 1, base, base + 1):
             if (as_extreal(v) >= cut) != (as_extreal(v) >= ev):
@@ -473,7 +486,7 @@ def _check_fcupdiez_iii(tid, desc, ctx):
                 return _done(tid, desc, False, witness=x)
         elif not sv.is_pos_inf:
             return _done(tid, desc, False, witness=x)
-        if ctx.dom.contains(x) and ev != cup_value(f, x, st=ctx.st):
+        if ctx.dom.contains(x) and ev != c:
             return _done(tid, desc, False, witness=x)
     return _done(tid, desc, True)
 
@@ -622,12 +635,8 @@ def _check_maxcup(tid, desc, ctx):
 
 
 def _check_fsp_i(tid, desc, ctx):
-    f, st, D = ctx.inst, ctx.st, ctx.subdiff_domain
-    for x in ctx.probes:
-        sm = smile_value(f, x, st=st)
-        c = cup_value(f, x, st=st)
-        sh = sharp_value(f, x, st=st, hull=ctx.hull_interval)
-        fx = f.value_at(x)
+    D = ctx.subdiff_domain
+    for x, sm, c, sh, fx in ctx.rows(ctx.smile_at, ctx.cup_at, ctx.sharp_at, ctx.f_at):
         if not (sm <= c and c <= sh and sh <= fx):
             return _done(tid, desc, False, witness=x)
         if D.contains(x) and sm != fx:
@@ -642,18 +651,16 @@ def _probed_proper(vals) -> bool:
 
 
 def _check_fsp_ii(tid, desc, ctx):
-    f, st = ctx.inst, ctx.st
-    lhs = _probed_proper([smile_value(f, x, st=st) for x in ctx.probes])
+    lhs = _probed_proper(ctx.smile_at)
     rhs = ctx.has_graph and ctx.conj.value_at(F(0)) == ctx.star_cup.value_at(F(0))
     return _done(tid, desc, lhs == rhs, witness=(lhs, rhs))
 
 
 def _check_fsp_iii(tid, desc, ctx):
-    f, st, xs = ctx.inst, ctx.st, ctx.probes
+    table = fitzpatrick_table(ctx.st, ctx.probes, (F(0),))
     worst = None
-    for x, (phi,) in zip(xs, fitzpatrick_table(st, xs, (F(0),))):
-        sm = smile_value(f, x, st=st)
-        bound = ext_add(phi, f.value_at(x))
+    for x, (phi,), sm, fx in ctx.rows(table, ctx.smile_at, ctx.f_at):
+        bound = ext_add(phi, fx)
         if sm > bound:
             return _done(tid, desc, False, ext_sub(bound, sm), x)
         worst = _min_margin(worst, ext_sub(bound, sm))
@@ -661,17 +668,10 @@ def _check_fsp_iii(tid, desc, ctx):
 
 
 def _check_spxstar(tid, desc, ctx):
-    # smile of f - <., s> at each probe: its structure is ctx.st tilted by s,
-    # its probes are f's, and its value at x is f(x) - s x
+    # smile of f - <., s> at f's probes, whose subdifferential is that of f, less s
     rhs = ctx.has_graph and pl_equal(ctx.conj, ctx.star_cup)
-    fxs = [(x, ctx.inst.value_at(x)) for x in ctx.probes]
     for s in ctx.duals:
-        st = ctx.st.tilt(s)
-        vals = [
-            st.sup(x) if fx.is_pos_inf else st.sup(x, theta=fx.finite() - s * x)
-            for x, fx in fxs
-        ]
-        if _probed_proper(vals) != rhs:
+        if _probed_proper(envelope_values(ctx.inst.tilt(s), "smile", ctx.probes)) != rhs:
             return _done(tid, desc, False, witness=s)
     return _done(tid, desc, True)
 
@@ -693,22 +693,21 @@ def _check_maxsdsp_ii(tid, desc, ctx):
     return _done(tid, desc, True, worst)
 
 
-def _smile_recovers_f(tid, desc, ctx, xs):
-    f, st = ctx.inst, ctx.st
-    for x in xs:
-        if smile_value(f, x, st=st) != f.value_at(x):
+def _smile_recovers_f(tid, desc, ctx, dom_only):
+    for x, sm, fx in ctx.rows(ctx.smile_at, ctx.f_at, dom_only=dom_only):
+        if sm != fx:
             return _done(tid, desc, False, witness=x)
     return _done(tid, desc, True, margin=0)
 
 
 @_gated(_LSC)
 def _check_maxsdsp_iii(tid, desc, ctx):
-    return _smile_recovers_f(tid, desc, ctx, ctx.dom_probes)
+    return _smile_recovers_f(tid, desc, ctx, dom_only=True)
 
 
 @_gated(_LSC)
 def _check_maxsdsp_iv(tid, desc, ctx):
-    return _smile_recovers_f(tid, desc, ctx, ctx.probes)
+    return _smile_recovers_f(tid, desc, ctx, dom_only=False)
 
 
 def _slope_bound(f: PLConvex1D) -> Fraction:
@@ -743,8 +742,7 @@ def _net_points(f: PLConvex1D, x, r):
 def _check_maxsdsp_v(tid, desc, ctx):
     f = ctx.inst
     lam = _slope_bound(f)
-    for x in ctx.dom_probes:
-        fx = f.value_at(x)
+    for x, fx in ctx.rows(ctx.f_at, dom_only=True):
         for r in _RADII:
             for a in _net_points(f, x, r):
                 iv = subdiff_exact(f, a)
@@ -800,35 +798,32 @@ def _check_maxsdsp_closure(tid, desc, ctx):
 
 @_gated(_LSC)
 def _check_fspeps_ii(tid, desc, ctx):
-    f, st = ctx.inst, ctx.st
-    for x in ctx.dom_probes:
-        vals = [smile_eps_value(f, x, e, st=st) for e in _EPS_LADDER]
+    for x, fx, *vals in ctx.rows(ctx.f_at, *ctx.smile_eps_at, dom_only=True):
         # shrinking the budget can only shrink the admitted family
         for big, small in zip(vals, vals[1:]):
             if small > big:
                 return _done(tid, desc, False, witness=x)
-        if ext_inf(vals) != f.value_at(x):
+        if ext_inf(vals) != fx:
             return _done(tid, desc, False, witness=x)
     return _done(tid, desc, True, margin=0)
 
 
-def _smile_eps_recovers_f(tid, desc, ctx, xs):
-    f, st = ctx.inst, ctx.st
-    for x in xs:
-        for e in _EPS_LADDER:
-            if smile_eps_value(f, x, e, st=st) != f.value_at(x):
+def _smile_eps_recovers_f(tid, desc, ctx, dom_only):
+    for x, fx, *vals in ctx.rows(ctx.f_at, *ctx.smile_eps_at, dom_only=dom_only):
+        for e, v in zip(_EPS_LADDER, vals):
+            if v != fx:
                 return _done(tid, desc, False, witness=(x, e))
     return _done(tid, desc, True, margin=0)
 
 
 @_gated(_LSC)
 def _check_fspeps_iii(tid, desc, ctx):
-    return _smile_eps_recovers_f(tid, desc, ctx, ctx.dom_probes)
+    return _smile_eps_recovers_f(tid, desc, ctx, dom_only=True)
 
 
 @_gated(_LSC)
 def _check_fspeps_iv(tid, desc, ctx):
-    return _smile_eps_recovers_f(tid, desc, ctx, ctx.probes)
+    return _smile_eps_recovers_f(tid, desc, ctx, dom_only=False)
 
 
 # ---------------------------------------------------------------------------
@@ -1232,12 +1227,10 @@ def _gallery_quadratic() -> GalleryResult:
 def _gallery_open_interval() -> GalleryResult:
     C = Interval1D(F(0), F(1), True, True)
     f = replace(indicator(C), label="open-unit-interval indicator")
-    st = subdiff_structure(f)
     probes = [F(-5) + F(k, 4) for k in range(41)]
-    hull = portable_hull_interval(effective_domain(f))
-    ok_cup = all(cup_value(f, x, st=st) == as_extreal(0) for x in probes)
-    ok_sharp = all(
-        sharp_value(f, x, st=st, hull=hull) == as_extreal(0) for x in probes
+    ok_cup, ok_sharp = (
+        all(v == as_extreal(0) for v in envelope_values(f, kind, probes))
+        for kind in ("cup", "sharp")
     )
     c1 = TheoremCheck("gallery.open-interval.cup", f.label,
                       PASS if ok_cup else FAIL, "exact", 0, margin=0)

@@ -480,6 +480,16 @@ def test_tolerance_only_on_subdiff(abs_file, grid_file, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("values, member", [((0.0, -1.0), "-1e+308"), ((0.0, 1.0), "1e+308")])
+def test_grid_subdiff_decides_overflowing_steps_exactly(tmp_path, capsys, values, member):
+    # the step between the samples overflows to inf, and slope 0 times inf
+    # is NaN in floats; over the rationals only the lower sample has slope 0
+    g = GridFunction(1, (1e308, -1e308), values)
+    name = write_json(tmp_path / "far.json", dump_instance(g))
+    assert main(["subdiff", "--instance", name, "--dual-grid", "0:0:1"]) == 0
+    assert capsys.readouterr().out == f"x,xstar\n{member},0.0\n"
+
+
 def test_exports_resolve():
     import envcalc
 

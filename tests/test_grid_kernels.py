@@ -143,6 +143,17 @@ def test_membership_on_the_tolerance_edge():
     assert grid_subdiff_matrix(below, (1.0,), tol).tolist() == [[False], [True]]
 
 
+def test_membership_decides_nan_cells_exactly():
+    # from either sample the two products of the 2D dot overflow to
+    # opposite infinities and sum to NaN in floats; over the rationals the
+    # dot is (s1 + s2) 1e300 times the sign of the step
+    f = GridFunction(2, ((0.0, 0.0), (1e300, 1e300)), (0.0, 0.0))
+    assert grid_subdiff_matrix(f, [(1e10, -1e10)]).tolist() == [[True], [True]]
+    tilted = (1e10, math.nextafter(-1e10, 0.0))
+    assert grid_subdiff_matrix(f, [tilted]).tolist() == [[False], [True]]
+    assert not grid_subdiff_test(f, (0.0, 0.0), tilted)
+
+
 # ---------------------------------------------------------------------------
 # sorted inf-convolution against the dict
 # ---------------------------------------------------------------------------

@@ -26,10 +26,12 @@ with the full (n - 1)-step chain DP that ``n_cup_envelope`` now stops at
 its fixed point.  They live here only, as references; exact comparisons are exact and float
 comparisons are bit for bit.
 
-The one-probe routes ``PLConvex1D.value_at``, ``SubdiffStructure1D.sup``
-and ``subdiff_exact`` are in turn the references of their batched forms
-(``values_at``, ``sups``, ``subdiffs_exact``), compared by ``repr`` so that
-payload types count; the public ``PLConvex1D`` constructor is the
+The one-probe routes ``PLConvex1D.value_at`` and ``subdiff_exact``, and
+``SubdiffStructure1D.sups`` called once per probe, are in turn the
+references of their batched forms (``values_at``, ``subdiffs_exact``,
+``sups`` over many probes), compared by ``repr`` so that payload types
+count, as the one-probe envelope functions are of the check lab's probe
+tables; the public ``PLConvex1D`` constructor is the
 reference of the private ``_make``, and ``pl_restrict`` (an indicator
 added with ``pl_add``) of the envelopes' O(1) restrictions.  ``pl_add``,
 the general exact sum, is also the middle of the dual route
@@ -86,6 +88,7 @@ from envcalc.envelopes import (
     n_cup_envelope,
     portable_hull_interval,
     sharp_exact,
+    sharp_value,
     smile_eps_value,
     smile_value,
     star_cup,
@@ -112,7 +115,13 @@ from envcalc.operators import (
     subgradient_test,
     subdiffs_exact,
 )
-from envcalc.theoremlab import InstanceGenerator, _net_points, primal_probes
+from envcalc.theoremlab import (
+    _EPS_LADDER,
+    CheckContext,
+    InstanceGenerator,
+    _net_points,
+    primal_probes,
+)
 from envcalc.transforms import (
     ImproperError,
     cl_conv,
@@ -743,9 +752,13 @@ def test_support_sup_matches_scan(f, extra):
     budgets = set(f.values[:: max(1, len(f.values) // 3)]) | {f.values[-1]}
     budgets |= {v.finite() for v in (f.override_left, f.override_right)
                 if v is not None and v.is_finite}
-    for x in primal_points(f, extra):
+    xs = primal_points(f, extra)
+    assert st_.sups(xs) == [threshold_sup_oracle(st_, x) for x in xs]
+    for theta in budgets:
+        want = [threshold_sup_oracle(st_, x, theta) for x in xs]
+        assert st_.sups(xs, [theta] * len(xs)) == want, theta
+    for x in xs:
         fx = f.value_at(x)
-        assert st_.sup(x) == threshold_sup_oracle(st_, x)
         assert cup_value(f, x, st=st_) == threshold_sup_oracle(st_, x)
         want = threshold_sup_oracle(st_, x, None if fx.is_pos_inf else fx.finite())
         assert smile_value(f, x, st=st_) == want
@@ -754,8 +767,6 @@ def test_support_sup_matches_scan(f, extra):
                 st_, x, None if fx.is_pos_inf else fx.finite() + eps
             )
             assert smile_eps_value(f, x, eps, st=st_) == want
-        for theta in budgets:
-            assert st_.sup(x, theta) == threshold_sup_oracle(st_, x, theta), (x, theta)
 
 
 def _check_fitzpatrick_table(f, xextra, yextra, rnd):
@@ -1103,24 +1114,32 @@ def test_epi_cup_floor_without_cuts():
 @given(pl_functions(), st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=5), max_size=2), extras)
 @settings(max_examples=60, deadline=None)
 def test_structure_tilt_matches_rebuild(f, sextra, extra):
+    """The structure rebuilt from f.tilt(s) is f's structure shifted by -s
+    (the subdifferential of f - <., s> is that of f, less s), and its sups
+    are the oracle's and the tilt's smile."""
     base = subdiff_structure(f)
+    xs = primal_points(f, extra)
     for s in dual_points(f, sextra)[::2]:
         g = f.tilt(s)
-        got, want = base.tilt(s), subdiff_structure(g)
-        assert got.points == want.points
-        assert got.segments == want.segments
-        assert got.slope_range() == want.slope_range()
-        for x in primal_points(f, extra):
-            assert got.sup(x) == want.sup(x)
-            # the budget the check lab reads off f, against the tilt's own
+        got = subdiff_structure(g)
+        assert got.points == tuple(
+            (a, v - s * a, None if lo is None else lo - s, None if hi is None else hi - s)
+            for a, v, lo, hi in base.points
+        )
+        assert got.segments == tuple(
+            (xlo, xhi, sl - s, rx, rv - s * rx) for xlo, xhi, sl, rx, rv in base.segments
+        )
+        assert got.sups(xs) == [threshold_sup_oracle(got, x) for x in xs]
+        for x in xs:
+            # the budget off f, against the tilt's own value
             fx, gx = f.value_at(x), g.value_at(x)
             assert fx.is_pos_inf == gx.is_pos_inf
             if fx.is_pos_inf:
                 continue
             theta = fx.finite() - s * x
             assert theta == gx.finite()
-            assert got.sup(x, theta) == want.sup(x, theta)
-            assert got.sup(x, theta) == smile_value(g, x)
+            assert got.sups([x], [theta]) == [threshold_sup_oracle(got, x, theta)]
+            assert got.sups([x], [theta]) == [smile_value(g, x)]
 
 
 def _structure_fields(st_):
@@ -1134,7 +1153,7 @@ def test_structure_build_matches_fraction_build(f, sextra):
     # tilts below the least and above the greatest slope make f strictly
     # monotone, so an overridden end holds the infimum
     sl = sorted(dual_points(f, sextra))
-    tilts = [base.tilt(s) for s in [sl[0] - 1, *sl[::2], sl[-1] + 1]]
+    tilts = [subdiff_structure(f.tilt(s)) for s in [sl[0] - 1, *sl[::2], sl[-1] + 1]]
     for got in [base, *tilts]:
         assert _structure_fields(got) == structure_build_oracle(got.points, got.segments)
 
@@ -1569,7 +1588,7 @@ def _membership_duals(f, iv, extra):
 def _check_structure_contains(f, extra):
     st_ = subdiff_structure(f)
     for s in [None, *dual_points(f, [])[::2]]:
-        g, sg = (f, st_) if s is None else (f.tilt(s), st_.tilt(s))
+        g, sg = (f, st_) if s is None else (f.tilt(s), subdiff_structure(f.tilt(s)))
         for x in primal_points(f, extra):
             iv = subdiff_exact(g, x)
             for y in _membership_duals(g, iv, extra):
@@ -1812,20 +1831,44 @@ def test_subdiffs_exact_matches_subdiff_exact(f, extra, rnd):
 @given(pl_functions(), extras, st.randoms(use_true_random=False))
 @settings(max_examples=100, deadline=None)
 def test_sups_match_sup(f, extra, rnd):
-    """No budget, then per-probe budgets mixed with None entries: values
-    of f at the probes (the smile budgets), breakpoint values and finite
-    overrides (ties with the admission keys) and far values."""
+    """Shuffled probes in one sweep against one sup per probe: no budget,
+    then per-probe budgets mixed with None entries: values of f at the
+    probes (the smile budgets), breakpoint values and finite overrides
+    (ties with the admission keys) and far values."""
     st_ = subdiff_structure(f)
     xs = _shuffled_probes(f, extra, rnd)
-    assert repr(st_.sups(xs)) == repr([st_.sup(x) for x in xs])
+    assert repr(st_.sups(xs)) == repr([st_.sups([x])[0] for x in xs])
     pool = [None, F(-50), F(50), *f.values]
     pool += [v.finite() for v in (f.override_left, f.override_right) if v is not None and v.is_finite]
     pool += [v.finite() for v in f.values_at(xs) if v.is_finite]
     thetas = [rnd.choice(pool) for _ in xs]
-    want = [st_.sup(x, theta=t) for x, t in zip(xs, thetas)]
+    want = [st_.sups([x], [t])[0] for x, t in zip(xs, thetas)]
     assert repr(st_.sups(xs, thetas)) == repr(want)
     assert want == [threshold_sup_oracle(st_, x, t) for x, t in zip(xs, thetas)]
     assert st_.sups([]) == [] and st_.sups([], []) == []
+
+
+@given(pl_functions())
+@settings(max_examples=100, deadline=None)
+def test_check_context_tables_match_one_probe_values(f):
+    """Each probe table of the check lab holds, at every probe, what the
+    one-probe function gives there, payload types included; sharp is cup
+    masked to +inf outside the closed normal hull."""
+    ctx = CheckContext(f)
+    xs = ctx.probes
+    assert repr(ctx.f_at) == repr(tuple(f.value_at(x) for x in xs))
+    assert repr(ctx.cup_at) == repr(tuple(cup_value(f, x) for x in xs))
+    assert repr(ctx.sharp_at) == repr(tuple(sharp_value(f, x) for x in xs))
+    assert repr(ctx.smile_at) == repr(tuple(smile_value(f, x) for x in xs))
+    assert len(ctx.smile_eps_at) == len(_EPS_LADDER)
+    for e, table in zip(_EPS_LADDER, ctx.smile_eps_at):
+        assert repr(table) == repr(tuple(smile_eps_value(f, x, e) for x in xs))
+    hull = portable_hull_interval(effective_domain(f))
+    assert ctx.sharp_at == tuple(
+        c if hull.contains(x) else POS_INF for x, c in zip(xs, ctx.cup_at)
+    )
+    dom = [x for x, *_ in ctx.rows(dom_only=True)]
+    assert tuple(dom) == ctx.dom_probes
 
 
 def _rebuilt(g):
