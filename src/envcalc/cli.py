@@ -85,6 +85,8 @@ def parse_probe_grid(spec: str, exact: bool = True) -> tuple:
     if count == 1:
         return (start,)
     step = (stop - start) / (count - 1)
+    if not exact and not math.isfinite(step):
+        raise _UsageError(f"probe grid {spec!r} spans past the float range")
     if exact:
         # start + step k is (a + b k) / d over the lcm d of the denominators
         d = math.lcm(start.denominator, step.denominator)

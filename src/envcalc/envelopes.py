@@ -138,13 +138,10 @@ def cup_exact(f: PLConvex1D) -> PLConvex1D:
     g = f.closure()
     if f.override_left is None and f.override_right is None:
         return g
-    s = g.slopes()
-    first = s[0] if s else g.right_recession
-    last = s[-1] if s else g.left_recession
-    lrec = first if f.override_left is not None else g.left_recession
-    rrec = last if f.override_right is not None else g.right_recession
+    lrec = g.gaps[1] if f.override_left is not None else g.left_recession
+    rrec = g.gaps[-2] if f.override_right is not None else g.right_recession
     return PLConvex1D._make(
-        g.breakpoints, g.values, lrec, rrec, label=f.label, slopes=s
+        g.breakpoints, g.values, lrec, rrec, label=f.label, slopes=g.slopes()
     )
 
 

@@ -13,6 +13,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -351,6 +352,14 @@ class PLConvex1D:
         """Interior segment slopes, one per consecutive breakpoint pair."""
         return self._slopes
 
+    @cached_property
+    def gaps(self) -> tuple:
+        """The slope of f on each gap between breakpoints, None at a wall:
+        (left_recession, *slopes(), right_recession).  Gap j lies between
+        breakpoints j - 1 and j, so ``bisect_right(breakpoints, x)`` names
+        the gap of any x that is not a breakpoint."""
+        return (self.left_recession, *self._slopes, self.right_recession)
+
     def closure(self) -> "PLConvex1D":
         """Same function with overrides dropped (the lsc hull)."""
         if self.override_left is None and self.override_right is None:
@@ -386,21 +395,20 @@ class PLConvex1D:
     # -- evaluation -----------------------------------------------------
     def _value(self, j: int, x) -> ExtReal:
         """f(x), given j = bisect_right(breakpoints, x): the number of
-        breakpoints at or left of x."""
+        breakpoints at or left of x.  Off the breakpoints, f is the line of
+        gap j through breakpoint max(j - 1, 0), or +inf on a wall."""
         b, v = self.breakpoints, self.values
-        if j == 0:
-            rec = self.left_recession
-            return POS_INF if rec is None else ExtReal(v[0] + rec * (x - b[0]))
-        if x == b[j - 1]:
+        if j and x == b[j - 1]:
             if j == 1 and self.override_left is not None:
                 return self.override_left
             if j == len(b) and self.override_right is not None:
                 return self.override_right
             return ExtReal(v[j - 1])
-        if j == len(b):
-            rec = self.right_recession
-            return POS_INF if rec is None else ExtReal(v[-1] + rec * (x - b[-1]))
-        return ExtReal(v[j - 1] + self._slopes[j - 1] * (x - b[j - 1]))
+        g = self.gaps[j]
+        if g is None:
+            return POS_INF
+        k = j - 1 if j else 0
+        return ExtReal(v[k] + g * (x - b[k]))
 
     def value_at(self, x) -> ExtReal:
         """f(x) at one probe, by one bisection: O(log m)."""

@@ -15,6 +15,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -37,97 +38,41 @@ from .transforms import conjugate_exact, indicator
 
 @dataclass(frozen=True)
 class SubdiffStructure1D:
-    """Exact graph of the subdifferential of a piecewise-linear convex f.
+    """Exact graph of the subdifferential of a piecewise-linear convex f,
+    as ``subdiff_structure``, its only builder, walks it.
 
-    ``points`` holds (a, value, lo, hi): at breakpoint a (closure value
-    attached) the subgradients form the interval [lo, hi], where None means
-    the interval runs to -inf (left wall) or +inf (right wall).  ``segments``
-    holds (xlo, xhi, slope, ref_x, ref_v): on the open interval (xlo, xhi)
-    the subdifferential is the singleton {slope}, and the function restricted
-    there is the line through (ref_x, ref_v); None interval ends mark
-    recession rays.  Breakpoints with a raised (non-lsc) value have empty
-    subdifferential and appear in neither list.
+    ``_order`` runs left to right over anchored supports (a, v, lo, hi,
+    ends).  A breakpoint a (closure value v attached) has the subgradient
+    interval [lo, hi], None meaning it runs to -inf (left wall) or +inf
+    (right wall), and ends None; a breakpoint with a raised (non-lsc) value
+    has none and is left out.  A segment is its line through its left
+    breakpoint (the first one for a left ray), lo = hi = its slope, and
+    ``ends`` = (xlo, xhi), None past an end breakpoint.  ``sups``, the
+    Fitzpatrick line generator and ``structure_contains`` walk this order.
 
-    Built alongside, in O(m), is one left-to-right candidate order that
-    interleaves the points and segments (a left ray first, a right ray
-    last).  Each candidate is an anchored support (a, v, lo, hi, ends): a
-    point is its own anchor with its interval, a segment is its line through
-    (ref_x, ref_v) with lo = hi = slope and ``ends`` = (xlo, xhi).  ``sups``
-    and the Fitzpatrick line generator both walk this one order, and
-    ``structure_contains`` bisects it.
-
-    The lists are the ones ``subdiff_structure`` builds: the segments,
-    ascending, tile the closure's domain, and each breakpoint that is not
-    overridden is a point between its two segments.  So the order
-    alternates points and segments, one comparison places the first point,
-    and a candidate's admission key takes arithmetic only next to an
-    overridden end.
+    Candidate i lies wholly left of x iff _pos[i] < (x, 1) (a right ray,
+    last, never does and is left out).  Its admission key is the infimum of
+    f over it, as (0, value, 1 if not attained), or (-1,) along a ray where
+    f is unbounded below, so it has an anchor with f(a) <= theta iff its
+    key is < (0, theta, 1).  ``_adm_left`` and ``_adm_right`` list the keys
+    from ``_argmin``, the first minimal one, leftward and rightward.
+    ``points`` (a, value, lo, hi) and ``segments`` (xlo, xhi, slope, ref_x,
+    ref_v) are read-only views of the order.
     """
 
-    points: tuple
-    segments: tuple
+    _order: tuple
+    _pos: tuple
+    _adm_left: tuple
+    _adm_right: tuple
+    _argmin: int
 
-    def __post_init__(self):
-        pts = [(*p, None) for p in self.points]
-        segs = [(rx, rv, g, g, (xlo, xhi)) for xlo, xhi, g, rx, rv in self.segments]
-        lead = segs[:1] if segs and segs[0][4][0] is None else []
-        rest = segs[len(lead):]
-        # the first point comes before the first segment right of a left ray
-        # iff it sits at that segment's lower end (its breakpoint is not
-        # overridden)
-        if pts and (not rest or pts[0][0] == rest[0][4][0]):
-            first, second = pts, rest
-        else:
-            first, second = rest, pts
-        order = lead + [c for pair in zip(first, second) for c in pair]
-        order += first[len(second):] + second[len(first):]
-        # position keys: candidate i lies wholly left of x iff pos[i] < (x, 1);
-        # a right ray never does and, being last, is left out
-        pos = [
-            (a, 1) if ends is None else (ends[1], 0)
-            for a, _v, _lo, _hi, ends in order
-            if ends is None or ends[1] is not None
-        ]
-        # admission keys: the infimum of f over each candidate, as (0, value,
-        # 1 if not attained), or (-1,) along a ray where f is unbounded
-        # below; candidate i has an anchor with f(a) <= theta iff adm[i] <
-        # (0, theta, 1)
-        adm = []
-        k = None  # the first minimal key: (-1,), or a minimizer of f
-        for i, (a, v, lo, hi, ends) in enumerate(order):
-            if ends is None:
-                adm.append((0, v, 0))
-                if k is None and (lo is None or lo.numerator <= 0) and (
-                    hi is None or hi.numerator >= 0
-                ):
-                    k = i
-                continue
-            sign = lo.numerator
-            if sign == 0:
-                adm.append((0, v, 0))
-                k = i if k is None else k
-                continue
-            # a sloped segment sits above its lower end; the value there is
-            # the neighbouring point's, unless an override leaves no point
-            low_end, j = (ends[0], i - 1) if sign > 0 else (ends[1], i + 1)
-            if low_end is None:
-                adm.append((-1,))
-                k = i if k is None else k
-            elif 0 <= j < len(order) and order[j][4] is None:
-                adm.append((0, order[j][1], 1))
-            else:
-                adm.append((0, v + (low_end - a) * lo, 1))
-        if k is None:
-            # f is bounded below with no minimizer, so it is monotone and its
-            # infimum lies at an overridden end: the first candidate when f
-            # increases, the last when it decreases
-            rising = order and order[0][3] is not None and order[0][3].numerator > 0
-            k = len(order) - 1 if order and not rising else 0
-        object.__setattr__(self, "_order", tuple(order))
-        object.__setattr__(self, "_pos", tuple(pos))
-        object.__setattr__(self, "_adm_left", tuple(adm[k::-1]))
-        object.__setattr__(self, "_adm_right", tuple(adm[k:]))
-        object.__setattr__(self, "_argmin", k)
+    @cached_property
+    def points(self) -> tuple:
+        return tuple(c[:4] for c in self._order if c[4] is None)
+
+    @cached_property
+    def segments(self) -> tuple:
+        return tuple((*c[4], c[2], c[0], c[1]) for c in self._order if c[4] is not None)
 
     def sups(self, xs, thetas=None) -> list:
         """The sup at each exact probe x of xs, in their order, of the
@@ -206,47 +151,68 @@ class SubdiffStructure1D:
 
 
 def subdiff_structure(f: PLConvex1D) -> SubdiffStructure1D:
+    """The structure of f's subdifferential from one walk over ``f.gaps``:
+    gap j's segment if it has a slope, then breakpoint j unless an override
+    raises it.  A sloped segment's infimum is the listed value at its lower
+    end, or it falls without bound toward an open side.  O(m).
+    """
     if not isinstance(f, PLConvex1D):
         raise TypeError("subdiff_structure takes a PLConvex1D")
-    b, v = f.breakpoints, f.values
-    s = f.slopes()
-    m = len(s)
-    points = []
-    for i in range(len(b)):
-        if i == 0 and f.override_left is not None:
-            continue
-        if i == len(b) - 1 and f.override_right is not None:
-            continue
-        lo = s[i - 1] if i >= 1 else f.left_recession
-        hi = s[i] if i < m else f.right_recession
-        points.append((b[i], v[i], lo, hi))
-    segments = [(b[i], b[i + 1], s[i], b[i], v[i]) for i in range(m)]
-    if f.left_recession is not None:
-        segments.insert(0, (None, b[0], f.left_recession, b[0], v[0]))
-    if f.right_recession is not None:
-        segments.append((b[-1], None, f.right_recession, b[-1], v[-1]))
-    return SubdiffStructure1D(tuple(points), tuple(segments))
+    b, v, gaps = f.breakpoints, f.values, f.gaps
+    n = len(b)
+    first = 0 if f.override_left is None else 1
+    last = n - 1 if f.override_right is None else n - 2
+    order, pos, adm = [], [], []
+    k = None
+    for j, g in enumerate(gaps):
+        if g is not None:
+            a = j - 1 if j else 0
+            ends = (b[j - 1] if j else None, b[j] if j < n else None)
+            low = j - 1 if g.numerator > 0 else j  # the lower end's breakpoint
+            if g.numerator == 0:
+                key = (0, v[a], 0)
+            elif not 0 <= low < n:
+                key = (-1,)  # a ray that falls toward its open side
+            else:
+                key = (0, v[low], 1)
+            if k is None and key[-1] != 1:  # flat, or unbounded below
+                k = len(order)
+            order.append((b[a], v[a], g, g, ends))
+            adm.append(key)
+            if j < n:
+                pos.append((b[j], 0))
+        if first <= j <= last:
+            lo, hi = g, gaps[j + 1]
+            if k is None and (lo is None or lo.numerator <= 0) and (
+                hi is None or hi.numerator >= 0
+            ):
+                k = len(order)
+            order.append((b[j], v[j], lo, hi, None))
+            adm.append((0, v[j], 0))
+            pos.append((b[j], 1))
+    if k is None:
+        # f is bounded below with no minimizer, so it is monotone and its
+        # infimum lies at an overridden end: the first candidate when f
+        # increases, the last when it decreases
+        rising = order and order[0][3] is not None and order[0][3].numerator > 0
+        k = len(order) - 1 if order and not rising else 0
+    return SubdiffStructure1D(
+        tuple(order), tuple(pos), tuple(adm[k::-1]), tuple(adm[k:]), k
+    )
 
 
 def _subdiff_at(f: PLConvex1D, j: int, x) -> Interval1D | None:
     """The subgradient interval at x, given j = bisect_right(f.breakpoints,
     x): the number of breakpoints at or left of x."""
-    b, s = f.breakpoints, f.slopes()
-    if j == 0:
-        rec = f.left_recession
-        return None if rec is None else Interval1D(rec, rec)
-    if x == b[j - 1]:
+    b, gaps = f.breakpoints, f.gaps
+    if j and x == b[j - 1]:
         if (j == 1 and f.override_left is not None) or (
             j == len(b) and f.override_right is not None
         ):
             return None
-        lo = s[j - 2] if j >= 2 else f.left_recession
-        hi = s[j - 1] if j <= len(s) else f.right_recession
-        return Interval1D(lo, hi)
-    if j == len(b):
-        rec = f.right_recession
-        return None if rec is None else Interval1D(rec, rec)
-    return Interval1D(s[j - 1], s[j - 1])
+        return Interval1D(gaps[j - 1], gaps[j])
+    g = gaps[j]
+    return None if g is None else Interval1D(g, g)
 
 
 def subdiff_exact(f: PLConvex1D, x) -> Interval1D | None:
@@ -520,11 +486,11 @@ def subdiff_graph(f: PLConvex1D, probes=()) -> OperatorGraph:
             pairs.add((xhi - 1, slope))
         else:
             pairs.add((xlo + 1, slope))
-    b, gap_slopes = f.breakpoints, (f.left_recession, *f.slopes(), f.right_recession)
+    b, gaps = f.breakpoints, f.gaps
     for p in map(_exactify, probes):
         j = bisect_right(b, p)
-        if (j == 0 or p != b[j - 1]) and gap_slopes[j] is not None:
-            pairs.add((p, gap_slopes[j]))
+        if (j == 0 or p != b[j - 1]) and gaps[j] is not None:
+            pairs.add((p, gaps[j]))
     return OperatorGraph(1, tuple(sorted(pairs)), label=f.label, structure=st)
 
 

@@ -64,6 +64,7 @@ from .operators import (
     grid_subdiff_test,
     is_maximal_relative,
     normal_cone,
+    structure_contains,
     subdiff_exact,
     subdiff_graph,
     subdiff_structure,
@@ -110,11 +111,7 @@ def primal_probes(f: PLConvex1D) -> tuple:
 
 def dual_probes(f: PLConvex1D) -> tuple:
     """Slopes, gaps between consecutive slopes, zero, and outer slopes."""
-    sl = list(f.slopes())
-    if f.left_recession is not None:
-        sl.append(f.left_recession)
-    if f.right_recession is not None:
-        sl.append(f.right_recession)
+    sl = [g for g in f.gaps if g is not None]
     cand = set(sl)
     cand.add(F(0))
     distinct = sorted(set(sl))
@@ -163,14 +160,17 @@ def _grid_items_exact(f: GridFunction):
     return [(F(p), F(v)) for p, v in f.finite_items()]
 
 
-def _grid_graph_exact(f: GridFunction, duals) -> OperatorGraph:
-    """Grid subdifferential pairs decided by exact rational comparisons."""
+def _grid_graph_exact(f: GridFunction, hull: PLConvex1D, duals) -> OperatorGraph:
+    """Grid subdifferential pairs decided in exact arithmetic, samples in
+    list order.  An affine minorant through (a, f(a)) lies under every
+    finite sample exactly when it lies under their closed convex hull, so
+    (a, s) is a pair iff the hull meets f at a and has s as a subgradient
+    there."""
     items = _grid_items_exact(f)
-    pairs = []
-    for a, fa in items:
-        for s in duals:
-            if all(fy >= fa + s * (y - a) for y, fy in items):
-                pairs.append((a, s))
+    st = subdiff_structure(hull)
+    hx = hull.values_at([a for a, _fa in items])
+    pairs = [(a, s) for (a, fa), h in zip(items, hx) if h == fa
+             for s in duals if structure_contains(st, a, s)]
     return OperatorGraph(1, tuple(pairs), label=f.label)
 
 
@@ -196,7 +196,7 @@ class CheckContext:
     duals = cached_property(lambda c: dual_probes(c.inst))
     # the subdifferential, its graphs and the domains
     st = cached_property(lambda c: subdiff_structure(c.inst))
-    has_graph = cached_property(lambda c: bool(c.st.points or c.st.segments))
+    has_graph = cached_property(lambda c: bool(c.st._order))
     slope_range = cached_property(lambda c: c.st.slope_range())
     graph = cached_property(lambda c: subdiff_graph(c.inst))
     probe_graph = cached_property(lambda c: subdiff_graph(c.inst, probes=c.probes))
@@ -224,7 +224,8 @@ class CheckContext:
     # grid graph over them decided in exact arithmetic
     grid_hull = cached_property(lambda c: cl_conv(c.inst))
     grid_duals = cached_property(lambda c: dual_probes(c.grid_hull))
-    grid_graph = cached_property(lambda c: _grid_graph_exact(c.inst, c.grid_duals))
+    grid_graph = cached_property(
+        lambda c: _grid_graph_exact(c.inst, c.grid_hull, c.grid_duals))
 
     def _envelope_at(self, kind, eps=None) -> tuple:
         return tuple(envelope_values(self.inst, kind, self.probes, eps, self.st))
@@ -711,13 +712,7 @@ def _check_maxsdsp_iv(tid, desc, ctx):
 
 
 def _slope_bound(f: PLConvex1D) -> Fraction:
-    cand = [F(1)]
-    cand.extend(abs(s) for s in f.slopes())
-    if f.left_recession is not None:
-        cand.append(abs(f.left_recession))
-    if f.right_recession is not None:
-        cand.append(abs(f.right_recession))
-    return max(cand)
+    return max([F(1), *(abs(g) for g in f.gaps if g is not None)])
 
 
 def _net_points(f: PLConvex1D, x, r):

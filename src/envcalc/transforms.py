@@ -72,7 +72,7 @@ def conjugate_exact(f: PLConvex1D) -> PLConvex1D:
     b, v = g.breakpoints, g.values
     s = g.slopes()
     ys = []
-    for y in (g.left_recession, *s, g.right_recession):
+    for y in g.gaps:
         if y is not None and (not ys or y != ys[-1]):
             ys.append(y)
     if not ys:

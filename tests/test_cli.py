@@ -66,6 +66,24 @@ def test_probe_grid_rejects_malformed(bad):
         parse_probe_grid(bad)
 
 
+@pytest.mark.parametrize("argv", [
+    ["subdiff", "--instance", "GRID", "--dual-grid"],
+    ["conjugate", "--instance", "GRID", "--dual-grid"],
+    ["envelope", "--kind", "cup", "--instance", "gallery:open-interval", "--probes"],
+])
+def test_float_probe_grid_past_the_float_range_exits_2(tmp_path, capsys, monkeypatch, argv):
+    # stop - start overflows, which would make the step, and then the
+    # probes, inf and nan
+    g = GridFunction(1, (0.0, 1.0, 2.0), (0.0, 1.0, 4.0))
+    name = write_json(tmp_path / "grid.json", dump_instance(g))
+    monkeypatch.setenv("ENVCALC_BACKEND", "grid")
+    argv = [name if a == "GRID" else a for a in argv]
+    assert main([*argv, "-1e308:1e308:3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "envcalc: probe grid '-1e308:1e308:3' spans past the float range\n"
+
+
 _grid_ends = st.one_of(
     st.fractions(min_value=-50, max_value=50, max_denominator=60).map(format_scalar),
     st.decimals(min_value=-50, max_value=50, places=3).map(str),

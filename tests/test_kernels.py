@@ -23,8 +23,11 @@ scans that four one-bisection kernels replaced: the breakpoint loop of
 ``subgradient_test``, the cut loop of ``epi_cup_floor``, the segment scan
 of ``subdiff_graph`` and the list scans of ``theoremlab._net_points``,
 with the full (n - 1)-step chain DP that ``n_cup_envelope`` now stops at
-its fixed point.  They live here only, as references; exact comparisons are exact and float
-comparisons are bit for bit.
+its fixed point, the two-list build of ``subdiff_structure`` before it
+walked ``PLConvex1D.gaps``, and the all-samples scan of the exact grid
+graph before it read the hull's structure.  They live here only, as
+references; exact comparisons are exact and float comparisons are bit
+for bit.
 
 The one-probe routes ``PLConvex1D.value_at`` and ``subdiff_exact``, and
 ``SubdiffStructure1D.sups`` called once per probe, are in turn the
@@ -42,6 +45,7 @@ f [] g = (f* + g*)* that the exact ``inf_conv`` replaced, and
 import bisect
 import contextlib
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -119,7 +123,10 @@ from envcalc.theoremlab import (
     _EPS_LADDER,
     CheckContext,
     InstanceGenerator,
+    _grid_graph_exact,
+    _grid_items_exact,
     _net_points,
+    dual_probes,
     primal_probes,
 )
 from envcalc.transforms import (
@@ -630,6 +637,44 @@ def pl_validation_oracle(breakpoints, values, left=None, right=None, ovl=None, o
                 raise ValueError("override on a single-point domain is just a value")
         out[side] = ov
     return bps, vals, sl, sr, out["left"], out["right"], s
+
+
+def structure_lists_oracle(f):
+    """``subdiff_structure``'s points and segments built apart, as two
+    lists: a point per breakpoint no override raises, with its neighbours'
+    slopes, and a segment per slope with each recession ray at its end."""
+    b, v = f.breakpoints, f.values
+    s = f.slopes()
+    m = len(s)
+    points = []
+    for i in range(len(b)):
+        if i == 0 and f.override_left is not None:
+            continue
+        if i == len(b) - 1 and f.override_right is not None:
+            continue
+        lo = s[i - 1] if i >= 1 else f.left_recession
+        hi = s[i] if i < m else f.right_recession
+        points.append((b[i], v[i], lo, hi))
+    segments = [(b[i], b[i + 1], s[i], b[i], v[i]) for i in range(m)]
+    if f.left_recession is not None:
+        segments.insert(0, (None, b[0], f.left_recession, b[0], v[0]))
+    if f.right_recession is not None:
+        segments.append((b[-1], None, f.right_recession, b[-1], v[-1]))
+    return tuple(points), tuple(segments)
+
+
+def grid_graph_oracle(f, duals):
+    """The exact grid graph by scan: (a, s) for each finite sample a, in
+    list order, and dual s whose minorant through (a, f(a)) stays under
+    every finite sample, in ``Fraction`` comparisons."""
+    items = _grid_items_exact(f)
+    pairs = [
+        (a, s)
+        for a, fa in items
+        for s in duals
+        if all(fy >= fa + s * (y - a) for y, fy in items)
+    ]
+    return OperatorGraph(1, tuple(pairs), label=f.label)
 
 
 def structure_build_oracle(points, segments):
@@ -1149,13 +1194,41 @@ def _structure_fields(st_):
 @given(pl_functions(), st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=5), max_size=2))
 @settings(max_examples=200, deadline=None)
 def test_structure_build_matches_fraction_build(f, sextra):
-    base = subdiff_structure(f)
+    """The walk's points and segments are the lists built apart, and its
+    order and keys the ones a merge and a ``Fraction`` min give."""
     # tilts below the least and above the greatest slope make f strictly
     # monotone, so an overridden end holds the infimum
     sl = sorted(dual_points(f, sextra))
-    tilts = [subdiff_structure(f.tilt(s)) for s in [sl[0] - 1, *sl[::2], sl[-1] + 1]]
-    for got in [base, *tilts]:
-        assert _structure_fields(got) == structure_build_oracle(got.points, got.segments)
+    for g in [f, *(f.tilt(s) for s in [sl[0] - 1, *sl[::2], sl[-1] + 1])]:
+        got, lists = subdiff_structure(g), structure_lists_oracle(g)
+        assert (got.points, got.segments) == lists
+        assert _structure_fields(got) == structure_build_oracle(*lists)
+
+
+@st.composite
+def grid_functions_1d(draw):
+    """1D grids of 1..9 samples in drawn list order, each value on a line
+    (collinear runs), on a parabola, free, or +inf; at least one is
+    finite."""
+    xs = draw(st.lists(
+        st.one_of(st.integers(-16, 16).map(lambda k: k / 4),
+                  st.floats(-4, 4).map(lambda x: round(x, 3))),
+        min_size=1, max_size=9, unique=True))
+    a, c = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+    free = st.integers(-6, 6).map(lambda k: k / 2)
+    vals = [draw(st.one_of(st.just(a * x + c), st.just(x * x / 2), free, st.just(math.inf)))
+            for x in xs]
+    if min(vals) == math.inf:
+        vals[0] = 0.0
+    return GridFunction(1, tuple(xs), tuple(map(float, vals)))
+
+
+@given(grid_functions_1d(), extras)
+@settings(max_examples=200, deadline=None)
+def test_grid_graph_matches_scan(g, extra):
+    hull = cl_conv(g)
+    duals = [*dual_probes(hull), *extra]
+    assert _grid_graph_exact(g, hull, duals) == grid_graph_oracle(g, duals)
 
 
 @given(pl_functions())
