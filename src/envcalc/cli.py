@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .extreal import as_extreal, format_scalar, parse_scalar
+from .extreal import format_scalar, parse_scalar
 from .funcrep import (
     MAX_GRID_POINTS,
     GridFunction,
@@ -145,22 +145,19 @@ def _emit_instance_json(out_path, obj) -> bool:
     return True
 
 
-def _cell(v) -> str:
-    return format_scalar(as_extreal(v))
-
-
 def _cells(xs) -> list:
-    """Cells of many scalars at once, spelled as ``_cell`` spells them.
+    """Cells of many scalars at once, spelled as ``format_scalar`` spells
+    them.
 
     Float arrays go through ``.tolist()`` (the repr of np.float64 is not
     format_scalar's).  A float or an int spells as its repr, which writes
-    the infinities as inf and -inf; anything else takes ``_cell``.
+    the infinities as inf and -inf; anything else takes ``format_scalar``.
     """
     if isinstance(xs, np.ndarray):
         xs = xs.tolist()
     if set(map(type, xs)) <= {float, int}:
         return list(map(repr, xs))
-    return [repr(x) if type(x) in (float, int) else _cell(x) for x in xs]
+    return [repr(x) if type(x) in (float, int) else format_scalar(x) for x in xs]
 
 
 def _coord_columns(points, dim: int) -> list:
@@ -177,7 +174,7 @@ def _grid_rows(g: GridFunction):
 def _value_rows(points, values, dim: int):
     for p, v in zip(points, values):
         coords = [p] if dim == 1 else list(p)
-        yield [_cell(c) for c in coords] + [_cell(v)]
+        yield [format_scalar(c) for c in coords] + [format_scalar(v)]
 
 
 def _cross(axis) -> tuple:
@@ -260,11 +257,11 @@ def _verb_subdiff(args, inst) -> int:
         rows = []
         for x, iv in zip(pts, operators.subdiffs_exact(inst, pts)):
             if iv is None:
-                rows.append([_cell(x), "", ""])
+                rows.append([format_scalar(x), "", ""])
             else:
-                lo = "-inf" if iv.lo is None else _cell(iv.lo)
-                hi = "inf" if iv.hi is None else _cell(iv.hi)
-                rows.append([_cell(x), lo, hi])
+                lo = "-inf" if iv.lo is None else format_scalar(iv.lo)
+                hi = "inf" if iv.hi is None else format_scalar(iv.hi)
+                rows.append([format_scalar(x), lo, hi])
         _emit(args.out, "x,lo,hi", rows)
         return 0
     if not isinstance(inst, GridFunction):
@@ -310,13 +307,13 @@ def _verb_fitz(args, inst) -> int:
         xs, ys = _cross(xs), _cross(ys)
 
     def cells(p):
-        return [_cell(c) for c in (p if dim == 2 else (p,))]
+        return [format_scalar(c) for c in (p if dim == 2 else (p,))]
 
     ycells = [cells(y) for y in ys]
     rows = []
     for x, vals in zip(xs, operators.fitzpatrick_table(src, xs, ys)):
         xc = cells(x)
-        rows += [xc + yc + [_cell(v)] for yc, v in zip(ycells, vals)]
+        rows += [xc + yc + [format_scalar(v)] for yc, v in zip(ycells, vals)]
     header = "x,xstar,value" if dim == 1 else "x1,x2,xstar1,xstar2,value"
     _emit(args.out, header, rows)
     return 0
@@ -347,7 +344,7 @@ def _verb_envelope(args, inst) -> int:
         inst, args.kind, probes, n=args.n, eps=eps, dual_points=duals,
         backend=backend,
     )
-    _emit(args.out, "x,value", ([_cell(x), _cell(v)] for x, v in rows))
+    _emit(args.out, "x,value", ([format_scalar(x), format_scalar(v)] for x, v in rows))
     return 0
 
 
@@ -365,8 +362,8 @@ def _verb_hull(args, inst) -> int:
         raise TypeError("hull handles intervals and one-dimensional functions")
     if _emit_instance_json(args.out, hull):
         return 0
-    lo = "-inf" if hull.lo is None else _cell(hull.lo)
-    hi = "inf" if hull.hi is None else _cell(hull.hi)
+    lo = "-inf" if hull.lo is None else format_scalar(hull.lo)
+    hi = "inf" if hull.hi is None else format_scalar(hull.hi)
     _emit(args.out, "lo,hi", [[lo, hi]])
     return 0
 

@@ -270,19 +270,33 @@ def n_cup_envelope(f, G: OperatorGraph, n: int) -> MaxAffine:
     """
     if n not in (2, 3, 4):
         raise ValueError("n must be one of 2, 3, 4")
+    *_, env = _n_cup_chain(f, G, n)
+    return env
+
+
+def _n_cup_chain(f, G: OperatorGraph, n: int):
+    """``n_cup_envelope(f, G, k)`` for k = 2, ..., n in turn, from one run
+    of its DP: one step per k until the levels stop changing, and from then
+    on the last envelope again, as the same object."""
     pieces = [(a, b, _level(f, a)) for a, b in G.pairs]
     anchors = [a for a, _b in G.pairs]
+    env, fixed = None, False
     for _ in range(n - 1):
-        levels = MaxAffine(G.dim, pieces).values_at(anchors)
-        new = [
-            (a, b, lv.value if lv.is_finite else float(lv))
-            for (a, b, _), lv in zip(pieces, levels)
-        ]
-        if all(type(p) is type(q) and p == q and (type(p) is not float or p.hex() == q.hex())
-               for (_, _, p), (_, _, q) in zip(pieces, new)):
-            break
-        pieces = new
-    return MaxAffine(G.dim, tuple(pieces), label=G.label)
+        if not fixed:
+            levels = MaxAffine(G.dim, pieces).values_at(anchors)
+            new = [
+                (a, b, lv.value if lv.is_finite else float(lv))
+                for (a, b, _), lv in zip(pieces, levels)
+            ]
+            fixed = all(
+                type(p) is type(q) and p == q and (type(p) is not float or p.hex() == q.hex())
+                for (_, _, p), (_, _, q) in zip(pieces, new)
+            )
+            if not fixed:
+                pieces = new
+            if not fixed or env is None:
+                env = MaxAffine(G.dim, tuple(pieces), label=G.label)
+        yield env
 
 
 def n_cup(f, G: OperatorGraph, n: int, x) -> ExtReal:

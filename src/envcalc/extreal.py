@@ -15,6 +15,7 @@ that float tolerances cannot leak into exact computations.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import Iterable, Union
@@ -208,16 +209,19 @@ def ext_inf(values: Iterable[Union[ExtReal, Scalar]]) -> ExtReal:
 # ---- text round-trip (instance JSON / CSV cells) --------------------
 
 def format_scalar(x: Union[ExtReal, Scalar]) -> str:
-    """Render a scalar for files: rationals as 'p/q', infinities as 'inf'/'-inf'."""
-    x = as_extreal(x)
-    if x.tag == _POS:
-        return "inf"
-    if x.tag == _NEG:
-        return "-inf"
-    v = x.value
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}" if v.denominator != 1 else str(v.numerator)
-    return repr(v)
+    """Render a scalar for files: rationals as 'p/q' (or 'p' when q = 1),
+    infinities as 'inf'/'-inf', other payloads by their repr.  An ExtReal
+    or a Fraction is spelled directly; any other scalar is boxed first, which
+    refuses a bool or a NaN."""
+    if isinstance(x, ExtReal):
+        if x.tag != _FIN:
+            return "inf" if x.tag == _POS else "-inf"
+        x = x.value
+    elif not isinstance(x, Fraction):
+        return format_scalar(ExtReal(x))
+    if isinstance(x, Fraction):
+        return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
+    return repr(x)
 
 
 def _float(x) -> float:
@@ -267,7 +271,10 @@ def parse_scalar(s: Union[str, int, float], *, exact: bool | None = None) -> Ext
         if m and sum(map(str.isdigit, m[1])) + abs(int(m[2])) > MAX_EXACT_DIGITS:
             raise ValueError(f"{s!r} has over {MAX_EXACT_DIGITS} digits as an exact rational")
         return ExtReal(Fraction(t))
-    return ExtReal(float(t))
+    x = float(t)
+    if x in (math.inf, -math.inf):  # the spellings of an infinity are read above
+        raise ValueError(f"{t} is too large for a float")
+    return ExtReal(x)
 
 
 # an exact decimal with an exponent spans up to (its digits + |exponent|)

@@ -147,24 +147,37 @@ def line_envelope_at(lines, probes) -> list:
     return out
 
 
-def sorted_ranks(a, keys, right=False) -> list:
+def shadow(q) -> float:
+    """The float nearest the exact q (an int or a Fraction), or an
+    infinity past the float range.  Int true division rounds correctly,
+    so the map is monotone: x < y gives shadow(x) <= shadow(y)."""
+    try:
+        return q.numerator / q.denominator
+    except OverflowError:
+        return math.inf if q > 0 else -math.inf
+
+
+def ranks(a, a_shadows, keys, key_shadows, right=False) -> list:
     """``[bisect_left(a, k) for k in keys]`` (``bisect_right`` when
-    ``right``) for an ascending ``a``, in the order of keys.  The keys are
-    visited in sorted order and each search gallops from the previous
-    rank: the step doubles until it passes the key, then the last step is
-    bisected.  A key whose rank lies g places past the previous rank costs
-    O(log g) comparisons, so p sorted keys take O(p log(m / p) + p)
-    against m entries: a merge's O(m + p) when p is near m, and about p
-    bisections when p is small.  Unsorted keys add one sort."""
+    ``right``) for an ascending ``a``, in the order of keys, given float
+    shadows of a's entries and of the keys that are monotone over both:
+    u < w gives shadow(u) <= shadow(w).  ``shadow`` gives such floats for
+    numbers, and a tuple ordered by a number first may take its shadow.
+
+    So an entry whose shadow lies below the key's is below the key, and
+    one whose shadow lies above is above it: two C bisections on the
+    floats bound the rank to the run of entries that share the key's
+    shadow, and only inside that run does an exact bisection compare the
+    key with entries.  O(p log m) float comparisons for p keys over m
+    entries, plus O(log r) exact ones per key whose shadow a run of r
+    entries shares; keys need not be sorted.
+    """
     find = bisect_right if right else bisect_left
-    out = [0] * len(keys)
-    j, n = 0, len(a)
-    for q in sorted(range(len(keys)), key=keys.__getitem__):
-        k = keys[q]
-        hi, step = j, 1
-        while hi < n and (a[hi] <= k if right else a[hi] < k):
-            j, hi, step = hi + 1, hi + step, 2 * step
-        j = out[q] = find(a, k, j, min(hi, n))
+    out = []
+    for k, s in zip(keys, key_shadows):
+        lo = bisect_left(a_shadows, s)
+        hi = bisect_right(a_shadows, s, lo)
+        out.append(lo if lo == hi else find(a, k, lo, hi))
     return out
 
 
@@ -360,6 +373,12 @@ class PLConvex1D:
         the gap of any x that is not a breakpoint."""
         return (self.left_recession, *self._slopes, self.right_recession)
 
+    @cached_property
+    def shadows(self) -> list:
+        """The float shadow of each breakpoint (see ``shadow``), for the
+        batched sweeps' ``ranks``."""
+        return list(map(shadow, self.breakpoints))
+
     def closure(self) -> "PLConvex1D":
         """Same function with overrides dropped (the lsc hull)."""
         if self.override_left is None and self.override_right is None:
@@ -416,13 +435,13 @@ class PLConvex1D:
         return self._value(bisect_right(self.breakpoints, x), x)
 
     def values_at(self, xs) -> list:
-        """``[value_at(x) for x in xs]``, in the order of xs, from one
-        ``sorted_ranks`` sweep of the probes over the breakpoints: O(m + p)
-        comparisons at most when the p probes come sorted, plus a sort
-        else."""
+        """``[value_at(x) for x in xs]``, in the order of xs.  One
+        ``ranks`` call places the probes among the breakpoints by their
+        float shadows, comparing a probe with breakpoints exactly only where
+        their shadows tie: O(p log m) for p probes in any order."""
         xs = list(map(_frac, xs))
-        ranks = sorted_ranks(self.breakpoints, xs, right=True)
-        return list(map(self._value, ranks, xs))
+        js = ranks(self.breakpoints, self.shadows, xs, map(shadow, xs), right=True)
+        return list(map(self._value, js, xs))
 
 
 # ---------------------------------------------------------------------------
@@ -828,7 +847,7 @@ def is_convex_on_grid(f: GridFunction, tol: float = GRID_TOL) -> bool:
 
 
 def _fmt_rec(r):
-    return "stop" if r is None else format_scalar(ExtReal(r))
+    return "stop" if r is None else format_scalar(r)
 
 
 def _parse_rec(r):
@@ -841,8 +860,8 @@ def dump_instance(obj) -> dict:
     if isinstance(obj, PLConvex1D):
         d = {
             "kind": "plconvex1d",
-            "breakpoints": [format_scalar(ExtReal(b)) for b in obj.breakpoints],
-            "values": [format_scalar(ExtReal(v)) for v in obj.values],
+            "breakpoints": [format_scalar(b) for b in obj.breakpoints],
+            "values": [format_scalar(v) for v in obj.values],
             "left_recession": _fmt_rec(obj.left_recession),
             "right_recession": _fmt_rec(obj.right_recession),
         }
@@ -866,9 +885,9 @@ def dump_instance(obj) -> dict:
     elif isinstance(obj, Interval1D):
         d = {"kind": "interval"}
         if obj.lo is not None:
-            d["lo"] = format_scalar(ExtReal(obj.lo))
+            d["lo"] = format_scalar(obj.lo)
         if obj.hi is not None:
-            d["hi"] = format_scalar(ExtReal(obj.hi))
+            d["hi"] = format_scalar(obj.hi)
         if obj.lo_open:
             d["lo_open"] = True
         if obj.hi_open:
@@ -881,7 +900,7 @@ def dump_instance(obj) -> dict:
                 {
                     "anchor": list(a) if obj.dim == 2 else a,
                     "slope": list(s) if obj.dim == 2 else s,
-                    "level": format_scalar(ExtReal(lv)) if isinstance(lv, Fraction) else lv,
+                    "level": format_scalar(lv) if isinstance(lv, Fraction) else lv,
                 }
                 for a, s, lv in obj.pieces
             ],

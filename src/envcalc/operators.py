@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .extreal import ExtReal, NEG_INF, POS_INF, as_extreal, ext_sup
+from .extreal import ExtReal, NEG_INF, POS_INF, ext_sup
 from .funcrep import (
     GridFunction,
     Interval1D,
@@ -31,7 +31,8 @@ from .funcrep import (
     is_exact_scalar,
     line_envelope_values,
     point_sub,
-    sorted_ranks,
+    ranks,
+    shadow,
 )
 from .transforms import conjugate_exact, indicator
 
@@ -83,9 +84,11 @@ class SubdiffStructure1D:
         Contiguity: {a : f(a) <= theta} is an interval, so the admitted
         candidates form one run, and the admission keys (the infimum of f
         over a candidate, tagged open or attained) are unimodal along the
-        order.  Three ``sorted_ranks`` sweeps place the probes against the
-        position keys and the budgets against each side's admission keys:
-        O(m + p) comparisons when both come sorted, a sort each otherwise.
+        order.  ``funcrep.ranks`` places the probes against the position
+        keys and the budgets against each side's admission keys by float
+        shadows (a (-1,) key's is -inf), deciding exactly only where the
+        shadows tie: O(p log m) for p probes, in any order.  The shadows of
+        the keys are built once per structure, on first use.
         """
         xs = list(xs)
         if not self._order:
@@ -95,14 +98,27 @@ class SubdiffStructure1D:
         if thetas is not None:
             budgeted = [q for q in range(n) if thetas[q] is not None]
             bounds = [(0, thetas[q], 1) for q in budgeted]
+            sb = [shadow(thetas[q]) for q in budgeted]
+            left, right = self._adm_shadows
             for q, nl, nr in zip(
                 budgeted,
-                sorted_ranks(self._adm_left, bounds),
-                sorted_ranks(self._adm_right, bounds),
+                ranks(self._adm_left, left, bounds, sb),
+                ranks(self._adm_right, right, bounds, sb),
             ):
                 n_left[q], n_right[q] = nl, nr
-        ps = sorted_ranks(self._pos, [(x, 1) for x in xs])
+        ps = ranks(self._pos, self._pos_shadows, [(x, 1) for x in xs], map(shadow, xs))
         return list(map(self._run_sup, xs, ps, n_left, n_right))
+
+    @cached_property
+    def _pos_shadows(self) -> list:
+        return [shadow(b) for b, _tag in self._pos]
+
+    @cached_property
+    def _adm_shadows(self) -> tuple:
+        def side(keys):
+            return [-math.inf if len(k) == 1 else shadow(k[1]) for k in keys]
+
+        return side(self._adm_left), side(self._adm_right)
 
     def _run_sup(self, x, p, n_left, n_right) -> ExtReal:
         """The sup at x over the admitted run: the n_left candidates from
@@ -223,12 +239,13 @@ def subdiff_exact(f: PLConvex1D, x) -> Interval1D | None:
 
 
 def subdiffs_exact(f: PLConvex1D, xs) -> list:
-    """``[subdiff_exact(f, x) for x in xs]``, in the order of xs, from one
-    ``sorted_ranks`` sweep of the probes over the breakpoints: O(m + p)
-    comparisons at most when the probes come sorted."""
+    """``[subdiff_exact(f, x) for x in xs]``, in the order of xs.  One
+    ``ranks`` call places the probes among the breakpoints by their float
+    shadows (``PLConvex1D.shadows``), comparing exactly only where shadows
+    tie: O(p log m) for p probes in any order."""
     xs = list(map(_frac, xs))
-    ranks = sorted_ranks(f.breakpoints, xs, right=True)
-    return [_subdiff_at(f, j, x) for j, x in zip(ranks, xs)]
+    js = ranks(f.breakpoints, f.shadows, xs, map(shadow, xs), right=True)
+    return [_subdiff_at(f, j, x) for j, x in zip(js, xs)]
 
 
 def subgradient_test(f, tol=0):
@@ -791,8 +808,8 @@ def graph_dump(G: OperatorGraph) -> dict:
 
     def enc(p):
         if G.dim == 1:
-            return format_scalar(as_extreal(p))
-        return [format_scalar(as_extreal(c)) for c in p]
+            return format_scalar(p)
+        return [format_scalar(c) for c in p]
 
     out = {
         "kind": "opgraph",

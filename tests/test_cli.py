@@ -370,6 +370,18 @@ def test_zero_denominator_in_instance_exits_2(tmp_path, capsys):
     assert _one_line_error(capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("value", ["1e400", "-2.5E+308", "1" + "0" * 400, 10**400],
+                         ids=["decimal", "negative-decimal", "int-string", "json-int"])
+def test_grid_value_past_the_float_range_exits_2(tmp_path, capsys, value):
+    """Every finite spelling of a grid value past the float range is
+    refused alike; a decimal used to load as +inf, off the domain."""
+    src = write_json(tmp_path / "huge.json",
+                     {"kind": "grid", "dim": 1, "points": [0, 1], "values": ["0", value]})
+    assert main(["clconv", "--instance", src]) == 2
+    err = capsys.readouterr().err
+    assert _one_line_error(err) and "too large for a float" in err
+
+
 # one entry past the limit, and none of the entries parses: the count is
 # checked first
 @pytest.mark.parametrize("kind, key, rest", [

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -76,6 +77,40 @@ def test_format_scalar(value, text):
 
 def test_format_float_uses_repr():
     assert format_scalar(ExtReal(0.1)) == repr(0.1)
+
+
+def _boxed_format(x):
+    """format_scalar as it was spelled through as_extreal: the reference
+    of the direct spelling."""
+    x = as_extreal(x)
+    if x.is_pos_inf:
+        return "inf"
+    if x.is_neg_inf:
+        return "-inf"
+    v = x.value
+    if isinstance(v, Fraction):
+        return f"{v.numerator}/{v.denominator}" if v.denominator != 1 else str(v.numerator)
+    return repr(v)
+
+
+_payloads = st.one_of(
+    st.integers(), st.integers(-(2**70), 2**70), st.fractions(),
+    st.builds(Fraction, st.integers(), st.integers(1, 2**64)), st.floats(allow_nan=False),
+)
+
+
+@given(st.one_of(_payloads, _payloads.map(ExtReal), st.sampled_from([POS_INF, NEG_INF])))
+@settings(max_examples=500)
+def test_format_scalar_matches_the_boxed_spelling(x):
+    assert format_scalar(x) == _boxed_format(x)
+
+
+@pytest.mark.parametrize("x", [math.nan, True, "1/2", None])
+def test_format_scalar_refuses_what_boxing_refuses(x):
+    with pytest.raises((TypeError, ValueError)) as want:
+        _boxed_format(x)
+    with pytest.raises(want.type, match=re.escape(str(want.value))):
+        format_scalar(x)
 
 
 def test_parse_scalar_round_trips_exact():
@@ -200,7 +235,23 @@ def test_exact_decimal_exponent_bound(s, digits):
             call()
 
 
-def test_float_route_of_a_huge_exponent_is_unchanged():
-    # float() reads these in linear time and rounds to an infinity or zero
-    assert parse_scalar("1e999999999") == parse_scalar("1e999999999", exact=False) == POS_INF
+@pytest.mark.parametrize(
+    "s", ["1e999999999", "-1e400", " 2E+308 ", "1.8e308", "1" + "0" * 400],
+    ids=["1e999999999", "-1e400", "2E+308", "1.8e308", "int-401-digits"],
+)
+def test_float_route_refuses_a_number_past_the_float_range(s):
+    """A finite spelling that rounds past the float range is refused with
+    one message, decimal or int alike; only the spellings of an infinity
+    read as one.  The default route reads a decimal as a float too, and an
+    int spelling as an exact int."""
+    for exact in (False, None) if "e" in s.lower() else (False,):
+        with pytest.raises(ValueError, match="is too large for a float"):
+            parse_scalar(s, exact=exact)
+
+
+def test_float_route_reads_infinities_and_underflow():
+    # float() reads these in linear time; a tiny decimal rounds to zero
+    for s in ("inf", "+Infinity", " -INF "):
+        assert parse_scalar(s, exact=False) == parse_scalar(s) == float(s)
     assert parse_scalar("-1e-999999999", exact=False).finite() == 0.0
+    assert parse_scalar("1.7976931348623157e308", exact=False).finite() == 1.7976931348623157e308

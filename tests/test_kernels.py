@@ -77,7 +77,8 @@ from envcalc.funcrep import (
     pl_canonical,
     pl_equal,
     point_sub,
-    sorted_ranks,
+    ranks,
+    shadow,
 )
 from envcalc.envelopes import (
     BrondstedResult,
@@ -1864,15 +1865,118 @@ def _shuffled_probes(f, extra, rnd):
     return pts
 
 
-@given(
-    st.lists(st.integers(-20, 20), max_size=40),
-    st.lists(st.one_of(st.integers(-22, 22), st.fractions(-22, 22, max_denominator=3)), max_size=8),
+# rationals that share a float, or whose floats are infinities or zero:
+# q + k 2^-80, denominators up to 2^64, and magnitudes past 2^1024 and
+# below 2^-1074
+crowded = st.one_of(
+    st.integers(-20, 20),
+    st.fractions(-22, 22, max_denominator=3),
+    st.builds(lambda q, k: q + F(k, 2**80), st.fractions(-3, 3, max_denominator=3),
+              st.integers(-2, 2)),
+    st.builds(F, st.integers(-(2**64), 2**64), st.integers(1, 2**64)),
+    st.builds(lambda s, e, k: s * 2**e + k, st.sampled_from([1, -1]),
+              st.integers(1020, 1100), st.integers(-1, 1)),
+    st.builds(lambda s, e, k: s * F(2 + k, 2**e), st.sampled_from([1, -1]),
+              st.integers(1070, 1100), st.integers(-1, 1)),
 )
-@settings(max_examples=100, deadline=None)
-def test_sorted_ranks_is_bisect(a, keys):
-    a = sorted(a)
-    assert sorted_ranks(a, keys) == [bisect.bisect_left(a, k) for k in keys]
-    assert sorted_ranks(a, keys, right=True) == [bisect.bisect_right(a, k) for k in keys]
+
+
+@given(st.lists(crowded, max_size=40), st.lists(crowded, max_size=12), st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_ranks_is_bisect(a, keys, rnd):
+    """The shadow kernel ranks as bisect on the rationals: on a list with
+    duplicates, keys drawn from it and near it, and the tuple keys the
+    structure sups rank, with (-1,) entries shadowed by -inf."""
+    if a:
+        a = sorted(a + rnd.choices(a, k=len(a) // 2))
+        keys = keys + rnd.choices(a, k=4)
+    sa = list(map(shadow, a))
+    assert sa == sorted(sa)  # shadows are monotone
+    for right, find in ((False, bisect.bisect_left), (True, bisect.bisect_right)):
+        assert ranks(a, sa, keys, map(shadow, keys), right) == [find(a, k) for k in keys]
+    pos = sorted({(b, t) for b in a for t in rnd.choices((0, 1), k=rnd.randint(1, 2))})
+    tkeys = [(k, 1) for k in keys]
+    want = [bisect.bisect_left(pos, k) for k in tkeys]
+    assert ranks(pos, [shadow(b) for b, _t in pos], tkeys, map(shadow, keys)) == want
+    adm = [(-1,)] * rnd.randint(0, 2) + sorted((0, v, rnd.randint(0, 1)) for v in a)
+    sadm = [-math.inf if len(k) == 1 else shadow(k[1]) for k in adm]
+    bounds = [(0, k, 1) for k in keys]
+    want = [bisect.bisect_left(adm, k) for k in bounds]
+    assert ranks(adm, sadm, bounds, map(shadow, keys)) == want
+
+
+def test_shadow_rounds_and_saturates():
+    assert shadow(F(1, 3)) == 1 / 3 and shadow(7) == 7.0
+    assert shadow(F(1, 3) + F(1, 2**80)) == shadow(F(1, 3))
+    assert shadow(2**1024) == math.inf and shadow(-(2**1024) + F(1, 3)) == -math.inf
+    assert shadow(F(1, 2**1080)) == 0.0 and shadow(F(-1, 2**1080)) == 0.0
+
+
+@st.composite
+def crowded_functions(draw):
+    """Convex PL functions whose breakpoints, values and slopes crowd into
+    one float, or lie past the float range or below its least subnormal:
+    each is a base plus steps of 2^-80, 2^-1100, 1/(2^64 - 1) or 2^1030."""
+    big, tiny = F(2**1100), F(1, 2**1100)
+    bases = st.sampled_from([F(0), F(1, 3), big, -big, tiny, -tiny, F(2**53 + 1)])
+    steps = st.sampled_from([F(1, 2**80), tiny, F(1, 2**64 - 1), F(1), F(2**1030)])
+    m = draw(st.integers(1, 7))
+    xs = [draw(bases)]
+    for _ in range(m - 1):
+        xs.append(xs[-1] + draw(steps))
+    s = draw(st.sampled_from([F(0), F(-1), F(1, 3), -big, tiny]))
+    slopes = []
+    for _ in range(m - 1):
+        slopes.append(s)
+        s += draw(st.sampled_from([F(0), F(1, 2**80), F(1), big]))
+    vals = [draw(bases)]
+    for i in range(m - 1):
+        vals.append(vals[i] + slopes[i] * (xs[i + 1] - xs[i]))
+    first = slopes[0] if slopes else s
+    last = slopes[-1] if slopes else first
+    rec = st.sampled_from([F(0), F(1, 2**80), F(1)])
+    left = draw(st.one_of(st.none(), rec.map(lambda d: first - d)))
+    right = draw(st.one_of(st.none(), rec.map(lambda d: last + d)))
+    ovl = ovr = None
+    overrides = st.one_of(st.none(), st.just(POS_INF), st.just(F(1, 2**80)), st.just(big))
+    if left is None and (m >= 2 or right is not None):
+        ovl = draw(overrides)
+        ovl = ovl if ovl is None or ovl is POS_INF else vals[0] + ovl
+    if right is None and (m >= 2 or left is not None):
+        ovr = draw(overrides)
+        ovr = ovr if ovr is None or ovr is POS_INF else vals[-1] + ovr
+    return PLConvex1D(tuple(xs), tuple(vals), left, right, ovl, ovr)
+
+
+def _crowded_probes(f, rnd):
+    """``primal_points`` plus each breakpoint moved by 2^-81 and 2^-1101
+    either way, shuffled."""
+    near = [b + d for b in f.breakpoints for d in (F(1, 2**81), F(1, 2**1101))]
+    near += [b - d for b in f.breakpoints for d in (F(1, 2**81), F(1, 2**1101))]
+    pts = primal_points(f, near)
+    rnd.shuffle(pts)
+    return pts
+
+
+@given(crowded_functions(), st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_batched_sweeps_on_crowded_functions(f, rnd):
+    """values_at, subdiffs_exact and the structure sups, ranked on shadows
+    that tie or saturate, against their one-probe oracles: bisection on the
+    rationals and the scan of the structure, with budgets that tie the
+    admission keys."""
+    xs = _crowded_probes(f, rnd)
+    vals = f.values_at(xs)
+    assert repr(vals) == repr([f.value_at(x) for x in xs])
+    assert vals == [value_at_oracle(f, x) for x in xs]
+    assert repr(subdiffs_exact(f, xs)) == repr([subdiff_exact(f, x) for x in xs])
+    st_ = subdiff_structure(f)
+    assert st_.sups(xs) == [threshold_sup_oracle(st_, x) for x in xs]
+    pool = [None, *f.values, *(v.finite() for v in vals if v.is_finite)]
+    pool += [v + d for v in f.values for d in (F(1, 2**81), -F(1, 2**81), F(2**1100))]
+    thetas = [rnd.choice(pool) for _ in xs]
+    want = [threshold_sup_oracle(st_, x, t) for x, t in zip(xs, thetas)]
+    assert st_.sups(xs, thetas) == want
 
 
 @given(pl_functions(), extras, st.randoms(use_true_random=False))
