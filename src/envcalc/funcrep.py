@@ -430,9 +430,8 @@ class PLConvex1D:
         return ExtReal(v[k] + g * (x - b[k]))
 
     def value_at(self, x) -> ExtReal:
-        """f(x) at one probe, by one bisection: O(log m)."""
-        x = _frac(x)
-        return self._value(bisect_right(self.breakpoints, x), x)
+        """f(x) at one probe: one probe of ``values_at``."""
+        return self.values_at((x,))[0]
 
     def values_at(self, xs) -> list:
         """``[value_at(x) for x in xs]``, in the order of xs.  One

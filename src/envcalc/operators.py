@@ -143,10 +143,10 @@ class SubdiffStructure1D:
                 continue
             a, v, lo, hi, _ends = order[c]
             d = x - a
-            if d == 0:
+            if not d.numerator:
                 val = v
             else:
-                g = hi if d > 0 else lo
+                g = hi if d.numerator > 0 else lo
                 if g is None:
                     return POS_INF
                 val = v + d * g
@@ -217,35 +217,31 @@ def subdiff_structure(f: PLConvex1D) -> SubdiffStructure1D:
     )
 
 
-def _subdiff_at(f: PLConvex1D, j: int, x) -> Interval1D | None:
-    """The subgradient interval at x, given j = bisect_right(f.breakpoints,
-    x): the number of breakpoints at or left of x."""
-    b, gaps = f.breakpoints, f.gaps
-    if j and x == b[j - 1]:
-        if (j == 1 and f.override_left is not None) or (
-            j == len(b) and f.override_right is not None
-        ):
-            return None
-        return Interval1D(gaps[j - 1], gaps[j])
-    g = gaps[j]
-    return None if g is None else Interval1D(g, g)
-
-
 def subdiff_exact(f: PLConvex1D, x) -> Interval1D | None:
-    """The subgradient interval at x, or None when it is empty: one
-    bisection, O(log m)."""
-    x = _frac(x)
-    return _subdiff_at(f, bisect_right(f.breakpoints, x), x)
+    """The subgradient interval at x, or None when it is empty: one probe
+    of ``subdiffs_exact``."""
+    return subdiffs_exact(f, (x,))[0]
 
 
 def subdiffs_exact(f: PLConvex1D, xs) -> list:
     """``[subdiff_exact(f, x) for x in xs]``, in the order of xs.  One
     ``ranks`` call places the probes among the breakpoints by their float
     shadows (``PLConvex1D.shadows``), comparing exactly only where shadows
-    tie: O(p log m) for p probes in any order."""
+    tie: O(p log m) for p probes in any order.  With j breakpoints at or
+    left of x, x is breakpoint j - 1 (empty at a raised end) or lies in
+    gap j (empty on a wall)."""
+    b, gaps = f.breakpoints, f.gaps
+    raised = (f.override_left is not None, f.override_right is not None)
     xs = list(map(_frac, xs))
-    js = ranks(f.breakpoints, f.shadows, xs, map(shadow, xs), right=True)
-    return [_subdiff_at(f, j, x) for j, x in zip(js, xs)]
+    out = []
+    for j, x in zip(ranks(b, f.shadows, xs, map(shadow, xs), right=True), xs):
+        if j and x == b[j - 1]:
+            end = (j == 1 and raised[0]) or (j == len(b) and raised[1])
+            out.append(None if end else Interval1D(gaps[j - 1], gaps[j]))
+        else:
+            g = gaps[j]
+            out.append(None if g is None else Interval1D(g, g))
+    return out
 
 
 def subgradient_test(f, tol=0):

@@ -15,9 +15,12 @@ Writing a check: register ``tid: (fn, kinds)`` in ``REGISTRY`` with
 ``fn(tid, desc, ctx) -> TheoremCheck``.  ``ctx`` is the instance's
 :class:`CheckContext`: ``ctx.inst`` plus lazily built, read-only facts
 (probes, structure, domains, closure, conjugate, envelopes, graphs, the 1D
-grid hull, and the probe tables ``f_at``, ``cup_at``, ``sharp_at``,
-``smile_at`` and ``smile_eps_at`` that ``ctx.rows`` zips in probe order),
-shared by every check run on that instance.  A check body never
+grid hull), shared by every check run on that instance.  Checks read f
+and its subdifferential as tables, one batched sweep each: ``f_at``,
+``cup_at``, ``sharp_at``, ``smile_at``, ``smile_eps_at`` and ``subdiff_at``
+over the probes, zipped by ``ctx.rows``; ``circ_range_at`` over
+``circ_probes``; the maxsdsp ``net``; and ``shape``, the subdifferential
+as one object for ``_graph_shape`` comparisons.  A check body never
 returns ``not-applicable``; the dispatcher behind ``run_check`` and
 ``run_suite`` does, with the gate's reason as the witness, when the
 instance is not one of ``kinds`` or when a gate declared with ``@_gated``
@@ -53,6 +56,7 @@ from .funcrep import (
     effective_domain,
     is_convex_on_grid,
     lsc_defect,
+    pl_canonical,
     pl_equal,
 )
 from .transforms import cl_conv, conjugate_exact, indicator, support_function
@@ -66,6 +70,7 @@ from .operators import (
     normal_cone,
     structure_contains,
     subdiff_exact,
+    subdiffs_exact,
     subdiff_graph,
     subdiff_structure,
     subdiff_test,
@@ -174,6 +179,14 @@ def _grid_graph_exact(f: GridFunction, hull: PLConvex1D, duals) -> OperatorGraph
     return OperatorGraph(1, tuple(pairs), label=f.label)
 
 
+def _graph_shape(f: PLConvex1D) -> tuple:
+    """f's subdifferential as data: the (anchor, lo, hi, ends) of each
+    candidate of the structure of f's canonical form, values dropped.  In
+    1D the subdifferential at x is [f'-(x), f'+(x)], so two functions have
+    the same subdifferential iff their shapes are equal: O(m)."""
+    return tuple(c[:1] + c[2:] for c in subdiff_structure(pl_canonical(f))._order)
+
+
 # ---------------------------------------------------------------------------
 # the per-instance check context
 # ---------------------------------------------------------------------------
@@ -196,6 +209,7 @@ class CheckContext:
     duals = cached_property(lambda c: dual_probes(c.inst))
     # the subdifferential, its graphs and the domains
     st = cached_property(lambda c: subdiff_structure(c.inst))
+    shape = cached_property(lambda c: _graph_shape(c.inst))
     has_graph = cached_property(lambda c: bool(c.st._order))
     slope_range = cached_property(lambda c: c.st.slope_range())
     graph = cached_property(lambda c: subdiff_graph(c.inst))
@@ -212,14 +226,26 @@ class CheckContext:
     circ = cached_property(lambda c: circ_exact(c.inst))
     star_cup = cached_property(lambda c: star_cup_exact(c.inst))
     envelope = cached_property(lambda c: upper_envelope(c.inst, c.graph))
-    # probe tables, in the order of probes: f, then the exact envelopes from
-    # one structure sweep each, smile_eps_at one table per eps of _EPS_LADDER
+    # probe tables, in the order of probes: f, the exact envelopes from one
+    # structure sweep each (smile_eps_at one table per eps of _EPS_LADDER),
+    # and the subgradient intervals of f
     f_at = cached_property(lambda c: tuple(c.inst.values_at(c.probes)))
     cup_at = cached_property(lambda c: c._envelope_at("cup"))
     sharp_at = cached_property(lambda c: c._envelope_at("sharp"))
     smile_at = cached_property(lambda c: c._envelope_at("smile"))
     smile_eps_at = cached_property(
         lambda c: tuple(c._envelope_at("smileeps", e) for e in _EPS_LADDER))
+    subdiff_at = cached_property(lambda c: tuple(subdiffs_exact(c.inst, c.probes)))
+    # circ's table: the probes joined with circ's breakpoints, and there
+    # circ's subdifferential cut to f's slope range
+    circ_probes = cached_property(
+        lambda c: tuple(sorted(set(c.probes) | set(c.circ.breakpoints))))
+    circ_range_at = cached_property(lambda c: tuple(
+        _interval_intersect(iv, c.slope_range)
+        for iv in subdiffs_exact(c.circ, c.circ_probes)))
+    # the maxsdsp net: x, f(x), r, a, the subgradients at a and f(a), per
+    # domain probe x, radius r and net point a near x
+    net = cached_property(lambda c: _net(c.inst, c.rows(c.f_at, dom_only=True)))
     # a 1D grid: its closed convex hull, the hull's dual probes, and the
     # grid graph over them decided in exact arithmetic
     grid_hull = cached_property(lambda c: cl_conv(c.inst))
@@ -324,10 +350,9 @@ def _check_dfdom_ineq(tid, desc, ctx):
         wits = xs = ctx.probes
         h, hstar, src, duals = ctx.closure, ctx.conj, ctx.st, ctx.duals
         backend = "exact"
-    hs_at = list(map(hstar.value_at, duals))
+    hs_at = hstar.values_at(duals)
     worst = None
-    for w, x, row in zip(wits, xs, fitzpatrick_table(src, xs, duals)):
-        hx = h.value_at(x)
+    for w, hx, row in zip(wits, h.values_at(xs), fitzpatrick_table(src, xs, duals)):
         for s, hs, lhs in zip(duals, hs_at, row):
             rhs = ext_add(hx, hs)
             if lhs > rhs:
@@ -340,20 +365,22 @@ def _check_dfdom_ineq(tid, desc, ctx):
 def _check_dfdom_i(tid, desc, ctx):
     if isinstance(ctx.inst, GridFunction):
         h, G, backend = ctx.grid_hull, ctx.grid_graph, "grid"
-        value = {a: as_extreal(v) for a, v in _grid_items_exact(ctx.inst)}.__getitem__
+        sample = {a: as_extreal(v) for a, v in _grid_items_exact(ctx.inst)}
+        values_at = functools.partial(map, sample.__getitem__)
     else:
         h, G, backend = ctx.closure, ctx.probe_graph, "exact"
-        value = ctx.inst.value_at
+        values_at = ctx.inst.values_at
     test = subgradient_test(h)
-    for a, b in G.pairs:
+    anchors = [a for a, _b in G.pairs]
+    for (a, b), ha, fa in zip(G.pairs, h.values_at(anchors), values_at(anchors)):
         if not test(a, b):
             return _done(tid, desc, False, witness=(a, b), backend=backend)
-        if h.value_at(a) != value(a):
+        if ha != fa:
             return _done(tid, desc, False, witness=a, backend=backend)
     if backend == "exact":
-        f, fc, D = ctx.inst, ctx.closure, ctx.subdiff_domain
-        for x in ctx.probes:
-            if D.contains(x) and subdiff_exact(f, x) != subdiff_exact(fc, x):
+        fc_at = subdiffs_exact(ctx.closure, ctx.probes)
+        for x, iv, ivc in ctx.rows(ctx.subdiff_at, fc_at):
+            if ctx.subdiff_domain.contains(x) and iv != ivc:
                 return _done(tid, desc, False, witness=x)
     return _done(tid, desc, True, backend=backend)
 
@@ -369,15 +396,7 @@ def _check_dfdom_e3(tid, desc, ctx):
     if ovr is not None and ovr.is_finite:
         ovr = ExtReal(ovr.value + 1)
     g = replace(f, override_left=ovl, override_right=ovr)
-    stf, stg = ctx.st, subdiff_structure(g)
-    ok = stf.points == stg.points and stf.segments == stg.segments
-    wit = None
-    if ok:
-        for x in ctx.probes:
-            if subdiff_exact(f, x) != subdiff_exact(g, x):
-                ok, wit = False, x
-                break
-    return _done(tid, desc, ok, witness=wit)
+    return _done(tid, desc, ctx.shape == _graph_shape(g))
 
 
 def grid_hull_graph(g: GridFunction):
@@ -391,15 +410,10 @@ def grid_hull_graph(g: GridFunction):
     """
     hull = cl_conv(g)
     items = g.finite_items()
-    cands = []
-    for p, _v in items:
-        iv = subdiff_exact(hull, Fraction(p))
-        if iv is None:
-            continue
-        for end in (iv.lo, iv.hi):
-            if end is not None:
-                cands.append((p, float(end)))
-    cands = list(dict.fromkeys(cands))
+    ivs = subdiffs_exact(hull, [Fraction(p) for p, _v in items])
+    cands = list(dict.fromkeys(
+        (p, float(end)) for (p, _v), iv in zip(items, ivs) if iv is not None
+        for end in (iv.lo, iv.hi) if end is not None))
     duals = sorted({s for _p, s in cands})
     member = grid_subdiff_matrix(g, duals)
     row = {p: i for i, (p, _v) in enumerate(items)}
@@ -474,14 +488,14 @@ def _check_fcupdiez_iii(tid, desc, ctx):
     f, env = ctx.inst, ctx.envelope
     floor = epi_cup_floor(f, epi_normal_graph(f, ctx.graph))
     xs = ctx.probes
-    for x, ev, cut, c in ctx.rows(env.values_at(xs), floor.values_at(xs), ctx.cup_at):
+    # the restriction identity is read off the closed forms, sv and cv
+    for x, ev, cut, c, sv, cv in ctx.rows(env.values_at(xs), floor.values_at(xs),
+                                          ctx.cup_at, ctx.sharp.values_at(xs),
+                                          ctx.cup.values_at(xs)):
         base = ev.finite()
         for v in (base - 1, base, base + 1):
             if (as_extreal(v) >= cut) != (as_extreal(v) >= ev):
                 return _done(tid, desc, False, witness=(x, v))
-        # the restriction identity, read off the closed forms
-        sv = ctx.sharp.value_at(x)
-        cv = ctx.cup.value_at(x)
         if ctx.hull_interval.contains(x):
             if sv != cv:
                 return _done(tid, desc, False, witness=x)
@@ -493,17 +507,17 @@ def _check_fcupdiez_iii(tid, desc, ctx):
 
 
 def _check_fcupdiez_iv(tid, desc, ctx):
-    f, cupf, shf = ctx.inst, ctx.cup, ctx.sharp
+    cupf, shf = ctx.cup, ctx.sharp
     cup_test, sharp_test = subgradient_test(cupf), subgradient_test(shf)
     for a, b in ctx.probe_graph.pairs:
         if not (cup_test(a, b) and sharp_test(a, b)):
             return _done(tid, desc, False, witness=(a, b))
+    # cup and sharp keep f's breakpoints, which are probes already
     D = ctx.subdiff_domain
-    for x in sorted(set(ctx.probes) | set(cupf.breakpoints)):
-        if not D.contains(x):
-            continue
-        iv = subdiff_exact(f, x)
-        if subdiff_exact(cupf, x) != iv or subdiff_exact(shf, x) != iv:
+    rows = [(x, iv) for x, iv in ctx.rows(ctx.subdiff_at) if D.contains(x)]
+    xs = [x for x, _iv in rows]
+    for (x, iv), c, sh in zip(rows, subdiffs_exact(cupf, xs), subdiffs_exact(shf, xs)):
+        if c != iv or sh != iv:
             return _done(tid, desc, False, witness=x)
     return _done(tid, desc, True)
 
@@ -518,15 +532,9 @@ def _check_fcupdiez_v(tid, desc, ctx):
     return _done(tid, desc, ok, witness="idempotence broken")
 
 
-def _operators_equal(ctx, g: PLConvex1D) -> bool:
-    f = ctx.inst
-    xs = sorted(set(ctx.probes) | set(primal_probes(g)))
-    return all(subdiff_exact(f, x) == subdiff_exact(g, x) for x in xs)
-
-
 def _check_fcupdiez_viii(tid, desc, ctx):
     for env in (ctx.cup, ctx.sharp):
-        same_ops = _operators_equal(ctx, env)
+        same_ops = ctx.shape == _graph_shape(env)
         same_dom = ctx.subdiff_domain == subdiff_domain(env)
         if same_ops != same_dom:
             return _done(tid, desc, False,
@@ -556,14 +564,13 @@ def _check_fcupdiez_ix(tid, desc, ctx):
 
 
 def _check_fcirc_i(tid, desc, ctx):
-    f, cupf, circf, fc = ctx.inst, ctx.cup, ctx.circ, ctx.closure
-    D = ctx.subdiff_domain
+    D, xs = ctx.subdiff_domain, ctx.circ_probes
     worst = None
-    for x in sorted(set(ctx.probes) | set(circf.breakpoints)):
-        a, b, c = cupf.value_at(x), fc.value_at(x), circf.value_at(x)
+    fs = (ctx.cup, ctx.closure, ctx.circ, ctx.inst)
+    for x, a, b, c, fx in zip(xs, *(h.values_at(xs) for h in fs)):
         if not (a <= b and b <= c):
             return _done(tid, desc, False, witness=x)
-        if D.contains(x) and c != f.value_at(x):
+        if D.contains(x) and c != fx:
             return _done(tid, desc, False, witness=x)
         worst = _min_margin(worst, ext_sub(c, a))
     return _done(tid, desc, True, worst)
@@ -591,13 +598,11 @@ def _check_fcirc_ii(tid, desc, ctx):
 
 @_gated(_LSC)
 def _check_fcirc_iii(tid, desc, ctx):
-    f, circf, R = ctx.inst, ctx.circ, ctx.slope_range
-    for x in sorted(set(ctx.probes) | set(circf.breakpoints)):
-        lhs = subdiff_exact(f, x)
-        rhs = _interval_intersect(subdiff_exact(circf, x), R)
+    xs = ctx.circ_probes
+    for x, lhs, rhs in zip(xs, subdiffs_exact(ctx.inst, xs), ctx.circ_range_at):
         if lhs != rhs:
             return _done(tid, desc, False, witness=x)
-    test = subgradient_test(circf)
+    test = subgradient_test(ctx.circ)
     for a, b in ctx.graph.pairs:
         if not test(a, b):
             return _done(tid, desc, False, witness=(a, b))
@@ -606,18 +611,16 @@ def _check_fcirc_iii(tid, desc, ctx):
 
 @_gated(_LSC)
 def _check_fcirc_iv(tid, desc, ctx):
-    circf, R, D = ctx.circ, ctx.slope_range, ctx.subdiff_domain
-    for x in sorted(set(ctx.probes) | set(circf.breakpoints)):
-        lhs = D.contains(x)
-        rhs = _interval_intersect(subdiff_exact(circf, x), R) is not None
-        if lhs != rhs:
+    D = ctx.subdiff_domain
+    for x, rhs in zip(ctx.circ_probes, ctx.circ_range_at):
+        if D.contains(x) != (rhs is not None):
             return _done(tid, desc, False, witness=x)
     return _done(tid, desc, True)
 
 
 def _check_fcirc_v(tid, desc, ctx):
     circf = ctx.circ
-    same_ops = _operators_equal(ctx, circf)
+    same_ops = ctx.shape == _graph_shape(circf)
     same_range = ctx.slope_range == subdiff_structure(circf).slope_range()
     return _done(tid, desc, same_ops == same_range,
                  witness=(same_ops, same_range))
@@ -737,46 +740,42 @@ def _net_points(f: PLConvex1D, x, r):
     return out
 
 
+def _net(f: PLConvex1D, rows) -> tuple:
+    """(x, f(x), r, a, the subgradients at a, f(a)) for each (x, f(x)) of
+    rows, radius r of _RADII and net point a of x and r, in that order."""
+    net = [(x, fx, r, a) for x, fx in rows for r in _RADII for a in _net_points(f, x, r)]
+    pts = [row[3] for row in net]
+    return tuple((*row, iv, fa) for row, iv, fa in
+                 zip(net, subdiffs_exact(f, pts), f.values_at(pts)))
+
+
 @_gated(_LSC)
 def _check_maxsdsp_v(tid, desc, ctx):
-    f = ctx.inst
-    lam = _slope_bound(f)
-    for x, fx in ctx.rows(ctx.f_at, dom_only=True):
-        for r in _RADII:
-            for a in _net_points(f, x, r):
-                iv = subdiff_exact(f, a)
-                if iv is None:
-                    return _done(tid, desc, False, witness=(x, r))
-                astar = _some_slope(iv)
-                fa = f.value_at(a)
-                if abs(x - a) > r:
-                    return _done(tid, desc, False, witness=(x, r))
-                if abs(fa.finite() - fx.finite()) > lam * r:
-                    return _done(tid, desc, False, witness=(x, r, "value"))
-                bracket = (x - a) * astar + fa.finite()
-                if abs(bracket - fx.finite()) > 2 * lam * r:
-                    return _done(tid, desc, False, witness=(x, r, "bracket"))
+    lam = _slope_bound(ctx.inst)
+    for x, fx, r, a, iv, fa in ctx.net:
+        if iv is None or abs(x - a) > r:
+            return _done(tid, desc, False, witness=(x, r))
+        if abs(fa.finite() - fx.finite()) > lam * r:
+            return _done(tid, desc, False, witness=(x, r, "value"))
+        bracket = (x - a) * _some_slope(iv) + fa.finite()
+        if abs(bracket - fx.finite()) > 2 * lam * r:
+            return _done(tid, desc, False, witness=(x, r, "bracket"))
     return _done(tid, desc, True, margin=0)
 
 
 @_gated(_LSC)
 def _check_maxsdsp_vi(tid, desc, ctx):
-    f = ctx.inst
-    lam = _slope_bound(f)
-    for x in ctx.dom_probes:
-        for r in _RADII:
-            for a in _net_points(f, x, r):
-                iv = subdiff_exact(f, a)
-                if iv is None or abs((x - a) * _some_slope(iv)) > lam * r:
-                    return _done(tid, desc, False, witness=(x, r))
+    lam = _slope_bound(ctx.inst)
+    for x, _fx, r, a, iv, _fa in ctx.net:
+        if iv is None or abs((x - a) * _some_slope(iv)) > lam * r:
+            return _done(tid, desc, False, witness=(x, r))
     return _done(tid, desc, True, margin=0)
 
 
 @_gated(_LSC)
 def _check_maxsdsp_vii(tid, desc, ctx):
     f = ctx.inst
-    for x in ctx.dom_probes:
-        iv = subdiff_exact(f, x)
+    for x, iv in ctx.rows(ctx.subdiff_at, dom_only=True):
         if iv is None:
             return _done(tid, desc, False, witness=x)
         xstar = _some_slope(iv)

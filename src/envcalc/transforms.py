@@ -58,31 +58,26 @@ def conjugate_exact(f: PLConvex1D) -> PLConvex1D:
     breakpoints, a domain wall becomes a recession direction with slope equal
     to the wall position, and a finite recession slope becomes a dual wall.
 
-    The slopes are already sorted, so one merge gives the dual breakpoints
-    and one forward pointer the maximizing breakpoint of each: y*b[i] - v[i]
-    rises while the slope after b[i] is below y and falls once it exceeds y,
-    so the max sits at b[bisect_left(slopes, y)].  O(m) overall.  The same
-    b[i] is a maximizer all the way down to the previous dual breakpoint,
-    so it is the slope of the dual segment that ends at y, and the result
-    is built with those slopes, unchecked.
+    The dual breakpoints are the distinct finite entries of ``g.gaps``, in
+    order.  Where y first appears, at gap j, every slope before it is below
+    y and every one from it on is at least y, so y*b[i] - v[i] peaks at
+    i = max(j - 1, 0): one pass over the gaps, O(m), with no slope
+    compared.  The same b[i] is a maximizer all the way down to the
+    previous dual breakpoint, so it is the slope of the dual segment that
+    ends at y, and the result is built with those slopes, unchecked.
     """
     if not isinstance(f, PLConvex1D):
         raise TypeError("conjugate_exact takes a PLConvex1D")
     g = f.closure()
     b, v = g.breakpoints, g.values
-    s = g.slopes()
-    ys = []
-    for y in g.gaps:
-        if y is not None and (not ys or y != ys[-1]):
-            ys.append(y)
-    if not ys:
-        ys.append(Fraction(0))  # single-point domain: conjugate is affine
-    vals = []
-    maximizers = []
-    i = 0
-    for y in ys:
-        while i < len(s) and s[i] < y:
-            i += 1
+    firsts = [(j, y) for j, y in enumerate(g.gaps) if y is not None]
+    ys, vals, maximizers = [], [], []
+    # a single-point domain has no finite gap: its conjugate is affine
+    for j, y in firsts or [(0, Fraction(0))]:
+        if ys and y == ys[-1]:
+            continue
+        i = max(j - 1, 0)
+        ys.append(y)
         vals.append(y * b[i] - v[i])
         maximizers.append(b[i])
     return PLConvex1D._make(

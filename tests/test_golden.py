@@ -7,8 +7,9 @@ by hand, from the repository root:
 
     PYTHONPATH=src python -m envcalc.cli suite --seed 0 | cmp - tests/golden/suite_seed0.txt
 
-``suite_n2_sha256.txt`` pins more suite text by digest: one line per seed,
-"<seed> <sha256 of run_suite(seed, 2).text() in UTF-8>".
+``suite_n2_sha256.txt`` and ``suite_n4_sha256.txt`` pin more suite text by
+digest: one line per seed, "<seed> <sha256 of run_suite(seed, n).text() in
+UTF-8>" for n = 2 and n = 4.
 """
 
 import hashlib
@@ -41,13 +42,19 @@ def test_cli_output_matches_golden_file(name, capsys):
     assert out == want
 
 
-def _pinned_digests():
-    with open(os.path.join(GOLDEN, "suite_n2_sha256.txt"), encoding="utf-8") as fh:
+def _pinned_digests(name):
+    with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
         rows = [line.split() for line in fh if line.strip()]
     return [pytest.param(int(seed), digest, id=f"seed{seed}") for seed, digest in rows]
 
 
-@pytest.mark.parametrize("seed, digest", _pinned_digests())
+@pytest.mark.parametrize("seed, digest", _pinned_digests("suite_n2_sha256.txt"))
 def test_suite_text_matches_pinned_digest(seed, digest):
     text = run_suite(seed, 2).text()
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("seed, digest", _pinned_digests("suite_n4_sha256.txt"))
+def test_suite_text_at_n4_matches_pinned_digest(seed, digest):
+    text = run_suite(seed, 4).text()
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest

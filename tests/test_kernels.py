@@ -25,16 +25,18 @@ of ``subdiff_graph`` and the list scans of ``theoremlab._net_points``,
 with the full (n - 1)-step chain DP that ``n_cup_envelope`` now stops at
 its fixed point, the two-list build of ``subdiff_structure`` before it
 walked ``PLConvex1D.gaps``, and the all-samples scan of the exact grid
-graph before it read the hull's structure.  They live here only, as
+graph before it read the hull's structure, and the probe-by-probe
+comparison of two subdifferentials that ``theoremlab._graph_shape``
+replaced in the check lab's operator identities.  They live here only, as
 references; exact comparisons are exact and float comparisons are bit
 for bit.
 
-The one-probe routes ``PLConvex1D.value_at`` and ``subdiff_exact``, and
-``SubdiffStructure1D.sups`` called once per probe, are in turn the
-references of their batched forms (``values_at``, ``subdiffs_exact``,
-``sups`` over many probes), compared by ``repr`` so that payload types
-count, as the one-probe envelope functions are of the check lab's probe
-tables; the public ``PLConvex1D`` constructor is the
+The one-probe routes ``PLConvex1D.value_at`` and ``subdiff_exact`` are
+one probe of their batched forms (``values_at``, ``subdiffs_exact``), so
+both answer to the binary-search and scan oracles above, compared by
+``repr`` so that payload types count; ``SubdiffStructure1D.sups`` called
+once per probe is the reference of ``sups`` over many probes, as the
+one-probe envelope functions are of the check lab's probe tables; the public ``PLConvex1D`` constructor is the
 reference of the private ``_make``, and ``pl_restrict`` (an indicator
 added with ``pl_add``) of the envelopes' O(1) restrictions.  ``pl_add``,
 the general exact sum, is also the middle of the dual route
@@ -124,6 +126,7 @@ from envcalc.theoremlab import (
     _EPS_LADDER,
     CheckContext,
     InstanceGenerator,
+    _graph_shape,
     _grid_graph_exact,
     _grid_items_exact,
     _net_points,
@@ -1967,9 +1970,8 @@ def test_batched_sweeps_on_crowded_functions(f, rnd):
     admission keys."""
     xs = _crowded_probes(f, rnd)
     vals = f.values_at(xs)
-    assert repr(vals) == repr([f.value_at(x) for x in xs])
-    assert vals == [value_at_oracle(f, x) for x in xs]
-    assert repr(subdiffs_exact(f, xs)) == repr([subdiff_exact(f, x) for x in xs])
+    assert repr(vals) == repr([value_at_oracle(f, x) for x in xs])
+    assert repr(subdiffs_exact(f, xs)) == repr([subdiff_oracle(f, x) for x in xs])
     st_ = subdiff_structure(f)
     assert st_.sups(xs) == [threshold_sup_oracle(st_, x) for x in xs]
     pool = [None, *f.values, *(v.finite() for v in vals if v.is_finite)]
@@ -2002,7 +2004,7 @@ def test_subdiffs_exact_matches_subdiff_exact(f, extra, rnd):
     xs = _shuffled_probes(f, extra, rnd)
     want = [subdiff_exact(f, x) for x in xs]
     assert repr(subdiffs_exact(f, xs)) == repr(want)
-    assert want == [subdiff_oracle(f, x) for x in xs]
+    assert repr(want) == repr([subdiff_oracle(f, x) for x in xs])
 
 
 @given(pl_functions(), extras, st.randoms(use_true_random=False))
@@ -2376,3 +2378,62 @@ def test_ncup_on_subdifferential_graphs_matches_full_dp(f):
 def test_net_points_bisection_matches_scans(f, extra, r):
     for x in primal_points(f, extra):
         assert repr(_net_points(f, x, r)) == repr(net_points_scan_oracle(f, x, r))
+
+
+def operators_equal_oracle(f, g):
+    """The probe route ``_graph_shape`` replaced: the subgradient intervals
+    of f and g agree at f's primal probes and at g's."""
+    xs = sorted(set(primal_probes(f)) | set(primal_probes(g)))
+    return all(subdiff_exact(f, x) == subdiff_exact(g, x) for x in xs)
+
+
+def _with_collinear_breakpoint(f, at):
+    """f spelled with one more breakpoint, on the segment or ray ``at``
+    picks (inside a segment, or past an end with a recession), carrying
+    f's value there."""
+    b = f.breakpoints
+    sites = [(u + w) / 2 for u, w in zip(b, b[1:])]
+    sites += [b[0] - 1] if f.left_recession is not None else []
+    sites += [b[-1] + 1] if f.right_recession is not None else []
+    if not sites:
+        return f
+    x = sites[at % len(sites)]
+    xs = tuple(sorted((*b, x)))
+    vals = tuple(v.finite() for v in f.closure().values_at(xs))
+    return PLConvex1D(xs, vals, f.left_recession, f.right_recession,
+                      f.override_left, f.override_right)
+
+
+def _plus_constant(f, c):
+    def up(v):
+        return v if v is None or not v.is_finite else ExtReal(v.finite() + c)
+
+    return PLConvex1D(f.breakpoints, tuple(v + c for v in f.values), f.left_recession,
+                      f.right_recession, up(f.override_left), up(f.override_right))
+
+
+@st.composite
+def shape_pairs(draw):
+    """(f, g, same): g is f, f respelled (a collinear breakpoint, a constant
+    added), a tilt of f, or one of f's envelopes; ``same`` is True where the
+    subdifferentials agree by construction, None where the oracle decides."""
+    f = draw(pl_functions())
+    kind = draw(st.sampled_from(("self", "collinear", "constant", "tilt", "cup", "sharp", "circ")))
+    if kind == "self":
+        return f, f, True
+    if kind == "collinear":
+        return f, _with_collinear_breakpoint(f, draw(st.integers(0, 12))), True
+    if kind == "constant":
+        return f, _plus_constant(f, draw(st.fractions(-3, 3, max_denominator=4))), True
+    if kind == "tilt":
+        return f, f.tilt(draw(st.fractions(-2, 2, max_denominator=3))), None
+    return f, {"cup": cup_exact, "sharp": sharp_exact, "circ": circ_exact}[kind](f), None
+
+
+@given(shape_pairs())
+@settings(max_examples=300, deadline=None)
+def test_graph_shape_decides_operator_equality(case):
+    f, g, same = case
+    want = operators_equal_oracle(f, g)
+    assert (_graph_shape(f) == _graph_shape(g)) == want
+    assert same is None or want is same
