@@ -24,6 +24,7 @@ import time
 from fractions import Fraction
 
 import numpy as np
+import orjson
 
 from .extreal import format_scalar, parse_scalar
 from .funcrep import (
@@ -94,7 +95,11 @@ def parse_probe_grid(spec: str, exact: bool = True) -> tuple:
         b = step.numerator * (d // step.denominator)
         pts = [Fraction(a + b * k, d) for k in range(count)]
     else:
-        pts = [start + step * k for k in range(count)]
+        # start + step * float(k), each rounded once, as in Python floats;
+        # only the last point can round past the float range, and stop
+        # replaces it
+        with np.errstate(over="ignore"):
+            pts = (start + step * np.arange(count)).tolist()
     pts[-1] = stop  # exact endpoint even for float grids
     return tuple(pts)
 
@@ -145,17 +150,40 @@ def _emit_instance_json(out_path, obj) -> bool:
     return True
 
 
+def _float_cells(a: np.ndarray) -> list:
+    """``repr`` of every float of a 1D float64 array, from one C pass.
+
+    orjson writes the same shortest round-trip digits as ``repr`` (Ryu
+    against Gay's algorithm), but in its own notation for non-finite
+    values (``null``) and outside [1e-4, 1e16) (``0.00001``, ``1e16``
+    where ``repr`` writes ``1e-05``, ``1e+16``): the cells one mask finds
+    there are spelled again by ``repr``.
+    """
+    if not a.size:
+        return []
+    text = orjson.dumps(np.ascontiguousarray(a), option=orjson.OPT_SERIALIZE_NUMPY)
+    cells = text[1:-1].decode().split(",")
+    mag = np.abs(a)
+    odd = np.flatnonzero(~(mag < 1e16) | (mag < 1e-4) & (mag != 0))
+    for i, x in zip(odd.tolist(), a[odd].tolist()):
+        cells[i] = repr(x)
+    return cells
+
+
 def _cells(xs) -> list:
     """Cells of many scalars at once, spelled as ``format_scalar`` spells
     them.
 
-    Float arrays go through ``.tolist()`` (the repr of np.float64 is not
-    format_scalar's).  A float or an int spells as its repr, which writes
-    the infinities as inf and -inf; anything else takes ``format_scalar``.
+    A float64 array or a column of floats takes ``_float_cells``.  Any
+    other column spells a float or an int as its repr (which writes the
+    infinities as inf and -inf) and anything else by ``format_scalar``.
     """
     if isinstance(xs, np.ndarray):
-        xs = xs.tolist()
-    if set(map(type, xs)) <= {float, int}:
+        return _float_cells(xs)
+    kinds = set(map(type, xs))
+    if kinds == {float}:
+        return _float_cells(np.array(xs))
+    if kinds <= {float, int}:
         return list(map(repr, xs))
     return [repr(x) if type(x) in (float, int) else format_scalar(x) for x in xs]
 

@@ -18,12 +18,11 @@ that sampled (grid) instances get the same vocabulary.
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .extreal import ExtReal, NEG_INF, POS_INF, as_extreal, ext_sup
+from .extreal import ExtReal, NEG_INF, POS_INF, ext_sup
 from .funcrep import (
     GridFunction,
     Interval1D,
@@ -266,7 +265,7 @@ def n_cup_envelope(f, G: OperatorGraph, n: int) -> MaxAffine:
     every level identical (type, value, a float's sign of zero) the rest
     repeat it: the DP stops there, after one step on a subdifferential
     graph.  Overflowing float levels stay float infinities; the empty graph
-    gives -inf everywhere.  n_cup_enum enumerates the chains as an oracle.
+    gives -inf everywhere.  The tests enumerate the chains as an oracle.
     """
     if n not in (2, 3, 4):
         raise ValueError("n must be one of 2, 3, 4")
@@ -303,29 +302,6 @@ def n_cup(f, G: OperatorGraph, n: int, x) -> ExtReal:
     """Value of ``n_cup_envelope(f, G, n)`` at one probe; callers with many
     probes build the envelope once."""
     return n_cup_envelope(f, G, n).value_at(x)
-
-
-def n_cup_enum(f, G: OperatorGraph, n: int, x) -> ExtReal:
-    """Literal chain enumeration; exponential, for small graphs and tests."""
-    if n not in (2, 3, 4):
-        raise ValueError("n must be one of 2, 3, 4")
-    ps = G.pairs
-    if not ps:
-        return NEG_INF
-    best = NEG_INF
-    for chain in itertools.product(ps, repeat=n):
-        prev = x
-        total = 0
-        for a, b in chain:
-            total = total + dot(b, point_sub(prev, a, G.dim), G.dim)
-            prev = a
-        fa = f.value_at(chain[-1][0])
-        if not fa.is_finite:
-            raise ValueError("anchor outside the domain")
-        cand = as_extreal(total + fa.finite())
-        if cand > best:
-            best = cand
-    return best
 
 
 def _budget_value(f, x) -> ExtReal:

@@ -774,26 +774,6 @@ def ni_check(G: OperatorGraph, probe_pairs) -> ExtReal:
     return best
 
 
-def ni_nonneg(G: OperatorGraph, probe_pairs) -> bool:
-    """True iff the Fitzpatrick margin is >= 0 at every probe pair.
-
-    The margin rewrites as sup over graph pairs of <x - a, b - xstar>, so a
-    single pair with nonnegative product settles a probe; that short-circuit
-    makes large probe batteries cheap.  Agrees with ni_check >= 0.
-    """
-    count = 0
-    for x, xstar in probe_pairs:
-        count += 1
-        if not any(
-            dot(point_sub(x, a, G.dim), point_sub(b, xstar, G.dim), G.dim) >= 0
-            for a, b in G.pairs
-        ):
-            return False
-    if count == 0:
-        raise ValueError("need at least one probe pair")
-    return True
-
-
 def graph_dump(G: OperatorGraph) -> dict:
     """JSON-ready description of a finite pair graph.
 

@@ -10,6 +10,7 @@ import time
 from fractions import Fraction as F
 
 import conftest
+from test_kernels import n_cup_enum, ni_nonneg
 
 from envcalc.extreal import NEG_INF, POS_INF, as_extreal, ext_add, ext_inf, ext_sup
 from envcalc.funcrep import GridFunction, Interval1D, PLConvex1D, lsc_defect, pl_equal
@@ -24,7 +25,6 @@ from envcalc.operators import (
     fitzpatrick,
     fitzpatrick_structured,
     grid_subdiff_test,
-    ni_nonneg,
     normal_cone,
     subdiff_exact,
     subdiff_graph,
@@ -46,7 +46,6 @@ from envcalc.envelopes import (
     star_cup_exact,
     upper_envelope,
     n_cup,
-    n_cup_enum,
 )
 from envcalc.theoremlab import (
     InstanceGenerator,

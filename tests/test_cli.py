@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -11,11 +12,11 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from envcalc import cli
 from envcalc.cli import build_parser, main, parse_probe_grid
-from envcalc.extreal import MAX_EXACT_DIGITS, as_extreal, format_scalar
+from envcalc.extreal import MAX_EXACT_DIGITS, NEG_INF, POS_INF, as_extreal, format_scalar
 from envcalc.funcrep import (
     MAX_GRID_POINTS,
     GridFunction,
@@ -101,6 +102,101 @@ def test_exact_probe_grid_is_start_plus_step_k(lo, hi, count):
     got = parse_probe_grid(f"{lo}:{hi}:{count}")
     assert got == tuple(want)
     assert all(type(q) is F for q in got)
+
+
+def float_grid_oracle(start, stop, count):
+    """The per-k comprehension that the numpy float probe grid replaced."""
+    if count == 1:
+        return (start,)
+    step = (stop - start) / (count - 1)
+    pts = [start + step * k for k in range(count)]
+    pts[-1] = stop
+    return tuple(pts)
+
+
+@given(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.one_of(st.sampled_from((1, 2)), st.integers(min_value=1, max_value=300)),
+)
+@settings(max_examples=300, deadline=None)
+@example(-8.3, 7.1, 1 << 16)
+@example(0.0, 1.7976931348623157e308, 4)  # the last point rounds past the range
+@example(-0.0, 0.0, 3)
+def test_float_probe_grid_is_start_plus_step_k(start, stop, count):
+    spec = f"{start!r}:{stop!r}:{count}"
+    if count > 1 and not math.isfinite((stop - start) / (count - 1)):
+        with pytest.raises(cli._UsageError, match="float range"):
+            parse_probe_grid(spec, exact=False)
+        return
+    got = parse_probe_grid(spec, exact=False)
+    assert type(got) is tuple and set(map(type, got)) == {float}
+    assert [x.hex() for x in got] == [x.hex() for x in float_grid_oracle(start, stop, count)]
+
+
+# ---------------------------------------------------------------------------
+# cell spelling
+# ---------------------------------------------------------------------------
+
+
+def repr_cells(xs):
+    """The oracle of the float cells: CPython's repr, one cell at a time."""
+    return list(map(repr, xs))
+
+
+def assert_float_cells(xs):
+    want = repr_cells(xs)
+    assert cli._cells(xs) == want
+    assert cli._cells(np.array(xs, dtype=np.float64)) == want
+
+
+@given(st.lists(st.floats(allow_subnormal=True), max_size=40))
+@settings(max_examples=400, deadline=None)
+@example([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324])
+def test_float_cells_match_repr(xs):
+    assert_float_cells(xs)
+
+
+def test_float_cells_match_repr_next_to_the_notation_edges():
+    # orjson switches to exponent form below 1e-4 and from 1e16 in its
+    # own notation, so the cells around those edges are the ones re-spelled
+    xs = []
+    for edge in (1e-4, 1e16):
+        for sign in (1.0, -1.0):
+            up = down = sign * edge
+            xs.append(up)
+            for _ in range(50):
+                up, down = math.nextafter(up, math.inf), math.nextafter(down, -math.inf)
+                xs += [up, down]
+    assert_float_cells(xs)
+
+
+def test_float_cells_match_repr_on_random_bit_patterns():
+    rng = np.random.default_rng(20231019)
+    bits = rng.integers(0, 1 << 64, size=1_000_000, dtype=np.uint64)
+    # and as many whose exponent lies where orjson keeps its own notation
+    inner = (bits & np.uint64((1 << 52) - 1)) | (
+        rng.integers(1023 - 14, 1023 + 54, size=bits.size, dtype=np.uint64) << np.uint64(52)
+    )
+    for a in (bits.view(np.float64), inner.view(np.float64)):
+        assert cli._cells(a) == repr_cells(a.tolist())
+
+
+def test_float_cells_of_empty_and_strided_columns():
+    assert cli._cells(np.empty(0)) == [] and cli._cells([]) == []
+    a = np.linspace(-3.0, 3.0, 28).reshape(14, 2) ** 7
+    for column in (a[:, 1], a[::-3, 0], a.ravel()[::5]):
+        assert not column.flags.c_contiguous
+        assert cli._cells(column) == repr_cells(column.tolist())
+
+
+def test_non_float_cells_keep_their_spelling():
+    assert cli._cells([0, 1, 2]) == ["0", "1", "2"]
+    assert cli._cells([0, 1.5, -2]) == ["0", "1.5", "-2"]
+    assert cli._cells([F(1, 3), F(2), 0.25, 7]) == ["1/3", "2", "0.25", "7"]
+    assert cli._cells(
+        [as_extreal(F(-7, 2)), as_extreal(2.5), POS_INF, NEG_INF, as_extreal(3)]
+    ) == ["-7/2", "2.5", "inf", "-inf", "3"]
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from envcalc.envelopes import (
     epi_cup_floor,
     epi_normal_graph,
     n_cup,
-    n_cup_enum,
     portable_hull,
     portable_hull_interval,
     sharp_exact,
@@ -37,7 +36,7 @@ from envcalc.envelopes import (
 )
 
 from test_funcrep import ABS, convex_pl
-from test_kernels import cup_dual_value_oracle, epi_member, star_cup_dual_oracle
+from test_kernels import cup_dual_value_oracle, epi_member, n_cup_enum, star_cup_dual_oracle
 
 OPEN_UNIT = PLConvex1D((F(0), F(1)), (F(0), F(0)), None, None, POS_INF, POS_INF)
 RAISED = PLConvex1D((F(0), F(1)), (F(0), F(1)), None, None, F(2), None)

@@ -42,6 +42,9 @@ added with ``pl_add``) of the envelopes' O(1) restrictions.  ``pl_add``,
 the general exact sum, is also the middle of the dual route
 f [] g = (f* + g*)* that the exact ``inf_conv`` replaced, and
 ``eps_subdiff_test`` is the pointwise reference of ``eps_subdiff_interval``.
+``n_cup_enum``, the literal chain enumeration, is the reference of
+``n_cup`` (criterion 6), and ``ni_nonneg``, the short-circuit margin test
+of the negative-infimum property, answers to ``ni_check``.
 """
 
 import bisect
@@ -199,6 +202,49 @@ def pl_restrict(f: PLConvex1D, iv: Interval1D) -> PLConvex1D:
     """f + indicator(iv): the same function confined to an interval, by
     the general route of ``pl_add``, O(m log m)."""
     return pl_add(f, indicator(iv))
+
+
+def n_cup_enum(f, G: OperatorGraph, n: int, x) -> ExtReal:
+    """Literal chain enumeration; exponential, for small graphs and tests."""
+    if n not in (2, 3, 4):
+        raise ValueError("n must be one of 2, 3, 4")
+    ps = G.pairs
+    if not ps:
+        return NEG_INF
+    best = NEG_INF
+    for chain in itertools.product(ps, repeat=n):
+        prev = x
+        total = 0
+        for a, b in chain:
+            total = total + dot(b, point_sub(prev, a, G.dim), G.dim)
+            prev = a
+        fa = f.value_at(chain[-1][0])
+        if not fa.is_finite:
+            raise ValueError("anchor outside the domain")
+        cand = as_extreal(total + fa.finite())
+        if cand > best:
+            best = cand
+    return best
+
+
+def ni_nonneg(G: OperatorGraph, probe_pairs) -> bool:
+    """True iff the Fitzpatrick margin is >= 0 at every probe pair.
+
+    The margin rewrites as sup over graph pairs of <x - a, b - xstar>, so a
+    single pair with nonnegative product settles a probe; that short-circuit
+    makes large probe batteries cheap.  Agrees with ni_check >= 0.
+    """
+    count = 0
+    for x, xstar in probe_pairs:
+        count += 1
+        if not any(
+            dot(point_sub(x, a, G.dim), point_sub(b, xstar, G.dim), G.dim) >= 0
+            for a, b in G.pairs
+        ):
+            return False
+    if count == 0:
+        raise ValueError("need at least one probe pair")
+    return True
 
 
 def inf_conv_dual_oracle(f, g):

@@ -16,7 +16,6 @@ from envcalc.operators import (
     grid_subdiff_test,
     is_maximal_relative,
     ni_check,
-    ni_nonneg,
     normal_cone,
     subdiff_exact,
     subdiff_graph,
@@ -26,6 +25,7 @@ from envcalc.operators import (
 from envcalc.transforms import conjugate_exact
 
 from test_funcrep import ABS, convex_pl
+from test_kernels import ni_nonneg
 
 
 # ---------------------------------------------------------------------------
