@@ -116,9 +116,13 @@ def _resolve_instance(ref: str):
         raise KeyError(f"gallery {g.name!r} carries no loadable object")
     with open(ref, "r", encoding="utf-8") as fh:
         d = json.load(fh)
-    if isinstance(d, dict) and d.get("kind") == "opgraph":
-        return operators.graph_load(d)
-    return load_instance(d)
+    try:
+        if isinstance(d, dict) and d.get("kind") == "opgraph":
+            return operators.graph_load(d)
+        return load_instance(d)
+    except KeyError as e:
+        kind = d.get("kind") if isinstance(d, dict) else None
+        raise _UsageError(f"{kind} instance lacks the required key {e.args[0]!r}") from None
 
 
 def _backend_for(inst) -> str:
@@ -580,9 +584,11 @@ def main(argv=None) -> int:
         if count and len(instances) != count:
             need = "one --instance" if count == 1 else "two --instance files"
             raise _UsageError(f"{args.verb} needs exactly {need}")
-    except (_UsageError, OSError, KeyError, ValueError, TypeError, OverflowError) as e:
+    except (_UsageError, OSError, KeyError, ValueError, TypeError, OverflowError,
+            RecursionError) as e:
         # unparseable instance contents are an input problem, not a math one;
         # so are numbers past the float range (1e999, ints of 400 digits)
+        # and JSON nested past the parser's recursion limit
         print(f"envcalc: {e}", file=sys.stderr)
         return 2
 

@@ -68,8 +68,10 @@ def envelope_values(f: PLConvex1D, kind: str, xs, eps=None, st=None) -> list:
             vals = [v if hull.contains(x) else POS_INF for x, v in zip(xs, vals)]
         return vals
     slack = 0 if kind == "smile" else _positive_eps(eps)
-    fxs = f.values_at(xs)
-    return st.sups(xs, [None if fx.is_pos_inf else fx.finite() + slack for fx in fxs])
+    budgets = [None if fx.is_pos_inf else fx.finite() for fx in f.values_at(xs)]
+    if slack:
+        budgets = [t if t is None else t + slack for t in budgets]
+    return st.sups(xs, budgets)
 
 
 def cup_value(f: PLConvex1D, x, st=None) -> ExtReal:

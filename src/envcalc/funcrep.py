@@ -415,9 +415,13 @@ class PLConvex1D:
     def _value(self, j: int, x) -> ExtReal:
         """f(x), given j = bisect_right(breakpoints, x): the number of
         breakpoints at or left of x.  Off the breakpoints, f is the line of
-        gap j through breakpoint max(j - 1, 0), or +inf on a wall."""
+        gap j through breakpoint max(j - 1, 0), or +inf on a wall: one
+        integer fraction over the four denominators of x, b[k], v[k] and
+        g.  Normalized x and b[j - 1] are equal when their numerators and
+        denominators are."""
         b, v = self.breakpoints, self.values
-        if j and x == b[j - 1]:
+        xn, xd = x.numerator, x.denominator
+        if j and xn == b[j - 1].numerator and xd == b[j - 1].denominator:
             if j == 1 and self.override_left is not None:
                 return self.override_left
             if j == len(b) and self.override_right is not None:
@@ -427,7 +431,10 @@ class PLConvex1D:
         if g is None:
             return POS_INF
         k = j - 1 if j else 0
-        return ExtReal(v[k] + g * (x - b[k]))
+        bk, vk = b[k], v[k]
+        bd, vd, gd = bk.denominator, vk.denominator, g.denominator
+        num = vk.numerator * gd * xd * bd + vd * g.numerator * (xn * bd - bk.numerator * xd)
+        return ExtReal(Fraction(num, vd * gd * xd * bd))
 
     def value_at(self, x) -> ExtReal:
         """f(x) at one probe: one probe of ``values_at``."""

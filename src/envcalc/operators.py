@@ -130,29 +130,36 @@ class SubdiffStructure1D:
         decrease across the candidates wholly left of x and never increase
         after them (a nearer anchor's subgradient is at least as steep
         toward x), so the run's sup is at its member nearest x on either
-        side: two evaluations.
+        side: two evaluations.  Each is v + g(x - a) as one integer
+        fraction over the four denominators of x, a, v and g; the two are
+        compared by cross products, the first kept on a tie, and only the
+        winner becomes a Fraction.
         """
         if n_left == 0:
             return NEG_INF
         order = self._order
         i = self._argmin - n_left + 1
         j = self._argmin + n_right - 1
-        best = None
+        xn, xd = x.numerator, x.denominator
+        bn = bd = bv = None
         for c in (min(p - 1, j), max(p, i)):
             if c < i or c > j:
                 continue
             a, v, lo, hi, _ends = order[c]
-            d = x - a
-            if not d.numerator:
-                val = v
+            ad = a.denominator
+            dn = xn * ad - a.numerator * xd  # (x - a) xd ad
+            if not dn:
+                num, den, val = v.numerator, v.denominator, v
             else:
-                g = hi if d.numerator > 0 else lo
+                g = hi if dn > 0 else lo
                 if g is None:
                     return POS_INF
-                val = v + d * g
-            if best is None or val > best:
-                best = val
-        return ExtReal(best)
+                vd, gd = v.denominator, g.denominator
+                num = v.numerator * gd * xd * ad + vd * g.numerator * dn
+                den, val = vd * gd * xd * ad, None
+            if bd is None or num * bd > bn * den:
+                bn, bd, bv = num, den, val
+        return ExtReal(Fraction(bn, bd) if bv is None else bv)
 
     def slope_range(self) -> Interval1D | None:
         """All slopes the subdifferential takes, as one interval.

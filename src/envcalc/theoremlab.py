@@ -101,13 +101,15 @@ F = Fraction
 
 def primal_probes(f: PLConvex1D) -> tuple:
     """Breakpoints, segment midpoints, and a step beyond each domain end,
-    ascending: each midpoint lies between its two breakpoints."""
+    ascending: each midpoint lies between its two breakpoints, and is one
+    Fraction of the cross products."""
     b = f.breakpoints
     lo, hi = b[0], b[-1]
     pts = [lo - 3] if f.left_recession is not None else []
     pts.append(lo - 1)
     for x, y in zip(b, b[1:]):
-        pts += (x, (x + y) / 2)
+        xd, yd = x.denominator, y.denominator
+        pts += (x, Fraction(x.numerator * yd + y.numerator * xd, 2 * xd * yd))
     pts += (hi, hi + 1)
     if f.right_recession is not None:
         pts.append(hi + 3)

@@ -64,7 +64,8 @@ def conjugate_exact(f: PLConvex1D) -> PLConvex1D:
     i = max(j - 1, 0): one pass over the gaps, O(m), with no slope
     compared.  The same b[i] is a maximizer all the way down to the
     previous dual breakpoint, so it is the slope of the dual segment that
-    ends at y, and the result is built with those slopes, unchecked.
+    ends at y, and the result is built with those slopes, unchecked.  Each
+    value y*b[i] - v[i] is one integer fraction over three denominators.
     """
     if not isinstance(f, PLConvex1D):
         raise TypeError("conjugate_exact takes a PLConvex1D")
@@ -77,9 +78,12 @@ def conjugate_exact(f: PLConvex1D) -> PLConvex1D:
         if ys and y == ys[-1]:
             continue
         i = max(j - 1, 0)
+        bi, vi = b[i], v[i]
+        yd, bd, vd = y.denominator, bi.denominator, vi.denominator
+        num = y.numerator * bi.numerator * vd - vi.numerator * yd * bd
         ys.append(y)
-        vals.append(y * b[i] - v[i])
-        maximizers.append(b[i])
+        vals.append(Fraction(num, yd * bd * vd))
+        maximizers.append(bi)
     return PLConvex1D._make(
         tuple(ys),
         tuple(vals),

@@ -413,6 +413,33 @@ def test_malformed_instance_exits_2(tmp_path):
     assert main(["conjugate", "--instance", src2]) == 2
 
 
+@pytest.mark.parametrize("text", ["[" * 100_000, '{"a": ' * 100_000],
+                         ids=["arrays", "objects"])
+def test_deeply_nested_instance_exits_2_with_one_line(tmp_path, capsys, text):
+    """JSON nested past the parser's recursion limit is a malformed input,
+    not a failed check (exit 1) and not a traceback."""
+    src = tmp_path / "deep.json"
+    src.write_text(text)
+    assert main(["conjugate", "--instance", str(src)]) == 2
+    err = capsys.readouterr().err
+    assert _one_line_error(err) and "recursion" in err
+
+
+@pytest.mark.parametrize("kind, key, rest", [
+    ("plconvex1d", "breakpoints", {}),
+    ("plconvex1d", "values", {"breakpoints": ["0"]}),
+    ("grid", "dim", {"points": [0], "values": [0]}),
+    ("indicator", "points", {"dim": 1}),
+    ("maxaffine", "anchor", {"dim": 1, "pieces": [{"slope": 1, "level": 0}]}),
+    ("opgraph", "pairs", {"dim": 1}),
+])
+def test_missing_key_names_the_kind_and_the_key(tmp_path, capsys, kind, key, rest):
+    src = write_json(tmp_path / "short.json", {"kind": kind, **rest})
+    assert main(["conjugate", "--instance", src]) == 2
+    err = capsys.readouterr().err
+    assert err == f"envcalc: {kind} instance lacks the required key {key!r}\n"
+
+
 _EXACT_VERBS = [
     ["conjugate"], ["subdiff"], ["fitz"],
     *(["envelope", "--kind", k] for k in ("cup", "sharp", "starcup", "circ", "smile")),

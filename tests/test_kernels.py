@@ -94,6 +94,7 @@ from envcalc.envelopes import (
     cup_value,
     epi_cup_floor,
     epi_normal_graph,
+    envelope_values,
     n_cup,
     n_cup_envelope,
     portable_hull_interval,
@@ -2025,6 +2026,103 @@ def test_batched_sweeps_on_crowded_functions(f, rnd):
     thetas = [rnd.choice(pool) for _ in xs]
     want = [threshold_sup_oracle(st_, x, t) for x, t in zip(xs, thetas)]
     assert st_.sups(xs, thetas) == want
+
+
+# distinct primes, so numbers drawn over distinct entries have pairwise
+# coprime denominators: the small primes, and the largest primes below
+# 2^31, 2^61, 2^63 and 2^64
+COPRIME_PRIMES = (
+    2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
+    2**31 - 1, 2**61 - 1, 2**63 - 25,
+    2**64 - 59, 2**64 - 83, 2**64 - 95, 2**64 - 179, 2**64 - 189,
+)
+
+
+@st.composite
+def coprime_cases(draw):
+    """(f, probes, budgets, eps).  f is the lower hull of up to 8 drawn points
+    whose coordinates, like its recessions and finite overrides, are ints
+    or fractions over distinct primes of COPRIME_PRIMES; values take either
+    sign, and a wall may carry a finite or +inf override.  The probes are
+    the breakpoints (every support's anchor, where x - a is zero), their
+    ints spelled as ints, numbers that share a breakpoint's numerator,
+    midpoints, drawn ints and drawn fractions over the primes left; the
+    budgets are None, f's values and overrides, f at the probes and drawn
+    numbers; eps is a drawn number in [1, 4]."""
+    primes = iter(draw(st.permutations(COPRIME_PRIMES)))
+
+    def q(lo, hi):
+        p = next(primes, None) or draw(st.sampled_from(COPRIME_PRIMES))
+        if draw(st.integers(0, 3)) == 0:
+            return draw(st.integers(lo, hi))
+        return F(draw(st.integers(lo * p, hi * p)), p)
+
+    hull = _hull_1d_exact([(q(-8, 8), q(-8, 8)) for _ in range(draw(st.integers(1, 8)))])
+    b, v = [x for x, _ in hull], [y for _, y in hull]
+    slopes = [(v1 - v0) / (b1 - b0) for b0, b1, v0, v1 in zip(b, b[1:], v, v[1:])]
+    first = slopes[0] if slopes else q(-4, 4)
+    last = slopes[-1] if slopes else first
+    left = None if draw(st.booleans()) else first - q(0, 3)
+    right = None if draw(st.booleans()) else last + q(0, 3)
+    ovl = ovr = None
+    if left is None and (len(b) >= 2 or right is not None):
+        ovl = draw(st.sampled_from([None, POS_INF, v[0] + q(1, 4)]))
+    if right is None and (len(b) >= 2 or left is not None):
+        ovr = draw(st.sampled_from([None, POS_INF, v[-1] + q(1, 4)]))
+    f = PLConvex1D(tuple(b), tuple(v), left, right, ovl, ovr)
+    xs = [*f.breakpoints, *(int(x) for x in f.breakpoints if x.denominator == 1)]
+    # beside each breakpoint, a probe with its numerator over another
+    # denominator
+    xs += [F(x.numerator, d) for x in b for d in {x.denominator - 1, x.denominator + 1} if d]
+    xs += [(u + w) / 2 for u, w in zip(b, b[1:])]
+    xs += draw(st.lists(st.integers(-10, 10), max_size=4))
+    xs += [q(-10, 10) for _ in range(draw(st.integers(0, 4)))]
+    xs = draw(st.permutations(xs))
+    ends = (f.override_left, f.override_right)
+    pool = [None, *f.values, *(o.finite() for o in ends if o is not None and o.is_finite)]
+    pool += [fx.finite() for fx in f.values_at(xs) if fx.is_finite]
+    pool += [q(-10, 10) for _ in range(2)]
+    thetas = [draw(st.sampled_from(pool)) for _ in xs]
+    return f, xs, thetas, q(1, 4)
+
+
+def _exact_payloads(vals):
+    """Every entry an ExtReal that is an infinity or holds a Fraction."""
+    return all(
+        type(e) is ExtReal and (not e.is_finite or type(e.value) is F) for e in vals
+    )
+
+
+@given(coprime_cases())
+@settings(max_examples=150, deadline=None)
+def test_integer_kernels_match_fraction_oracles_on_coprime_denominators(case):
+    """values_at, the structure sups with and without budgets, the smile
+    envelopes built on them, conjugate_exact and primal_probes each build
+    a value as one integer fraction; against the Fraction-operator oracles,
+    by repr, so payload types count."""
+    f, xs, thetas, eps = case
+    fxs = f.values_at(xs)
+    assert repr(fxs) == repr([value_at_oracle(f, x) for x in xs])
+    st_ = subdiff_structure(f)
+    cup = st_.sups(xs)
+    assert repr(cup) == repr([threshold_sup_oracle(st_, x) for x in xs])
+    capped = st_.sups(xs, thetas)
+    assert repr(capped) == repr([threshold_sup_oracle(st_, x, t) for x, t in zip(xs, thetas)])
+    assert _exact_payloads(fxs + cup + capped)
+    for kind, slack in (("smile", 0), ("smileeps", eps), ("smileeps", F(1, 2**64 - 59))):
+        got = envelope_values(f, kind, xs, slack or None, st_)
+        want = [threshold_sup_oracle(st_, x, None if fx.is_pos_inf else fx.finite() + slack)
+                for x, fx in zip(xs, fxs)]
+        assert repr(got) == repr(want) and _exact_payloads(got)
+    g = conjugate_exact(f)
+    assert repr((g.breakpoints, g.values, g.left_recession, g.right_recession)) == repr(
+        conjugate_oracle(f)
+    )
+    assert all(type(y) is F for y in g.breakpoints + g.values)
+    b = f.breakpoints
+    first = 2 if f.left_recession is not None else 1  # the index of b[0]
+    mids = primal_probes(f)[first + 1:first + 2 * len(b) - 2:2]
+    assert repr(mids) == repr(tuple((u + w) / 2 for u, w in zip(b, b[1:])))
 
 
 @given(pl_functions(), extras, st.randoms(use_true_random=False))
