@@ -18,7 +18,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 import time
 from fractions import Fraction
@@ -33,7 +32,6 @@ from .funcrep import (
     Interval1D,
     MaxAffine,
     PLConvex1D,
-    SampledSet,
     dump_instance,
     effective_domain,
     load_instance,
@@ -116,24 +114,17 @@ def _resolve_instance(ref: str):
         raise KeyError(f"gallery {g.name!r} carries no loadable object")
     with open(ref, "r", encoding="utf-8") as fh:
         d = json.load(fh)
+    # load_instance would read a string as a path or as JSON text
+    if not isinstance(d, dict):
+        raise _UsageError(f"instance file {ref!r} does not hold a JSON object")
     try:
-        if isinstance(d, dict) and d.get("kind") == "opgraph":
+        if d.get("kind") == "opgraph":
             return operators.graph_load(d)
         return load_instance(d)
     except KeyError as e:
-        kind = d.get("kind") if isinstance(d, dict) else None
-        raise _UsageError(f"{kind} instance lacks the required key {e.args[0]!r}") from None
-
-
-def _backend_for(inst) -> str:
-    forced = os.environ.get("ENVCALC_BACKEND")
-    if forced is not None:
-        if forced not in ("exact", "grid"):
-            raise _UsageError(f"ENVCALC_BACKEND must be exact or grid, got {forced!r}")
-        return forced
-    if isinstance(inst, (GridFunction, MaxAffine, SampledSet)):
-        return "grid"
-    return "exact"
+        raise _UsageError(
+            f"{d.get('kind')} instance lacks the required key {e.args[0]!r}"
+        ) from None
 
 
 def _emit(out_path, header: str, rows) -> None:
@@ -232,13 +223,10 @@ def _emit_pl(out_path, g: PLConvex1D, spec) -> int:
 def _verb_conjugate(args, inst) -> int:
     if isinstance(inst, MaxAffine):  # 1D converts, 2D raises
         inst = transforms.maxaffine_to_pl(inst)
-    backend = _backend_for(inst)
-    if backend == "exact":
-        if not isinstance(inst, PLConvex1D):
-            raise TypeError("the exact backend needs a piecewise-linear instance")
+    if isinstance(inst, PLConvex1D):
         return _emit_pl(args.out, transforms.conjugate_exact(inst), args.dual_grid)
     if not isinstance(inst, GridFunction):
-        raise TypeError("the grid backend needs a grid instance")
+        raise TypeError("conjugate needs a piecewise-linear or grid instance")
     if not args.dual_grid:
         raise _UsageError("conjugate on a grid needs --dual-grid")
     axis = parse_probe_grid(args.dual_grid, exact=False)
@@ -277,10 +265,7 @@ def _verb_infconv(args, f, g) -> int:
 
 
 def _verb_subdiff(args, inst) -> int:
-    backend = _backend_for(inst)
-    if backend == "exact":
-        if not isinstance(inst, PLConvex1D):
-            raise TypeError("the exact backend needs a piecewise-linear instance")
+    if isinstance(inst, PLConvex1D):
         pts = (
             parse_probe_grid(args.probes, exact=True)
             if args.probes
@@ -297,7 +282,7 @@ def _verb_subdiff(args, inst) -> int:
         _emit(args.out, "x,lo,hi", rows)
         return 0
     if not isinstance(inst, GridFunction):
-        raise TypeError("the grid backend needs a grid instance")
+        raise TypeError("subdiff needs a piecewise-linear or grid instance")
     if not args.dual_grid:
         raise _UsageError("subdiff on a grid needs --dual-grid")
     tol = args.tolerance if args.tolerance is not None else 0.0
@@ -360,22 +345,14 @@ def _verb_envelope(args, inst) -> int:
         raise _UsageError("--kind smileeps needs --eps")
     if isinstance(inst, operators.OperatorGraph):
         raise TypeError("envelopes need a function instance, not a bare graph")
-    backend = _backend_for(inst)
-    exact = backend == "exact"
-    probes = parse_probe_grid(args.probes, exact=exact)
-    duals = (
-        parse_probe_grid(args.dual_grid, exact=exact) if args.dual_grid else None
-    )
+    probes = parse_probe_grid(args.probes)
     eps = None
     if args.eps is not None:
         try:
-            eps = parse_scalar(args.eps, exact=exact).finite()
+            eps = parse_scalar(args.eps, exact=True).finite()
         except ValueError as e:
             raise _UsageError(f"--eps: {e}")
-    rows = envelopes.envelope_result(
-        inst, args.kind, probes, n=args.n, eps=eps, dual_points=duals,
-        backend=backend,
-    )
+    rows = envelopes.envelope_result(inst, args.kind, probes, n=args.n, eps=eps)
     _emit(args.out, "x,value", ([format_scalar(x), format_scalar(v)] for x, v in rows))
     return 0
 

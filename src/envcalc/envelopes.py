@@ -221,21 +221,17 @@ def upper_envelope(f, G: OperatorGraph, tol=0) -> MaxAffine:
     return MaxAffine(G.dim, tuple(pieces), label=G.label)
 
 
-def _star_pieces(f, G: OperatorGraph) -> MaxAffine:
-    """xstar -> <xstar, a> - f(a) over the graph anchors a, as pieces
-    anchored at the origin."""
-    o = 0 if G.dim == 1 else (0, 0)
-    anchors = {a for a, _b in G.pairs}
-    return MaxAffine(G.dim, tuple((o, a, -_level(f, a)) for a in anchors))
-
-
 def star_cup(f, G: OperatorGraph, xstar) -> ExtReal:
     """sup over graph anchors a of <xstar, a> - f(a); -inf on the empty graph.
 
-    At xstar = 0 this is minus the infimum of f over the anchor set.  On a
-    tie the first maximal anchor gives the payload (``first_max_at``).
+    The terms are pieces anchored at the origin.  At xstar = 0 this is minus
+    the infimum of f over the anchor set.  On a tie the first maximal anchor
+    gives the payload (``first_max_at``).
     """
-    return _star_pieces(f, G).first_max_at(xstar)
+    o = 0 if G.dim == 1 else (0, 0)
+    anchors = {a for a, _b in G.pairs}
+    pieces = tuple((o, a, -_level(f, a)) for a in anchors)
+    return MaxAffine(G.dim, pieces).first_max_at(xstar)
 
 
 def circ(f, G: OperatorGraph, dual_points, probes) -> tuple:
@@ -314,29 +310,19 @@ def _budget_value(f, x) -> ExtReal:
     return f.value_at(x)
 
 
-def _budgeted_sup(f, G: OperatorGraph, x, slack) -> ExtReal:
-    """sup of the supports anchored at pairs with f(a) <= f(x) + slack; the
-    budget is dropped when f(x) = +inf."""
+def smile(f, G: OperatorGraph, x) -> ExtReal:
+    """Pair-route constrained envelope: the sup of the supports anchored at
+    pairs with f(a) <= f(x) only.
+
+    The constraint is dropped when f(x) = +inf, matching smile_value.
+    """
     fx = _budget_value(f, x)
     pieces = ((a, b, _level(f, a, _budget_value)) for a, b in G.pairs)
     return ext_sup(
         fa + dot(b, point_sub(x, a, G.dim), G.dim)
         for a, b, fa in pieces
-        if fx.is_pos_inf or fa <= fx.finite() + slack
+        if fx.is_pos_inf or fa <= fx.finite()
     )
-
-
-def smile(f, G: OperatorGraph, x) -> ExtReal:
-    """Pair-route constrained envelope: anchors with f(a) <= f(x) only.
-
-    The constraint is dropped when f(x) = +inf, matching smile_value.
-    """
-    return _budgeted_sup(f, G, x, 0)
-
-
-def smile_eps(f, G: OperatorGraph, x, eps) -> ExtReal:
-    """Pair-route relaxed constrained envelope: f(a) <= f(x) + eps."""
-    return _budgeted_sup(f, G, x, _positive_eps(eps))
 
 
 # ---------------------------------------------------------------------------
@@ -600,53 +586,24 @@ def brondsted_search(f: PLConvex1D, x, xstar, eps, st=None, conj=None) -> Bronds
 KINDS = ("cup", "sharp", "starcup", "circ", "ncup", "smile", "smileeps")
 
 
-def envelope_result(
-    f,
-    kind: str,
-    probes,
-    n: int | None = None,
-    eps=None,
-    dual_points=None,
-    backend: str = "exact",
-) -> tuple:
-    """The (probe, value) rows of one envelope; the command line's entry.
-
-    Both backends need a PLConvex1D.  The exact backend evaluates the
-    interval structure; the grid backend runs the pair routes on
-    ``subdiff_graph(f, probes)``.  Kinds: cup, sharp, starcup, circ, ncup,
-    smile, smileeps.
+def envelope_result(f, kind: str, probes, n: int | None = None, eps=None) -> tuple:
+    """The (probe, value) rows of one envelope of a PLConvex1D, evaluated on
+    its interval structure; the command line's entry.  Kinds: cup, sharp,
+    starcup, circ, ncup, smile, smileeps.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown envelope kind {kind!r}")
     if not isinstance(f, PLConvex1D):
-        raise TypeError(f"the {backend} backend needs a PLConvex1D instance")
+        raise TypeError("envelopes need a PLConvex1D instance")
     if kind == "ncup" and n is None:
         raise ValueError("ncup needs n")
     if kind == "smileeps" and eps is None:
         raise ValueError("smileeps needs eps")
-    if backend == "exact":
-        if kind == "starcup":
-            return tuple(zip(probes, star_cup_exact(f).values_at(probes)))
-        if kind == "circ":
-            return tuple(zip(probes, circ_exact(f).values_at(probes)))
-        if kind == "ncup":
-            env = n_cup_envelope(f, subdiff_graph(f, probes=probes), n)
-            return tuple(zip(probes, env.values_at([_exactify(p) for p in probes])))
-        return tuple(zip(probes, envelope_values(f, kind, probes, eps)))
-    G = subdiff_graph(f, probes=probes)
-    if kind == "cup":
-        return tuple(zip(probes, upper_envelope(f, G).values_at(probes)))
-    if kind == "sharp":
-        # without supplied normal samples the sampled hull is everything
-        return portable_envelope(f, G, OperatorGraph(G.dim, ()), probes)
     if kind == "starcup":
-        return tuple(zip(probes, _star_pieces(f, G).values_at(probes)))
+        return tuple(zip(probes, star_cup_exact(f).values_at(probes)))
     if kind == "circ":
-        if dual_points is None:
-            raise ValueError("circ needs a dual grid")
-        return circ(f, G, dual_points, probes)
+        return tuple(zip(probes, circ_exact(f).values_at(probes)))
     if kind == "ncup":
-        return tuple(zip(probes, n_cup_envelope(f, G, n).values_at(probes)))
-    if kind == "smile":
-        return tuple((p, smile(f, G, p)) for p in probes)
-    return tuple((p, smile_eps(f, G, p, eps)) for p in probes)
+        env = n_cup_envelope(f, subdiff_graph(f, probes=probes), n)
+        return tuple(zip(probes, env.values_at([_exactify(p) for p in probes])))
+    return tuple(zip(probes, envelope_values(f, kind, probes, eps)))

@@ -70,14 +70,12 @@ def test_probe_grid_rejects_malformed(bad):
 @pytest.mark.parametrize("argv", [
     ["subdiff", "--instance", "GRID", "--dual-grid"],
     ["conjugate", "--instance", "GRID", "--dual-grid"],
-    ["envelope", "--kind", "cup", "--instance", "gallery:open-interval", "--probes"],
 ])
-def test_float_probe_grid_past_the_float_range_exits_2(tmp_path, capsys, monkeypatch, argv):
+def test_float_probe_grid_past_the_float_range_exits_2(tmp_path, capsys, argv):
     # stop - start overflows, which would make the step, and then the
     # probes, inf and nan
     g = GridFunction(1, (0.0, 1.0, 2.0), (0.0, 1.0, 4.0))
     name = write_json(tmp_path / "grid.json", dump_instance(g))
-    monkeypatch.setenv("ENVCALC_BACKEND", "grid")
     argv = [name if a == "GRID" else a for a in argv]
     assert main([*argv, "-1e308:1e308:3"]) == 2
     out, err = capsys.readouterr()
@@ -214,8 +212,7 @@ def test_conjugate_exact_csv(abs_file, tmp_path):
     ]
 
 
-def test_conjugate_grid_backend(grid_file, tmp_path, monkeypatch):
-    monkeypatch.setenv("ENVCALC_BACKEND", "grid")
+def test_conjugate_grid_backend(grid_file, tmp_path):
     out = tmp_path / "conj.csv"
     rc = main(["conjugate", "--instance", grid_file,
                "--dual-grid", "0:1:3", "--out", str(out)])
@@ -440,6 +437,19 @@ def test_missing_key_names_the_kind_and_the_key(tmp_path, capsys, kind, key, res
     assert err == f"envcalc: {kind} instance lacks the required key {key!r}\n"
 
 
+@pytest.mark.parametrize("payload", ["PATH", "TEXT", ["PATH"]], ids=["path", "text", "list"])
+def test_instance_file_that_is_not_an_object_exits_2(abs_file, tmp_path, capsys, payload):
+    # a string at the top level would otherwise be read as a path to, or
+    # the JSON text of, another instance
+    subs = {"PATH": abs_file, "TEXT": json.dumps(dump_instance(ABS))}
+    payload = [subs[p] for p in payload] if isinstance(payload, list) else subs[payload]
+    src = write_json(tmp_path / "outer.json", payload)
+    assert main(["conjugate", "--instance", src]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"envcalc: instance file {src!r} does not hold a JSON object\n"
+
+
 _EXACT_VERBS = [
     ["conjugate"], ["subdiff"], ["fitz"],
     *(["envelope", "--kind", k] for k in ("cup", "sharp", "starcup", "circ", "smile")),
@@ -566,30 +576,6 @@ def test_eps_is_parsed_exactly(abs_file, monkeypatch, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("kind", ["smile", "smileeps"])
-def test_grid_backend_smile_on_exact_file(abs_file, monkeypatch, capsys, kind):
-    monkeypatch.setenv("ENVCALC_BACKEND", "grid")
-    probes = ["--probes", "-2:1:7"]
-    assert main(["envelope", "--kind", "cup", "--instance", abs_file] + probes) == 0
-    cup_rows = capsys.readouterr().out
-    extra = ["--eps", "0.5"] if kind == "smileeps" else []
-    assert main(["envelope", "--kind", kind, "--instance", abs_file] + probes + extra) == 0
-    # float probes keep float cells; on a closed instance smile equals cup
-    assert capsys.readouterr().out == cup_rows
-    assert cup_rows.splitlines()[1] == "-2.0,2.0"
-
-
-def test_bad_backend_env_exits_2(abs_file, monkeypatch):
-    monkeypatch.setenv("ENVCALC_BACKEND", "quantum")
-    assert main(["conjugate", "--instance", abs_file]) == 2
-
-
-def test_forced_exact_on_grid_exits_3(grid_file, monkeypatch):
-    monkeypatch.setenv("ENVCALC_BACKEND", "exact")
-    assert main(["conjugate", "--instance", grid_file,
-                 "--dual-grid", "0:1:3"]) == 3
-
-
 def test_envelope_on_bare_graph_exits_3(tmp_path):
     G = subdiff_graph(ABS)
     src = write_json(tmp_path / "g.json", graph_dump(G))
@@ -597,11 +583,8 @@ def test_envelope_on_bare_graph_exits_3(tmp_path):
                  "--probes", "0:1:2"]) == 3
 
 
-@pytest.mark.parametrize("backend", [None, "exact", "grid"])
-def test_envelope_on_grid_instance_exits_3(grid_file, monkeypatch, capsys, backend):
-    # both backends need a piecewise-linear instance
-    if backend is not None:
-        monkeypatch.setenv("ENVCALC_BACKEND", backend)
+def test_envelope_on_grid_instance_exits_3(grid_file, capsys):
+    # every envelope route needs a piecewise-linear instance
     assert main(["envelope", "--kind", "cup", "--instance", grid_file,
                  "--probes", "0:1:3"]) == 3
     out, err = capsys.readouterr()
@@ -609,17 +592,15 @@ def test_envelope_on_grid_instance_exits_3(grid_file, monkeypatch, capsys, backe
     assert _one_line_error(err)
 
 
-@pytest.mark.parametrize("backend", ["exact", "grid"])
 @pytest.mark.parametrize("kind", ["cup", "starcup", "smile"])
-def test_envelope_out_csv_is_the_rows(abs_file, tmp_path, monkeypatch, backend, kind):
+def test_envelope_out_csv_is_the_rows(abs_file, tmp_path, kind):
     from envcalc import envelopes
 
-    monkeypatch.setenv("ENVCALC_BACKEND", backend)
     out = tmp_path / "env.csv"
     assert main(["envelope", "--kind", kind, "--instance", abs_file,
                  "--probes", "-2:1:7", "--out", str(out)]) == 0
-    probes = parse_probe_grid("-2:1:7", exact=backend == "exact")
-    rows = envelopes.envelope_result(ABS, kind, probes, backend=backend)
+    probes = parse_probe_grid("-2:1:7")
+    rows = envelopes.envelope_result(ABS, kind, probes)
     want = "x,value\n" + "".join(
         f"{format_scalar(as_extreal(x))},{format_scalar(v)}\n" for x, v in rows
     )
@@ -810,11 +791,8 @@ MA_1D = {"kind": "maxaffine", "dim": 1, "pieces": [
 ]}
 
 
-@pytest.mark.parametrize("backend", [None, "exact"])
-def test_maxaffine_1d_file_takes_the_exact_route(tmp_path, capsys, monkeypatch, backend):
-    # max(-x, 2x + 1) converts to its PL form before a backend is chosen
-    if backend is not None:
-        monkeypatch.setenv("ENVCALC_BACKEND", backend)
+def test_maxaffine_1d_file_takes_the_exact_route(tmp_path, capsys):
+    # max(-x, 2x + 1) converts to its PL form before the route is chosen
     ma = write_json(tmp_path / "ma.json", MA_1D)
     assert main(["conjugate", "--instance", ma, "--dual-grid", "-1:2:4"]) == 0
     assert capsys.readouterr().out.splitlines() == [
@@ -1034,7 +1012,7 @@ _CHEAP_GALLERIES = ("quadratic", "open-interval", "half-circle", "two-patch")
 
 @st.composite
 def _cli_runs(draw):
-    """(verb argv, instance payloads, ENVCALC_BACKEND or None)."""
+    """(verb argv, instance payloads)."""
     verb = draw(st.sampled_from([
         "conjugate", "clconv", "subdiff", "hull", "infconv", "fitz", "envelope",
         "check", "suite", "gallery",
@@ -1062,36 +1040,27 @@ def _cli_runs(draw):
             argv += [flag, draw(_grid_spec)]
     if verb == "subdiff" and draw(st.booleans()):
         argv += ["--tolerance", "0.125"]
-    backend = draw(st.sampled_from([None, "exact", "grid"]))
-    return argv, payloads, backend
+    return argv, payloads
 
 
 @given(_cli_runs())
 @settings(max_examples=500, deadline=None)
 def test_cli_fuzz_exits_cleanly(tmp_path_factory, run):
     """Random instance files and grid specs under every verb (bench aside,
-    for its run time) and both backends: main returns 0-3, raises nothing
-    and warns nothing; an exit 2 is one ``envcalc:`` line, and so is an
-    exit 3 unless it is ``check``'s not-applicable verdict on stdout."""
-    argv, payloads, backend = run
+    for its run time): main returns 0-3, raises nothing and warns nothing;
+    an exit 2 is one ``envcalc:`` line, and so is an exit 3 unless it is
+    ``check``'s not-applicable verdict on stdout."""
+    argv, payloads = run
     d = tmp_path_factory.mktemp("fz")
     for i, payload in enumerate(payloads):
         path = d / f"i{i}.json"
         path.write_text(json.dumps(payload))
         argv += ["--instance", str(path)]
     out, err = io.StringIO(), io.StringIO()
-    old = os.environ.pop("ENVCALC_BACKEND", None)
-    if backend is not None:
-        os.environ["ENVCALC_BACKEND"] = backend
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-                warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            rc = main(argv)
-    finally:
-        os.environ.pop("ENVCALC_BACKEND", None)
-        if old is not None:
-            os.environ["ENVCALC_BACKEND"] = old
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(argv)
     assert rc in (0, 1, 2, 3), (argv, payloads)
     # a warning would print to stderr next to the error line
     assert not caught, (argv, payloads, [str(w.message) for w in caught])
