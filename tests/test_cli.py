@@ -583,10 +583,17 @@ def test_envelope_on_bare_graph_exits_3(tmp_path):
                  "--probes", "0:1:2"]) == 3
 
 
-def test_envelope_on_grid_instance_exits_3(grid_file, capsys):
-    # every envelope route needs a piecewise-linear instance
+@pytest.mark.parametrize("dual", [
+    pytest.param(None, id="None"),
+    pytest.param("0:1/2:3", id="exact"),
+    pytest.param("0:0.5:3", id="grid"),
+])
+def test_envelope_on_grid_instance_exits_3(grid_file, capsys, dual):
+    # every envelope route needs a piecewise-linear instance; envelope
+    # reads no --dual-grid, so no spelling of one picks another route
+    extra = [] if dual is None else ["--dual-grid", dual]
     assert main(["envelope", "--kind", "cup", "--instance", grid_file,
-                 "--probes", "0:1:3"]) == 3
+                 "--probes", "0:1:3", *extra]) == 3
     out, err = capsys.readouterr()
     assert out == ""
     assert _one_line_error(err)
@@ -791,9 +798,16 @@ MA_1D = {"kind": "maxaffine", "dim": 1, "pieces": [
 ]}
 
 
-def test_maxaffine_1d_file_takes_the_exact_route(tmp_path, capsys):
-    # max(-x, 2x + 1) converts to its PL form before the route is chosen
-    ma = write_json(tmp_path / "ma.json", MA_1D)
+@pytest.mark.parametrize("levels", [
+    pytest.param(None, id="None"),
+    pytest.param(("0", "1"), id="exact"),
+])
+def test_maxaffine_1d_file_takes_the_exact_route(tmp_path, capsys, levels):
+    # max(-x, 2x + 1) converts to its PL form before the route is chosen,
+    # whether its levels are JSON numbers or exact strings
+    payload = MA_1D if levels is None else {**MA_1D, "pieces": [
+        {**piece, "level": lv} for piece, lv in zip(MA_1D["pieces"], levels)]}
+    ma = write_json(tmp_path / "ma.json", payload)
     assert main(["conjugate", "--instance", ma, "--dual-grid", "-1:2:4"]) == 0
     assert capsys.readouterr().out.splitlines() == [
         "x,value", "-1,0", "0,-1/3", "1,-2/3", "2,-1"]
