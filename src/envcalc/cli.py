@@ -31,6 +31,7 @@ from .funcrep import (
     GridFunction,
     Interval1D,
     MaxAffine,
+    OperatorGraph,
     PLConvex1D,
     dump_instance,
     effective_domain,
@@ -114,12 +115,10 @@ def _resolve_instance(ref: str):
         raise KeyError(f"gallery {g.name!r} carries no loadable object")
     with open(ref, "r", encoding="utf-8") as fh:
         d = json.load(fh)
-    # load_instance would read a string as a path or as JSON text
+    # load_instance would read a string as a path
     if not isinstance(d, dict):
         raise _UsageError(f"instance file {ref!r} does not hold a JSON object")
     try:
-        if d.get("kind") == "opgraph":
-            return operators.graph_load(d)
         return load_instance(d)
     except KeyError as e:
         raise _UsageError(
@@ -190,14 +189,9 @@ def _coord_columns(points, dim: int) -> list:
     return [_cells([p[k] for p in points]) for k in range(dim)]
 
 
-def _grid_rows(g: GridFunction):
-    return zip(*_coord_columns(g.points, g.dim), _cells(g.value_array))
-
-
-def _value_rows(points, values, dim: int):
-    for p, v in zip(points, values):
-        coords = [p] if dim == 1 else list(p)
-        yield [format_scalar(c) for c in coords] + [format_scalar(v)]
+def _rows(points, values, dim: int):
+    """CSV rows of the points' coordinates followed by their values."""
+    return zip(*_coord_columns(points, dim), _cells(values))
 
 
 def _cross(axis) -> tuple:
@@ -211,7 +205,7 @@ def _emit_pl(out_path, g: PLConvex1D, spec) -> int:
     ``theoremlab.primal_probes(g)`` when no grid is given."""
     if not _emit_instance_json(out_path, g):
         pts = parse_probe_grid(spec, exact=True) if spec else theoremlab.primal_probes(g)
-        _emit(out_path, "x,value", _value_rows(pts, g.values_at(pts), 1))
+        _emit(out_path, "x,value", _rows(pts, g.values_at(pts), 1))
     return 0
 
 
@@ -234,7 +228,8 @@ def _verb_conjugate(args, inst) -> int:
         g = transforms.conjugate_llt(inst, axis)
     else:
         g = transforms.conjugate_brute(inst, _cross(axis))
-    _emit(args.out, "x,value" if g.dim == 1 else "x,y,value", _grid_rows(g))
+    _emit(args.out, "x,value" if g.dim == 1 else "x,y,value",
+          _rows(g.points, g.value_array, g.dim))
     return 0
 
 
@@ -249,7 +244,7 @@ def _verb_clconv(args, inst) -> int:
         raise _UsageError("a 2D hull needs --probes to tabulate")
     axis = parse_probe_grid(args.probes, exact=False)
     pts = _cross(axis)
-    _emit(args.out, "x,y,value", _value_rows(pts, (g.value_at(p) for p in pts), 2))
+    _emit(args.out, "x,y,value", _rows(pts, g.values_at(pts), 2))
     return 0
 
 
@@ -260,11 +255,15 @@ def _verb_infconv(args, f, g) -> int:
         raise _UsageError(str(e)) from None
     if isinstance(h, PLConvex1D):
         return _emit_pl(args.out, h, args.probes)
-    _emit(args.out, "x,value" if h.dim == 1 else "x,y,value", _grid_rows(h))
+    _emit(args.out, "x,value" if h.dim == 1 else "x,y,value",
+          _rows(h.points, h.value_array, h.dim))
     return 0
 
 
 def _verb_subdiff(args, inst) -> int:
+    tol = args.tolerance if args.tolerance is not None else 0.0
+    if not 0 <= tol < math.inf:
+        raise _UsageError(f"--tolerance must be finite and at least 0, got {tol}")
     if isinstance(inst, PLConvex1D):
         pts = (
             parse_probe_grid(args.probes, exact=True)
@@ -285,7 +284,6 @@ def _verb_subdiff(args, inst) -> int:
         raise TypeError("subdiff needs a piecewise-linear or grid instance")
     if not args.dual_grid:
         raise _UsageError("subdiff on a grid needs --dual-grid")
-    tol = args.tolerance if args.tolerance is not None else 0.0
     axis = parse_probe_grid(args.dual_grid, exact=False)
     duals = axis if inst.dim == 1 else _cross(axis)
     member = operators.grid_subdiff_matrix(inst, duals, tol)
@@ -301,7 +299,7 @@ def _verb_subdiff(args, inst) -> int:
 def _verb_fitz(args, inst) -> int:
     if not args.probes or not args.dual_grid:
         raise _UsageError("fitz needs --probes and --dual-grid")
-    if isinstance(inst, operators.OperatorGraph):
+    if isinstance(inst, OperatorGraph):
         src, dim = inst, inst.dim
         exact = all(
             not isinstance(c, float)
@@ -322,15 +320,11 @@ def _verb_fitz(args, inst) -> int:
     ys = parse_probe_grid(args.dual_grid, exact=exact)
     if dim == 2:
         xs, ys = _cross(xs), _cross(ys)
-
-    def cells(p):
-        return [format_scalar(c) for c in (p if dim == 2 else (p,))]
-
-    ycells = [cells(y) for y in ys]
+    xcells = zip(*_coord_columns(xs, dim))
+    ycells = list(zip(*_coord_columns(ys, dim)))
     rows = []
-    for x, vals in zip(xs, operators.fitzpatrick_table(src, xs, ys)):
-        xc = cells(x)
-        rows += [xc + yc + [format_scalar(v)] for yc, v in zip(ycells, vals)]
+    for xc, vals in zip(xcells, operators.fitzpatrick_table(src, xs, ys)):
+        rows += [(*xc, *yc, v) for yc, v in zip(ycells, _cells(vals))]
     header = "x,xstar,value" if dim == 1 else "x1,x2,xstar1,xstar2,value"
     _emit(args.out, header, rows)
     return 0
@@ -343,7 +337,7 @@ def _verb_envelope(args, inst) -> int:
         raise _UsageError("--kind ncup needs --n")
     if args.kind == "smileeps" and args.eps is None:
         raise _UsageError("--kind smileeps needs --eps")
-    if isinstance(inst, operators.OperatorGraph):
+    if isinstance(inst, OperatorGraph):
         raise TypeError("envelopes need a function instance, not a bare graph")
     probes = parse_probe_grid(args.probes)
     eps = None
@@ -378,7 +372,14 @@ def _verb_hull(args, inst) -> int:
 
 
 def _check_csv(out_path, checks) -> None:
-    theoremlab.SuiteReport(0, tuple(checks)).write_csv(out_path)
+    """The report of theorem checks, one row per check."""
+    rows = (
+        [c.theorem_id, c.instance, c.verdict,
+         "" if c.margin is None else format_scalar(c.margin),
+         format_scalar(c.tolerance), c.backend]
+        for c in checks
+    )
+    _emit(out_path, "theorem_id,instance_id,verdict,margin,tolerance,backend", rows)
 
 
 def _verb_check(args, inst) -> int:
@@ -408,7 +409,7 @@ def _verb_suite(args) -> int:
     report = theoremlab.run_suite(seed=args.seed, n_instances=n, theorem_ids=ids)
     sys.stdout.write(report.text())
     if args.out:
-        report.write_csv(args.out)
+        _check_csv(args.out, report.checks)
     return 0 if report.all_ok else 1
 
 

@@ -3,7 +3,10 @@
 Two scalar backends coexist.  ``PLConvex1D`` is fully exact (Fraction
 breakpoints/values/slopes) and is the only representation on which
 zero-tolerance theorem checks run.  ``GridFunction`` stores float values on a
-finite point list and is +inf off the listed points by convention.
+finite point list and is +inf off the listed points by convention.  The
+finite carriers ``SampledSet``, ``MaxAffine`` and ``OperatorGraph`` sit next
+to them, and ``dump_instance``/``load_instance`` are the one reader and
+writer of instance files for every kind.
 """
 
 from __future__ import annotations
@@ -672,6 +675,29 @@ class MaxAffine:
         return [ExtReal(v) for v in line_envelope_at(lines, xs)]
 
 
+@dataclass(frozen=True)
+class OperatorGraph:
+    """Finite list of (point, dual point) pairs, optionally backed by the
+    exact ``operators.SubdiffStructure1D`` it was flattened from."""
+
+    dim: int
+    pairs: tuple
+    label: str | None = None
+    structure: object = None
+
+    def __post_init__(self):
+        if self.dim not in (1, 2):
+            raise ValueError("dim must be 1 or 2")
+        seen = set()
+        canon = []
+        for x, y in self.pairs:
+            key = (x, y)
+            if key not in seen:
+                seen.add(key)
+                canon.append(key)
+        object.__setattr__(self, "pairs", tuple(canon))
+
+
 Func = Union[PLConvex1D, GridFunction, MaxAffine]
 
 
@@ -848,7 +874,7 @@ def is_convex_on_grid(f: GridFunction, tol: float = GRID_TOL) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# instance files (JSON) and CSV value tables
+# instance files (JSON)
 # ---------------------------------------------------------------------------
 
 
@@ -911,6 +937,17 @@ def dump_instance(obj) -> dict:
                 for a, s, lv in obj.pieces
             ],
         }
+    elif isinstance(obj, OperatorGraph):
+        # scalars keep their spelling: exact pairs round-trip exactly and
+        # float pairs by repr
+        def enc(p):
+            return format_scalar(p) if obj.dim == 1 else [format_scalar(c) for c in p]
+
+        d = {
+            "kind": "opgraph",
+            "dim": obj.dim,
+            "pairs": [[enc(x), enc(y)] for x, y in obj.pairs],
+        }
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
     # an interval carries no label
@@ -938,18 +975,14 @@ def _check_counts(d: dict, *keys) -> None:
 
 
 def load_instance(src):
-    """Accepts a dict, a JSON string, or a path to a JSON file."""
-    if isinstance(src, (str, bytes)):
-        s = src.decode() if isinstance(src, bytes) else src
-        if s.lstrip().startswith("{"):
-            d = json.loads(s)
-        else:
-            with open(s, "r", encoding="utf-8") as fh:
-                d = json.load(fh)
-    elif isinstance(src, dict):
+    """Accepts a dict or a path to a JSON file."""
+    if isinstance(src, dict):
         d = src
+    elif isinstance(src, (str, bytes)):
+        with open(src, "r", encoding="utf-8") as fh:
+            d = json.load(fh)
     else:
-        raise TypeError("load_instance takes a dict, JSON text, or a path")
+        raise TypeError("load_instance takes a dict or a path")
     kind = d.get("kind")
     label = d.get("label")
     if kind == "plconvex1d":
@@ -1009,4 +1042,15 @@ def load_instance(src):
             ),
             label=label,
         )
+    if kind == "opgraph":
+        _check_counts(d, "pairs")
+        dim = int(d["dim"])
+
+        def dec(e):
+            if dim == 1:
+                return parse_scalar(e).finite()
+            return tuple(parse_scalar(c).finite() for c in e)
+
+        pairs = tuple((dec(x), dec(y)) for x, y in d["pairs"])
+        return OperatorGraph(dim, pairs, label=label)
     raise ValueError(f"unknown instance kind {kind!r}")

@@ -1,8 +1,8 @@
 """Operator graphs, subdifferentials, monotonicity, Fitzpatrick functions.
 
 The exact backend carries two views of a subdifferential.  The flattened
-``OperatorGraph`` is a finite pair list (what serialization, monotonicity and
-pair-based suprema work on).  The attached ``SubdiffStructure1D`` keeps the
+``OperatorGraph`` (defined, read and written in ``funcrep``) is a finite pair
+list, what monotonicity and pair-based suprema work on.  The attached ``SubdiffStructure1D`` keeps the
 full continuum: a slope interval per breakpoint and a constant slope per open
 segment, with ``None`` standing for an unbounded interval end at a domain
 wall.  Envelope suprema need the structure; everything it asserts can be
@@ -23,9 +23,9 @@ from .extreal import ExtReal, NEG_INF, POS_INF, ext_sup
 from .funcrep import (
     GridFunction,
     Interval1D,
+    OperatorGraph,
     PLConvex1D,
     _canon_point,
-    _check_counts,
     _frac,
     dot,
     is_exact_scalar,
@@ -307,8 +307,11 @@ def _grid_membership(f: GridFunction, anchors, fa, duals, tol) -> np.ndarray:
     to, which still decides the comparison, unless the right-hand side
     comes out NaN (0 * inf, or inf - inf in the 2D dot): such a cell is
     decided over the rationals its floats denote, or, with an infinite dual
-    or tolerance, read as no violation.
+    or tolerance, read as no violation.  A NaN tolerance is refused: every
+    comparison with it is false, so every cell would pass.
     """
+    if math.isnan(tol):
+        raise ValueError("the membership tolerance is NaN")
     ys, fy = f.finite_arrays()
     # a NaN needs an infinite term, and none arises while this bound on every
     # difference, product and sum stays finite, so the NaN scan is skipped
@@ -443,29 +446,6 @@ def normal_cone(C: Interval1D, x) -> Interval1D:
 # ---------------------------------------------------------------------------
 # operator graphs
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class OperatorGraph:
-    """Finite list of (point, dual point) pairs, optionally backed by the
-    exact structure it was flattened from."""
-
-    dim: int
-    pairs: tuple
-    label: str | None = None
-    structure: SubdiffStructure1D | None = None
-
-    def __post_init__(self):
-        if self.dim not in (1, 2):
-            raise ValueError("dim must be 1 or 2")
-        seen = set()
-        canon = []
-        for x, y in self.pairs:
-            key = (x, y)
-            if key not in seen:
-                seen.add(key)
-                canon.append(key)
-        object.__setattr__(self, "pairs", tuple(canon))
 
 
 KINK_REPS = 3
@@ -779,43 +759,3 @@ def ni_check(G: OperatorGraph, probe_pairs) -> ExtReal:
     if best is None:
         raise ValueError("need at least one probe pair")
     return best
-
-
-def graph_dump(G: OperatorGraph) -> dict:
-    """JSON-ready description of a finite pair graph.
-
-    Scalars keep their spelling through format_scalar, so exact pairs
-    round-trip exactly and float pairs round-trip via repr.
-    """
-    from .extreal import format_scalar
-
-    def enc(p):
-        if G.dim == 1:
-            return format_scalar(p)
-        return [format_scalar(c) for c in p]
-
-    out = {
-        "kind": "opgraph",
-        "dim": G.dim,
-        "pairs": [[enc(x), enc(y)] for x, y in G.pairs],
-    }
-    if G.label is not None:
-        out["label"] = G.label
-    return out
-
-
-def graph_load(src) -> OperatorGraph:
-    from .extreal import parse_scalar
-
-    if not isinstance(src, dict) or src.get("kind") != "opgraph":
-        raise ValueError("not an operator-graph description")
-    _check_counts(src, "pairs")
-    dim = int(src["dim"])
-
-    def dec(e):
-        if dim == 1:
-            return parse_scalar(e).finite()
-        return tuple(parse_scalar(c).finite() for c in e)
-
-    pairs = tuple((dec(x), dec(y)) for x, y in src["pairs"])
-    return OperatorGraph(dim, pairs, label=src.get("label"))

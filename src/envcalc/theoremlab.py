@@ -1109,19 +1109,6 @@ class SuiteReport:
     def text(self) -> str:
         return "\n".join(self.lines()) + "\n"
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("theorem_id,instance_id,verdict,margin,tolerance,backend\n")
-            for c in self.checks:
-                margin = (
-                    "" if c.margin is None
-                    else format_scalar(c.margin)
-                )
-                fh.write(
-                    f"{c.theorem_id},{c.instance},{c.verdict},"
-                    f"{margin},{format_scalar(c.tolerance)},{c.backend}\n"
-                )
-
 
 def run_suite(seed: int = 0, n_instances: int = 4, theorem_ids=None) -> SuiteReport:
     """Run the registry over seeded instances; deterministic for fixed args.

@@ -25,7 +25,7 @@ from envcalc.funcrep import (
     load_instance,
     pl_equal,
 )
-from envcalc.operators import OperatorGraph, graph_dump, subdiff_graph
+from envcalc.operators import OperatorGraph, subdiff_graph
 from envcalc.theoremlab import REGISTRY, InstanceGenerator, TheoremCheck, run_suite
 
 from test_funcrep import ABS
@@ -439,8 +439,8 @@ def test_missing_key_names_the_kind_and_the_key(tmp_path, capsys, kind, key, res
 
 @pytest.mark.parametrize("payload", ["PATH", "TEXT", ["PATH"]], ids=["path", "text", "list"])
 def test_instance_file_that_is_not_an_object_exits_2(abs_file, tmp_path, capsys, payload):
-    # a string at the top level would otherwise be read as a path to, or
-    # the JSON text of, another instance
+    # a string at the top level, JSON text included, would otherwise be
+    # read as the path of another instance
     subs = {"PATH": abs_file, "TEXT": json.dumps(dump_instance(ABS))}
     payload = [subs[p] for p in payload] if isinstance(payload, list) else subs[payload]
     src = write_json(tmp_path / "outer.json", payload)
@@ -578,7 +578,7 @@ def test_eps_is_parsed_exactly(abs_file, monkeypatch, capsys):
 
 def test_envelope_on_bare_graph_exits_3(tmp_path):
     G = subdiff_graph(ABS)
-    src = write_json(tmp_path / "g.json", graph_dump(G))
+    src = write_json(tmp_path / "g.json", dump_instance(G))
     assert main(["envelope", "--kind", "cup", "--instance", src,
                  "--probes", "0:1:2"]) == 3
 
@@ -619,6 +619,21 @@ def test_tolerance_only_on_subdiff(abs_file, grid_file, capsys):
     assert main(["subdiff", "--instance", grid_file, "--dual-grid", "0:2:5",
                  "--tolerance", "1e-9"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_subdiff_refuses_a_nan_infinite_or_negative_tolerance(tmp_path, capsys, tol):
+    # every comparison with a NaN tolerance is false, so every pair would
+    # pass, slope 0 at the raised sample x = 1 included
+    bump = write_json(tmp_path / "bump.json",
+                      dump_instance(GridFunction(1, (0.0, 1.0, 2.0), (0.0, 5.0, 0.0))))
+    argv = ["subdiff", "--instance", bump, "--dual-grid", "-1:1:3", "--tolerance"]
+    assert main(argv + ["0"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 4
+    assert main(argv + [tol]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _one_line_error(captured.err) and "--tolerance" in captured.err
 
 
 @pytest.mark.parametrize("values, member", [((0.0, -1.0), "-1e+308"), ((0.0, 1.0), "1e+308")])
@@ -740,7 +755,7 @@ def test_oversized_fitz_table_exits_2(tmp_path, capsys):
                  "--dual-grid", "0:1:5"]) == 2
     err = capsys.readouterr().err
     assert _one_line_error(err) and "fitz table of 5242880 cells" in err
-    g2 = write_json(tmp_path / "g2.json", graph_dump(
+    g2 = write_json(tmp_path / "g2.json", dump_instance(
         OperatorGraph(2, (((F(0), F(0)), (F(1), F(0))),))))
     # 2D: 33^2 x 32^2 cells
     assert main(["fitz", "--instance", g2, "--probes", "0:1:33",
@@ -963,7 +978,7 @@ def _valid_payload(seed: int, which: int):
         lambda: dump_instance(gen.pl_convex_with_override()),
         lambda: dump_instance(gen.grid_nonconvex()),
         lambda: dump_instance(gen.indicator_set()),
-        lambda: graph_dump(gen.operator_graph()),
+        lambda: dump_instance(gen.operator_graph()),
         lambda: dump_instance(GridFunction(
             2, ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)),
             tuple(float(v) for v in small))),

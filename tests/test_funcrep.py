@@ -10,6 +10,7 @@ from envcalc.funcrep import (
     GridFunction,
     Interval1D,
     MaxAffine,
+    OperatorGraph,
     PLConvex1D,
     SampledSet,
     dump_instance,
@@ -269,8 +270,34 @@ def test_maxaffine_empty_is_improper():
 ])
 def test_dump_load_round_trip(obj):
     d = dump_instance(obj)
-    back = load_instance(json.dumps(d))
+    back = load_instance(json.loads(json.dumps(d)))
     assert back == obj
+
+
+@pytest.mark.parametrize("G", [
+    pytest.param(OperatorGraph(1, ((0, -1), (F(1, 2), F(1, 4)))), id="1d-exact"),
+    pytest.param(OperatorGraph(1, ((0.0, -1.5), (1e-05, 1e16)), label="g"), id="1d-float"),
+    pytest.param(OperatorGraph(2, (((0, F(1, 3)), (-2, 0)),), label="plane"), id="2d-exact"),
+    pytest.param(OperatorGraph(2, (((0.5, 0.0), (1.0, -0.25)),)), id="2d-float"),
+])
+def test_opgraph_round_trip(G):
+    d = dump_instance(G)
+    assert d["kind"] == "opgraph" and d.get("label") == G.label
+    back = load_instance(json.loads(json.dumps(d)))
+    # by repr: exact pairs come back exact and float pairs as the same floats
+    assert repr(back) == repr(G)
+
+
+def test_load_instance_reads_an_opgraph_path_and_no_json_text(tmp_path):
+    G = OperatorGraph(2, (((F(1), F(0)), (0.5, F(-1, 3))),), label="g")
+    text = json.dumps(dump_instance(G))
+    path = tmp_path / "g.json"
+    path.write_text(text)
+    assert load_instance(str(path)) == G
+    with pytest.raises(OSError):  # the text is taken for a file name
+        load_instance(text)
+    # like every other kind, an empty label is not written
+    assert "label" not in dump_instance(OperatorGraph(1, (), label=""))
 
 
 def test_load_rejects_unknown_kind():

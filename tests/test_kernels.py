@@ -2125,6 +2125,18 @@ def test_integer_kernels_match_fraction_oracles_on_coprime_denominators(case):
     assert repr(mids) == repr(tuple((u + w) / 2 for u, w in zip(b, b[1:])))
 
 
+@given(pl_functions(), extras, st.sampled_from((F(1, 100), F(1, 3), F(1), F(7))))
+@settings(max_examples=100, deadline=None)
+def test_smileeps_equals_smile_in_1d(f, extra, eps):
+    """On the line the eps budget never changes the constrained envelope.
+    At a point of the domain whose value is not raised, both are f(x).  At
+    a raised wall end the adjacent candidate's values are near cl f(x),
+    below the override, so both are the cup value.  Where f(x) = +inf both
+    drop the budget.  A budget of f(x) - eps would lose the anchor x."""
+    xs = primal_points(f, extra)
+    assert envelope_values(f, "smileeps", xs, eps) == envelope_values(f, "smile", xs)
+
+
 @given(pl_functions(), extras, st.randoms(use_true_random=False))
 @settings(max_examples=100, deadline=None)
 def test_values_at_matches_value_at_per_probe(f, extra, rnd):

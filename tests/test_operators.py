@@ -4,15 +4,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from envcalc.extreal import POS_INF
-from envcalc.funcrep import GridFunction, Interval1D, PLConvex1D
+from envcalc.funcrep import GridFunction, Interval1D, PLConvex1D, dump_instance, load_instance
 from envcalc.operators import (
     OperatorGraph,
     eps_subdiff_interval,
     eps_subdiff_test,
     fitzpatrick,
     fitzpatrick_structured,
-    graph_dump,
-    graph_load,
+    grid_subdiff_matrix,
     grid_subdiff_test,
     is_maximal_relative,
     ni_check,
@@ -110,6 +109,15 @@ def test_grid_subdiff_test_matches_hull():
     assert not grid_subdiff_test(g, 1.0, 2.0)
 
 
+def test_grid_subdiff_matrix_refuses_a_nan_tolerance():
+    # a NaN makes every comparison false, which would pass every cell
+    bump = GridFunction(1, (0.0, 1.0, 2.0), (0.0, 5.0, 0.0))
+    duals = (-1.0, 0.0, 1.0)
+    assert grid_subdiff_matrix(bump, duals).sum() == 4
+    with pytest.raises(ValueError, match="NaN"):
+        grid_subdiff_matrix(bump, duals, float("nan"))
+
+
 # ---------------------------------------------------------------------------
 # normal cones
 # ---------------------------------------------------------------------------
@@ -177,7 +185,7 @@ def test_maximal_relative_finds_gap():
 
 def test_graph_json_round_trip():
     G = subdiff_graph(ABS)
-    back = graph_load(graph_dump(G))
+    back = load_instance(dump_instance(G))
     assert back.pairs == G.pairs
     assert back.dim == G.dim
 

@@ -6,6 +6,7 @@ import pytest
 from envcalc.extreal import as_extreal
 from envcalc.funcrep import GridFunction, Interval1D, PLConvex1D, lsc_defect, pl_equal
 from envcalc.operators import grid_subdiff_test, subdiff_exact, subdiff_test
+from envcalc.cli import main
 from envcalc.envelopes import circ_exact
 from envcalc.theoremlab import (
     CheckContext,
@@ -189,16 +190,18 @@ def test_suite_empty_selection():
     assert r.all_ok
 
 
-def test_suite_csv_shape(tmp_path):
+def test_suite_csv_shape(tmp_path, capsys):
     r = run_suite(seed=2, n_instances=1, theorem_ids=("maxcup", "ncfitz"))
+    argv = ["suite", "maxcup", "ncfitz", "--seed", "2", "-n", "1", "--out"]
     p = tmp_path / "report.csv"
-    r.write_csv(p)
+    assert main(argv + [str(p)]) == 0
+    assert capsys.readouterr().out == r.text()
     raw = p.read_bytes()
     assert b"\r" not in raw
     lines = raw.decode().splitlines()
     assert lines[0] == "theorem_id,instance_id,verdict,margin,tolerance,backend"
     assert len(lines) == len(r.checks) + 1
-    r.write_csv(tmp_path / "again.csv")
+    assert main(argv + [str(tmp_path / "again.csv")]) == 0
     assert (tmp_path / "again.csv").read_bytes() == raw
 
 
