@@ -21,6 +21,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .extreal import ExtReal, NEG_INF, POS_INF, ext_sup
 from .funcrep import (
@@ -36,10 +37,10 @@ from .funcrep import (
 from .operators import (
     OperatorGraph,
     _exactify,
-    eps_subdiff_test,
+    eps_subdiff_gap,
     subdiff_graph,
     subdiff_structure,
-    subgradient_test,
+    subgradient_flags,
 )
 from .transforms import conjugate_brute, conjugate_exact
 
@@ -195,30 +196,44 @@ def circ_exact(f: PLConvex1D) -> PLConvex1D:
 # ---------------------------------------------------------------------------
 
 
-def _level(f, a, value_at=None):
-    """f(a) as a finite scalar: the level of the support anchored at a.
-    ``value_at(f, a)``, when given, reads f(a) in place of f.value_at(a)."""
-    fa = f.value_at(a) if value_at is None else value_at(f, a)
-    if not fa.is_finite:
-        raise ValueError(f"anchor {a!r} has no finite value")
-    return fa.finite()
+def _values(f, xs) -> list:
+    """f at each point of xs: one ``values_at`` where f has it, else
+    ``value_at`` per point (a grid, or any function known by its values)."""
+    values_at = getattr(f, "values_at", None)
+    return values_at(xs) if values_at else list(map(f.value_at, xs))
+
+
+def _levels(f, anchors, values=None) -> list:
+    """f(a) as a finite scalar per anchor a: the levels of the supports
+    anchored there, from one ``_values`` read (``values``, when given, are
+    f's values at the anchors).  The first anchor without a finite value
+    raises."""
+    if values is None:
+        values = _values(f, anchors)
+    for a, fa in zip(anchors, values):
+        if not fa.is_finite:
+            raise ValueError(f"anchor {a!r} has no finite value")
+    return [fa.finite() for fa in values]
 
 
 def upper_envelope(f, G: OperatorGraph, tol=0) -> MaxAffine:
     """Max of the affine supports anchored at the graph pairs.
 
     Every pair must pass ``subgradient_test(f, tol)`` and anchor at a
-    finite value; violations raise.  An empty graph yields the empty max,
-    which is -inf everywhere (improper).
+    finite value; the first pair, in list order, that does not raises.  f
+    is read once at the anchors, and ``subgradient_flags`` judges the pairs
+    before the first anchor without a finite value from those values.  An
+    empty graph yields the empty max, which is -inf everywhere (improper).
     """
-    member = subgradient_test(f, tol)
-    pieces = []
-    for a, b in G.pairs:
-        fa = _level(f, a)
-        if not member(a, b):
+    anchors = [a for a, _b in G.pairs]
+    values = _values(f, anchors)
+    bad = next((i for i, fa in enumerate(values) if not fa.is_finite), len(values))
+    for (a, b), ok in zip(G.pairs, subgradient_flags(f, G.pairs[:bad], tol, values[:bad])):
+        if not ok:
             raise ValueError(f"pair ({a!r}, {b!r}) fails the subgradient test")
-        pieces.append((a, b, fa))
-    return MaxAffine(G.dim, tuple(pieces), label=G.label)
+    levels = _levels(f, anchors, values)
+    return MaxAffine(G.dim, tuple((a, b, lv) for (a, b), lv in zip(G.pairs, levels)),
+                     label=G.label)
 
 
 def star_cup(f, G: OperatorGraph, xstar) -> ExtReal:
@@ -229,8 +244,8 @@ def star_cup(f, G: OperatorGraph, xstar) -> ExtReal:
     gives the payload (``first_max_at``).
     """
     o = 0 if G.dim == 1 else (0, 0)
-    anchors = {a for a, _b in G.pairs}
-    pieces = tuple((o, a, -_level(f, a)) for a in anchors)
+    anchors = list({a for a, _b in G.pairs})
+    pieces = tuple((o, a, -lv) for a, lv in zip(anchors, _levels(f, anchors)))
     return MaxAffine(G.dim, pieces).first_max_at(xstar)
 
 
@@ -244,7 +259,7 @@ def circ(f, G: OperatorGraph, dual_points, probes) -> tuple:
     anchors = tuple({a for a, _b in G.pairs})
     if not anchors:
         return tuple((x, NEG_INF) for x in probes)
-    vals = tuple(float(_level(f, a)) for a in anchors)
+    vals = tuple(map(float, _levels(f, anchors)))
     restricted = GridFunction(G.dim, anchors, vals)
     conj = conjugate_brute(restricted, tuple(dual_points))
     back = conjugate_brute(conj, tuple(probes))
@@ -275,8 +290,8 @@ def _n_cup_chain(f, G: OperatorGraph, n: int):
     """``n_cup_envelope(f, G, k)`` for k = 2, ..., n in turn, from one run
     of its DP: one step per k until the levels stop changing, and from then
     on the last envelope again, as the same object."""
-    pieces = [(a, b, _level(f, a)) for a, b in G.pairs]
     anchors = [a for a, _b in G.pairs]
+    pieces = [(a, b, lv) for (a, b), lv in zip(G.pairs, _levels(f, anchors))]
     env, fixed = None, False
     for _ in range(n - 1):
         if not fixed:
@@ -302,12 +317,12 @@ def n_cup(f, G: OperatorGraph, n: int, x) -> ExtReal:
     return n_cup_envelope(f, G, n).value_at(x)
 
 
-def _budget_value(f, x) -> ExtReal:
+def _budget_values(f, xs) -> list:
     # an exact function takes float probes as the rationals they denote, as
     # subdiff_graph does, so budgets compare exactly; grids look floats up
     if isinstance(f, PLConvex1D):
-        x = _exactify(x)
-    return f.value_at(x)
+        xs = [_exactify(x) for x in xs]
+    return _values(f, xs)
 
 
 def smile(f, G: OperatorGraph, x) -> ExtReal:
@@ -316,11 +331,12 @@ def smile(f, G: OperatorGraph, x) -> ExtReal:
 
     The constraint is dropped when f(x) = +inf, matching smile_value.
     """
-    fx = _budget_value(f, x)
-    pieces = ((a, b, _level(f, a, _budget_value)) for a, b in G.pairs)
+    (fx,) = _budget_values(f, [x])
+    anchors = [a for a, _b in G.pairs]
+    levels = _levels(f, anchors, _budget_values(f, anchors))
     return ext_sup(
         fa + dot(b, point_sub(x, a, G.dim), G.dim)
-        for a, b, fa in pieces
+        for (a, b), fa in zip(G.pairs, levels)
         if fx.is_pos_inf or fa <= fx.finite()
     )
 
@@ -401,7 +417,8 @@ def epi_normal_graph(f: PLConvex1D, G: OperatorGraph | None = None) -> OperatorG
     """
     if G is None:
         G = subdiff_graph(f)
-    pairs = [((a, _level(f, a)), (b, Fraction(-1))) for a, b in G.pairs]
+    levels = _levels(f, [a for a, _b in G.pairs])
+    pairs = [((a, lv), (b, Fraction(-1))) for (a, b), lv in zip(G.pairs, levels)]
     if f.left_recession is None and f.override_left is None:
         pairs.append(
             ((f.breakpoints[0], f.values[0]), (Fraction(-1), Fraction(0)))
@@ -429,8 +446,8 @@ def epi_cup_floor(f: PLConvex1D, G_full: OperatorGraph) -> MaxAffine:
     if G_full.dim != 2:
         raise ValueError("epigraph samples live in dimension 2")
     b, v, s = f.breakpoints, f.values, f.slopes()
-    for (a, t), (astar, alpha) in G_full.pairs:
-        fa = f.value_at(a)
+    fas = f.values_at([a for (a, _t), _n in G_full.pairs])
+    for ((a, t), (astar, alpha)), fa in zip(G_full.pairs, fas):
         if not fa.is_finite or fa.finite() != t:
             raise ValueError(f"sample anchored off the graph: {(a, t)!r}")
         if alpha > 0:
@@ -497,7 +514,8 @@ _NUDGE = Fraction(1, 2**40)
 
 
 def brondsted_search(f: PLConvex1D, x, xstar, eps, st=None, conj=None) -> BrondstedResult:
-    """Scan the exact graph for a pair close to (x, x*) in the scaled norms.
+    """Scan the exact graph for a pair close to (x, x*) in the scaled norms:
+    the one-eps case of ``brondsted_ladder``.
 
     Candidates are the per-breakpoint dual clamps and the per-segment primal
     clamps; a clamp landing on an endpoint without subgradients steps a hair
@@ -508,13 +526,45 @@ def brondsted_search(f: PLConvex1D, x, xstar, eps, st=None, conj=None) -> Bronds
     candidate; for lsc convex input that outcome indicates a bug upstream.
     ``st`` and ``conj``, when given, are f's structure and conjugate.
     """
+    return next(brondsted_ladder(f, x, xstar, (eps,), st, conj))
+
+
+def brondsted_ladder(f: PLConvex1D, x, xstar, epss, st=None, conj=None):
+    """``brondsted_search(f, x, xstar, eps, st, conj)`` for each eps of
+    epss in turn, as a generator: the candidates, with their gaps, products
+    and keys, are built once, with f(x) and f*(x*) read once, and each eps
+    filters them.  Each eps's preconditions are checked when it is reached.
+
+    A candidate meets the renormalized bounds at eps exactly when
+    max((primal gap * scale)^2, (dual gap / scale)^2) is at most eps, that
+    is when its key max(primal gap * scale^2, dual gap)^2 is at most
+    eps * scale^2.  So each family is sorted once by key (stably: of equal
+    keys the first listed wins) and an eps scans it only up to its first
+    key above eps * scale^2.
+    """
     x = _exactify(x)
     xstar = _exactify(xstar)
-    eps = _positive_eps(eps)
-    if not f.value_at(x).is_finite:
-        raise ValueError("x is outside the domain")
-    if not eps_subdiff_test(f, x, xstar, eps, conj=conj):
-        raise ValueError("xstar is not an eps-subgradient at x")
+    finite = None
+    for eps in epss:
+        eps = _positive_eps(eps)
+        if finite is None:
+            fx = f.value_at(x)
+            if not fx.is_finite:
+                raise ValueError("x is outside the domain")
+            gap = eps_subdiff_gap(f, x, xstar, conj, fx)
+        if gap is None or gap > eps:
+            raise ValueError("xstar is not an eps-subgradient at x")
+        if finite is None:
+            finite, extended, scale = _brondsted_candidates(f, x, xstar, st)
+        row, found = _brondsted_pick(finite, extended, eps * scale * scale, eps)
+        _key, pg, dg, product, a, b = row
+        yield BrondstedResult(a, b, found, pg, dg, scale, product)
+
+
+def _brondsted_candidates(f: PLConvex1D, x, xstar, st):
+    """(finite-data rows, extended rows, scale) of ``brondsted_ladder``:
+    each row (key, primal gap, dual gap, product, a, b) for a candidate
+    pair (a, b), each family sorted stably by key."""
     if st is None:
         st = subdiff_structure(f)
     scale = 1 + abs(xstar)
@@ -557,26 +607,35 @@ def brondsted_search(f: PLConvex1D, x, xstar, eps, st=None, conj=None) -> Bronds
             z = z + h if z == xlo else z - h
         finite_cands.append((z, slope))
 
-    def gaps(c):
-        a, b = c
-        return abs(x - a), abs(xstar - b)
+    s2 = scale * scale
 
-    def ok(c):
-        # the bounds of BrondstedResult.renorm_ok and product_ok
-        return _renorm_ok(*gaps(c), scale, eps) and _product_ok((x - c[0]) * c[1], eps)
+    def rows(cands):
+        out = []
+        for a, b in cands:
+            pg, dg = abs(x - a), abs(xstar - b)
+            m = max(pg * s2, dg)
+            out.append((m * m, pg, dg, (x - a) * b, a, b))
+        out.sort(key=itemgetter(0))
+        return out
 
-    def key(c):
-        pg, dg = gaps(c)
-        return max((pg * scale) ** 2, (dg / scale) ** 2)
+    return rows(finite_cands), rows(extended_cands), scale
 
-    passing = [c for c in finite_cands if ok(c)] or [c for c in extended_cands if ok(c)]
-    cands = passing or finite_cands + extended_cands
-    if not cands:
+
+def _brondsted_pick(finite, extended, bound, eps):
+    """(row, True) for the least-key candidate that meets the bounds at eps
+    (the bounds of ``BrondstedResult.renorm_ok`` and ``product_ok``; its
+    key is at most ``bound``, eps * scale^2), finite-data ones first;
+    failing that, (the least-key row overall, False)."""
+    for rows in (finite, extended):
+        for row in rows:
+            if row[0] > bound:
+                break
+            if _product_ok(row[3], eps):
+                return row, True
+    best = finite[:1] + extended[:1]
+    if not best:
         raise ValueError("the subdifferential graph is empty")
-    a, b = min(cands, key=key)
-    return BrondstedResult(
-        a, b, bool(passing), abs(x - a), abs(xstar - b), scale, (x - a) * b
-    )
+    return min(best, key=itemgetter(0)), False
 
 
 # ---------------------------------------------------------------------------

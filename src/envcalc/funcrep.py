@@ -975,12 +975,15 @@ def _check_counts(d: dict, *keys) -> None:
 
 
 def load_instance(src):
-    """Accepts a dict or a path to a JSON file."""
+    """Accepts a dict or a path to a JSON file; a file whose top level is
+    not a JSON object raises TypeError."""
     if isinstance(src, dict):
         d = src
     elif isinstance(src, (str, bytes)):
         with open(src, "r", encoding="utf-8") as fh:
             d = json.load(fh)
+        if not isinstance(d, dict):
+            raise TypeError(f"instance file {src!r} does not hold a JSON object")
     else:
         raise TypeError("load_instance takes a dict or a path")
     kind = d.get("kind")

@@ -252,37 +252,49 @@ def subdiffs_exact(f: PLConvex1D, xs) -> list:
 
 
 def subgradient_test(f, tol=0):
-    """The predicate (x, x*) -> is x* a subgradient of f at x?
+    """The predicate (x, x*) -> is x* a subgradient of f at x?  One pair of
+    ``subgradient_flags(f, pairs, tol)``, which callers holding a pair list
+    use instead."""
+    return lambda x, xstar: subgradient_flags(f, ((x, xstar),), tol)[0]
+
+
+def subgradient_flags(f, pairs, tol=0, values=None) -> list:
+    """``[subgradient_test(f, tol)(x, x*) for x, x* in pairs]``, with f read
+    once, by one ``values_at`` over the pairs' x (``values``, when given,
+    are those values, in pair order).
 
     On a PLConvex1D, exactly (tol is unused): f(x) is finite, x* lies
     between the recession slopes, and cl f(y) >= f(x) + x*(y - x) at every
     breakpoint y, where cl f takes the listed ``values``: an override passes
     no slope that the adjacent segment rules out, and a raised end fails its
     y = x term.  cl f(y) - x* y is least at k = bisect_left(slopes, x*), so
-    one comparison there decides every y: O(log m), and independent of
-    subdiff_exact on purpose.  A GridFunction gets ``grid_subdiff_test``
-    within tol; any other representation a predicate that raises TypeError.
+    one comparison there decides every y: O(log m) per pair, and
+    independent of subdiff_exact on purpose.  A GridFunction gets
+    ``grid_subdiff_test`` within tol per pair; any other representation
+    raises TypeError on a nonempty list.
     """
     if isinstance(f, GridFunction):
-        return lambda x, xstar: grid_subdiff_test(f, x, xstar, tol)
+        return [grid_subdiff_test(f, x, xstar, tol) for x, xstar in pairs]
     if not isinstance(f, PLConvex1D):
-        def unsupported(x, xstar):
+        if pairs:
             raise TypeError("unsupported function representation")
-        return unsupported
+        return []
+    xs = [_frac(x) for x, _xstar in pairs]
+    xstars = [_frac(xstar) for _x, xstar in pairs]
+    if values is None:
+        values = f.values_at(xs)
     b, v, s = f.breakpoints, f.values, f.slopes()
     lrec, rrec = f.left_recession, f.right_recession
-
-    def test(x, xstar) -> bool:
-        x, xstar = _frac(x), _frac(xstar)
-        fx = f.value_at(x)
-        if not fx.is_finite:
-            return False
+    out = []
+    for x, xstar, fx in zip(xs, xstars, values):
         k = bisect_left(s, xstar)
-        if v[k] < fx.finite() + xstar * (b[k] - x):
-            return False
-        return (lrec is None or xstar >= lrec) and (rrec is None or xstar <= rrec)
-
-    return test
+        out.append(
+            fx.is_finite
+            and v[k] >= fx.finite() + xstar * (b[k] - x)
+            and (lrec is None or xstar >= lrec)
+            and (rrec is None or xstar <= rrec)
+        )
+    return out
 
 
 def subdiff_test(f: PLConvex1D, x, xstar) -> bool:
@@ -384,17 +396,27 @@ def eps_subdiff_test(f: PLConvex1D, x, xstar, eps, conj=None) -> bool:
     """Approximate subgradient membership via the conjugate gap:
     f(x) + f*(xstar) <= x*xstar + eps; ``conj``, when given, is f*."""
     eps = _nonneg_eps(eps)
+    gap = eps_subdiff_gap(f, x, xstar, conj)
+    return gap is not None and gap <= eps
+
+
+def eps_subdiff_gap(f: PLConvex1D, x, xstar, conj=None, fx=None):
+    """f(x) + f*(xstar) - x*xstar, the least eps for which xstar is an
+    eps-subgradient at x, or None when f(x) or f*(xstar) is +inf; a caller
+    with several eps reads f and f* once here.  ``conj`` and ``fx``, when
+    given, are f* and f(x); f* is built only when f(x) is finite."""
     x = _frac(x)
     xstar = _frac(xstar)
-    fx = f.value_at(x)
+    if fx is None:
+        fx = f.value_at(x)
     if not fx.is_finite:
-        return False
+        return None
     if conj is None:
         conj = conjugate_exact(f)
     fstar = conj.value_at(xstar)
     if fstar.is_pos_inf:
-        return False
-    return fx.finite() + fstar.finite() <= x * xstar + eps
+        return None
+    return fx.finite() + fstar.finite() - x * xstar
 
 
 def eps_subdiff_interval(f: PLConvex1D, x, eps) -> Interval1D | None:
@@ -532,22 +554,25 @@ def _exact_pair(p) -> bool:
     )
 
 
-def _relation_test(G: OperatorGraph, candidates, tol):
-    """Predicate (cx, cy) -> <cx - x, cy - y> >= -tol for every pair (x, y).
+def _relation_test(G: OperatorGraph, candidates, tol) -> list:
+    """Per candidate (cx, cy): is <cx - x, cy - y> >= -tol for every pair
+    (x, y)?
 
     On an exact 1D graph with exact candidates and tol == 0 the sign of
     each product is read off instead: pairs left of cx need y <= cy and
     pairs right of it need y >= cy, so one sort by anchor, a prefix max
-    and a suffix min of the duals, and two bisections per candidate decide
-    it.  Otherwise (floats, whose products may round to -0.0, tol > 0, 2D)
-    every pair is tested.
+    and a suffix min of the duals, and two ``ranks`` calls that place every
+    candidate among the anchors by float shadows decide it.  Otherwise
+    (floats, whose products may round to -0.0, tol > 0, 2D) every pair is
+    tested.
     """
     ps = G.pairs
     if not (tol == 0 and _is_exact_graph(G) and all(map(_exact_pair, candidates))):
-        return lambda cx, cy: all(
-            dot(point_sub(cx, x, G.dim), point_sub(cy, y, G.dim), G.dim) >= -tol
-            for x, y in ps
-        )
+        return [
+            all(dot(point_sub(cx, x, G.dim), point_sub(cy, y, G.dim), G.dim) >= -tol
+                for x, y in ps)
+            for cx, cy in candidates
+        ]
     srt = sorted(ps, key=lambda p: p[0])
     anchors = [a for a, _b in srt]
     # below[i]: max dual of the first i pairs; above[i]: min dual of the rest
@@ -557,13 +582,18 @@ def _relation_test(G: OperatorGraph, candidates, tol):
     for _a, b in reversed(srt):
         above.append(b if above[-1] is None or b < above[-1] else above[-1])
     above.reverse()
-
-    def related(cx, cy) -> bool:
-        lo = below[bisect_left(anchors, cx)]
-        hi = above[bisect_right(anchors, cx)]
-        return (lo is None or lo <= cy) and (hi is None or cy <= hi)
-
-    return related
+    shadows = list(map(shadow, anchors))
+    cxs = [cx for cx, _cy in candidates]
+    cx_shadows = list(map(shadow, cxs))
+    out = []
+    for (_cx, cy), i, j in zip(
+        candidates,
+        ranks(anchors, shadows, cxs, cx_shadows),
+        ranks(anchors, shadows, cxs, cx_shadows, right=True),
+    ):
+        lo, hi = below[i], above[j]
+        out.append((lo is None or lo <= cy) and (hi is None or cy <= hi))
+    return out
 
 
 def is_maximal_relative(G: OperatorGraph, candidates, tol=0) -> MaximalityVerdict:
@@ -577,15 +607,13 @@ def is_maximal_relative(G: OperatorGraph, candidates, tol=0) -> MaximalityVerdic
     ``_relation_test``.
     """
     candidates = list(candidates)
-    is_related = _relation_test(G, candidates, tol)
     members = None
     related = 0
     witness = None
     checked = 0
-    for cand in candidates:
+    for (cx, cy), is_related in zip(candidates, _relation_test(G, candidates, tol)):
         checked += 1
-        cx, cy = cand
-        if not is_related(cx, cy):
+        if not is_related:
             continue
         related += 1
         if G.structure is not None:

@@ -55,6 +55,7 @@ from .funcrep import (
     PLConvex1D,
     effective_domain,
     is_convex_on_grid,
+    line_envelope_at,
     lsc_defect,
     pl_canonical,
     pl_equal,
@@ -62,23 +63,21 @@ from .funcrep import (
 from .transforms import cl_conv, conjugate_exact, indicator, support_function
 from .operators import (
     OperatorGraph,
-    fitzpatrick,
     fitzpatrick_table,
     grid_subdiff_matrix,
     grid_subdiff_test,
     is_maximal_relative,
     normal_cone,
     structure_contains,
-    subdiff_exact,
     subdiffs_exact,
     subdiff_graph,
     subdiff_structure,
     subdiff_test,
-    subgradient_test,
+    subgradient_flags,
 )
 from .envelopes import (
     _n_cup_chain,
-    brondsted_search,
+    brondsted_ladder,
     circ_exact,
     cup_exact,
     envelope_values,
@@ -372,10 +371,11 @@ def _check_dfdom_i(tid, desc, ctx):
     else:
         h, G, backend = ctx.closure, ctx.probe_graph, "exact"
         values_at = ctx.inst.values_at
-    test = subgradient_test(h)
     anchors = [a for a, _b in G.pairs]
-    for (a, b), ha, fa in zip(G.pairs, h.values_at(anchors), values_at(anchors)):
-        if not test(a, b):
+    hs = h.values_at(anchors)
+    flags = subgradient_flags(h, G.pairs, values=hs)
+    for (a, b), ok, ha, fa in zip(G.pairs, flags, hs, values_at(anchors)):
+        if not ok:
             return _done(tid, desc, False, witness=(a, b), backend=backend)
         if ha != fa:
             return _done(tid, desc, False, witness=a, backend=backend)
@@ -510,10 +510,10 @@ def _check_fcupdiez_iii(tid, desc, ctx):
 
 def _check_fcupdiez_iv(tid, desc, ctx):
     cupf, shf = ctx.cup, ctx.sharp
-    cup_test, sharp_test = subgradient_test(cupf), subgradient_test(shf)
-    for a, b in ctx.probe_graph.pairs:
-        if not (cup_test(a, b) and sharp_test(a, b)):
-            return _done(tid, desc, False, witness=(a, b))
+    pairs = ctx.probe_graph.pairs
+    for p, c, sh in zip(pairs, subgradient_flags(cupf, pairs), subgradient_flags(shf, pairs)):
+        if not (c and sh):
+            return _done(tid, desc, False, witness=p)
     # cup and sharp keep f's breakpoints, which are probes already
     D = ctx.subdiff_domain
     rows = [(x, iv) for x, iv in ctx.rows(ctx.subdiff_at) if D.contains(x)]
@@ -604,10 +604,10 @@ def _check_fcirc_iii(tid, desc, ctx):
     for x, lhs, rhs in zip(xs, subdiffs_exact(ctx.inst, xs), ctx.circ_range_at):
         if lhs != rhs:
             return _done(tid, desc, False, witness=x)
-    test = subgradient_test(ctx.circ)
-    for a, b in ctx.graph.pairs:
-        if not test(a, b):
-            return _done(tid, desc, False, witness=(a, b))
+    pairs = ctx.graph.pairs
+    for p, ok in zip(pairs, subgradient_flags(ctx.circ, pairs)):
+        if not ok:
+            return _done(tid, desc, False, witness=p)
     return _done(tid, desc, True)
 
 
@@ -780,9 +780,8 @@ def _check_maxsdsp_vii(tid, desc, ctx):
     for x, iv in ctx.rows(ctx.subdiff_at, dom_only=True):
         if iv is None:
             return _done(tid, desc, False, witness=x)
-        xstar = _some_slope(iv)
-        for eps in _EPS_LADDER:
-            res = brondsted_search(f, x, xstar, eps, st=ctx.st, conj=ctx.conj)
+        ladder = brondsted_ladder(f, x, _some_slope(iv), _EPS_LADDER, ctx.st, ctx.conj)
+        for eps, res in zip(_EPS_LADDER, ladder):
             if not (res.found and res.renorm_ok(eps) and res.product_ok(eps)):
                 return _done(tid, desc, False, witness=(x, eps))
     return _done(tid, desc, True, margin=0)
@@ -1168,10 +1167,11 @@ def _gallery_quadratic() -> GalleryResult:
     G = OperatorGraph(1, tuple((t, t) for t in ts), label="identity-slope graph")
     t = np.array([float(u) for u in ts])
     xs = np.linspace(-2.0, 2.0, 41)
-    s = xs[:, None] + xs[None, :]
-    # sup over the graph of x*b + a*y - a*b with a = b = t
-    phi = (s[:, :, None] * t[None, None, :] - t * t).max(axis=2)
-    diff = np.abs(phi - s * s / 4)
+    # sup over the graph of x*b + a*y - a*b with a = b = t depends on the
+    # float sum s = x + y only, so it is computed once per distinct sum
+    sums, cell = np.unique(xs[:, None] + xs[None, :], return_inverse=True)
+    phi = (sums[:, None] * t - t * t).max(axis=1)
+    diff = np.abs(phi - sums * sums / 4)[cell.reshape(-1)]
     worst = float(diff.max())
     ok = worst <= 1e-9
     wit = None
@@ -1180,7 +1180,8 @@ def _gallery_quadratic() -> GalleryResult:
         wit = (xs[i], xs[j])
     # exact spot checks on a coarse sub-lattice of the same window
     spots = [F(-2) + F(i, 2) for i in range(9)]
-    for x, row in zip(spots, fitzpatrick_table(G, spots, spots)):
+    table = fitzpatrick_table(G, spots, spots)
+    for x, row in zip(spots, table):
         for y, phi in zip(spots, row):
             if phi != as_extreal((x + y) ** 2 / 4):
                 ok, wit = False, (x, y)
@@ -1189,14 +1190,13 @@ def _gallery_quadratic() -> GalleryResult:
         PASS if ok else FAIL, "grid", 1e-9, margin=worst, witness=wit,
     )
 
-    def val(a, x):
-        # tangent from anchor a of the halved square, evaluated at x
-        return a * a / 2 + (x - a) * a
-
+    # the tangent of the halved square at anchor a is the line of slope a
+    # and intercept -a^2/2, and the conjugate's term at y is the same line
+    # at y, so one line envelope gives both sups; (x0, y0) is a spot, so
+    # phi(x0, y0) is a cell of the spot table
     x0, y0 = F(1), F(-1)
-    cup1 = max(val(a, x0) for a, _ in G.pairs)
-    star1 = max(y0 * a - a * a / 2 for a, _ in G.pairs)
-    phi0 = fitzpatrick(G, x0, y0)
+    cup1, star1 = line_envelope_at([(a, -a * a / 2) for a, _ in G.pairs], [x0, y0])
+    phi0 = table[spots.index(x0)][spots.index(y0)]
     gap = cup1 + star1 - phi0.finite()
     c2 = TheoremCheck(
         "gallery.quadratic.strict-coupling-gap", "halved square slopes",
@@ -1226,23 +1226,19 @@ def _gallery_open_interval() -> GalleryResult:
     circf = circ_exact(f)
     closedC = Interval1D(F(0), F(1))
     want = indicator(closedC)
-    ok_circ = pl_equal(circf, want) and all(
-        circf.value_at(x) == want.value_at(x) for x in probes
-    )
+    ok_circ = pl_equal(circf, want) and circf.values_at(probes) == want.values_at(probes)
     c3 = TheoremCheck("gallery.open-interval.circ", f.label,
                       PASS if ok_circ else FAIL, "exact", 0, margin=0)
     ok_nc = True
     wit = None
-    for x in probes:
-        got = subdiff_exact(circf, x)
+    for x, got in zip(probes, subdiffs_exact(circf, probes)):
         if closedC.contains(x):
             if got != normal_cone(closedC, x):
                 ok_nc, wit = False, x
         elif got is not None:
             ok_nc, wit = False, x
     Gc = subdiff_graph(circf, probes=probes)
-    for a, b in Gc.pairs:
-        iv = subdiff_exact(circf, a)
+    for (a, b), iv in zip(Gc.pairs, subdiffs_exact(circf, [a for a, _b in Gc.pairs])):
         if iv is None or not iv.contains(b):
             ok_nc, wit = False, (a, b)
     c4 = TheoremCheck("gallery.open-interval.normal-cone", f.label,
@@ -1299,13 +1295,11 @@ def _gallery_half_circle() -> GalleryResult:
         witness=(verdict.witness, verdict.related, verdict.checked),
     )
     window = Interval1D(F(-10), F(10))
-    gc = g.closure()
+    probes = primal_probes(g)
     ok3 = True
     wit = None
-    for x in primal_probes(g):
-        a = _interval_intersect(subdiff_exact(g, x), window)
-        b = _interval_intersect(subdiff_exact(gc, x), window)
-        if a != b:
+    for x, a, b in zip(probes, subdiffs_exact(g, probes), subdiffs_exact(g.closure(), probes)):
+        if _interval_intersect(a, window) != _interval_intersect(b, window):
             ok3, wit = False, x
             break
     c3 = TheoremCheck(

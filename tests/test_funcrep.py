@@ -300,6 +300,16 @@ def test_load_instance_reads_an_opgraph_path_and_no_json_text(tmp_path):
     assert "label" not in dump_instance(OperatorGraph(1, (), label=""))
 
 
+@pytest.mark.parametrize("text", ["[1, 2]", "3", '"grid.json"', "null"])
+def test_load_instance_refuses_a_file_that_is_not_an_object(tmp_path, text):
+    path = tmp_path / "top.json"
+    path.write_text(text)
+    with pytest.raises(TypeError) as err:
+        load_instance(str(path))
+    msg = str(err.value)
+    assert "\n" not in msg and str(path) in msg and "not hold a JSON object" in msg
+
+
 def test_load_rejects_unknown_kind():
     with pytest.raises(ValueError):
         load_instance({"kind": "mystery"})

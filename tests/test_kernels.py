@@ -36,7 +36,9 @@ one probe of their batched forms (``values_at``, ``subdiffs_exact``), so
 both answer to the binary-search and scan oracles above, compared by
 ``repr`` so that payload types count; ``SubdiffStructure1D.sups`` called
 once per probe is the reference of ``sups`` over many probes, as the
-one-probe envelope functions are of the check lab's probe tables; the public ``PLConvex1D`` constructor is the
+one-probe envelope functions are of the check lab's probe tables,
+``brondsted_search`` once per eps of ``brondsted_ladder`` and the one-pair
+``subgradient_test`` of ``subgradient_flags``; the public ``PLConvex1D`` constructor is the
 reference of the private ``_make``, and ``pl_restrict`` (an indicator
 added with ``pl_add``) of the envelopes' O(1) restrictions.  ``pl_add``,
 the general exact sum, is also the middle of the dual route
@@ -88,6 +90,7 @@ from envcalc.funcrep import (
 from envcalc.envelopes import (
     BrondstedResult,
     _subdiff_restriction,
+    brondsted_ladder,
     brondsted_search,
     circ_exact,
     cup_exact,
@@ -123,6 +126,7 @@ from envcalc.operators import (
     subdiff_graph,
     subdiff_structure,
     subdiff_test,
+    subgradient_flags,
     subgradient_test,
     subdiffs_exact,
 )
@@ -1589,9 +1593,12 @@ def test_upper_envelope_validation_matches_per_pair_test(f, extra, rnd):
 def test_check_subgradient_predicate_matches_subdiff_test(f, extra):
     """The one-pass predicate the checks use, and ``subdiff_test`` (one call
     of it), against the per-call loop at breakpoints, drawn points and
-    points off the domain, for slopes at and next to the interval ends."""
+    points off the domain, for slopes at and next to the interval ends;
+    the pair-list form, reading f itself or handed its values, gives the
+    same bools."""
     test = subgradient_test(f)
     b = f.breakpoints
+    pairs, wants = [], []
     for a in b + tuple(extra) + (b[0] - 5, b[-1] + 5):
         iv = subdiff_exact(f, a)
         ends = [e for e in (iv.lo, iv.hi) if e is not None] if iv else []
@@ -1599,6 +1606,11 @@ def test_check_subgradient_predicate_matches_subdiff_test(f, extra):
             for d in (F(-1, 7), F(0), F(1, 7)):
                 want = subdiff_test_oracle(f, a, s + d)
                 assert test(a, s + d) == subdiff_test(f, a, s + d) == want
+                pairs.append((a, s + d))
+                wants.append(want)
+    assert subgradient_flags(f, pairs) == wants
+    values = f.values_at([a for a, _s in pairs])
+    assert subgradient_flags(f, pairs, values=values) == wants
 
 
 def test_upper_envelope_validation_errors():
@@ -1619,10 +1631,16 @@ def test_subgradient_test_dispatch():
     for a, s in ((0.0, 1.0), (0.0, 1.2), (0.0, 1.5), (1.0, 0.5), (1.0, 2.0), (9.0, 0.0)):
         assert test(a, s) == grid_subdiff_test(g, a, s, 0.25)
     assert test(0.0, 1.2) and not subgradient_test(g)(0.0, 1.2)
+    pairs = [(0.0, 1.0), (0.0, 1.2), (1.0, 0.5), (9.0, 0.0)]
+    assert subgradient_flags(g, pairs, 0.25) == [test(a, s) for a, s in pairs]
     with pytest.raises(TypeError, match="subdiff_test takes a PLConvex1D"):
         subdiff_test(g, 0, 0)
     with pytest.raises(TypeError, match="unsupported"):
         subgradient_test(MaxAffine(1, ()))(0, 0)
+    # the pair-list form raises only when it has a pair to judge
+    assert subgradient_flags(MaxAffine(1, ()), []) == []
+    with pytest.raises(MixedScalarError):
+        subgradient_flags(V, [(F(0), 0.5)])
 
 
 def _spelled(draw, q):
@@ -1897,6 +1915,92 @@ def test_brondsted_search_matches_candidate_loop(f, extra):
                     lambda: repr(brondsted_search_oracle(f, x, xstar, eps, **shared)))
                 got = _outcome(lambda: repr(brondsted_search(f, x, xstar, eps, **shared)))
                 assert got == want
+
+
+def _ladder_outcomes(results):
+    """repr of each result a ladder yields, then its ValueError, if any."""
+    out = []
+    try:
+        for r in results:
+            out.append(repr(r))
+    except ValueError as e:
+        out.append(("ValueError", str(e)))
+    return out
+
+
+def _override_probes(f):
+    """Probes at and next to each overridden end, where a primal clamp
+    lands on the end and steps ``_NUDGE`` into the segment."""
+    b = f.breakpoints
+    pts = []
+    if f.override_left is not None:
+        pts += [b[0], b[0] + _NUDGE / 2, b[0] + _NUDGE]
+    if f.override_right is not None:
+        pts += [b[-1], b[-1] - _NUDGE / 2, b[-1] - _NUDGE]
+    return pts
+
+
+@given(pl_functions(), extras)
+@settings(max_examples=80, deadline=None)
+@example(PLConvex1D((F(0), F(1)), (F(0), F(1)), None, None, F(1, 2), F(3)), [])
+@example(PLConvex1D((F(0), F(1, 2**41)), (F(0), F(0)), None, None, F(1)), [])
+def test_brondsted_ladder_matches_search_per_eps(f, extra):
+    """The ladder, which builds a probe's candidates once for every eps of
+    the check lab's ladder, against one ``brondsted_search`` per eps,
+    compared by repr: the same results, then the same ValueError at the
+    same eps.  Probes include the override ends, where the ``_NUDGE`` step
+    applies, and duals include the ends of the eps-subdifferential at the
+    largest eps, which the smaller ones may refuse."""
+    shared = {"st": subdiff_structure(f), "conj": conjugate_exact(f)}
+    for x in primal_points(f, extra) + _override_probes(f):
+        iv = subdiff_exact(f, x)
+        duals = [F(0), F(-3)] if iv is None else [
+            e for e in (iv.lo, iv.hi) if e is not None] + [F(1, 2), F(-7, 3)]
+        wide = eps_subdiff_interval(f, x, _EPS_LADDER[0])
+        if wide is not None:
+            duals += [e for e in (wide.lo, wide.hi) if e is not None]
+        for xstar in duals:
+            want = []
+            for eps in _EPS_LADDER:
+                want.append(_outcome(lambda: repr(brondsted_search(f, x, xstar, eps))))
+                if want[-1][0] == "ValueError":
+                    break
+            for kw in ({}, shared):
+                got = brondsted_ladder(f, x, xstar, _EPS_LADDER, **kw)
+                assert _ladder_outcomes(got) == want
+
+
+def test_brondsted_ladder_nudges_off_a_raised_end():
+    # the clamp of x onto the segment lands on the raised left end and
+    # steps _NUDGE into the segment: the nearest pair at every eps
+    f = PLConvex1D((F(0), F(1)), (F(0), F(1)), None, None, F(1, 1000))
+    results = list(brondsted_ladder(f, F(0), F(1), _EPS_LADDER))
+    assert [r.pair for r in results] == [(_NUDGE, F(1))] * 3
+    assert all(r.found for r in results)
+    assert [repr(r) for r in results] == [
+        repr(brondsted_search(f, F(0), F(1), eps)) for eps in _EPS_LADDER]
+
+
+@given(pl_functions(), extras, st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_upper_envelope_first_error_matches_per_pair_loop(f, extra, rnd):
+    """A pair failing the subgradient test and a pair anchored off the
+    domain, each inserted anywhere in the graph: the same first
+    ValueError as the per-pair loop, whichever comes first."""
+    pairs = list(subdiff_graph(f).pairs)
+    a = rnd.choice(f.breakpoints + tuple(extra))
+    iv = subdiff_exact(f, a)
+    ends = [e for e in (iv.lo, iv.hi) if e is not None] if iv else []
+    bad_pair = (a, rnd.choice(ends or [F(0)]) + rnd.choice((F(-1, 7), F(1, 7))))
+    off = rnd.choice((f.breakpoints[0] - 1, f.breakpoints[-1] + 1))
+    if f.value_at(off).is_finite:
+        off = f.breakpoints[0] - 1 if f.left_recession is None else None
+    for p in (bad_pair, None if off is None else (off, F(0))):
+        if p is not None:
+            pairs.insert(rnd.randrange(len(pairs) + 1), p)
+    G = OperatorGraph(1, tuple(pairs))
+    want = _outcome(lambda: upper_envelope_oracle(f, G))
+    assert _outcome(lambda: upper_envelope(f, G).pieces) == want
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,11 @@ from envcalc.extreal import as_extreal
 from envcalc.funcrep import GridFunction, Interval1D, PLConvex1D, lsc_defect, pl_equal
 from envcalc.operators import grid_subdiff_test, subdiff_exact, subdiff_test
 from envcalc.cli import main
+from envcalc import theoremlab
 from envcalc.envelopes import circ_exact
 from envcalc.theoremlab import (
     CheckContext,
+    _dispatch,
     FAMILIES,
     GALLERY_NAMES,
     InstanceGenerator,
@@ -317,3 +319,67 @@ def test_dropping_the_coupling_term_breaks_the_bound():
     assert fitzpatrick(G, x, y) <= bound
     dropped = max(x * b + a * y for a, b in G.pairs)
     assert dropped > bound
+
+
+# ---------------------------------------------------------------------------
+# planted defects: a wrong table or kernel makes a check fail, and the
+# witness names the planted probe or pair
+# ---------------------------------------------------------------------------
+
+
+def _planted(inst, **tables):
+    """A context whose listed fields hold the given wrong values; the
+    context's cached fields live in its __dict__."""
+    ctx = CheckContext(inst)
+    ctx.__dict__.update(tables)
+    return ctx
+
+
+def test_maxsdsp_vii_fails_at_a_probe_without_subgradients():
+    ctx = CheckContext(ABS)
+    x0 = ctx.dom_probes[len(ctx.dom_probes) // 2]
+    table = tuple(None if x == x0 else iv for x, iv in zip(ctx.probes, ctx.subdiff_at))
+    got = _dispatch("maxsdsp.vii", "abs", _planted(ABS, subdiff_at=table))
+    assert (got.verdict, got.witness) == ("fail", x0)
+    assert _dispatch("maxsdsp.vii", "abs", CheckContext(ABS)).verdict == "pass"
+
+
+def test_dfdom_i_fails_on_a_closure_with_a_raised_end():
+    # |x| on [-1, 1]; a "closure" that keeps a raised right end carries no
+    # subgradient there, so the first graph pair at x = 1 fails
+    f = PLConvex1D((F(-1), F(0), F(1)), (F(1), F(0), F(1)))
+    wrong = replace(f, override_right=as_extreal(F(2)))
+    got = _dispatch("dfdom.i", "hat", _planted(f, closure=wrong))
+    assert (got.verdict, got.witness) == ("fail", (F(1), F(1)))
+    assert _dispatch("dfdom.i", "hat", CheckContext(f)).verdict == "pass"
+
+
+def test_quadratic_gallery_fails_on_a_wrong_coupling_cell(monkeypatch):
+    real = theoremlab.fitzpatrick_table
+    x0, y0 = F(1), F(-1)
+
+    def planted(src, xs, ys):
+        table = real(src, xs, ys)
+        i, j = xs.index(x0), ys.index(y0)
+        table[i][j] = as_extreal(table[i][j].finite() + 1)
+        return table
+
+    monkeypatch.setattr(theoremlab, "fitzpatrick_table", planted)
+    square, gap = theoremlab._gallery_quadratic().checks
+    assert (square.verdict, square.witness) == ("fail", (x0, y0))
+    assert (gap.verdict, gap.witness, gap.margin) == ("fail", (x0, y0), 0)
+
+
+def test_half_circle_gallery_fails_on_a_wrong_closure_interval(monkeypatch):
+    real = theoremlab.subdiffs_exact
+
+    def planted(f, xs):
+        out = real(f, xs)
+        if f.override_left is None:  # the closure's intervals
+            out[list(xs).index(F(0))] = Interval1D(F(5), F(6))
+        return out
+
+    monkeypatch.setattr(theoremlab, "subdiffs_exact", planted)
+    window = theoremlab._gallery_half_circle().checks[2]
+    assert window.theorem_id == "gallery.half-circle.closure-graph-window"
+    assert (window.verdict, window.witness) == ("fail", F(0))
