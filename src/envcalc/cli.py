@@ -126,8 +126,19 @@ def _resolve_instance(ref: str):
         ) from None
 
 
-def _emit(out_path, header: str, rows) -> None:
-    text = "\n".join([header, *map(",".join, rows)]) + "\n"
+def _emit(out_path, header: str, cols) -> None:
+    """Write a CSV of equal-length cell columns under ``header``.  The
+    cells go into one list with their separators by slice assignment, and
+    one join makes the text: no row is built as a tuple."""
+    m = len(cols)
+    n = len(cols[0]) if cols else 0
+    parts = [","] * (2 * m * n + 1)
+    parts[0] = header + "\n"
+    for k, col in enumerate(cols):
+        parts[1 + 2 * k :: 2 * m] = col
+    if n:
+        parts[2 * m :: 2 * m] = ["\n"] * n
+    text = "".join(parts)
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -183,15 +194,23 @@ def _cells(xs) -> list:
 
 
 def _coord_columns(points, dim: int) -> list:
-    """Cells of the points, one list per coordinate."""
+    """Cells of the points, one list per coordinate; the points are a list,
+    or a float64 array when every coordinate is a float."""
     if dim == 1:
         return [_cells(points)]
+    if isinstance(points, np.ndarray):
+        return [_cells(points[:, k]) for k in range(dim)]
     return [_cells([p[k] for p in points]) for k in range(dim)]
 
 
-def _rows(points, values, dim: int):
-    """CSV rows of the points' coordinates followed by their values."""
-    return zip(*_coord_columns(points, dim), _cells(values))
+def _rows(points, values, dim: int) -> list:
+    """CSV columns of the points' coordinates followed by their values."""
+    return [*_coord_columns(points, dim), _cells(values)]
+
+
+def _grid_rows(g: GridFunction) -> list:
+    """CSV columns of a grid function's samples."""
+    return _rows(g.point_array if g.float_points else g.points, g.value_array, g.dim)
 
 
 def _cross(axis) -> tuple:
@@ -228,8 +247,7 @@ def _verb_conjugate(args, inst) -> int:
         g = transforms.conjugate_llt(inst, axis)
     else:
         g = transforms.conjugate_brute(inst, _cross(axis))
-    _emit(args.out, "x,value" if g.dim == 1 else "x,y,value",
-          _rows(g.points, g.value_array, g.dim))
+    _emit(args.out, "x,value" if g.dim == 1 else "x,y,value", _grid_rows(g))
     return 0
 
 
@@ -255,8 +273,7 @@ def _verb_infconv(args, f, g) -> int:
         raise _UsageError(str(e)) from None
     if isinstance(h, PLConvex1D):
         return _emit_pl(args.out, h, args.probes)
-    _emit(args.out, "x,value" if h.dim == 1 else "x,y,value",
-          _rows(h.points, h.value_array, h.dim))
+    _emit(args.out, "x,value" if h.dim == 1 else "x,y,value", _grid_rows(h))
     return 0
 
 
@@ -270,15 +287,12 @@ def _verb_subdiff(args, inst) -> int:
             if args.probes
             else theoremlab.primal_probes(inst)
         )
-        rows = []
-        for x, iv in zip(pts, operators.subdiffs_exact(inst, pts)):
-            if iv is None:
-                rows.append([format_scalar(x), "", ""])
-            else:
-                lo = "-inf" if iv.lo is None else format_scalar(iv.lo)
-                hi = "inf" if iv.hi is None else format_scalar(iv.hi)
-                rows.append([format_scalar(x), lo, hi])
-        _emit(args.out, "x,lo,hi", rows)
+        ivs = operators.subdiffs_exact(inst, pts)
+        lo = ["" if iv is None else "-inf" if iv.lo is None else format_scalar(iv.lo)
+              for iv in ivs]
+        hi = ["" if iv is None else "inf" if iv.hi is None else format_scalar(iv.hi)
+              for iv in ivs]
+        _emit(args.out, "x,lo,hi", [list(map(format_scalar, pts)), lo, hi])
         return 0
     if not isinstance(inst, GridFunction):
         raise TypeError("subdiff needs a piecewise-linear or grid instance")
@@ -287,12 +301,16 @@ def _verb_subdiff(args, inst) -> int:
     axis = parse_probe_grid(args.dual_grid, exact=False)
     duals = axis if inst.dim == 1 else _cross(axis)
     member = operators.grid_subdiff_matrix(inst, duals, tol)
-    anchors = list(zip(*_coord_columns([p for p, _v in inst.finite_items()], inst.dim)))
-    dcells = list(zip(*_coord_columns(duals, inst.dim)))
-    rows = [
-        anchors[i] + dcells[k] for i, k in zip(*(ix.tolist() for ix in member.nonzero()))
-    ]
-    _emit(args.out, "x,xstar" if inst.dim == 1 else "x1,x2,xstar1,xstar2", rows)
+    anchors = _coord_columns(
+        inst.finite_arrays()[0] if inst.float_points else [p for p, _v in inst.finite_items()],
+        inst.dim,
+    )
+    dcells = _coord_columns(duals, inst.dim)
+    # the accepted (anchor, dual) pairs in row-major order
+    ii, kk = (ix.tolist() for ix in member.nonzero())
+    cols = [list(map(c.__getitem__, ii)) for c in anchors]
+    cols += [list(map(c.__getitem__, kk)) for c in dcells]
+    _emit(args.out, "x,xstar" if inst.dim == 1 else "x1,x2,xstar1,xstar2", cols)
     return 0
 
 
@@ -320,13 +338,13 @@ def _verb_fitz(args, inst) -> int:
     ys = parse_probe_grid(args.dual_grid, exact=exact)
     if dim == 2:
         xs, ys = _cross(xs), _cross(ys)
-    xcells = zip(*_coord_columns(xs, dim))
-    ycells = list(zip(*_coord_columns(ys, dim)))
-    rows = []
-    for xc, vals in zip(xcells, operators.fitzpatrick_table(src, xs, ys)):
-        rows += [(*xc, *yc, v) for yc, v in zip(ycells, _cells(vals))]
+    table = operators.fitzpatrick_table(src, xs, ys)
+    # one row per (x, x*), x outer: each x cell repeats, the x* cells tile
+    cols = [[c for c in col for _ in ys] for col in _coord_columns(xs, dim)]
+    cols += [col * len(xs) for col in _coord_columns(ys, dim)]
+    cols.append(_cells([v for row in table for v in row]))
     header = "x,xstar,value" if dim == 1 else "x1,x2,xstar1,xstar2,value"
-    _emit(args.out, header, rows)
+    _emit(args.out, header, cols)
     return 0
 
 
@@ -347,7 +365,8 @@ def _verb_envelope(args, inst) -> int:
         except ValueError as e:
             raise _UsageError(f"--eps: {e}")
     rows = envelopes.envelope_result(inst, args.kind, probes, n=args.n, eps=eps)
-    _emit(args.out, "x,value", ([format_scalar(x), format_scalar(v)] for x, v in rows))
+    _emit(args.out, "x,value", [[format_scalar(x) for x, _ in rows],
+                                [format_scalar(v) for _, v in rows]])
     return 0
 
 
@@ -367,19 +386,21 @@ def _verb_hull(args, inst) -> int:
         return 0
     lo = "-inf" if hull.lo is None else format_scalar(hull.lo)
     hi = "inf" if hull.hi is None else format_scalar(hull.hi)
-    _emit(args.out, "lo,hi", [[lo, hi]])
+    _emit(args.out, "lo,hi", [[lo], [hi]])
     return 0
 
 
 def _check_csv(out_path, checks) -> None:
     """The report of theorem checks, one row per check."""
-    rows = (
-        [c.theorem_id, c.instance, c.verdict,
-         "" if c.margin is None else format_scalar(c.margin),
-         format_scalar(c.tolerance), c.backend]
-        for c in checks
-    )
-    _emit(out_path, "theorem_id,instance_id,verdict,margin,tolerance,backend", rows)
+    cols = [
+        [c.theorem_id for c in checks],
+        [c.instance for c in checks],
+        [c.verdict for c in checks],
+        ["" if c.margin is None else format_scalar(c.margin) for c in checks],
+        [format_scalar(c.tolerance) for c in checks],
+        [c.backend for c in checks],
+    ]
+    _emit(out_path, "theorem_id,instance_id,verdict,margin,tolerance,backend", cols)
 
 
 def _verb_check(args, inst) -> int:
@@ -435,7 +456,7 @@ _BENCH_SIZES = tuple(2**k for k in range(10, 17))
 
 
 def _verb_bench(args) -> int:
-    rows = []
+    cols = [[] for _ in range(5)]
     for n in _BENCH_SIZES:
         xs = [-4.0 + 8.0 * k / (n - 1) for k in range(n)]
         vals = [x * x for x in xs]
@@ -449,10 +470,10 @@ def _verb_bench(args) -> int:
         tl = time.perf_counter() - t0
         diff = float(np.abs(gb.value_array - gl.value_array).max())
         ratio = tb / tl if tl > 0 else float("inf")
-        rows.append([
-            str(n), f"{tb:.6f}", f"{tl:.6f}", f"{ratio:.2f}", f"{diff:.3e}",
-        ])
-    _emit(args.out, "n,brute_seconds,llt_seconds,ratio,max_abs_diff", rows)
+        cells = (str(n), f"{tb:.6f}", f"{tl:.6f}", f"{ratio:.2f}", f"{diff:.3e}")
+        for col, cell in zip(cols, cells):
+            col.append(cell)
+    _emit(args.out, "n,brute_seconds,llt_seconds,ratio,max_abs_diff", cols)
     return 0
 
 

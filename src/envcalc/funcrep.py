@@ -458,16 +458,23 @@ class PLConvex1D:
 # ---------------------------------------------------------------------------
 
 
+def _canon_coord(c):
+    # bool is an int, but a coordinate spelled true or false is a typo
+    if isinstance(c, bool):
+        raise TypeError("cannot parse scalar from bool")
+    return float(c) if not isinstance(c, (int, Fraction)) else c
+
+
 def _canon_point(p, dim: int):
     if dim == 1:
         if isinstance(p, (tuple, list)):
             if len(p) != 1:
                 raise ValueError("1D point must be a scalar")
             p = p[0]
-        return float(p) if not isinstance(p, (int, Fraction)) else p
+        return _canon_coord(p)
     if not isinstance(p, (tuple, list)) or len(p) != dim:
         raise ValueError(f"{dim}D point must be a {dim}-tuple")
-    return tuple(float(c) if not isinstance(c, (int, Fraction)) else c for c in p)
+    return tuple(map(_canon_coord, p))
 
 
 @dataclass(frozen=True)
@@ -490,21 +497,22 @@ class SampledSet:
 _PLAIN = frozenset((float, int, Fraction))
 
 
+def _coords(pts: tuple, dim: int):
+    return pts if dim == 1 else (c for p in pts for c in p)
+
+
 def _canon_points(points, dim: int) -> tuple:
-    """``_canon_point`` over a whole point list; a list that is canonical
-    already (plain scalars in 1D, pairs of them in 2D) passes unchanged
-    after a type scan that runs at C speed."""
+    """``_canon_point`` over a whole point list, and whether every
+    coordinate is a float.  A list that is canonical already (plain scalars
+    in 1D, pairs of them in 2D) passes unchanged after a type scan that runs
+    at C speed."""
     pts = tuple(points)
-    if dim == 1:
-        if set(map(type, pts)) <= _PLAIN:
-            return pts
-    elif (
-        set(map(type, pts)) <= {tuple}
-        and set(map(len, pts)) <= {dim}
-        and set(map(type, (c for p in pts for c in p))) <= _PLAIN
-    ):
-        return pts
-    return tuple(_canon_point(p, dim) for p in pts)
+    if dim == 1 or set(map(type, pts)) <= {tuple} and set(map(len, pts)) <= {dim}:
+        kinds = set(map(type, _coords(pts, dim)))
+        if kinds <= _PLAIN:
+            return pts, kinds <= {float}
+    pts = tuple(_canon_point(p, dim) for p in pts)
+    return pts, set(map(type, _coords(pts, dim))) <= {float}
 
 
 def _float_array(xs, what: str) -> np.ndarray:
@@ -522,6 +530,8 @@ def _has_duplicates(pts: tuple, arr: np.ndarray) -> bool:
     if len(arr) < 2:
         return False
     if arr.ndim == 1:
+        if (arr[1:] > arr[:-1]).all():
+            return False
         s = np.sort(arr)
         hit = (s[1:] == s[:-1]).any()
     else:
@@ -558,8 +568,11 @@ class GridFunction:
     The numbers live in two float64 arrays built once by the constructor:
     ``point_array`` (n, or n x 2) and ``value_array`` (n, +inf for listed
     off-domain samples).  ``points`` keeps the canonical Python points,
-    which is how cells spell them.  The ExtReal tuple ``values``, the
-    ``value_at`` index and ``finite_items`` are built on first use.
+    which is how cells spell them; ``float_points`` says every coordinate
+    is a float, so that ``point_array`` spells them too.  A float64 array
+    of points (shape n in 1D, n x 2 in 2D) is taken as it stands, with no
+    type scan.  The ExtReal tuple ``values``, the ``value_at`` index and
+    ``finite_items`` are built on first use.
     """
 
     dim: int
@@ -570,10 +583,20 @@ class GridFunction:
     def __post_init__(self):
         if self.dim not in (1, 2):
             raise ValueError("dim must be 1 or 2")
-        pts = _canon_points(self.points, self.dim)
-        xs = _float_array(pts, "point")
-        if self.dim == 2:
-            xs = xs.reshape(len(pts), 2)
+        src = self.points
+        if (
+            isinstance(src, np.ndarray)
+            and src.dtype == np.float64
+            and src.shape[1:] == ((), (2,))[self.dim - 1]
+        ):
+            xs = src.copy()
+            pts = tuple(xs.tolist() if self.dim == 1 else map(tuple, xs.tolist()))
+            floats = True
+        else:
+            pts, floats = _canon_points(src, self.dim)
+            xs = _float_array(pts, "point")
+            if self.dim == 2:
+                xs = xs.reshape(len(pts), 2)
         if not np.isfinite(xs).all():
             raise ValueError("grid point coordinates must be finite")
         if _has_duplicates(pts, xs):
@@ -594,6 +617,7 @@ class GridFunction:
         vals.setflags(write=False)
         xs.setflags(write=False)
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "float_points", floats)
         object.__setattr__(self, "point_array", xs)
         object.__setattr__(self, "value_array", vals)
 
@@ -963,15 +987,37 @@ def _parse_level(lv):
 
 
 def _check_counts(d: dict, *keys) -> None:
-    """Refuse an instance whose listed ``keys`` hold more than
-    MAX_GRID_POINTS entries, before any of its scalars is parsed."""
+    """Refuse an instance whose listed ``keys`` hold anything but a list
+    (a string would be read character by character), or more than
+    MAX_GRID_POINTS entries, before any of its scalars is parsed.  A
+    missing key is left to the reader's KeyError."""
     for key in keys:
-        seq = d.get(key)
-        if isinstance(seq, list) and len(seq) > MAX_GRID_POINTS:
+        if key not in d:
+            continue
+        seq = d[key]
+        if not isinstance(seq, (list, tuple)):
+            raise TypeError(
+                f"{d.get('kind')} instance key {key!r} holds a "
+                f"{type(seq).__name__}, not a list"
+            )
+        if len(seq) > MAX_GRID_POINTS:
             raise ValueError(
                 f"{d.get('kind')} instance lists {len(seq)} {key}, "
                 f"above the limit of {MAX_GRID_POINTS}"
             )
+
+
+def _grid_values(vals) -> np.ndarray:
+    """A grid's values as float64.  JSON numbers convert in one numpy pass;
+    only the other cells (``dump_instance`` writes +inf as "inf") go
+    through ``parse_scalar``, in list order."""
+    if not set(map(type, vals)) <= {float, int}:
+        cells = list(vals)
+        # in list order, so that parse_scalar names the first bad cell
+        for i in [i for i, v in enumerate(vals) if type(v) not in (float, int)]:
+            cells[i] = float(parse_scalar(vals[i], exact=False))
+        vals = cells
+    return _float_array(vals, "value")
 
 
 def load_instance(src):
@@ -1004,12 +1050,7 @@ def load_instance(src):
     if kind == "grid":
         _check_counts(d, "points", "values")
         pts = d["points"]
-        vals = d["values"]
-        if not set(map(type, vals)) <= {float, int}:
-            vals = [
-                v if type(v) in (float, int) else float(parse_scalar(v, exact=False))
-                for v in vals
-            ]
+        vals = _grid_values(d["values"])
         return GridFunction(
             d["dim"],
             tuple(map(tuple, pts)) if d["dim"] == 2 else tuple(pts),

@@ -305,6 +305,9 @@ def subdiff_test(f: PLConvex1D, x, xstar) -> bool:
 
 
 _CHUNK_CELLS = 1 << 20
+# below this many (anchor, sample, dual) cells the dense loop's few numpy
+# calls cost less than the threshold search's fixed overhead
+_DENSE_CELLS = 1 << 15
 
 
 def _grid_membership(f: GridFunction, anchors, fa, duals, tol) -> np.ndarray:
@@ -313,8 +316,10 @@ def _grid_membership(f: GridFunction, anchors, fa, duals, tol) -> np.ndarray:
 
     Evaluates fy < fa + <s, y - a> - tol in the per-pair order: y - a
     first, the 2D dot as 0 + s0*d0 + s1*d1 (how Python's sum adds it up),
-    then fa +, then - tol.  Chunked over anchors and duals so that no
-    temporary holds more than about 2^20 cells (or one row of samples).
+    then fa +, then - tol.  1D duals go through ``_threshold_membership``
+    unless the NaN scan below is on or the matrix is tiny; the rest take
+    the dense loop, chunked over anchors and duals so that no temporary
+    holds more than about 2^20 cells (or one row of samples).
     A difference or product past the float range is the infinity it rounds
     to, which still decides the comparison, unless the right-hand side
     comes out NaN (0 * inf, or inf - inf in the 2D dot): such a cell is
@@ -329,6 +334,8 @@ def _grid_membership(f: GridFunction, anchors, fa, duals, tol) -> np.ndarray:
     # difference, product and sum stays finite, so the NaN scan is skipped
     big = [float(abs(u).max(initial=0)) for u in (ys, anchors, duals, fa)]
     scan = not (big[0] + big[1]) * big[2] * f.dim + big[3] + abs(float(tol)) < 1e308
+    if f.dim == 1 and not scan and len(anchors) * len(ys) * len(duals) >= _DENSE_CELLS:
+        return _threshold_membership(ys, fy, anchors, fa, duals, float(tol))
     out = np.empty((len(anchors), len(duals)), dtype=bool)
     pstep = max(1, _CHUNK_CELLS // max(1, len(ys)))
     astep = max(1, _CHUNK_CELLS // max(1, len(ys) * min(len(duals), pstep)))
@@ -356,6 +363,77 @@ def _grid_membership(f: GridFunction, anchors, fa, duals, tol) -> np.ndarray:
                         below[i, k, j] = lhs < gain
                 out[alo:ahi, plo : plo + len(s)] = ~below.any(axis=1)
     return out
+
+
+def _violates(d, fy, fa, s, tol):
+    """The dense loop's cell: fy < fl(fl(fl(d s) + fa) - tol)."""
+    rhs = d * s
+    rhs += fa
+    rhs -= tol
+    return fy < rhs
+
+
+def _threshold_membership(ys, fy, anchors, fa, duals, tol) -> np.ndarray:
+    """1D membership by one threshold search per (anchor, sample) pair.
+
+    For fixed a and y, d = fl(y - a) is fixed, and the cell's right-hand
+    side fl(fl(fl(d s) + fa) - tol) is monotone in s because rounding to
+    nearest is: nondecreasing for d > 0, nonincreasing for d < 0, constant
+    for d = 0.  Over the sorted duals a sample therefore violates from one
+    index on (d > 0), before one index (d < 0), or everywhere or nowhere
+    (d = 0), and an anchor accepts one index range [lo, hi).  The switch
+    index is estimated by ``searchsorted`` at (fy - fa + tol) / d, then
+    checked by evaluating the cell at it and at the index before; a pair the
+    estimate misses is settled by bisection over the same cell.  O(n^2
+    (log p + 1)) against the dense loop's O(n^2 p), and the same bools:
+    the caller routes here only while every term is finite.
+    """
+    order = np.argsort(duals, kind="stable")
+    s = duals[order]
+    p = len(s)
+    out = np.empty((len(anchors), p), dtype=bool)
+    if not p:
+        return out
+    cols = np.arange(p)
+    step = max(1, (_CHUNK_CELLS >> 2) // max(1, len(ys)))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for alo in range(0, len(anchors), step):
+            d = ys[None] - anchors[alo : alo + step, None]
+            ahi = alo + len(d)
+            fac = fa[alo:ahi, None]
+            pos, neg = d > 0, d < 0
+            # P(t): the sample violates at sorted dual t (d > 0), or does not
+            # (d < 0); it is false below the switch index and true from it
+            est = (fy - fac + tol) / d
+            t = np.where(pos, np.searchsorted(s, est, "right"), np.searchsorted(s, est, "left"))
+            below = _violates(d, fy, fac, s[np.maximum(t - 1, 0)], tol) == pos
+            at = _violates(d, fy, fac, s[np.minimum(t, p - 1)], tol) == pos
+            lo_bad = (t > 0) & below
+            bad = (pos | neg) & (lo_bad | (t < p) & ~at)
+            if bad.any():
+                t[bad] = _bisect_switch(d, fy, fac, s, tol, pos, bad, lo_bad, t)
+            hi = np.where(pos, t, p).min(axis=1, initial=p)
+            lo = np.where(neg, t, 0).max(axis=1, initial=0)
+            dead = ((d == 0) & _violates(d, fy, fac, s[0], tol)).any(axis=1)
+            keep = (cols >= lo[:, None]) & (cols < hi[:, None]) & ~dead[:, None]
+            out[alo:ahi, order] = keep
+    return out
+
+
+def _bisect_switch(d, fy, fac, s, tol, pos, bad, lo_bad, t) -> np.ndarray:
+    """The switch index of the ``bad`` pairs: the first sorted dual where
+    P holds, searched below t where P already holds at t - 1, else above t."""
+    rows, cols = bad.nonzero()
+    d, fy, fac, pos = d[bad], fy[cols], fac[rows, 0], pos[bad]
+    tb, down = t[bad], lo_bad[bad]
+    lo = np.where(down, 0, tb + 1)
+    hi = np.where(down, tb - 1, len(s))
+    while (open_ := lo < hi).any():
+        mid = (lo + hi) // 2
+        hit = _violates(d, fy, fac, s[np.minimum(mid, len(s) - 1)], tol) == pos
+        hi = np.where(open_ & hit, mid, hi)
+        lo = np.where(open_ & ~hit, mid + 1, lo)
+    return lo
 
 
 def _dual_array(duals, dim: int) -> np.ndarray:

@@ -311,7 +311,9 @@ def _inf_conv_grid(f: GridFunction, g: GridFunction) -> GridFunction:
     pairs together with its minimum first, ties in insertion order.  A sum
     point is spelled as the Python sum of its first pair in row-major
     order, so equal sums such as -0.0 and 0.0, or 1 and 1.0, keep the
-    spelling a dict keyed by the sums would give them.
+    spelling a dict keyed by the sums would give them.  When every point of
+    two 1D inputs is a float, that sum is read from the float64 sums: numpy
+    rounds float + float as Python does.
     """
     fx, fv = f.finite_arrays()
     gx, gv = g.finite_arrays()
@@ -333,6 +335,8 @@ def _inf_conv_grid(f: GridFunction, g: GridFunction) -> GridFunction:
     s = sums[order]
     starts = np.flatnonzero(np.r_[True, (s[1:] != s[:-1]).any(axis=1)])
     first = np.minimum.reduceat(order, starts)
+    if f.dim == 1 and f.float_points and g.float_points:
+        return GridFunction(1, sums[first, 0], vals[order[starts]])
     fp = [p for p, _ in f.finite_items()]
     gp = [p for p, _ in g.finite_items()]
     pairs = zip(*(k.tolist() for k in np.divmod(first, len(gv))))
@@ -349,7 +353,9 @@ def conjugate_llt(f: GridFunction, dual_points) -> GridFunction:
     """Fast 1D conjugate: hull once, then a binary-search march over slopes.
 
     Matches ``conjugate_brute`` to float accuracy at a fraction of the cost;
-    dual points need not be sorted.
+    dual points need not be sorted.  The result's points are the float64
+    dual array when every dual is a float, else the duals as given, so an
+    int keeps its spelling.
     """
     if not isinstance(f, GridFunction) or f.dim != 1:
         raise TypeError("conjugate_llt takes a 1D GridFunction")
@@ -362,6 +368,7 @@ def conjugate_llt(f: GridFunction, dual_points) -> GridFunction:
     slopes = np.diff(hv) / np.diff(hx) if len(hx) > 1 else np.empty(0)
     duals = tuple(dual_points)
     y = np.array(duals, dtype=float)
+    floats = set(map(type, duals)) <= {float}
     j = np.searchsorted(slopes, y, side="left")
     # refine over a 3-index window: guards against roundoff at slope ties
     cand = np.stack([np.clip(j + d, 0, len(hx) - 1) for d in (-1, 0, 1)])
@@ -369,7 +376,7 @@ def conjugate_llt(f: GridFunction, dual_points) -> GridFunction:
     with np.errstate(over="ignore"):
         vals = y[None, :] * hx[cand] - hv[cand]
     out = vals.max(axis=0)
-    return GridFunction(1, duals, out)
+    return GridFunction(1, y if floats else duals, out)
 
 
 def cl_conv(f, dual_points=None):

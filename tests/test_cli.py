@@ -533,6 +533,45 @@ def test_oversized_instance_exits_2_before_parsing(tmp_path, capsys, kind, key, 
     assert f"{kind} instance lists {n} {key}, above the limit of {MAX_GRID_POINTS}" in err
 
 
+# a JSON string where a list belongs used to be read character by character
+@pytest.mark.parametrize("kind, key, rest", [
+    ("plconvex1d", "breakpoints", {"values": ["3", "4"]}),
+    ("plconvex1d", "values", {"breakpoints": ["1", "2"]}),
+    ("grid", "values", {"dim": 1, "points": [0.0, 1.0]}),
+    ("grid", "points", {"dim": 1, "values": [1.0, 2.0]}),
+    ("indicator", "points", {"dim": 1}),
+    ("maxaffine", "pieces", {"dim": 1}),
+    ("opgraph", "pairs", {"dim": 1}),
+])
+@pytest.mark.parametrize("verb", ["conjugate", "infconv"])
+def test_string_where_a_list_belongs_exits_2(tmp_path, capsys, kind, key, rest, verb):
+    src = write_json(tmp_path / "str.json", {"kind": kind, key: "12", **rest})
+    assert main([verb, *["--instance", src] * (2 if verb == "infconv" else 1)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and _one_line_error(err)
+    assert f"{kind} instance key {key!r} holds a str, not a list" in err
+
+
+@pytest.mark.parametrize("payload", [
+    {"kind": "grid", "dim": 1, "points": [0.0, False], "values": [0.0, 1.0]},
+    {"kind": "grid", "dim": 2, "points": [[0.0, False], [1.0, 1.0]], "values": [0.0, 1.0]},
+    {"kind": "indicator", "dim": 1, "points": [True, 2.0]},
+], ids=["grid-1d", "grid-2d", "indicator"])
+@pytest.mark.parametrize("argv", [
+    ["conjugate", "--dual-grid", "-1:1:3"],
+    ["subdiff", "--dual-grid", "-1:1:3"],
+    ["hull"],
+    ["check", "dfdom.iv"],
+])
+def test_boolean_coordinate_exits_2(tmp_path, capsys, payload, argv):
+    """A boolean coordinate is refused when the instance loads, as a boolean
+    value is; a false point used to read as 0 (and subdiff failed late)."""
+    src = write_json(tmp_path / "bool.json", payload)
+    assert main([*argv, "--instance", src]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "envcalc: cannot parse scalar from bool\n"
+
+
 @pytest.mark.parametrize("entry", ["instance", "probes", "dual-grid", "eps"])
 def test_huge_exponent_exits_2_without_hanging(tmp_path, abs_file, entry):
     """Each exact entry point refuses a decimal whose exponent would build

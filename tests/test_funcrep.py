@@ -313,3 +313,15 @@ def test_load_instance_refuses_a_file_that_is_not_an_object(tmp_path, text):
 def test_load_rejects_unknown_kind():
     with pytest.raises(ValueError):
         load_instance({"kind": "mystery"})
+
+
+@pytest.mark.parametrize("build", [
+    lambda: GridFunction(1, (0.0, False), (0.0, 1.0)),
+    lambda: GridFunction(1, (True,), (0.0,)),
+    lambda: GridFunction(2, ((0.0, True), (1.0, 1.0)), (0.0, 1.0)),
+    lambda: SampledSet(1, (0.0, True)),
+    lambda: SampledSet(2, ((False, 0.0),)),
+], ids=["grid-1d-false", "grid-1d-true", "grid-2d", "set-1d", "set-2d"])
+def test_boolean_coordinates_are_refused(build):
+    with pytest.raises(TypeError, match="^cannot parse scalar from bool$"):
+        build()

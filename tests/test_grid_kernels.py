@@ -5,19 +5,33 @@ as an oracle: the per-pair membership loop for ``grid_subdiff_matrix`` and
 ``grid_subdiff_test``, the dict inf-convolution for the sorted one, and the
 dense ``conjugate_brute`` for ``conjugate_llt``.  The float hull prefilter
 is checked against the two hull loops run over all samples, ``_llt_hull``
-and ``_hull_1d_exact``.
+and ``_hull_1d_exact``.  The 1D threshold membership is checked against the
+dense membership loop and the per-pair loop, the float routes of
+``inf_conv`` and of grid loading against the Python-scalar routes they
+replaced, and the column CSV writer against the row join.
 """
 
+import contextlib
+import io
 import math
 from fractions import Fraction as F
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from envcalc import operators, transforms
-from envcalc.funcrep import GridFunction, _hull_1d_exact, dot, point_sub
+from envcalc import cli, operators, transforms
+from envcalc.extreal import parse_scalar
+from envcalc.funcrep import (
+    GridFunction,
+    SampledSet,
+    _grid_values,
+    _hull_1d_exact,
+    dot,
+    load_instance,
+    point_sub,
+)
 from envcalc.operators import grid_subdiff_matrix, grid_subdiff_test
 from envcalc.transforms import (
     MAX_INF_CONV_PAIRS,
@@ -131,6 +145,84 @@ def test_batched_membership_matches_loop_2d(case, chunk):
     f, duals, tol = case
     _check_membership(f, duals, tol, chunk)
     assert not grid_subdiff_test(f, (99.0, 99.0), duals[0], tol)
+
+
+def _dense(f, duals, tol):
+    with mock.patch.object(operators, "_DENSE_CELLS", math.inf):
+        return grid_subdiff_matrix(f, duals, tol)
+
+
+def _threshold(f, duals, tol):
+    with mock.patch.object(operators, "_DENSE_CELLS", 0):
+        return grid_subdiff_matrix(f, duals, tol)
+
+
+@st.composite
+def threshold_cases(draw):
+    """``membership_cases`` with the duals shuffled, repeated and joined by
+    both zeros, at a scale where the NaN scan is off (the threshold route),
+    next to its edge, or on (the dense loop)."""
+    f, duals, tol = draw(membership_cases(1))
+    duals = list(duals) + draw(st.lists(st.sampled_from(duals), max_size=4))
+    duals += draw(st.lists(st.sampled_from((0.0, -0.0)), max_size=2))
+    duals = draw(st.permutations(duals))
+    scale = draw(st.sampled_from((1.0, 1e-300, 1e-160, 1e100, 1e153, 1e154, 1e300)))
+    if scale != 1.0:
+        pts = f.point_array * scale
+        # tiny points can round to one subnormal
+        assume(len(set(pts.tolist())) == len(pts))
+        f = GridFunction(1, pts, f.value_array * scale)
+        duals = [s * scale for s in duals]
+    return f, tuple(duals), tol
+
+
+@given(threshold_cases())
+@settings(max_examples=500, deadline=None)
+def test_threshold_membership_matches_dense_loop(case):
+    f, duals, tol = case
+    got = _threshold(f, duals, tol)
+    assert np.array_equal(got, _dense(f, duals, tol))
+    for i, (p, _v) in enumerate(f.finite_items()):
+        for k, s in enumerate(duals):
+            assert bool(got[i, k]) == subdiff_loop(f, p, s, tol)
+
+
+def test_threshold_membership_with_no_finite_sample():
+    # every anchor's minorant stays below an empty sample set
+    f = GridFunction(1, (0.0, 1.0), (INF, INF))
+    anchors, fa, duals = np.array([0.5, 2.0]), np.array([0.0, 1.0]), np.array([1.0, -1.0, 0.0])
+    for cut in (0, math.inf):
+        with mock.patch.object(operators, "_DENSE_CELLS", cut):
+            got = operators._grid_membership(f, anchors, fa, duals, 0.0)
+        assert got.tolist() == [[True] * 3] * 2
+    assert _threshold(f, (1.0,), 0.0).shape == (0, 1)
+
+
+def test_threshold_membership_bisects_where_the_estimate_misses():
+    # from the anchor (0, 1) the sample (1, 1 + u), u = 2^-52, is violated
+    # once fl(1 + s) rounds up to 1 + 2u, that is from s = 1.5u on (a tie,
+    # to even), while the quotient estimate puts the switch just past s = u
+    u = 2.0**-52
+    f = GridFunction(1, (0.0, 1.0), (1.0, 1.0 + u))
+    duals = tuple(k * u / 4 for k in range(12)) + (-u, 1.5 * u)
+    with mock.patch.object(operators, "_bisect_switch", wraps=operators._bisect_switch) as spy:
+        got = _threshold(f, duals, 0.0)
+    assert spy.called
+    assert np.array_equal(got, _dense(f, duals, 0.0))
+    assert got[0].tolist() == [s < 1.5 * u for s in duals]
+    for i, (p, _v) in enumerate(f.finite_items()):
+        assert got[i].tolist() == [subdiff_loop(f, p, s, 0.0) for s in duals]
+
+
+def test_small_matrices_take_the_dense_loop():
+    f = GridFunction(1, (0.0, 1.0, 2.0), (0.0, 0.5, 2.0))
+    with mock.patch.object(operators, "_threshold_membership") as thr:
+        grid_subdiff_matrix(f, (0.0, 1.0), 0.0)
+    assert not thr.called
+    big = GridFunction(1, tuple(np.linspace(-1, 1, 40).tolist()), tuple((np.linspace(-1, 1, 40) ** 2).tolist()))
+    with mock.patch.object(operators, "_threshold_membership", wraps=operators._threshold_membership) as thr:
+        grid_subdiff_matrix(big, tuple(np.linspace(-3, 3, 41).tolist()), 0.0)
+    assert thr.called
 
 
 def test_membership_on_the_tolerance_edge():
@@ -517,3 +609,146 @@ def test_grid_arrays_and_boxed_edge():
     assert g == GridFunction(2, ((0, 1), (0.5, -0.0)), (1.0, INF), label="g")
     with pytest.raises(ValueError):
         g.value_array[0] = 2.0
+
+
+# ---------------------------------------------------------------------------
+# float64 columns: grid loading, array points, the float routes, CSV columns
+# ---------------------------------------------------------------------------
+
+
+def _outcome(fn):
+    """The array ``fn`` returns, as bytes, or its exception's type and text."""
+    try:
+        return fn().tobytes()
+    except Exception as e:  # the oracle and the route must fail alike
+        return type(e), str(e)
+
+
+def values_comprehension(vals):
+    """The per-cell grid value parse that ``_grid_values`` replaced."""
+    if not set(map(type, vals)) <= {float, int}:
+        vals = [v if type(v) in (float, int) else float(parse_scalar(v, exact=False))
+                for v in vals]
+    try:
+        return np.array(vals, dtype=float)
+    except OverflowError:
+        raise ValueError("a grid value is too large for a float") from None
+
+
+value_cells = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-10**20, 10**20),
+    st.sampled_from(("inf", "Infinity", "1/2", "-inf", "nan", "0.25", "7", "1e400",
+                     "x", None, True, 10**400)),
+)
+
+
+@given(st.lists(value_cells, max_size=8), st.sampled_from(("first", "last", "none")))
+@settings(max_examples=400, deadline=None)
+def test_string_cells_parse_like_the_comprehension(vals, where):
+    if where == "first":
+        vals = ["inf", *vals]
+    elif where == "last":
+        vals = [*vals, "inf"]
+    assert _outcome(lambda: _grid_values(vals)) == _outcome(lambda: values_comprehension(vals))
+
+
+def test_load_reads_string_cells_into_the_value_array():
+    d = {"kind": "grid", "dim": 1, "points": [0.0, 1.0, 2.0], "values": ["inf", 1, "1/2"]}
+    g = load_instance(d)
+    assert g.value_array.tolist() == [INF, 1.0, 0.5] and g.float_points
+    assert g == GridFunction(1, (0.0, 1.0, 2.0), (INF, 1.0, 0.5))
+
+
+unique_floats = st.lists(st.floats(-1e6, 1e6, allow_nan=False), max_size=8, unique=True)
+
+
+@given(unique_floats, st.sampled_from((1, 2)))
+@settings(max_examples=300, deadline=None)
+def test_grid_from_a_float_array_equals_the_one_from_the_tuple(xs, dim):
+    pts = tuple(xs) if dim == 1 else tuple(zip(xs, reversed(xs)))
+    vals = tuple(float(k) for k in range(len(pts)))
+    arr = np.array(pts, dtype=float).reshape((len(pts),) if dim == 1 else (len(pts), 2))
+
+    def build(p):
+        g = GridFunction(dim, p, vals)
+        return g, [repr(q) for q in g.points], g.point_array.tobytes(), g.float_points
+
+    try:
+        want = build(pts)
+    except ValueError as e:  # -0.0 and 0.0 are one point
+        with pytest.raises(ValueError, match=str(e)):
+            build(arr)
+        return
+    got = build(arr)
+    assert got[0] == want[0] and got[1:] == want[1:]
+    assert got[3] is True
+
+
+def test_float_points_flag():
+    assert GridFunction(1, (0.0, 1.5), (0.0, 0.0)).float_points
+    assert not GridFunction(1, (0, 1.5), (0.0, 0.0)).float_points
+    assert not GridFunction(2, ((0.0, F(1, 2)),), (0.0,)).float_points
+    assert GridFunction(2, ((0.0, 1.0), (1.0, 0.0)), (0.0, 0.0)).float_points
+
+
+def test_llt_keeps_int_duals_and_reads_float_duals_from_its_array():
+    f = GridFunction(1, (-1.0, 0.0, 1.0), (1.0, 0.0, 1.0))
+    g = conjugate_llt(f, (0, 1, 2.5, -3.0))
+    assert [repr(p) for p in g.points] == ["0", "1", "2.5", "-3.0"]
+    assert not g.float_points
+    h = conjugate_llt(f, (-0.0, 1.0, 2.5, -3.0))
+    assert [repr(p) for p in h.points] == ["-0.0", "1.0", "2.5", "-3.0"]
+    assert h.float_points and h.value_array.tolist() == g.value_array.tolist()
+
+
+def _pair_route(f):
+    """The same grid with ``float_points`` cleared, which sends it through
+    ``inf_conv``'s Python sums."""
+    g = GridFunction(f.dim, f.points, f.value_array)
+    object.__setattr__(g, "float_points", False)
+    return g
+
+
+float_axis = (-1.5, -0.5, -0.0, 0.0, 0.5, 1.0, 1.5, 2.0**-60, 1e300, 1.7e308)
+
+
+@given(*[st.lists(st.sampled_from(float_axis), min_size=1, max_size=6, unique=True)
+         .flatmap(lambda pts: st.lists(st.sampled_from(value_pool), min_size=len(pts),
+                                       max_size=len(pts))
+                  .map(lambda vals: GridFunction(1, tuple(pts), tuple(vals))))] * 2)
+@settings(max_examples=300, deadline=None)
+def test_inf_conv_float_route_matches_the_pair_route(f, g):
+    got = _outcome(lambda: inf_conv(f, g).point_array)
+    want = _outcome(lambda: inf_conv(_pair_route(f), _pair_route(g)).point_array)
+    assert got == want
+    if isinstance(got, bytes):
+        h, k = inf_conv(f, g), inf_conv(_pair_route(f), _pair_route(g))
+        assert _spelled(h.points, h.value_array.tolist()) == _spelled(k.points, k.value_array.tolist())
+
+
+def test_inf_conv_mixes_keep_python_sums():
+    h = inf_conv(GridFunction(1, (1,), (0.0,)), GridFunction(1, (0.5, 1), (0.0, 1.0)))
+    assert [repr(p) for p in h.points] == ["1.5", "2"]
+    assert not h.float_points
+
+
+cells_text = st.text(st.characters(blacklist_characters="\n\r", blacklist_categories=("Cs",)),
+                     max_size=4)
+
+
+@given(st.integers(0, 5).flatmap(
+    lambda m: st.integers(0, 6).flatmap(
+        lambda n: st.lists(st.lists(cells_text, min_size=n, max_size=n), min_size=m, max_size=m))))
+@settings(max_examples=300, deadline=None)
+def test_emit_columns_matches_the_row_join(cols):
+    header = "a,b"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(None, header, cols)
+    assert out.getvalue() == "\n".join([header, *map(",".join, zip(*cols))]) + "\n"
+
+
+def test_emit_refuses_columns_of_unequal_length():
+    with pytest.raises(ValueError):
+        cli._emit(None, "a,b", [["1", "2"], ["3"]])
