@@ -71,8 +71,9 @@ def _grid_count(spec: str) -> int:
     return count
 
 
-def parse_probe_grid(spec: str, exact: bool = True) -> tuple:
-    """Evenly spaced points from a "start:stop:count" description."""
+def parse_probe_grid(spec: str, exact: bool = True):
+    """Evenly spaced points from a "start:stop:count" description: a tuple
+    of ``Fraction``s, or with ``exact=False`` a float64 array."""
     count = _grid_count(spec)
     parts = spec.split(":")
     try:
@@ -83,7 +84,7 @@ def parse_probe_grid(spec: str, exact: bool = True) -> tuple:
     if not exact:
         start, stop = float(start), float(stop)
     if count == 1:
-        return (start,)
+        return (start,) if exact else np.array([start])
     step = (stop - start) / (count - 1)
     if not exact and not math.isfinite(step):
         raise _UsageError(f"probe grid {spec!r} spans past the float range")
@@ -98,9 +99,9 @@ def parse_probe_grid(spec: str, exact: bool = True) -> tuple:
         # only the last point can round past the float range, and stop
         # replaces it
         with np.errstate(over="ignore"):
-            pts = (start + step * np.arange(count)).tolist()
+            pts = start + step * np.arange(count)
     pts[-1] = stop  # exact endpoint even for float grids
-    return tuple(pts)
+    return tuple(pts) if exact else pts
 
 
 _GALLERY_MAIN_KEYS = ("instance", "f", "graph", "hull")
@@ -214,7 +215,11 @@ def _grid_rows(g: GridFunction) -> list:
 
 
 def _cross(axis) -> tuple:
+    """The 2D points (a, b) over an axis with itself, a outer; a float64
+    axis gives Python floats."""
     _check_grid_size(len(axis) ** 2)
+    if isinstance(axis, np.ndarray):
+        axis = axis.tolist()
     return tuple((a, b) for a in axis for b in axis)
 
 
@@ -338,6 +343,9 @@ def _verb_fitz(args, inst) -> int:
     ys = parse_probe_grid(args.dual_grid, exact=exact)
     if dim == 2:
         xs, ys = _cross(xs), _cross(ys)
+    elif not exact:
+        # the pair loop computes on Python floats
+        xs, ys = xs.tolist(), ys.tolist()
     table = operators.fitzpatrick_table(src, xs, ys)
     # one row per (x, x*), x outer: each x cell repeats, the x* cells tile
     cols = [[c for c in col for _ in ys] for col in _coord_columns(xs, dim)]

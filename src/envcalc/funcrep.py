@@ -522,11 +522,11 @@ def _float_array(xs, what: str) -> np.ndarray:
         raise ValueError(f"a grid {what} is too large for a float") from None
 
 
-def _has_duplicates(pts: tuple, arr: np.ndarray) -> bool:
+def _has_duplicates(pts, arr: np.ndarray) -> bool:
     """Two points equal as numbers.  Equal points have equal floats, so a
     sort of the float array finds every candidate; the exact set check
     only runs when it does (an int or a Fraction can share a float with a
-    different point)."""
+    different point).  ``pts`` is None when the floats are the points."""
     if len(arr) < 2:
         return False
     if arr.ndim == 1:
@@ -537,28 +537,42 @@ def _has_duplicates(pts: tuple, arr: np.ndarray) -> bool:
     else:
         s = arr[np.lexsort(arr.T[::-1])]
         hit = (s[1:] == s[:-1]).all(axis=1).any()
-    return bool(hit) and len(set(pts)) != len(pts)
+    return bool(hit) and (pts is None or len(set(pts)) != len(pts))
 
 
-class _BoxedValues:
-    """Descriptor behind the ``values`` field of ``GridFunction``.
+class _BuiltOnRead:
+    """Descriptor behind the ``points`` and ``values`` fields of
+    ``GridFunction``.
 
     The dataclass constructor's write lands in ``__set__`` and waits there,
-    raw, for ``__post_init__``; reads build the ExtReal tuple from the float
-    array on first use and cache it.  Reading it on the class raises
-    AttributeError, which tells ``dataclass`` the field has no default.
+    raw, for ``__post_init__``; a read builds the field's Python tuple from
+    the float array with ``build`` on first use and caches it.  Reading it
+    on the class raises AttributeError, which tells ``dataclass`` the field
+    has no default.
     """
+
+    def __init__(self, build):
+        self.build = build
+
+    def __set_name__(self, owner, name):
+        self.name = name
 
     def __get__(self, obj, owner=None):
         if obj is None:
-            raise AttributeError("values")
+            raise AttributeError(self.name)
         d = obj.__dict__
-        if "_boxed" not in d:
-            d["_boxed"] = tuple(ExtReal(v) for v in obj.value_array.tolist())
-        return d["_boxed"]
+        key = "_built_" + self.name
+        if key not in d:
+            d[key] = self.build(obj)
+        return d[key]
 
     def __set__(self, obj, raw):
-        obj.__dict__["_raw_values"] = raw
+        obj.__dict__["_raw_" + self.name] = raw
+
+
+def _point_tuple(g) -> tuple:
+    xs = g.point_array.tolist()
+    return tuple(xs if g.dim == 1 else map(tuple, xs))
 
 
 @dataclass(frozen=True)
@@ -567,36 +581,40 @@ class GridFunction:
 
     The numbers live in two float64 arrays built once by the constructor:
     ``point_array`` (n, or n x 2) and ``value_array`` (n, +inf for listed
-    off-domain samples).  ``points`` keeps the canonical Python points,
+    off-domain samples).  ``points`` holds the canonical Python points,
     which is how cells spell them; ``float_points`` says every coordinate
     is a float, so that ``point_array`` spells them too.  A float64 array
     of points (shape n in 1D, n x 2 in 2D) is taken as it stands, with no
-    type scan.  The ExtReal tuple ``values``, the ``value_at`` index and
-    ``finite_items`` are built on first use.
+    type scan, and its ``points`` tuple is built from the array on first
+    read, as the ExtReal tuple ``values``, the ``value_at`` index and
+    ``finite_items`` are.
     """
 
     dim: int
-    points: tuple
-    values: tuple = _BoxedValues()
+    points: tuple = _BuiltOnRead(_point_tuple)
+    values: tuple = _BuiltOnRead(
+        lambda g: tuple(ExtReal(v) for v in g.value_array.tolist())
+    )
     label: str | None = None
 
     def __post_init__(self):
         if self.dim not in (1, 2):
             raise ValueError("dim must be 1 or 2")
-        src = self.points
+        src = self.__dict__.pop("_raw_points")
         if (
             isinstance(src, np.ndarray)
             and src.dtype == np.float64
             and src.shape[1:] == ((), (2,))[self.dim - 1]
         ):
             xs = src.copy()
-            pts = tuple(xs.tolist() if self.dim == 1 else map(tuple, xs.tolist()))
-            floats = True
+            # the floats are the points: no tuple until ``points`` is read
+            pts, floats = None, True
         else:
             pts, floats = _canon_points(src, self.dim)
             xs = _float_array(pts, "point")
             if self.dim == 2:
                 xs = xs.reshape(len(pts), 2)
+            self.__dict__["_built_points"] = pts
         if not np.isfinite(xs).all():
             raise ValueError("grid point coordinates must be finite")
         if _has_duplicates(pts, xs):
@@ -610,13 +628,12 @@ class GridFunction:
             vals = _float_array([float(as_extreal(v)) for v in raw], "value")
         if np.isnan(vals).any():
             raise ValueError("NaN is not an extended real")
-        if len(pts) != len(vals):
+        if len(xs) != len(vals):
             raise ValueError("points and values length mismatch")
         if (vals == -np.inf).any():
             raise ValueError("-inf value makes the grid function improper")
         vals.setflags(write=False)
         xs.setflags(write=False)
-        object.__setattr__(self, "points", pts)
         object.__setattr__(self, "float_points", floats)
         object.__setattr__(self, "point_array", xs)
         object.__setattr__(self, "value_array", vals)
@@ -1007,6 +1024,20 @@ def _check_counts(d: dict, *keys) -> None:
             )
 
 
+def _tuples(d: dict, key: str, seq) -> tuple:
+    """The entries of ``seq``, read from instance key ``key``, as tuples.
+    Each entry must be a list: a string would be read character by
+    character, "12" as the point (1, 2)."""
+    if not set(map(type, seq)) <= {list, tuple}:
+        for e in seq:
+            if not isinstance(e, (list, tuple)):
+                raise TypeError(
+                    f"{d.get('kind')} instance key {key!r} holds a "
+                    f"{type(e).__name__} entry, not a list"
+                )
+    return tuple(map(tuple, seq))
+
+
 def _grid_values(vals) -> np.ndarray:
     """A grid's values as float64.  JSON numbers convert in one numpy pass;
     only the other cells (``dump_instance`` writes +inf as "inf") go
@@ -1053,15 +1084,16 @@ def load_instance(src):
         vals = _grid_values(d["values"])
         return GridFunction(
             d["dim"],
-            tuple(map(tuple, pts)) if d["dim"] == 2 else tuple(pts),
+            _tuples(d, "points", pts) if d["dim"] == 2 else tuple(pts),
             vals,
             label=label,
         )
     if kind == "indicator":
         _check_counts(d, "points")
+        pts = d["points"]
         return SampledSet(
             d["dim"],
-            tuple(tuple(p) if d["dim"] == 2 else p for p in d["points"]),
+            _tuples(d, "points", pts) if d["dim"] == 2 else tuple(pts),
             label=label,
         )
     if kind == "interval":
@@ -1074,18 +1106,14 @@ def load_instance(src):
         )
     if kind == "maxaffine":
         _check_counts(d, "pieces")
-        return MaxAffine(
-            d["dim"],
-            tuple(
-                (
-                    tuple(pc["anchor"]) if d["dim"] == 2 else pc["anchor"],
-                    tuple(pc["slope"]) if d["dim"] == 2 else pc["slope"],
-                    _parse_level(pc["level"]),
-                )
-                for pc in d["pieces"]
-            ),
-            label=label,
-        )
+
+        def piece(pc):
+            a, s = pc["anchor"], pc["slope"]
+            if d["dim"] == 2:
+                a, s = _tuples(d, "anchor", [a])[0], _tuples(d, "slope", [s])[0]
+            return a, s, _parse_level(pc["level"])
+
+        return MaxAffine(d["dim"], tuple(map(piece, d["pieces"])), label=label)
     if kind == "opgraph":
         _check_counts(d, "pairs")
         dim = int(d["dim"])
@@ -1095,6 +1123,8 @@ def load_instance(src):
                 return parse_scalar(e).finite()
             return tuple(parse_scalar(c).finite() for c in e)
 
-        pairs = tuple((dec(x), dec(y)) for x, y in d["pairs"])
-        return OperatorGraph(dim, pairs, label=label)
+        pairs = _tuples(d, "pairs", d["pairs"])
+        if dim == 2:
+            _tuples(d, "pairs", [e for pair in pairs for e in pair])
+        return OperatorGraph(dim, tuple((dec(x), dec(y)) for x, y in pairs), label=label)
     raise ValueError(f"unknown instance kind {kind!r}")

@@ -316,10 +316,20 @@ def _grid_membership(f: GridFunction, anchors, fa, duals, tol) -> np.ndarray:
 
     Evaluates fy < fa + <s, y - a> - tol in the per-pair order: y - a
     first, the 2D dot as 0 + s0*d0 + s1*d1 (how Python's sum adds it up),
-    then fa +, then - tol.  1D duals go through ``_threshold_membership``
-    unless the NaN scan below is on or the matrix is tiny; the rest take
+    then fa +, then - tol.  Unless the NaN scan below is on, 2D duals go
+    through ``_screened_membership`` and 1D duals through
+    ``_threshold_membership`` (when the matrix is not tiny); the rest take
     the dense loop, chunked over anchors and duals so that no temporary
     holds more than about 2^20 cells (or one row of samples).
+
+    Error band.  Each cell rounds m = dim + 2 operations, one more when
+    tol != 0 (y - a per coordinate, the products, + fa, - tol), so while no
+    term overflows the computed right-hand side is within
+    gamma_m (|fa| + sum_i |s_i| |y_i - a_i| + tol) + dim 2^-1074 of the
+    exact one on the same floats, gamma_m = m u / (1 - m u), u = 2^-53
+    (gamma_3 in 1D at tol = 0).  A verdict that differs from exact
+    arithmetic on those floats therefore has a sample fy inside that band
+    around fa + <s, y - a> - tol.
     A difference or product past the float range is the infinity it rounds
     to, which still decides the comparison, unless the right-hand side
     comes out NaN (0 * inf, or inf - inf in the 2D dot): such a cell is
@@ -334,8 +344,16 @@ def _grid_membership(f: GridFunction, anchors, fa, duals, tol) -> np.ndarray:
     # difference, product and sum stays finite, so the NaN scan is skipped
     big = [float(abs(u).max(initial=0)) for u in (ys, anchors, duals, fa)]
     scan = not (big[0] + big[1]) * big[2] * f.dim + big[3] + abs(float(tol)) < 1e308
+    if not scan and f.dim == 2:
+        return _screened_membership(ys, fy, anchors, fa, duals, float(tol))
     if f.dim == 1 and not scan and len(anchors) * len(ys) * len(duals) >= _DENSE_CELLS:
         return _threshold_membership(ys, fy, anchors, fa, duals, float(tol))
+    return _dense_membership(ys, fy, anchors, fa, duals, tol, scan)
+
+
+def _dense_membership(ys, fy, anchors, fa, duals, tol, scan) -> np.ndarray:
+    """The dense loop: every (anchor, sample, dual) cell, chunked over
+    anchors and duals; with ``scan`` on, NaN cells are decided exactly."""
     out = np.empty((len(anchors), len(duals)), dtype=bool)
     pstep = max(1, _CHUNK_CELLS // max(1, len(ys)))
     astep = max(1, _CHUNK_CELLS // max(1, len(ys) * min(len(duals), pstep)))
@@ -345,14 +363,15 @@ def _grid_membership(f: GridFunction, anchors, fa, duals, tol) -> np.ndarray:
             ahi = alo + len(d)
             for plo in range(0, len(duals), pstep):
                 s = duals[plo : plo + pstep]
-                if f.dim == 1:
+                if duals.ndim == 1:
                     rhs = d[:, :, None] * s
+                    rhs += fa[alo:ahi, None, None]
+                    rhs -= float(tol)
                 else:
-                    rhs = d[:, :, None, 0] * s[:, 0]
-                    rhs += 0.0
-                    rhs += d[:, :, None, 1] * s[:, 1]
-                rhs += fa[alo:ahi, None, None]
-                rhs -= float(tol)
+                    rhs = _rhs_2d(
+                        np.moveaxis(d[:, :, None], -1, 0), s.T,
+                        fa[alo:ahi, None, None], float(tol),
+                    )
                 below = fy[None, :, None] < rhs
                 for i, k, j in zip(*np.isnan(rhs).nonzero()) if scan else ():
                     cs = [np.ravel(u).tolist() for u in (s[j], ys[k], anchors[alo + i])]
@@ -371,6 +390,65 @@ def _violates(d, fy, fa, s, tol):
     rhs += fa
     rhs -= tol
     return fy < rhs
+
+
+def _rhs_2d(d, s, fa, tol):
+    """The dense loop's 2D right-hand side, broadcast over d = (d0, d1) and
+    s = (s0, s1): fl(fl(fl(fl(0 + d0 s0) + d1 s1) + fa) - tol)."""
+    rhs = d[0] * s[0]
+    rhs += 0.0
+    rhs += d[1] * s[1]
+    rhs += fa
+    rhs -= tol
+    return rhs
+
+
+# the screen tests each anchor against this many of its nearest samples
+_SCREEN_K = 8
+
+
+def _screened_membership(ys, fy, anchors, fa, duals, tol) -> np.ndarray:
+    """2D membership that screens before it sweeps.
+
+    Each anchor is first tested against its ``_SCREEN_K`` nearest finite
+    samples (an ``argpartition`` of squared distances); a pair that one of
+    them violates is rejected.  Only the surviving (anchor, dual) pairs get
+    the full row over every sample, so the gain is the share of pairs the
+    screen rejects: a minorant through a smooth-looking sample cloud is
+    usually cut off by a neighbour.  Every cell is ``_rhs_2d``, the dense
+    loop's expression, and ``any`` over the samples does not depend on
+    their order, so the bools are the dense loop's: the caller routes here
+    only while every term is finite.  The survivor rows hold the
+    coordinates apart, (2, pairs, samples), in chunks of ``_CHUNK_CELLS >>
+    4`` cells, which keeps a row's cell as cheap as a dense one when every
+    pair survives; the anchor chunks of the screen stay near
+    ``_CHUNK_CELLS`` cells.
+    """
+    n, p = len(ys), len(duals)
+    alive = np.ones((len(anchors), p), dtype=bool)
+    if not n or not p:
+        return alive
+    k = min(_SCREEN_K, n)
+    astep = max(1, _CHUNK_CELLS // max(n, k * p))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for alo in range(0, len(anchors), astep):
+            a = anchors[alo : alo + astep]
+            dist = ((ys[None] - a[:, None]) ** 2).sum(axis=2)
+            near = np.argpartition(dist, k - 1, axis=1)[:, :k]
+            d = np.moveaxis(ys[near] - a[:, None], -1, 0)
+            rhs = _rhs_2d(
+                d[..., None], duals.T, fa[alo : alo + len(a), None, None], tol
+            )
+            alive[alo : alo + len(a)] = ~(fy[near][:, :, None] < rhs).any(axis=1)
+        rows, cols = alive.nonzero()
+        yt = np.ascontiguousarray(ys.T)[:, None]
+        step = max(1, (_CHUNK_CELLS >> 4) // n)
+        for lo in range(0, len(rows), step):
+            i, j = rows[lo : lo + step], cols[lo : lo + step]
+            d = yt - anchors[i].T[:, :, None]
+            rhs = _rhs_2d(d, duals[j].T[:, :, None], fa[i, None], tol)
+            alive[i, j] = ~(fy < rhs).any(axis=1)
+    return alive
 
 
 def _threshold_membership(ys, fy, anchors, fa, duals, tol) -> np.ndarray:

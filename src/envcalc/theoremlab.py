@@ -401,16 +401,17 @@ def _check_dfdom_e3(tid, desc, ctx):
     return _done(tid, desc, ctx.shape == _graph_shape(g))
 
 
-def grid_hull_graph(g: GridFunction):
+def grid_hull_graph(g: GridFunction, hull=None):
     """(hull, candidates, graph) of a 1D grid function.
 
     The candidates pair each finite sample, in list order, with the finite
     ends of the hull's subgradient interval there (repeats dropped); the
     graph keeps the candidates that pass the sampled membership test at
     zero tolerance, decided by one ``grid_subdiff_matrix`` over the
-    distinct candidate slopes.
+    distinct candidate slopes.  ``hull`` defaults to ``cl_conv(g)``.
     """
-    hull = cl_conv(g)
+    if hull is None:
+        hull = cl_conv(g)
     items = g.finite_items()
     ivs = subdiffs_exact(hull, [Fraction(p) for p, _v in items])
     cands = list(dict.fromkeys(
@@ -429,13 +430,16 @@ def grid_hull_graph(g: GridFunction):
 def _check_dfdom_iv(tid, desc, ctx):
     # finite shadow only: a grid sample is closed already, so the claim
     # reduces to "a maximal-relative sampled subdifferential forces grid
-    # convexity" on the line
+    # convexity" on the line; a failure names the first listed point that
+    # carries no pair of the graph
     g = ctx.inst
-    _hull, cands, G = grid_hull_graph(g)
+    _hull, cands, G = grid_hull_graph(g, ctx.grid_hull)
     v = is_maximal_relative(G, cands, tol=1e-9)
-    ok = (not v.is_maximal) or is_convex_on_grid(g)
-    return _done(tid, desc, ok,
-                 witness=None if ok else "maximal sample on a nonconvex grid")
+    if not v.is_maximal or is_convex_on_grid(g):
+        return _done(tid, desc, True)
+    anchored = {a for a, _s in G.pairs}
+    return _done(tid, desc, False,
+                 witness=next((p for p in g.points if p not in anchored), None))
 
 
 _RADII = (F(1), F(1, 2), F(1, 4), F(1, 8), F(1, 16))

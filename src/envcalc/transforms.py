@@ -307,13 +307,15 @@ def _inf_conv_grid(f: GridFunction, g: GridFunction) -> GridFunction:
     """inf_u [f(u) + g(x - u)] over finite sample pairs, one minimum per sum.
 
     The pair sums form an (n_f x n_g) grid in row-major order (f outer, g
-    inner).  One stable sort by (sum point, value) puts each sum point's
-    pairs together with its minimum first, ties in insertion order.  A sum
-    point is spelled as the Python sum of its first pair in row-major
-    order, so equal sums such as -0.0 and 0.0, or 1 and 1.0, keep the
-    spelling a dict keyed by the sums would give them.  When every point of
-    two 1D inputs is a float, that sum is read from the float64 sums: numpy
-    rounds float + float as Python does.
+    inner).  One stable sort of the sum points (an ``argsort`` in 1D, a
+    ``lexsort`` in 2D) puts each sum point's pairs together in row-major
+    order, and each group takes its minimum value from the first pair that
+    reaches it (so a tie of -0.0 and 0.0 keeps the first).  A sum point is
+    spelled as the Python sum of its first pair in row-major order, so
+    equal sums such as -0.0 and 0.0, or 1 and 1.0, keep the spelling a dict
+    keyed by the sums would give them.  When every point of two 1D inputs
+    is a float, that sum is read from the float64 sums: numpy rounds float
+    + float as Python does.
     """
     fx, fv = f.finite_arrays()
     gx, gv = g.finite_arrays()
@@ -331,12 +333,21 @@ def _inf_conv_grid(f: GridFunction, g: GridFunction) -> GridFunction:
         else:
             sums = (fx[:, None, :] + gx[None, :, :]).reshape(-1, 2)
         vals = (fv[:, None] + gv[None, :]).reshape(-1)
-    order = np.lexsort((vals, *sums.T[::-1]))
-    s = sums[order]
+    if f.dim == 1:
+        order = np.argsort(sums[:, 0], kind="stable")
+    else:
+        order = np.lexsort(sums.T[::-1])
+    s, v = sums[order], vals[order]
     starts = np.flatnonzero(np.r_[True, (s[1:] != s[:-1]).any(axis=1)])
-    first = np.minimum.reduceat(order, starts)
+    low = np.minimum.reduceat(v, starts)
+    # the positions reaching their group's minimum; the first of each group
+    # gives the value
+    reach = np.flatnonzero(v == np.repeat(low, np.diff(np.r_[starts, len(v)])))
+    group = np.searchsorted(starts, reach, "right")
+    best = v[reach[np.r_[True, group[1:] != group[:-1]]]]
+    first = order[starts]
     if f.dim == 1 and f.float_points and g.float_points:
-        return GridFunction(1, sums[first, 0], vals[order[starts]])
+        return GridFunction(1, sums[first, 0], best)
     fp = [p for p, _ in f.finite_items()]
     gp = [p for p, _ in g.finite_items()]
     pairs = zip(*(k.tolist() for k in np.divmod(first, len(gv))))
@@ -346,16 +357,16 @@ def _inf_conv_grid(f: GridFunction, g: GridFunction) -> GridFunction:
         pts = tuple(
             (fp[i][0] + gp[j][0], fp[i][1] + gp[j][1]) for i, j in pairs
         )
-    return GridFunction(f.dim, pts, vals[order[starts]])
+    return GridFunction(f.dim, pts, best)
 
 
 def conjugate_llt(f: GridFunction, dual_points) -> GridFunction:
     """Fast 1D conjugate: hull once, then a binary-search march over slopes.
 
     Matches ``conjugate_brute`` to float accuracy at a fraction of the cost;
-    dual points need not be sorted.  The result's points are the float64
-    dual array when every dual is a float, else the duals as given, so an
-    int keeps its spelling.
+    dual points need not be sorted.  A float64 array of duals is read as it
+    stands.  The result's points are the float64 dual array when every dual
+    is a float, else the duals as given, so an int keeps its spelling.
     """
     if not isinstance(f, GridFunction) or f.dim != 1:
         raise TypeError("conjugate_llt takes a 1D GridFunction")
@@ -366,9 +377,12 @@ def conjugate_llt(f: GridFunction, dual_points) -> GridFunction:
     keep = cand[_llt_hull(x[cand].tolist(), v[cand].tolist())]
     hx, hv = x[keep], v[keep]
     slopes = np.diff(hv) / np.diff(hx) if len(hx) > 1 else np.empty(0)
-    duals = tuple(dual_points)
-    y = np.array(duals, dtype=float)
-    floats = set(map(type, duals)) <= {float}
+    if isinstance(dual_points, np.ndarray) and dual_points.dtype == np.float64:
+        y = pts = dual_points
+    else:
+        duals = tuple(dual_points)
+        y = np.array(duals, dtype=float)
+        pts = y if set(map(type, duals)) <= {float} else duals
     j = np.searchsorted(slopes, y, side="left")
     # refine over a 3-index window: guards against roundoff at slope ties
     cand = np.stack([np.clip(j + d, 0, len(hx) - 1) for d in (-1, 0, 1)])
@@ -376,7 +390,7 @@ def conjugate_llt(f: GridFunction, dual_points) -> GridFunction:
     with np.errstate(over="ignore"):
         vals = y[None, :] * hx[cand] - hv[cand]
     out = vals.max(axis=0)
-    return GridFunction(1, y if floats else duals, out)
+    return GridFunction(1, pts, out)
 
 
 def cl_conv(f, dual_points=None):

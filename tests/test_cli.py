@@ -56,7 +56,9 @@ def test_probe_grid_parses_counts_and_negatives():
     assert parse_probe_grid("-1:1:3") == (F(-1), F(0), F(1))
     assert parse_probe_grid("2:5:1") == (F(2),)
     got = parse_probe_grid("0:1:2", exact=False)
-    assert got == (0.0, 1.0) and all(isinstance(v, float) for v in got)
+    assert got.dtype == np.float64 and got.tolist() == [0.0, 1.0]
+    one = parse_probe_grid("2:5:1", exact=False)
+    assert one.dtype == np.float64 and one.tolist() == [2.0]
 
 
 @pytest.mark.parametrize("bad", ["1:2", "a:b:3", "0:1:0", "::"])
@@ -128,8 +130,8 @@ def test_float_probe_grid_is_start_plus_step_k(start, stop, count):
             parse_probe_grid(spec, exact=False)
         return
     got = parse_probe_grid(spec, exact=False)
-    assert type(got) is tuple and set(map(type, got)) == {float}
-    assert [x.hex() for x in got] == [x.hex() for x in float_grid_oracle(start, stop, count)]
+    assert type(got) is np.ndarray and got.dtype == np.float64 and got.shape == (count,)
+    assert [x.hex() for x in got.tolist()] == [x.hex() for x in float_grid_oracle(start, stop, count)]
 
 
 # ---------------------------------------------------------------------------
@@ -550,6 +552,32 @@ def test_string_where_a_list_belongs_exits_2(tmp_path, capsys, kind, key, rest, 
     out, err = capsys.readouterr()
     assert out == "" and _one_line_error(err)
     assert f"{kind} instance key {key!r} holds a str, not a list" in err
+
+
+# a JSON string where a 2D point or a pair belongs used to be read character
+# by character: "12" loaded as the point (1, 2)
+@pytest.mark.parametrize("payload, key", [
+    ({"kind": "grid", "dim": 2, "points": ["12", "34"], "values": [0.0, 1.0]}, "points"),
+    ({"kind": "grid", "dim": 2, "points": [[0.0, 1.0], "34"], "values": [0.0, 1.0]}, "points"),
+    ({"kind": "indicator", "dim": 2, "points": [[1, 2], "34"]}, "points"),
+    ({"kind": "maxaffine", "dim": 2,
+      "pieces": [{"anchor": "12", "slope": [1, 2], "level": 0}]}, "anchor"),
+    ({"kind": "maxaffine", "dim": 2,
+      "pieces": [{"anchor": [1, 2], "slope": "12", "level": 0}]}, "slope"),
+    ({"kind": "opgraph", "dim": 2, "pairs": [[[0, 0], "12"]]}, "pairs"),
+    ({"kind": "opgraph", "dim": 1, "pairs": ["12"]}, "pairs"),
+], ids=["grid", "grid-second", "indicator", "maxaffine-anchor", "maxaffine-slope",
+        "opgraph-2d", "opgraph-pair"])
+@pytest.mark.parametrize("argv", [
+    ["conjugate", "--dual-grid", "0:1:2"],
+    ["subdiff", "--dual-grid", "0:1:2"],
+])
+def test_string_where_a_point_belongs_exits_2(tmp_path, capsys, payload, key, argv):
+    src = write_json(tmp_path / "str.json", payload)
+    assert main([*argv, "--instance", src]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"envcalc: {payload['kind']} instance key {key!r} holds a str entry, not a list\n"
 
 
 @pytest.mark.parametrize("payload", [

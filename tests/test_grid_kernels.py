@@ -5,8 +5,9 @@ as an oracle: the per-pair membership loop for ``grid_subdiff_matrix`` and
 ``grid_subdiff_test``, the dict inf-convolution for the sorted one, and the
 dense ``conjugate_brute`` for ``conjugate_llt``.  The float hull prefilter
 is checked against the two hull loops run over all samples, ``_llt_hull``
-and ``_hull_1d_exact``.  The 1D threshold membership is checked against the
-dense membership loop and the per-pair loop, the float routes of
+and ``_hull_1d_exact``.  The 1D threshold membership and the 2D screen are
+checked against the dense membership loop and the per-pair loop, the float
+verdicts against exact arithmetic within their stated band, the float routes of
 ``inf_conv`` and of grid loading against the Python-scalar routes they
 replaced, and the column CSV writer against the row join.
 """
@@ -223,6 +224,135 @@ def test_small_matrices_take_the_dense_loop():
     with mock.patch.object(operators, "_threshold_membership", wraps=operators._threshold_membership) as thr:
         grid_subdiff_matrix(big, tuple(np.linspace(-3, 3, 41).tolist()), 0.0)
     assert thr.called
+
+
+# ---------------------------------------------------------------------------
+# the 2D screen against the dense loop, and the routes
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def screen_cases(draw):
+    """(ys, fy, anchors, fa, duals, tol, every pair survives): random draws
+    from ``membership_cases``, lattice points (ties in distance), one
+    finite sample among +inf ones, and a zig-zag line whose anchors sit so
+    far below their samples that no near sample rejects a pair."""
+    kind = draw(st.sampled_from(("random", "lattice", "single", "zigzag")))
+    if kind == "zigzag":
+        n = draw(st.integers(9, 40))
+        ys = np.array([(float(i), 0.5 * (-1) ** i) for i in range(n)])
+        fy = -((ys[:, 0] / 4) ** 2) + draw(st.sampled_from((0.0, 0.25))) * (-1) ** np.arange(n)
+        duals = np.array(draw(st.lists(st.tuples(quarter, quarter), min_size=1, max_size=6))) / 24
+        return ys, fy, ys, fy - 100.0, duals, draw(tols), True
+    if kind == "random":
+        f, duals, tol = draw(membership_cases(2))
+    else:
+        side = st.integers(-3, 3).map(float)
+        pts = draw(st.lists(st.tuples(side, side), min_size=1, max_size=20, unique=True))
+        if kind == "lattice":
+            vals = draw(st.lists(value, min_size=len(pts), max_size=len(pts)))
+        else:
+            vals = [INF] * len(pts)
+            vals[draw(st.integers(0, len(pts) - 1))] = draw(quarter)
+        duals = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=6))
+        f, tol = GridFunction(2, tuple(pts), tuple(vals)), draw(tols)
+    ys, fy = f.finite_arrays()
+    return ys, fy, ys, fy, np.array(duals, dtype=float).reshape(-1, 2), tol, False
+
+
+@given(screen_cases(), st.integers(1, 40))
+@settings(max_examples=400, deadline=None)
+def test_screen_matches_the_dense_loop(case, chunk):
+    ys, fy, anchors, fa, duals, tol, all_survive = case
+    sizes = []
+    cell = operators._rhs_2d
+
+    def spy(*args):
+        rhs = cell(*args)
+        sizes.append(rhs.shape)
+        return rhs
+
+    with mock.patch.object(operators, "_CHUNK_CELLS", chunk), \
+            mock.patch.object(operators, "_rhs_2d", spy):
+        got = operators._screened_membership(ys, fy, anchors, fa, duals, float(tol))
+    want = operators._dense_membership(ys, fy, anchors, fa, duals, tol, False)
+    assert got.dtype == bool and got.tobytes() == want.tobytes()
+    n, p = len(ys), len(duals)
+    k = min(operators._SCREEN_K, n)
+    # no temporary grows past the chunk, one row of samples or one anchor's
+    # screen
+    assert all(math.prod(s) <= max(chunk, n, k * p) for s in sizes)
+    if all_survive:
+        assert sum(s[0] for s in sizes if len(s) == 2) == len(anchors) * p
+
+
+def test_membership_routes():
+    def spies():
+        return (mock.patch.object(operators, name, wraps=getattr(operators, name))
+                for name in ("_screened_membership", "_threshold_membership",
+                             "_dense_membership"))
+
+    def route(f, duals):
+        with contextlib.ExitStack() as stack:
+            screen, thr, dense = (stack.enter_context(s) for s in spies())
+            grid_subdiff_matrix(f, duals, 0.0)
+        return screen.called, thr.called, dense.called
+
+    small = GridFunction(1, (0.0, 1.0, 2.0), (0.0, 0.5, 2.0))
+    assert route(small, (0.0, 1.0)) == (False, False, True)
+    xs = np.linspace(-1, 1, 40)
+    big = GridFunction(1, xs, xs**2)
+    assert route(big, tuple(np.linspace(-3, 3, 41).tolist())) == (False, True, False)
+    # the NaN scan: 1e300 steps make the 2D products overflow
+    nan = GridFunction(2, ((0.0, 0.0), (1e300, 1e300)), (0.0, 0.0))
+    assert route(nan, [(1e10, -1e10)]) == (False, False, True)
+    plane = GridFunction(2, ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)), (0.0, 1.0, 1.0))
+    assert route(plane, [(1.0, 1.0), (0.0, 0.0)]) == (True, False, False)
+
+
+# ---------------------------------------------------------------------------
+# the error band of the float verdicts against exact arithmetic
+# ---------------------------------------------------------------------------
+
+U = F(1, 2**53)
+
+
+def _exact_rhs(fa, s, y, a, tol, dim):
+    s, y, a = ((x,) if dim == 1 else x for x in (s, y, a))
+    dot = sum(F(si) * (F(yi) - F(ai)) for si, yi, ai in zip(s, y, a))
+    size = abs(F(fa)) + sum(abs(F(si)) * abs(F(yi) - F(ai)) for si, yi, ai in zip(s, y, a))
+    m = dim + 2 + (tol != 0)
+    band = m * U / (1 - m * U) * (size + F(tol)) + dim * F(1, 2**1074)
+    return F(fa) + dot - F(tol), band
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_float_verdicts_differ_from_exact_only_inside_the_band(dim):
+    """Every verdict of ``grid_subdiff_matrix`` that differs from exact
+    arithmetic on the same floats has a sample within the band of
+    ``_grid_membership``'s docstring: all the exactly violating samples of
+    a wrong accept, and one sample of a wrong reject.  In 2D the matrix
+    comes from the screen; in 1D from the dense loop or, with ``_DENSE_CELLS``
+    at 0, the threshold search."""
+    @given(membership_cases(dim), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def check(case, threshold):
+        f, duals, tol = case
+        with mock.patch.object(operators, "_DENSE_CELLS", 0 if threshold else math.inf):
+            got = grid_subdiff_matrix(f, duals, tol)
+        items = f.finite_items()
+        for i, (a, fa) in enumerate(items):
+            for j, s in enumerate(duals):
+                cells = [(F(fy), *_exact_rhs(fa, s, y, a, tol, dim)) for y, fy in items]
+                violated = [(fy, rhs, band) for fy, rhs, band in cells if fy < rhs]
+                if bool(got[i, j]) == (not violated):
+                    continue
+                if got[i, j]:
+                    assert all(rhs - fy <= band for fy, rhs, band in violated)
+                else:
+                    assert any(abs(fy - rhs) <= band for fy, rhs, band in cells)
+
+    check()
 
 
 def test_membership_on_the_tolerance_edge():
@@ -683,6 +813,20 @@ def test_grid_from_a_float_array_equals_the_one_from_the_tuple(xs, dim):
     got = build(arr)
     assert got[0] == want[0] and got[1:] == want[1:]
     assert got[3] is True
+
+
+@given(unique_floats, st.sampled_from((1, 2)))
+@settings(max_examples=200, deadline=None)
+def test_points_built_on_read_equal_the_eager_tuple(xs, dim):
+    pts = tuple(xs) if dim == 1 else tuple(zip(xs, reversed(xs)))
+    vals = tuple(float(k) for k in range(len(pts)))
+    arr = np.array(pts, dtype=float).reshape((len(pts),) if dim == 1 else (len(pts), 2))
+    lazy = GridFunction(dim, arr, vals)
+    assert "_built_points" not in lazy.__dict__
+    eager = GridFunction(dim, pts, vals)
+    assert [repr(p) for p in lazy.points] == [repr(p) for p in eager.points]
+    assert lazy.points is lazy.points and lazy == eager and hash(lazy) == hash(eager)
+    assert [type(c) for p in lazy.points for c in ((p,) if dim == 1 else p)] == [float] * (len(pts) * dim)
 
 
 def test_float_points_flag():

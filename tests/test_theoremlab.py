@@ -383,3 +383,16 @@ def test_half_circle_gallery_fails_on_a_wrong_closure_interval(monkeypatch):
     window = theoremlab._gallery_half_circle().checks[2]
     assert window.theorem_id == "gallery.half-circle.closure-graph-window"
     assert (window.verdict, window.witness) == ("fail", F(0))
+
+
+def test_dfdom_iv_fails_on_a_hull_that_misses_a_sample():
+    # samples 0, 5, 0 at x = 0, 1, 2: the true hull's slope 0 at x = 1 is a
+    # candidate that the raised sample cannot carry, so the sampled graph is
+    # not maximal and the check passes.  A "hull" cut short at x = 1/2
+    # offers no candidate at 1 or 2; the graph {(0, 0)} is then maximal on
+    # a nonconvex grid, and the witness is the first sample left without a pair
+    g = GridFunction(1, (0.0, 1.0, 2.0), (0.0, 5.0, 0.0))
+    assert _dispatch("dfdom.iv", "bump", CheckContext(g)).verdict == "pass"
+    short = PLConvex1D((F(0), F(1, 2)), (F(0), F(0)))
+    got = _dispatch("dfdom.iv", "bump", _planted(g, grid_hull=short))
+    assert (got.verdict, got.witness) == ("fail", 1.0)
