@@ -604,7 +604,7 @@ class GridFunction:
         if (
             isinstance(src, np.ndarray)
             and src.dtype == np.float64
-            and src.shape[1:] == ((), (2,))[self.dim - 1]
+            and src.shape[1:] == (() if self.dim == 1 else (2,))
         ):
             xs = src.copy()
             # the floats are the points: no tuple until ``points`` is read
@@ -1038,6 +1038,21 @@ def _tuples(d: dict, key: str, seq) -> tuple:
     return tuple(map(tuple, seq))
 
 
+def _points(d: dict):
+    """(points, every coordinate a float) of a grid or indicator instance
+    ``d``, 2D entries read by ``_tuples``.  A coordinate spelled as a string
+    is refused: float() would read "12" as 12 but refuse "1/2"."""
+    dim = d["dim"]
+    pts = _tuples(d, "points", d["points"]) if dim == 2 else tuple(d["points"])
+    kinds = set(map(type, (c for p in pts for c in p) if dim == 2 else pts))
+    # JSON numbers pass the type scan; only other lists are walked point by point
+    for p in () if kinds <= _PLAIN else pts:
+        if str in map(type, p if isinstance(p, (list, tuple)) else (p,)):
+            kind = d.get("kind")
+            raise TypeError(f"{kind} instance key 'points' holds a str coordinate, not a number")
+    return pts, kinds <= {float}
+
+
 def _grid_values(vals) -> np.ndarray:
     """A grid's values as float64.  JSON numbers convert in one numpy pass;
     only the other cells (``dump_instance`` writes +inf as "inf") go
@@ -1080,22 +1095,13 @@ def load_instance(src):
         )
     if kind == "grid":
         _check_counts(d, "points", "values")
-        pts = d["points"]
         vals = _grid_values(d["values"])
-        return GridFunction(
-            d["dim"],
-            _tuples(d, "points", pts) if d["dim"] == 2 else tuple(pts),
-            vals,
-            label=label,
-        )
+        pts, floats = _points(d)
+        # float coordinates go in as one array, which GridFunction reads without a type scan
+        return GridFunction(d["dim"], np.array(pts) if floats else pts, vals, label=label)
     if kind == "indicator":
         _check_counts(d, "points")
-        pts = d["points"]
-        return SampledSet(
-            d["dim"],
-            _tuples(d, "points", pts) if d["dim"] == 2 else tuple(pts),
-            label=label,
-        )
+        return SampledSet(d["dim"], _points(d)[0], label=label)
     if kind == "interval":
         lo, hi = d.get("lo"), d.get("hi")
         return Interval1D(

@@ -305,9 +305,8 @@ def subdiff_test(f: PLConvex1D, x, xstar) -> bool:
 
 
 _CHUNK_CELLS = 1 << 20
-# below this many (anchor, sample, dual) cells the dense loop's few numpy
-# calls cost less than the threshold search's fixed overhead
-_DENSE_CELLS = 1 << 15
+# the screen tests each anchor against this many of its nearest samples
+_SCREEN_K = 8
 
 
 def _grid_membership(f: GridFunction, anchors, fa, duals, tol) -> np.ndarray:
@@ -316,11 +315,8 @@ def _grid_membership(f: GridFunction, anchors, fa, duals, tol) -> np.ndarray:
 
     Evaluates fy < fa + <s, y - a> - tol in the per-pair order: y - a
     first, the 2D dot as 0 + s0*d0 + s1*d1 (how Python's sum adds it up),
-    then fa +, then - tol.  Unless the NaN scan below is on, 2D duals go
-    through ``_screened_membership`` and 1D duals through
-    ``_threshold_membership`` (when the matrix is not tiny); the rest take
-    the dense loop, chunked over anchors and duals so that no temporary
-    holds more than about 2^20 cells (or one row of samples).
+    then fa +, then - tol.  Every input, 1D or 2D, goes through
+    ``_screened_membership``.
 
     Error band.  Each cell rounds m = dim + 2 operations, one more when
     tol != 0 (y - a per coordinate, the products, + fa, - tol), so while no
@@ -339,179 +335,79 @@ def _grid_membership(f: GridFunction, anchors, fa, duals, tol) -> np.ndarray:
     """
     if math.isnan(tol):
         raise ValueError("the membership tolerance is NaN")
-    ys, fy = f.finite_arrays()
-    # a NaN needs an infinite term, and none arises while this bound on every
-    # difference, product and sum stays finite, so the NaN scan is skipped
-    big = [float(abs(u).max(initial=0)) for u in (ys, anchors, duals, fa)]
-    scan = not (big[0] + big[1]) * big[2] * f.dim + big[3] + abs(float(tol)) < 1e308
-    if not scan and f.dim == 2:
-        return _screened_membership(ys, fy, anchors, fa, duals, float(tol))
-    if f.dim == 1 and not scan and len(anchors) * len(ys) * len(duals) >= _DENSE_CELLS:
-        return _threshold_membership(ys, fy, anchors, fa, duals, float(tol))
-    return _dense_membership(ys, fy, anchors, fa, duals, tol, scan)
+    return _screened_membership(*f.finite_arrays(), anchors, fa, duals, tol)
 
 
-def _dense_membership(ys, fy, anchors, fa, duals, tol, scan) -> np.ndarray:
-    """The dense loop: every (anchor, sample, dual) cell, chunked over
-    anchors and duals; with ``scan`` on, NaN cells are decided exactly."""
-    out = np.empty((len(anchors), len(duals)), dtype=bool)
-    pstep = max(1, _CHUNK_CELLS // max(1, len(ys)))
-    astep = max(1, _CHUNK_CELLS // max(1, len(ys) * min(len(duals), pstep)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for alo in range(0, len(anchors), astep):
-            d = ys[None] - anchors[alo : alo + astep, None]
-            ahi = alo + len(d)
-            for plo in range(0, len(duals), pstep):
-                s = duals[plo : plo + pstep]
-                if duals.ndim == 1:
-                    rhs = d[:, :, None] * s
-                    rhs += fa[alo:ahi, None, None]
-                    rhs -= float(tol)
-                else:
-                    rhs = _rhs_2d(
-                        np.moveaxis(d[:, :, None], -1, 0), s.T,
-                        fa[alo:ahi, None, None], float(tol),
-                    )
-                below = fy[None, :, None] < rhs
-                for i, k, j in zip(*np.isnan(rhs).nonzero()) if scan else ():
-                    cs = [np.ravel(u).tolist() for u in (s[j], ys[k], anchors[alo + i])]
-                    if all(map(math.isfinite, (*cs[0], tol))):
-                        sj, y, a = ([Fraction(c) for c in u] for u in cs)
-                        lhs = Fraction(fy[k]) + Fraction(tol) - Fraction(fa[alo + i])
-                        gain = sum(u * (v - w) for u, v, w in zip(sj, y, a))
-                        below[i, k, j] = lhs < gain
-                out[alo:ahi, plo : plo + len(s)] = ~below.any(axis=1)
-    return out
-
-
-def _violates(d, fy, fa, s, tol):
-    """The dense loop's cell: fy < fl(fl(fl(d s) + fa) - tol)."""
-    rhs = d * s
-    rhs += fa
-    rhs -= tol
-    return fy < rhs
-
-
-def _rhs_2d(d, s, fa, tol):
-    """The dense loop's 2D right-hand side, broadcast over d = (d0, d1) and
-    s = (s0, s1): fl(fl(fl(fl(0 + d0 s0) + d1 s1) + fa) - tol)."""
+def _rhs(d, s, fa, tol):
+    """The cell's right-hand side, broadcast over the coordinates d = (d0,)
+    or (d0, d1) and s alike: fl(fl(d0 s0 + fa) - tol) in 1D,
+    fl(fl(fl(fl(0 + d0 s0) + d1 s1) + fa) - tol) in 2D."""
     rhs = d[0] * s[0]
-    rhs += 0.0
-    rhs += d[1] * s[1]
+    if len(d) == 2:
+        rhs += 0.0
+        rhs += d[1] * s[1]
     rhs += fa
     rhs -= tol
     return rhs
 
 
-# the screen tests each anchor against this many of its nearest samples
-_SCREEN_K = 8
-
-
 def _screened_membership(ys, fy, anchors, fa, duals, tol) -> np.ndarray:
-    """2D membership that screens before it sweeps.
+    """Membership that screens before it sweeps, 1D points and duals read
+    as one-coordinate columns.
 
     Each anchor is first tested against its ``_SCREEN_K`` nearest finite
     samples (an ``argpartition`` of squared distances); a pair that one of
     them violates is rejected.  Only the surviving (anchor, dual) pairs get
     the full row over every sample, so the gain is the share of pairs the
     screen rejects: a minorant through a smooth-looking sample cloud is
-    usually cut off by a neighbour.  Every cell is ``_rhs_2d``, the dense
-    loop's expression, and ``any`` over the samples does not depend on
-    their order, so the bools are the dense loop's: the caller routes here
-    only while every term is finite.  The survivor rows hold the
-    coordinates apart, (2, pairs, samples), in chunks of ``_CHUNK_CELLS >>
-    4`` cells, which keeps a row's cell as cheap as a dense one when every
-    pair survives; the anchor chunks of the screen stay near
+    usually cut off by a neighbour.  Every cell is ``_rhs``, and a NaN cell
+    compares false in the screen, so it rejects only pairs the full row
+    rejects; the row decides a NaN cell over the rationals its floats
+    denote (skipped while a bound on every term stays finite).  With at
+    most ``_SCREEN_K`` samples the screen is the full row, and only a
+    possible NaN cell sends pairs on to the rows.  The rows hold the
+    coordinates apart, (dim, pairs, samples), in chunks of ``_CHUNK_CELLS
+    >> 4`` cells, which keeps a row's cell as cheap as a dense one when
+    every pair survives; the screen's anchor chunks stay near
     ``_CHUNK_CELLS`` cells.
     """
+    ys, anchors, duals = (u[:, None] if u.ndim == 1 else u for u in (ys, anchors, duals))
     n, p = len(ys), len(duals)
     alive = np.ones((len(anchors), p), dtype=bool)
     if not n or not p:
         return alive
+    # a NaN needs an infinite term, and none arises while this bound on every
+    # difference, product and sum stays finite, so the NaN scan is skipped
+    ftol = float(tol)
+    big = [float(abs(u).max(initial=0)) for u in (ys, anchors, duals, fa)]
+    scan = not (big[0] + big[1]) * big[2] * ys.shape[1] + big[3] + abs(ftol) < 1e308
     k = min(_SCREEN_K, n)
     astep = max(1, _CHUNK_CELLS // max(n, k * p))
     with np.errstate(over="ignore", invalid="ignore"):
         for alo in range(0, len(anchors), astep):
             a = anchors[alo : alo + astep]
             dist = ((ys[None] - a[:, None]) ** 2).sum(axis=2)
-            near = np.argpartition(dist, k - 1, axis=1)[:, :k]
-            d = np.moveaxis(ys[near] - a[:, None], -1, 0)
-            rhs = _rhs_2d(
-                d[..., None], duals.T, fa[alo : alo + len(a), None, None], tol
-            )
+            near = np.argpartition(dist, k - 1, axis=1)[:, :k] if k < n else np.arange(n)[None]
+            d = (ys[near] - a[:, None]).transpose(2, 0, 1)
+            rhs = _rhs(d[..., None], duals.T, fa[alo : alo + len(a), None, None], ftol)
             alive[alo : alo + len(a)] = ~(fy[near][:, :, None] < rhs).any(axis=1)
+        if k == n and not scan:
+            return alive  # the screen saw every sample
         rows, cols = alive.nonzero()
         yt = np.ascontiguousarray(ys.T)[:, None]
         step = max(1, (_CHUNK_CELLS >> 4) // n)
         for lo in range(0, len(rows), step):
             i, j = rows[lo : lo + step], cols[lo : lo + step]
             d = yt - anchors[i].T[:, :, None]
-            rhs = _rhs_2d(d, duals[j].T[:, :, None], fa[i, None], tol)
-            alive[i, j] = ~(fy < rhs).any(axis=1)
+            rhs = _rhs(d, duals[j].T[:, :, None], fa[i, None], ftol)
+            below = fy < rhs
+            for r, c in zip(*np.isnan(rhs).nonzero()) if scan else ():
+                s, y, a = (u.tolist() for u in (duals[j[r]], ys[c], anchors[i[r]]))
+                if all(map(math.isfinite, (*s, tol))):
+                    gain = sum(Fraction(u) * (Fraction(v) - Fraction(w)) for u, v, w in zip(s, y, a))
+                    below[r, c] = Fraction(fy[c]) + Fraction(tol) - Fraction(fa[i[r]]) < gain
+            alive[i, j] = ~below.any(axis=1)
     return alive
-
-
-def _threshold_membership(ys, fy, anchors, fa, duals, tol) -> np.ndarray:
-    """1D membership by one threshold search per (anchor, sample) pair.
-
-    For fixed a and y, d = fl(y - a) is fixed, and the cell's right-hand
-    side fl(fl(fl(d s) + fa) - tol) is monotone in s because rounding to
-    nearest is: nondecreasing for d > 0, nonincreasing for d < 0, constant
-    for d = 0.  Over the sorted duals a sample therefore violates from one
-    index on (d > 0), before one index (d < 0), or everywhere or nowhere
-    (d = 0), and an anchor accepts one index range [lo, hi).  The switch
-    index is estimated by ``searchsorted`` at (fy - fa + tol) / d, then
-    checked by evaluating the cell at it and at the index before; a pair the
-    estimate misses is settled by bisection over the same cell.  O(n^2
-    (log p + 1)) against the dense loop's O(n^2 p), and the same bools:
-    the caller routes here only while every term is finite.
-    """
-    order = np.argsort(duals, kind="stable")
-    s = duals[order]
-    p = len(s)
-    out = np.empty((len(anchors), p), dtype=bool)
-    if not p:
-        return out
-    cols = np.arange(p)
-    step = max(1, (_CHUNK_CELLS >> 2) // max(1, len(ys)))
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for alo in range(0, len(anchors), step):
-            d = ys[None] - anchors[alo : alo + step, None]
-            ahi = alo + len(d)
-            fac = fa[alo:ahi, None]
-            pos, neg = d > 0, d < 0
-            # P(t): the sample violates at sorted dual t (d > 0), or does not
-            # (d < 0); it is false below the switch index and true from it
-            est = (fy - fac + tol) / d
-            t = np.where(pos, np.searchsorted(s, est, "right"), np.searchsorted(s, est, "left"))
-            below = _violates(d, fy, fac, s[np.maximum(t - 1, 0)], tol) == pos
-            at = _violates(d, fy, fac, s[np.minimum(t, p - 1)], tol) == pos
-            lo_bad = (t > 0) & below
-            bad = (pos | neg) & (lo_bad | (t < p) & ~at)
-            if bad.any():
-                t[bad] = _bisect_switch(d, fy, fac, s, tol, pos, bad, lo_bad, t)
-            hi = np.where(pos, t, p).min(axis=1, initial=p)
-            lo = np.where(neg, t, 0).max(axis=1, initial=0)
-            dead = ((d == 0) & _violates(d, fy, fac, s[0], tol)).any(axis=1)
-            keep = (cols >= lo[:, None]) & (cols < hi[:, None]) & ~dead[:, None]
-            out[alo:ahi, order] = keep
-    return out
-
-
-def _bisect_switch(d, fy, fac, s, tol, pos, bad, lo_bad, t) -> np.ndarray:
-    """The switch index of the ``bad`` pairs: the first sorted dual where
-    P holds, searched below t where P already holds at t - 1, else above t."""
-    rows, cols = bad.nonzero()
-    d, fy, fac, pos = d[bad], fy[cols], fac[rows, 0], pos[bad]
-    tb, down = t[bad], lo_bad[bad]
-    lo = np.where(down, 0, tb + 1)
-    hi = np.where(down, tb - 1, len(s))
-    while (open_ := lo < hi).any():
-        mid = (lo + hi) // 2
-        hit = _violates(d, fy, fac, s[np.minimum(mid, len(s) - 1)], tol) == pos
-        hi = np.where(open_ & hit, mid, hi)
-        lo = np.where(open_ & ~hit, mid + 1, lo)
-    return lo
 
 
 def _dual_array(duals, dim: int) -> np.ndarray:

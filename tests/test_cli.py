@@ -580,6 +580,22 @@ def test_string_where_a_point_belongs_exits_2(tmp_path, capsys, payload, key, ar
     assert err == f"envcalc: {payload['kind']} instance key {key!r} holds a str entry, not a list\n"
 
 
+# a coordinate spelled as a JSON string used to go through float(): "12"
+# loaded as 12.0, and "1/2" failed with Python's own message
+@pytest.mark.parametrize("payload", [
+    {"kind": "grid", "dim": 1, "points": ["12", "3"], "values": [0.0, 1.0]},
+    {"kind": "grid", "dim": 1, "points": [0.0, "1/2"], "values": [0.0, 1.0]},
+    {"kind": "grid", "dim": 2, "points": [[0.0, 0.0], ["1", "2"]], "values": [0.0, 1.0]},
+    {"kind": "indicator", "dim": 1, "points": [1.0, "2"]},
+], ids=["grid-1d", "grid-1d-ratio", "grid-2d", "indicator"])
+def test_string_coordinate_exits_2(tmp_path, capsys, payload):
+    src = write_json(tmp_path / "str.json", payload)
+    assert main(["conjugate", "--dual-grid", "-1:1:3", "--instance", src]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"envcalc: {payload['kind']} instance key 'points' holds a str coordinate, not a number\n"
+
+
 @pytest.mark.parametrize("payload", [
     {"kind": "grid", "dim": 1, "points": [0.0, False], "values": [0.0, 1.0]},
     {"kind": "grid", "dim": 2, "points": [[0.0, False], [1.0, 1.0]], "values": [0.0, 1.0]},

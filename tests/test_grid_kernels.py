@@ -5,11 +5,13 @@ as an oracle: the per-pair membership loop for ``grid_subdiff_matrix`` and
 ``grid_subdiff_test``, the dict inf-convolution for the sorted one, and the
 dense ``conjugate_brute`` for ``conjugate_llt``.  The float hull prefilter
 is checked against the two hull loops run over all samples, ``_llt_hull``
-and ``_hull_1d_exact``.  The 1D threshold membership and the 2D screen are
-checked against the dense membership loop and the per-pair loop, the float
-verdicts against exact arithmetic within their stated band, the float routes of
-``inf_conv`` and of grid loading against the Python-scalar routes they
-replaced, and the column CSV writer against the row join.
+and ``_hull_1d_exact``.  The membership screen, the one route in 1D and 2D,
+is checked byte for byte against the dense membership loop kept here (NaN
+cells included, at scales where terms overflow) and against the per-pair
+loop, the float verdicts against exact arithmetic within their stated band,
+the float routes of ``inf_conv`` and of grid loading against the
+Python-scalar routes they replaced, and the column CSV writer against the
+row join.
 """
 
 import contextlib
@@ -20,7 +22,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from envcalc import cli, operators, transforms
 from envcalc.extreal import parse_scalar
@@ -65,6 +67,28 @@ def subdiff_loop(f, a, astar, tol=0):
         if fy < fa + dot(astar, point_sub(y, a, f.dim), f.dim) - tol:
             return False
     return True
+
+
+def dense_membership(ys, fy, anchors, fa, duals, tol):
+    """The dense membership loop: every (anchor, sample, dual) cell at once,
+    fy < fa + <s, y - a> - tol in the per-pair order (the 2D dot as
+    0 + s0 d0 + s1 d1), a NaN cell decided over the rationals its floats
+    denote, or, with an infinite dual or tolerance, read as no violation."""
+    y, a, s = (u[:, None] if u.ndim == 1 else u for u in (ys, anchors, duals))
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = y[None] - a[:, None]
+        rhs = d[:, :, None, 0] * s[:, 0]
+        if s.shape[1] == 2:
+            rhs += 0.0
+            rhs += d[:, :, None, 1] * s[:, 1]
+        rhs += fa[:, None, None]
+        rhs -= float(tol)
+    below = fy[None, :, None] < rhs
+    for i, k, j in zip(*np.isnan(rhs).nonzero()):
+        if math.isfinite(tol) and np.isfinite(s[j]).all():
+            gain = sum(F(u) * (F(v) - F(w)) for u, v, w in zip(s[j].tolist(), y[k].tolist(), a[i].tolist()))
+            below[i, k, j] = F(fy[k]) + F(tol) - F(fa[i]) < gain
+    return ~below.any(axis=1)
 
 
 def inf_conv_dict(f, g):
@@ -148,124 +172,96 @@ def test_batched_membership_matches_loop_2d(case, chunk):
     assert not grid_subdiff_test(f, (99.0, 99.0), duals[0], tol)
 
 
-def _dense(f, duals, tol):
-    with mock.patch.object(operators, "_DENSE_CELLS", math.inf):
-        return grid_subdiff_matrix(f, duals, tol)
+# ---------------------------------------------------------------------------
+# the membership screen against the dense loop
+# ---------------------------------------------------------------------------
 
 
-def _threshold(f, duals, tol):
-    with mock.patch.object(operators, "_DENSE_CELLS", 0):
-        return grid_subdiff_matrix(f, duals, tol)
+SCALES = (1.0, 1e-300, 1e-160, 1e100, 1e153, 1e154, 1e300, 5e307)
 
 
 @st.composite
-def threshold_cases(draw):
-    """``membership_cases`` with the duals shuffled, repeated and joined by
-    both zeros, at a scale where the NaN scan is off (the threshold route),
-    next to its edge, or on (the dense loop)."""
-    f, duals, tol = draw(membership_cases(1))
+def scaled_grids(draw, dim, scales=SCALES):
+    """(f, duals, tol): ``membership_cases`` with the duals shuffled,
+    repeated and joined by both zeros, scaled from 1e-300 to 5e307: at the
+    larger scales a product or a 1D difference overflows, and the NaN scan
+    turns on."""
+    f, duals, tol = draw(membership_cases(dim))
+    zeros = (0.0, -0.0) if dim == 1 else ((0.0, 0.0), (-0.0, 0.0), (0.0, -0.0))
     duals = list(duals) + draw(st.lists(st.sampled_from(duals), max_size=4))
-    duals += draw(st.lists(st.sampled_from((0.0, -0.0)), max_size=2))
-    duals = draw(st.permutations(duals))
-    scale = draw(st.sampled_from((1.0, 1e-300, 1e-160, 1e100, 1e153, 1e154, 1e300)))
+    duals += draw(st.lists(st.sampled_from(zeros), max_size=2))
+    duals = np.array(draw(st.permutations(duals)), dtype=float)
+    scale = draw(st.sampled_from(scales))
     if scale != 1.0:
         pts = f.point_array * scale
-        # tiny points can round to one subnormal
-        assume(len(set(pts.tolist())) == len(pts))
-        f = GridFunction(1, pts, f.value_array * scale)
-        duals = [s * scale for s in duals]
-    return f, tuple(duals), tol
+        with np.errstate(over="ignore"):
+            vals = f.value_array * scale
+        # tiny points can round to one subnormal, and a negative value past
+        # the float range to -inf
+        assume(len(np.unique(pts, axis=0)) == len(pts) and (vals > -INF).all())
+        f = GridFunction(dim, pts, vals)
+    return f, duals * scale, tol
 
 
-@given(threshold_cases())
-@settings(max_examples=500, deadline=None)
-def test_threshold_membership_matches_dense_loop(case):
-    f, duals, tol = case
-    got = _threshold(f, duals, tol)
-    assert np.array_equal(got, _dense(f, duals, tol))
-    for i, (p, _v) in enumerate(f.finite_items()):
-        for k, s in enumerate(duals):
-            assert bool(got[i, k]) == subdiff_loop(f, p, s, tol)
-
-
-def test_threshold_membership_with_no_finite_sample():
-    # every anchor's minorant stays below an empty sample set
-    f = GridFunction(1, (0.0, 1.0), (INF, INF))
-    anchors, fa, duals = np.array([0.5, 2.0]), np.array([0.0, 1.0]), np.array([1.0, -1.0, 0.0])
-    for cut in (0, math.inf):
-        with mock.patch.object(operators, "_DENSE_CELLS", cut):
-            got = operators._grid_membership(f, anchors, fa, duals, 0.0)
-        assert got.tolist() == [[True] * 3] * 2
-    assert _threshold(f, (1.0,), 0.0).shape == (0, 1)
-
-
-def test_threshold_membership_bisects_where_the_estimate_misses():
-    # from the anchor (0, 1) the sample (1, 1 + u), u = 2^-52, is violated
-    # once fl(1 + s) rounds up to 1 + 2u, that is from s = 1.5u on (a tie,
-    # to even), while the quotient estimate puts the switch just past s = u
-    u = 2.0**-52
-    f = GridFunction(1, (0.0, 1.0), (1.0, 1.0 + u))
-    duals = tuple(k * u / 4 for k in range(12)) + (-u, 1.5 * u)
-    with mock.patch.object(operators, "_bisect_switch", wraps=operators._bisect_switch) as spy:
-        got = _threshold(f, duals, 0.0)
-    assert spy.called
-    assert np.array_equal(got, _dense(f, duals, 0.0))
-    assert got[0].tolist() == [s < 1.5 * u for s in duals]
-    for i, (p, _v) in enumerate(f.finite_items()):
-        assert got[i].tolist() == [subdiff_loop(f, p, s, 0.0) for s in duals]
-
-
-def test_small_matrices_take_the_dense_loop():
-    f = GridFunction(1, (0.0, 1.0, 2.0), (0.0, 0.5, 2.0))
-    with mock.patch.object(operators, "_threshold_membership") as thr:
-        grid_subdiff_matrix(f, (0.0, 1.0), 0.0)
-    assert not thr.called
-    big = GridFunction(1, tuple(np.linspace(-1, 1, 40).tolist()), tuple((np.linspace(-1, 1, 40) ** 2).tolist()))
-    with mock.patch.object(operators, "_threshold_membership", wraps=operators._threshold_membership) as thr:
-        grid_subdiff_matrix(big, tuple(np.linspace(-3, 3, 41).tolist()), 0.0)
-    assert thr.called
-
-
-# ---------------------------------------------------------------------------
-# the 2D screen against the dense loop, and the routes
-# ---------------------------------------------------------------------------
+@st.composite
+def scaled_cases(draw, dim):
+    """``scaled_grids`` as a screen case, every finite sample an anchor."""
+    f, duals, tol = draw(scaled_grids(dim))
+    ys, fy = f.finite_arrays()
+    return ys, fy, ys, fy, duals, tol, False
 
 
 @st.composite
 def screen_cases(draw):
-    """(ys, fy, anchors, fa, duals, tol, every pair survives): random draws
-    from ``membership_cases``, lattice points (ties in distance), one
-    finite sample among +inf ones, and a zig-zag line whose anchors sit so
-    far below their samples that no near sample rejects a pair."""
-    kind = draw(st.sampled_from(("random", "lattice", "single", "zigzag")))
+    """(ys, fy, anchors, fa, duals, tol, every pair survives): scaled draws
+    from ``membership_cases`` in 1D and 2D, lattice points (ties in
+    distance), one finite sample among +inf ones, and a zig-zag line whose
+    anchors sit so far below their samples that no near sample rejects a
+    pair."""
+    kind = draw(st.sampled_from(("random", "random-1d", "lattice", "single", "zigzag")))
+    if kind.startswith("random"):
+        return draw(scaled_cases(1 if kind == "random-1d" else 2))
     if kind == "zigzag":
         n = draw(st.integers(9, 40))
         ys = np.array([(float(i), 0.5 * (-1) ** i) for i in range(n)])
         fy = -((ys[:, 0] / 4) ** 2) + draw(st.sampled_from((0.0, 0.25))) * (-1) ** np.arange(n)
         duals = np.array(draw(st.lists(st.tuples(quarter, quarter), min_size=1, max_size=6))) / 24
         return ys, fy, ys, fy - 100.0, duals, draw(tols), True
-    if kind == "random":
-        f, duals, tol = draw(membership_cases(2))
+    side = st.integers(-3, 3).map(float)
+    pts = draw(st.lists(st.tuples(side, side), min_size=1, max_size=20, unique=True))
+    if kind == "lattice":
+        vals = draw(st.lists(value, min_size=len(pts), max_size=len(pts)))
     else:
-        side = st.integers(-3, 3).map(float)
-        pts = draw(st.lists(st.tuples(side, side), min_size=1, max_size=20, unique=True))
-        if kind == "lattice":
-            vals = draw(st.lists(value, min_size=len(pts), max_size=len(pts)))
-        else:
-            vals = [INF] * len(pts)
-            vals[draw(st.integers(0, len(pts) - 1))] = draw(quarter)
-        duals = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=6))
-        f, tol = GridFunction(2, tuple(pts), tuple(vals)), draw(tols)
+        vals = [INF] * len(pts)
+        vals[draw(st.integers(0, len(pts) - 1))] = draw(quarter)
+    duals = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=6))
+    f, tol = GridFunction(2, tuple(pts), tuple(vals)), draw(tols)
     ys, fy = f.finite_arrays()
     return ys, fy, ys, fy, np.array(duals, dtype=float).reshape(-1, 2), tol, False
 
 
+def _case(f, anchors, fa, duals):
+    ys, fy = f.finite_arrays()
+    return ys, fy, np.array(anchors), np.array(fa), np.array(duals), 0.0, False
+
+
+# from the anchor (0, 1) the sample (1, 1 + u), u = 2^-52, is violated once
+# fl(1 + s) rounds up to 1 + 2u, that is from s = 1.5u on (a tie, to even)
+U52 = 2.0**-52
+TIE = _case(GridFunction(1, (0.0, 1.0), (1.0, 1.0 + U52)), (0.0, 1.0), (1.0, 1.0 + U52),
+            tuple(k * U52 / 4 for k in range(12)) + (-U52, 1.5 * U52))
+# every anchor's minorant stays below an empty sample set
+EMPTY = _case(GridFunction(1, (0.0, 1.0), (INF, INF)), (0.5, 2.0), (0.0, 1.0), (1.0, -1.0, 0.0))
+
+
 @given(screen_cases(), st.integers(1, 40))
-@settings(max_examples=400, deadline=None)
+@example(TIE, 40)
+@example(EMPTY, 1)
+@settings(max_examples=600, deadline=None)
 def test_screen_matches_the_dense_loop(case, chunk):
     ys, fy, anchors, fa, duals, tol, all_survive = case
     sizes = []
-    cell = operators._rhs_2d
+    cell = operators._rhs
 
     def spy(*args):
         rhs = cell(*args)
@@ -273,9 +269,9 @@ def test_screen_matches_the_dense_loop(case, chunk):
         return rhs
 
     with mock.patch.object(operators, "_CHUNK_CELLS", chunk), \
-            mock.patch.object(operators, "_rhs_2d", spy):
-        got = operators._screened_membership(ys, fy, anchors, fa, duals, float(tol))
-    want = operators._dense_membership(ys, fy, anchors, fa, duals, tol, False)
+            mock.patch.object(operators, "_rhs", spy):
+        got = operators._screened_membership(ys, fy, anchors, fa, duals, tol)
+    want = dense_membership(ys, fy, anchors, fa, duals, tol)
     assert got.dtype == bool and got.tobytes() == want.tobytes()
     n, p = len(ys), len(duals)
     k = min(operators._SCREEN_K, n)
@@ -286,28 +282,40 @@ def test_screen_matches_the_dense_loop(case, chunk):
         assert sum(s[0] for s in sizes if len(s) == 2) == len(anchors) * p
 
 
-def test_membership_routes():
-    def spies():
-        return (mock.patch.object(operators, name, wraps=getattr(operators, name))
-                for name in ("_screened_membership", "_threshold_membership",
-                             "_dense_membership"))
+def _check_1d(f, duals, tol):
+    got = grid_subdiff_matrix(f, duals, tol)
+    ys, fy = f.finite_arrays()
+    assert got.tobytes() == dense_membership(ys, fy, ys, fy, duals, tol).tobytes()
+    for i, (p, _v) in enumerate(f.finite_items()):
+        for k, s in enumerate(duals.tolist()):
+            assert bool(got[i, k]) == subdiff_loop(f, p, s, tol)
+    return got
 
-    def route(f, duals):
-        with contextlib.ExitStack() as stack:
-            screen, thr, dense = (stack.enter_context(s) for s in spies())
-            grid_subdiff_matrix(f, duals, 0.0)
-        return screen.called, thr.called, dense.called
 
-    small = GridFunction(1, (0.0, 1.0, 2.0), (0.0, 0.5, 2.0))
-    assert route(small, (0.0, 1.0)) == (False, False, True)
-    xs = np.linspace(-1, 1, 40)
-    big = GridFunction(1, xs, xs**2)
-    assert route(big, tuple(np.linspace(-3, 3, 41).tolist())) == (False, True, False)
-    # the NaN scan: 1e300 steps make the 2D products overflow
-    nan = GridFunction(2, ((0.0, 0.0), (1e300, 1e300)), (0.0, 0.0))
-    assert route(nan, [(1e10, -1e10)]) == (False, False, True)
-    plane = GridFunction(2, ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)), (0.0, 1.0, 1.0))
-    assert route(plane, [(1.0, 1.0), (0.0, 0.0)]) == (True, False, False)
+# below 5e307 no 1D difference overflows, so no cell is NaN and the per-pair
+# float loop is an oracle too
+@given(scaled_grids(1, SCALES[:-1]))
+@settings(max_examples=500, deadline=None)
+def test_threshold_membership_matches_dense_loop(case):
+    f, duals, tol = case
+    _check_1d(f, duals, tol)
+
+
+def test_threshold_membership_with_no_finite_sample():
+    f = GridFunction(1, (0.0, 1.0), (INF, INF))
+    _ys, _fy, anchors, fa, duals, tol, _ = EMPTY
+    got = operators._grid_membership(f, anchors, fa, duals, tol)
+    assert got.tolist() == [[True] * 3] * 2
+    assert grid_subdiff_matrix(f, (1.0,), 0.0).shape == (0, 1)
+
+
+def test_threshold_membership_bisects_where_the_estimate_misses():
+    # the 1.5u round-to-even tie of TIE, where a quotient estimate of the
+    # switching dual lands just past u
+    f = GridFunction(1, (0.0, 1.0), (1.0, 1.0 + U52))
+    duals = TIE[4]
+    got = _check_1d(f, duals, 0.0)
+    assert got[0].tolist() == [s < 1.5 * U52 for s in duals.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -331,15 +339,12 @@ def test_float_verdicts_differ_from_exact_only_inside_the_band(dim):
     """Every verdict of ``grid_subdiff_matrix`` that differs from exact
     arithmetic on the same floats has a sample within the band of
     ``_grid_membership``'s docstring: all the exactly violating samples of
-    a wrong accept, and one sample of a wrong reject.  In 2D the matrix
-    comes from the screen; in 1D from the dense loop or, with ``_DENSE_CELLS``
-    at 0, the threshold search."""
-    @given(membership_cases(dim), st.booleans())
+    a wrong accept, and one sample of a wrong reject."""
+    @given(membership_cases(dim))
     @settings(max_examples=300, deadline=None)
-    def check(case, threshold):
+    def check(case):
         f, duals, tol = case
-        with mock.patch.object(operators, "_DENSE_CELLS", 0 if threshold else math.inf):
-            got = grid_subdiff_matrix(f, duals, tol)
+        got = grid_subdiff_matrix(f, duals, tol)
         items = f.finite_items()
         for i, (a, fa) in enumerate(items):
             for j, s in enumerate(duals):
@@ -374,6 +379,12 @@ def test_membership_decides_nan_cells_exactly():
     tilted = (1e10, math.nextafter(-1e10, 0.0))
     assert grid_subdiff_matrix(f, [tilted]).tolist() == [[False], [True]]
     assert not grid_subdiff_test(f, (0.0, 0.0), tilted)
+    # in 1D the step between +-1e308 overflows, and inf * 0 is NaN: over the
+    # rationals the slope 0 from (-1e308, 1) passes above the sample
+    # (1e308, 0), which a NaN comparison would miss
+    line = GridFunction(1, (-1e308, 1e308), (1.0, 0.0))
+    assert grid_subdiff_matrix(line, (0.0,)).tolist() == [[False], [True]]
+    assert not grid_subdiff_test(line, -1e308, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -788,6 +799,18 @@ def test_load_reads_string_cells_into_the_value_array():
     g = load_instance(d)
     assert g.value_array.tolist() == [INF, 1.0, 0.5] and g.float_points
     assert g == GridFunction(1, (0.0, 1.0, 2.0), (INF, 1.0, 0.5))
+
+
+@pytest.mark.parametrize("dim, points", [
+    (1, [0.5, -0.0]),
+    (1.0, [0.5, -0.0]),
+    (2, [[0.5, -0.0], [1.0, 2.0]]),
+])
+def test_load_hands_float_points_over_as_one_array(dim, points):
+    # the tuple is built on read, and a float dim still loads
+    g = load_instance({"kind": "grid", "dim": dim, "points": points, "values": [1, 2][:len(points)]})
+    assert "_built_points" not in g.__dict__ and g.float_points
+    assert [repr(p) for p in g.points] == [repr(p if dim == 1 else tuple(p)) for p in points]
 
 
 unique_floats = st.lists(st.floats(-1e6, 1e6, allow_nan=False), max_size=8, unique=True)
