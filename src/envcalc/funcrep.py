@@ -1043,7 +1043,7 @@ def _points(d: dict):
     ``d``, 2D entries read by ``_tuples``.  A coordinate spelled as a string
     is refused: float() would read "12" as 12 but refuse "1/2"."""
     dim = d["dim"]
-    pts = _tuples(d, "points", d["points"]) if dim == 2 else tuple(d["points"])
+    pts = _tuples(d, "points", d["points"]) if dim == 2 else d["points"]
     kinds = set(map(type, (c for p in pts for c in p) if dim == 2 else pts))
     # JSON numbers pass the type scan; only other lists are walked point by point
     for p in () if kinds <= _PLAIN else pts:
@@ -1057,10 +1057,11 @@ def _grid_values(vals) -> np.ndarray:
     """A grid's values as float64.  JSON numbers convert in one numpy pass;
     only the other cells (``dump_instance`` writes +inf as "inf") go
     through ``parse_scalar``, in list order."""
-    if not set(map(type, vals)) <= {float, int}:
+    kinds = list(map(type, vals))
+    if not set(kinds) <= {float, int}:
         cells = list(vals)
-        # in list order, so that parse_scalar names the first bad cell
-        for i in [i for i, v in enumerate(vals) if type(v) not in (float, int)]:
+        # an identity scan, in list order so that parse_scalar names the first bad cell
+        for i in [i for i, t in enumerate(kinds) if t is not float and t is not int]:
             cells[i] = float(parse_scalar(vals[i], exact=False))
         vals = cells
     return _float_array(vals, "value")
@@ -1098,7 +1099,8 @@ def load_instance(src):
         vals = _grid_values(d["values"])
         pts, floats = _points(d)
         # float coordinates go in as one array, which GridFunction reads without a type scan
-        return GridFunction(d["dim"], np.array(pts) if floats else pts, vals, label=label)
+        pts = np.array(pts, dtype=float) if floats else pts
+        return GridFunction(d["dim"], pts, vals, label=label)
     if kind == "indicator":
         _check_counts(d, "points")
         return SampledSet(d["dim"], _points(d)[0], label=label)

@@ -190,6 +190,52 @@ def test_float_cells_of_empty_and_strided_columns():
         assert cli._cells(column) == repr_cells(column.tolist())
 
 
+# cells orjson spells apart from repr, and their neighbours across the edges
+ODD_CELLS = (math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e-05, 9.999999999999999e-05,
+             1e-4, 9999999999999998.0, 1e16, -1e300)
+
+
+def repr_rows(a, m):
+    """The oracle of the float rows: each row's repr cells joined by commas."""
+    return "".join(",".join(map(repr, row)) + "\n" for row in a.reshape(-1, m).tolist())
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 8193])
+def test_float_text_matches_the_repr_rows(m, n):
+    rng = np.random.default_rng(100 * m + n)
+    a = rng.standard_normal(n * m) * 10.0 ** rng.integers(-3, 15, n * m)
+    block = cli._BLOCK_ROWS * m
+    # the first and last cell of every block, and so of the table
+    edges = [k for lo in range(0, n * m, block) for k in (lo, min(lo + block, n * m) - 1)]
+    for x in ODD_CELLS:
+        a[edges] = x
+        assert cli._float_text(a, m) == repr_rows(a, m)
+    if n:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli._emit(None, "h", list(a.reshape(n, m).T))
+        assert out.getvalue() == "h\n" + repr_rows(a, m)
+
+
+@pytest.mark.parametrize("dim, spec", [(1, "-1e-05:2e16:4097"), (2, "-3:3:21")])
+def test_grid_conjugate_out_file_and_stdout_agree(tmp_path, capsys, dim, spec):
+    axis = np.linspace(-1.0, 1.0, 11).tolist()
+    pts = axis if dim == 1 else [[x, y] for x in axis for y in axis]
+    vals = [1e-05 * k for k in range(len(pts))]
+    vals[3] = "inf"
+    path = write_json(tmp_path / "g.json", {"kind": "grid", "dim": dim,
+                                            "points": pts, "values": vals})
+    out = tmp_path / "conj.csv"
+    argv = ["conjugate", "--instance", path, "--dual-grid", spec]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    assert out.read_bytes() == text.encode()
+    rows = text.splitlines()[1:]
+    assert len(rows) == int(spec.rsplit(":", 1)[1]) ** dim
+
+
 def test_non_float_cells_keep_their_spelling():
     assert cli._cells([0, 1, 2]) == ["0", "1", "2"]
     assert cli._cells([0, 1.5, -2]) == ["0", "1.5", "-2"]

@@ -3,9 +3,10 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from envcalc.extreal import ExtReal, POS_INF
+from envcalc import funcrep
+from envcalc.extreal import ExtReal, POS_INF, parse_scalar
 from envcalc.funcrep import (
     GridFunction,
     Interval1D,
@@ -216,6 +217,32 @@ def test_grid_accepts_listed_pos_inf():
     g = GridFunction(1, (0.0, 1.0), (math.inf, 2.0))
     assert g.value_at(0.0).is_pos_inf
     assert g.finite_items() == [(1.0, 2.0)]
+
+
+def per_cell_grid_values(vals):
+    """The reference value reader: a type test on every cell, in list order."""
+    cells = list(vals)
+    for i in [i for i, v in enumerate(vals) if type(v) not in (float, int)]:
+        cells[i] = float(parse_scalar(vals[i], exact=False))
+    return funcrep._float_array(cells, "value")
+
+
+def _outcome(read, vals):
+    try:
+        return read(vals).tobytes()
+    except Exception as e:  # the type and message must match, not just raise
+        return type(e), str(e)
+
+
+@given(st.lists(st.one_of(
+    st.floats(), st.integers(-10**6, 10**6),
+    st.sampled_from(["inf", "1/2", True, None, [1], "-inf", "x", False]),
+), max_size=30))
+@settings(max_examples=500, deadline=None)
+@example([0.5, "inf", 1.0, "1/2", None, True, [1], 2.0])
+@example([1.0, "inf", 3, "1/2"])
+def test_grid_values_scan_keeps_the_per_cell_error_order(vals):
+    assert _outcome(funcrep._grid_values, vals) == _outcome(per_cell_grid_values, vals)
 
 
 def test_grid_value_off_list_is_pos_inf():
