@@ -17,6 +17,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from typing import Union
 
 import numpy as np
@@ -459,9 +460,10 @@ class PLConvex1D:
 
 
 def _canon_coord(c):
-    # bool is an int, but a coordinate spelled true or false is a typo
-    if isinstance(c, bool):
-        raise TypeError("cannot parse scalar from bool")
+    # bool is an int, but a coordinate spelled true or false is a typo; a
+    # string is a spelling, not a number
+    if isinstance(c, (bool, str)):
+        raise TypeError(f"cannot parse scalar from {type(c).__name__}")
     return float(c) if not isinstance(c, (int, Fraction)) else c
 
 
@@ -847,57 +849,129 @@ def pl_equal(f: PLConvex1D, g: PLConvex1D) -> bool:
     )
 
 
-def _hull_1d_exact(items):
-    """Lower convex hull of 1D (x, value) points, exact; returns vertex list."""
-    pts = sorted((Fraction(x) if not isinstance(x, Fraction) else x, Fraction(v) if not isinstance(v, Fraction) else v) for x, v in items)
+# a prefilter round drops a sample only when it lies above the chord of its
+# neighbours by this share of the predicate's terms, far above the few ulps
+# the float predicate can be off by
+_PEEL_MARGIN = 1e-9
+_TINY = np.finfo(float).tiny
+# peeling stops once a round drops less than this share of the candidates
+_PEEL_STOP = 1 / 16
+
+
+def _hull_candidates(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Indices of the sorted 1D samples that may lie on their lower hull,
+    ascending: the throw-away step of Akl and Toussaint in numpy.
+
+    A round tests the interior candidates of one position parity with the
+    predicate of ``transforms._llt_hull`` against the chord of their
+    current neighbours, which that round keeps, and drops those above it
+    by more than ``_PEEL_MARGIN``.  A dropped sample thus lies strictly
+    above the chord of two samples, on no lower hull, and the hull loops
+    still make every decision among the candidates.  A concave run halves
+    each round; the rounds alternate parity and stop once one drops less
+    than ``_PEEL_STOP`` of the candidates.  An overflowing term drops nothing.
+    """
+    c = np.arange(len(x))
+    parity = 1
+    with np.errstate(all="ignore"):
+        while len(c) >= 3:
+            j, k, i = c[parity - 1 : -2 : 2], c[parity:-1:2], c[parity + 1 :: 2]
+            a = (v[k] - v[j]) * (x[i] - x[j])
+            b = (v[i] - v[j]) * (x[k] - x[j])
+            # the tiny floor covers the absolute error of an underflow
+            drop = a - b > _PEEL_MARGIN * (np.abs(a) + np.abs(b)) + _TINY
+            n_drop = int(np.count_nonzero(drop))
+            if n_drop:
+                keep = np.ones(len(c), dtype=bool)
+                keep[parity:-1:2] = ~drop
+                c = c[keep]
+            if n_drop < _PEEL_STOP * (len(c) + n_drop):
+                break
+            parity = 3 - parity
+    return c
+
+
+def _dyadic(cs: list):
+    """An axis of the exact hull read through ``as_integer_ratio``: ints
+    over the largest denominator 2**e, and e, when every denominator is a
+    power of two (every float's and int's is); else Fractions and 0."""
+    ratios = [c.as_integer_ratio() for c in cs]
+    if all(d & (d - 1) == 0 for _n, d in ratios):
+        e = max((d for _n, d in ratios), default=1).bit_length() - 1
+        return [n << e + 1 - d.bit_length() for n, d in ratios], e
+    return list(map(Fraction, cs)), 0
+
+
+def _hull_1d_exact(items) -> tuple:
+    """Lower convex hull of 1D (x, value) points, exact: the breakpoints,
+    the values and the slopes between them, three tuples of Fractions.
+
+    Each axis goes through ``_dyadic`` once, so floats, ints and dyadic
+    Fractions sort and meet ``_upper_hull`` as ints, with no gcd; scaling
+    an axis by a positive constant changes no decision.  Fractions are
+    built only for the kept vertices and their slopes."""
+    items = list(items)
+    xs, ex = _dyadic([x for x, _ in items])
+    vs, ev = _dyadic([v for _, v in items])
     merged = []
-    for x, v in pts:
-        if merged and merged[-1][0] == x:
-            if v < merged[-1][1]:
-                merged[-1] = (x, v)
-        else:
-            merged.append((x, v))
+    for x, v, i in sorted(zip(xs, vs, range(len(items)))):
+        if not merged or merged[-1][0] != x:
+            merged.append((x, v, i))
     # by duality, (x, v) is on the lower hull iff the line of slope x and
     # intercept -v reaches the upper envelope of those lines
-    return [merged[i] for _s, _c, i in _upper_hull([(x, -v) for x, v in merged])]
+    hull = [merged[k] for _s, _c, k in _upper_hull([(x, -v) for x, v, _ in merged])]
+    sx, sv = 1 << ex, 1 << ev
+    return (
+        tuple(Fraction(items[i][0]) for _x, _v, i in hull),
+        tuple(Fraction(items[i][1]) for _x, _v, i in hull),
+        tuple(Fraction((v1 - v0) * sx, (x1 - x0) * sv)
+              for (x0, v0, _), (x1, v1, _) in zip(hull, hull[1:])),
+    )
+
+
+def _grid_hull_1d(f: GridFunction) -> tuple:
+    """``_hull_1d_exact`` of a 1D grid's finite samples, of only the float
+    prefilter's candidates when every finite point is its own float64
+    (float points always, int points below 2^53); values always are."""
+    finite = f.finite_mask()
+    x, v = f.finite_arrays()
+    kinds = set(map(type, compress(f.points, finite.tolist())))
+    if kinds <= {float} or kinds <= {float, int} and np.abs(x).max() < 2.0**53:
+        order = np.argsort(x, kind="stable")
+        cand = np.flatnonzero(finite)[order[_hull_candidates(x[order], v[order])]]
+        items = zip(map(f.points.__getitem__, cand.tolist()), f.value_array[cand].tolist())
+    else:
+        items = f.finite_items()
+    return _hull_1d_exact(items)
 
 
 def is_convex_on_grid(f: GridFunction, tol: float = GRID_TOL) -> bool:
     """True iff finite values sit on their own lower convex hull and no listed
-    +inf point punctures the hull of the finite points (domain-gap defect)."""
+    +inf point punctures the hull of the finite points (domain-gap defect).
+    In 1D every finite sample is compared, in floats and at once, with the
+    float interpolation of ``_grid_hull_1d``'s vertices."""
     if not isinstance(f, GridFunction):
         raise TypeError("is_convex_on_grid takes a GridFunction")
-    items = f.finite_items()
-    if len(items) <= 1:
+    finite = f.finite_mask()
+    if np.count_nonzero(finite) <= 1:
         return True
-    inf_pts = [p for p, off in zip(f.points, (~f.finite_mask()).tolist()) if off]
+    inf_pts = list(compress(f.points, (~finite).tolist()))
     if f.dim == 1:
-        hull = _hull_1d_exact(items)
-        hx = [float(x) for x, _ in hull]
-        hy = [float(y) for _, y in hull]
-
-        def hull_val(x):
-            j = bisect_right(hx, x) - 1
-            if j < 0 or x > hx[-1]:
-                return None
-            if j == len(hx) - 1:
-                return hy[-1]
-            t = (x - hx[j]) / (hx[j + 1] - hx[j])
-            return hy[j] + t * (hy[j + 1] - hy[j])
-        for x, v in items:
-            hv = hull_val(float(x))
-            if hv is not None and float(v) > hv + tol:
-                return False
-        lo, hi = min(x for x, _ in items), max(x for x, _ in items)
-        for p in inf_pts:
-            if lo < p < hi:
-                return False
-        return True
+        bps, vals, _ = _grid_hull_1d(f)
+        hx, hy = np.array(bps, dtype=float), np.array(vals, dtype=float)
+        x, v = f.finite_arrays()
+        j = np.searchsorted(hx, x, side="right") - 1
+        k = np.clip(j, 0, len(hx) - 2)
+        with np.errstate(all="ignore"):
+            t = (x - hx[k]) / (hx[k + 1] - hx[k])
+            hv = np.where(j == len(hx) - 1, hy[-1], hy[k] + t * (hy[k + 1] - hy[k]))
+        above = (j >= 0) & (x <= hx[-1]) & (v > hv + tol)
+        return not above.any() and not any(bps[0] < p < bps[-1] for p in inf_pts)
     # 2D: one small LP per point (can another-combination do strictly better?)
     from scipy.optimize import linprog
 
     pts, vals = f.finite_arrays()
-    n = len(items)
+    n = len(vals)
     for i in range(n):
         mask = np.arange(n) != i
         A_eq = np.vstack([pts[mask].T, np.ones(mask.sum())])

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import compress
 
 import numpy as np
 
@@ -26,7 +25,9 @@ from .funcrep import (
     PLConvex1D,
     SampledSet,
     _frac,
+    _grid_hull_1d,
     _hull_1d_exact,
+    _hull_candidates,
     dot,
 )
 
@@ -201,15 +202,10 @@ def maxaffine_to_pl(M: MaxAffine) -> PLConvex1D:
         raise TypeError("maxaffine_to_pl takes a 1D MaxAffine")
     if not M.pieces:
         raise ImproperError("empty max-affine is identically -inf")
-    pts = []
-    for a, s, lv in M.pieces:
-        sq = Fraction(s) if not isinstance(s, Fraction) else s
-        cq = Fraction(lv) - Fraction(a) * sq  # line is s*x + c
-        pts.append((sq, -cq))
-    hull = _hull_1d_exact(pts)
-    xs = tuple(x for x, _ in hull)
-    vs = tuple(v for _, v in hull)
-    return conjugate_exact(PLConvex1D._make(xs, vs))
+    # the line through (a, lv) with slope s has intercept lv - a * s
+    pts = [(Fraction(s), Fraction(a) * Fraction(s) - Fraction(lv)) for a, s, lv in M.pieces]
+    xs, vs, slopes = _hull_1d_exact(pts)
+    return conjugate_exact(PLConvex1D._make(xs, vs, slopes=slopes))
 
 
 # ---------------------------------------------------------------------------
@@ -242,48 +238,6 @@ def conjugate_brute(f: GridFunction, dual_points) -> GridFunction:
         scores -= v
         out[start : start + len(y)] = scores.max(axis=1)
     return GridFunction(f.dim, duals, out)
-
-
-# a prefilter round drops a sample only when it lies above the chord of its
-# neighbours by this share of the predicate's terms, far above the few ulps
-# the float predicate can be off by
-_PEEL_MARGIN = 1e-9
-_TINY = np.finfo(float).tiny
-# peeling stops once a round drops less than this share of the candidates
-_PEEL_STOP = 1 / 16
-
-
-def _hull_candidates(x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Indices of the sorted 1D samples that may lie on their lower hull,
-    ascending: the throw-away step of Akl and Toussaint in numpy.
-
-    A round tests the interior candidates of one position parity with
-    ``_llt_hull``'s predicate against the chord of their current
-    neighbours, which that round keeps, and drops those above it by more
-    than ``_PEEL_MARGIN``.  A dropped sample thus lies strictly above the
-    chord of two samples, on no lower hull, and the hull loops still make
-    every decision among the candidates.  A concave run halves each round;
-    the rounds alternate parity and stop once one drops less than
-    ``_PEEL_STOP`` of the candidates.  An overflowing term drops nothing.
-    """
-    c = np.arange(len(x))
-    parity = 1
-    with np.errstate(all="ignore"):
-        while len(c) >= 3:
-            j, k, i = c[parity - 1 : -2 : 2], c[parity:-1:2], c[parity + 1 :: 2]
-            a = (v[k] - v[j]) * (x[i] - x[j])
-            b = (v[i] - v[j]) * (x[k] - x[j])
-            # the tiny floor covers the absolute error of an underflow
-            drop = a - b > _PEEL_MARGIN * (np.abs(a) + np.abs(b)) + _TINY
-            n_drop = int(np.count_nonzero(drop))
-            if n_drop:
-                keep = np.ones(len(c), dtype=bool)
-                keep[parity:-1:2] = ~drop
-                c = c[keep]
-            if n_drop < _PEEL_STOP * (len(c) + n_drop):
-                break
-            parity = 3 - parity
-    return c
 
 
 def _llt_hull(x: list, v: list):
@@ -412,22 +366,8 @@ def cl_conv(f, dual_points=None):
     if not finite.any():
         raise ImproperError("hull of a function with no finite values")
     if f.dim == 1:
-        # the float prefilter speaks for the exact hull only where every
-        # point is its own float64; values always are.  Only its candidates'
-        # (point, value) items are built then.
-        x, v = f.finite_arrays()
-        kinds = set(map(type, compress(f.points, finite.tolist())))
-        if kinds <= {float} or kinds <= {float, int} and np.abs(x).max() < 2.0**53:
-            order = np.argsort(x, kind="stable")
-            cand = np.flatnonzero(finite)[order[_hull_candidates(x[order], v[order])]]
-            items = zip(map(f.points.__getitem__, cand.tolist()), f.value_array[cand].tolist())
-        else:
-            items = f.finite_items()
-        hull = _hull_1d_exact(items)
-        return PLConvex1D._make(
-            tuple(x for x, _ in hull),
-            tuple(v for _, v in hull),
-        )
+        xs, vs, slopes = _grid_hull_1d(f)
+        return PLConvex1D._make(xs, vs, slopes=slopes)
     if dual_points is None:
         raise ValueError("2D grid hull needs dual_points for the double conjugate")
     star = conjugate_brute(f, dual_points)

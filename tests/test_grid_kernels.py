@@ -5,7 +5,8 @@ as an oracle: the per-pair membership loop for ``grid_subdiff_matrix`` and
 ``grid_subdiff_test``, the dict inf-convolution for the sorted one, and the
 dense ``conjugate_brute`` for ``conjugate_llt``.  The float hull prefilter
 is checked against the two hull loops run over all samples, ``_llt_hull``
-and ``_hull_1d_exact``.  The membership screen, the one route in 1D and 2D,
+and ``_hull_1d_exact``, and the 1D ``is_convex_on_grid`` against its
+per-sample loop over the hull of all samples.  The membership screen, the one route in 1D and 2D,
 is checked byte for byte against the dense membership loop kept here (NaN
 cells included, at scales where terms overflow) and against the per-pair
 loop, the float verdicts against exact arithmetic within their stated band,
@@ -14,6 +15,7 @@ Python-scalar routes they replaced, and the column CSV writer against the
 row join.
 """
 
+import bisect
 import contextlib
 import io
 import math
@@ -24,14 +26,16 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from envcalc import cli, operators, transforms
+from envcalc import cli, funcrep, operators, theoremlab, transforms
 from envcalc.extreal import parse_scalar
 from envcalc.funcrep import (
     GridFunction,
+    MaxAffine,
     SampledSet,
     _grid_values,
     _hull_1d_exact,
     dot,
+    is_convex_on_grid,
     load_instance,
     point_sub,
 )
@@ -586,10 +590,11 @@ def _check_llt_keeps_the_loop_hull(f, duals):
 
 
 def _check_cl_conv_is_the_exact_hull(f):
-    hull = _hull_1d_exact(f.finite_items())
+    bps, vals, slopes = _hull_1d_exact(f.finite_items())
     g = cl_conv(f)
-    assert repr(g.breakpoints) == repr(tuple(x for x, _ in hull))
-    assert repr(g.values) == repr(tuple(v for _, v in hull))
+    assert repr(g.breakpoints) == repr(bps)
+    assert repr(g.values) == repr(vals)
+    assert repr(g.slopes()) == repr(slopes)
     assert g.left_recession is None and g.right_recession is None
 
 
@@ -644,9 +649,79 @@ def test_cl_conv_matches_exact_hull_of_all_samples(f):
 ])
 def test_cl_conv_prefilters_only_points_equal_to_their_floats(pts, prefiltered):
     f = GridFunction(1, pts, tuple(float(-i * i) for i in range(len(pts))))
-    with mock.patch.object(transforms, "_hull_candidates", wraps=_hull_candidates) as spy:
+    with mock.patch.object(funcrep, "_hull_candidates", wraps=_hull_candidates) as spy:
         _check_cl_conv_is_the_exact_hull(f)
     assert spy.called == prefiltered
+
+
+def convex_verdict_oracle(f, tol=1e-9):
+    """The 1D ``is_convex_on_grid`` before it shared ``cl_conv``'s route:
+    the exact hull of every finite sample, then each sample against the
+    hull's float interpolation, one at a time."""
+    items = f.finite_items()
+    if len(items) <= 1:
+        return True
+    bps, vals, _ = _hull_1d_exact(items)
+    hx, hy = [float(x) for x in bps], [float(y) for y in vals]
+
+    def hull_val(x):
+        j = bisect.bisect_right(hx, x) - 1
+        if j < 0 or x > hx[-1]:
+            return None
+        if j == len(hx) - 1:
+            return hy[-1]
+        t = (x - hx[j]) / (hx[j + 1] - hx[j])
+        return hy[j] + t * (hy[j + 1] - hy[j])
+    for x, v in items:
+        hv = hull_val(float(x))
+        if hv is not None and float(v) > hv + tol:
+            return False
+    lo, hi = min(x for x, _ in items), max(x for x, _ in items)
+    off = [p for p, v in zip(f.points, f.value_array.tolist()) if v == INF]
+    return not any(lo < p < hi for p in off)
+
+
+@st.composite
+def convexity_grids(draw):
+    """1D grids for ``is_convex_on_grid``: the hull grids, and samples of
+    x^2 on ints and quarter floats with one bump near the tolerance and
+    listed +inf points, at the ends or inside (punctures)."""
+    if draw(st.booleans()):
+        return draw(exact_hull_grids())
+    n = draw(st.integers(2, 40))
+    ks = sorted(draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n, unique=True)))
+    pts = [k // 4 if k % 4 == 0 and draw(st.booleans()) else k * 0.25 for k in ks]
+    vals = [float(p) ** 2 for p in pts]
+    vals[draw(st.integers(0, n - 1))] += draw(st.sampled_from((0.0, 5e-10, 2e-9, 1e-3)))
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        vals[i] = INF
+    return GridFunction(1, tuple(pts), tuple(vals))
+
+
+@given(convexity_grids())
+@settings(max_examples=300, deadline=None)
+def test_convex_verdict_matches_all_samples_oracle(f):
+    assert is_convex_on_grid(f) == convex_verdict_oracle(f)
+
+
+def _gallery_1d_grids():
+    """two-patch's grid, and every row and column of the quadrant pair as
+    a 1D grid."""
+    grids = [theoremlab.gallery("two-patch").objects["instance"]]
+    for g in theoremlab._quadrant_pair():
+        rows = {}
+        for (x, y), v in zip(g.points, g.value_array.tolist()):
+            rows.setdefault(("row", x), []).append((y, v))
+            rows.setdefault(("col", y), []).append((x, v))
+        grids += [GridFunction(1, *zip(*r)) for r in rows.values()]
+    return grids
+
+
+def test_convex_verdict_matches_oracle_on_gallery_grids():
+    grids = _gallery_1d_grids()
+    verdicts = [is_convex_on_grid(g) for g in grids]
+    assert verdicts == [convex_verdict_oracle(g) for g in grids]
+    assert verdicts[0] is False and True in verdicts and False in verdicts[1:]
 
 
 def _fixed_hull_inputs():
@@ -702,7 +777,7 @@ def test_grid_rejects_nan_and_neg_inf(dim, points, bad, message):
     (1, (INF, 0.0)),
     (1, (0.0, -INF)),
     (1, (math.nan, 0.0)),
-    (1, ("inf", 0.0)),
+    (1, (-INF, 0.0)),
     (2, ((INF, 0.0), (1.0, 0.5))),
     (2, ((0.0, 0.0), (1.0, -INF))),
     (2, ((0.0, math.nan), (1.0, 0.5))),
@@ -710,6 +785,22 @@ def test_grid_rejects_nan_and_neg_inf(dim, points, bad, message):
 def test_grid_rejects_non_finite_points(dim, points):
     with pytest.raises(ValueError, match="coordinates must be finite"):
         GridFunction(dim, points, (0.0, 1.0))
+
+
+@pytest.mark.parametrize("dim,points", [
+    (1, ("inf", 0.0)),
+    (1, ("1.5", 0.0)),
+    (2, ((0.0, 0.0), ("1.5", 0.5))),
+])
+def test_grid_rejects_string_coordinates(dim, points):
+    """A coordinate spelled as a string is refused, as ``load_instance``
+    refuses it, rather than read through ``float()``."""
+    with pytest.raises(TypeError, match="cannot parse scalar from str"):
+        GridFunction(dim, points, (0.0, 1.0))
+    with pytest.raises(TypeError, match="cannot parse scalar from str"):
+        SampledSet(dim, points)
+    with pytest.raises(TypeError, match="cannot parse scalar from str"):
+        MaxAffine(dim, ((points[1], points[0], 0.0),))
 
 
 def test_inf_conv_has_no_nan_points():

@@ -57,7 +57,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from envcalc.extreal import (
     NEG_INF,
@@ -1781,17 +1781,34 @@ def hull_1d_oracle(items):
     return hull
 
 
+# floats where the shared binary exponent of an axis is widest or a
+# decision closest: the subnormal ends, 1e+-300, signed zeros
+_HARD_FLOATS = (5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e-300,
+                1e300, -1e300, 0.0, -0.0, 1.0, -1.0)
+
+
 @st.composite
 def hull_points(draw):
     """Points as ints, Fractions or floats, with repeated x and collinear
-    runs: each run puts a few points on one drawn line."""
-    kind = draw(st.sampled_from(("int", "fraction", "float")))
+    runs: each run puts a few points on one drawn line.  The floats reach
+    the whole range (subnormals, 1e+-300, signed zeros) and take 1-ulp
+    neighbours; one kind mixes ints, floats and Fractions over power-of-two
+    and over other denominators in one list."""
+    kind = draw(st.sampled_from(("int", "fraction", "float", "wide", "mixed")))
+    dyadic = st.builds(F, st.integers(-384, 384), st.sampled_from((1, 2, 64, 2**70)))
+    fraction = st.fractions(min_value=-6, max_value=6, max_denominator=4)
     if kind == "int":
         num = st.integers(-6, 6)
     elif kind == "fraction":
-        num = st.fractions(min_value=-6, max_value=6, max_denominator=4)
-    else:
+        num = st.one_of(fraction, dyadic)
+    elif kind == "float":
         num = st.floats(min_value=-6, max_value=6, allow_nan=False).map(lambda v: round(v, 2))
+    elif kind == "wide":
+        num = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                        st.sampled_from(_HARD_FLOATS))
+    else:
+        num = st.one_of(st.integers(-6, 6), st.floats(-6, 6), st.sampled_from(_HARD_FLOATS),
+                        fraction, dyadic)
     items = []
     for _ in range(draw(st.integers(1, 4))):
         a, b = draw(num), draw(num)
@@ -1800,15 +1817,30 @@ def hull_points(draw):
     items += draw(st.lists(st.tuples(num, num), max_size=6))
     if items and draw(st.booleans()):
         items.append((items[0][0], draw(num)))  # a repeated x
+    for x, v in draw(st.lists(st.sampled_from(items), max_size=3)):
+        if isinstance(x, float) and isinstance(v, float):
+            # 1-ulp neighbours of a drawn point
+            toward = st.sampled_from((-math.inf, math.inf))
+            items.append((math.nextafter(x, draw(toward)), math.nextafter(v, draw(toward))))
+    # a float line may round past the float range
+    items = [(x, v) for x, v in items if math.isfinite(x) and math.isfinite(v)]
+    assume(items)
     return draw(st.permutations(items))
 
 
 @given(hull_points())
 @settings(max_examples=300, deadline=None)
+@example([(5e-324, 1), (1, 0.5), (2.5, 1e300), (1e300, 7), (3, -5e-324)])
+@example([(0.0, 1.0), (-0.0, 0.5), (1, -0.0), (2.0, 0)])
+@example([(1.0, 0.0), (math.nextafter(1.0, 2.0), -5e-324), (math.nextafter(1.0, 0.0), 0.0)])
+@example([(F(1, 3), F(1, 4)), (0.5, 1), (2, F(5, 2**70))])
 def test_hull_1d_exact_matches_point_chord_loop(items):
-    got, want = _hull_1d_exact(items), hull_1d_oracle(items)
-    assert got == want
-    assert all(type(x) is F and type(v) is F for x, v in got)
+    bps, vals, slopes = _hull_1d_exact(items)
+    assert list(zip(bps, vals)) == hull_1d_oracle(items)
+    assert all(type(c) is F for c in (*bps, *vals, *slopes))
+    assert list(slopes) == [
+        (v1 - v0) / (b1 - b0) for b0, b1, v0, v1 in zip(bps, bps[1:], vals, vals[1:])
+    ]
 
 
 _NUDGE = F(1, 2**40)
@@ -2161,9 +2193,8 @@ def coprime_cases(draw):
             return draw(st.integers(lo, hi))
         return F(draw(st.integers(lo * p, hi * p)), p)
 
-    hull = _hull_1d_exact([(q(-8, 8), q(-8, 8)) for _ in range(draw(st.integers(1, 8)))])
-    b, v = [x for x, _ in hull], [y for _, y in hull]
-    slopes = [(v1 - v0) / (b1 - b0) for b0, b1, v0, v1 in zip(b, b[1:], v, v[1:])]
+    b, v, slopes = map(list, _hull_1d_exact(
+        [(q(-8, 8), q(-8, 8)) for _ in range(draw(st.integers(1, 8)))]))
     first = slopes[0] if slopes else q(-4, 4)
     last = slopes[-1] if slopes else first
     left = None if draw(st.booleans()) else first - q(0, 3)
