@@ -11,8 +11,10 @@ writer of instance files for every kind.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import numbers
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -461,8 +463,8 @@ class PLConvex1D:
 
 def _canon_coord(c):
     # bool is an int, but a coordinate spelled true or false is a typo; a
-    # string is a spelling, not a number
-    if isinstance(c, (bool, str)):
+    # str, bytes or Decimal is no Real, which float() would read or round
+    if type(c) not in _PLAIN and (isinstance(c, bool) or not isinstance(c, numbers.Real)):
         raise TypeError(f"cannot parse scalar from {type(c).__name__}")
     return float(c) if not isinstance(c, (int, Fraction)) else c
 
@@ -519,7 +521,8 @@ def _canon_points(points, dim: int) -> tuple:
 
 def _float_array(xs, what: str) -> np.ndarray:
     try:
-        return np.array(xs, dtype=float)
+        # np.fromiter reads a list of scalars faster than np.array
+        return np.fromiter(xs, float, len(xs)) if isinstance(xs, list) else np.array(xs, dtype=float)
     except OverflowError:
         raise ValueError(f"a grid {what} is too large for a float") from None
 
@@ -875,16 +878,21 @@ def _hull_candidates(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     parity = 1
     with np.errstate(all="ignore"):
         while len(c) >= 3:
-            j, k, i = c[parity - 1 : -2 : 2], c[parity:-1:2], c[parity + 1 :: 2]
-            a = (v[k] - v[j]) * (x[i] - x[j])
-            b = (v[i] - v[j]) * (x[k] - x[j])
-            # the tiny floor covers the absolute error of an underflow
-            drop = a - b > _PEEL_MARGIN * (np.abs(a) + np.abs(b)) + _TINY
+            # k's neighbours j and i are e[:-1] and e[1:]: one gather for both
+            k, e = c[parity:-1:2], c[parity - 1 :: 2]
+            xe, ve = x[e], v[e]
+            a = (v[k] - ve[:-1]) * (xe[1:] - xe[:-1])
+            b = (ve[1:] - ve[:-1]) * (x[k] - xe[:-1])
+            d = a - b
+            # d > _PEEL_MARGIN * (|a| + |b|) + _TINY, in place; the tiny
+            # floor covers the absolute error of an underflow
+            np.add(np.abs(a, out=a), np.abs(b, out=b), out=a)
+            drop = d > np.add(np.multiply(a, _PEEL_MARGIN, out=a), _TINY, out=a)
             n_drop = int(np.count_nonzero(drop))
             if n_drop:
                 keep = np.ones(len(c), dtype=bool)
-                keep[parity:-1:2] = ~drop
-                c = c[keep]
+                np.logical_not(drop, out=keep[parity:-1:2])
+                c = c[np.flatnonzero(keep)]  # a gather beats a boolean mask index
             if n_drop < _PEEL_STOP * (len(c) + n_drop):
                 break
             parity = 3 - parity
@@ -1118,13 +1126,14 @@ def _points(d: dict):
     is refused: float() would read "12" as 12 but refuse "1/2"."""
     dim = d["dim"]
     pts = _tuples(d, "points", d["points"]) if dim == 2 else d["points"]
-    kinds = set(map(type, (c for p in pts for c in p) if dim == 2 else pts))
-    # JSON numbers pass the type scan; only other lists are walked point by point
-    for p in () if kinds <= _PLAIN else pts:
+    kinds = list(map(type, (c for p in pts for c in p) if dim == 2 else pts))
+    floats = kinds.count(float) == len(kinds)
+    # JSON numbers pass the type counts; only other lists are walked point by point
+    for p in () if floats or len(kinds) - kinds.count(float) == kinds.count(int) else pts:
         if str in map(type, p if isinstance(p, (list, tuple)) else (p,)):
             kind = d.get("kind")
             raise TypeError(f"{kind} instance key 'points' holds a str coordinate, not a number")
-    return pts, kinds <= {float}
+    return pts, floats
 
 
 def _grid_values(vals) -> np.ndarray:
@@ -1132,12 +1141,19 @@ def _grid_values(vals) -> np.ndarray:
     only the other cells (``dump_instance`` writes +inf as "inf") go
     through ``parse_scalar``, in list order."""
     kinds = list(map(type, vals))
-    if not set(kinds) <= {float, int}:
-        cells = list(vals)
-        # an identity scan, in list order so that parse_scalar names the first bad cell
-        for i in [i for i, t in enumerate(kinds) if t is not float and t is not int]:
-            cells[i] = float(parse_scalar(vals[i], exact=False))
-        vals = cells
+    # a type compares fast only with itself: count floats, then seek odd types
+    odd_types = set(kinds) - {float, int} if kinds.count(float) != len(kinds) else ()
+    if odd_types:
+        vals, odd = list(vals), []
+        # index scans per odd type, sorted so that parse_scalar names the first bad cell
+        for t in odd_types:
+            i = -1
+            with contextlib.suppress(ValueError):  # no t after i
+                while True:
+                    i = kinds.index(t, i + 1)
+                    odd.append(i)
+        for i in sorted(odd):
+            vals[i] = float(parse_scalar(vals[i], exact=False))
     return _float_array(vals, "value")
 
 
@@ -1173,7 +1189,7 @@ def load_instance(src):
         vals = _grid_values(d["values"])
         pts, floats = _points(d)
         # float coordinates go in as one array, which GridFunction reads without a type scan
-        pts = np.array(pts, dtype=float) if floats else pts
+        pts = _float_array(pts, "point") if floats else pts
         return GridFunction(d["dim"], pts, vals, label=label)
     if kind == "indicator":
         _check_counts(d, "points")

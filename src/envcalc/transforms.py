@@ -261,15 +261,15 @@ def _inf_conv_grid(f: GridFunction, g: GridFunction) -> GridFunction:
     """inf_u [f(u) + g(x - u)] over finite sample pairs, one minimum per sum.
 
     The pair sums form an (n_f x n_g) grid in row-major order (f outer, g
-    inner).  One stable sort of the sum points (an ``argsort`` in 1D, a
-    ``lexsort`` in 2D) puts each sum point's pairs together in row-major
-    order, and each group takes its minimum value from the first pair that
-    reaches it (so a tie of -0.0 and 0.0 keeps the first).  A sum point is
-    spelled as the Python sum of its first pair in row-major order, so
-    equal sums such as -0.0 and 0.0, or 1 and 1.0, keep the spelling a dict
-    keyed by the sums would give them.  When every point of two 1D inputs
-    is a float, that sum is read from the float64 sums: numpy rounds float
-    + float as Python does.
+    inner).  One stable ``lexsort`` of the sum points, 1D or 2D, puts each
+    sum point's pairs together in row-major order, and each group (labelled
+    by a ``cumsum`` of its start flags) takes its minimum value from the
+    first pair that reaches it (so a tie of -0.0 and 0.0 keeps the first).
+    A sum point is spelled as the Python sum of its first pair in row-major
+    order, so equal sums such as -0.0 and 0.0, or 1 and 1.0, keep the
+    spelling a dict keyed by the sums would give them.  When every point of
+    two 1D inputs is a float, that sum is read from the float64 sums: numpy
+    rounds float + float as Python does.
     """
     fx, fv = f.finite_arrays()
     gx, gv = g.finite_arrays()
@@ -287,17 +287,14 @@ def _inf_conv_grid(f: GridFunction, g: GridFunction) -> GridFunction:
         else:
             sums = (fx[:, None, :] + gx[None, :, :]).reshape(-1, 2)
         vals = (fv[:, None] + gv[None, :]).reshape(-1)
-    if f.dim == 1:
-        order = np.argsort(sums[:, 0], kind="stable")
-    else:
-        order = np.lexsort(sums.T[::-1])
+    order = np.lexsort(sums.T[::-1])
     s, v = sums[order], vals[order]
-    starts = np.flatnonzero(np.r_[True, (s[1:] != s[:-1]).any(axis=1)])
-    low = np.minimum.reduceat(v, starts)
+    new = np.r_[True, (s[1:] != s[:-1]).any(axis=1)]
+    starts, group = np.flatnonzero(new), np.cumsum(new) - 1
     # the positions reaching their group's minimum; the first of each group
     # gives the value
-    reach = np.flatnonzero(v == np.repeat(low, np.diff(np.r_[starts, len(v)])))
-    group = np.searchsorted(starts, reach, "right")
+    reach = np.flatnonzero(v == np.minimum.reduceat(v, starts)[group])
+    group = group[reach]
     best = v[reach[np.r_[True, group[1:] != group[:-1]]]]
     first = order[starts]
     if f.dim == 1 and f.float_points and g.float_points:
@@ -338,13 +335,12 @@ def conjugate_llt(f: GridFunction, dual_points) -> GridFunction:
         y = np.array(duals, dtype=float)
         pts = y if set(map(type, duals)) <= {float} else duals
     j = np.searchsorted(slopes, y, side="left")
-    # refine over a 3-index window: guards against roundoff at slope ties
-    cand = np.stack([np.clip(j + d, 0, len(hx) - 1) for d in (-1, 0, 1)])
-    # a product past the float range is the infinity it rounds to
+    # the window j - 1, j, j + 1 (roundoff at slope ties), clipped by padding the
+    # hull with its end vertices; an overflowing product is the infinity it rounds to
+    hx, hv = np.r_[hx[0], hx, hx[-1]], np.r_[hv[0], hv, hv[-1]]
     with np.errstate(over="ignore"):
-        vals = y[None, :] * hx[cand] - hv[cand]
-    out = vals.max(axis=0)
-    return GridFunction(1, pts, out)
+        out, mid, hi = (y * hx[d:][j] - hv[d:][j] for d in (0, 1, 2))
+    return GridFunction(1, pts, np.maximum(np.maximum(out, mid, out=out), hi, out=out))
 
 
 def cl_conv(f, dual_points=None):

@@ -2,6 +2,7 @@ import json
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -220,11 +221,15 @@ def test_grid_accepts_listed_pos_inf():
 
 
 def per_cell_grid_values(vals):
-    """The reference value reader: a type test on every cell, in list order."""
+    """The reference value reader: a type test on every cell, in list order,
+    and one ``np.array`` conversion."""
     cells = list(vals)
     for i in [i for i, v in enumerate(vals) if type(v) not in (float, int)]:
         cells[i] = float(parse_scalar(vals[i], exact=False))
-    return funcrep._float_array(cells, "value")
+    try:
+        return np.array(cells, dtype=float)
+    except OverflowError:
+        raise ValueError("a grid value is too large for a float") from None
 
 
 def _outcome(read, vals):
@@ -236,11 +241,15 @@ def _outcome(read, vals):
 
 @given(st.lists(st.one_of(
     st.floats(), st.integers(-10**6, 10**6),
-    st.sampled_from(["inf", "1/2", True, None, [1], "-inf", "x", False]),
+    st.sampled_from(["inf", "1/2", True, None, [1], "-inf", "x", False, 2**1024, -(2**1030)]),
 ), max_size=30))
 @settings(max_examples=500, deadline=None)
 @example([0.5, "inf", 1.0, "1/2", None, True, [1], 2.0])
 @example([1.0, "inf", 3, "1/2"])
+@example([2**1024, "inf", True, "1/2", 0.5, [1], None])
+@example(["1/2", 2**1024, 1.0, "inf", 3, "-inf"])
+@example([[1], None, "inf", True, 2**1030, "1/2"])
+@example([3, 2**1024, 0.5])
 def test_grid_values_scan_keeps_the_per_cell_error_order(vals):
     assert _outcome(funcrep._grid_values, vals) == _outcome(per_cell_grid_values, vals)
 

@@ -12,13 +12,17 @@ cells included, at scales where terms overflow) and against the per-pair
 loop, the float verdicts against exact arithmetic within their stated band,
 the float routes of ``inf_conv`` and of grid loading against the
 Python-scalar routes they replaced, and the column CSV writer against the
-row join.
+row join.  The in-place kernels (the llt march's window maximum, the
+prefilter's peel rounds and the inf-convolution's cumsum group labels) are
+checked byte for byte against the expression forms they replaced, and the
+type counts of grid loading against the set scans.
 """
 
 import bisect
 import contextlib
 import io
 import math
+from decimal import Decimal
 from fractions import Fraction as F
 from unittest import mock
 
@@ -756,6 +760,187 @@ def test_prefilter_on_fixed_shapes(name):
 
 
 # ---------------------------------------------------------------------------
+# the in-place kernels against the expression forms they replaced, byte for
+# byte (so signed zeros and infinities count)
+# ---------------------------------------------------------------------------
+
+
+def stacked_window_march(f, duals):
+    """``conjugate_llt``'s values by the march it replaced: the window
+    j - 1, j, j + 1 as one stacked (3, n) index array and a max over its
+    rows, on the loop hull of all samples."""
+    x, v = f.finite_arrays()
+    order = np.argsort(x, kind="stable")
+    x, v = x[order], v[order]
+    keep = _llt_hull(x.tolist(), v.tolist())
+    hx, hv = x[keep], v[keep]
+    slopes = np.diff(hv) / np.diff(hx) if len(hx) > 1 else np.empty(0)
+    y = np.array(duals, dtype=float)
+    j = np.searchsorted(slopes, y, side="left")
+    cand = np.stack([np.clip(j + d, 0, len(hx) - 1) for d in (-1, 0, 1)])
+    with np.errstate(over="ignore"):
+        vals = y[None, :] * hx[cand] - hv[cand]
+    return vals.max(axis=0)
+
+
+def expression_peel(x, v):
+    """``_hull_candidates`` with each round's predicate built as one
+    expression, every term gathered afresh."""
+    c = np.arange(len(x))
+    parity = 1
+    with np.errstate(all="ignore"):
+        while len(c) >= 3:
+            j, k, i = c[parity - 1 : -2 : 2], c[parity:-1:2], c[parity + 1 :: 2]
+            a = (v[k] - v[j]) * (x[i] - x[j])
+            b = (v[i] - v[j]) * (x[k] - x[j])
+            drop = a - b > funcrep._PEEL_MARGIN * (np.abs(a) + np.abs(b)) + funcrep._TINY
+            n_drop = int(np.count_nonzero(drop))
+            if n_drop:
+                keep = np.ones(len(c), dtype=bool)
+                keep[parity:-1:2] = ~drop
+                c = c[keep]
+            if n_drop < funcrep._PEEL_STOP * (len(c) + n_drop):
+                break
+            parity = 3 - parity
+    return c
+
+
+def repeat_searchsorted_inf_conv(f, g):
+    """``inf_conv`` of two grids by the group step it replaced: an argsort
+    in 1D, and each group's minimum spread by ``np.repeat`` and its
+    reaching positions labelled by ``np.searchsorted``."""
+    fx, fv = f.finite_arrays()
+    gx, gv = g.finite_arrays()
+    with np.errstate(over="ignore"):
+        if f.dim == 1:
+            sums = (fx[:, None] + gx[None, :]).reshape(-1, 1)
+        else:
+            sums = (fx[:, None, :] + gx[None, :, :]).reshape(-1, 2)
+        vals = (fv[:, None] + gv[None, :]).reshape(-1)
+    if f.dim == 1:
+        order = np.argsort(sums[:, 0], kind="stable")
+    else:
+        order = np.lexsort(sums.T[::-1])
+    s, v = sums[order], vals[order]
+    starts = np.flatnonzero(np.r_[True, (s[1:] != s[:-1]).any(axis=1)])
+    low = np.minimum.reduceat(v, starts)
+    reach = np.flatnonzero(v == np.repeat(low, np.diff(np.r_[starts, len(v)])))
+    group = np.searchsorted(starts, reach, "right")
+    best = v[reach[np.r_[True, group[1:] != group[:-1]]]]
+    first = order[starts]
+    if f.dim == 1 and f.float_points and g.float_points:
+        return GridFunction(1, sums[first, 0], best)
+    fp = [p for p, _ in f.finite_items()]
+    gp = [p for p, _ in g.finite_items()]
+    pairs = zip(*(k.tolist() for k in np.divmod(first, len(gv))))
+    if f.dim == 1:
+        return GridFunction(1, tuple(fp[i] + gp[j] for i, j in pairs), best)
+    return GridFunction(2, tuple((fp[i][0] + gp[j][0], fp[i][1] + gp[j][1]) for i, j in pairs), best)
+
+
+@st.composite
+def march_cases(draw):
+    """1D grids and duals for the march: the adversarial draws, one-vertex
+    hulls, duals exactly on the hull slopes and products past the float
+    range."""
+    kind = draw(st.sampled_from(("adversarial", "one-vertex", "on-slopes", "overflow")))
+    if kind == "adversarial":
+        return draw(adversarial_grids())
+    if kind == "one-vertex":
+        x = draw(st.floats(-1e6, 1e6))
+        f = GridFunction(1, (x, x + 1.0), (draw(st.floats(-1e6, 1e6)), INF))
+        return f, tuple(dict.fromkeys(draw(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=6))))
+    scale = 1e200 if kind == "overflow" else 1.0
+    xs = sorted(draw(st.lists(st.integers(-20, 20), min_size=2, max_size=12, unique=True)))
+    vals = [draw(st.sampled_from((-0.0, 0.0, 1.0, 2.0))) + k * k for k in xs]
+    f = GridFunction(1, tuple(k * scale for k in xs), tuple(vals))
+    x, v = f.finite_arrays()
+    keep = _llt_hull(x.tolist(), v.tolist())
+    duals = (np.diff(v[keep]) / np.diff(x[keep])).tolist() + [-0.0, 0.0, -scale, scale]
+    duals += draw(st.lists(st.integers(-40, 40), max_size=4))
+    return f, tuple(dict.fromkeys(map(float, duals)))
+
+
+@given(march_cases())
+@settings(max_examples=300, deadline=None)
+@example((GridFunction(1, (-2, -1, 0, 1, 2), (2, 1, 0, 1, 2)), (-1.0, -0.5, -0.0, 0.5, 1.0)))
+@example((GridFunction(1, (-1e200, 1e200), (0.0, 1e300)), (1e200, -1e200, 0.0)))
+# a collinear run whose float slopes straddle -1e6: the window's j - 1 wins
+@example((GridFunction(1, (-2e-06, -1e-06, 0.0, 1e-06, 2e-06, 3e-06, 0.00042899999999999997,
+                           0.000927, 0.022334),
+                       (2.0, 1.0, 0.0, -1.0, -2.0, -3.0, -429.0, -927.0, -22334.0)),
+          (-1000000.0, -999999.9999999999, -1000000.0000000001, 0.0)))
+def test_llt_march_matches_the_stacked_window(case):
+    f, duals = case
+    want = stacked_window_march(f, duals)
+    if (want == -INF).any():  # every product of some dual overflowed to -inf
+        with pytest.raises(ValueError, match="-inf value"):
+            conjugate_llt(f, duals)
+        return
+    assert conjugate_llt(f, duals).value_array.tobytes() == want.tobytes()
+
+
+@st.composite
+def peel_cases(draw):
+    """Sorted distinct samples for the prefilter: the adversarial draws,
+    terms near the subnormals and ``_TINY``, and products that overflow to
+    +-inf (a NaN difference then drops nothing)."""
+    kind = draw(st.sampled_from(("adversarial", "near-linear", "tiny", "overflow")))
+    if kind in ("adversarial", "near-linear"):
+        f = draw(adversarial_grids())[0] if kind == "adversarial" else draw(near_linear_grids())[0]
+        x, v = f.finite_arrays()
+        order = np.argsort(x, kind="stable")
+        return x[order], v[order]
+    n = draw(st.integers(1, 40))
+    ks = sorted(draw(st.lists(st.integers(-10**4, 10**4), min_size=n, max_size=n, unique=True)))
+    terms = st.integers(-10**4, 10**4)
+    if kind == "tiny":
+        sx = draw(st.sampled_from((1.0, 2.0**-1074, 2.0**-1060, funcrep._TINY)))
+        sv = draw(st.sampled_from((2.0**-1074, funcrep._TINY, 1e-300)))
+    else:
+        sx, sv = draw(st.sampled_from(((1e200, 1e200), (1.0, 1.7e308), (1e300, 1e10))))
+        terms = st.sampled_from((-1.0, -0.5, 0.0, 0.5, 1.0))
+    vals = [draw(terms) * sv for _ in ks]
+    return np.array(ks, dtype=float) * sx, np.array(vals, dtype=float)
+
+
+@given(peel_cases())
+@settings(max_examples=400, deadline=None)
+@example((np.array([0.0]), np.array([1.0])))
+@example((np.array([0.0, 1.0, 2.0]), np.array([5e-324, 1e-323, 5e-324])))
+@example((np.array([-1e200, 0.0, 1e200]), np.array([-1.7e308, 1.7e308, -1.7e308])))
+def test_peel_matches_the_expression_round(case):
+    x, v = case
+    assert _hull_candidates(x, v).tobytes() == expression_peel(x, v).tobytes()
+
+
+def _lattice_grid(dim):
+    """Integer-lattice grids: few coordinates, so sums repeat, with -0.0
+    samples and -0.0/0.0 values, so groups tie on signed zeros."""
+    axis = st.sampled_from((-2.0, -1.0, -0.0, 0.0, 1.0, 2.0))
+    point = axis if dim == 1 else st.tuples(axis, axis)
+    vals = st.sampled_from((-0.0, 0.0, -1.0, 1.0, INF))
+    return st.lists(point, min_size=1, max_size=10, unique=True).flatmap(
+        lambda pts: st.lists(vals, min_size=len(pts), max_size=len(pts))
+        .map(lambda vs: GridFunction(dim, tuple(pts), tuple(vs))))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_inf_conv_groups_match_repeat_searchsorted(dim):
+    @given(_lattice_grid(dim), _lattice_grid(dim))
+    @settings(max_examples=300, deadline=None)
+    def check(f, g):
+        if not (f.finite_mask().any() and g.finite_mask().any()):
+            return
+        h, want = inf_conv(f, g), repeat_searchsorted_inf_conv(f, g)
+        assert [repr(p) for p in h.points] == [repr(p) for p in want.points]
+        assert h.point_array.tobytes() == want.point_array.tobytes()
+        assert h.value_array.tobytes() == want.value_array.tobytes()
+
+    check()
+
+
+# ---------------------------------------------------------------------------
 # GridFunction validation and the ExtReal edge
 # ---------------------------------------------------------------------------
 
@@ -801,6 +986,31 @@ def test_grid_rejects_string_coordinates(dim, points):
         SampledSet(dim, points)
     with pytest.raises(TypeError, match="cannot parse scalar from str"):
         MaxAffine(dim, ((points[1], points[0], 0.0),))
+
+
+@pytest.mark.parametrize("dim,points,name", [
+    (1, (b"1.5", 0.0), "bytes"),
+    (1, (Decimal("0.1"), 0.0), "Decimal"),
+    (1, (np.bool_(True), 0.0), "bool"),
+    (2, ((0.0, 0.0), (b"1.5", 0.5)), "bytes"),
+    (2, ((0.0, 0.0), (1.0, Decimal("0.5"))), "Decimal"),
+])
+def test_grid_rejects_coordinates_that_are_not_reals(dim, points, name):
+    """Only a ``numbers.Real`` is a coordinate: ``float()`` would read
+    bytes and round a Decimal without a word."""
+    for build in (lambda: GridFunction(dim, points, (0.0, 1.0)),
+                  lambda: SampledSet(dim, points),
+                  lambda: MaxAffine(dim, ((points[1], points[0], 0.0),))):
+        with pytest.raises(TypeError, match=f"^cannot parse scalar from {name}$"):
+            build()
+
+
+def test_grid_reads_numpy_scalar_coordinates_as_floats():
+    pts = (np.float64(0.5), np.float32(1.5), np.int64(2))
+    for g in (GridFunction(1, pts, (0.0, 1.0, 2.0)), SampledSet(1, pts)):
+        assert [repr(p) for p in g.points] == ["0.5", "1.5", "2.0"]
+    h = MaxAffine(2, (((np.int64(1), 0.5), (np.float32(2.5), 0), 0.0),))
+    assert repr(h.pieces[0][:2]) == "((1.0, 0.5), (2.5, 0))"
 
 
 def test_inf_conv_has_no_nan_points():
@@ -871,12 +1081,16 @@ value_cells = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.integers(-10**20, 10**20),
     st.sampled_from(("inf", "Infinity", "1/2", "-inf", "nan", "0.25", "7", "1e400",
-                     "x", None, True, 10**400)),
+                     "x", None, True, [1], 10**400, -(2**1030))),
 )
 
 
 @given(st.lists(value_cells, max_size=8), st.sampled_from(("first", "last", "none")))
 @settings(max_examples=400, deadline=None)
+@example(["inf", 0.5, "1/2", 2**1030, True, None, [1]], "none")
+@example([2**1030, "1/2", 1.0, [1], "inf", None, True], "none")
+@example([1, "1/2", None, 0.5, "inf", True, 2**1030], "last")
+@example(["1/2", 3, "inf", 2**1030, "-inf", 0.25], "none")
 def test_string_cells_parse_like_the_comprehension(vals, where):
     if where == "first":
         vals = ["inf", *vals]
@@ -902,6 +1116,51 @@ def test_load_hands_float_points_over_as_one_array(dim, points):
     g = load_instance({"kind": "grid", "dim": dim, "points": points, "values": [1, 2][:len(points)]})
     assert "_built_points" not in g.__dict__ and g.float_points
     assert [repr(p) for p in g.points] == [repr(p if dim == 1 else tuple(p)) for p in points]
+
+
+def points_by_set(d):
+    """The ``_points`` type scan the type counts replaced: a set of the
+    coordinate types."""
+    dim = d["dim"]
+    pts = funcrep._tuples(d, "points", d["points"]) if dim == 2 else d["points"]
+    kinds = set(map(type, (c for p in pts for c in p) if dim == 2 else pts))
+    for p in () if kinds <= {float, int, F} else pts:
+        if str in map(type, p if isinstance(p, (list, tuple)) else (p,)):
+            raise TypeError(f"{d['kind']} instance key 'points' holds a str coordinate, not a number")
+    return pts, kinds <= {float}
+
+
+point_cells = st.one_of(
+    st.floats(-1e6, 1e6), st.integers(-10**6, 10**6),
+    st.sampled_from(("1.5", "x", True, None, F(1, 3), 2**1030)),
+    st.lists(st.one_of(st.floats(-9, 9), st.just("2")), min_size=1, max_size=1),
+)
+
+
+@given(st.lists(point_cells, max_size=8), st.sampled_from((1, 2)))
+@settings(max_examples=300, deadline=None)
+@example([0, 1.5, 2], 1)
+@example([0.5, "1.5", 2.0], 1)
+@example([0.5, 1, F(1, 2), "x"], 1)
+@example([[0.5], ["2"], 1.0], 1)
+def test_points_counts_match_the_set_scan(cells, dim):
+    d = {"kind": "grid", "dim": dim, "points": cells if dim == 1 else [[c, 0.0] for c in cells]}
+
+    def outcome(read):
+        try:
+            pts, floats = read(d)
+        except TypeError as e:
+            return str(e)
+        return [repr(p) for p in pts], floats
+
+    assert outcome(funcrep._points) == outcome(points_by_set)
+
+
+def test_load_keeps_int_float_point_mixes_off_the_float_route():
+    g = load_instance({"kind": "grid", "dim": 1, "points": [0, 1.5, 2], "values": [0.0, 1.0, 4.0]})
+    assert not g.float_points and [repr(p) for p in g.points] == ["0", "1.5", "2"]
+    with pytest.raises(TypeError, match="holds a str coordinate"):
+        load_instance({"kind": "grid", "dim": 1, "points": [0.5, "1.5"], "values": [0.0, 1.0]})
 
 
 unique_floats = st.lists(st.floats(-1e6, 1e6, allow_nan=False), max_size=8, unique=True)
