@@ -65,15 +65,15 @@ def is_exact_scalar(v) -> bool:
 
 def _upper_hull(lines) -> list:
     """The lines of ``lines`` that reach their upper envelope, as (slope,
-    intercept, index) in slope order; a line that only touches it where
-    its neighbours meet is dropped.  ``lines`` are (slope, intercept) pairs
-    with strictly increasing slopes; O(len(lines))."""
+    intercept, index) in slope order, ties kept: a line that only touches
+    it where its neighbours meet stays.  ``lines`` are (slope, intercept)
+    pairs in slope order; O(len(lines))."""
     hull = []
     for i, (s3, c3) in enumerate(lines):
         while len(hull) >= 2:
             (s1, c1, _), (s2, c2, _) = hull[-2], hull[-1]
-            # the middle line never tops both neighbours
-            if (c1 - c3) * (s2 - s1) <= (c1 - c2) * (s3 - s1):
+            # the middle line lies below where its neighbours meet
+            if (c1 - c3) * (s2 - s1) < (c1 - c2) * (s3 - s1):
                 hull.pop()
             else:
                 break
@@ -865,14 +865,15 @@ def _hull_candidates(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Indices of the sorted 1D samples that may lie on their lower hull,
     ascending: the throw-away step of Akl and Toussaint in numpy.
 
-    A round tests the interior candidates of one position parity with the
-    predicate of ``transforms._llt_hull`` against the chord of their
-    current neighbours, which that round keeps, and drops those above it
-    by more than ``_PEEL_MARGIN``.  A dropped sample thus lies strictly
-    above the chord of two samples, on no lower hull, and the hull loops
-    still make every decision among the candidates.  A concave run halves
-    each round; the rounds alternate parity and stop once one drops less
-    than ``_PEEL_STOP`` of the candidates.  An overflowing term drops nothing.
+    A round tests the interior candidates of one position parity against
+    the chord of their current neighbours, which that round keeps, with
+    the products ``_upper_hull`` compares on the lines (x, -v), and drops
+    those above it by more than ``_PEEL_MARGIN``.  A dropped sample thus
+    lies strictly above the chord of two samples, on no lower hull, and
+    ``_upper_hull`` still makes every decision among the candidates.  A
+    concave run halves each round; the rounds alternate parity and stop
+    once one drops less than ``_PEEL_STOP`` of the candidates.  An
+    overflowing term drops nothing.
     """
     c = np.arange(len(x))
     parity = 1
@@ -916,8 +917,9 @@ def _hull_1d_exact(items) -> tuple:
 
     Each axis goes through ``_dyadic`` once, so floats, ints and dyadic
     Fractions sort and meet ``_upper_hull`` as ints, with no gcd; scaling
-    an axis by a positive constant changes no decision.  Fractions are
-    built only for the kept vertices and their slopes."""
+    an axis by a positive constant changes no decision.  A vertex on the
+    chord of its neighbours then goes, so the breakpoints are corners and
+    ends.  Fractions are built only for the kept vertices and their slopes."""
     items = list(items)
     xs, ex = _dyadic([x for x, _ in items])
     vs, ev = _dyadic([v for _, v in items])
@@ -928,6 +930,9 @@ def _hull_1d_exact(items) -> tuple:
     # by duality, (x, v) is on the lower hull iff the line of slope x and
     # intercept -v reaches the upper envelope of those lines
     hull = [merged[k] for _s, _c, k in _upper_hull([(x, -v) for x, v, _ in merged])]
+    # _upper_hull keeps a vertex on the chord of its neighbours: drop it
+    hull[1:-1] = [q for p, q, r in zip(hull, hull[1:], hull[2:])
+                  if (q[1] - p[1]) * (r[0] - q[0]) != (r[1] - q[1]) * (q[0] - p[0])]
     sx, sv = 1 << ex, 1 << ev
     return (
         tuple(Fraction(items[i][0]) for _x, _v, i in hull),

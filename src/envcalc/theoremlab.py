@@ -408,30 +408,37 @@ def grid_hull_graph(g: GridFunction, hull=None):
     ends of the hull's subgradient interval there (repeats dropped); the
     graph keeps the candidates that pass the sampled membership test at
     zero tolerance, decided by one ``grid_subdiff_matrix`` over the
-    distinct candidate slopes.  ``hull`` defaults to ``cl_conv(g)``.
+    distinct candidate slopes.  After the graph, the same ends at each
+    listed +inf point strictly inside the hull's domain (a puncture) join
+    the candidates.  ``hull`` defaults to ``cl_conv(g)``.
     """
     if hull is None:
         hull = cl_conv(g)
+
+    def ends(pts):
+        ivs = subdiffs_exact(hull, [Fraction(p) for p in pts])
+        return dict.fromkeys((p, float(end)) for p, iv in zip(pts, ivs) if iv is not None
+                             for end in (iv.lo, iv.hi) if end is not None)
+
     items = g.finite_items()
-    ivs = subdiffs_exact(hull, [Fraction(p) for p, _v in items])
-    cands = list(dict.fromkeys(
-        (p, float(end)) for (p, _v), iv in zip(items, ivs) if iv is not None
-        for end in (iv.lo, iv.hi) if end is not None))
+    cands = list(ends([p for p, _v in items]))
     duals = sorted({s for _p, s in cands})
     member = grid_subdiff_matrix(g, duals)
     row = {p: i for i, (p, _v) in enumerate(items)}
     col = {s: k for k, s in enumerate(duals)}
     pairs = tuple((p, s) for p, s in cands if member[row[p], col[s]])
+    cands += ends([p for p, v in zip(g.points, g.value_array.tolist())
+                   if v == math.inf and hull.breakpoints[0] < Fraction(p) < hull.breakpoints[-1]])
     return hull, cands, OperatorGraph(1, pairs)
 
 
 @_gated(_Gate(lambda ctx: ctx.inst.dim != 1,
               "the finite shadow of this item is one-dimensional"))
 def _check_dfdom_iv(tid, desc, ctx):
-    # finite shadow only: a grid sample is closed already, so the claim
-    # reduces to "a maximal-relative sampled subdifferential forces grid
-    # convexity" on the line; a failure names the first listed point that
-    # carries no pair of the graph
+    # a grid sample is closed already, so the claim reduces to "a maximal-
+    # relative sampled subdifferential forces grid convexity" on the line,
+    # with candidates at the punctures too; a failure names the first
+    # listed point that carries no pair of the graph
     g = ctx.inst
     _hull, cands, G = grid_hull_graph(g, ctx.grid_hull)
     v = is_maximal_relative(G, cands, tol=1e-9)

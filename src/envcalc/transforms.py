@@ -28,6 +28,7 @@ from .funcrep import (
     _grid_hull_1d,
     _hull_1d_exact,
     _hull_candidates,
+    _upper_hull,
     dot,
 )
 
@@ -240,23 +241,6 @@ def conjugate_brute(f: GridFunction, dual_points) -> GridFunction:
     return GridFunction(f.dim, duals, out)
 
 
-def _llt_hull(x: list, v: list):
-    """Lower hull indices of sorted 1D samples; ties kept (never drop a line
-    that float error could still make maximal).  Plain float lists: the
-    loop is scalar, and numpy scalars would cost more per step than the
-    arithmetic."""
-    idx: list = []
-    for i, (xi, vi) in enumerate(zip(x, v)):
-        while len(idx) >= 2:
-            j, k = idx[-2], idx[-1]
-            if (v[k] - v[j]) * (xi - x[j]) > (vi - v[j]) * (x[k] - x[j]):
-                idx.pop()
-            else:
-                break
-        idx.append(i)
-    return np.array(idx, dtype=int)
-
-
 def _inf_conv_grid(f: GridFunction, g: GridFunction) -> GridFunction:
     """inf_u [f(u) + g(x - u)] over finite sample pairs, one minimum per sum.
 
@@ -325,7 +309,8 @@ def conjugate_llt(f: GridFunction, dual_points) -> GridFunction:
     order = np.argsort(x, kind="stable")
     x, v = x[order], v[order]
     cand = _hull_candidates(x, v)
-    keep = cand[_llt_hull(x[cand].tolist(), v[cand].tolist())]
+    # (x, v) is on the lower hull iff the line (x, -v) reaches the upper envelope
+    keep = cand[[i for _s, _c, i in _upper_hull(zip(x[cand].tolist(), (-v[cand]).tolist()))]]
     hx, hv = x[keep], v[keep]
     slopes = np.diff(hv) / np.diff(hx) if len(hx) > 1 else np.empty(0)
     if isinstance(dual_points, np.ndarray) and dual_points.dtype == np.float64:

@@ -3,13 +3,15 @@
 Each batched route is compared with the scalar route it replaced, kept here
 as an oracle: the per-pair membership loop for ``grid_subdiff_matrix`` and
 ``grid_subdiff_test``, the dict inf-convolution for the sorted one, and the
-dense ``conjugate_brute`` for ``conjugate_llt``.  The float hull prefilter
-is checked against the two hull loops run over all samples, ``_llt_hull``
-and ``_hull_1d_exact``, and the 1D ``is_convex_on_grid`` against its
-per-sample loop over the hull of all samples.  The membership screen, the one route in 1D and 2D,
-is checked byte for byte against the dense membership loop kept here (NaN
-cells included, at scales where terms overflow) and against the per-pair
-loop, the float verdicts against exact arithmetic within their stated band,
+dense ``conjugate_brute`` for ``conjugate_llt``.  ``_llt_hull``, the float
+hull loop ``conjugate_llt`` ran before it shared ``funcrep._upper_hull``, is
+kept here as the reference for that loop on (x, -v).  The float hull
+prefilter is checked against the hull loops run over all samples,
+``_llt_hull`` and ``_hull_1d_exact``, and the 1D ``is_convex_on_grid``
+against its per-sample loop over the hull of all samples.  The membership
+screen, the one route in 1D and 2D, is checked byte for byte against the
+dense membership loop kept here (NaN cells included, at scales where terms
+overflow) and against the per-pair loop, the float verdicts against exact arithmetic within their stated band,
 the float routes of ``inf_conv`` and of grid loading against the
 Python-scalar routes they replaced, and the column CSV writer against the
 row join.  The in-place kernels (the llt march's window maximum, the
@@ -38,6 +40,7 @@ from envcalc.funcrep import (
     SampledSet,
     _grid_values,
     _hull_1d_exact,
+    _upper_hull,
     dot,
     is_convex_on_grid,
     load_instance,
@@ -49,7 +52,6 @@ from envcalc.transforms import (
     ImproperError,
     SizeLimitError,
     _hull_candidates,
-    _llt_hull,
     cl_conv,
     conjugate_brute,
     conjugate_llt,
@@ -569,10 +571,57 @@ def near_linear_grids(draw):
     return GridFunction(1, tuple(x * sx for x in xs), tuple(vals)), ()
 
 
+def _llt_hull(x: list, v: list):
+    """Lower hull indices of sorted 1D samples, ties kept: the loop
+    ``conjugate_llt`` ran before it shared ``_upper_hull``."""
+    idx: list = []
+    for i, (xi, vi) in enumerate(zip(x, v)):
+        while len(idx) >= 2:
+            j, k = idx[-2], idx[-1]
+            if (v[k] - v[j]) * (xi - x[j]) > (vi - v[j]) * (x[k] - x[j]):
+                idx.pop()
+            else:
+                break
+        idx.append(i)
+    return np.array(idx, dtype=int)
+
+
+def _upper_hull_keep(x: list, v: list) -> list:
+    """The indices ``_upper_hull`` keeps of the lines (x, -v)."""
+    return [i for _s, _c, i in _upper_hull([(xi, -vi) for xi, vi in zip(x, v)])]
+
+
 def _llt_keep(x, v):
     """The kept hull indices as ``conjugate_llt`` finds them."""
     cand = _hull_candidates(x, v)
-    return cand[_llt_hull(x[cand].tolist(), v[cand].tolist())]
+    return cand[_upper_hull_keep(x[cand].tolist(), v[cand].tolist())]
+
+
+# sorted float axes where the chord products tie exactly, pass 1e308 and
+# overflow to +-inf, come out NaN (inf * 0, a repeated x against an
+# overflowing difference), or are signed zeros, at scales of 1e+-300
+_HULL_FLOATS = st.sampled_from((
+    -1.7e308, -1e308, -1e300, -3.0, -1.0, -0.5, -1e-300, -5e-324, -0.0,
+    0.0, 5e-324, 1e-300, 0.5, 1.0, 2.0, 3.0, 1e300, 1e308, 1.7e308,
+))
+
+
+@given(
+    st.lists(_HULL_FLOATS, min_size=1, max_size=12).map(sorted),
+    st.lists(st.one_of(_HULL_FLOATS, st.integers(-4, 4).map(float)), min_size=12, max_size=12),
+    st.sampled_from((1.0, 1e-300, 1e300)),
+)
+@settings(max_examples=600, deadline=None)
+@example([0.0, 1.0, 2.0], [0.0, 1.0, 2.0] + [0.0] * 9, 1.0)
+@example([-1e308, 0.0, 1e308], [1.7e308, -1.7e308, 1.7e308] + [0.0] * 9, 1.0)
+@example([1.0, 1.0, 2.0], [1e308, -1e308, 0.0] + [0.0] * 9, 1.0)
+@example([-0.0, 0.0, 1.0], [0.0, -0.0, 0.0] + [0.0] * 9, 1.0)
+def test_upper_hull_on_negated_values_keeps_the_llt_hull(xs, vs, scale):
+    """``_upper_hull`` on the lines (x, -v) compares the same two IEEE
+    products as ``_llt_hull``, so it keeps exactly its indices, ties,
+    infinities, NaNs and signed zeros included."""
+    v = [w * scale for w in vs[: len(xs)]]
+    assert _upper_hull_keep(xs, v) == _llt_hull(xs, v).tolist()
 
 
 def _all_samples(x, v):
@@ -605,8 +654,9 @@ def _check_cl_conv_is_the_exact_hull(f):
 @given(st.one_of(adversarial_grids(), near_linear_grids()))
 @settings(max_examples=400, deadline=None)
 def test_prefilter_keeps_the_llt_hull(case):
-    """``_llt_hull`` on the candidates keeps exactly the indices it keeps
-    on all samples, so ``conjugate_llt`` gives the same bytes."""
+    """``_upper_hull`` on the candidates keeps exactly the indices
+    ``_llt_hull`` keeps on all samples, so ``conjugate_llt`` gives the same
+    bytes."""
     _check_llt_keeps_the_loop_hull(*case)
 
 

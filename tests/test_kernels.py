@@ -1793,8 +1793,19 @@ def hull_points(draw):
     runs: each run puts a few points on one drawn line.  The floats reach
     the whole range (subnormals, 1e+-300, signed zeros) and take 1-ulp
     neighbours; one kind mixes ints, floats and Fractions over power-of-two
-    and over other denominators in one list."""
-    kind = draw(st.sampled_from(("int", "fraction", "float", "wide", "mixed")))
+    and over other denominators in one list, and one samples a convex chain
+    whose slopes repeat, so collinear runs lie on the hull itself."""
+    kind = draw(st.sampled_from(("int", "fraction", "float", "wide", "mixed", "chain")))
+    if kind == "chain":
+        xs = sorted(draw(st.lists(st.integers(-20, 20), min_size=1, max_size=12, unique=True)))
+        slopes = sorted(draw(st.lists(
+            st.sampled_from((-2, -1, 0, F(1, 2), 1, 3)), min_size=len(xs), max_size=len(xs))))
+        unit = draw(st.sampled_from((1, 0.25, F(1, 3))))
+        v, items = draw(st.integers(-5, 5)), []
+        for x0, x1, g in zip(xs, xs[1:] + xs[-1:], slopes):
+            items.append((x0 * unit, v * unit))
+            v += g * (x1 - x0)
+        return draw(st.permutations(items))
     dyadic = st.builds(F, st.integers(-384, 384), st.sampled_from((1, 2, 64, 2**70)))
     fraction = st.fractions(min_value=-6, max_value=6, max_denominator=4)
     if kind == "int":
@@ -1834,6 +1845,8 @@ def hull_points(draw):
 @example([(0.0, 1.0), (-0.0, 0.5), (1, -0.0), (2.0, 0)])
 @example([(1.0, 0.0), (math.nextafter(1.0, 2.0), -5e-324), (math.nextafter(1.0, 0.0), 0.0)])
 @example([(F(1, 3), F(1, 4)), (0.5, 1), (2, F(5, 2**70))])
+# |x| joined to 2x - 1: runs of three and four collinear points on the hull
+@example([(x, abs(x)) for x in range(-3, 1)] + [(x, 2 * x - 1) for x in range(1, 5)])
 def test_hull_1d_exact_matches_point_chord_loop(items):
     bps, vals, slopes = _hull_1d_exact(items)
     assert list(zip(bps, vals)) == hull_1d_oracle(items)

@@ -5,7 +5,13 @@ import pytest
 
 from envcalc.extreal import as_extreal
 from envcalc.funcrep import GridFunction, Interval1D, PLConvex1D, lsc_defect, pl_equal
-from envcalc.operators import grid_subdiff_test, subdiff_exact, subdiff_test
+from envcalc.operators import (
+    MaximalityVerdict,
+    OperatorGraph,
+    grid_subdiff_test,
+    subdiff_exact,
+    subdiff_test,
+)
 from envcalc.cli import main
 from envcalc import theoremlab
 from envcalc.envelopes import circ_exact
@@ -263,6 +269,43 @@ def test_every_gallery_reproduces_its_verdicts(name):
         assert c.verdict == "pass", c.theorem_id
 
 
+# each gallery's objects and their types, so the registry x gallery runs
+# below are listed without building the galleries at collection
+GALLERY_OBJECT_TYPES = {
+    "quadratic": {"graph": OperatorGraph},
+    "open-interval": {"instance": PLConvex1D, "circ": PLConvex1D,
+                      "graph": OperatorGraph, "probes": tuple},
+    "half-circle": {"instance": PLConvex1D, "graph": OperatorGraph,
+                    "verdict": MaximalityVerdict, "candidates": tuple},
+    "two-patch": {"instance": GridFunction, "hull": PLConvex1D,
+                  "witness": tuple, "graph": OperatorGraph},
+    "quadrant": {"f": GridFunction, "g": GridFunction,
+                 "graph": OperatorGraph, "duals": tuple},
+}
+GALLERY_CHECKS = [
+    (name, key, tid)
+    for name, objects in GALLERY_OBJECT_TYPES.items()
+    for key, kind in objects.items()
+    for tid, (_fn, kinds) in REGISTRY.items()
+    if issubclass(kind, kinds)
+]
+
+
+def test_gallery_object_types_are_listed():
+    got = {name: {k: type(v) for k, v in gallery(name).objects.items()}
+           for name in GALLERY_NAMES}
+    assert got == GALLERY_OBJECT_TYPES
+    assert len(GALLERY_CHECKS) == 129
+
+
+@pytest.mark.parametrize("name, key, tid", GALLERY_CHECKS)
+def test_every_check_agrees_with_every_gallery_object(name, key, tid):
+    """The galleries' worked examples satisfy every registered statement
+    that accepts them: no check reports FAIL on one."""
+    got = run_check(tid, gallery(name).objects[key])
+    assert got.verdict != "fail", got
+
+
 def test_half_circle_objects():
     g = gallery("half-circle")
     f = g.objects["instance"]
@@ -368,6 +411,34 @@ def test_quadratic_gallery_fails_on_a_wrong_coupling_cell(monkeypatch):
     square, gap = theoremlab._gallery_quadratic().checks
     assert (square.verdict, square.witness) == ("fail", (x0, y0))
     assert (gap.verdict, gap.witness, gap.margin) == ("fail", (x0, y0), 0)
+
+
+@pytest.mark.parametrize("tid, inst, cell, delta", [
+    # h(x) + h*(x*) bounds the cell from above, with equality on the graph
+    ("dfdom.ineq", ABS, (F(1), F(1)), 2),
+    ("dfdom.ineq", GridFunction(1, (-1.0, 0.0, 1.0), (1.0, 0.0, 1.0)), (F(1), F(1)), 2),
+    # f(x) + phi(x, 0) bounds smile(x) from above; the witness is x
+    ("fsp.iii", ABS, (F(1), F(0)), -2),
+    # <x, x*> bounds the cell from below, with equality on the graph
+    ("maxsdsp.ii", ABS, (F(1), F(1)), -2),
+    # the indicator's cell is the support function exactly
+    ("ncfitz", Interval1D(F(0), F(1)), (F(1), F(1)), 2),
+])
+def test_fitzpatrick_readers_fail_on_a_wrong_cell(monkeypatch, tid, inst, cell, delta):
+    real = theoremlab.fitzpatrick_table
+    x0, y0 = cell
+
+    def planted(src, xs, ys):
+        table = real(src, xs, ys)
+        i, j = list(xs).index(x0), list(ys).index(y0)
+        table[i][j] = as_extreal(table[i][j].finite() + delta)
+        return table
+
+    assert run_check(tid, inst).verdict == "pass"
+    monkeypatch.setattr(theoremlab, "fitzpatrick_table", planted)
+    got = run_check(tid, inst)
+    assert got.verdict == "fail"
+    assert got.witness == (x0 if tid == "fsp.iii" else cell)
 
 
 def test_half_circle_gallery_fails_on_a_wrong_closure_interval(monkeypatch):
