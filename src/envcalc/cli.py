@@ -280,7 +280,12 @@ def _verb_conjugate(args, inst) -> int:
 def _verb_clconv(args, inst) -> int:
     if isinstance(inst, MaxAffine) and inst.dim == 1:
         inst = transforms.maxaffine_to_pl(inst)
-    g = transforms.cl_conv(inst)
+    duals = None
+    if isinstance(inst, GridFunction) and inst.dim == 2:
+        if not args.dual_grid:
+            raise _UsageError("clconv on a 2D grid needs --dual-grid")
+        duals = _cross(parse_probe_grid(args.dual_grid, exact=False))
+    g = transforms.cl_conv(inst, duals)
     if isinstance(g, PLConvex1D):
         return _emit_pl(args.out, g, args.probes)
     # the 2D hull comes back as a max of affine pieces

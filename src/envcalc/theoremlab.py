@@ -11,8 +11,9 @@ The grid-backed checks here also happen to be exact: a finite grid carries
 finitely many candidate support lines, so the comparisons stay in
 ``Fraction`` even when the sample values arrived as floats.
 
-Writing a check: register ``tid: (fn, kinds)`` in ``REGISTRY`` with
-``fn(tid, desc, ctx) -> TheoremCheck``.  ``ctx`` is the instance's
+Writing a check: declare ``fn(tid, desc, ctx) -> TheoremCheck`` with
+``@_check(tid, kinds, *gates)``, which registers ``tid: (fn, kinds)`` in
+``REGISTRY`` and refuses an id twice.  ``ctx`` is the instance's
 :class:`CheckContext`: ``ctx.inst`` plus lazily built, read-only facts
 (probes, structure, domains, closure, conjugate, envelopes, graphs, the 1D
 grid hull), shared by every check run on that instance.  Checks read f
@@ -23,7 +24,7 @@ over the probes, zipped by ``ctx.rows``; ``circ_range_at`` over
 as one object for ``_graph_shape`` comparisons.  A check body never
 returns ``not-applicable``; the dispatcher behind ``run_check`` and
 ``run_suite`` does, with the gate's reason as the witness, when the
-instance is not one of ``kinds`` or when a gate declared with ``@_gated``
+instance is not one of ``kinds`` or when one of the check's ``gates``
 holds (``_LSC``, ``_GRAPH``, ``_GRID_1D``, or a check's own ``_Gate``).
 """
 
@@ -50,6 +51,7 @@ from .extreal import (
     format_scalar,
 )
 from .funcrep import (
+    GRID_TOL,
     GridFunction,
     Interval1D,
     PLConvex1D,
@@ -324,10 +326,22 @@ _GRID_1D = _Gate(
 )
 
 
-def _gated(*gates):
-    """Declare the gates the dispatcher applies, in order, before the check."""
+_PL = (PLConvex1D,)
+_PL_OR_GRID = (PLConvex1D, GridFunction)
+
+# theorem id -> (check, the instance kinds it accepts), in declaration order
+REGISTRY = {}
+
+
+def _check(tid, kinds, *gates):
+    """Register the check under ``tid`` for instances of ``kinds``, with the
+    gates the dispatcher applies, in order, before the check; an id
+    registered twice raises ValueError."""
     def mark(fn):
+        if tid in REGISTRY:
+            raise ValueError(f"theorem id {tid!r} is already registered")
         fn.gates = gates
+        REGISTRY[tid] = (fn, kinds)
         return fn
     return mark
 
@@ -337,7 +351,7 @@ def _gated(*gates):
 # ---------------------------------------------------------------------------
 
 
-@_gated(_GRID_1D)
+@_check("dfdom.ineq", _PL_OR_GRID, _GRID_1D)
 def _check_dfdom_ineq(tid, desc, ctx):
     # a 1D grid reads as its closed convex hull with the exact grid graph;
     # witnesses name the sample as listed
@@ -362,7 +376,7 @@ def _check_dfdom_ineq(tid, desc, ctx):
     return _done(tid, desc, True, worst, backend=backend)
 
 
-@_gated(_GRID_1D)
+@_check("dfdom.i", _PL_OR_GRID, _GRID_1D)
 def _check_dfdom_i(tid, desc, ctx):
     if isinstance(ctx.inst, GridFunction):
         h, G, backend = ctx.grid_hull, ctx.grid_graph, "grid"
@@ -387,9 +401,9 @@ def _check_dfdom_i(tid, desc, ctx):
     return _done(tid, desc, True, backend=backend)
 
 
-@_gated(_Gate(lambda ctx: not ctx.lsc_defect,
-              "every domain point carries a subgradient; "
-              "no distinct majorant can agree there"))
+@_check("dfdom.e3", _PL, _Gate(lambda ctx: not ctx.lsc_defect,
+                                "every domain point carries a subgradient; "
+                                "no distinct majorant can agree there"))
 def _check_dfdom_e3(tid, desc, ctx):
     f = ctx.inst
     ovl, ovr = f.override_left, f.override_right
@@ -432,8 +446,8 @@ def grid_hull_graph(g: GridFunction, hull=None):
     return hull, cands, OperatorGraph(1, pairs)
 
 
-@_gated(_Gate(lambda ctx: ctx.inst.dim != 1,
-              "the finite shadow of this item is one-dimensional"))
+@_check("dfdom.iv", (GridFunction,), _Gate(
+    lambda ctx: ctx.inst.dim != 1, "the finite shadow of this item is one-dimensional"))
 def _check_dfdom_iv(tid, desc, ctx):
     # a grid sample is closed already, so the claim reduces to "a maximal-
     # relative sampled subdifferential forces grid convexity" on the line,
@@ -441,7 +455,7 @@ def _check_dfdom_iv(tid, desc, ctx):
     # listed point that carries no pair of the graph
     g = ctx.inst
     _hull, cands, G = grid_hull_graph(g, ctx.grid_hull)
-    v = is_maximal_relative(G, cands, tol=1e-9)
+    v = is_maximal_relative(G, cands, tol=GRID_TOL)
     if not v.is_maximal or is_convex_on_grid(g):
         return _done(tid, desc, True)
     anchored = {a for a, _s in G.pairs}
@@ -466,7 +480,7 @@ def _nearby_subdiff_point(D: Interval1D, x, r):
     return None
 
 
-@_gated(_GRAPH)
+@_check("ba.density", _PL, _GRAPH)
 def _check_ba_density(tid, desc, ctx):
     D = ctx.subdiff_domain
     if _closed_hull(D) != _closed_hull(ctx.dom):
@@ -484,6 +498,7 @@ def _check_ba_density(tid, desc, ctx):
 # ---------------------------------------------------------------------------
 
 
+@_check("fcupdiez.i", _PL)
 def _check_fcupdiez_i(tid, desc, ctx):
     D = ctx.subdiff_domain
     worst = None
@@ -496,7 +511,7 @@ def _check_fcupdiez_i(tid, desc, ctx):
     return _done(tid, desc, True, worst)
 
 
-@_gated(_GRAPH)
+@_check("fcupdiez.iii", _PL, _GRAPH)
 def _check_fcupdiez_iii(tid, desc, ctx):
     f, env = ctx.inst, ctx.envelope
     floor = epi_cup_floor(f, epi_normal_graph(f, ctx.graph))
@@ -519,6 +534,7 @@ def _check_fcupdiez_iii(tid, desc, ctx):
     return _done(tid, desc, True)
 
 
+@_check("fcupdiez.iv", _PL)
 def _check_fcupdiez_iv(tid, desc, ctx):
     cupf, shf = ctx.cup, ctx.sharp
     pairs = ctx.probe_graph.pairs
@@ -535,6 +551,7 @@ def _check_fcupdiez_iv(tid, desc, ctx):
     return _done(tid, desc, True)
 
 
+@_check("fcupdiez.v", _PL)
 def _check_fcupdiez_v(tid, desc, ctx):
     cupf, shf = ctx.cup, ctx.sharp
     ok = (
@@ -545,6 +562,7 @@ def _check_fcupdiez_v(tid, desc, ctx):
     return _done(tid, desc, ok, witness="idempotence broken")
 
 
+@_check("fcupdiez.viii", _PL)
 def _check_fcupdiez_viii(tid, desc, ctx):
     for env in (ctx.cup, ctx.sharp):
         same_ops = ctx.shape == _graph_shape(env)
@@ -555,7 +573,7 @@ def _check_fcupdiez_viii(tid, desc, ctx):
     return _done(tid, desc, True)
 
 
-@_gated(_GRAPH)
+@_check("fcupdiez.ix", _PL, _GRAPH)
 def _check_fcupdiez_ix(tid, desc, ctx):
     f, G, xs = ctx.inst, ctx.graph, ctx.probes
     want = ctx.envelope.values_at(xs)
@@ -576,6 +594,7 @@ def _check_fcupdiez_ix(tid, desc, ctx):
 # ---------------------------------------------------------------------------
 
 
+@_check("fcirc.i", _PL)
 def _check_fcirc_i(tid, desc, ctx):
     D, xs = ctx.subdiff_domain, ctx.circ_probes
     worst = None
@@ -589,6 +608,7 @@ def _check_fcirc_i(tid, desc, ctx):
     return _done(tid, desc, True, worst)
 
 
+@_check("fcirc.ii", _PL)
 def _check_fcirc_ii(tid, desc, ctx):
     circf = ctx.circ
     if not pl_equal(circ_exact(circf), circf):
@@ -609,7 +629,7 @@ def _check_fcirc_ii(tid, desc, ctx):
     return TheoremCheck(tid, desc, PASS, "exact", 0, witness=wit)
 
 
-@_gated(_LSC)
+@_check("fcirc.iii", _PL, _LSC)
 def _check_fcirc_iii(tid, desc, ctx):
     xs = ctx.circ_probes
     for x, lhs, rhs in zip(xs, subdiffs_exact(ctx.inst, xs), ctx.circ_range_at):
@@ -622,7 +642,7 @@ def _check_fcirc_iii(tid, desc, ctx):
     return _done(tid, desc, True)
 
 
-@_gated(_LSC)
+@_check("fcirc.iv", _PL, _LSC)
 def _check_fcirc_iv(tid, desc, ctx):
     D = ctx.subdiff_domain
     for x, rhs in zip(ctx.circ_probes, ctx.circ_range_at):
@@ -631,6 +651,7 @@ def _check_fcirc_iv(tid, desc, ctx):
     return _done(tid, desc, True)
 
 
+@_check("fcirc.v", _PL)
 def _check_fcirc_v(tid, desc, ctx):
     circf = ctx.circ
     same_ops = ctx.shape == _graph_shape(circf)
@@ -639,8 +660,8 @@ def _check_fcirc_v(tid, desc, ctx):
                  witness=(same_ops, same_range))
 
 
-@_gated(_LSC._replace(why="the subdifferential misses the raised "
-                          "endpoint, so it is not maximal"))
+@_check("maxcup", _PL, _LSC._replace(why="the subdifferential misses the raised "
+                                         "endpoint, so it is not maximal"))
 def _check_maxcup(tid, desc, ctx):
     ok = (
         pl_equal(ctx.cup, ctx.closure)
@@ -655,6 +676,7 @@ def _check_maxcup(tid, desc, ctx):
 # ---------------------------------------------------------------------------
 
 
+@_check("fsp.i", _PL)
 def _check_fsp_i(tid, desc, ctx):
     D = ctx.subdiff_domain
     for x, sm, c, sh, fx in ctx.rows(ctx.smile_at, ctx.cup_at, ctx.sharp_at, ctx.f_at):
@@ -671,12 +693,14 @@ def _probed_proper(vals) -> bool:
     return any(v.is_finite for v in vals) and not any(v.is_neg_inf for v in vals)
 
 
+@_check("fsp.ii", _PL)
 def _check_fsp_ii(tid, desc, ctx):
     lhs = _probed_proper(ctx.smile_at)
     rhs = ctx.has_graph and ctx.conj.value_at(F(0)) == ctx.star_cup.value_at(F(0))
     return _done(tid, desc, lhs == rhs, witness=(lhs, rhs))
 
 
+@_check("fsp.iii", _PL)
 def _check_fsp_iii(tid, desc, ctx):
     table = fitzpatrick_table(ctx.st, ctx.probes, (F(0),))
     worst = None
@@ -688,6 +712,7 @@ def _check_fsp_iii(tid, desc, ctx):
     return _done(tid, desc, True, worst)
 
 
+@_check("spxstar", _PL)
 def _check_spxstar(tid, desc, ctx):
     # smile of f - <., s> at f's probes, whose subdifferential is that of f, less s
     rhs = ctx.has_graph and pl_equal(ctx.conj, ctx.star_cup)
@@ -702,7 +727,7 @@ def _check_spxstar(tid, desc, ctx):
 # ---------------------------------------------------------------------------
 
 
-@_gated(_LSC)
+@_check("maxsdsp.ii", _PL, _LSC)
 def _check_maxsdsp_ii(tid, desc, ctx):
     xs, duals = ctx.dom_probes, ctx.duals
     worst = None
@@ -721,12 +746,12 @@ def _smile_recovers_f(tid, desc, ctx, dom_only):
     return _done(tid, desc, True, margin=0)
 
 
-@_gated(_LSC)
+@_check("maxsdsp.iii", _PL, _LSC)
 def _check_maxsdsp_iii(tid, desc, ctx):
     return _smile_recovers_f(tid, desc, ctx, dom_only=True)
 
 
-@_gated(_LSC)
+@_check("maxsdsp.iv", _PL, _LSC)
 def _check_maxsdsp_iv(tid, desc, ctx):
     return _smile_recovers_f(tid, desc, ctx, dom_only=False)
 
@@ -762,7 +787,7 @@ def _net(f: PLConvex1D, rows) -> tuple:
                  zip(net, subdiffs_exact(f, pts), f.values_at(pts)))
 
 
-@_gated(_LSC)
+@_check("maxsdsp.v", _PL, _LSC)
 def _check_maxsdsp_v(tid, desc, ctx):
     lam = _slope_bound(ctx.inst)
     for x, fx, r, a, iv, fa in ctx.net:
@@ -776,7 +801,7 @@ def _check_maxsdsp_v(tid, desc, ctx):
     return _done(tid, desc, True, margin=0)
 
 
-@_gated(_LSC)
+@_check("maxsdsp.vi", _PL, _LSC)
 def _check_maxsdsp_vi(tid, desc, ctx):
     lam = _slope_bound(ctx.inst)
     for x, _fx, r, a, iv, _fa in ctx.net:
@@ -785,7 +810,7 @@ def _check_maxsdsp_vi(tid, desc, ctx):
     return _done(tid, desc, True, margin=0)
 
 
-@_gated(_LSC)
+@_check("maxsdsp.vii", _PL, _LSC)
 def _check_maxsdsp_vii(tid, desc, ctx):
     f = ctx.inst
     for x, iv in ctx.rows(ctx.subdiff_at, dom_only=True):
@@ -798,7 +823,7 @@ def _check_maxsdsp_vii(tid, desc, ctx):
     return _done(tid, desc, True, margin=0)
 
 
-@_gated(_LSC, _GRAPH)
+@_check("maxsdsp.closure", _PL, _LSC, _GRAPH)
 def _check_maxsdsp_closure(tid, desc, ctx):
     ok1 = _closed_hull(ctx.subdiff_domain) == _closed_hull(ctx.dom)
     ok2 = _closed_hull(ctx.slope_range) == _closed_hull(effective_domain(ctx.conj))
@@ -806,7 +831,7 @@ def _check_maxsdsp_closure(tid, desc, ctx):
                  witness=("domain side", ok1, "range side", ok2))
 
 
-@_gated(_LSC)
+@_check("fspeps.ii", _PL, _LSC)
 def _check_fspeps_ii(tid, desc, ctx):
     for x, fx, *vals in ctx.rows(ctx.f_at, *ctx.smile_eps_at, dom_only=True):
         # shrinking the budget can only shrink the admitted family
@@ -826,12 +851,12 @@ def _smile_eps_recovers_f(tid, desc, ctx, dom_only):
     return _done(tid, desc, True, margin=0)
 
 
-@_gated(_LSC)
+@_check("fspeps.iii", _PL, _LSC)
 def _check_fspeps_iii(tid, desc, ctx):
     return _smile_eps_recovers_f(tid, desc, ctx, dom_only=True)
 
 
-@_gated(_LSC)
+@_check("fspeps.iv", _PL, _LSC)
 def _check_fspeps_iv(tid, desc, ctx):
     return _smile_eps_recovers_f(tid, desc, ctx, dom_only=False)
 
@@ -841,7 +866,8 @@ def _check_fspeps_iv(tid, desc, ctx):
 # ---------------------------------------------------------------------------
 
 
-@_gated(_Gate(lambda ctx: ctx.inst.lo_open or ctx.inst.hi_open, "needs a closed set"))
+@_check("ncfitz", (Interval1D,), _Gate(lambda ctx: ctx.inst.lo_open or ctx.inst.hi_open,
+                                       "needs a closed set"))
 def _check_ncfitz(tid, desc, ctx):
     C = ctx.inst
     st = subdiff_structure(indicator(C))
@@ -866,46 +892,8 @@ def _check_ncfitz(tid, desc, ctx):
 
 
 # ---------------------------------------------------------------------------
-# registry and dispatch
+# dispatch
 # ---------------------------------------------------------------------------
-
-_PL = (PLConvex1D,)
-_PL_OR_GRID = (PLConvex1D, GridFunction)
-
-REGISTRY = {
-    "dfdom.ineq": (_check_dfdom_ineq, _PL_OR_GRID),
-    "dfdom.i": (_check_dfdom_i, _PL_OR_GRID),
-    "dfdom.e3": (_check_dfdom_e3, _PL),
-    "dfdom.iv": (_check_dfdom_iv, (GridFunction,)),
-    "ba.density": (_check_ba_density, _PL),
-    "fcupdiez.i": (_check_fcupdiez_i, _PL),
-    "fcupdiez.iii": (_check_fcupdiez_iii, _PL),
-    "fcupdiez.iv": (_check_fcupdiez_iv, _PL),
-    "fcupdiez.v": (_check_fcupdiez_v, _PL),
-    "fcupdiez.viii": (_check_fcupdiez_viii, _PL),
-    "fcupdiez.ix": (_check_fcupdiez_ix, _PL),
-    "fcirc.i": (_check_fcirc_i, _PL),
-    "fcirc.ii": (_check_fcirc_ii, _PL),
-    "fcirc.iii": (_check_fcirc_iii, _PL),
-    "fcirc.iv": (_check_fcirc_iv, _PL),
-    "fcirc.v": (_check_fcirc_v, _PL),
-    "maxcup": (_check_maxcup, _PL),
-    "fsp.i": (_check_fsp_i, _PL),
-    "fsp.ii": (_check_fsp_ii, _PL),
-    "fsp.iii": (_check_fsp_iii, _PL),
-    "spxstar": (_check_spxstar, _PL),
-    "maxsdsp.ii": (_check_maxsdsp_ii, _PL),
-    "maxsdsp.iii": (_check_maxsdsp_iii, _PL),
-    "maxsdsp.iv": (_check_maxsdsp_iv, _PL),
-    "maxsdsp.v": (_check_maxsdsp_v, _PL),
-    "maxsdsp.vi": (_check_maxsdsp_vi, _PL),
-    "maxsdsp.vii": (_check_maxsdsp_vii, _PL),
-    "maxsdsp.closure": (_check_maxsdsp_closure, _PL),
-    "fspeps.ii": (_check_fspeps_ii, _PL),
-    "fspeps.iii": (_check_fspeps_iii, _PL),
-    "fspeps.iv": (_check_fspeps_iv, _PL),
-    "ncfitz": (_check_ncfitz, (Interval1D,)),
-}
 
 
 def _dispatch(tid: str, desc: str, ctx: CheckContext) -> TheoremCheck:
@@ -934,15 +922,6 @@ def run_check(theorem_id: str, inst, desc: str | None = None) -> TheoremCheck:
 # ---------------------------------------------------------------------------
 # seeded instances
 # ---------------------------------------------------------------------------
-
-FAMILIES = (
-    "pl-convex",
-    "pl-convex-with-override",
-    "grid-nonconvex",
-    "indicator-set",
-    "operator-graph",
-)
-
 
 class InstanceGenerator:
     """Deterministic instance streams keyed by a seed.
@@ -1057,22 +1036,26 @@ class InstanceGenerator:
         return OperatorGraph(1, pairs)
 
     def generate(self, family: str, count: int, **kw) -> list:
-        makers = {
-            "pl-convex": self.pl_convex,
-            "pl-convex-with-override": self.pl_convex_with_override,
-            "grid-nonconvex": self.grid_nonconvex,
-            "indicator-set": self.indicator_set,
-            "operator-graph": self.operator_graph,
-        }
-        if family not in makers:
+        if family not in _MAKERS:
             raise ValueError(f"unknown family {family!r}")
         out = []
         for i in range(count):
-            inst = makers[family](**kw)
+            inst = _MAKERS[family](self, **kw)
             if hasattr(inst, "label") and not isinstance(inst, Interval1D):
                 inst = replace(inst, label=f"{family}[{i}]")
             out.append(inst)
         return out
+
+
+# family -> the InstanceGenerator method that draws one of its instances
+_MAKERS = {
+    "pl-convex": InstanceGenerator.pl_convex,
+    "pl-convex-with-override": InstanceGenerator.pl_convex_with_override,
+    "grid-nonconvex": InstanceGenerator.grid_nonconvex,
+    "indicator-set": InstanceGenerator.indicator_set,
+    "operator-graph": InstanceGenerator.operator_graph,
+}
+FAMILIES = tuple(_MAKERS)
 
 
 # ---------------------------------------------------------------------------
@@ -1184,7 +1167,7 @@ def _gallery_quadratic() -> GalleryResult:
     phi = (sums[:, None] * t - t * t).max(axis=1)
     diff = np.abs(phi - sums * sums / 4)[cell.reshape(-1)]
     worst = float(diff.max())
-    ok = worst <= 1e-9
+    ok = worst <= GRID_TOL
     wit = None
     if not ok:
         i, j = divmod(int(diff.argmax()), 41)
@@ -1198,7 +1181,7 @@ def _gallery_quadratic() -> GalleryResult:
                 ok, wit = False, (x, y)
     c1 = TheoremCheck(
         "gallery.quadratic.coupling-square", "halved square slopes",
-        PASS if ok else FAIL, "grid", 1e-9, margin=worst, witness=wit,
+        PASS if ok else FAIL, "grid", GRID_TOL, margin=worst, witness=wit,
     )
 
     # the tangent of the halved square at anchor a is the line of slope a
@@ -1337,7 +1320,7 @@ def _gallery_two_patch() -> GalleryResult:
     g = GridFunction(1, xs, vals, label="point plus far patch")
     c1 = TheoremCheck(
         "gallery.two-patch.nonconvex", g.label,
-        PASS if not is_convex_on_grid(g) else FAIL, "grid", 1e-9,
+        PASS if not is_convex_on_grid(g) else FAIL, "grid", GRID_TOL,
     )
     hull = cl_conv(g)
     want = PLConvex1D((F(0), F(2)), (F(0), F(0)))
@@ -1402,14 +1385,13 @@ def _listed_subdiff_matrix(f: GridFunction, duals, tol):
 
 def _gallery_quadrant() -> GalleryResult:
     f, g = _quadrant_pair()
-    tol = 1e-9
     c1 = TheoremCheck(
         "gallery.quadrant.base-convex", f.label,
-        PASS if is_convex_on_grid(f, tol) else FAIL, "grid", tol,
+        PASS if is_convex_on_grid(f) else FAIL, "grid", GRID_TOL,
     )
     c2 = TheoremCheck(
         "gallery.quadrant.raised-nonconvex", g.label,
-        PASS if not is_convex_on_grid(g, tol) else FAIL, "grid", tol,
+        PASS if not is_convex_on_grid(g) else FAIL, "grid", GRID_TOL,
     )
     duals = tuple(
         (round(-3.0 + 0.5 * i, 10), round(-3.0 + 0.5 * j, 10))
@@ -1418,7 +1400,7 @@ def _gallery_quadrant() -> GalleryResult:
     )
     # membership over every listed point (the two share their point list),
     # scanned in row-major order up to the first disagreement
-    mf, mg = (_listed_subdiff_matrix(h, duals, tol) for h in (f, g))
+    mf, mg = (_listed_subdiff_matrix(h, duals, GRID_TOL) for h in (f, g))
     nd = len(duals)
     miss = np.flatnonzero(mf != mg)
     ok = not len(miss)
@@ -1430,7 +1412,7 @@ def _gallery_quadrant() -> GalleryResult:
     ]
     c3 = TheoremCheck(
         "gallery.quadrant.graph-agreement", f.label,
-        PASS if ok and len(pairs) >= 1 else FAIL, "grid", tol, witness=wit,
+        PASS if ok and len(pairs) >= 1 else FAIL, "grid", GRID_TOL, witness=wit,
     )
     return GalleryResult(
         "quadrant",
@@ -1444,14 +1426,6 @@ def _gallery_quadrant() -> GalleryResult:
     )
 
 
-GALLERY_NAMES = (
-    "quadratic",
-    "open-interval",
-    "half-circle",
-    "two-patch",
-    "quadrant",
-)
-
 _GALLERY_BUILDERS = {
     "quadratic": _gallery_quadratic,
     "open-interval": _gallery_open_interval,
@@ -1459,6 +1433,7 @@ _GALLERY_BUILDERS = {
     "two-patch": _gallery_two_patch,
     "quadrant": _gallery_quadrant,
 }
+GALLERY_NAMES = tuple(_GALLERY_BUILDERS)
 
 
 @functools.lru_cache(maxsize=None)

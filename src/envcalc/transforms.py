@@ -223,6 +223,21 @@ def _finite_arrays(f: GridFunction):
     return x, v
 
 
+def _conjugate_grid(dim, duals, vals) -> GridFunction:
+    """The grid function of conjugate values ``vals`` at ``duals``.  A value
+    of -inf, where every product y*x of its dual overflowed, is refused
+    with that dual named; the values are searched only then."""
+    try:
+        return GridFunction(dim, duals, vals)
+    except ValueError:
+        i = int(vals.argmin())
+        if vals[i] != -np.inf:
+            raise
+        y = duals[i]
+        y = y.item() if isinstance(y, np.generic) else y
+        raise ValueError(f"the conjugate at dual {y!r} is below the float range") from None
+
+
 def conjugate_brute(f: GridFunction, dual_points) -> GridFunction:
     """Dense conjugate over the finite grid points, chunked to bound memory."""
     if not isinstance(f, GridFunction):
@@ -238,7 +253,7 @@ def conjugate_brute(f: GridFunction, dual_points) -> GridFunction:
         scores = np.outer(y, x) if f.dim == 1 else y @ x.T
         scores -= v
         out[start : start + len(y)] = scores.max(axis=1)
-    return GridFunction(f.dim, duals, out)
+    return _conjugate_grid(f.dim, duals, out)
 
 
 def _inf_conv_grid(f: GridFunction, g: GridFunction) -> GridFunction:
@@ -325,7 +340,7 @@ def conjugate_llt(f: GridFunction, dual_points) -> GridFunction:
     hx, hv = np.r_[hx[0], hx, hx[-1]], np.r_[hv[0], hv, hv[-1]]
     with np.errstate(over="ignore"):
         out, mid, hi = (y * hx[d:][j] - hv[d:][j] for d in (0, 1, 2))
-    return GridFunction(1, pts, np.maximum(np.maximum(out, mid, out=out), hi, out=out))
+    return _conjugate_grid(1, pts, np.maximum(np.maximum(out, mid, out=out), hi, out=out))
 
 
 def cl_conv(f, dual_points=None):

@@ -1052,6 +1052,33 @@ def test_grid_subdiff_past_the_float_range_warns_nothing(tmp_path, capsys):
     assert out == "x,xstar\n-0.635,-2.0\n"
 
 
+def test_grid_conjugate_below_the_float_range_names_the_dual(tmp_path, capsys):
+    # every product y*x at y = -1e200 overflows to -inf; the input is proper,
+    # only the conjugate value there is out of the float range
+    path = write_json(tmp_path / "far.json",
+                      {"kind": "grid", "dim": 1, "points": [1e200, 2e200], "values": [0, 0]})
+    assert main(["conjugate", "--dual-grid", "-1e200:1e200:3", "--instance", path]) == 3
+    err = capsys.readouterr().err
+    assert err == "envcalc: the conjugate at dual -1e+200 is below the float range\n"
+
+
+_SQUARE = {"kind": "grid", "dim": 2, "points": [[0, 0], [0, 1], [1, 0], [1, 1]],
+           "values": [0, 1, 1, 2]}
+
+
+def test_clconv_on_a_2d_grid_takes_the_dual_grid(tmp_path, capsys):
+    # x + y on the unit square's corners is affine: its hull is x + y itself
+    path = write_json(tmp_path / "square.json", _SQUARE)
+    argv = ["clconv", "--instance", path, "--probes", "0:1:3"]
+    assert main(argv + ["--dual-grid", "-2:2:5"]) == 0
+    axis = (0.0, 0.5, 1.0)
+    assert capsys.readouterr().out == "x,y,value\n" + "".join(
+        f"{a!r},{b!r},{a + b!r}\n" for a in axis for b in axis)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "envcalc: clconv on a 2D grid needs --dual-grid\n"
+
+
 # ---------------------------------------------------------------------------
 # the CLI under random instance files
 # ---------------------------------------------------------------------------

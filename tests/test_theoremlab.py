@@ -75,6 +75,14 @@ def test_registry_ids_are_stable():
     assert sorted(REGISTRY) == EXPECTED_IDS
 
 
+def test_registering_an_id_twice_raises():
+    fn, kinds = REGISTRY["maxcup"]
+    with pytest.raises(ValueError, match="already registered"):
+        theoremlab._check("maxcup", kinds)(fn)
+    assert REGISTRY["maxcup"] == (fn, kinds)
+    assert list(REGISTRY).count("maxcup") == 1
+
+
 def test_run_check_unknown_id():
     with pytest.raises(KeyError):
         run_check("nope.i", ABS)
@@ -454,6 +462,46 @@ def test_half_circle_gallery_fails_on_a_wrong_closure_interval(monkeypatch):
     window = theoremlab._gallery_half_circle().checks[2]
     assert window.theorem_id == "gallery.half-circle.closure-graph-window"
     assert (window.verdict, window.witness) == ("fail", F(0))
+
+
+HAT = PLConvex1D((F(-1), F(0), F(1)), (F(1), F(0), F(1)))  # |x| on [-1, 1]
+
+
+@pytest.mark.parametrize("tid, table, k, inside", [
+    # cup <= sharp <= f, with equality where f has a subgradient
+    ("fcupdiez.i", "cup_at", None, True),
+    # smile <= cup, with equality to f where f has a subgradient
+    ("fsp.i", "smile_at", None, True),
+    # smile recovers f on the domain, and off it (+inf there)
+    ("maxsdsp.iii", "smile_at", None, True),
+    ("maxsdsp.iv", "smile_at", None, False),
+    # smile_eps grows with eps and recovers f, on the domain and off it;
+    # k picks the eps table of _EPS_LADDER that takes the wrong cell
+    ("fspeps.ii", "smile_eps_at", 1, True),
+    ("fspeps.iii", "smile_eps_at", 1, True),
+    ("fspeps.iv", "smile_eps_at", 1, False),
+])
+def test_envelope_table_readers_fail_on_a_wrong_cell(tid, table, k, inside):
+    """One wrong cell in the envelope table a check reads, at a domain
+    probe or at the first probe (outside the domain): f + 1, or 0 where f
+    is +inf.  The witness names the probe, with its eps where the check
+    walks the eps ladder."""
+    ctx = CheckContext(HAT)
+    assert _dispatch(tid, "hat", ctx).verdict == "pass"
+    x0 = ctx.dom_probes[len(ctx.dom_probes) // 2] if inside else ctx.probes[0]
+    assert ctx.dom.contains(x0) == inside
+    i = ctx.probes.index(x0)
+    fx = ctx.f_at[i]
+    wrong = as_extreal(fx.finite() + 1 if fx.is_finite else 0)
+
+    def plant(col):
+        return col[:i] + (wrong,) + col[i + 1:]
+
+    good = getattr(ctx, table)
+    bad = plant(good) if k is None else good[:k] + (plant(good[k]),) + good[k + 1:]
+    got = _dispatch(tid, "hat", _planted(HAT, **{table: bad}))
+    want = (x0, theoremlab._EPS_LADDER[k]) if tid in ("fspeps.iii", "fspeps.iv") else x0
+    assert (got.verdict, got.witness) == ("fail", want)
 
 
 def test_dfdom_iv_fails_on_a_hull_that_misses_a_sample():

@@ -1,64 +1,37 @@
 """Reach census: the functions in src/envcalc that nothing in the system runs.
 
-Runs ``envcalc.cli.main`` on one cycle of each benchmark workload (the op
-lists that ``envbench/inputs.py`` builds for seed 1, in a temporary
-directory), ``run_suite(s, 4)`` for s = 0-9 and every gallery, with
-``sys.setprofile`` recording each function that starts (from the import of
-envcalc on, so decorators count).  Then it prints each function defined in
-``src/envcalc`` that never ran, with its line count, and a total line last.
-A function nested in one that never ran is counted in its parent's lines,
-not again on its own.  Lambdas and comprehensions are not counted.
+The system is what ``tools/digest.py`` pins: its ``op_lines``, which run
+``envcalc.cli.main`` on one cycle of every op that ``envbench/inputs.py``
+builds for the three workloads on seeds 1 and 7, then ``suite --seed s``
+for s = 0-29 and ``gallery all``.  ``sys.setprofile`` records each function
+that starts (from the import of envcalc on, so decorators count).  Then it
+prints each function defined in ``src/envcalc`` that never ran, with its
+line count, and a total line last.  A function nested in one that never ran
+is counted in its parent's lines, not again on its own.  Lambdas and
+comprehensions are not counted.
 
     python3 tools/reach.py
 
-It imports ``envbench/inputs.py`` and writes nothing outside its temporary
-directory.  One run takes about 30 s on 2 vCPUs.
+It imports ``tools/digest.py`` and ``envbench/inputs.py`` and writes nothing
+outside its temporary directories.  One run takes about 20 s on 2 vCPUs.
 """
 
 from __future__ import annotations
 
 import ast
-import contextlib
-import io
 import os
 import sys
-import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src", "envcalc")
-SEED = 1
-SUITE_SEEDS = range(10)
-SUITE_INSTANCES = 4
-
-
-def _run_system(envcalc) -> None:
-    """Everything the census counts as the system: workloads, suites and
-    galleries.  Exit codes and outputs are not checked."""
-    import inputs
-
-    cwd = os.getcwd()
-    for workload in inputs.WORKLOADS:
-        with tempfile.TemporaryDirectory() as workdir:
-            ops = inputs.build(workload, SEED, workdir, 1)
-            os.chdir(workdir)
-            try:
-                for op in ops:
-                    with contextlib.redirect_stdout(io.StringIO()), \
-                            contextlib.redirect_stderr(io.StringIO()):
-                        envcalc.cli.main(op["argv"])
-            finally:
-                os.chdir(cwd)
-    for seed in SUITE_SEEDS:
-        envcalc.theoremlab.run_suite(seed, SUITE_INSTANCES)
-    for name in envcalc.theoremlab.GALLERY_NAMES:
-        envcalc.theoremlab.gallery(name)
 
 
 def _reached() -> set:
     """(file, first line) of every code object that started while envcalc
-    was imported (decorators run then) and while the system ran."""
-    sys.path.insert(0, os.path.join(ROOT, "src"))
-    sys.path.insert(0, os.path.join(ROOT, "envbench"))
+    was imported (decorators run then) and while the digest's ops ran."""
+    sys.path.insert(0, os.path.join(ROOT, "tools"))
+    import digest
+
     seen = set()
 
     def profile(frame, event, _arg):
@@ -67,13 +40,14 @@ def _reached() -> set:
 
     sys.setprofile(profile)
     try:
+        cli_main, inputs = digest._import()
         import envcalc
-        import envcalc.cli
 
         where = os.path.dirname(os.path.abspath(envcalc.__file__))
         if where != SRC:
             raise ImportError(f"envcalc came from {where}, not from {SRC}")
-        _run_system(envcalc)
+        for _line in digest.op_lines(cli_main, inputs):
+            pass
     finally:
         sys.setprofile(None)
     return {(os.path.realpath(c.co_filename), c.co_firstlineno) for c in seen}
