@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 
-from .extreal import ExtReal, NEG_INF, POS_INF, ext_sup
+from .extreal import ExtReal, NEG_INF, POS_INF
 from .funcrep import (
     GridFunction,
     Interval1D,
@@ -216,6 +216,12 @@ def _levels(f, anchors, values=None) -> list:
     return [fa.finite() for fa in values]
 
 
+def _anchor_levels(f, G: OperatorGraph) -> dict:
+    """f's finite level at each distinct anchor of G, in set order."""
+    anchors = list({a for a, _b in G.pairs})
+    return dict(zip(anchors, _levels(f, anchors)))
+
+
 def upper_envelope(f, G: OperatorGraph, tol=0) -> MaxAffine:
     """Max of the affine supports anchored at the graph pairs.
 
@@ -244,8 +250,7 @@ def star_cup(f, G: OperatorGraph, xstar) -> ExtReal:
     gives the payload (``first_max_at``).
     """
     o = 0 if G.dim == 1 else (0, 0)
-    anchors = list({a for a, _b in G.pairs})
-    pieces = tuple((o, a, -lv) for a, lv in zip(anchors, _levels(f, anchors)))
+    pieces = tuple((o, a, -lv) for a, lv in _anchor_levels(f, G).items())
     return MaxAffine(G.dim, pieces).first_max_at(xstar)
 
 
@@ -256,11 +261,10 @@ def circ(f, G: OperatorGraph, dual_points, probes) -> tuple:
     lower bound of the exact construction; equality statements live on the
     exact backend (circ_exact).
     """
-    anchors = tuple({a for a, _b in G.pairs})
-    if not anchors:
+    levels = _anchor_levels(f, G)
+    if not levels:
         return tuple((x, NEG_INF) for x in probes)
-    vals = tuple(map(float, _levels(f, anchors)))
-    restricted = GridFunction(G.dim, anchors, vals)
+    restricted = GridFunction(G.dim, tuple(levels), tuple(map(float, levels.values())))
     conj = conjugate_brute(restricted, tuple(dual_points))
     back = conjugate_brute(conj, tuple(probes))
     return tuple(zip(back.points, back.values))
@@ -317,28 +321,20 @@ def n_cup(f, G: OperatorGraph, n: int, x) -> ExtReal:
     return n_cup_envelope(f, G, n).value_at(x)
 
 
-def _budget_values(f, xs) -> list:
-    # an exact function takes float probes as the rationals they denote, as
-    # subdiff_graph does, so budgets compare exactly; grids look floats up
-    if isinstance(f, PLConvex1D):
-        xs = [_exactify(x) for x in xs]
-    return _values(f, xs)
-
-
 def smile(f, G: OperatorGraph, x) -> ExtReal:
     """Pair-route constrained envelope: the sup of the supports anchored at
-    pairs with f(a) <= f(x) only.
+    pairs with f(a) <= f(x) only, in pair order (``first_max_at``).
 
     The constraint is dropped when f(x) = +inf, matching smile_value.
     """
-    (fx,) = _budget_values(f, [x])
-    anchors = [a for a, _b in G.pairs]
-    levels = _levels(f, anchors, _budget_values(f, anchors))
-    return ext_sup(
-        fa + dot(b, point_sub(x, a, G.dim), G.dim)
-        for (a, b), fa in zip(G.pairs, levels)
-        if fx.is_pos_inf or fa <= fx.finite()
-    )
+    pts = [x, *(a for a, _b in G.pairs)]
+    # f is read once; an exact function takes float probes as the rationals
+    # they denote, as subdiff_graph does, so budgets compare exactly
+    fx, *values = _values(f, [_exactify(p) for p in pts] if isinstance(f, PLConvex1D) else pts)
+    levels = _levels(f, pts[1:], values)
+    return MaxAffine(G.dim, tuple(
+        (a, b, lv) for (a, b), lv in zip(G.pairs, levels) if fx.is_pos_inf or lv <= fx.finite()
+    )).first_max_at(x)
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +348,9 @@ def portable_hull(C: SampledSet, N_samples: OperatorGraph, tol=0):
     Each sample (a, a*) must anchor on C and satisfy <c - a, a*> <= tol for
     every sampled point c, else it is rejected.  The predicate keeps x iff
     <x - a, a*> <= tol for all samples; with no samples everything passes.
-    Also returns the sampled points that pass (all of them, by construction:
-    the set always contains its own samples).
+    Also returns the sampled points that pass: C itself, since the
+    validation is the predicate at every sampled point (a NaN product or
+    tol fails both).
     """
     if C.dim != N_samples.dim:
         raise ValueError("dimension mismatch")
@@ -361,36 +358,24 @@ def portable_hull(C: SampledSet, N_samples: OperatorGraph, tol=0):
     for a, b in N_samples.pairs:
         if a not in cpts:
             raise ValueError(f"normal sample anchored off the set: {a!r}")
-        for c in C.points:
-            if dot(b, point_sub(c, a, C.dim), C.dim) > tol:
-                raise ValueError(f"({a!r}, {b!r}) is not an outward normal")
+        if not all(dot(b, point_sub(c, a, C.dim), C.dim) <= tol for c in C.points):
+            raise ValueError(f"({a!r}, {b!r}) is not an outward normal")
 
     def member(x):
-        return all(
-            dot(b, point_sub(x, a, C.dim), C.dim) <= tol for a, b in N_samples.pairs
-        )
+        return all(dot(b, point_sub(x, a, C.dim), C.dim) <= tol for a, b in N_samples.pairs)
 
-    passed = tuple(p for p in C.points if member(p))
-    return member, SampledSet(C.dim, passed, label=C.label)
+    return member, C
 
 
 def _domain_samples(f, G: OperatorGraph) -> SampledSet:
-    pts = []
     if isinstance(f, PLConvex1D):
         dom = effective_domain(f)
-        for b in f.breakpoints:
-            if dom.contains(b):
-                pts.append(b)
+        pts = [b for b in f.breakpoints if dom.contains(b)]
     elif isinstance(f, GridFunction):
         pts = [p for p, _v in f.finite_items()]
     else:
         raise TypeError("unsupported function representation")
-    seen = set(pts)
-    for a, _b in G.pairs:
-        if a not in seen:
-            seen.add(a)
-            pts.append(a)
-    return SampledSet(G.dim, tuple(pts))
+    return SampledSet(G.dim, tuple(dict.fromkeys([*pts, *(a for a, _b in G.pairs)])))
 
 
 def portable_envelope(f, G: OperatorGraph, N_dom_samples: OperatorGraph, probes) -> tuple:

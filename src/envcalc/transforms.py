@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
@@ -25,11 +26,13 @@ from .funcrep import (
     PLConvex1D,
     SampledSet,
     _frac,
+    _dyadic,
     _grid_hull_1d,
     _hull_1d_exact,
     _hull_candidates,
     _upper_hull,
     dot,
+    shadow,
 )
 
 
@@ -224,22 +227,54 @@ def _finite_arrays(f: GridFunction):
 
 
 def _conjugate_grid(dim, duals, vals) -> GridFunction:
-    """The grid function of conjugate values ``vals`` at ``duals``.  A value
-    of -inf, where every product y*x of its dual overflowed, is refused
-    with that dual named; the values are searched only then."""
+    """The grid function of conjugate values ``vals`` at ``duals``.  A
+    grid's conjugate at a finite dual is finite, so an infinity is a value
+    past the float range (``_exact_scores``): it is refused with the first
+    such dual named; the values are searched only when one may be there."""
     try:
-        return GridFunction(dim, duals, vals)
+        g = GridFunction(dim, duals, vals)
+        if vals.max(initial=0.0) < np.inf:
+            return g
     except ValueError:
-        i = int(vals.argmin())
-        if vals[i] != -np.inf:
+        if vals.min(initial=0.0) != -np.inf:
             raise
-        y = duals[i]
-        y = y.item() if isinstance(y, np.generic) else y
-        raise ValueError(f"the conjugate at dual {y!r} is below the float range") from None
+    i = int(np.flatnonzero(np.isinf(vals))[0])
+    y = duals[i]
+    y = y.item() if isinstance(y, np.generic) else y
+    side = "above" if vals[i] > 0 else "below"
+    raise ValueError(f"the conjugate at dual {y!r} is {side} the float range") from None
+
+
+def _big(a) -> float:
+    """max |a| over a float array, from one min and one max: no temporary
+    of a's size.  0 when a is empty, and NaN when a holds one."""
+    return max(-float(a.min()), float(a.max())) if a.size else 0.0
+
+
+# a float sum or product whose exact magnitude stays below this is finite
+_RANGE = 2.0**1023
+
+
+def _exact_scores(x, v, ys) -> list:
+    """max over the samples (x, v) of <y, x> - v at each dual y of ys, on
+    the dyadic integers the floats denote, rounded once (``shadow``)."""
+    (xs, ex), (vs, ev), (yk, ey) = (_dyadic(a.ravel().tolist()) for a in (x, v, ys))
+    dim = len(xs) // len(vs)
+    samples = list(zip(zip(*[iter(xs)] * dim), vs))
+    return [
+        shadow(Fraction(max((sum(map(mul, y, p)) << ev) - (w << ey + ex) for p, w in samples),
+                        1 << ey + ex + ev))
+        for y in zip(*[iter(yk)] * dim)
+    ]
 
 
 def conjugate_brute(f: GridFunction, dual_points) -> GridFunction:
-    """Dense conjugate over the finite grid points, chunked to bound memory."""
+    """Dense conjugate over the finite grid points, chunked to bound memory.
+
+    No score <y, x> - v overflows when dim * max|y| * max|x| + max|v| is
+    below 2**1023 (Python float products overflow to inf quietly); when
+    that bound fails, each dual with a score that is not finite is decided
+    exactly (``_exact_scores``)."""
     if not isinstance(f, GridFunction):
         raise TypeError("conjugate_brute takes a GridFunction")
     x, v = _finite_arrays(f)
@@ -247,12 +282,21 @@ def conjugate_brute(f: GridFunction, dual_points) -> GridFunction:
     ys = np.array(duals, dtype=float)
     n = len(x)
     out = np.empty(len(duals), dtype=float)
+    fits = f.dim * _big(ys) * _big(x) + _big(v) < _RANGE
     step = max(1, _CHUNK_CELLS // max(n, 1))
     for start in range(0, len(duals), step):
         y = ys[start : start + step]
-        scores = np.outer(y, x) if f.dim == 1 else y @ x.T
-        scores -= v
-        out[start : start + len(y)] = scores.max(axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            scores = np.outer(y, x) if f.dim == 1 else y @ x.T
+            scores -= v
+        chunk = out[start : start + len(y)]
+        scores.max(axis=1, out=chunk)
+        if not fits:
+            # the finite duals with a score that is not finite
+            rows = np.flatnonzero(
+                ~np.isfinite(scores).all(axis=1) & np.isfinite(y.reshape(len(y), -1)).all(axis=1))
+            if len(rows):
+                chunk[rows] = _exact_scores(x, v, y[rows])
     return _conjugate_grid(f.dim, duals, out)
 
 
@@ -317,29 +361,38 @@ def conjugate_llt(f: GridFunction, dual_points) -> GridFunction:
     dual points need not be sorted.  A float64 array of duals is read as it
     stands.  The result's points are the float64 dual array when every dual
     is a float, else the duals as given, so an int keeps its spelling.
+
+    The float hull tests multiply differences of x by differences of v, so
+    the route runs only when max|y| * max|x| + max|v| and
+    4 max|x| (max|v| + 1) are below 2**1023; past that a score, a hull test
+    or a slope may overflow, and ``conjugate_brute`` answers instead.
     """
     if not isinstance(f, GridFunction) or f.dim != 1:
         raise TypeError("conjugate_llt takes a 1D GridFunction")
     x, v = _finite_arrays(f)
-    order = np.argsort(x, kind="stable")
-    x, v = x[order], v[order]
-    cand = _hull_candidates(x, v)
-    # (x, v) is on the lower hull iff the line (x, -v) reaches the upper envelope
-    keep = cand[[i for _s, _c, i in _upper_hull(zip(x[cand].tolist(), (-v[cand]).tolist()))]]
-    hx, hv = x[keep], v[keep]
-    slopes = np.diff(hv) / np.diff(hx) if len(hx) > 1 else np.empty(0)
     if isinstance(dual_points, np.ndarray) and dual_points.dtype == np.float64:
         y = pts = dual_points
     else:
         duals = tuple(dual_points)
         y = np.array(duals, dtype=float)
         pts = y if set(map(type, duals)) <= {float} else duals
+    mx, mv = _big(x), _big(v)
+    if not (_big(y) * mx + mv < _RANGE and 4 * mx * (mv + 1) < _RANGE):
+        return conjugate_brute(f, pts)
+    order = np.argsort(x, kind="stable")
+    x, v = x[order], v[order]
+    cand = _hull_candidates(x, v)
+    # (x, v) is on the lower hull iff the line (x, -v) reaches the upper envelope
+    keep = cand[[i for _s, _c, i in _upper_hull(zip(x[cand].tolist(), (-v[cand]).tolist()))]]
+    hx, hv = x[keep], v[keep]
+    # a slope over a subnormal gap may round past the float range
+    with np.errstate(over="ignore"):
+        slopes = np.diff(hv) / np.diff(hx) if len(hx) > 1 else np.empty(0)
     j = np.searchsorted(slopes, y, side="left")
     # the window j - 1, j, j + 1 (roundoff at slope ties), clipped by padding the
-    # hull with its end vertices; an overflowing product is the infinity it rounds to
+    # hull with its end vertices
     hx, hv = np.r_[hx[0], hx, hx[-1]], np.r_[hv[0], hv, hv[-1]]
-    with np.errstate(over="ignore"):
-        out, mid, hi = (y * hx[d:][j] - hv[d:][j] for d in (0, 1, 2))
+    out, mid, hi = (y * hx[d:][j] - hv[d:][j] for d in (0, 1, 2))
     return _conjugate_grid(1, pts, np.maximum(np.maximum(out, mid, out=out), hi, out=out))
 
 

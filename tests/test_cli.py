@@ -1028,14 +1028,19 @@ def test_numbers_past_the_float_range_exit_with_one_line(tmp_path, capsys, argv,
 
 def test_grid_conjugate_past_the_float_range_warns_nothing(tmp_path, capsys):
     # slope -2 times the sample at 1e308 rounds to -inf inside the LLT
-    # window; the fuzz test below once drew this file
+    # window, and at slope 2 the conjugate, about 2e308, is past the float
+    # range: refused in one line, where an inf was once printed; the fuzz
+    # test below once drew this file
     g = {"kind": "grid", "dim": 1, "points": [1e308, -1.573, -0.635, 0.037, 2.064],
          "values": [-1.309, 1.535, -1.497, 2.897, -1.139]}
     path = write_json(tmp_path / "far.json", g)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(["conjugate", "--dual-grid", "-2:2:3", "--instance", path]) == 0
-    assert capsys.readouterr().err == ""
+        assert main(["conjugate", "--dual-grid", "-2:2:3", "--instance", path]) == 3
+        assert main(["conjugate", "--dual-grid", "-2:0:3", "--instance", path]) == 0
+    out, err = capsys.readouterr()
+    assert err == "envcalc: the conjugate at dual 2.0 is above the float range\n"
+    assert out == "x,value\n-2.0,2.7670000000000003\n-1.0,2.132\n0.0,1.497\n"
 
 
 def test_grid_subdiff_past_the_float_range_warns_nothing(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -307,6 +308,10 @@ def test_portable_hull_rejects_inward_sample():
         portable_hull(C, OperatorGraph(1, ((F(0), F(1)),)))
     with pytest.raises(ValueError):
         portable_hull(C, OperatorGraph(1, ((F(1, 2), F(1)),)))
+    # a NaN tol fails the predicate at every sampled point, so no sample
+    # passes the validation, which is that predicate
+    with pytest.raises(ValueError, match="not an outward normal"):
+        portable_hull(C, OperatorGraph(1, ((F(1), F(1)),)), math.nan)
 
 
 # ---------------------------------------------------------------------------

@@ -17,13 +17,17 @@ Python-scalar routes they replaced, and the column CSV writer against the
 row join.  The in-place kernels (the llt march's window maximum, the
 prefilter's peel rounds and the inf-convolution's cumsum group labels) are
 checked byte for byte against the expression forms they replaced, and the
-type counts of grid loading against the set scans.
+type counts of grid loading against the set scans.  Both grid conjugates
+are checked against ``Fraction`` evaluation near the ends of the float
+range, and, with the membership matrix and the 1D hull, against the exact
+backend on dyadic samples of a ``PLConvex1D``.
 """
 
 import bisect
 import contextlib
 import io
 import math
+import re
 from decimal import Decimal
 from fractions import Fraction as F
 from unittest import mock
@@ -37,6 +41,7 @@ from envcalc.extreal import parse_scalar
 from envcalc.funcrep import (
     GridFunction,
     MaxAffine,
+    PLConvex1D,
     SampledSet,
     _grid_values,
     _hull_1d_exact,
@@ -46,7 +51,7 @@ from envcalc.funcrep import (
     load_instance,
     point_sub,
 )
-from envcalc.operators import grid_subdiff_matrix, grid_subdiff_test
+from envcalc.operators import grid_subdiff_matrix, grid_subdiff_test, subdiffs_exact
 from envcalc.transforms import (
     MAX_INF_CONV_PAIRS,
     ImproperError,
@@ -54,6 +59,7 @@ from envcalc.transforms import (
     _hull_candidates,
     cl_conv,
     conjugate_brute,
+    conjugate_exact,
     conjugate_llt,
     inf_conv,
 )
@@ -818,7 +824,8 @@ def test_prefilter_on_fixed_shapes(name):
 def stacked_window_march(f, duals):
     """``conjugate_llt``'s values by the march it replaced: the window
     j - 1, j, j + 1 as one stacked (3, n) index array and a max over its
-    rows, on the loop hull of all samples."""
+    rows, on the loop hull of all samples; and, per dual, whether its
+    three window scores are finite."""
     x, v = f.finite_arrays()
     order = np.argsort(x, kind="stable")
     x, v = x[order], v[order]
@@ -830,7 +837,7 @@ def stacked_window_march(f, duals):
     cand = np.stack([np.clip(j + d, 0, len(hx) - 1) for d in (-1, 0, 1)])
     with np.errstate(over="ignore"):
         vals = y[None, :] * hx[cand] - hv[cand]
-    return vals.max(axis=0)
+    return vals.max(axis=0), np.isfinite(vals).all(axis=0)
 
 
 def expression_peel(x, v):
@@ -921,13 +928,85 @@ def march_cases(draw):
                        (2.0, 1.0, 0.0, -1.0, -2.0, -3.0, -429.0, -927.0, -22334.0)),
           (-1000000.0, -999999.9999999999, -1000000.0000000001, 0.0)))
 def test_llt_march_matches_the_stacked_window(case):
+    """Bit for bit at each dual whose window scores are finite.  A dual
+    with a score past the float range is decided exactly instead, and
+    refused when its value is past the range too
+    (``test_grid_conjugates_at_the_float_range_edges``)."""
     f, duals = case
-    want = stacked_window_march(f, duals)
-    if (want == -INF).any():  # every product of some dual overflowed to -inf
-        with pytest.raises(ValueError, match="is below the float range"):
-            conjugate_llt(f, duals)
+    want, finite = stacked_window_march(f, duals)
+    try:
+        got = conjugate_llt(f, duals).value_array
+    except ValueError as e:
+        assert not finite.all() and "the float range" in str(e)
         return
-    assert conjugate_llt(f, duals).value_array.tobytes() == want.tobytes()
+    assert got[finite].tobytes() == want[finite].tobytes()
+
+
+# coordinates and values near the ends of the float range: products reach
+# 1e600 and 1e-600, few mantissas make overflowing products cancel, and a
+# value near 1e308 brings a product just past the range back into it
+edge_float = st.one_of(
+    st.sampled_from((0.0, -0.0, 1.0, -1.0, 2.0, 1e308, -1e308, 1.5e308)),
+    st.builds(lambda m, e: m * 10.0**e, st.integers(-3, 3), st.sampled_from((-300, -150, 150, 300))),
+)
+
+
+@st.composite
+def edge_conjugate_cases(draw):
+    """(f, duals): 1D or 2D grids of 1 to 5 samples and 1 to 5 distinct
+    duals, every number from ``edge_float``."""
+    dim = draw(st.sampled_from((1, 2)))
+    point = edge_float if dim == 1 else st.tuples(edge_float, edge_float)
+    canon = (lambda p: p + 0.0) if dim == 1 else (lambda p: (p[0] + 0.0, p[1] + 0.0))
+    pts = draw(st.lists(point, min_size=1, max_size=5, unique_by=canon))
+    vals = draw(st.lists(edge_float, min_size=len(pts), max_size=len(pts)))
+    duals = draw(st.lists(point, min_size=1, max_size=5, unique_by=canon))
+    return GridFunction(dim, tuple(pts), tuple(vals)), tuple(duals)
+
+
+@given(edge_conjugate_cases())
+@settings(max_examples=300, deadline=None)
+@example((GridFunction(2, ((1e200, -1e200),), (0.0,)), ((1e200, 1e200),)))
+@example((GridFunction(1, (1e200, 2e200), (1.0, 4.0)), (1e200,)))
+@example((GridFunction(1, (1e200, 2e200), (0.0, 0.0)), (-1e200, 0.0, 1e200)))
+# no score overflows, but the float hull test of (0, 0) does, and kept it
+@example((GridFunction(1, (-1e300, 1e308, 0.0), (-1e307, -1.0, 0.0)), (0.0, 1.0)))
+def test_grid_conjugates_at_the_float_range_edges(case):
+    """``conjugate_brute`` (1D and 2D) and ``conjugate_llt`` against the
+    max of <y, x> - v in Fractions on the floats read.  When some dual's
+    value is past the float range, the route refuses the first such dual,
+    in dual order, as above or below it; else every value is within
+    (dim + 2) u S + 2**-1070 of the exact one, with S the largest
+    sum_k |y_k x_k| + |v| over the samples (each score takes dim + 1
+    roundings), and the llt within its own bound of that (see
+    ``LLT_REL``).  No numpy warning escapes (pytest turns envcalc's
+    RuntimeWarnings into errors)."""
+    f, duals = case
+    x, v = f.finite_arrays()
+    dim = f.dim
+    rows = [(list(map(F, p)), F(w)) for p, w in zip(x.reshape(len(v), dim).tolist(), v.tolist())]
+    exact, scale = [], []
+    for y in duals:
+        yk = [F(c) for c in ((y,) if dim == 1 else y)]
+        exact.append(max(sum(a * b for a, b in zip(yk, p)) - w for p, w in rows))
+        scale.append(max(sum(abs(a * b) for a, b in zip(yk, p)) + abs(w) for p, w in rows))
+    past = next(((y, q) for y, q in zip(duals, exact) if not math.isfinite(funcrep.shadow(q))), None)
+    routes = [(conjugate_brute, 0)]
+    if dim == 1:
+        xs = sorted(p[0] for p, _w in rows)
+        span = xs[-1] - xs[0]
+        spread = span / min(b - a for a, b in zip(xs, xs[1:])) if len(xs) > 1 else 0
+        routes.append((conjugate_llt, F(LLT_REL) * max(scale) * (len(xs) + spread) + F(LLT_ABS) * span))
+    for route, extra in routes:
+        if past is not None:
+            y, q = past
+            side = "above" if q > 0 else "below"
+            with pytest.raises(ValueError, match=f"^the conjugate at dual {re.escape(repr(y))} is {side} the float range$"):
+                route(f, duals)
+            continue
+        got = route(f, duals).value_array.tolist()
+        for g, q, S in zip(got, exact, scale):
+            assert abs(F(g) - q) <= (dim + 2) * F(2.0**-53) * S + F(2.0**-1070) + extra, (route, g, q)
 
 
 @st.composite
@@ -1292,6 +1371,51 @@ def test_inf_conv_float_route_matches_the_pair_route(f, g):
     if isinstance(got, bytes):
         h, k = inf_conv(f, g), inf_conv(_pair_route(f), _pair_route(g))
         assert _spelled(h.points, h.value_array.tolist()) == _spelled(k.points, k.value_array.tolist())
+
+
+# ---------------------------------------------------------------------------
+# the exact and grid backends on one function
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def walled_eighths(draw):
+    """A PLConvex1D with walls at both ends, breakpoints and values in
+    (1/8)Z (integer slopes over gaps in (1/8)Z), and its grid: the
+    breakpoints and the midpoints between them, every number a dyadic
+    that a float holds exactly."""
+    m = draw(st.integers(1, 8))
+    bps = [F(draw(st.integers(-24, 8)), 8)]
+    for _ in range(m - 1):
+        bps.append(bps[-1] + F(draw(st.integers(1, 12)), 8))
+    slopes = sorted(draw(st.lists(st.integers(-4, 4), min_size=m - 1, max_size=m - 1)))
+    vals = [F(draw(st.integers(-16, 16)), 8)]
+    for s, (a, b) in zip(slopes, zip(bps, bps[1:])):
+        vals.append(vals[-1] + s * (b - a))
+    f = PLConvex1D(tuple(bps), tuple(vals))
+    xs = sorted(set(bps) | {(a + b) / 2 for a, b in zip(bps, bps[1:])})
+    g = GridFunction(1, tuple(map(float, xs)), tuple(float(v.finite()) for v in f.values_at(xs)))
+    return f, g, xs
+
+
+@given(walled_eighths())
+@settings(max_examples=200, deadline=None)
+def test_grid_routes_equal_the_exact_backend_on_dyadic_samples(case):
+    """On a sampled dyadic function every grid route is exact: both grid
+    conjugates equal ``conjugate_exact`` at duals in (1/4)Z float for
+    float, tol-0 membership equals ``subdiffs_exact``, and the grid's
+    closed hull is f at the samples, which ``is_convex_on_grid`` calls
+    convex."""
+    f, g, xs = case
+    duals = [F(k, 4) for k in range(-20, 21)]
+    want = [float(v.finite()) for v in conjugate_exact(f).values_at(duals)]
+    ys = list(map(float, duals))
+    assert conjugate_llt(g, ys).value_array.tolist() == want
+    assert conjugate_brute(g, ys).value_array.tolist() == want
+    ivs = subdiffs_exact(f, xs)
+    assert grid_subdiff_matrix(g, ys, 0).tolist() == [[iv.contains(y) for y in duals] for iv in ivs]
+    assert cl_conv(g).values_at(xs) == f.values_at(xs)
+    assert is_convex_on_grid(g)
 
 
 def test_inf_conv_mixes_keep_python_sums():

@@ -13,8 +13,10 @@ behind the ``epi_cup_floor`` membership and, for the line-hull routes over
 ``subgradient_test`` must agree with (per-pair validation in
 ``upper_envelope`` and in the theorem checks), the max loop of
 ``star_cup`` and the conjugate-side max loops that cross-check the
-anchor routes, the structure walk that ``slope_range`` replaced, the
-point-chord lower hull that ``_hull_1d_exact`` ran before it shared
+anchor routes, the ``ext_sup`` generator of ``smile``, ``circ``'s own
+anchor read and the two-pass ``portable_hull`` (with the domain samples
+and ``portable_envelope`` around it), the structure walk that
+``slope_range`` replaced, the point-chord lower hull that ``_hull_1d_exact`` ran before it shared
 ``_upper_hull``, the candidate selection of ``brondsted_search`` before
 it judged candidates as ``BrondstedResult``s, the ``subdiff_exact``
 lookup behind ``structure_contains``, and the hand-written binary search
@@ -66,6 +68,7 @@ from envcalc.extreal import (
     MixedScalarError,
     as_extreal,
     ext_add,
+    ext_sup,
     format_scalar,
     parse_scalar,
 )
@@ -74,6 +77,7 @@ from envcalc.funcrep import (
     Interval1D,
     MaxAffine,
     PLConvex1D,
+    SampledSet,
     _frac,
     _hull_1d_exact,
     dot,
@@ -92,6 +96,7 @@ from envcalc.envelopes import (
     _subdiff_restriction,
     brondsted_ladder,
     brondsted_search,
+    circ,
     circ_exact,
     cup_exact,
     cup_value,
@@ -100,9 +105,12 @@ from envcalc.envelopes import (
     envelope_values,
     n_cup,
     n_cup_envelope,
+    portable_envelope,
+    portable_hull,
     portable_hull_interval,
     sharp_exact,
     sharp_value,
+    smile,
     smile_eps_value,
     smile_value,
     star_cup,
@@ -144,6 +152,7 @@ from envcalc.theoremlab import (
 from envcalc.transforms import (
     ImproperError,
     cl_conv,
+    conjugate_brute,
     conjugate_exact,
     indicator,
     inf_conv,
@@ -495,6 +504,83 @@ def star_cup_oracle(f, G, xstar):
         if cand > best:
             best = cand
     return best
+
+
+def _budget_values_oracle(f, xs):
+    """f at each point of xs, an exact function taking floats as the
+    rationals they denote."""
+    if isinstance(f, PLConvex1D):
+        xs = [_exactify(x) for x in xs]
+    return [f.value_at(x) for x in xs]
+
+
+def smile_oracle(f, G, x):
+    """``smile`` by its generator: f read at x, then at the anchors, and
+    one ``ext_sup`` over the supports of the admitted pairs in pair order."""
+    (fx,) = _budget_values_oracle(f, [x])
+    anchors = [a for a, _b in G.pairs]
+    values = _budget_values_oracle(f, anchors)
+    for a, fa in zip(anchors, values):
+        if not fa.is_finite:
+            raise ValueError(f"anchor {a!r} has no finite value")
+    return ext_sup(
+        fa.finite() + dot(b, point_sub(x, a, G.dim), G.dim)
+        for (a, b), fa in zip(G.pairs, values)
+        if fx.is_pos_inf or fa.finite() <= fx.finite()
+    )
+
+
+def circ_oracle(f, G, dual_points, probes):
+    """``circ`` with its own read of the distinct anchors and their levels."""
+    anchors = tuple({a for a, _b in G.pairs})
+    if not anchors:
+        return tuple((x, NEG_INF) for x in probes)
+    levels = []
+    for a in anchors:
+        fa = f.value_at(a)
+        if not fa.is_finite:
+            raise ValueError(f"anchor {a!r} has no finite value")
+        levels.append(float(fa.finite()))
+    conj = conjugate_brute(GridFunction(G.dim, anchors, tuple(levels)), tuple(dual_points))
+    back = conjugate_brute(conj, tuple(probes))
+    return tuple(zip(back.points, back.values))
+
+
+def portable_hull_oracle(C, N_samples, tol=0):
+    """``portable_hull`` in two passes: validate every sample against every
+    sampled point, then keep the sampled points the predicate passes."""
+    if C.dim != N_samples.dim:
+        raise ValueError("dimension mismatch")
+    for a, b in N_samples.pairs:
+        if a not in set(C.points):
+            raise ValueError(f"normal sample anchored off the set: {a!r}")
+        for c in C.points:
+            if dot(b, point_sub(c, a, C.dim), C.dim) > tol:
+                raise ValueError(f"({a!r}, {b!r}) is not an outward normal")
+
+    def member(x):
+        return all(dot(b, point_sub(x, a, C.dim), C.dim) <= tol for a, b in N_samples.pairs)
+
+    return member, SampledSet(C.dim, tuple(p for p in C.points if member(p)), label=C.label)
+
+
+def domain_samples_oracle(f, G):
+    """The domain's breakpoints or finite samples, then each new anchor."""
+    if isinstance(f, PLConvex1D):
+        pts = [b for b in f.breakpoints if effective_domain(f).contains(b)]
+    else:
+        pts = [p for p, _v in f.finite_items()]
+    for a, _b in G.pairs:
+        if a not in pts:
+            pts.append(a)
+    return SampledSet(G.dim, tuple(pts))
+
+
+def portable_envelope_oracle(f, G, N_dom_samples, probes):
+    """``portable_envelope`` through the two-pass hull, one probe at a time."""
+    env = upper_envelope(f, G)
+    member, _ = portable_hull_oracle(domain_samples_oracle(f, G), N_dom_samples)
+    return tuple((x, env.value_at(x) if member(x) else POS_INF) for x in probes)
 
 
 def _conjugate_at(f):
@@ -1687,6 +1773,88 @@ def test_anchor_and_dual_routes_match_max_loops(case):
         assert _outcome(lambda: _bits(star_cup(f, G, x))) == want, x
         if not G.pairs:
             assert want == _bits(NEG_INF)
+
+
+def _rows(rows):
+    return [(repr(x), _bits(v)) for x, v in rows]
+
+
+_NORMALS = {
+    1: (0, -0.0, 1, -1, F(1, 2), -0.5),
+    2: ((0.0, 0.0), (1.0, 0.0), (-1.0, -0.0), (0, 1), (F(-1, 2), -1.0), (1.0, 1.0)),
+}
+
+
+@given(star_cases(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_pair_routes_match_their_loops(case, data):
+    """``smile``, ``star_cup``, ``circ``, ``portable_hull`` and
+    ``portable_envelope`` against the loops they ran before they shared
+    ``MaxAffine`` and one anchor read: the same payloads by ``repr``, or
+    the same ValueError text.  Some float grids gain a sample at +inf,
+    which an anchor may sit on, and a function known only at its anchors
+    is probed by ``smile`` there; ``portable_envelope`` runs on the pairs
+    that pass the subgradient test, with normals drawn on the domain
+    samples."""
+    f, G, probes = case
+    if isinstance(f, GridFunction) and data.draw(st.booleans()):
+        vals = list(f.value_array)
+        vals[data.draw(st.integers(0, len(vals) - 1))] = math.inf
+        f = GridFunction(f.dim, f.points, tuple(vals))
+    for x in probes:
+        if not isinstance(f, AnchorLevels) or x in f.table:
+            want = _outcome(lambda: _bits(smile_oracle(f, G, x)))
+            assert _outcome(lambda: _bits(smile(f, G, x))) == want, x
+        want = _outcome(lambda: _bits(star_cup_oracle(f, G, x)))
+        assert _outcome(lambda: _bits(star_cup(f, G, x))) == want, x
+    want = _outcome(lambda: _rows(circ_oracle(f, G, probes, probes)))
+    assert _outcome(lambda: _rows(circ(f, G, probes, probes))) == want
+    if isinstance(f, AnchorLevels):
+        return
+    pairs = [(a, b) for a, b in G.pairs if f.value_at(a).is_finite]
+    pairs = [p for p, ok in zip(pairs, subgradient_flags(f, pairs)) if ok]
+    if isinstance(f, PLConvex1D) and data.draw(st.booleans()):
+        pairs = subdiff_graph(f).pairs
+    Gv = OperatorGraph(G.dim, tuple(pairs))
+    C = domain_samples_oracle(f, Gv)
+    normals = data.draw(st.lists(st.tuples(
+        st.sampled_from(C.points), st.sampled_from(_NORMALS[G.dim])), max_size=3)) if C.points else []
+    N = OperatorGraph(G.dim, tuple(normals))
+    xs = list(probes) + list(C.points)
+
+    def hull(route):
+        member, kept = route(C, N)
+        return kept, [member(x) for x in xs]
+
+    assert _outcome(lambda: hull(portable_hull)) == _outcome(lambda: hull(portable_hull_oracle))
+    want = _outcome(lambda: _rows(portable_envelope_oracle(f, Gv, N, xs)))
+    assert _outcome(lambda: _rows(portable_envelope(f, Gv, N, xs))) == want
+
+
+@st.composite
+def rising_ray_functions(draw):
+    """``pl_functions`` with both walls traded for rays that do not fall
+    outward (left recession <= 0 <= right recession): every
+    subdifferential is a bounded interval, and no anchor on a ray sits
+    below its end breakpoint."""
+    f = draw(pl_functions())
+    s = f.slopes()
+    left = min([F(0), *s[:1]]) - draw(small)
+    right = max([F(0), *s[-1:]]) + draw(small)
+    return PLConvex1D(f.breakpoints, f.values, left, right)
+
+
+@given(rising_ray_functions(), extras)
+@settings(max_examples=150, deadline=None)
+def test_full_graph_pair_routes_equal_the_exact_envelopes(f, extra):
+    """On the full graph (each breakpoint with both ends of its
+    subdifferential) the pair routes ``upper_envelope`` and ``smile``
+    equal the exact cup and smile of ``envelope_values`` at every probe."""
+    pairs = [(a, e) for a, _v, lo, hi in subdiff_structure(f).points for e in (lo, hi)]
+    G = OperatorGraph(1, tuple(pairs))
+    xs = primal_points(f, extra)
+    assert upper_envelope(f, G).values_at(xs) == envelope_values(f, "cup", xs)
+    assert [smile(f, G, x) for x in xs] == envelope_values(f, "smile", xs)
 
 
 @given(pl_functions())
