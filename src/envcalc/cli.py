@@ -293,7 +293,10 @@ def _verb_clconv(args, inst) -> int:
         raise _UsageError("a 2D hull needs --probes to tabulate")
     axis = parse_probe_grid(args.probes, exact=False)
     pts = _cross(axis)
-    _emit(args.out, "x,y,value", _rows(pts, g.values_at(pts), 2))
+    if duals is None:
+        _emit(args.out, "x,y,value", _rows(pts, g.values_at(pts), 2))
+    else:  # a grid's hull, read as conjugate_brute reads a conjugate
+        _emit(args.out, "x,y,value", _grid_rows(transforms._hull_2d_at(g, pts)))
     return 0
 
 

@@ -153,12 +153,12 @@ def line_envelope_at(lines, probes) -> list:
     return out
 
 
-def shadow(q) -> float:
-    """The float nearest the exact q (an int or a Fraction), or an
-    infinity past the float range.  Int true division rounds correctly,
-    so the map is monotone: x < y gives shadow(x) <= shadow(y)."""
+def shadow(q, d: int = 1) -> float:
+    """The float nearest the exact q / d (q an int or a Fraction, d > 0 an
+    int), or an infinity past the float range.  Int true division rounds
+    correctly, so the map is monotone: x < y gives shadow(x) <= shadow(y)."""
     try:
-        return q.numerator / q.denominator
+        return q.numerator / (q.denominator * d)
     except OverflowError:
         return math.inf if q > 0 else -math.inf
 
@@ -917,45 +917,53 @@ def _hull_1d_exact(items) -> tuple:
 
     Each axis goes through ``_dyadic`` once, so floats, ints and dyadic
     Fractions sort and meet ``_upper_hull`` as ints, with no gcd; scaling
-    an axis by a positive constant changes no decision.  A vertex on the
-    chord of its neighbours then goes, so the breakpoints are corners and
-    ends.  Fractions are built only for the kept vertices and their slopes."""
-    items = list(items)
-    xs, ex = _dyadic([x for x, _ in items])
-    vs, ev = _dyadic([v for _, v in items])
-    merged = []
-    for x, v, i in sorted(zip(xs, vs, range(len(items)))):
-        if not merged or merged[-1][0] != x:
-            merged.append((x, v, i))
+    an axis by a positive constant changes no decision.  Of points sharing
+    an x the lowest stays, and ``_corners`` builds the result."""
+    (xs, ex), (vs, ev) = map(_dyadic, zip(*items))
+    lowest = dict(sorted(zip(xs, vs), reverse=True))  # x descending, its lowest v
+    return _corners(_upper_hull([(x, -v) for x, v in reversed(lowest.items())]), ex, ev)
+
+
+def _float_hull(x: np.ndarray, v: np.ndarray) -> tuple:
+    """The lower hull of 1D float samples, ties kept, decided on the dyadic
+    ints of the prefilter's candidates (the lowest of samples sharing a
+    float): the vertices' indices into x in ascending x, ``_upper_hull``'s
+    lines (x, -v, k) of them over 2**ex and 2**ev, and ex and ev."""
+    order = np.argsort(x, kind="stable")
+    cand = order[_hull_candidates(x[order], v[order])]
+    cand = cand[np.lexsort((v[cand], x[cand]))]
+    cand = cand[np.concatenate(([True], x[cand[1:]] != x[cand[:-1]]))]
+    (xs, ex), (vs, ev) = _dyadic(x[cand].tolist()), _dyadic(v[cand].tolist())
     # by duality, (x, v) is on the lower hull iff the line of slope x and
     # intercept -v reaches the upper envelope of those lines
-    hull = [merged[k] for _s, _c, k in _upper_hull([(x, -v) for x, v, _ in merged])]
-    # _upper_hull keeps a vertex on the chord of its neighbours: drop it
+    hull = _upper_hull([(a, -b) for a, b in zip(xs, vs)])
+    return cand[[k for _x, _c, k in hull]], hull, ex, ev
+
+
+def _corners(hull: list, ex: int, ev: int) -> tuple:
+    """``_hull_1d_exact``'s result from the ``_upper_hull`` lines (x, -v) of
+    a lower hull over 2**ex and 2**ev: a vertex on the chord of its
+    neighbours goes, and Fractions are built only for the rest and slopes."""
     hull[1:-1] = [q for p, q, r in zip(hull, hull[1:], hull[2:])
                   if (q[1] - p[1]) * (r[0] - q[0]) != (r[1] - q[1]) * (q[0] - p[0])]
     sx, sv = 1 << ex, 1 << ev
     return (
-        tuple(Fraction(items[i][0]) for _x, _v, i in hull),
-        tuple(Fraction(items[i][1]) for _x, _v, i in hull),
-        tuple(Fraction((v1 - v0) * sx, (x1 - x0) * sv)
-              for (x0, v0, _), (x1, v1, _) in zip(hull, hull[1:])),
+        tuple(Fraction(x, sx) for x, _c, _ in hull),
+        tuple(Fraction(-c, sv) for _x, c, _ in hull),
+        tuple(Fraction((c0 - c1) * sx, (x1 - x0) * sv)
+              for (x0, c0, _), (x1, c1, _) in zip(hull, hull[1:])),
     )
 
 
 def _grid_hull_1d(f: GridFunction) -> tuple:
-    """``_hull_1d_exact`` of a 1D grid's finite samples, of only the float
-    prefilter's candidates when every finite point is its own float64
-    (float points always, int points below 2^53); values always are."""
-    finite = f.finite_mask()
+    """``_hull_1d_exact`` of a 1D grid's finite samples, through
+    ``_float_hull`` when every finite point is its own float64 (float
+    points always, int points below 2^53); values always are."""
     x, v = f.finite_arrays()
-    kinds = set(map(type, compress(f.points, finite.tolist())))
+    kinds = set(map(type, compress(f.points, f.finite_mask().tolist())))
     if kinds <= {float} or kinds <= {float, int} and np.abs(x).max() < 2.0**53:
-        order = np.argsort(x, kind="stable")
-        cand = np.flatnonzero(finite)[order[_hull_candidates(x[order], v[order])]]
-        items = zip(map(f.points.__getitem__, cand.tolist()), f.value_array[cand].tolist())
-    else:
-        items = f.finite_items()
-    return _hull_1d_exact(items)
+        return _corners(*_float_hull(x, v)[1:])
+    return _hull_1d_exact(f.finite_items())
 
 
 def is_convex_on_grid(f: GridFunction, tol: float = GRID_TOL) -> bool:

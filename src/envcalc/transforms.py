@@ -27,10 +27,9 @@ from .funcrep import (
     SampledSet,
     _frac,
     _dyadic,
+    _float_hull,
     _grid_hull_1d,
     _hull_1d_exact,
-    _hull_candidates,
-    _upper_hull,
     dot,
     shadow,
 )
@@ -226,23 +225,24 @@ def _finite_arrays(f: GridFunction):
     return x, v
 
 
-def _conjugate_grid(dim, duals, vals) -> GridFunction:
-    """The grid function of conjugate values ``vals`` at ``duals``.  A
-    grid's conjugate at a finite dual is finite, so an infinity is a value
-    past the float range (``_exact_scores``): it is refused with the first
-    such dual named; the values are searched only when one may be there."""
+def _in_range(dim, points, vals, what="the conjugate at dual") -> GridFunction:
+    """The grid function of ``vals`` at ``points``, values of a conjugate,
+    hull or inf-convolution of finite samples, which is finite at a finite
+    point: an infinity is a value past the float range, refused as "{what}
+    {point!r} is above (below) the float range" for the first such point;
+    the values are searched only when one may be there."""
     try:
-        g = GridFunction(dim, duals, vals)
+        g = GridFunction(dim, points, vals)
         if vals.max(initial=0.0) < np.inf:
             return g
     except ValueError:
         if vals.min(initial=0.0) != -np.inf:
             raise
     i = int(np.flatnonzero(np.isinf(vals))[0])
-    y = duals[i]
-    y = y.item() if isinstance(y, np.generic) else y
+    p = points[i]
+    p = p.item() if isinstance(p, np.generic) else p
     side = "above" if vals[i] > 0 else "below"
-    raise ValueError(f"the conjugate at dual {y!r} is {side} the float range") from None
+    raise ValueError(f"{what} {p!r} is {side} the float range") from None
 
 
 def _big(a) -> float:
@@ -261,33 +261,35 @@ def _exact_scores(x, v, ys) -> list:
     (xs, ex), (vs, ev), (yk, ey) = (_dyadic(a.ravel().tolist()) for a in (x, v, ys))
     dim = len(xs) // len(vs)
     samples = list(zip(zip(*[iter(xs)] * dim), vs))
-    return [
-        shadow(Fraction(max((sum(map(mul, y, p)) << ev) - (w << ey + ex) for p, w in samples),
-                        1 << ey + ex + ev))
-        for y in zip(*[iter(yk)] * dim)
-    ]
+    return [shadow(max((sum(map(mul, y, p)) << ev) - (w << ey + ex) for p, w in samples),
+                   1 << ey + ex + ev) for y in zip(*[iter(yk)] * dim)]
 
 
 def conjugate_brute(f: GridFunction, dual_points) -> GridFunction:
-    """Dense conjugate over the finite grid points, chunked to bound memory.
-
-    No score <y, x> - v overflows when dim * max|y| * max|x| + max|v| is
-    below 2**1023 (Python float products overflow to inf quietly); when
-    that bound fails, each dual with a score that is not finite is decided
-    exactly (``_exact_scores``)."""
+    """Dense conjugate over the finite grid points (``_dense_sup``); a
+    value past the float range is refused, naming its dual (``_in_range``)."""
     if not isinstance(f, GridFunction):
         raise TypeError("conjugate_brute takes a GridFunction")
     x, v = _finite_arrays(f)
     duals = tuple(dual_points)
-    ys = np.array(duals, dtype=float)
-    n = len(x)
-    out = np.empty(len(duals), dtype=float)
-    fits = f.dim * _big(ys) * _big(x) + _big(v) < _RANGE
-    step = max(1, _CHUNK_CELLS // max(n, 1))
-    for start in range(0, len(duals), step):
+    return _in_range(f.dim, duals, _dense_sup(f.dim, x, v, np.array(duals, dtype=float)))
+
+
+def _dense_sup(dim, x, v, ys) -> np.ndarray:
+    """max over the samples (x, v) of <y, x> - v at each dual y of ys,
+    chunked to bound memory.
+
+    No score overflows when dim * max|y| * max|x| + max|v| is below
+    2**1023 (Python float products overflow to inf quietly); when that
+    bound fails, each dual with a score that is not finite is decided
+    exactly (``_exact_scores``)."""
+    out = np.empty(len(ys), dtype=float)
+    fits = dim * _big(ys) * _big(x) + _big(v) < _RANGE
+    step = max(1, _CHUNK_CELLS // max(len(x), 1))
+    for start in range(0, len(ys), step):
         y = ys[start : start + step]
         with np.errstate(over="ignore", invalid="ignore"):
-            scores = np.outer(y, x) if f.dim == 1 else y @ x.T
+            scores = np.outer(y, x) if dim == 1 else y @ x.T
             scores -= v
         chunk = out[start : start + len(y)]
         scores.max(axis=1, out=chunk)
@@ -297,7 +299,7 @@ def conjugate_brute(f: GridFunction, dual_points) -> GridFunction:
                 ~np.isfinite(scores).all(axis=1) & np.isfinite(y.reshape(len(y), -1)).all(axis=1))
             if len(rows):
                 chunk[rows] = _exact_scores(x, v, y[rows])
-    return _conjugate_grid(f.dim, duals, out)
+    return out
 
 
 def _inf_conv_grid(f: GridFunction, g: GridFunction) -> GridFunction:
@@ -323,7 +325,7 @@ def _inf_conv_grid(f: GridFunction, g: GridFunction) -> GridFunction:
             f"inf-convolution of {len(fv)} x {len(gv)} finite samples exceeds "
             f"the limit of {MAX_INF_CONV_PAIRS} pairs"
         )
-    # sums past the float range are infinities for GridFunction to refuse
+    # sums past the float range are infinities, refused by ``_in_range``
     with np.errstate(over="ignore"):
         if f.dim == 1:
             sums = (fx[:, None] + gx[None, :]).reshape(-1, 1)
@@ -341,7 +343,7 @@ def _inf_conv_grid(f: GridFunction, g: GridFunction) -> GridFunction:
     best = v[reach[np.r_[True, group[1:] != group[:-1]]]]
     first = order[starts]
     if f.dim == 1 and f.float_points and g.float_points:
-        return GridFunction(1, sums[first, 0], best)
+        return _in_range(1, sums[first, 0], best, "the inf-convolution at")
     fp = [p for p, _ in f.finite_items()]
     gp = [p for p, _ in g.finite_items()]
     pairs = zip(*(k.tolist() for k in np.divmod(first, len(gv))))
@@ -351,7 +353,7 @@ def _inf_conv_grid(f: GridFunction, g: GridFunction) -> GridFunction:
         pts = tuple(
             (fp[i][0] + gp[j][0], fp[i][1] + gp[j][1]) for i, j in pairs
         )
-    return GridFunction(f.dim, pts, best)
+    return _in_range(f.dim, pts, best, "the inf-convolution at")
 
 
 def conjugate_llt(f: GridFunction, dual_points) -> GridFunction:
@@ -362,10 +364,11 @@ def conjugate_llt(f: GridFunction, dual_points) -> GridFunction:
     stands.  The result's points are the float64 dual array when every dual
     is a float, else the duals as given, so an int keeps its spelling.
 
-    The float hull tests multiply differences of x by differences of v, so
-    the route runs only when max|y| * max|x| + max|v| and
-    4 max|x| (max|v| + 1) are below 2**1023; past that a score, a hull test
-    or a slope may overflow, and ``conjugate_brute`` answers instead.
+    The hull is decided exactly (``_float_hull``) and its slopes are the
+    correctly rounded quotients of its ints, so they ascend.  When
+    max|y| * max|x| + max|v| is not below 2**1023 a score may overflow:
+    each dual with a window score that is not finite is decided exactly
+    over the hull vertices, which hold every maximizer (``_exact_scores``).
     """
     if not isinstance(f, GridFunction) or f.dim != 1:
         raise TypeError("conjugate_llt takes a 1D GridFunction")
@@ -376,24 +379,22 @@ def conjugate_llt(f: GridFunction, dual_points) -> GridFunction:
         duals = tuple(dual_points)
         y = np.array(duals, dtype=float)
         pts = y if set(map(type, duals)) <= {float} else duals
-    mx, mv = _big(x), _big(v)
-    if not (_big(y) * mx + mv < _RANGE and 4 * mx * (mv + 1) < _RANGE):
-        return conjugate_brute(f, pts)
-    order = np.argsort(x, kind="stable")
-    x, v = x[order], v[order]
-    cand = _hull_candidates(x, v)
-    # (x, v) is on the lower hull iff the line (x, -v) reaches the upper envelope
-    keep = cand[[i for _s, _c, i in _upper_hull(zip(x[cand].tolist(), (-v[cand]).tolist()))]]
+    fits = _big(y) * _big(x) + _big(v) < _RANGE
+    keep, hull, ex, ev = _float_hull(x, v)
     hx, hv = x[keep], v[keep]
-    # a slope over a subnormal gap may round past the float range
-    with np.errstate(over="ignore"):
-        slopes = np.diff(hv) / np.diff(hx) if len(hx) > 1 else np.empty(0)
+    slopes = np.array([shadow((c0 - c1) << ex, (x1 - x0) << ev)
+                       for (x0, c0, _), (x1, c1, _) in zip(hull, hull[1:])], dtype=float)
     j = np.searchsorted(slopes, y, side="left")
     # the window j - 1, j, j + 1 (roundoff at slope ties), clipped by padding the
     # hull with its end vertices
-    hx, hv = np.r_[hx[0], hx, hx[-1]], np.r_[hv[0], hv, hv[-1]]
-    out, mid, hi = (y * hx[d:][j] - hv[d:][j] for d in (0, 1, 2))
-    return _conjugate_grid(1, pts, np.maximum(np.maximum(out, mid, out=out), hi, out=out))
+    wx, wv = np.r_[hx[0], hx, hx[-1]], np.r_[hv[0], hv, hv[-1]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        out, mid, hi = (y * wx[d:][j] - wv[d:][j] for d in (0, 1, 2))
+    rows = [] if fits else np.flatnonzero(~np.isfinite([out, mid, hi]).all(axis=0) & np.isfinite(y))
+    np.maximum(np.maximum(out, mid, out=out), hi, out=out)
+    if len(rows):
+        out[rows] = _exact_scores(hx, hv, y[rows])
+    return _in_range(1, pts, out)
 
 
 def cl_conv(f, dual_points=None):
@@ -424,3 +425,14 @@ def cl_conv(f, dual_points=None):
         ((0.0, 0.0), p, -val) for p, val in zip(star.points, star.value_array.tolist())
     )
     return MaxAffine(2, pieces)
+
+
+def _hull_2d_at(h: MaxAffine, probes) -> GridFunction:
+    """A 2D grid's ``cl_conv`` h, the sup over its dual window of
+    <y, x> - f*(y), at the probes: ``_dense_sup`` of the dual samples
+    (y, f*(y)), so a probe is decided as ``conjugate_brute`` decides a
+    dual, and a value past the float range is refused, naming the first
+    such probe."""
+    ys, levels = (np.array(c, dtype=float) for c in zip(*((s, lv) for _a, s, lv in h.pieces)))
+    vals = _dense_sup(2, ys, -levels, np.array(probes, dtype=float))
+    return _in_range(2, probes, vals, "the closed convex hull at")

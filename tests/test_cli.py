@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from envcalc import cli
+from envcalc import cli, transforms
 from envcalc.cli import build_parser, main, parse_probe_grid
 from envcalc.extreal import MAX_EXACT_DIGITS, NEG_INF, POS_INF, as_extreal, format_scalar
 from envcalc.funcrep import (
@@ -1082,6 +1082,54 @@ def test_clconv_on_a_2d_grid_takes_the_dual_grid(tmp_path, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == "envcalc: clconv on a 2D grid needs --dual-grid\n"
+
+
+@pytest.mark.parametrize("f, g, side", [
+    # 1e308 + 1e308 at 0 is finite but past the float range, not off the domain
+    ({"points": [0.0, 1.0], "values": [1e308, 0.0]}, {"points": [0.0], "values": [1e308]}, "above"),
+    # -1e308 - 1e308 at 0: the grid is proper, only that value is past the range
+    ({"points": [0.0, 1.0], "values": [-1e308, 0.0]}, {"points": [0.0, 1.0], "values": [-1e308, 0.0]},
+     "below"),
+])
+def test_grid_infconv_past_the_float_range_names_the_sum_point(tmp_path, capsys, f, g, side):
+    paths = [write_json(tmp_path / f"{k}.json", {"kind": "grid", "dim": 1, **h})
+             for k, h in (("f", f), ("g", g))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["infconv", "--instance", paths[0], "--instance", paths[1]]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"envcalc: the inf-convolution at 0.0 is {side} the float range\n"
+
+
+# (1e200, -1e200) at 0 and (0, 0) at 1: the hull at (x1, x2) over the one
+# dual (1e200, 1e200) is 1e200 (x1 + x2): 0 where x1 = -x2, past the range
+# at (1e200, 1e200) and (-1e200, -1e200)
+_CANCEL_2D = {"kind": "grid", "dim": 2, "points": [[1e200, -1e200], [0, 0]], "values": [0, 1]}
+
+
+@pytest.mark.parametrize("probes, msg", [
+    ("1e200:1e200:1", "the closed convex hull at (1e+200, 1e+200) is above the float range"),
+    ("-1e200:1e200:2", "the closed convex hull at (-1e+200, -1e+200) is below the float range"),
+])
+def test_clconv_2d_table_past_the_float_range_names_the_probe(tmp_path, capsys, probes, msg):
+    path = write_json(tmp_path / "cancel.json", _CANCEL_2D)
+    argv = ["clconv", "--instance", path, "--dual-grid", "1e200:1e200:1", "--probes", probes]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"envcalc: {msg}\n"
+
+
+def test_clconv_2d_table_decides_a_cancelling_cell_exactly():
+    # the two products at (-1e200, 1e200) overflow to opposite infinities,
+    # and the exact value is 0
+    f = GridFunction(2, tuple(map(tuple, _CANCEL_2D["points"])), tuple(_CANCEL_2D["values"]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h = transforms._hull_2d_at(transforms.cl_conv(f, ((1e200, 1e200),)), ((-1e200, 1e200),))
+    assert h.value_array.tolist() == [0.0]
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ as an oracle: the per-pair membership loop for ``grid_subdiff_matrix`` and
 ``grid_subdiff_test``, the dict inf-convolution for the sorted one, and the
 dense ``conjugate_brute`` for ``conjugate_llt``.  ``_llt_hull``, the float
 hull loop ``conjugate_llt`` ran before it shared ``funcrep._upper_hull``, is
-kept here as the reference for that loop on (x, -v).  The float hull
-prefilter is checked against the hull loops run over all samples,
+kept here as the reference for that loop on (x, -v), and, run on the
+samples' Fractions, as the exact hull the llt march now reads.  The float
+hull prefilter is checked against the hull loops run over all samples,
 ``_llt_hull`` and ``_hull_1d_exact``, and the 1D ``is_convex_on_grid``
 against its per-sample loop over the hull of all samples.  The membership
 screen, the one route in 1D and 2D, is checked byte for byte against the
@@ -20,7 +21,8 @@ checked byte for byte against the expression forms they replaced, and the
 type counts of grid loading against the set scans.  Both grid conjugates
 are checked against ``Fraction`` evaluation near the ends of the float
 range, and, with the membership matrix and the 1D hull, against the exact
-backend on dyadic samples of a ``PLConvex1D``.
+backend on dyadic samples of a ``PLConvex1D`` and, in 2D, of a separable
+sum of two.
 """
 
 import bisect
@@ -45,6 +47,7 @@ from envcalc.funcrep import (
     SampledSet,
     _grid_values,
     _hull_1d_exact,
+    _hull_candidates,
     _upper_hull,
     dot,
     is_convex_on_grid,
@@ -56,7 +59,6 @@ from envcalc.transforms import (
     MAX_INF_CONV_PAIRS,
     ImproperError,
     SizeLimitError,
-    _hull_candidates,
     cl_conv,
     conjugate_brute,
     conjugate_exact,
@@ -643,7 +645,7 @@ def _check_llt_keeps_the_loop_hull(f, duals):
     assert _llt_keep(x, v).tolist() == _llt_hull(x.tolist(), v.tolist()).tolist()
     if len(v) and duals:
         got = conjugate_llt(f, duals).value_array
-        with mock.patch.object(transforms, "_hull_candidates", _all_samples):
+        with mock.patch.object(funcrep, "_hull_candidates", _all_samples):
             want = conjugate_llt(f, duals).value_array
         assert got.tobytes() == want.tobytes()
 
@@ -824,14 +826,17 @@ def test_prefilter_on_fixed_shapes(name):
 def stacked_window_march(f, duals):
     """``conjugate_llt``'s values by the march it replaced: the window
     j - 1, j, j + 1 as one stacked (3, n) index array and a max over its
-    rows, on the loop hull of all samples; and, per dual, whether its
-    three window scores are finite."""
+    rows, on the exact lower hull of all samples, ties kept (``_llt_hull``
+    run on the samples' Fractions), with the correctly rounded quotients
+    of its exact slopes; and, per dual, whether its three window scores
+    are finite."""
     x, v = f.finite_arrays()
     order = np.argsort(x, kind="stable")
     x, v = x[order], v[order]
-    keep = _llt_hull(x.tolist(), v.tolist())
+    keep = _llt_hull(list(map(F, x.tolist())), list(map(F, v.tolist())))
     hx, hv = x[keep], v[keep]
-    slopes = np.diff(hv) / np.diff(hx) if len(hx) > 1 else np.empty(0)
+    slopes = np.array([funcrep.shadow((F(b) - F(a)) / (F(d) - F(c)))
+                       for a, b, c, d in zip(hv, hv[1:], hx, hx[1:])], dtype=float)
     y = np.array(duals, dtype=float)
     j = np.searchsorted(slopes, y, side="left")
     cand = np.stack([np.clip(j + d, 0, len(hx) - 1) for d in (-1, 0, 1)])
@@ -971,6 +976,9 @@ def edge_conjugate_cases(draw):
 @example((GridFunction(1, (1e200, 2e200), (0.0, 0.0)), (-1e200, 0.0, 1e200)))
 # no score overflows, but the float hull test of (0, 0) does, and kept it
 @example((GridFunction(1, (-1e300, 1e308, 0.0), (-1e307, -1.0, 0.0)), (0.0, 1.0)))
+# the maximizer's product overflows to -inf, which its value -1.7e308 brings
+# back to -1e307, while the other window score, -2e307, is finite
+@example((GridFunction(1, (-1.8e298, 0.0), (-1.7e308, 2e307)), (1e10,)))
 def test_grid_conjugates_at_the_float_range_edges(case):
     """``conjugate_brute`` (1D and 2D) and ``conjugate_llt`` against the
     max of <y, x> - v in Fractions on the floats read.  When some dual's
@@ -1007,6 +1015,36 @@ def test_grid_conjugates_at_the_float_range_edges(case):
         got = route(f, duals).value_array.tolist()
         for g, q, S in zip(got, exact, scale):
             assert abs(F(g) - q) <= (dim + 2) * F(2.0**-53) * S + F(2.0**-1070) + extra, (route, g, q)
+
+
+def _noisy_square(n, seed=0):
+    rng = np.random.default_rng(seed)
+    x = np.sort(rng.uniform(-3.0, 3.0, n))
+    return GridFunction(1, x, x * x + rng.normal(0.0, 0.05, n)), np.linspace(-8.0, 8.0, n)
+
+
+def _scaled_square(n):
+    x = np.linspace(-1e300, 1e300, n)
+    return GridFunction(1, x, (x / 1e150) ** 2), np.linspace(-2.0, 2.0, n)
+
+
+@pytest.mark.parametrize("f, duals", [
+    _scaled_square(1 << 13),
+    (GridFunction(1, (1e200, 2e200), (0.0, 0.0)), (-1e200, 0.0, 1e200)),
+    (GridFunction(1, (1e200, 2e200), (1.0, 4.0)), (1e200,)),
+    _noisy_square(1 << 10),
+    # ints sharing the float 2**53: only the lower sample can be a vertex
+    (GridFunction(1, (2**53, 2**53 + 1, 0), (1.0, 0.0, 5.0)), (0.0, 1.0)),
+    (GridFunction(1, (2**53, 2**53 + 1), (0.0, 0.0)), (-1.0, 1.0)),
+], ids=["scaled-1e300", "below", "above", "noisy-square", "shared-float", "shared-float-tie"])
+def test_llt_never_hands_off_to_brute(f, duals):
+    """``conjugate_llt`` answers every input itself, past its old range
+    bound too: with ``conjugate_brute`` patched to raise, it gives the
+    unpatched brute's bytes, or its refusal."""
+    want = _outcome(lambda: conjugate_brute(f, duals).value_array)
+    with mock.patch.object(transforms, "conjugate_brute", side_effect=AssertionError("brute ran")):
+        got = _outcome(lambda: conjugate_llt(f, duals).value_array)
+    assert got == want
 
 
 @st.composite
@@ -1379,12 +1417,12 @@ def test_inf_conv_float_route_matches_the_pair_route(f, g):
 
 
 @st.composite
-def walled_eighths(draw):
-    """A PLConvex1D with walls at both ends, breakpoints and values in
-    (1/8)Z (integer slopes over gaps in (1/8)Z), and its grid: the
-    breakpoints and the midpoints between them, every number a dyadic
-    that a float holds exactly."""
-    m = draw(st.integers(1, 8))
+def walled_eighths(draw, most=8):
+    """A PLConvex1D of at most ``most`` breakpoints, with walls at both
+    ends, breakpoints and values in (1/8)Z (integer slopes over gaps in
+    (1/8)Z), and its grid: the breakpoints and the midpoints between them,
+    every number a dyadic that a float holds exactly."""
+    m = draw(st.integers(1, most))
     bps = [F(draw(st.integers(-24, 8)), 8)]
     for _ in range(m - 1):
         bps.append(bps[-1] + F(draw(st.integers(1, 12)), 8))
@@ -1416,6 +1454,30 @@ def test_grid_routes_equal_the_exact_backend_on_dyadic_samples(case):
     assert grid_subdiff_matrix(g, ys, 0).tolist() == [[iv.contains(y) for y in duals] for iv in ivs]
     assert cl_conv(g).values_at(xs) == f.values_at(xs)
     assert is_convex_on_grid(g)
+
+
+@given(walled_eighths(4), walled_eighths(4))
+@settings(max_examples=50, deadline=None)
+def test_2d_grid_routes_equal_the_separable_exact_oracle(gcase, hcase):
+    """f(x1, x2) = g(x1) + h(x2) sampled on the product of two dyadic
+    grids, whose conjugate and subdifferential split over the two
+    coordinates, is the one exact oracle of the 2D routes:
+    ``conjugate_brute`` equals g*(y1) + h*(y2) at duals in (1/4)Z^2 float
+    for float, tol-0 membership equals dg(x1) x dh(x2) from
+    ``subdiffs_exact``, and ``is_convex_on_grid`` calls f convex."""
+    (g, _gg, gx), (h, _hg, hx) = gcase, hcase
+    axis = [F(k, 4) for k in range(-12, 13, 3)]
+    gs, hs = (conjugate_exact(u).values_at(axis) for u in (g, h))
+    want = [float((a + b).finite()) for a in gs for b in hs]
+    duals = [(float(a), float(b)) for a in axis for b in axis]
+    pts = [(float(a), float(b)) for a in gx for b in hx]
+    vals = [float((u + w).finite()) for u in g.values_at(gx) for w in h.values_at(hx)]
+    f = GridFunction(2, tuple(pts), tuple(vals))
+    assert conjugate_brute(f, duals).value_array.tolist() == want
+    dg, dh = subdiffs_exact(g, gx), subdiffs_exact(h, hx)
+    member = [[u.contains(a) and w.contains(b) for a in axis for b in axis] for u in dg for w in dh]
+    assert grid_subdiff_matrix(f, duals, 0).tolist() == member
+    assert is_convex_on_grid(f)
 
 
 def test_inf_conv_mixes_keep_python_sums():

@@ -504,6 +504,58 @@ def test_envelope_table_readers_fail_on_a_wrong_cell(tid, table, k, inside):
     assert (got.verdict, got.witness) == ("fail", want)
 
 
+# |x| on [-1, 1] with its corner cut between -1/4 and 1/4: closed, convex,
+# on the same domain and slope range as HAT, and above it only inside
+# (-1/4, 1/4), where the probe 0 is the one probe it moves
+CUT_HAT = PLConvex1D((F(-1), F(-1, 4), F(0), F(1, 4), F(1)),
+                     (F(1), F(1, 4), F(1, 8), F(1, 4), F(1)))
+
+
+def _with_cell(col, probes, x0, cell):
+    i = list(probes).index(x0)
+    return col[:i] + (cell,) + col[i + 1:]
+
+
+@pytest.mark.parametrize("tid, plant, witness", [
+    # circ <= f with equality on the subdifferential's domain: the cut
+    # corner lifts circ above f at 0
+    ("fcirc.i", lambda c: {"circ": CUT_HAT}, F(0)),
+    # circ is its own hull: a raised right end is not
+    ("fcirc.ii", lambda c: {"circ": replace(HAT, override_right=as_extreal(F(2)))},
+     "hull of the hull moved"),
+    # star_cup is circ's conjugate: raise it at the dual breakpoint 1
+    ("fcirc.ii", lambda c: {"star_cup": PLConvex1D((F(-1), F(1)), (F(0), F(1, 8)), F(-1), F(1))},
+     "dual envelope vs hull conjugate"),
+    # the subdifferential of f is circ's, cut to f's slope range: one wrong
+    # interval at 1/2, or a circ whose corner at 0 carries fewer slopes
+    ("fcirc.iii", lambda c: {"circ_range_at": _with_cell(
+        c.circ_range_at, c.circ_probes, F(1, 2), Interval1D(F(0), F(1)))}, F(1, 2)),
+    ("fcirc.iii", lambda c: {"circ": CUT_HAT, "circ_probes": c.circ_probes,
+                             "circ_range_at": c.circ_range_at}, (F(0), F(-1))),
+    # circ's cut subdifferential is nonempty exactly on f's subdifferential
+    # domain: empty at the domain probe 1/2, or nonempty at -2, off it
+    ("fcirc.iv", lambda c: {"circ_range_at": _with_cell(
+        c.circ_range_at, c.circ_probes, F(1, 2), None)}, F(1, 2)),
+    ("fcirc.iv", lambda c: {"circ_range_at": _with_cell(
+        c.circ_range_at, c.circ_probes, F(-2), Interval1D(F(0), F(0)))}, F(-2)),
+    # same subdifferential iff same slope range: the cut corner changes
+    # the first and keeps the second
+    ("fcirc.v", lambda c: {"circ": CUT_HAT}, (False, True)),
+    # a maximal instance's circ is its closure, and star_cup its conjugate
+    ("maxcup", lambda c: {"circ": CUT_HAT}, "envelope moved a maximal instance"),
+    ("maxcup", lambda c: {"star_cup": PLConvex1D((F(-1), F(1)), (F(0), F(1, 8)), F(-1), F(1))},
+     "envelope moved a maximal instance"),
+])
+def test_hull_readers_fail_on_a_wrong_circ(tid, plant, witness):
+    """The smallest wrong ``circ``, ``circ_range_at`` or ``star_cup`` in
+    the context makes each double-conjugate hull check FAIL, with the
+    planted probe, pair or identity as witness."""
+    ctx = CheckContext(HAT)
+    assert _dispatch(tid, "hat", ctx).verdict == "pass"
+    got = _dispatch(tid, "hat", _planted(HAT, **plant(ctx)))
+    assert (got.verdict, got.witness) == ("fail", witness)
+
+
 def test_dfdom_iv_fails_on_a_hull_that_misses_a_sample():
     # samples 0, 5, 0 at x = 0, 1, 2: the true hull's slope 0 at x = 1 is a
     # candidate that the raised sample cannot carry, so the sampled graph is
