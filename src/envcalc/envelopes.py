@@ -32,6 +32,7 @@ from .funcrep import (
     SampledSet,
     dot,
     effective_domain,
+    lsc_defect,
     point_sub,
 )
 from .operators import (
@@ -50,9 +51,9 @@ from .transforms import conjugate_brute, conjugate_exact
 # ---------------------------------------------------------------------------
 
 
-def envelope_values(f: PLConvex1D, kind: str, xs, eps=None, st=None) -> list:
+def envelope_values(f: PLConvex1D, kind: str, xs, eps=None) -> list:
     """The exact envelope ``kind`` at every probe of xs, in their order,
-    from one ``st.sups`` (``st`` is f's structure, built when None).
+    from one ``sups`` of f's structure (``subdiff_structure``).
 
     cup sups every support; sharp is cup inside the closed normal hull of
     the domain and +inf outside; smile admits only anchors with f(a) <=
@@ -60,8 +61,7 @@ def envelope_values(f: PLConvex1D, kind: str, xs, eps=None, st=None) -> list:
     by one ``f.values_at`` and dropped where f(x) = +inf.
     """
     xs = [_exactify(x) for x in xs]
-    if st is None:
-        st = subdiff_structure(f)
+    st = subdiff_structure(f)
     if kind in ("cup", "sharp"):
         vals = st.sups(xs)
         if kind == "sharp":
@@ -75,25 +75,25 @@ def envelope_values(f: PLConvex1D, kind: str, xs, eps=None, st=None) -> list:
     return st.sups(xs, budgets)
 
 
-def cup_value(f: PLConvex1D, x, st=None) -> ExtReal:
+def cup_value(f: PLConvex1D, x) -> ExtReal:
     """Exact upper envelope of all subdifferential supports at one probe."""
-    return envelope_values(f, "cup", [x], st=st)[0]
+    return envelope_values(f, "cup", [x])[0]
 
 
-def sharp_value(f: PLConvex1D, x, st=None) -> ExtReal:
+def sharp_value(f: PLConvex1D, x) -> ExtReal:
     """Upper envelope plus the indicator of the normal-hull of the domain."""
-    return envelope_values(f, "sharp", [x], st=st)[0]
+    return envelope_values(f, "sharp", [x])[0]
 
 
-def smile_value(f: PLConvex1D, x, st=None) -> ExtReal:
+def smile_value(f: PLConvex1D, x) -> ExtReal:
     """Exact constrained envelope: only anchors with f(a) <= f(x) count;
     where f(x) = +inf the constraint is dropped and cup_value remains."""
-    return envelope_values(f, "smile", [x], st=st)[0]
+    return envelope_values(f, "smile", [x])[0]
 
 
-def smile_eps_value(f: PLConvex1D, x, eps, st=None) -> ExtReal:
+def smile_eps_value(f: PLConvex1D, x, eps) -> ExtReal:
     """Exact relaxed constrained envelope: anchors with f(a) <= f(x) + eps."""
-    return envelope_values(f, "smileeps", [x], eps, st)[0]
+    return envelope_values(f, "smileeps", [x], eps)[0]
 
 
 def _positive_eps(eps):
@@ -225,10 +225,10 @@ def _anchor_levels(f, G: OperatorGraph) -> dict:
 def upper_envelope(f, G: OperatorGraph, tol=0) -> MaxAffine:
     """Max of the affine supports anchored at the graph pairs.
 
-    Every pair must pass ``subgradient_test(f, tol)`` and anchor at a
-    finite value; the first pair, in list order, that does not raises.  f
-    is read once at the anchors, and ``subgradient_flags`` judges the pairs
-    before the first anchor without a finite value from those values.  An
+    Every pair must pass ``subgradient_flags(f, pairs, tol)`` and anchor
+    at a finite value; the first pair, in list order, that does not raises.
+    f is read once at the anchors, and the flags judge the pairs before the
+    first anchor without a finite value from those values.  An
     empty graph yields the empty max, which is -inf everywhere (improper).
     """
     anchors = [a for a, _b in G.pairs]
@@ -281,8 +281,8 @@ def n_cup_envelope(f, G: OperatorGraph, n: int) -> MaxAffine:
     A step may keep q's own pair, so levels never fall, and once one leaves
     every level identical (type, value, a float's sign of zero) the rest
     repeat it: the DP stops there, after one step on a subdifferential
-    graph.  Overflowing float levels stay float infinities; the empty graph
-    gives -inf everywhere.  The tests enumerate the chains as an oracle.
+    graph.  A level past the float range is refused; the empty graph gives
+    -inf everywhere.  The tests enumerate the chains as an oracle.
     """
     if n not in (2, 3, 4):
         raise ValueError("n must be one of 2, 3, 4")
@@ -498,7 +498,7 @@ def _product_ok(product, eps) -> bool:
 _NUDGE = Fraction(1, 2**40)
 
 
-def brondsted_search(f: PLConvex1D, x, xstar, eps, st=None, conj=None) -> BrondstedResult:
+def brondsted_search(f: PLConvex1D, x, xstar, eps) -> BrondstedResult:
     """Scan the exact graph for a pair close to (x, x*) in the scaled norms:
     the one-eps case of ``brondsted_ladder``.
 
@@ -509,13 +509,12 @@ def brondsted_search(f: PLConvex1D, x, xstar, eps, st=None, conj=None) -> Bronds
     dual point inside an unbounded end is used only when no finite-data
     candidate meets the bounds.  ``found=False`` reports the best failing
     candidate; for lsc convex input that outcome indicates a bug upstream.
-    ``st`` and ``conj``, when given, are f's structure and conjugate.
     """
-    return next(brondsted_ladder(f, x, xstar, (eps,), st, conj))
+    return next(brondsted_ladder(f, x, xstar, (eps,)))
 
 
-def brondsted_ladder(f: PLConvex1D, x, xstar, epss, st=None, conj=None):
-    """``brondsted_search(f, x, xstar, eps, st, conj)`` for each eps of
+def brondsted_ladder(f: PLConvex1D, x, xstar, epss):
+    """``brondsted_search(f, x, xstar, eps)`` for each eps of
     epss in turn, as a generator: the candidates, with their gaps, products
     and keys, are built once, with f(x) and f*(x*) read once, and each eps
     filters them.  Each eps's preconditions are checked when it is reached.
@@ -536,22 +535,21 @@ def brondsted_ladder(f: PLConvex1D, x, xstar, epss, st=None, conj=None):
             fx = f.value_at(x)
             if not fx.is_finite:
                 raise ValueError("x is outside the domain")
-            gap = eps_subdiff_gap(f, x, xstar, conj, fx)
+            gap = eps_subdiff_gap(f, x, xstar, fx)
         if gap is None or gap > eps:
             raise ValueError("xstar is not an eps-subgradient at x")
         if finite is None:
-            finite, extended, scale = _brondsted_candidates(f, x, xstar, st)
+            finite, extended, scale = _brondsted_candidates(f, x, xstar)
         row, found = _brondsted_pick(finite, extended, eps * scale * scale, eps)
         _key, pg, dg, product, a, b = row
         yield BrondstedResult(a, b, found, pg, dg, scale, product)
 
 
-def _brondsted_candidates(f: PLConvex1D, x, xstar, st):
+def _brondsted_candidates(f: PLConvex1D, x, xstar):
     """(finite-data rows, extended rows, scale) of ``brondsted_ladder``:
     each row (key, primal gap, dual gap, product, a, b) for a candidate
     pair (a, b), each family sorted stably by key."""
-    if st is None:
-        st = subdiff_structure(f)
+    st = subdiff_structure(f)
     scale = 1 + abs(xstar)
 
     finite_cands = []
@@ -572,11 +570,7 @@ def _brondsted_candidates(f: PLConvex1D, x, xstar, st):
                 z = hi
             finite_cands.append((a, z))
 
-    excluded = set()
-    if f.override_left is not None:
-        excluded.add(f.breakpoints[0])
-    if f.override_right is not None:
-        excluded.add(f.breakpoints[-1])
+    excluded = set(lsc_defect(f))  # the raised ends
     for xlo, xhi, slope, _rx, _rv in st.segments:
         z = x
         if xlo is not None and z < xlo:

@@ -696,11 +696,25 @@ class MaxAffine:
 
     def first_max_at(self, x) -> ExtReal:
         """The sup of the pieces at x by a scan in piece order, O(P), on any
-        data: on a tie the first maximal piece gives the payload."""
-        x = _canon_point(x, self.dim)
-        return ext_sup(
-            dot(point_sub(x, a, self.dim), s, self.dim) + lv for a, s, lv in self.pieces
-        )
+        data: on a tie the first maximal piece gives the payload.  A float
+        overflow (a term of finite data that is not finite) is decided over
+        the rationals the floats denote, rounded once, and refused, naming
+        x, when that lies past the float range."""
+        d = self.dim
+        x = _canon_point(x, d)
+        terms = [dot(point_sub(x, a, d), s, d) + lv for a, s, lv in self.pieces]
+        if all(t - t == 0 for t in terms):  # every term finite
+            return ext_sup(terms)
+        q = Fraction if d == 1 else (lambda p: tuple(map(Fraction, p)))
+        try:
+            top = shadow(max(dot(point_sub(q(x), q(a), d), q(s), d) + Fraction(lv)
+                             for a, s, lv in self.pieces))
+        except (OverflowError, ValueError):  # data holding an infinity or a NaN
+            return ext_sup(terms)
+        if math.isinf(top):
+            side = "above" if top > 0 else "below"
+            raise ValueError(f"the max-affine function at {x!r} is {side} the float range")
+        return ExtReal(top)
 
     def value_at(self, x) -> ExtReal:
         """The sup of the pieces at x: one probe of ``values_at``."""
@@ -966,11 +980,11 @@ def _grid_hull_1d(f: GridFunction) -> tuple:
     return _hull_1d_exact(f.finite_items())
 
 
-def is_convex_on_grid(f: GridFunction, tol: float = GRID_TOL) -> bool:
-    """True iff finite values sit on their own lower convex hull and no listed
-    +inf point punctures the hull of the finite points (domain-gap defect).
-    In 1D every finite sample is compared, in floats and at once, with the
-    float interpolation of ``_grid_hull_1d``'s vertices."""
+def is_convex_on_grid(f: GridFunction) -> bool:
+    """True iff finite values sit within GRID_TOL of their lower convex hull
+    and no listed +inf point punctures the hull of the finite points
+    (domain-gap defect).  In 1D every finite sample is compared, in floats
+    and at once, with the float interpolation of ``_grid_hull_1d``'s vertices."""
     if not isinstance(f, GridFunction):
         raise TypeError("is_convex_on_grid takes a GridFunction")
     finite = f.finite_mask()
@@ -986,7 +1000,7 @@ def is_convex_on_grid(f: GridFunction, tol: float = GRID_TOL) -> bool:
         with np.errstate(all="ignore"):
             t = (x - hx[k]) / (hx[k + 1] - hx[k])
             hv = np.where(j == len(hx) - 1, hy[-1], hy[k] + t * (hy[k + 1] - hy[k]))
-        above = (j >= 0) & (x <= hx[-1]) & (v > hv + tol)
+        above = (j >= 0) & (x <= hx[-1]) & (v > hv + GRID_TOL)
         return not above.any() and not any(bps[0] < p < bps[-1] for p in inf_pts)
     # 2D: one small LP per point (can another-combination do strictly better?)
     from scipy.optimize import linprog
@@ -998,7 +1012,7 @@ def is_convex_on_grid(f: GridFunction, tol: float = GRID_TOL) -> bool:
         A_eq = np.vstack([pts[mask].T, np.ones(mask.sum())])
         b_eq = np.array([pts[i][0], pts[i][1], 1.0])
         res = linprog(vals[mask], A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-        if res.status == 0 and res.fun < vals[i] - tol:
+        if res.status == 0 and res.fun < vals[i] - GRID_TOL:
             return False
     for p in inf_pts:
         A_eq = np.vstack([pts.T, np.ones(len(pts))])

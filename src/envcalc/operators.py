@@ -177,10 +177,11 @@ def subdiff_structure(f: PLConvex1D) -> SubdiffStructure1D:
     """The structure of f's subdifferential from one walk over ``f.gaps``:
     gap j's segment if it has a slope, then breakpoint j unless an override
     raises it.  A sloped segment's infimum is the listed value at its lower
-    end, or it falls without bound toward an open side.  O(m).
-    """
+    end, or it falls without bound toward an open side.  O(m), once per f."""
     if not isinstance(f, PLConvex1D):
         raise TypeError("subdiff_structure takes a PLConvex1D")
+    if "_structure" in f.__dict__:
+        return f.__dict__["_structure"]
     b, v, gaps = f.breakpoints, f.values, f.gaps
     n = len(b)
     first = 0 if f.override_left is None else 1
@@ -219,9 +220,10 @@ def subdiff_structure(f: PLConvex1D) -> SubdiffStructure1D:
         # increases, the last when it decreases
         rising = order and order[0][3] is not None and order[0][3].numerator > 0
         k = len(order) - 1 if order and not rising else 0
-    return SubdiffStructure1D(
+    f.__dict__["_structure"] = st = SubdiffStructure1D(
         tuple(order), tuple(pos), tuple(adm[k::-1]), tuple(adm[k:]), k
     )
+    return st
 
 
 def subdiff_exact(f: PLConvex1D, x) -> Interval1D | None:
@@ -251,17 +253,10 @@ def subdiffs_exact(f: PLConvex1D, xs) -> list:
     return out
 
 
-def subgradient_test(f, tol=0):
-    """The predicate (x, x*) -> is x* a subgradient of f at x?  One pair of
-    ``subgradient_flags(f, pairs, tol)``, which callers holding a pair list
-    use instead."""
-    return lambda x, xstar: subgradient_flags(f, ((x, xstar),), tol)[0]
-
-
 def subgradient_flags(f, pairs, tol=0, values=None) -> list:
-    """``[subgradient_test(f, tol)(x, x*) for x, x* in pairs]``, with f read
-    once, by one ``values_at`` over the pairs' x (``values``, when given,
-    are those values, in pair order).
+    """Whether x* is a subgradient of f at x, for each pair (x, x*) of
+    pairs, with f read once, by one ``values_at`` over the pairs' x
+    (``values``, when given, are those values, in pair order).
 
     On a PLConvex1D, exactly (tol is unused): f(x) is finite, x* lies
     between the recession slopes, and cl f(y) >= f(x) + x*(y - x) at every
@@ -298,10 +293,10 @@ def subgradient_flags(f, pairs, tol=0, values=None) -> list:
 
 
 def subdiff_test(f: PLConvex1D, x, xstar) -> bool:
-    """One call of ``subgradient_test(f)``: the inequality route."""
+    """One pair of ``subgradient_flags``: the inequality route."""
     if not isinstance(f, PLConvex1D):
         raise TypeError("subdiff_test takes a PLConvex1D")
-    return subgradient_test(f)(x, xstar)
+    return subgradient_flags(f, ((x, xstar),))[0]
 
 
 _CHUNK_CELLS = 1 << 20
@@ -444,28 +439,26 @@ def _nonneg_eps(eps) -> Fraction:
     return eps
 
 
-def eps_subdiff_test(f: PLConvex1D, x, xstar, eps, conj=None) -> bool:
+def eps_subdiff_test(f: PLConvex1D, x, xstar, eps) -> bool:
     """Approximate subgradient membership via the conjugate gap:
-    f(x) + f*(xstar) <= x*xstar + eps; ``conj``, when given, is f*."""
+    f(x) + f*(xstar) <= x*xstar + eps."""
     eps = _nonneg_eps(eps)
-    gap = eps_subdiff_gap(f, x, xstar, conj)
+    gap = eps_subdiff_gap(f, x, xstar)
     return gap is not None and gap <= eps
 
 
-def eps_subdiff_gap(f: PLConvex1D, x, xstar, conj=None, fx=None):
+def eps_subdiff_gap(f: PLConvex1D, x, xstar, fx=None):
     """f(x) + f*(xstar) - x*xstar, the least eps for which xstar is an
     eps-subgradient at x, or None when f(x) or f*(xstar) is +inf; a caller
-    with several eps reads f and f* once here.  ``conj`` and ``fx``, when
-    given, are f* and f(x); f* is built only when f(x) is finite."""
+    with several eps reads f and f* once here.  ``fx``, when given, is
+    f(x); f* (``conjugate_exact``) is read only when f(x) is finite."""
     x = _frac(x)
     xstar = _frac(xstar)
     if fx is None:
         fx = f.value_at(x)
     if not fx.is_finite:
         return None
-    if conj is None:
-        conj = conjugate_exact(f)
-    fstar = conj.value_at(xstar)
+    fstar = conjugate_exact(f).value_at(xstar)
     if fstar.is_pos_inf:
         return None
     return fx.finite() + fstar.finite() - x * xstar

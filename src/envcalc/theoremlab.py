@@ -211,10 +211,9 @@ class CheckContext:
     dom_probes = cached_property(lambda c: tuple(x for x in c.probes if c.dom.contains(x)))
     duals = cached_property(lambda c: dual_probes(c.inst))
     # the subdifferential, its graphs and the domains
-    st = cached_property(lambda c: subdiff_structure(c.inst))
     shape = cached_property(lambda c: _graph_shape(c.inst))
-    has_graph = cached_property(lambda c: bool(c.st._order))
-    slope_range = cached_property(lambda c: c.st.slope_range())
+    has_graph = cached_property(lambda c: bool(subdiff_structure(c.inst)._order))
+    slope_range = cached_property(lambda c: subdiff_structure(c.inst).slope_range())
     graph = cached_property(lambda c: subdiff_graph(c.inst))
     probe_graph = cached_property(lambda c: subdiff_graph(c.inst, probes=c.probes))
     dom = cached_property(lambda c: effective_domain(c.inst))
@@ -223,7 +222,6 @@ class CheckContext:
     # closure, conjugate and envelopes
     closure = cached_property(lambda c: c.inst.closure())
     lsc_defect = cached_property(lambda c: lsc_defect(c.inst))
-    conj = cached_property(lambda c: conjugate_exact(c.inst))
     cup = cached_property(lambda c: cup_exact(c.inst))
     sharp = cached_property(lambda c: sharp_exact(c.inst))
     circ = cached_property(lambda c: circ_exact(c.inst))
@@ -257,7 +255,7 @@ class CheckContext:
         lambda c: _grid_graph_exact(c.inst, c.grid_hull, c.grid_duals))
 
     def _envelope_at(self, kind, eps=None) -> tuple:
-        return tuple(envelope_values(self.inst, kind, self.probes, eps, self.st))
+        return tuple(envelope_values(self.inst, kind, self.probes, eps))
 
     def rows(self, *tables, dom_only=False):
         """(probe, *entries) per probe, in probe order; dom_only keeps the
@@ -358,14 +356,11 @@ def _check_dfdom_ineq(tid, desc, ctx):
     if isinstance(ctx.inst, GridFunction):
         wits = [p for p, _v in ctx.inst.finite_items()]
         xs = [F(p) for p in wits]
-        h, hstar, src, duals = (ctx.grid_hull, conjugate_exact(ctx.grid_hull),
-                                ctx.grid_graph, ctx.grid_duals)
-        backend = "grid"
+        h, src, duals, backend = ctx.grid_hull, ctx.grid_graph, ctx.grid_duals, "grid"
     else:
         wits = xs = ctx.probes
-        h, hstar, src, duals = ctx.closure, ctx.conj, ctx.st, ctx.duals
-        backend = "exact"
-    hs_at = hstar.values_at(duals)
+        h, src, duals, backend = ctx.closure, subdiff_structure(ctx.inst), ctx.duals, "exact"
+    hs_at = conjugate_exact(h).values_at(duals)
     worst = None
     for w, hx, row in zip(wits, h.values_at(xs), fitzpatrick_table(src, xs, duals)):
         for s, hs, lhs in zip(duals, hs_at, row):
@@ -617,7 +612,7 @@ def _check_fcirc_ii(tid, desc, ctx):
         return _done(tid, desc, False, witness="dual envelope vs hull conjugate")
     wit = None
     if not ctx.lsc_defect:
-        starcirc = circ_exact(ctx.conj)
+        starcirc = circ_exact(conjugate_exact(ctx.inst))
         if not pl_equal(starcirc, conjugate_exact(ctx.cup)):
             return _done(tid, desc, False, witness="conjugate-side hull")
         if not pl_equal(conjugate_exact(starcirc), ctx.cup):
@@ -665,7 +660,7 @@ def _check_fcirc_v(tid, desc, ctx):
 def _check_maxcup(tid, desc, ctx):
     ok = (
         pl_equal(ctx.cup, ctx.closure)
-        and pl_equal(ctx.star_cup, ctx.conj)
+        and pl_equal(ctx.star_cup, conjugate_exact(ctx.inst))
         and pl_equal(ctx.cup, ctx.circ)
     )
     return _done(tid, desc, ok, witness="envelope moved a maximal instance")
@@ -696,13 +691,13 @@ def _probed_proper(vals) -> bool:
 @_check("fsp.ii", _PL)
 def _check_fsp_ii(tid, desc, ctx):
     lhs = _probed_proper(ctx.smile_at)
-    rhs = ctx.has_graph and ctx.conj.value_at(F(0)) == ctx.star_cup.value_at(F(0))
+    rhs = ctx.has_graph and conjugate_exact(ctx.inst).value_at(F(0)) == ctx.star_cup.value_at(F(0))
     return _done(tid, desc, lhs == rhs, witness=(lhs, rhs))
 
 
 @_check("fsp.iii", _PL)
 def _check_fsp_iii(tid, desc, ctx):
-    table = fitzpatrick_table(ctx.st, ctx.probes, (F(0),))
+    table = fitzpatrick_table(subdiff_structure(ctx.inst), ctx.probes, (F(0),))
     worst = None
     for x, (phi,), sm, fx in ctx.rows(table, ctx.smile_at, ctx.f_at):
         bound = ext_add(phi, fx)
@@ -715,7 +710,7 @@ def _check_fsp_iii(tid, desc, ctx):
 @_check("spxstar", _PL)
 def _check_spxstar(tid, desc, ctx):
     # smile of f - <., s> at f's probes, whose subdifferential is that of f, less s
-    rhs = ctx.has_graph and pl_equal(ctx.conj, ctx.star_cup)
+    rhs = ctx.has_graph and pl_equal(conjugate_exact(ctx.inst), ctx.star_cup)
     for s in ctx.duals:
         if _probed_proper(envelope_values(ctx.inst.tilt(s), "smile", ctx.probes)) != rhs:
             return _done(tid, desc, False, witness=s)
@@ -731,7 +726,7 @@ def _check_spxstar(tid, desc, ctx):
 def _check_maxsdsp_ii(tid, desc, ctx):
     xs, duals = ctx.dom_probes, ctx.duals
     worst = None
-    for x, row in zip(xs, fitzpatrick_table(ctx.st, xs, duals)):
+    for x, row in zip(xs, fitzpatrick_table(subdiff_structure(ctx.inst), xs, duals)):
         for s, phi in zip(duals, row):
             if phi < x * s:
                 return _done(tid, desc, False, ext_sub(phi, as_extreal(x * s)), (x, s))
@@ -816,7 +811,7 @@ def _check_maxsdsp_vii(tid, desc, ctx):
     for x, iv in ctx.rows(ctx.subdiff_at, dom_only=True):
         if iv is None:
             return _done(tid, desc, False, witness=x)
-        ladder = brondsted_ladder(f, x, _some_slope(iv), _EPS_LADDER, ctx.st, ctx.conj)
+        ladder = brondsted_ladder(f, x, _some_slope(iv), _EPS_LADDER)
         for eps, res in zip(_EPS_LADDER, ladder):
             if not (res.found and res.renorm_ok(eps) and res.product_ok(eps)):
                 return _done(tid, desc, False, witness=(x, eps))
@@ -826,7 +821,7 @@ def _check_maxsdsp_vii(tid, desc, ctx):
 @_check("maxsdsp.closure", _PL, _LSC, _GRAPH)
 def _check_maxsdsp_closure(tid, desc, ctx):
     ok1 = _closed_hull(ctx.subdiff_domain) == _closed_hull(ctx.dom)
-    ok2 = _closed_hull(ctx.slope_range) == _closed_hull(effective_domain(ctx.conj))
+    ok2 = _closed_hull(ctx.slope_range) == _closed_hull(effective_domain(conjugate_exact(ctx.inst)))
     return _done(tid, desc, ok1 and ok2,
                  witness=("domain side", ok1, "range side", ok2))
 
@@ -870,7 +865,6 @@ def _check_fspeps_iv(tid, desc, ctx):
                                        "needs a closed set"))
 def _check_ncfitz(tid, desc, ctx):
     C = ctx.inst
-    st = subdiff_structure(indicator(C))
     probes = set()
     for end in (C.lo, C.hi):
         if end is not None:
@@ -883,7 +877,7 @@ def _check_ncfitz(tid, desc, ctx):
         probes.add((C.lo if C.lo is not None else F(0)) + 5)
     duals = (F(-3), F(-1), F(-1, 2), F(0), F(1, 2), F(1), F(3))
     xs = sorted(probes)
-    for x, row in zip(xs, fitzpatrick_table(st, xs, duals)):
+    for x, row in zip(xs, fitzpatrick_table(subdiff_structure(indicator(C)), xs, duals)):
         for s, phi in zip(duals, row):
             want = support_function(C, s) if C.contains(x) else POS_INF
             if phi != want:

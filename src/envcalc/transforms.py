@@ -70,9 +70,11 @@ def conjugate_exact(f: PLConvex1D) -> PLConvex1D:
     previous dual breakpoint, so it is the slope of the dual segment that
     ends at y, and the result is built with those slopes, unchecked.  Each
     value y*b[i] - v[i] is one integer fraction over three denominators.
-    """
+    Built once per f, and kept on it."""
     if not isinstance(f, PLConvex1D):
         raise TypeError("conjugate_exact takes a PLConvex1D")
+    if "_conjugate" in f.__dict__:
+        return f.__dict__["_conjugate"]
     g = f.closure()
     b, v = g.breakpoints, g.values
     firsts = [(j, y) for j, y in enumerate(g.gaps) if y is not None]
@@ -88,13 +90,14 @@ def conjugate_exact(f: PLConvex1D) -> PLConvex1D:
         ys.append(y)
         vals.append(Fraction(num, yd * bd * vd))
         maximizers.append(bi)
-    return PLConvex1D._make(
+    f.__dict__["_conjugate"] = conj = PLConvex1D._make(
         tuple(ys),
         tuple(vals),
         b[0] if g.left_recession is None else None,
         b[-1] if g.right_recession is None else None,
         slopes=tuple(maximizers[1:]),
     )
+    return conj
 
 
 def indicator(S) -> PLConvex1D | GridFunction:

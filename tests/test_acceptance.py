@@ -125,12 +125,11 @@ def test_criterion_04_equivalence_battery():
     t0 = time.perf_counter()
     ok = True
     for f in seeded_pl():
-        st = subdiff_structure(f)
         for x in primal_probes(f):
             fx = f.value_at(x)
-            ok = ok and smile_value(f, x, st=st) == fx
-            ok = ok and smile_eps_value(f, x, F(1, 10), st=st) == fx
-            ok = ok and smile_eps_value(f, x, F(1), st=st) == fx
+            ok = ok and smile_value(f, x) == fx
+            ok = ok and smile_eps_value(f, x, F(1, 10)) == fx
+            ok = ok and smile_eps_value(f, x, F(1)) == fx
         G = subdiff_graph(f)
         # probe window: breakpoint hull crossed with the sampled dual range,
         # where every probe sees a compatible pair of the finite sample
@@ -163,9 +162,9 @@ def _pl_chains_ok(f):
     xs = primal_probes(f)[::2]
     ss = grid_span(slope_pool(f), 2, 2, 7)
     for x in xs:
-        lo = smile_value(f, x, st=st)
-        mid = cup_value(f, x, st=st)
-        hi = sharp_value(f, x, st=st)
+        lo = smile_value(f, x)
+        mid = cup_value(f, x)
+        hi = sharp_value(f, x)
         if not (lo <= mid <= hi <= f.value_at(x)):
             return False
         if not (mid <= clf.value_at(x) <= circf.value_at(x)):

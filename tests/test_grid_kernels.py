@@ -39,7 +39,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from envcalc import cli, funcrep, operators, theoremlab, transforms
-from envcalc.extreal import parse_scalar
+from envcalc.extreal import ExtReal, parse_scalar
 from envcalc.funcrep import (
     GridFunction,
     MaxAffine,
@@ -1478,6 +1478,46 @@ def test_2d_grid_routes_equal_the_separable_exact_oracle(gcase, hcase):
     member = [[u.contains(a) and w.contains(b) for a in axis for b in axis] for u in dg for w in dh]
     assert grid_subdiff_matrix(f, duals, 0).tolist() == member
     assert is_convex_on_grid(f)
+
+
+@given(walled_eighths(), walled_eighths())
+@settings(max_examples=50, deadline=None)
+def test_grid_inf_conv_bounds_the_exact_one_and_meets_it_at_its_breakpoints(fcase, gcase):
+    """The grid inf-convolution of two dyadic samples is an inf over fewer
+    pairs than the exact one of the functions sampled, so it is at least
+    that one at every sum point; each breakpoint of the exact result is a
+    sum of breakpoints, both sampled, where the two are equal as floats."""
+    (f, fg, _fx), (g, gg, _gx) = fcase, gcase
+    h = transforms._inf_conv_exact(f, g)
+    grid = inf_conv(fg, gg)
+    at = dict(zip(map(F, grid.points), grid.value_array.tolist()))
+    for (z, v), w in zip(at.items(), h.values_at(list(at))):
+        assert F(v) >= w.finite(), z
+    assert [at[b] for b in h.breakpoints] == [float(v) for v in h.values]
+
+
+# (1e200, -1e200) at 0 and (0, 0) at 1, hulled over the one dual
+# (1e200, 1e200): 1e200 (x1 + x2), whose two products cancel exactly at
+# (-1e200, 1e200) and reach about 2e400 at (1e200, 1e200)
+_CANCEL_HULL = GridFunction(2, ((1e200, -1e200), (0.0, 0.0)), (0.0, 1.0))
+
+
+def test_max_affine_decides_an_overflowing_probe_exactly():
+    h = cl_conv(_CANCEL_HULL, ((1e200, 1e200),))
+    assert repr(h.values_at([(-1e200, 1e200)])) == repr([ExtReal(0.0)])
+    # finite terms keep their float value
+    assert repr(h.values_at([(1.0, 2.0)])) == repr([ExtReal(3e200)])
+
+
+@pytest.mark.parametrize("h, probe, msg", [
+    (cl_conv(_CANCEL_HULL, ((1e200, 1e200),)), (1e200, 1e200), "(1e+200, 1e+200) is above"),
+    (MaxAffine(1, ((0.0, 1e200, 0.0),)), 1e200, "1e+200 is above"),
+    (MaxAffine(1, ((0.0, 1e200, 0.0),)), -1e200, "-1e+200 is below"),
+])
+def test_max_affine_refuses_a_value_past_the_float_range(h, probe, msg):
+    # a max of finite pieces is finite: past the range it is refused, not +inf
+    with pytest.raises(ValueError, match=f"^the max-affine function at {re.escape(msg)} the float range$"):
+        h.values_at([probe])
 
 
 def test_inf_conv_mixes_keep_python_sums():

@@ -10,7 +10,7 @@ behind the ``epi_cup_floor`` membership and, for the line-hull routes over
 1D pair lists, the per-cell ``fitzpatrick`` pair loop, the per-probe
 ``MaxAffine.value_at``, the all-pairs relation test of
 ``is_maximal_relative``, the ``subdiff_exact`` containment that
-``subgradient_test`` must agree with (per-pair validation in
+``subgradient_flags`` must agree with (per-pair validation in
 ``upper_envelope`` and in the theorem checks), the max loop of
 ``star_cup`` and the conjugate-side max loops that cross-check the
 anchor routes, the ``ext_sup`` generator of ``smile``, ``circ``'s own
@@ -22,7 +22,7 @@ it judged candidates as ``BrondstedResult``s, the ``subdiff_exact``
 lookup behind ``structure_contains``, and the hand-written binary search
 that ``PLConvex1D.value_at`` ran before it took ``bisect_right``, and the
 scans that four one-bisection kernels replaced: the breakpoint loop of
-``subgradient_test``, the cut loop of ``epi_cup_floor``, the segment scan
+``subgradient_flags``, the cut loop of ``epi_cup_floor``, the segment scan
 of ``subdiff_graph`` and the list scans of ``theoremlab._net_points``,
 with the full (n - 1)-step chain DP that ``n_cup_envelope`` now stops at
 its fixed point, the two-list build of ``subdiff_structure`` before it
@@ -40,7 +40,7 @@ both answer to the binary-search and scan oracles above, compared by
 once per probe is the reference of ``sups`` over many probes, as the
 one-probe envelope functions are of the check lab's probe tables,
 ``brondsted_search`` once per eps of ``brondsted_ladder`` and the one-pair
-``subgradient_test`` of ``subgradient_flags``; the public ``PLConvex1D`` constructor is the
+``subdiff_test`` of ``subgradient_flags``; the public ``PLConvex1D`` constructor is the
 reference of the private ``_make``, and ``pl_restrict`` (an indicator
 added with ``pl_add``) of the envelopes' O(1) restrictions.  ``pl_add``,
 the general exact sum, is also the middle of the dual route
@@ -135,7 +135,6 @@ from envcalc.operators import (
     subdiff_structure,
     subdiff_test,
     subgradient_flags,
-    subgradient_test,
     subdiffs_exact,
 )
 from envcalc.theoremlab import (
@@ -411,7 +410,7 @@ def subdiff_test_oracle(f, x, xstar):
 
 
 def subgradient_loop_oracle(f, x, xstar):
-    """``subgradient_test`` before its bisection: f(x) finite, cl f(y) >=
+    """``subgradient_flags`` before its bisection: f(x) finite, cl f(y) >=
     f(x) + x*(y - x) at every breakpoint y, x* between the recessions."""
     x, xstar = _frac(x), _frac(xstar)
     fx = f.value_at(x)
@@ -945,14 +944,14 @@ def test_support_sup_matches_scan(f, extra):
         assert st_.sups(xs, [theta] * len(xs)) == want, theta
     for x in xs:
         fx = f.value_at(x)
-        assert cup_value(f, x, st=st_) == threshold_sup_oracle(st_, x)
+        assert cup_value(f, x) == threshold_sup_oracle(st_, x)
         want = threshold_sup_oracle(st_, x, None if fx.is_pos_inf else fx.finite())
-        assert smile_value(f, x, st=st_) == want
+        assert smile_value(f, x) == want
         for eps in (F(1, 7), F(2)):
             want = threshold_sup_oracle(
                 st_, x, None if fx.is_pos_inf else fx.finite() + eps
             )
-            assert smile_eps_value(f, x, eps, st=st_) == want
+            assert smile_eps_value(f, x, eps) == want
 
 
 def _check_fitzpatrick_table(f, xextra, yextra, rnd):
@@ -1157,17 +1156,15 @@ def test_ncup_empty_graph_and_depth():
         n_cup_envelope(PLConvex1D((F(1), F(2)), (F(0), F(0))), off, 2)
 
 
-def test_ncup_float_levels_overflow_to_float_inf():
-    # levels past the float range stay float infinities, as in the DP
+def test_ncup_float_levels_past_the_float_range_are_refused():
+    # the level at anchor 0 is 2e308: finite, but past the float range,
+    # where the float DP of the oracle overflows to inf
     f = GridFunction(1, (0.0, 1.0, 2.0), (1e308, 1e308, 0.0))
     G = OperatorGraph(1, ((0.0, 1e308), (1.0, 1e308), (2.0, -1e308)))
     for n in (2, 3, 4):
-        env = n_cup_envelope(f, G, n)
-        levels = [lv for _a, _b, lv in env.pieces]
-        assert [repr(lv) for lv in levels] == [repr(lv) for lv in n_cup_levels_oracle(f, G, n)]
-        assert float("inf") in levels
-        for x in (0.0, 1.5, 3.0):
-            assert _bits(env.value_at(x)) == _bits(n_cup_oracle(f, G, n, x))
+        assert n_cup_levels_oracle(f, G, n)[0] == float("inf")
+        with pytest.raises(ValueError, match="^the max-affine function at 0.0 is above the float range$"):
+            n_cup_envelope(f, G, n)
 
 
 # ---------------------------------------------------------------------------
@@ -1439,17 +1436,18 @@ def test_load_instance_matches_fraction_validation(d):
         assert all(type(q) is F for q in nums if q is not None)
 
 
-@given(pl_functions(), extras, st.sampled_from((F(1), F(1, 4), F(1, 100))))
-@settings(max_examples=60, deadline=None)
-def test_brondsted_search_with_shared_structure(f, extra, eps):
-    shared = {"st": subdiff_structure(f), "conj": conjugate_exact(f)}
-    for x in primal_points(f, extra):
-        iv = subdiff_exact(f, x)
-        duals = [F(0), F(-3)] if iv is None else [
-            e for e in (iv.lo, iv.hi) if e is not None] + [F(1, 2), F(-7, 3)]
-        for xstar in duals:
-            want = _outcome(lambda: brondsted_search(f, x, xstar, eps))
-            assert _outcome(lambda: brondsted_search(f, x, xstar, eps, **shared)) == want
+@given(pl_functions())
+@settings(max_examples=20, deadline=None)
+def test_structure_and_conjugate_are_built_once_per_function(f):
+    """Both facts are kept on the frozen f, so a second call returns the
+    same object; an equal function built anew builds its own."""
+    assert subdiff_structure(f) is subdiff_structure(f)
+    assert conjugate_exact(f) is conjugate_exact(f)
+    g = PLConvex1D(f.breakpoints, f.values, f.left_recession, f.right_recession,
+                   f.override_left, f.override_right)
+    assert subdiff_structure(g) is not subdiff_structure(f)
+    assert subdiff_structure(g) == subdiff_structure(f)
+    assert pl_equal(conjugate_exact(g), conjugate_exact(f))
 
 
 # ---------------------------------------------------------------------------
@@ -1682,7 +1680,6 @@ def test_check_subgradient_predicate_matches_subdiff_test(f, extra):
     points off the domain, for slopes at and next to the interval ends;
     the pair-list form, reading f itself or handed its values, gives the
     same bools."""
-    test = subgradient_test(f)
     b = f.breakpoints
     pairs, wants = [], []
     for a in b + tuple(extra) + (b[0] - 5, b[-1] + 5):
@@ -1691,7 +1688,7 @@ def test_check_subgradient_predicate_matches_subdiff_test(f, extra):
         for s in ends or [F(0)]:
             for d in (F(-1, 7), F(0), F(1, 7)):
                 want = subdiff_test_oracle(f, a, s + d)
-                assert test(a, s + d) == subdiff_test(f, a, s + d) == want
+                assert subdiff_test(f, a, s + d) == want
                 pairs.append((a, s + d))
                 wants.append(want)
     assert subgradient_flags(f, pairs) == wants
@@ -1713,16 +1710,15 @@ def test_upper_envelope_validation_errors():
 
 def test_subgradient_test_dispatch():
     g = GridFunction(1, (-1.0, 0.0, 1.0), (1.0, 0.0, 1.0))
-    test = subgradient_test(g, 0.25)
-    for a, s in ((0.0, 1.0), (0.0, 1.2), (0.0, 1.5), (1.0, 0.5), (1.0, 2.0), (9.0, 0.0)):
-        assert test(a, s) == grid_subdiff_test(g, a, s, 0.25)
-    assert test(0.0, 1.2) and not subgradient_test(g)(0.0, 1.2)
-    pairs = [(0.0, 1.0), (0.0, 1.2), (1.0, 0.5), (9.0, 0.0)]
-    assert subgradient_flags(g, pairs, 0.25) == [test(a, s) for a, s in pairs]
+    pairs = [(0.0, 1.0), (0.0, 1.2), (0.0, 1.5), (1.0, 0.5), (1.0, 2.0), (9.0, 0.0)]
+    assert subgradient_flags(g, pairs, 0.25) == [
+        grid_subdiff_test(g, a, s, 0.25) for a, s in pairs]
+    assert subgradient_flags(g, [(0.0, 1.2)], 0.25) == [True]
+    assert subgradient_flags(g, [(0.0, 1.2)]) == [False]
     with pytest.raises(TypeError, match="subdiff_test takes a PLConvex1D"):
         subdiff_test(g, 0, 0)
     with pytest.raises(TypeError, match="unsupported"):
-        subgradient_test(MaxAffine(1, ()))(0, 0)
+        subgradient_flags(MaxAffine(1, ()), [(0, 0)])
     # the pair-list form raises only when it has a pair to judge
     assert subgradient_flags(MaxAffine(1, ()), []) == []
     with pytest.raises(MixedScalarError):
@@ -2027,7 +2023,7 @@ def test_hull_1d_exact_matches_point_chord_loop(items):
 _NUDGE = F(1, 2**40)
 
 
-def brondsted_search_oracle(f, x, xstar, eps, st=None, conj=None):
+def brondsted_search_oracle(f, x, xstar, eps):
     """The pair search with its own copy of the two bounds, as before it
     judged candidates through ``BrondstedResult``."""
     x, xstar, eps = _exactify(x), _exactify(xstar), _exactify(eps)
@@ -2035,10 +2031,9 @@ def brondsted_search_oracle(f, x, xstar, eps, st=None, conj=None):
         raise ValueError("eps must be positive")
     if not f.value_at(x).is_finite:
         raise ValueError("x is outside the domain")
-    if not eps_subdiff_test(f, x, xstar, eps, conj=conj):
+    if not eps_subdiff_test(f, x, xstar, eps):
         raise ValueError("xstar is not an eps-subgradient at x")
-    if st is None:
-        st = subdiff_structure(f)
+    st = subdiff_structure(f)
     scale = 1 + abs(xstar)
     finite_cands, extended_cands = [], []
     for a, _v, lo, hi in st.points:
@@ -2117,7 +2112,6 @@ def brondsted_search_oracle(f, x, xstar, eps, st=None, conj=None):
 def test_brondsted_search_matches_candidate_loop(f, extra):
     """Whole results, spelled the same (repr), or the same ValueError, at
     the three eps of the check lab's ladder."""
-    shared = {"st": subdiff_structure(f), "conj": conjugate_exact(f)}
     for x in primal_points(f, extra):
         iv = subdiff_exact(f, x)
         duals = [F(0), F(-3)] if iv is None else [
@@ -2125,8 +2119,8 @@ def test_brondsted_search_matches_candidate_loop(f, extra):
         for xstar in duals:
             for eps in (F(1), F(1, 4), F(1, 100)):
                 want = _outcome(
-                    lambda: repr(brondsted_search_oracle(f, x, xstar, eps, **shared)))
-                got = _outcome(lambda: repr(brondsted_search(f, x, xstar, eps, **shared)))
+                    lambda: repr(brondsted_search_oracle(f, x, xstar, eps)))
+                got = _outcome(lambda: repr(brondsted_search(f, x, xstar, eps)))
                 assert got == want
 
 
@@ -2164,7 +2158,6 @@ def test_brondsted_ladder_matches_search_per_eps(f, extra):
     same eps.  Probes include the override ends, where the ``_NUDGE`` step
     applies, and duals include the ends of the eps-subdifferential at the
     largest eps, which the smaller ones may refuse."""
-    shared = {"st": subdiff_structure(f), "conj": conjugate_exact(f)}
     for x in primal_points(f, extra) + _override_probes(f):
         iv = subdiff_exact(f, x)
         duals = [F(0), F(-3)] if iv is None else [
@@ -2178,9 +2171,8 @@ def test_brondsted_ladder_matches_search_per_eps(f, extra):
                 want.append(_outcome(lambda: repr(brondsted_search(f, x, xstar, eps))))
                 if want[-1][0] == "ValueError":
                     break
-            for kw in ({}, shared):
-                got = brondsted_ladder(f, x, xstar, _EPS_LADDER, **kw)
-                assert _ladder_outcomes(got) == want
+            got = brondsted_ladder(f, x, xstar, _EPS_LADDER)
+            assert _ladder_outcomes(got) == want
 
 
 def test_brondsted_ladder_nudges_off_a_raised_end():
@@ -2426,7 +2418,7 @@ def test_integer_kernels_match_fraction_oracles_on_coprime_denominators(case):
     assert repr(capped) == repr([threshold_sup_oracle(st_, x, t) for x, t in zip(xs, thetas)])
     assert _exact_payloads(fxs + cup + capped)
     for kind, slack in (("smile", 0), ("smileeps", eps), ("smileeps", F(1, 2**64 - 59))):
-        got = envelope_values(f, kind, xs, slack or None, st_)
+        got = envelope_values(f, kind, xs, slack or None)
         want = [threshold_sup_oracle(st_, x, None if fx.is_pos_inf else fx.finite() + slack)
                 for x, fx in zip(xs, fxs)]
         assert repr(got) == repr(want) and _exact_payloads(got)
@@ -2700,7 +2692,6 @@ def test_eps_subdiff_interval_matches_gap_test(f, extra, eps):
     """The interval against the conjugate-gap test at the dual probes, at
     each finite end and 1/1000 outside it; an empty result admits no
     probe.  At eps = 0 it is the exact subdifferential."""
-    conj = conjugate_exact(f)
     for x in primal_points(f, extra):
         iv = eps_subdiff_interval(f, x, eps)
         if eps == 0:
@@ -2712,7 +2703,7 @@ def test_eps_subdiff_interval_matches_gap_test(f, extra, eps):
                     probes += [end, end + out]
         for y in probes:
             member = iv is not None and iv.contains(y)
-            assert member == eps_subdiff_test(f, x, y, eps, conj=conj), (x, y)
+            assert member == eps_subdiff_test(f, x, y, eps), (x, y)
 
 
 @st.composite
@@ -2761,12 +2752,12 @@ def test_subgradient_bisection_matches_breakpoint_loop(f, extra, rnd):
     override kinds), for x* exactly at a slope or a recession bound, next
     to one and between them: the loop, the subdiff_exact containment and
     the structure agree with the one-comparison predicate."""
-    test, st_ = subgradient_test(f), subdiff_structure(f)
+    st_ = subdiff_structure(f)
     duals = dual_points(f, extra)
     for x in primal_points(f, extra):
         for y in rnd.sample(duals, min(len(duals), 8)) + list(f.slopes()[:2]):
             want = subgradient_loop_oracle(f, x, y)
-            assert test(x, y) == want == subdiff_test_oracle(f, x, y), (x, y)
+            assert subdiff_test(f, x, y) == want == subdiff_test_oracle(f, x, y), (x, y)
             assert structure_contains(st_, x, y) == want, (x, y)
 
 

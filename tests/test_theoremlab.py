@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from envcalc.extreal import as_extreal
+from envcalc.extreal import NEG_INF, as_extreal
 from envcalc.funcrep import GridFunction, Interval1D, PLConvex1D, lsc_defect, pl_equal
 from envcalc.operators import (
     MaximalityVerdict,
@@ -184,7 +184,7 @@ def test_shared_context_matches_fresh_contexts(seed):
 
 def test_check_context_is_frozen_and_caches():
     ctx = CheckContext(ABS)
-    assert ctx.st is ctx.st and ctx.probes is ctx.probes
+    assert ctx.graph is ctx.graph and ctx.probes is ctx.probes
     with pytest.raises(FrozenInstanceError):
         ctx.inst = ABS
 
@@ -553,6 +553,50 @@ def test_hull_readers_fail_on_a_wrong_circ(tid, plant, witness):
     ctx = CheckContext(HAT)
     assert _dispatch(tid, "hat", ctx).verdict == "pass"
     got = _dispatch(tid, "hat", _planted(HAT, **plant(ctx)))
+    assert (got.verdict, got.witness) == ("fail", witness)
+
+
+def _with_net_row(ctx, **cells):
+    """ctx's net with its middle row changed in the named cells; on HAT
+    that row has x = 0 and r = 1/4, the net checks' witness."""
+    k = len(ctx.net) // 2
+    row = dict(zip(("x", "fx", "r", "a", "iv", "fa"), ctx.net[k]))
+    row.update({name: cell(row) for name, cell in cells.items()})
+    return {"net": ctx.net[:k] + (tuple(row.values()),) + ctx.net[k + 1:]}
+
+
+@pytest.mark.parametrize("tid, inst, plant, witness", [
+    # f's shape against the shape of f with its raised end raised further:
+    # the closure's shape carries the end's subgradients, f's does not
+    ("dfdom.e3", replace(HAT, override_right=as_extreal(F(2))),
+     lambda c: {"shape": theoremlab._graph_shape(HAT)}, None),
+    # the subdifferential's domain must close to the domain's closure
+    ("ba.density", HAT, lambda c: {"subdiff_domain": Interval1D(F(-1), F(1, 2))},
+     "closures differ"),
+    # a -inf smile cell makes the probed smile improper
+    ("fsp.ii", HAT, lambda c: {"smile_at": _with_cell(c.smile_at, c.probes, F(0), NEG_INF)},
+     (False, True)),
+    # a net point a moved 2r from x, or f(a) raised by 3r, past lam * r
+    ("maxsdsp.v", HAT, lambda c: _with_net_row(c, a=lambda row: row["a"] + 2 * row["r"]),
+     (F(0), F(1, 4))),
+    ("maxsdsp.v", HAT, lambda c: _with_net_row(
+        c, fa=lambda row: as_extreal(row["fa"].finite() + 3 * row["r"])),
+     (F(0), F(1, 4), "value")),
+    # a subgradient of slope 3 at a, with |x - a| = r / 2 and lam = 1
+    ("maxsdsp.vi", HAT, lambda c: _with_net_row(c, iv=lambda row: Interval1D(F(3), F(3))),
+     (F(0), F(1, 4))),
+    # the slope range must close to the conjugate's domain
+    ("maxsdsp.closure", HAT, lambda c: {"slope_range": Interval1D(F(-1), F(2))},
+     ("domain side", True, "range side", False)),
+])
+def test_table_readers_fail_on_a_planted_table(tid, inst, plant, witness):
+    """The smallest wrong table each check reads makes it FAIL: a shape, a
+    subdifferential domain, a smile cell, one net row or a slope range.
+    Where the check names a probe, the witness is the planted one (a net
+    row's probe and radius, then the failing clause)."""
+    ctx = CheckContext(inst)
+    assert _dispatch(tid, "planted", ctx).verdict == "pass"
+    got = _dispatch(tid, "planted", _planted(inst, **plant(ctx)))
     assert (got.verdict, got.witness) == ("fail", witness)
 
 
