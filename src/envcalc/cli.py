@@ -33,6 +33,7 @@ from .funcrep import (
     MaxAffine,
     OperatorGraph,
     PLConvex1D,
+    _scaled,
     dump_instance,
     effective_domain,
     load_instance,
@@ -89,10 +90,8 @@ def parse_probe_grid(spec: str, exact: bool = True):
     if not exact and not math.isfinite(step):
         raise _UsageError(f"probe grid {spec!r} spans past the float range")
     if exact:
-        # start + step k is (a + b k) / d over the lcm d of the denominators
-        d = math.lcm(start.denominator, step.denominator)
-        a = start.numerator * (d // start.denominator)
-        b = step.numerator * (d // step.denominator)
+        # start + step k is (a + b k) / d over their common denominator
+        (a, b), d = _scaled((start, step))
         pts = [Fraction(a + b * k, d) for k in range(count)]
     else:
         # start + step * float(k), each rounded once, as in Python floats;

@@ -108,43 +108,55 @@ def line_envelope_values(lines, ys) -> list:
     return out
 
 
+# ints over a common denominator that is no power of two lose to Fractions past about
+# 1,300 bits in the exact hull, 1,800 in ``fitzpatrick_table``, 2,800 in ``values_at``
+_SCALE_BITS = 1500
+
+
+def _scaled(cs) -> tuple:
+    """The one rule by which exact kernels read numbers (ints, floats,
+    Fractions) as ints: (ns, d) with each n / d a number and d the lcm of
+    the denominators; once that lcm is no power of two and passes
+    ``_SCALE_BITS``, the numbers as Fractions and d = 1."""
+    ratios = [c.as_integer_ratio() for c in cs]
+    d = 1
+    for q in {q for _n, q in ratios}:
+        d = math.lcm(d, q)
+        if d.bit_length() > _SCALE_BITS and d & (d - 1):
+            return list(map(Fraction, cs)), 1
+    return [n * (d // q) for n, q in ratios], d
+
+
 def line_envelope_at(lines, probes) -> list:
     """max of slope * y + intercept over ``lines`` at each probe, exactly,
     in the probes' order.
 
     ``lines`` is a nonempty iterable of exact (slope, intercept) pairs in
     any order; of equal slopes the first largest intercept is kept.  The
-    slopes, intercepts and probes are scaled once to ints over the common
-    denominators dy (probes) and d = lcm(dy * lcm(slope denominators),
-    intercept denominators), so slope * (d / dy) * y * dy + intercept * d
-    is d times each value; one sort of the slopes and one of the probes,
-    then ``line_envelope_values`` on ints: O((L + p) log(L + p)) for L
-    lines and p probes, plus the bit length of d.  A value comes back as
-    an int when its line's slope and intercept and its probe are ints
-    (what int arithmetic gives), else as a Fraction.
+    probes are read as Y over dy, the slopes and intercepts as S and C
+    over d (``_scaled``), so S * Y + C * dy is d * dy times each value;
+    one sort of each, then ``line_envelope_values``: O((L + p) log(L + p))
+    for L lines and p probes.  A value comes back as an int when its
+    line's slope and intercept and its probe are ints (what int
+    arithmetic gives), else as a Fraction.
     """
     lines = list(lines)
-    dy = math.lcm(*(y.denominator for y in probes))
-    d = math.lcm(
-        dy * math.lcm(*(s.denominator for s, _c in lines)),
-        *(c.denominator for _s, c in lines),
-    )
-    ds = d // dy
+    ys, dy = _scaled(probes)
+    sc, d = _scaled([q for line in lines for q in line])
     best = {}  # scaled slope -> [scaled intercept, slope is int, intercept is int]
-    for s, c in lines:
-        key = s.numerator * (ds // s.denominator)
-        icpt = c.numerator * (d // c.denominator)
+    for (s, c), key, icpt in zip(lines, sc[::2], sc[1::2]):
+        icpt *= dy
         old = best.get(key)
         if old is None:
             best[key] = [icpt, isinstance(s, int), isinstance(c, int)]
         elif icpt > old[0]:
             old[0], old[2] = icpt, isinstance(c, int)
     srt = sorted(best.items())
-    ys = [y.numerator * (dy // y.denominator) for y in probes]
     order = sorted(range(len(ys)), key=ys.__getitem__)
     vals = line_envelope_values(
         [(s, c) for s, (c, _si, _ci) in srt], [ys[q] for q in order]
     )
+    d *= dy
     out = [None] * len(probes)
     for q, (v, i) in zip(order, vals):
         _c, s_int, c_int = srt[i][1]
@@ -914,53 +926,41 @@ def _hull_candidates(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     return c
 
 
-def _dyadic(cs: list):
-    """An axis of the exact hull read through ``as_integer_ratio``: ints
-    over the largest denominator 2**e, and e, when every denominator is a
-    power of two (every float's and int's is); else Fractions and 0."""
-    ratios = [c.as_integer_ratio() for c in cs]
-    if all(d & (d - 1) == 0 for _n, d in ratios):
-        e = max((d for _n, d in ratios), default=1).bit_length() - 1
-        return [n << e + 1 - d.bit_length() for n, d in ratios], e
-    return list(map(Fraction, cs)), 0
-
-
 def _hull_1d_exact(items) -> tuple:
     """Lower convex hull of 1D (x, value) points, exact: the breakpoints,
     the values and the slopes between them, three tuples of Fractions.
 
-    Each axis goes through ``_dyadic`` once, so floats, ints and dyadic
-    Fractions sort and meet ``_upper_hull`` as ints, with no gcd; scaling
-    an axis by a positive constant changes no decision.  Of points sharing
-    an x the lowest stays, and ``_corners`` builds the result."""
-    (xs, ex), (vs, ev) = map(_dyadic, zip(*items))
+    Each axis goes through ``_scaled`` once, so the points sort and meet
+    ``_upper_hull`` as ints where that rule allows; scaling an axis by a
+    positive constant changes no decision.  Of points sharing an x the
+    lowest stays, and ``_corners`` builds the result."""
+    (xs, dx), (vs, dv) = map(_scaled, zip(*items))
     lowest = dict(sorted(zip(xs, vs), reverse=True))  # x descending, its lowest v
-    return _corners(_upper_hull([(x, -v) for x, v in reversed(lowest.items())]), ex, ev)
+    return _corners(_upper_hull([(x, -v) for x, v in reversed(lowest.items())]), dx, dv)
 
 
 def _float_hull(x: np.ndarray, v: np.ndarray) -> tuple:
     """The lower hull of 1D float samples, ties kept, decided on the dyadic
     ints of the prefilter's candidates (the lowest of samples sharing a
     float): the vertices' indices into x in ascending x, ``_upper_hull``'s
-    lines (x, -v, k) of them over 2**ex and 2**ev, and ex and ev."""
+    lines (x, -v, k) of them over dx and dv (``_scaled``), and dx and dv."""
     order = np.argsort(x, kind="stable")
     cand = order[_hull_candidates(x[order], v[order])]
     cand = cand[np.lexsort((v[cand], x[cand]))]
     cand = cand[np.concatenate(([True], x[cand[1:]] != x[cand[:-1]]))]
-    (xs, ex), (vs, ev) = _dyadic(x[cand].tolist()), _dyadic(v[cand].tolist())
+    (xs, dx), (vs, dv) = _scaled(x[cand].tolist()), _scaled(v[cand].tolist())
     # by duality, (x, v) is on the lower hull iff the line of slope x and
     # intercept -v reaches the upper envelope of those lines
     hull = _upper_hull([(a, -b) for a, b in zip(xs, vs)])
-    return cand[[k for _x, _c, k in hull]], hull, ex, ev
+    return cand[[k for _x, _c, k in hull]], hull, dx, dv
 
 
-def _corners(hull: list, ex: int, ev: int) -> tuple:
+def _corners(hull: list, sx: int, sv: int) -> tuple:
     """``_hull_1d_exact``'s result from the ``_upper_hull`` lines (x, -v) of
-    a lower hull over 2**ex and 2**ev: a vertex on the chord of its
-    neighbours goes, and Fractions are built only for the rest and slopes."""
+    a lower hull over sx and sv: a vertex on the chord of its neighbours
+    goes, and Fractions are built only for the rest and slopes."""
     hull[1:-1] = [q for p, q, r in zip(hull, hull[1:], hull[2:])
                   if (q[1] - p[1]) * (r[0] - q[0]) != (r[1] - q[1]) * (q[0] - p[0])]
-    sx, sv = 1 << ex, 1 << ev
     return (
         tuple(Fraction(x, sx) for x, _c, _ in hull),
         tuple(Fraction(-c, sv) for _x, c, _ in hull),
@@ -1236,7 +1236,15 @@ def load_instance(src):
             a, s = pc["anchor"], pc["slope"]
             if d["dim"] == 2:
                 a, s = _tuples(d, "anchor", [a])[0], _tuples(d, "slope", [s])[0]
-            return a, s, _parse_level(pc["level"])
+            lv = _parse_level(pc["level"])
+            # JSON's Infinity and NaN load as floats; the constructor keeps
+            # infinite levels, which the n-cup DP builds
+            for key, v in (("anchor", a), ("slope", s), ("level", lv)):
+                for c in v if isinstance(v, (list, tuple)) else (v,):
+                    if c != c or c in (math.inf, -math.inf):
+                        raise ValueError(f"maxaffine instance key {key!r} holds {c!r}, "
+                                         "not a finite number")
+            return a, s, lv
 
         return MaxAffine(d["dim"], tuple(map(piece, d["pieces"])), label=label)
     if kind == "opgraph":

@@ -27,6 +27,7 @@ from .funcrep import (
     PLConvex1D,
     _canon_point,
     _frac,
+    _scaled,
     dot,
     is_exact_scalar,
     line_envelope_values,
@@ -684,7 +685,7 @@ def fitzpatrick(G: OperatorGraph, x, xstar) -> ExtReal:
 def _fitz_lines(order, x):
     """phi(x, .) over a candidate order as lines in x* and two cuts.
 
-    ``order`` and x are scaled to ints (see ``fitzpatrick_table``): primal
+    ``order`` and x are scaled (see ``fitzpatrick_table``): primal
     numbers (anchors, segment ends, x) over one denominator d1, dual
     numbers (subgradient ends, x*) over another d2, so every line gives
     d1 * d2 times its value at the scaled x*.  Returns None when
@@ -767,12 +768,12 @@ def fitzpatrick_table(src, xs, xstars) -> list:
     ``src`` is a ``SubdiffStructure1D`` (the values of
     ``fitzpatrick_structured``) or an ``OperatorGraph`` (the values of
     ``fitzpatrick``).  A structure, or an exact 1D graph with exact probes
-    (read through ``_graph_order``), is scaled to ints once per table: the
-    primal numbers over their lcm d1, the dual ones over theirs d2.  Per x
-    the int lines of ``_fitz_lines`` (slopes already increasing) go through
+    (read through ``_graph_order``), is scaled once per table by
+    ``_scaled``: the primal numbers over d1, the dual ones over d2.  Per x
+    the lines of ``_fitz_lines`` (slopes already increasing) go through
     ``line_envelope_values`` at the sorted duals, and each value v becomes
-    the cell Fraction(v, d1 * d2): O(m + p) int operations per row after
-    one O(p log p) sort, for m breakpoints or distinct anchors.  A float or
+    the cell Fraction(v, d1 * d2): O(m + p) operations per row after one
+    O(p log p) sort, for m breakpoints or distinct anchors.  A float or
     2D graph, or inexact probes, take ``fitzpatrick``'s pair loop per cell.
     """
     if isinstance(src, OperatorGraph):
@@ -784,24 +785,22 @@ def fitzpatrick_table(src, xs, xstars) -> list:
         order = src._order
     xs = [_exactify(x) for x in xs]
     xstars = [_exactify(y) for y in xstars]
-    primal = [*xs, *(q for c in order for q in (c[0], *(c[4] or ())))]
-    dual = [*xstars, *(q for c in order for q in c[2:4])]
-    d1 = math.lcm(*(q.denominator for q in primal if q is not None))
-    d2 = math.lcm(*(q.denominator for q in dual if q is not None))
-
-    def up(q, d):
-        return None if q is None else q.numerator * (d // q.denominator)
-
+    (primal, d1), (dual, d2) = map(_scaled, (
+        [*(q for c in order for q in (c[0], *(c[4] or ())) if q is not None), *xs],
+        [*(q for c in order for q in c[2:4] if q is not None), *xstars],
+    ))
+    p, q = iter(primal), iter(dual)
     order = [
-        (up(a, d1), None, up(lo, d2), up(hi, d2), ends and tuple(up(e, d1) for e in ends))
-        for a, _v, lo, hi, ends in order
+        (next(p), None, lo if lo is None else next(q), hi if hi is None else next(q),
+         ends and tuple(e if e is None else next(p) for e in ends))
+        for _a, _v, lo, hi, ends in order
     ]
-    ys = [up(y, d2) for y in xstars]
+    xs, ys = list(p), list(q)
     by_value = sorted(range(len(ys)), key=ys.__getitem__)
     den = d1 * d2
     table = []
     for x in xs:
-        gen = _fitz_lines(order, up(x, d1))
+        gen = _fitz_lines(order, x)
         row = [POS_INF] * len(xstars)
         table.append(row)
         if gen is None:

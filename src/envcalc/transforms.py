@@ -26,10 +26,10 @@ from .funcrep import (
     PLConvex1D,
     SampledSet,
     _frac,
-    _dyadic,
     _float_hull,
     _grid_hull_1d,
     _hull_1d_exact,
+    _scaled,
     dot,
     shadow,
 )
@@ -260,12 +260,12 @@ _RANGE = 2.0**1023
 
 def _exact_scores(x, v, ys) -> list:
     """max over the samples (x, v) of <y, x> - v at each dual y of ys, on
-    the dyadic integers the floats denote, rounded once (``shadow``)."""
-    (xs, ex), (vs, ev), (yk, ey) = (_dyadic(a.ravel().tolist()) for a in (x, v, ys))
-    dim = len(xs) // len(vs)
+    the ``_scaled`` ints of the floats, rounded once (``shadow``)."""
+    (xs, dx), (vs, dv), (yk, dy) = (_scaled(a.ravel().tolist()) for a in (x, v, ys))
+    dim, dyx = len(xs) // len(vs), dy * dx
     samples = list(zip(zip(*[iter(xs)] * dim), vs))
-    return [shadow(max((sum(map(mul, y, p)) << ev) - (w << ey + ex) for p, w in samples),
-                   1 << ey + ex + ev) for y in zip(*[iter(yk)] * dim)]
+    return [shadow(max(sum(map(mul, y, p)) * dv - w * dyx for p, w in samples), dyx * dv)
+            for y in zip(*[iter(yk)] * dim)]
 
 
 def conjugate_brute(f: GridFunction, dual_points) -> GridFunction:
@@ -383,9 +383,9 @@ def conjugate_llt(f: GridFunction, dual_points) -> GridFunction:
         y = np.array(duals, dtype=float)
         pts = y if set(map(type, duals)) <= {float} else duals
     fits = _big(y) * _big(x) + _big(v) < _RANGE
-    keep, hull, ex, ev = _float_hull(x, v)
+    keep, hull, dx, dv = _float_hull(x, v)
     hx, hv = x[keep], v[keep]
-    slopes = np.array([shadow((c0 - c1) << ex, (x1 - x0) << ev)
+    slopes = np.array([shadow((c0 - c1) * dx, (x1 - x0) * dv)
                        for (x0, c0, _), (x1, c1, _) in zip(hull, hull[1:])], dtype=float)
     j = np.searchsorted(slopes, y, side="left")
     # the window j - 1, j, j + 1 (roundoff at slope ties), clipped by padding the

@@ -20,6 +20,7 @@ from envcalc.extreal import MAX_EXACT_DIGITS, NEG_INF, POS_INF, as_extreal, form
 from envcalc.funcrep import (
     MAX_GRID_POINTS,
     GridFunction,
+    MaxAffine,
     PLConvex1D,
     dump_instance,
     load_instance,
@@ -990,6 +991,34 @@ def test_maxaffine_junk_level_exits_2_at_load(tmp_path, capsys, level, verb):
     assert main(argv + ["--instance", path]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and _one_line_error(captured.err)
+
+
+@pytest.mark.parametrize("dim, key, value", [
+    (1, "level", -math.inf), (2, "level", math.nan), (1, "anchor", math.inf),
+    (2, "slope", -math.inf), (1, "slope", math.nan),
+])
+@pytest.mark.parametrize("verb", ["clconv", "conjugate"])
+def test_maxaffine_non_finite_number_exits_2_naming_the_key(tmp_path, capsys, dim, key, value, verb):
+    """JSON's Infinity, -Infinity and NaN load as floats; in a piece's
+    anchor, slope or level each is refused at load, naming the key, where
+    a conjugate exited 3 on the first ("cannot convert Infinity to integer
+    ratio") and clconv on the second ("NaN is not an extended real")."""
+    piece = {"anchor": [0, 0] if dim == 2 else 0, "slope": [1, 0] if dim == 2 else 1, "level": 0}
+    piece[key] = [0, value] if dim == 2 and key != "level" else value
+    d = {"kind": "maxaffine", "dim": dim, "pieces": [piece]}
+    with pytest.raises(ValueError, match=f"maxaffine instance key '{key}' holds"):
+        load_instance(d)
+    path = write_json(tmp_path / "ma.json", d)
+    argv = ["clconv", "--probes", "0:1:3", "--dual-grid", "-1:1:3"] if verb == "clconv" else [verb]
+    assert main(argv + ["--instance", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and _one_line_error(captured.err) and repr(key) in captured.err
+
+
+def test_maxaffine_constructor_keeps_infinite_levels():
+    # the n-cup DP builds pieces whose level is a float infinity
+    ma = MaxAffine(1, ((0, 1, math.inf), (0, 0, -math.inf)))
+    assert [lv for _a, _s, lv in ma.pieces] == [math.inf, -math.inf]
 
 
 def test_maxaffine_2d_file_still_refused_by_conjugate(tmp_path, capsys):

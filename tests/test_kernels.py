@@ -78,8 +78,10 @@ from envcalc.funcrep import (
     MaxAffine,
     PLConvex1D,
     SampledSet,
+    _SCALE_BITS,
     _frac,
     _hull_1d_exact,
+    _scaled,
     dot,
     dump_instance,
     effective_domain,
@@ -2347,14 +2349,35 @@ COPRIME_PRIMES = (
 )
 
 
+# the 180 primes from 1,009 to 2,347: the lcm of the first 160 is 1,695
+# bits long, past funcrep._SCALE_BITS
+WIDE_PRIMES = tuple(p for p in range(1000, 2348) if all(p % d for d in range(2, math.isqrt(p) + 1)))
+
+
+def wide_coprime_case(m, rays):
+    """A ``coprime_cases`` case past funcrep._SCALE_BITS: x^2 on the m
+    breakpoints i + 1/p_i over WIDE_PRIMES, between walls, one with a
+    raised end, or rays; 12 probes (breakpoints, midpoints, ints, a number
+    over a 64-bit prime and points past the ends) and budgets of each kind."""
+    b = [i + F(1, p) for i, p in enumerate(WIDE_PRIMES[:m])]
+    left, right = (2 * b[0] - 1, 2 * b[-1] + 1) if rays else (None, None)
+    f = PLConvex1D(tuple(b), tuple(x * x for x in b), left, right,
+                   None if rays else ExtReal(b[0] ** 2 + 1))
+    xs = [b[m // 2], b[0], b[-1], (b[1] + b[2]) / 2, (b[-2] + b[-1]) / 2, 0, 7, m // 3,
+          F(m, 2**64 - 59), b[m // 3] + F(1, 2**64 - 83), F(-1, 3), F(m + 1)]
+    thetas = [None, f.values[m // 2], F(1, 3), None, 50, *f.values[:7]]
+    return f, xs, thetas, F(5, 2)
+
+
 @st.composite
 def coprime_cases(draw):
     """(f, probes, budgets, eps).  f is the lower hull of up to 8 drawn points
     whose coordinates, like its recessions and finite overrides, are ints
-    or fractions over distinct primes of COPRIME_PRIMES; values take either
-    sign, and a wall may carry a finite or +inf override.  The probes are
-    the breakpoints (every support's anchor, where x - a is zero), their
-    ints spelled as ints, numbers that share a breakpoint's numerator,
+    or fractions over distinct primes of COPRIME_PRIMES (so an axis has at
+    most about 512 bits of common denominator); values take either sign,
+    and a wall may carry a finite or +inf override.  The probes are the
+    breakpoints (every support's anchor, where x - a is zero), their ints
+    spelled as ints, numbers that share a breakpoint's numerator,
     midpoints, drawn ints and drawn fractions over the primes left; the
     budgets are None, f's values and overrides, f at the probes and drawn
     numbers; eps is a drawn number in [1, 4]."""
@@ -2402,12 +2425,17 @@ def _exact_payloads(vals):
 
 
 @given(coprime_cases())
+@example(wide_coprime_case(160, rays=False))
+@example(wide_coprime_case(180, rays=True))
 @settings(max_examples=150, deadline=None)
 def test_integer_kernels_match_fraction_oracles_on_coprime_denominators(case):
     """values_at, the structure sups with and without budgets, the smile
     envelopes built on them, conjugate_exact and primal_probes each build
-    a value as one integer fraction; against the Fraction-operator oracles,
-    by repr, so payload types count."""
+    a value as one integer fraction, and the hull, line_envelope_at,
+    MaxAffine.values_at and fitzpatrick_table read each exact axis through
+    funcrep._scaled (ints over the common denominator up to _SCALE_BITS,
+    Fractions past it); against the Fraction-operator oracles, by repr, so
+    payload types count."""
     f, xs, thetas, eps = case
     fxs = f.values_at(xs)
     assert repr(fxs) == repr([value_at_oracle(f, x) for x in xs])
@@ -2431,6 +2459,26 @@ def test_integer_kernels_match_fraction_oracles_on_coprime_denominators(case):
     first = 2 if f.left_recession is not None else 1  # the index of b[0]
     mids = primal_probes(f)[first + 1:first + 2 * len(b) - 2:2]
     assert repr(mids) == repr(tuple((u + w) / 2 for u, w in zip(b, b[1:])))
+    if math.lcm(*(x.denominator for x in b)).bit_length() > _SCALE_BITS:
+        assert _scaled(b) == (list(b), 1)
+    # the hull of f's graph at its breakpoints and the probes, whose
+    # points are not dyadic
+    items = [*zip(b, f.values), *((x, fx.finite()) for x, fx in zip(xs, fxs) if fx.is_finite)]
+    bps, vals, _slopes = _hull_1d_exact(items)
+    assert repr(list(zip(bps, vals))) == repr(hull_1d_oracle(items))
+    # f's supporting lines at its breakpoints, and int lines, as lines and
+    # as max-affine pieces (anchor, slope, level)
+    pieces = [(a, s, fa) for a, fa, ss in zip(b, f.values, zip(f.gaps, f.gaps[1:]))
+              for s in ss if s is not None]
+    pieces += [(0, k, k * k) for k in (-1, 0, 2)]
+    lines = [(s, lv - s * a) for a, s, lv in pieces]
+    want = line_envelope_at_oracle(lines, xs)
+    assert repr(line_envelope_at(lines, xs)) == repr(want)
+    assert repr(MaxAffine(1, tuple(pieces)).values_at(xs)) == repr(list(map(ExtReal, want)))
+    gs = sorted({s for s in f.gaps if s is not None})
+    ys = [*gs[::len(gs) // 6 + 1], *xs[:3]]
+    assert repr(fitzpatrick_table(st_, xs[:8], ys)) == repr(
+        [[fitzpatrick_oracle(st_, x, y) for y in ys] for x in xs[:8]])
 
 
 @given(pl_functions(), extras, st.sampled_from((F(1, 100), F(1, 3), F(1), F(7))))

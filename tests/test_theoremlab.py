@@ -4,7 +4,9 @@ from fractions import Fraction as F
 import pytest
 
 from envcalc.extreal import NEG_INF, as_extreal
-from envcalc.funcrep import GridFunction, Interval1D, PLConvex1D, lsc_defect, pl_equal
+from envcalc.funcrep import (
+    GridFunction, Interval1D, MaxAffine, PLConvex1D, lsc_defect, pl_equal,
+)
 from envcalc.operators import (
     MaximalityVerdict,
     OperatorGraph,
@@ -588,16 +590,67 @@ def _with_net_row(ctx, **cells):
     # the slope range must close to the conjugate's domain
     ("maxsdsp.closure", HAT, lambda c: {"slope_range": Interval1D(F(-1), F(2))},
      ("domain side", True, "range side", False)),
+    # the upper envelope equals cup on the domain: one wrong cup cell at
+    # 1/2; the epigraph cuts and the envelope agree on v >= value: every
+    # piece raised by 1 breaks that at the first probe, -2, where the
+    # envelope reads 6 and the cuts 5; sharp equals cup on the hull: the
+    # cut corner moves it at 0
+    ("fcupdiez.iii", HAT, lambda c: {"cup_at": _with_cell(
+        c.cup_at, c.probes, F(1, 2), as_extreal(F(3, 2)))}, F(1, 2)),
+    ("fcupdiez.iii", HAT, lambda c: {"envelope": MaxAffine(
+        1, tuple((a, s, lv + 1) for a, s, lv in c.envelope.pieces))}, (F(-2), F(5))),
+    ("fcupdiez.iii", HAT, lambda c: {"sharp": CUT_HAT}, F(0)),
+    # cup and sharp carry f's subgradients: a wrong interval at 1/2, or a
+    # cup whose cut corner at 0 lacks the probe graph's pair (0, -1)
+    ("fcupdiez.iv", HAT, lambda c: {"subdiff_at": _with_cell(
+        c.subdiff_at, c.probes, F(1, 2), Interval1D(F(0), F(1)))}, F(1, 2)),
+    ("fcupdiez.iv", HAT, lambda c: {"cup": CUT_HAT}, (F(0), F(-1))),
+    # cup and sharp are fixed points: a raised end is not
+    ("fcupdiez.v", HAT, lambda c: {"cup": replace(HAT, override_right=as_extreal(F(2)))},
+     "idempotence broken"),
+    ("fcupdiez.v", HAT, lambda c: {"sharp": replace(HAT, override_right=as_extreal(F(2)))},
+     "idempotence broken"),
+    # same subdifferential iff same subdifferential domain: a shape of the
+    # cut corner, or a domain open at -1, breaks one side only
+    ("fcupdiez.viii", HAT, lambda c: {"shape": theoremlab._graph_shape(CUT_HAT)},
+     ("envelope", False, True)),
+    ("fcupdiez.viii", HAT, lambda c: {"subdiff_domain": Interval1D(F(-1), F(1), True)},
+     ("envelope", True, False)),
+    # the n-cup chain reaches the envelope: a piece of level 1/2 at 0
+    # raises the planted envelope at the probe 0 only
+    ("fcupdiez.ix", HAT, lambda c: {"envelope": MaxAffine(
+        1, (*c.envelope.pieces, (F(0), F(0), F(1, 2))))}, (F(0), 2)),
+    # the smile of every tilt is proper iff f* is star_cup: a raised
+    # star_cup breaks that at the first dual, -2
+    ("spxstar", HAT, lambda c: {"star_cup": PLConvex1D(
+        (F(-1), F(1)), (F(0), F(1, 8)), F(-1), F(1))}, F(-2)),
 ])
 def test_table_readers_fail_on_a_planted_table(tid, inst, plant, witness):
     """The smallest wrong table each check reads makes it FAIL: a shape, a
-    subdifferential domain, a smile cell, one net row or a slope range.
+    subdifferential domain, a smile or cup cell, a subgradient interval,
+    one net row, a slope range, an envelope, cup, sharp or star_cup.
     Where the check names a probe, the witness is the planted one (a net
     row's probe and radius, then the failing clause)."""
     ctx = CheckContext(inst)
     assert _dispatch(tid, "planted", ctx).verdict == "pass"
     got = _dispatch(tid, "planted", _planted(inst, **plant(ctx)))
     assert (got.verdict, got.witness) == ("fail", witness)
+
+
+def test_spxstar_fails_on_an_improper_smile_of_one_tilt(monkeypatch):
+    """A smile kernel that reads -inf at one probe of the tilt by the dual
+    1 only: the check names that dual."""
+    tilt = HAT.tilt(F(1))
+    real = theoremlab.envelope_values
+
+    def planted(f, kind, xs, eps=None):
+        vals = real(f, kind, xs, eps)
+        return [NEG_INF, *vals[1:]] if f == tilt else vals
+
+    assert _dispatch("spxstar", "hat", CheckContext(HAT)).verdict == "pass"
+    monkeypatch.setattr(theoremlab, "envelope_values", planted)
+    got = _dispatch("spxstar", "hat", CheckContext(HAT))
+    assert (got.verdict, got.witness) == ("fail", F(1))
 
 
 def test_dfdom_iv_fails_on_a_hull_that_misses_a_sample():
